@@ -13,16 +13,16 @@ materializing the full candidate table:
   constraints, and prunes the rest *before* any column is built (the
   admitted set is always a prefix of the count axis, found by binary
   search on the exact engine-identical area formula);
-* a :class:`StreamingFrontier` and a running top-k fold each chunk into
-  bounded state — the final frontier is bit-identical to the in-memory
-  engine's, whatever the chunk size or order;
+* a :class:`StreamingFrontier` folds each chunk into bounded state — the
+  final frontier is bit-identical to the in-memory exploration's, whatever
+  the chunk size or order;
 * the admitted-prefix masks are cached by *shape* knobs only, so a
   re-exploration that changes a per-run knob (frame size, fps floor)
   skips the admission pass entirely and re-costs only the admitted rows;
 * a frames-per-second floor is pushed down too: throughput is monotone in
-  the instance count, so a second binary search admits only the count
-  suffix that can meet the floor — intersected with the area prefix, the
-  admitted band is pruned before any costing;
+  the instance count, so where a group's area prefix spans several chunks
+  a second binary search admits only the count suffix that can meet the
+  floor, and chunks below it are never costed;
 * independent chunks fan out across executor-strategy workers
   (``jobs=N`` / ``explore(stream=True, stream_jobs=4)`` /
   ``--stream --jobs 4`` on the CLI); each worker folds a shard into
@@ -74,8 +74,7 @@ def main() -> None:
     started = time.perf_counter()
     streamed = explore_stream(space, characterizations,
                               explorer.throughput_model, 1024, 768,
-                              constraints, usable, chunk_rows=CHUNK_ROWS,
-                              top_k=5)
+                              constraints, usable, chunk_rows=CHUNK_ROWS)
     elapsed = time.perf_counter() - started
     print(f"streamed in {elapsed * 1000:.0f} ms "
           f"({streamed.space_rows / elapsed:,.0f} candidates/s): "
@@ -87,10 +86,10 @@ def main() -> None:
           f"process peak RSS {peak_rss_mb():.0f} MB")
     print()
 
-    # 3. the running top-k gives the k fastest feasible designs without
-    #    keeping anything but k triples around
-    print("5 fastest feasible architectures (running top-k):")
-    for point in streamed.top_points:
+    # 3. the fastest feasible designs sit at the frontier's large-area end:
+    #    every faster candidate would dominate them
+    print("3 fastest feasible architectures (frontier tail):")
+    for point in reversed(streamed.pareto[-3:]):
         print(f"  {point.architecture.label():<24} "
               f"{point.frames_per_second:8.1f} fps  "
               f"{point.area_luts:10.0f} LUTs")
@@ -120,9 +119,8 @@ def main() -> None:
 
     # 6. throughput-side pushdown + parallel dispatch: an fps floor
     #    admits only a suffix of each group's count axis (throughput is
-    #    monotone in the instance count), pruned before costing like the
-    #    area prefix; and the chunk schedule fans out across workers,
-    #    merged back bit-identically.
+    #    monotone in the instance count); and the chunk schedule fans out
+    #    across workers, merged back bit-identically.
     floored = DseConstraints(device_only=True, min_frames_per_second=30.0)
     serial = explore_stream(space, characterizations,
                             explorer.throughput_model, 1024, 768,
@@ -133,8 +131,8 @@ def main() -> None:
                               jobs=4, executor="threads")
     identical = ([p.to_dict() for p in parallel.pareto]
                  == [p.to_dict() for p in serial.pareto])
-    print(f"30 fps floor: {serial.throughput_pruned_rows:,} rows pruned "
-          f"throughput-side before costing "
+    print(f"30 fps floor: {serial.throughput_pruned_rows:,} more rows "
+          f"rejected throughput-side "
           f"({serial.pruned_fraction:.2%} pruned in total); "
           f"jobs=4 fan-out digest-identical to the serial fold: "
           f"{identical}")

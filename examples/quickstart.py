@@ -18,9 +18,9 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    ``threads`` (default), or ``processes``, which shards cold CPU-bound
    sweeps across worker processes and returns byte-identical results;
 7. sweep one kernel across devices *and* data formats in a single batch —
-   every scenario is evaluated by the columnar engine
-   (:mod:`repro.dse.engine`) against one shared architecture table, so the
-   candidate space is enumerated once, not once per workload;
+   every scenario is evaluated by the same chunked fold
+   (:mod:`repro.dse.stream`), which costs each (window, split) group of the
+   candidate space with column arithmetic;
 8. serve exploration traffic from a long-lived daemon
    (:mod:`repro.service`): ``python -m repro serve --store DIR`` starts an
    HTTP job API over one shared session; ``ReproClient.submit(...)`` (or
@@ -176,11 +176,9 @@ def main() -> None:
           f"into the parent session")
     print()
 
-    # 7. multi-device / multi-format frontiers from one shared table: the
-    #    columnar engine enumerates the candidate space once (it depends
-    #    only on the shape knobs) and re-costs it per scenario with array
-    #    arithmetic, so adding a device or a number format to the sweep
-    #    adds estimation work, not enumeration work.  Same thing from the
+    # 7. multi-device / multi-format frontiers in one batch: each scenario
+    #    re-costs the candidate space with array arithmetic over its own
+    #    characterizations.  Same thing from the
     #    shell:  python -m repro sweep --algorithms blur \
     #                --devices xc6vlx760,xc2vp30 --formats fixed16,fixed32
     scenarios = [
@@ -191,7 +189,7 @@ def main() -> None:
     ]
     sweep_session = Session()
     frontiers = sweep_session.run_many(scenarios)
-    print("multi-device/multi-format frontiers (one shared table):")
+    print("multi-device/multi-format frontiers (one batch):")
     for scenario, result in zip(scenarios, frontiers):
         best = result.best_fitting_point()
         fastest = "-" if best is None else f"{best.frames_per_second:7.1f} fps"

@@ -3,16 +3,15 @@
 The batch API answers one process's workloads; ``repro.service`` serves
 *everyone's*.  One `ReproServer` owns a single shared `Session`, so every
 client that hits it — in-process or over HTTP — shares one
-characterization cache, one persistent store binding, and one columnar
-architecture table.  This demo shows the three service-tier behaviors on
-top of that sharing:
+characterization cache and one persistent store binding.  This demo shows
+the three service-tier behaviors on top of that sharing:
 
 1. request coalescing — concurrent identical submissions ride one
    computation and all get the same result;
 2. priority scheduling — interactive jobs overtake a queued background
    sweep;
-3. batched dispatch — a burst of device/format scenarios is re-costed as
-   one ``run_many`` batch against the shared table.
+3. batched dispatch — a burst of device/format scenarios is explored as
+   one ``run_many`` batch.
 
 Run with:  PYTHONPATH=src python examples/service_demo.py
 
@@ -56,7 +55,7 @@ def main() -> None:
     # 2. priorities + 3. batched dispatch: queue a background sweep of
     #    four device/format scenarios, then an interactive request; the
     #    interactive job completes first, and the sweep rides batched
-    #    run_many dispatches over one shared architecture table.
+    #    run_many dispatches.
     finished = []
     server = ReproServer(
         start=False,
@@ -81,8 +80,7 @@ def main() -> None:
               f"{'first' if finished[0] == urgent.id else 'NOT first'} "
               f"of {len(finished)} jobs")
         print(f"batching:   sweep dispatched as batch sizes "
-              f"{stats['scheduler']['recent_batch_sizes']} "
-              f"(shared-table hits: {stats['shared_table']['hits']})")
+              f"{stats['scheduler']['recent_batch_sizes']}")
     finally:
         server.close()
 

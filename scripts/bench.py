@@ -23,13 +23,7 @@ runs the batch twice against a persistent :class:`repro.api.ArtifactStore`
 directory and records the cold-vs-warm comparison under ``store_demo`` (the
 warm pass must perform zero synthesis runs).
 
-The snapshot also records a ``columnar_vs_scalar`` section (skip with
-``--skip-columnar``): the paper-scale IGF exploration timed through the
-columnar engine (:mod:`repro.dse.engine`) and through the legacy scalar
-explorer loop, with the speedup and a digest check proving the two produce
-byte-identical serialized results.
-
-And an ``executor_scaling`` section (skip with ``--skip-scaling``): the cold 4-kernel scaling batch run through every
+The snapshot also records an ``executor_scaling`` section (skip with ``--skip-scaling``): the cold 4-kernel scaling batch run through every
 built-in ``Session.run_many`` strategy — ``serial``, ``threads``, and
 ``processes`` — with per-strategy wall times, speedups over serial, and a
 digest check proving the three produce byte-identical results.  On a
@@ -234,65 +228,6 @@ def run_executor_scaling(jobs=None) -> dict:
     }
 
 
-def run_columnar_vs_scalar(repeats=5) -> dict:
-    """Time the columnar engine against the legacy scalar explorer loop.
-
-    Uses the paper-scale IGF space (windows 1..9, depths 1..5, up to 16
-    primary-cone instances — the Section-4 configuration).  Cone
-    characterization is paid once up front and shared by both paths, so the
-    timings isolate the exploration phase the engine vectorizes; each path
-    is timed ``repeats`` times and the best wall is recorded (the digest
-    check covers every run).  ``results_identical`` asserts the engine's
-    headline guarantee: byte-identical serialized results.
-    """
-    import hashlib
-
-    from repro.api.pipeline import build_explorer
-
-    workload = WORKLOADS["igf"]
-    explorer = build_explorer(workload)
-    explorer.characterize_cones(workload.iterations)  # shared, not timed
-
-    def digest(result):
-        return hashlib.sha256(json.dumps(
-            result.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
-
-    def best_wall(explore):
-        wall, digests = float("inf"), set()
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = explore()
-            wall = min(wall, time.perf_counter() - started)
-            digests.add(digest(result))
-        return wall, digests, result
-
-    frame = (workload.frame_width, workload.frame_height)
-    scalar_wall, scalar_digests, scalar_result = best_wall(
-        lambda: explorer.explore_scalar(workload.iterations, *frame))
-    columnar_wall, columnar_digests, _ = best_wall(
-        lambda: explorer.explore(workload.iterations, *frame))
-
-    identical = scalar_digests == columnar_digests and len(
-        scalar_digests) == 1
-    speedup = scalar_wall / columnar_wall if columnar_wall > 0 else None
-    if not identical:
-        print("  WARNING: columnar and scalar explorations disagreed!",
-              file=sys.stderr)
-    print(f"    scalar    {scalar_wall * 1e3:8.2f} ms")
-    print(f"    columnar  {columnar_wall * 1e3:8.2f} ms  "
-          f"({speedup:.2f}x, identical results: {identical})")
-    return {
-        "workload": workload.name,
-        "design_points": len(scalar_result.design_points),
-        "repeats": repeats,
-        "scalar_wall_s": scalar_wall,
-        "columnar_wall_s": columnar_wall,
-        "speedup": speedup,
-        "result_digest": sorted(scalar_digests)[0],
-        "results_identical": identical,
-    }
-
-
 #: The service-throughput burst: 4 distinct scenario workloads (devices x
 #: formats over one kernel family) each submitted 4 times by concurrent
 #: clients — 16 jobs, 12 of which should coalesce or batch away.
@@ -317,7 +252,7 @@ def run_service_throughput() -> dict:
     land on a paused in-process :class:`repro.service.ReproServer` from 16
     threads, then the scheduler is released: duplicates coalesce onto one
     job each and the 4 unique scenarios ride batched ``run_many``
-    dispatches over the shared columnar table.  Records jobs/s, the
+    dispatches.  Records jobs/s, the
     coalesce hit-rate, and the dispatched batch sizes.
     """
     import threading
@@ -366,7 +301,6 @@ def run_service_throughput() -> dict:
         "batch_sizes": stats["scheduler"]["recent_batch_sizes"],
         "batched_dispatches": stats["scheduler"]["batched_dispatches"],
         "session_synthesis_runs": stats["session"]["synthesis_runs"],
-        "shared_table": stats["shared_table"],
     }
 
 
@@ -722,9 +656,6 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-scaling", action="store_true",
                         help="skip the serial-vs-threads-vs-processes "
                              "executor scaling section")
-    parser.add_argument("--skip-columnar", action="store_true",
-                        help="skip the columnar-engine-vs-scalar-explorer "
-                             "exploration benchmark")
     parser.add_argument("--skip-service", action="store_true",
                         help="skip the exploration-service throughput "
                              "burst (jobs/s, coalesce hit-rate, batch "
@@ -795,11 +726,6 @@ def main(argv=None) -> int:
               f"{warm['wall_time_s']:.2f}s "
               f"({warm['session']['store_disk_hits']} disk hits, "
               f"{warm['session']['synthesis_runs']} synthesis runs)")
-
-    if not args.skip_columnar:
-        print("running the columnar-vs-scalar exploration benchmark "
-              "(paper-scale IGF space)...")
-        snapshot["columnar_vs_scalar"] = run_columnar_vs_scalar()
 
     if not args.skip_scaling:
         print(f"running the executor scaling batch "

@@ -5,7 +5,7 @@
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
 # Every mode first runs the engine import-hygiene guard: repro.dse.engine
-# must import with nothing beyond NumPy + the stdlib.
+# and repro.dse.stream must import with nothing beyond NumPy + the stdlib.
 #   scripts/check.sh --par      # process-parallel executor/store-stress
 #                               # tests only, plus marker-hygiene checks
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
@@ -20,8 +20,8 @@
 #   scripts/check.sh --large    # out-of-core smoke: stream a >=10^5-
 #                               # candidate space under a hard RSS ceiling
 #                               # and assert streamed results are digest-
-#                               # identical to explore_columnar on the
-#                               # paper-scale subspace, then repeat the
+#                               # identical to the in-memory exploration on
+#                               # the paper-scale subspace, then repeat the
 #                               # large run with --jobs 2 chunk-shard
 #                               # workers (same ceiling, digest identity
 #                               # vs the serial fold)
@@ -47,9 +47,9 @@ run_pytest() {
 }
 
 check_engine_imports() {
-    # Import hygiene: the columnar engine must import with nothing beyond
-    # NumPy and the stdlib — test-only/optional packages sneaking into its
-    # import closure would break minimal production deployments.  The
+    # Import hygiene: the exploration evaluator must import with nothing
+    # beyond NumPy and the stdlib — test-only/optional packages sneaking
+    # into its import closure would break minimal production deployments.  The
     # blocked import hook fails the build the moment one is touched.
     python - <<'PYEOF'
 import builtins

@@ -3,18 +3,18 @@
 Two checks in one fresh process:
 
 1. **Digest identity** — on the paper-scale subspace (the 720-candidate
-   blur space of Section 4.1) ``explore_stream`` must reproduce
-   ``explore_columnar`` exactly: same Pareto rows, byte-identical
-   serialized design points, same pruned-row count — across chunk sizes
-   {1 row, one (window, split) group, the whole space} and a shuffled
-   chunk order.
+   blur space of Section 4.1) a frontier-only ``explore_stream`` must
+   reproduce the in-memory exploration (every admitted row kept, one chunk
+   per group) exactly: same Pareto rows, byte-identical serialized design
+   points, same pruned-row count — across chunk sizes {1 row, one
+   (window, split) group, the whole space} and a shuffled chunk order.
 
 2. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
    under a hard peak-RSS ceiling, measured with
    ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` over the whole process.
-   The columnar oracle is deliberately *not* run on the large space in
-   this process, so the ceiling bounds the streaming path alone.
+   The in-memory exploration is deliberately *not* run on the large space
+   in this process, so the ceiling bounds the streaming path alone.
 
 ``--jobs N`` additionally streams the large space through N chunk-shard
 workers (``--executor``, default threads) and requires digest identity
@@ -39,7 +39,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
-from repro.dse.engine import explore_columnar                # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
 from repro.dse.stream import explore_stream, plan_chunks     # noqa: E402
 
@@ -56,7 +55,7 @@ def serialized(points) -> str:
 
 
 def check_digest_identity(explorer, space, characterizations, usable):
-    """Streamed == columnar on the paper-scale subspace, chunking-invariant."""
+    """Streamed == in-memory on the paper-scale subspace, chunking-invariant."""
     paper_space = dataclasses.replace(space, max_cones_per_depth=16)
     group_rows = paper_space.max_cones_per_depth
     scenarios = [
@@ -65,10 +64,11 @@ def check_digest_identity(explorer, space, characterizations, usable):
     ]
     checked = 0
     for constraints, label in scenarios:
-        oracle = explore_columnar(paper_space, characterizations,
-                                  explorer.throughput_model, 1024, 768,
-                                  constraints, usable,
-                                  materialize="frontier")
+        oracle = explore_stream(paper_space, characterizations,
+                                explorer.throughput_model, 1024, 768,
+                                constraints, usable,
+                                chunk_rows=group_rows,
+                                materialize="admitted")
         digest = serialized(oracle.pareto)
         for chunk_rows in (1, group_rows, paper_space.size()):
             n_chunks = len(plan_chunks(paper_space, chunk_rows))
@@ -90,7 +90,7 @@ def check_digest_identity(explorer, space, characterizations, usable):
                         f"{streamed.pruned_rows} != oracle "
                         f"{oracle.pruned_rows}")
                 checked += 1
-    print(f"digest identity ok: {checked} streamed runs == columnar oracle "
+    print(f"digest identity ok: {checked} streamed runs == in-memory run "
           f"on the {paper_space.size()}-candidate paper space")
 
 

@@ -15,12 +15,8 @@ Subcommands
 ``sweep``
     Batch-explore several algorithms / frame sizes / devices / data formats
     through one session, sharing cone characterizations, and report
-    per-workload results plus session statistics.  Multi-device and
-    multi-format scenarios (``--devices a,b --formats fixed16,fixed32``)
-    evaluate their frontiers from one shared columnar architecture table
-    (:mod:`repro.dse.engine`): the enumerated candidate space depends only
-    on the shape knobs, so it is materialized once and re-costed per
-    scenario instead of re-enumerated per workload.
+    per-workload results plus session statistics (multi-device and
+    multi-format scenarios: ``--devices a,b --formats fixed16,fixed32``).
 ``validate``
     Simulate the cone architecture on the workload's frame geometry and
     check it against the software golden model (``python -m repro
@@ -181,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--formats", default=_FORMAT,
                        help="comma-separated datapath number formats "
                             f"({', '.join(f.value for f in DataFormat)}; "
-                            f"default: {_FORMAT}); multi-format frontiers "
-                            "share one columnar architecture table")
+                            f"default: {_FORMAT})")
     sweep.add_argument("--iterations", type=int, default=None,
                        help="iteration count override (default: per-algorithm)")
     sweep.add_argument("--windows", default=None,

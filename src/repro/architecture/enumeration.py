@@ -11,13 +11,9 @@ not divide the iteration count waste area on the remainder cone.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.utils.validation import check_positive
 from repro.architecture.template import ConeArchitecture
@@ -138,153 +134,6 @@ def enumerate_level_splits(total_iterations: int,
                                         uniform_only)]
 
 
-@dataclass(frozen=True)
-class ArchitectureTable:
-    """Columnar (NumPy) materialization of one enumerated architecture space.
-
-    Every candidate architecture is one row; the parallel arrays hold the
-    row's output window side, its level-split index (into :attr:`splits`),
-    the primary-cone instance count, and the primary (deepest) cone depth.
-    Row order is exactly :meth:`ArchitectureSpace.architecture_groups`
-    order — window outermost, then split, then instance count — so row
-    ``(w_idx * len(splits) + s_idx) * len(counts) + c_idx`` is the same
-    candidate the scalar iteration visits at that position, and the rows of
-    one (window, split) group are contiguous.
-
-    The arrays are read-only and shared: the enumeration depends only on
-    the shape knobs (iteration count, depth bound, windows, instance
-    bound), so sweeps across devices, data formats, frame sizes, and even
-    kernels evaluate their scenarios against one cached table instead of
-    re-enumerating per workload (see :func:`space_table`).
-    """
-
-    window_sides: Tuple[int, ...]
-    splits: Tuple[Tuple[int, ...], ...]
-    counts: Tuple[int, ...]
-    window: np.ndarray
-    split_index: np.ndarray
-    primary_count: np.ndarray
-    primary_depth: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        """Total number of candidate architectures in the table."""
-        return int(self.window.size)
-
-    def group_rows(self, window_index: int, split_index: int) -> range:
-        """The contiguous row range of one (window, split) group."""
-        base = ((window_index * len(self.splits)) + split_index) * len(self.counts)
-        return range(base, base + len(self.counts))
-
-
-#: Entries the process-wide table cache may hold at once.  A table over a
-#: million-candidate space is tens of MB of column arrays, so the bound is
-#: deliberately small: a sweep re-costs one shared table thousands of times
-#: (hits), while distinct shape-knob sets beyond the bound evict the least
-#: recently used table instead of pinning old spaces in RAM.
-TABLE_CACHE_CAPACITY = 8
-
-_CacheInfo = namedtuple("CacheInfo", ("hits", "misses", "maxsize", "currsize"))
-
-
-class _LruTableCache:
-    """Thread-safe bounded LRU with ``functools.lru_cache``'s stat surface.
-
-    Unlike ``lru_cache`` it counts evictions, making cache-thrash on
-    large-space runs observable through
-    :func:`repro.dse.engine.shared_table_stats`.
-    """
-
-    def __init__(self, builder, maxsize: int) -> None:
-        self._builder = builder
-        self._maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, ArchitectureTable]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def __call__(self, *key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return entry
-            self._misses += 1
-        built = self._builder(*key)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                # a racing builder won; share its table
-                self._entries.move_to_end(key)
-                return entry
-            self._entries[key] = built
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-        return built
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self._maxsize,
-                              len(self._entries))
-
-    @property
-    def evictions(self) -> int:
-        with self._lock:
-            return self._evictions
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = self._evictions = 0
-
-
-def _build_space_table(total_iterations: int, max_depth: Optional[int],
-                       uniform_only: bool,
-                       window_sides: Tuple[int, ...],
-                       max_cones_per_depth: int) -> ArchitectureTable:
-    splits = _cached_splits(total_iterations, max_depth, uniform_only)
-    counts = tuple(range(1, max_cones_per_depth + 1))
-    n_splits, n_counts = len(splits), len(counts)
-    window = np.repeat(np.asarray(window_sides, dtype=np.int64),
-                       n_splits * n_counts)
-    split_index = np.tile(np.repeat(np.arange(n_splits, dtype=np.int64),
-                                    n_counts), len(window_sides))
-    primary_count = np.tile(np.asarray(counts, dtype=np.int64),
-                            len(window_sides) * n_splits)
-    primaries = np.asarray([max(split) for split in splits], dtype=np.int64)
-    primary_depth = (primaries[split_index] if n_splits
-                     else np.empty(0, dtype=np.int64))
-    columns = ArchitectureTable(window_sides=window_sides, splits=splits,
-                                counts=counts, window=window,
-                                split_index=split_index,
-                                primary_count=primary_count,
-                                primary_depth=primary_depth)
-    for array in (window, split_index, primary_count, primary_depth):
-        array.setflags(write=False)
-    return columns
-
-
-_space_table_cached = _LruTableCache(_build_space_table,
-                                     maxsize=TABLE_CACHE_CAPACITY)
-
-
-def space_table(space: "ArchitectureSpace") -> ArchitectureTable:
-    """The (cached, shared) columnar table of a space's candidate set.
-
-    Keyed by the shape knobs only — kernel identity, radius, and components
-    affect how rows are *materialized* into :class:`ConeArchitecture`
-    objects (and how they are costed), never which rows exist — so one
-    table serves every device/format/frame scenario of a sweep.
-    """
-    return _space_table_cached(space.total_iterations, space.max_depth,
-                               space.uniform_levels_only,
-                               tuple(space.window_sides),
-                               space.max_cones_per_depth)
-
-
 @dataclass
 class ArchitectureSpace:
     """The set of candidate architectures for one kernel and iteration count."""
@@ -321,9 +170,9 @@ class ArchitectureSpace:
 
         The architectures of one group differ only in the instance count of
         the primary (deepest) cone — they share cone shapes, per-depth areas,
-        and cone-performance tables, so per-point consumers (the explorer's
-        estimation loop) hoist that work to the group level instead of
-        redoing it ``max_cones_per_depth`` times.
+        and cone-performance tables, so per-point consumers hoist that work
+        to the group level instead of redoing it ``max_cones_per_depth``
+        times.
         """
         counts = tuple(cone_count_choices
                        or range(1, self.max_cones_per_depth + 1))
@@ -347,20 +196,9 @@ class ArchitectureSpace:
                     ))
                 yield window, list(split), group
 
-    def table(self) -> ArchitectureTable:
-        """Columnar emission path: the cached :class:`ArchitectureTable` table.
-
-        The scalar :meth:`architecture_groups` iteration and this table
-        enumerate the same candidates in the same order; the columnar
-        engine (:mod:`repro.dse.engine`) evaluates the table with array
-        arithmetic and materializes :class:`ConeArchitecture` rows on
-        demand via :meth:`materialize_row_parts`.
-        """
-        return space_table(self)
-
     def materialize_row_parts(self, window: int, split: Sequence[int],
                               primary_count: int) -> ConeArchitecture:
-        """Materialize one table row as a :class:`ConeArchitecture`.
+        """Materialize one enumerated candidate as a :class:`ConeArchitecture`.
 
         Trusted fast path: enumeration guarantees validity, so the
         per-instance feasibility re-check is skipped.

@@ -83,7 +83,7 @@ class ConeArchitecture:
                            radius: int, components: int) -> "ConeArchitecture":
         """Materialize an architecture the enumerator already proved valid.
 
-        Fast path for the columnar engine, which materializes architectures
+        Fast path for the exploration fold, which materializes architectures
         only for rows that survive constraint masks: the enumeration
         guarantees positive windows/depths and one instance per required
         depth, so re-running ``__post_init__`` validation per row would only

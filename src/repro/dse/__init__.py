@@ -1,22 +1,19 @@
 """Design-space exploration: estimate every candidate architecture, extract Pareto set.
 
-The evaluation itself is columnar by default: :mod:`repro.dse.engine`
-materializes the enumerated space as a shared NumPy
-:class:`~repro.architecture.enumeration.ArchitectureTable`, evaluates areas
-and throughput vectorized per (window, split) group, applies constraints as
-array masks, and extracts the Pareto frontier from the objective columns.
-The per-point scalar loop (``DesignSpaceExplorer.explore_scalar``) remains
-as the differential baseline and the route for custom throughput backends.
+Every exploration runs one evaluator, the chunked fold of
+:mod:`repro.dse.stream`: the space is planned as chunks of (window, split)
+groups, constraints are pushed down before costing, and
+:mod:`repro.dse.engine` costs each chunk with column arithmetic and folds its
+admitted rows into a streaming Pareto frontier.  In-memory explorations keep
+every admitted row as a design point; streamed ones keep only the frontier.
 """
 
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_front, pareto_indices, is_dominated
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import (ColumnarExploration, explore_columnar,
-                              supports_columnar)
+from repro.dse.engine import StreamingFrontier, supports_batch
 from repro.dse.stream import (DEFAULT_CHUNK_ROWS, STREAM_AUTO_THRESHOLD,
                               SpaceChunk, StreamingExploration,
-                              StreamingFrontier, StreamingTopK,
                               explore_stream, plan_chunks,
                               reset_stream_stats, stream_stats)
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult, ConeCharacterization
@@ -27,15 +24,12 @@ __all__ = [
     "pareto_indices",
     "is_dominated",
     "DseConstraints",
-    "ColumnarExploration",
-    "explore_columnar",
-    "supports_columnar",
+    "supports_batch",
     "DEFAULT_CHUNK_ROWS",
     "STREAM_AUTO_THRESHOLD",
     "SpaceChunk",
     "StreamingExploration",
     "StreamingFrontier",
-    "StreamingTopK",
     "explore_stream",
     "plan_chunks",
     "reset_stream_stats",

@@ -1,58 +1,39 @@
-"""The columnar design-space engine.
+"""The evaluation kernel every design-space exploration runs.
 
-The scalar explorer evaluates the candidate space one Python object at a
-time: build a :class:`ConeArchitecture`, sum its cone areas, run the
-throughput model, wrap a :class:`DesignPoint`, test the constraints — a few
-tens of microseconds of interpreter work per candidate, multiplied by every
-(window, split, instance count) combination of every workload of a sweep.
+A candidate space is a cross product of (window, level split) *groups* and a
+primary-cone instance-count axis.  The candidates of one group share their
+cone shapes, per-depth areas and cone-performance table, so a *chunk* — a
+slice of one group's count axis — is evaluated as columns:
 
-This module evaluates the same space as columns instead:
+1. per-row area is Σ_depth instances × cone area (:func:`group_area`);
+2. throughput is the model's ``estimate_batch`` over the chunk's counts, or,
+   for a backend that overrides the per-point hooks, its ``evaluate`` one
+   architecture at a time (:func:`supports_batch`, :func:`cost_counts`);
+3. a ``min_frames_per_second`` floor masks the costed rows;
+4. the admitted ``(area, time, global row)`` triples fold into a
+   :class:`StreamingFrontier`, whose state is the Pareto frontier of
+   everything folded so far, and optionally become
+   :class:`~repro.dse.design_point.DesignPoint` objects
+   (:func:`build_points`).
 
-1. the full enumerated candidate set is materialized once as parallel NumPy
-   arrays (:class:`repro.architecture.enumeration.ArchitectureTable` — window,
-   split, instance count, primary depth), cached and *shared* across every
-   device/format/frame scenario that explores the same shape knobs;
-2. the calibrated Equation-1 areas and the frame-level throughput model are
-   evaluated vectorized over whole (window, split) groups through the
-   models' ``estimate_batch`` APIs — the same code the scalar paths
-   delegate to, so columnar and scalar figures are bit-identical;
-3. :class:`~repro.dse.constraints.DseConstraints` are applied as array
-   masks, with the area-only constraints (``device_only``,
-   ``max_area_luts``) pushed down *before* throughput estimation so
-   infeasible candidates are never costed;
-4. the Pareto frontier is extracted directly from the admitted objective
-   columns (:func:`repro.dse.pareto.pareto_indices`);
-5. :class:`DesignPoint` objects are materialized only for the rows that
-   survive — all admitted rows when a full :class:`ExplorationResult` is
-   wanted (the explorer default, byte-identical to the scalar path), or
-   just the frontier when only the Pareto set matters
-   (``materialize="frontier"``).
-
-:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` routes through this
-engine whenever the workload's throughput backend is columnar-capable (see
-:func:`supports_columnar`), which covers every built-in configuration; the
-scalar loop remains available as ``explore_scalar`` and serves as the
-differential-testing baseline.
+:func:`fold_shard` runs these steps over a list of chunks.  Chunk planning,
+constraint pushdown, worker dispatch and the final merge live in
+:mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from repro.architecture.enumeration import (ArchitectureSpace,
-                                            ArchitectureTable, space_table)
-from repro.dse.constraints import DseConstraints
+from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_indices
-# one accumulation formula shared with the streaming engine, so its
-# binary-search pushdown probes are bit-identical to these columns by
-# construction (stream imports nothing from this module at import time)
-from repro.dse.stream import _group_area
 from repro.estimation.throughput_model import (
+    ArchitecturePerformance,
     ConePerformance,
     ThroughputModel,
     performance_from_columns,
@@ -62,42 +43,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
 
 
-def shared_table_stats() -> Dict[str, Optional[int]]:
-    """Counters of the process-wide :class:`ArchitectureTable` cache.
-
-    The enumerated candidate table is keyed by shape knobs only and shared
-    by every device/format/frame scenario over the same space (see
-    :func:`repro.architecture.enumeration.space_table`); these counters
-    make that reuse observable — the service tier reports them under
-    ``stats()["shared_table"]``, where ``hits`` growing while ``entries``
-    stays flat is the signature of a burst re-costing one cached table
-    instead of re-enumerating per job.  The cache is a small bounded LRU
-    (tables over huge spaces are tens of MB), so ``evictions`` counts how
-    often a distinct shape-knob set pushed an old table out of RAM.
-    """
-    from repro.architecture.enumeration import _space_table_cached
-
-    info = _space_table_cached.cache_info()
-    return {"hits": info.hits, "misses": info.misses,
-            "entries": info.currsize, "capacity": info.maxsize,
-            "evictions": _space_table_cached.evictions}
-
-
-def supports_columnar(throughput_model: object) -> bool:
-    """Whether the engine may drive ``throughput_model`` through its batch API.
+def supports_batch(throughput_model: object) -> bool:
+    """Whether ``throughput_model`` may be costed through ``estimate_batch``.
 
     True iff the model's frame-level ``evaluate``, its per-tile
     ``compute_cycles_per_tile`` hook, and ``estimate_batch`` itself are the
-    stock :class:`ThroughputModel` implementations, so the batch path
-    cannot diverge from what per-point evaluation would produce.  A
-    backend that overrides any of the three — or duck-types the protocol
-    without subclassing — is evaluated point-wise by the scalar explorer
-    loop instead (its overrides are honored, just not vectorized).  The
-    finer-grained public hooks (``transfer_cycles_per_tile``,
-    ``tiles_per_frame``, ``execution_interval_cycles``) are invoked on the
-    instance by both paths, so overriding those keeps the engine usable
-    *and* consistent — they are the supported extension points for
-    columnar-capable customization.
+    stock :class:`ThroughputModel` implementations, so the batch formula
+    cannot diverge from per-point evaluation.  A backend that overrides any
+    of the three — or duck-types the protocol without subclassing — is
+    costed one architecture at a time through its own ``evaluate`` (its
+    overrides are honored, just not vectorized).  The finer-grained hooks
+    (``transfer_cycles_per_tile``, ``tiles_per_frame``,
+    ``execution_interval_cycles``) are invoked on the instance either way,
+    so overriding those keeps the batch path usable and consistent.
     """
     model_type = type(throughput_model)
     return (getattr(model_type, "estimate_batch", None)
@@ -108,210 +66,270 @@ def supports_columnar(throughput_model: object) -> bool:
             is ThroughputModel.compute_cycles_per_tile)
 
 
-@dataclass(frozen=True)
-class _GroupEvaluation:
-    """One (window, split) group's evaluated columns (admitted rows only)."""
+def group_area(counts: "np.ndarray", depths: Sequence[int], primary: int,
+               area_by_depth: Mapping[int, float]) -> "np.ndarray":
+    """Per-row area over a primary-count vector.
 
-    window: int
-    split: Tuple[int, ...]
-    base_row: int
-    count_index: np.ndarray        # admitted positions along the count axis
-    area_luts: np.ndarray          # admitted areas (aligned with count_index)
-    fits_device: np.ndarray
-    performance_columns: Mapping[str, object]
-    performance_index: np.ndarray  # admitted positions into the perf columns
-    area_by_depth: Dict[int, float]
-    area_estimated: bool
+    Accumulated in sorted-depth order with only the primary depth's
+    instance count varying — the same additions as the per-point sum, so
+    any slice of the count axis reproduces the per-point values bit for
+    bit.
+    """
+    area = np.zeros(counts.size, dtype=np.float64)
+    for depth in depths:
+        if depth == primary:
+            area += counts * area_by_depth[depth]
+        else:
+            area += 1 * area_by_depth[depth]
+    return area
 
 
 @dataclass
-class ColumnarExploration:
-    """The engine's product: admitted objective columns plus design points.
+class GroupContext:
+    """Per-(window, split) evaluation state shared by all chunks of a group."""
 
-    ``row_index``/``area_luts``/``seconds_per_frame``/``fits_device`` are
-    parallel arrays over the admitted candidates, in enumeration (row)
-    order.  ``design_points`` holds one :class:`DesignPoint` per admitted
-    row in the same order — unless the evaluation ran with
-    ``materialize="frontier"``, in which case only the Pareto members were
-    materialized and ``design_points`` is ``None``.  ``pareto`` is the
-    frontier in increasing-area order (see :mod:`repro.dse.pareto` for the
-    tie-breaking contract).
+    window: int
+    split: Tuple[int, ...]
+    depths: List[int]
+    primary: int
+    area_by_depth: Dict[int, float]
+    area_estimated: bool
+    representative: Any
+    cone_performance: Dict[int, ConePerformance]
+
+
+def group_context(space: ArchitectureSpace,
+                  characterizations: Mapping[Tuple[int, int],
+                                             "ConeCharacterization"],
+                  window: int, split: Tuple[int, ...]) -> GroupContext:
+    """Build one group's evaluation context from pure index arithmetic.
+
+    A worker process rebuilds contexts from the (small, picklable) space
+    and characterizations instead of receiving materialized columns, so
+    chunk shards ship as descriptors only.
+    """
+    depths = sorted(set(split))
+    return GroupContext(
+        window=window, split=split, depths=depths, primary=depths[-1],
+        area_by_depth={depth: characterizations[(window, depth)].area_luts
+                       for depth in depths},
+        area_estimated=any(not characterizations[(window, depth)].synthesized
+                           for depth in depths),
+        representative=space.materialize_row_parts(window, split, 1),
+        cone_performance={
+            depth: ConePerformance(
+                depth=depth, window_side=window,
+                latency_cycles=characterizations[
+                    (window, depth)].latency_cycles,
+                initiation_interval=1)
+            for depth in depths})
+
+
+def cost_counts(throughput_model: Any, batch: bool,
+                space: ArchitectureSpace, context: GroupContext,
+                frame_width: int, frame_height: int,
+                counts: "np.ndarray") -> Mapping[str, Any]:
+    """Throughput columns of one group's candidates at ``counts``.
+
+    ``batch`` (:func:`supports_batch`) picks ``estimate_batch``, which is
+    elementwise over the count axis, so any subset of counts reproduces the
+    full-column values bit for bit.  Otherwise every candidate is costed by
+    the backend's own ``evaluate``, and the column dict carries the
+    resulting performances under ``"performances"``.
+    """
+    if batch:
+        return throughput_model.estimate_batch(
+            context.representative, context.cone_performance,
+            frame_width, frame_height, counts)
+    performances = [
+        throughput_model.evaluate(
+            space.materialize_row_parts(context.window, context.split,
+                                        int(count)),
+            context.cone_performance, frame_width, frame_height)
+        for count in counts]
+    return {"performances": performances,
+            "seconds_per_frame": np.asarray(
+                [p.seconds_per_frame for p in performances],
+                dtype=np.float64),
+            "frames_per_second": np.asarray(
+                [p.frames_per_second for p in performances],
+                dtype=np.float64)}
+
+
+def _performance_at(columns: Mapping[str, Any],
+                    index: int) -> ArchitecturePerformance:
+    performances = columns.get("performances")
+    if performances is not None:
+        return performances[index]
+    return performance_from_columns(columns, index)
+
+
+def build_points(space: ArchitectureSpace, context: GroupContext,
+                 counts: "np.ndarray", areas: "np.ndarray",
+                 columns: Mapping[str, Any], index: "np.ndarray",
+                 usable_luts: float) -> List[DesignPoint]:
+    """One :class:`DesignPoint` per ``counts[i]``, whose area is
+    ``areas[i]`` and whose performance is row ``index[i]`` of ``columns``."""
+    return [
+        DesignPoint(
+            architecture=space.materialize_row_parts(
+                context.window, context.split, int(count)),
+            area_luts=float(area),
+            area_estimated=context.area_estimated,
+            performance=_performance_at(columns, int(position)),
+            fits_device=bool(area <= usable_luts),
+            cone_area_by_depth=dict(context.area_by_depth))
+        for count, area, position in zip(counts, areas, index)]
+
+
+class StreamingFrontier:
+    """Streaming Pareto accumulator over (area, time) with bounded state.
+
+    Each call to :meth:`update` folds a batch of objective values into the
+    running frontier.  The state holds one ``(area, time, order)`` triple
+    per current frontier member, where ``order`` is the candidate's global
+    enumeration row.  Folding sorts the state plus the batch by ``order``
+    and keeps :func:`~repro.dse.pareto.pareto_indices` of the result, so
+    among equal ``(area, time)`` pairs the smallest global row survives
+    whatever order the batches arrive in.  The result is therefore
+    independent of batch sizes and arrival order, and identical to running
+    ``pareto_indices`` once over the concatenated arrays.
+
+    Orders must be unique across all updates (they are global rows);
+    non-finite objectives raise :exc:`ValueError`, matching the batch
+    contract in :mod:`repro.dse.pareto`.
     """
 
-    table: ArchitectureTable
-    row_index: np.ndarray
-    area_luts: np.ndarray
-    seconds_per_frame: np.ndarray
-    fits_device: np.ndarray
-    pareto_index: np.ndarray
-    design_points: Optional[List[DesignPoint]]
-    pareto: List[DesignPoint]
-    #: Rows never costed thanks to constraint pushdown (area-infeasible
-    #: only — a min-fps floor is filtered *after* costing here and is not
-    #: counted; the streaming engine pushes it down too, so its
-    #: ``pruned_rows`` additionally covers ``throughput_pruned_rows``).
-    pruned_rows: int = 0
+    def __init__(self) -> None:
+        self._area = np.empty(0, dtype=np.float64)
+        self._time = np.empty(0, dtype=np.float64)
+        self._order = np.empty(0, dtype=np.int64)
 
-    @property
-    def admitted_rows(self) -> int:
-        return int(self.row_index.size)
+    def __len__(self) -> int:
+        return int(self._area.size)
+
+    def update(self, area_luts: "np.ndarray", seconds_per_frame: "np.ndarray",
+               order: "np.ndarray") -> None:
+        areas = np.asarray(area_luts, dtype=np.float64)
+        times = np.asarray(seconds_per_frame, dtype=np.float64)
+        orders = np.asarray(order, dtype=np.int64)
+        if not (areas.shape == times.shape == orders.shape) or areas.ndim != 1:
+            raise ValueError("area, time, and order must be 1-D arrays of "
+                             "equal length")
+        if areas.size == 0:
+            return
+        orders = np.concatenate([self._order, orders])
+        by_order = np.argsort(orders, kind="stable")
+        areas = np.concatenate([self._area, areas])[by_order]
+        times = np.concatenate([self._time, times])[by_order]
+        keep = pareto_indices(areas, times)
+        self._area = areas[keep]
+        self._time = times[keep]
+        self._order = orders[by_order][keep]
+
+    def merge(self, other: "StreamingFrontier") -> "StreamingFrontier":
+        """Fold another frontier's state into this one (in place).
+
+        Associative and commutative: the frontier of a set is the frontier
+        of the union of its parts' frontiers, and the (area, time, order)
+        total order picks the same tie-break representative whichever side
+        it arrives on — so parallel workers can fold disjoint chunk shards
+        independently and reduce in *any* order, with a result bit-identical
+        to one serial fold over everything.  Orders must stay globally
+        unique across the merged parts (disjoint chunk shards guarantee
+        it).  Returns ``self`` for reduction chaining.
+        """
+        self.update(other._area, other._time, other._order)
+        return self
+
+    def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """``(area, time, order)`` of the frontier, in increasing-area order
+        (the exact order ``pareto_indices`` would return the same rows in)."""
+        return self._area.copy(), self._time.copy(), self._order.copy()
 
 
-def explore_columnar(space: ArchitectureSpace,
-                     characterizations: Mapping[Tuple[int, int],
-                                                "ConeCharacterization"],
-                     throughput_model: ThroughputModel,
-                     frame_width: int, frame_height: int,
-                     constraints: Optional[DseConstraints] = None,
-                     usable_luts: float = math.inf,
-                     materialize: str = "admitted") -> ColumnarExploration:
-    """Evaluate a whole architecture space with column arithmetic.
+def fold_shard(space: ArchitectureSpace,
+               characterizations: Mapping[Tuple[int, int],
+                                          "ConeCharacterization"],
+               throughput_model: Any, frame_width: int, frame_height: int,
+               shard: Sequence[Tuple[int, Any]],
+               plans: Mapping[Tuple[int, int], Any],
+               min_fps: Optional[float], usable_luts: float,
+               keep_points: bool) -> Dict[str, Any]:
+    """Fold one shard of ``(chunk index, chunk)`` pairs into private state.
 
-    Visits the same candidates in the same order as the scalar
-    ``architecture_groups`` loop and produces the same admitted design
-    points and the same Pareto frontier (bit-identical serializations) —
-    just without paying Python-object overhead per candidate.
-
-    ``materialize`` selects which rows become :class:`DesignPoint` objects:
-    ``"admitted"`` (default) materializes every constraint-admitted row,
-    ``"frontier"`` only the Pareto members.
+    ``plans`` maps each chunk's ``(window index, split index)`` to the
+    count-axis interval pushdown admitted (``evaluable``, ``start``,
+    ``stop``); rows outside it are never costed.  Touches no module-level
+    mutable state, so it runs identically on the calling thread, in a
+    thread pool, or in a worker process.  Returns the frontier, the
+    shard's accounting, the global indices of the chunks it materialized
+    and — with ``keep_points`` — ``(global row, DesignPoint)`` for every
+    admitted row.
     """
-    if materialize not in ("admitted", "frontier"):
-        raise ValueError(f"materialize must be 'admitted' or 'frontier' "
-                         f"(got {materialize!r})")
-    constraints = constraints or DseConstraints()
-    table = space_table(space)
-    n_counts = len(table.counts)
+    batch = supports_batch(throughput_model)
+    frontier = StreamingFrontier()
+    contexts: Dict[Tuple[int, int], GroupContext] = {}
+    admitted_rows = 0
+    fps_rejected = 0
+    chunks_skipped = 0
+    peak_chunk_rows = 0
+    frontier_peak = 0
+    materialized: List[int] = []
+    points: List[Tuple[int, DesignPoint]] = []
+    # a shard that keeps every point holds its triples anyway: fold them
+    # once at the end instead of re-sorting the frontier per chunk
+    pending: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
 
-    groups: List[_GroupEvaluation] = []
-    pruned = 0
-    for window_index, window in enumerate(table.window_sides):
-        for split_index, split in enumerate(table.splits):
-            depths = sorted(set(split))
-            area_by_depth: Dict[int, float] = {}
-            estimated = False
-            valid = True
-            for depth in depths:
-                characterization = characterizations.get((window, depth))
-                if characterization is None:
-                    valid = False
-                    break
-                area_by_depth[depth] = characterization.area_luts
-                estimated = estimated or not characterization.synthesized
-            if not valid:
+    for chunk_index, chunk in shard:
+        group_key = (chunk.window_index, chunk.split_index)
+        plan = plans[group_key]
+        start = max(chunk.count_start, plan.start)
+        stop = min(chunk.count_stop, plan.stop)
+        if not plan.evaluable or stop <= start:
+            chunks_skipped += 1
+            continue
+        context = contexts.get(group_key)
+        if context is None:
+            context = group_context(space, characterizations,
+                                    chunk.window, chunk.split)
+            contexts[group_key] = context
+
+        counts = chunk.counts(start=start, stop=stop)
+        materialized.append(chunk_index)
+        peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
+        columns = cost_counts(throughput_model, batch, space, context,
+                              frame_width, frame_height, counts)
+        if min_fps is None:
+            index = np.arange(counts.size)
+        else:
+            index = np.flatnonzero(columns["frames_per_second"] >= min_fps)
+            fps_rejected += int(counts.size - index.size)
+            if index.size == 0:
                 continue
-            rows = table.group_rows(window_index, split_index)
-            # the group's slice of the table columns IS the count axis
-            counts = table.primary_count[rows.start:rows.stop]
-            primary = int(table.primary_depth[rows.start])
+        counts = counts[index]
+        area = group_area(counts, context.depths, context.primary,
+                          context.area_by_depth)
+        times = np.asarray(columns["seconds_per_frame"])[index]
+        rows = chunk.base_row + start + index.astype(np.int64)
+        admitted_rows += int(rows.size)
+        if keep_points:
+            pending.append((area, times, rows))
+            points.extend(zip(rows.tolist(), build_points(
+                space, context, counts, area, columns, index, usable_luts)))
+        else:
+            frontier.update(area, times, rows)
+            frontier_peak = max(frontier_peak, len(frontier))
 
-            # Per-row area: Σ_depth instances × cone area, accumulated in
-            # sorted-depth order exactly like the scalar sum (bit-identical;
-            # only the primary depth's instance count varies along the row
-            # axis of the group).
-            area = _group_area(counts, depths, primary, area_by_depth)
-            fits = area <= usable_luts
-
-            # Constraint pushdown: candidates that already fail the
-            # area-side constraints are masked out *before* the throughput
-            # model runs, so they are never costed.
-            feasible = np.ones(n_counts, dtype=bool)
-            if constraints.device_only:
-                feasible &= fits
-            if constraints.max_area_luts is not None:
-                feasible &= area <= constraints.max_area_luts
-            pruned += int(n_counts - np.count_nonzero(feasible))
-            if not feasible.any():
-                continue
-
-            representative = space.materialize_row_parts(window, split, 1)
-            cone_performance = {
-                depth: ConePerformance(
-                    depth=depth,
-                    window_side=window,
-                    latency_cycles=characterizations[(window,
-                                                      depth)].latency_cycles,
-                    initiation_interval=1,
-                )
-                for depth in depths
-            }
-            selected = np.flatnonzero(feasible)
-            columns = throughput_model.estimate_batch(
-                representative, cone_performance, frame_width, frame_height,
-                counts[selected])
-            performance_index = np.arange(selected.size)
-            if constraints.min_frames_per_second is not None:
-                admitted = (columns["frames_per_second"]
-                            >= constraints.min_frames_per_second)
-                selected = selected[admitted]
-                performance_index = performance_index[admitted]
-                if selected.size == 0:
-                    continue
-            groups.append(_GroupEvaluation(
-                window=window,
-                split=split,
-                base_row=rows.start,
-                count_index=selected,
-                area_luts=area[selected],
-                fits_device=fits[selected],
-                performance_columns=columns,
-                performance_index=performance_index,
-                area_by_depth=area_by_depth,
-                area_estimated=estimated,
-            ))
-
-    if groups:
-        row_index = np.concatenate([g.base_row + g.count_index
-                                    for g in groups])
-        area_column = np.concatenate([g.area_luts for g in groups])
-        time_column = np.concatenate(
-            [np.asarray(g.performance_columns["seconds_per_frame"])
-             [g.performance_index] for g in groups])
-        fits_column = np.concatenate([g.fits_device for g in groups])
-    else:
-        row_index = np.empty(0, dtype=np.intp)
-        area_column = np.empty(0, dtype=np.float64)
-        time_column = np.empty(0, dtype=np.float64)
-        fits_column = np.empty(0, dtype=bool)
-    pareto_order = pareto_indices(area_column, time_column)
-
-    def build_point(group: _GroupEvaluation, offset: int) -> DesignPoint:
-        count_index = int(group.count_index[offset])
-        architecture = space.materialize_row_parts(
-            group.window, group.split, table.counts[count_index])
-        return DesignPoint(
-            architecture=architecture,
-            area_luts=float(group.area_luts[offset]),
-            area_estimated=group.area_estimated,
-            performance=performance_from_columns(
-                group.performance_columns,
-                int(group.performance_index[offset])),
-            fits_device=bool(group.fits_device[offset]),
-            cone_area_by_depth=dict(group.area_by_depth),
-        )
-
-    #: admitted row -> (owning group, offset within the group's columns)
-    locator: List[Tuple[_GroupEvaluation, int]] = []
-    for group in groups:
-        locator.extend((group, offset)
-                       for offset in range(group.count_index.size))
-
-    if materialize == "admitted":
-        design_points: Optional[List[DesignPoint]] = [
-            build_point(group, offset) for group, offset in locator]
-        pareto = [design_points[index] for index in pareto_order]
-    else:
-        design_points = None
-        pareto = [build_point(*locator[index]) for index in pareto_order]
-
-    return ColumnarExploration(
-        table=table,
-        row_index=row_index,
-        area_luts=area_column,
-        seconds_per_frame=time_column,
-        fits_device=fits_column,
-        pareto_index=pareto_order,
-        design_points=design_points,
-        pareto=pareto,
-        pruned_rows=pruned,
-    )
+    if pending:
+        frontier.update(*(np.concatenate(column)
+                          for column in zip(*pending)))
+        frontier_peak = len(frontier)
+    return {"frontier": frontier,
+            "admitted_rows": admitted_rows,
+            "fps_rejected": fps_rejected,
+            "chunks_skipped": chunks_skipped,
+            "peak_chunk_rows": peak_chunk_rows,
+            "frontier_peak": frontier_peak,
+            "materialized": materialized,
+            "points": points}

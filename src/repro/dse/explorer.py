@@ -19,8 +19,6 @@ from repro.architecture.cone import ConeShape
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import explore_columnar, supports_columnar
-from repro.dse.pareto import pareto_front
 from repro.dse.stream import (DEFAULT_CHUNK_ROWS, STREAM_AUTO_THRESHOLD,
                               explore_stream)
 from repro.estimation.area_model import (
@@ -29,11 +27,7 @@ from repro.estimation.area_model import (
     RegisterAreaModel,
     validate_against_synthesis,
 )
-from repro.estimation.throughput_model import (
-    ArchitecturePerformance,
-    ConePerformance,
-    ThroughputModel,
-)
+from repro.estimation.throughput_model import ThroughputModel
 from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import KernelProperties, validate_kernel
 from repro.ir.dfg import build_dfg_from_cone
@@ -441,8 +435,7 @@ class DesignSpaceExplorer:
     def explore(self, total_iterations: int, frame_width: int, frame_height: int,
                 constraints: Optional[DseConstraints] = None,
                 onchip_port_elements_per_cycle: Optional[int] = None,
-                *, columnar: Optional[bool] = None,
-                stream: Optional[bool] = None,
+                *, stream: Optional[bool] = None,
                 chunk_rows: Optional[int] = None,
                 stream_jobs: Optional[int] = None,
                 stream_executor: object = None) -> ExplorationResult:
@@ -453,62 +446,33 @@ class DesignSpaceExplorer:
         throughput estimate, not the cone characterizations, so sweeps over
         it reuse all synthesis/calibration work.
 
-        The evaluation itself runs on the columnar engine
-        (:mod:`repro.dse.engine`) whenever the throughput backend is
-        columnar-capable — the default for every built-in configuration —
-        and falls back to the per-point scalar loop otherwise (e.g. a
-        registry backend that overrides ``evaluate``).  ``columnar``
-        forces the choice; both paths produce byte-identical results.
-
-        ``stream`` selects the out-of-core chunked evaluation
-        (:mod:`repro.dse.stream`): ``None`` (the default) auto-streams
-        columnar-capable spaces of at least ``STREAM_AUTO_THRESHOLD``
-        candidates, ``True``/``False`` force it on or off.  A streamed
-        result carries the identical Pareto frontier, but materializes
-        *only* the frontier as design points (``result.design_points is
-        result.pareto`` members) and records chunking/pushdown metadata
-        under ``result.streaming``.  ``chunk_rows`` bounds the rows
-        materialized per chunk; ``stream_jobs`` fans the chunk schedule
-        across workers through ``stream_executor`` (anything
-        :func:`repro.api.executor.resolve_strategy` accepts; ``None`` →
-        threads) with bit-identical results at any worker count.
+        Every exploration runs the chunked fold of :mod:`repro.dse.stream`.
+        ``stream`` selects what it keeps: ``None`` (the default) streams
+        spaces of at least ``STREAM_AUTO_THRESHOLD`` candidates and keeps
+        every admitted design point of smaller ones; ``True``/``False``
+        force either.  A streamed result carries the identical Pareto
+        frontier, but materializes *only* the frontier as design points
+        (``result.design_points`` are the ``result.pareto`` members) and
+        records chunking/pushdown metadata under ``result.streaming``.
+        ``chunk_rows`` bounds the rows costed per chunk; ``stream_jobs``
+        fans the chunk schedule across workers through ``stream_executor``
+        (anything :func:`repro.api.executor.resolve_strategy` accepts;
+        ``None`` → threads) with bit-identical results at any worker count.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)
-        constraints = constraints or DseConstraints()
-        throughput_model = self.throughput_model
-        if (onchip_port_elements_per_cycle is not None
-                and onchip_port_elements_per_cycle
-                != self.onchip_port_elements_per_cycle):
-            throughput_model = self._throughput_model_factory(
-                device=self.device,
-                data_format=self.data_format,
-                readonly_components=self._readonly_components,
-                onchip_port_elements_per_cycle=onchip_port_elements_per_cycle,
-            )
-
-        usable_luts = self.device.usable_capacity.luts
-        streamable = supports_columnar(throughput_model)
         if stream is None:
-            # auto: stream huge spaces (size() is O(1)) unless the caller
-            # forced the scalar loop (columnar=False), which has no
-            # streaming twin
-            stream = (streamable and columnar is not False
-                      and space.size() >= STREAM_AUTO_THRESHOLD)
+            stream = space.size() >= STREAM_AUTO_THRESHOLD  # O(1)
+        evaluation = explore_stream(
+            space, characterizations,
+            self._throughput_model_for(onchip_port_elements_per_cycle),
+            frame_width, frame_height, constraints,
+            self.device.usable_capacity.luts,
+            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
+            jobs=stream_jobs, executor=stream_executor,
+            materialize="frontier" if stream else "admitted")
         streaming_meta: Optional[Dict[str, object]] = None
         if stream:
-            if not streamable:
-                raise ValueError(
-                    "streaming exploration requires a columnar-capable "
-                    "throughput backend (this one overrides the stock "
-                    "batch/evaluate hooks); run with stream=False")
-            evaluation = explore_stream(
-                space, characterizations, throughput_model,
-                frame_width, frame_height, constraints, usable_luts,
-                chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-                jobs=stream_jobs, executor=stream_executor)
-            design_points = list(evaluation.pareto)
-            pareto = evaluation.pareto
             streaming_meta = {
                 "chunk_rows": evaluation.chunk_rows,
                 "space_rows": evaluation.space_rows,
@@ -523,17 +487,6 @@ class DesignSpaceExplorer:
                 "mask_cache_hit": evaluation.mask_cache_hit,
                 "stream_jobs": evaluation.jobs,
             }
-        elif streamable if columnar is None else columnar:
-            evaluation = explore_columnar(
-                space, characterizations, throughput_model,
-                frame_width, frame_height, constraints, usable_luts)
-            design_points = evaluation.design_points
-            pareto = evaluation.pareto
-        else:
-            design_points = self._evaluate_scalar(
-                space, characterizations, throughput_model,
-                frame_width, frame_height, constraints, usable_luts)
-            pareto = pareto_front(design_points)
 
         full_space_runs = len(characterizations)
         # Runs and tool runtime backing *this* exploration's shapes
@@ -553,8 +506,8 @@ class DesignSpaceExplorer:
             total_iterations=total_iterations,
             properties=self.properties,
             characterizations=characterizations,
-            design_points=design_points,
-            pareto=pareto,
+            design_points=evaluation.design_points,
+            pareto=evaluation.pareto,
             area_validations=validations,
             synthesis_runs=runs_spent,
             synthesis_runs_avoided=runs_avoided,
@@ -563,78 +516,20 @@ class DesignSpaceExplorer:
             streaming=streaming_meta,
         )
 
-    def explore_scalar(self, total_iterations: int, frame_width: int,
-                       frame_height: int,
-                       constraints: Optional[DseConstraints] = None,
-                       onchip_port_elements_per_cycle: Optional[int] = None
-                       ) -> ExplorationResult:
-        """:meth:`explore` forced onto the per-point scalar evaluation loop.
-
-        The legacy path, kept as the differential-testing baseline for the
-        columnar engine (and as the route for throughput backends that
-        override ``evaluate``); its output is byte-identical to the
-        engine's.
-        """
-        return self.explore(
-            total_iterations, frame_width, frame_height, constraints,
-            onchip_port_elements_per_cycle, columnar=False)
-
-    def _evaluate_scalar(self, space: ArchitectureSpace,
-                         characterizations: Mapping[Tuple[int, int],
-                                                    ConeCharacterization],
-                         throughput_model: Any, frame_width: int,
-                         frame_height: int, constraints: DseConstraints,
-                         usable_luts: float) -> List[DesignPoint]:
-        """Per-point evaluation of the space (the engine's scalar twin).
-
-        The architectures of one (window, split) group differ only in the
-        primary cone's instance count, so the per-depth area table and the
-        cone-performance table are built once per group instead of once
-        per point (max_cones_per_depth times as often).
-        """
-        design_points: List[DesignPoint] = []
-        for window, split, group in space.architecture_groups():
-            depths = sorted(set(split))
-            area_by_depth: Dict[int, float] = {}
-            estimated = False
-            valid = True
-            for depth in depths:
-                characterization = characterizations.get((window, depth))
-                if characterization is None:
-                    valid = False
-                    break
-                area_by_depth[depth] = characterization.area_luts
-                estimated = estimated or not characterization.synthesized
-            if not valid:
-                continue
-            cone_performance = {
-                depth: ConePerformance(
-                    depth=depth,
-                    window_side=window,
-                    latency_cycles=characterizations[(window,
-                                                      depth)].latency_cycles,
-                    initiation_interval=1,
-                )
-                for depth in depths
-            }
-
-            for architecture in group:
-                total_area = sum(architecture.cone_counts[d]
-                                 * area_by_depth[d] for d in depths)
-                performance = throughput_model.evaluate(
-                    architecture, cone_performance, frame_width,
-                    frame_height)
-                point = DesignPoint(
-                    architecture=architecture,
-                    area_luts=total_area,
-                    area_estimated=estimated,
-                    performance=performance,
-                    fits_device=total_area <= usable_luts,
-                    cone_area_by_depth=dict(area_by_depth),
-                )
-                if constraints.admits(point):
-                    design_points.append(point)
-        return design_points
+    def _throughput_model_for(self, onchip_port_elements_per_cycle:
+                              Optional[int]) -> Any:
+        """The throughput model, rebuilt when an exploration overrides the
+        on-chip port width."""
+        if (onchip_port_elements_per_cycle is None
+                or onchip_port_elements_per_cycle
+                == self.onchip_port_elements_per_cycle):
+            return self.throughput_model
+        return self._throughput_model_factory(
+            device=self.device,
+            data_format=self.data_format,
+            readonly_components=self._readonly_components,
+            onchip_port_elements_per_cycle=onchip_port_elements_per_cycle,
+        )
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -6,7 +6,7 @@ characterised design points are cheap to compare, so a simple sort-and-scan
 suffices.
 
 Determinism contract (shared by the pure-Python scan, the vectorized NumPy
-path, and the columnar engine's :func:`pareto_indices`):
+path, and the exploration fold's streaming frontier):
 
 * the frontier is returned sorted by increasing area, ties on area by
   increasing time;
@@ -54,7 +54,7 @@ def pareto_indices(area_luts: "np.ndarray",
                    seconds_per_frame: "np.ndarray") -> "np.ndarray":
     """Indices of the non-dominated rows of two parallel objective columns.
 
-    The columnar twin of :func:`pareto_front`: a row survives iff its time
+    The array twin of :func:`pareto_front`: a row survives iff its time
     is a strict running minimum over the (area, time)-lexsorted order.
     ``np.lexsort`` is stable like ``list.sort``, so rows equal on both
     objectives keep their first-seen representative and the returned index

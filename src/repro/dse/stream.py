@@ -1,14 +1,13 @@
-"""Out-of-core chunked exploration for million-candidate design spaces.
+"""Chunked exploration: the one evaluator behind every design-space run.
 
-The columnar engine (:mod:`repro.dse.engine`) materializes the whole
-enumerated candidate set — and the full objective columns — in RAM before
-extracting the frontier.  That is the right trade for the paper-scale space
-(~720 points) but not for the ROADMAP's target spaces three to four orders
-larger.  This module evaluates the *same* space as a sequence of bounded-row
-chunks instead, in the divide-and-conquer spirit of SCC-chunked automaton
-determinization: split the space into independently evaluable pieces, solve
-each piece, and merge the partial solutions into a state whose size is
-bounded by the answer, not by the space.
+Every exploration — the 720-candidate paper space and million-candidate
+spaces alike — evaluates its candidates as a sequence of bounded-row chunks,
+in the divide-and-conquer spirit of SCC-chunked automaton determinization:
+split the space into independently evaluable pieces, solve each piece, and
+merge the partial solutions into a state whose size is bounded by the
+answer, not by the space.  An in-memory exploration is the same fold with
+every admitted row kept as a design point (``materialize="admitted"``); a
+streamed one keeps only the frontier (``materialize="frontier"``).
 
 Pieces:
 
@@ -22,48 +21,45 @@ Pieces:
    shape knobs and the cone areas, and per-row area is nondecreasing in the
    primary instance count, so each group's admitted rows form a prefix of
    the count axis found by binary search — O(log rows) scalar probes using
-   the engine's exact accumulation formula.  A ``min_frames_per_second``
-   floor is monotone along the same axis in the other direction (compute
-   cycles per tile are nonincreasing in the primary count, so the frame
-   rate is nondecreasing): a second binary search on the throughput formula
-   finds the admitted *suffix*, and the intersected [suffix, prefix)
-   interval is what gets costed.  Rows outside the interval are counted in
-   ``pruned_rows`` and never costed; chunks entirely outside it are never
-   materialized at all.
-3. :class:`StreamingFrontier` folds each chunk's admitted objective columns
-   into a bounded Pareto state that is byte-identical to
-   :func:`repro.dse.pareto.pareto_indices` on the concatenated full arrays
-   regardless of chunk size or arrival order; :class:`StreamingTopK` keeps
-   the k fastest admitted candidates the same way.  Both carry only
-   ``(area, time, global row)`` triples — design points are rebuilt for the
-   survivors at finalization by re-running ``estimate_batch`` on just their
-   rows (elementwise over the count axis, hence bit-identical).
+   the exact accumulation formula.  A ``min_frames_per_second`` floor is
+   monotone along the same axis in the other direction (compute cycles per
+   tile are nonincreasing in the primary count, so the frame rate is
+   nondecreasing): when a group's admitted prefix spans several chunks, a
+   second binary search on the throughput formula finds the admitted
+   *suffix*, and only the intersected [suffix, prefix) interval is costed.
+   Every costed row is still checked against the floor, so the probe only
+   ever saves work.
+3. :mod:`repro.dse.engine` costs each chunk and folds its admitted objective
+   columns into a :class:`~repro.dse.engine.StreamingFrontier` whose state is
+   byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
+   concatenated full arrays regardless of chunk size or arrival order.  A
+   streamed run rebuilds design points only for the frontier survivors at
+   finalization, by re-costing just their rows.
 4. The admitted-row prefixes are persisted in a small process-wide LRU
    keyed by shape knobs + the cone-area inputs + the area constraints, so a
    re-explore that changes only per-run knobs (frame geometry, minimum
    fps) skips the pushdown analysis and re-costs only throughput columns.
    The throughput-side suffix depends on those per-run knobs, so it is
-   recomputed per call (O(groups·log rows) probes) and deliberately kept
-   out of the cache key.  Counters are exposed through :func:`stream_stats`
-   (the service tier serves them under ``stats()["stream"]``).
+   recomputed per call and deliberately kept out of the cache key.
+   Counters are exposed through :func:`stream_stats` (the service tier
+   serves them under ``stats()["stream"]``).
 5. Chunks are independent by construction, so ``explore_stream(jobs=N)``
    fans deterministic contiguous shards of the chunk schedule across an
    executor strategy (:func:`repro.api.executor.resolve_strategy` — the
    same ``serial``/``threads``/``processes`` names ``run_many`` accepts).
-   Each worker folds its shard into a private frontier/top-k and ships the
+   Each worker folds its shard into a private frontier and ships the
    bounded state back; the parent reduces with
-   :meth:`StreamingFrontier.merge`/:meth:`StreamingTopK.merge`, which are
-   associative and order-insensitive (the (area, time, global-row) total
-   order makes the merged state a pure function of the union), so the
-   result is bit-identical to the serial fold whatever the worker count,
-   shard assignment, or completion order.  Workers receive chunk
-   *descriptors* (pure index arithmetic), never materialized columns, so a
-   process pool neither pickles tables nor re-warms the shared table cache.
+   :meth:`~repro.dse.engine.StreamingFrontier.merge`, which is associative
+   and order-insensitive (the (area, time, global-row) total order makes
+   the merged state a pure function of the union), so the result is
+   bit-identical to the serial fold whatever the worker count, shard
+   assignment, or completion order.  Workers receive chunk *descriptors*
+   (pure index arithmetic), never materialized columns.
 
-:func:`explore_stream` is the engine-level entry point;
-:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` auto-selects it above
-:data:`STREAM_AUTO_THRESHOLD` rows (or on ``stream=True``), keeping
-``explore_columnar`` as the differential oracle.
+:func:`explore_stream` is the entry point;
+:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` streams spaces of at
+least :data:`STREAM_AUTO_THRESHOLD` rows (or on ``stream=True``) and keeps
+every admitted row otherwise.
 """
 
 from __future__ import annotations
@@ -73,22 +69,19 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
+from repro.dse.design_point import DesignPoint
+from repro.dse.engine import (GroupContext, StreamingFrontier, build_points,
+                              cost_counts, fold_shard, group_area,
+                              group_context, supports_batch)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.dse.design_point import DesignPoint
-from repro.dse.pareto import FINITE_OBJECTIVES_ERROR as _FINITE_ERROR
-from repro.estimation.throughput_model import (
-    ConePerformance,
-    ThroughputModel,
-    performance_from_columns,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
@@ -98,153 +91,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_CHUNK_ROWS = 4096
 
 #: Spaces at or above this many candidates stream by default (explorer
-#: ``stream=None``): the full-table columnar path would hold several
-#: multi-MB objective columns alive at once.
+#: ``stream=None``): keeping every admitted row of a larger space as a
+#: design point would cost hundreds of MB.
 STREAM_AUTO_THRESHOLD = 200_000
 
 #: Entries the admitted-row mask cache may hold (one entry per distinct
 #: (shape knobs, cone areas, area constraints) combination).
 MASK_CACHE_CAPACITY = 16
-
-#: Design points the running top-k keeps by default.
-DEFAULT_TOP_K = 8
-
-
-# ---------------------------------------------------------------------- #
-# streaming accumulators
-
-
-class StreamingFrontier:
-    """Streaming Pareto accumulator over (area, time) with bounded state.
-
-    Each call to :meth:`update` folds one chunk of objective values into
-    the running frontier.  The state holds one ``(area, time, order)``
-    triple per current frontier member, where ``order`` is the candidate's
-    global enumeration row — merging sorts by ``(area, time, order)`` and
-    keeps the strict running-minimum times, which reproduces
-    :func:`repro.dse.pareto.pareto_indices`'s stable first-seen tie-break
-    exactly (among equal ``(area, time)`` pairs the smallest global row
-    survives, and a smaller row can never arrive later *in enumeration
-    order*, whatever chunk it arrives in).  The result is therefore
-    independent of chunk sizes and chunk arrival order, and identical to
-    running ``pareto_indices`` once over the concatenated arrays.
-
-    Orders must be unique across all updates (they are global rows);
-    non-finite objectives raise :exc:`ValueError`, matching the batch
-    contract in :mod:`repro.dse.pareto`.
-    """
-
-    def __init__(self) -> None:
-        self._area = np.empty(0, dtype=np.float64)
-        self._time = np.empty(0, dtype=np.float64)
-        self._order = np.empty(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self._area.size)
-
-    def update(self, area_luts: "np.ndarray", seconds_per_frame: "np.ndarray",
-               order: "np.ndarray") -> None:
-        areas, times, orders = _validated_triples(area_luts,
-                                                  seconds_per_frame, order)
-        if areas.size == 0:
-            return
-        areas = np.concatenate([self._area, areas])
-        times = np.concatenate([self._time, times])
-        orders = np.concatenate([self._order, orders])
-        rank = np.lexsort((orders, times, areas))
-        areas, times, orders = areas[rank], times[rank], orders[rank]
-        keep = np.empty(areas.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = times[1:] < np.minimum.accumulate(times)[:-1]
-        self._area = areas[keep]
-        self._time = times[keep]
-        self._order = orders[keep]
-
-    def merge(self, other: "StreamingFrontier") -> "StreamingFrontier":
-        """Fold another frontier's state into this one (in place).
-
-        Associative and commutative: the frontier of a set is the frontier
-        of the union of its parts' frontiers, and the (area, time, order)
-        total order picks the same tie-break representative whichever side
-        it arrives on — so parallel workers can fold disjoint chunk shards
-        independently and reduce in *any* order, with a result bit-identical
-        to one serial fold over everything.  Orders must stay globally
-        unique across the merged parts (disjoint chunk shards guarantee
-        it).  Returns ``self`` for reduction chaining.
-        """
-        self.update(other._area, other._time, other._order)
-        return self
-
-    def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """``(area, time, order)`` of the frontier, in increasing-area order
-        (the exact order ``pareto_indices`` would return the same rows in)."""
-        return self._area.copy(), self._time.copy(), self._order.copy()
-
-
-class StreamingTopK:
-    """Running top-k: the ``k`` fastest candidates seen so far.
-
-    Selection is by ``(time, area, order)`` — a total order (orders are
-    unique global rows), so like the frontier the result is independent of
-    chunking and arrival order.  ``result()`` returns the triples fastest
-    first.
-    """
-
-    def __init__(self, k: int) -> None:
-        if k < 0:
-            raise ValueError(f"k must be >= 0 (got {k})")
-        self.k = k
-        self._area = np.empty(0, dtype=np.float64)
-        self._time = np.empty(0, dtype=np.float64)
-        self._order = np.empty(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self._area.size)
-
-    def update(self, area_luts: "np.ndarray", seconds_per_frame: "np.ndarray",
-               order: "np.ndarray") -> None:
-        areas, times, orders = _validated_triples(area_luts,
-                                                  seconds_per_frame, order)
-        if areas.size == 0 or self.k == 0:
-            return
-        areas = np.concatenate([self._area, areas])
-        times = np.concatenate([self._time, times])
-        orders = np.concatenate([self._order, orders])
-        rank = np.lexsort((orders, areas, times))[:self.k]
-        self._area = areas[rank]
-        self._time = times[rank]
-        self._order = orders[rank]
-
-    def merge(self, other: "StreamingTopK") -> "StreamingTopK":
-        """Fold another top-k state into this one (in place).
-
-        Associative and commutative like :meth:`StreamingFrontier.merge`:
-        the k smallest of a union are the k smallest of the parts' k
-        smallest, under the same (time, area, order) total order.  Both
-        sides must keep the same ``k`` — merging differently-sized top-k
-        states has no well-defined answer and raises :exc:`ValueError`.
-        """
-        if other.k != self.k:
-            raise ValueError(
-                f"cannot merge top-k states of different k "
-                f"({self.k} != {other.k})")
-        self.update(other._area, other._time, other._order)
-        return self
-
-    def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        return self._area.copy(), self._time.copy(), self._order.copy()
-
-
-def _validated_triples(area_luts, seconds_per_frame, order):
-    areas = np.asarray(area_luts, dtype=np.float64)
-    times = np.asarray(seconds_per_frame, dtype=np.float64)
-    orders = np.asarray(order, dtype=np.int64)
-    if not (areas.shape == times.shape == orders.shape) or areas.ndim != 1:
-        raise ValueError("area, time, and order must be 1-D arrays of "
-                         "equal length")
-    if not (np.isfinite(areas).all() and np.isfinite(times).all()):
-        raise ValueError(_FINITE_ERROR)
-    return areas, times, orders
 
 
 # ---------------------------------------------------------------------- #
@@ -293,8 +146,7 @@ def plan_chunks(space: ArchitectureSpace,
     representative architecture, one per-depth area table, and one cone
     performance table; within a group the count axis is sliced in
     enumeration order.  Concatenating all chunks in plan order visits
-    exactly the rows of :func:`repro.architecture.enumeration.space_table`
-    in row order — but nothing here builds that table.
+    exactly the rows of :meth:`ArchitectureSpace.architectures` in order.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1 (got {chunk_rows})")
@@ -324,27 +176,13 @@ class _GroupAdmission:
     ``admit_len`` is the length of the admitted prefix of the count axis
     (per-row area is nondecreasing in the primary count, so the area-side
     constraints admit a prefix); ``evaluable`` is False when the group's
-    depths lack characterizations (the engine skips such groups without
+    depths lack characterizations (the fold skips such groups without
     counting them as pruned).
     """
 
     evaluable: bool
     admit_len: int
     pruned: int
-
-
-def _group_area(counts: "np.ndarray", depths: Sequence[int], primary: int,
-                area_by_depth: Mapping[int, float]) -> "np.ndarray":
-    """Per-row area over a counts vector — the columnar engine's exact
-    accumulation (sorted-depth order, primary count varies), so any slice
-    of the count axis reproduces the full-table values bit for bit."""
-    area = np.zeros(counts.size, dtype=np.float64)
-    for depth in depths:
-        if depth == primary:
-            area += counts * area_by_depth[depth]
-        else:
-            area += 1 * area_by_depth[depth]
-    return area
 
 
 def _admitted_prefix(n_counts: int, area_limit: float,
@@ -359,12 +197,12 @@ def _admitted_prefix(n_counts: int, area_limit: float,
     characterization ever reported a negative area.
     """
     def area_at(count: int) -> float:
-        return float(_group_area(np.asarray([count], dtype=np.int64),
-                                 depths, primary, area_by_depth)[0])
+        return float(group_area(np.asarray([count], dtype=np.int64),
+                                depths, primary, area_by_depth)[0])
 
     if area_by_depth[primary] < 0:  # pathological; prefix property gone
         counts = np.arange(1, n_counts + 1, dtype=np.int64)
-        mask = _group_area(counts, depths, primary, area_by_depth) <= area_limit
+        mask = group_area(counts, depths, primary, area_by_depth) <= area_limit
         return int(np.count_nonzero(mask))
     if area_at(n_counts) <= area_limit:
         return n_counts
@@ -428,7 +266,7 @@ class _CountingLru:
 
 
 class _StreamCounters:
-    """Process-wide streamed-run counters behind a dedicated lock.
+    """Process-wide exploration counters behind a dedicated lock.
 
     The same dedicated-stats-lock pattern as ``SessionStats``: concurrent
     explorations (service bursts, thread-pool chunk workers reporting
@@ -462,7 +300,7 @@ _counters = _StreamCounters()
 
 
 def stream_stats() -> Dict[str, int]:
-    """Process-wide counters of the streaming engine.
+    """Process-wide counters of the exploration fold.
 
     Served by the service tier under ``stats()["stream"]``.  The mask-cache
     half (``hits``/``misses``/``evictions``/``entries``/``capacity``):
@@ -470,12 +308,11 @@ def stream_stats() -> Dict[str, int]:
     re-explores (only per-run knobs changed, pushdown analysis reused);
     ``evictions`` counts distinct (shape, area, constraint) combinations
     beyond the bound.  The run half: ``runs``/``parallel_runs`` count
-    streamed explorations (parallel = dispatched to >1 worker),
+    explorations (parallel = dispatched to >1 worker),
     ``chunks_materialized`` the chunks actually costed across them,
     ``duplicate_chunk_materializations`` how many of those were redundant
     (always 0 unless the shard partition is broken — asserted in tests),
-    and ``throughput_pruned_rows`` the rows the min-fps suffix pushdown
-    skipped before costing.
+    and ``throughput_pruned_rows`` the rows a min-fps floor rejected.
     """
     stats = _mask_cache.stats()
     stats.update(_counters.snapshot())
@@ -483,7 +320,7 @@ def stream_stats() -> Dict[str, int]:
 
 
 def reset_stream_stats() -> None:
-    """Zero every streaming counter (tests) without dropping cached masks.
+    """Zero every exploration counter (tests) without dropping cached masks.
 
     Use :func:`clear_stream_caches` to also forget the admitted-row masks.
     """
@@ -560,76 +397,24 @@ def _compute_admissions(space: ArchitectureSpace,
     return admissions
 
 
-# ---------------------------------------------------------------------- #
-# the streaming exploration
-
-
-@dataclass
-class _GroupContext:
-    """Hoisted per-(window, split) evaluation state (built on first use)."""
-
-    window: int
-    split: Tuple[int, ...]
-    depths: List[int]
-    primary: int
-    area_by_depth: Dict[int, float]
-    area_estimated: bool
-    representative: object
-    cone_performance: Dict[int, ConePerformance]
-
-
-def _group_context(space: ArchitectureSpace,
-                   characterizations: Mapping[Tuple[int, int],
-                                              "ConeCharacterization"],
-                   window: int, split: Tuple[int, ...]) -> _GroupContext:
-    """Build one group's evaluation context from pure index arithmetic.
-
-    Shared by the fold workers, the throughput-pushdown probes, and the
-    point builder — a worker process rebuilds contexts from the (small,
-    picklable) space + characterizations instead of receiving materialized
-    columns, so chunk shards ship as descriptors only.
-    """
-    depths = sorted(set(split))
-    area_by_depth = {
-        depth: characterizations[(window, depth)].area_luts
-        for depth in depths}
-    return _GroupContext(
-        window=window, split=split, depths=depths,
-        primary=depths[-1], area_by_depth=area_by_depth,
-        area_estimated=any(
-            not characterizations[(window, depth)].synthesized
-            for depth in depths),
-        representative=space.materialize_row_parts(window, split, 1),
-        cone_performance={
-            depth: ConePerformance(
-                depth=depth, window_side=window,
-                latency_cycles=characterizations[
-                    (window, depth)].latency_cycles,
-                initiation_interval=1)
-            for depth in depths})
-
-
 @dataclass(frozen=True)
 class _GroupPlan:
-    """One group's final admitted count-axis interval for one exploration.
+    """One group's admitted count-axis interval for one exploration.
 
     ``[start, stop)`` is the intersection of the area-admitted prefix
     (cached across per-run knob changes) with the throughput-admitted
-    suffix (recomputed per call — it depends on frame geometry and the fps
-    floor).  ``post_filter`` marks groups where the suffix probe declined
-    (non-monotone overrides, nonpositive frame times): the min-fps floor is
-    then applied after costing, exactly like the columnar engine.
+    suffix, when the suffix was probed (it depends on frame geometry and
+    the fps floor, so it is recomputed per call).
     """
 
     evaluable: bool
     start: int
     stop: int
-    post_filter: bool
 
 
 def _throughput_admitted_start(admit_len: int, min_fps: float,
-                               context: _GroupContext,
-                               throughput_model: ThroughputModel,
+                               context: GroupContext,
+                               throughput_model: Any,
                                frame_width: int,
                                frame_height: int) -> Optional[int]:
     """Zero-based count index where the fps-admitted suffix begins.
@@ -641,9 +426,9 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     ``[start, admit_len)`` — found by O(log n) single-count probes of the
     exact batch formula (elementwise over the count axis, hence
     bit-identical to the full-column values).  Returns ``None`` when the
-    monotonicity argument does not hold and the caller must fall back to
-    post-cost filtering: a (pathological) negative execution interval on
-    the primary level, or a nonpositive frame time anywhere in the prefix
+    monotonicity argument does not hold and the caller must cost the whole
+    prefix: a (pathological) negative execution interval on the primary
+    level, or a nonpositive frame time anywhere in the prefix
     (``frames_per_second`` snaps to 0 there, breaking the suffix shape).
     """
     def columns_at(count: int) -> Mapping[str, object]:
@@ -685,73 +470,63 @@ def _plan_groups(space: ArchitectureSpace,
                  splits: Tuple[Tuple[int, ...], ...],
                  characterizations: Mapping[Tuple[int, int],
                                             "ConeCharacterization"],
-                 throughput_model: ThroughputModel,
+                 throughput_model: Any,
                  frame_width: int, frame_height: int,
                  constraints: DseConstraints,
-                 admissions: Mapping[Tuple[int, int], _GroupAdmission]
+                 admissions: Mapping[Tuple[int, int], _GroupAdmission],
+                 chunk_rows: int
                  ) -> Tuple[Dict[Tuple[int, int], _GroupPlan], int]:
     """Intersect the cached area prefixes with the fps suffix per group.
 
-    Returns the per-group plans plus the total rows the throughput-side
-    pushdown pruned (rows inside the area prefix but below the floor).
-    The suffix probe is gated on the stock batch formula
-    (:func:`repro.dse.engine.supports_columnar`); models that override it
-    keep the post-cost filter, bit-identical either way.
+    Returns the per-group plans plus the rows the suffix probes cut off
+    (inside the area prefix but below the floor).  A probe costs a few
+    single-row batch calls, so it runs only where it can skip whole chunks
+    — a prefix longer than ``chunk_rows`` — and only for models on the
+    stock batch formula (:func:`repro.dse.engine.supports_batch`), which
+    the monotonicity argument is about.  Elsewhere the fold filters the
+    costed rows; the admitted set is the same either way.
     """
     min_fps = constraints.min_frames_per_second
-    if min_fps is not None:
-        # lazy: keeps `import repro.dse.stream` NumPy+stdlib-only (the
-        # check.sh import guard); engine is equally light but imports the
-        # enumeration table machinery this module exists to avoid.
-        from repro.dse.engine import supports_columnar
-        pushdown = supports_columnar(throughput_model)
-    else:
-        pushdown = False
+    pushdown = min_fps is not None and supports_batch(throughput_model)
     plans: Dict[Tuple[int, int], _GroupPlan] = {}
     fps_pruned = 0
     for group_key, admission in admissions.items():
-        if (not admission.evaluable or admission.admit_len <= 0
-                or min_fps is None):
-            plans[group_key] = _GroupPlan(
-                evaluable=admission.evaluable, start=0,
-                stop=admission.admit_len, post_filter=False)
-            continue
-        if not pushdown:
-            plans[group_key] = _GroupPlan(
-                evaluable=True, start=0, stop=admission.admit_len,
-                post_filter=True)
-            continue
-        window_index, split_index = group_key
-        context = _group_context(space, characterizations,
-                                 space.window_sides[window_index],
-                                 splits[split_index])
-        start = _throughput_admitted_start(
-            admission.admit_len, min_fps, context, throughput_model,
-            frame_width, frame_height)
-        if start is None:
-            plans[group_key] = _GroupPlan(
-                evaluable=True, start=0, stop=admission.admit_len,
-                post_filter=True)
-        else:
+        start = 0
+        if (pushdown and admission.evaluable
+                and admission.admit_len > chunk_rows):
+            window_index, split_index = group_key
+            context = group_context(space, characterizations,
+                                    space.window_sides[window_index],
+                                    splits[split_index])
+            start = _throughput_admitted_start(
+                admission.admit_len, min_fps, context, throughput_model,
+                frame_width, frame_height) or 0
             fps_pruned += start
-            plans[group_key] = _GroupPlan(
-                evaluable=True, start=start, stop=admission.admit_len,
-                post_filter=False)
+        plans[group_key] = _GroupPlan(evaluable=admission.evaluable,
+                                      start=start, stop=admission.admit_len)
     return plans, fps_pruned
+
+
+# ---------------------------------------------------------------------- #
+# the exploration
 
 
 @dataclass
 class StreamingExploration:
     """What :func:`explore_stream` produces.
 
-    Only frontier/top-k members are ever materialized as
-    :class:`DesignPoint` objects — ``pareto`` matches the columnar
-    engine's ``materialize="frontier"`` output exactly (same points, same
-    order), and ``pareto_row_index`` holds their global enumeration rows.
+    ``pareto`` is the frontier in increasing-area order (see
+    :mod:`repro.dse.pareto` for the tie-breaking contract) and
+    ``pareto_row_index`` holds its members' global enumeration rows.
+    ``design_points`` is every admitted row in enumeration order when the
+    run materialized ``"admitted"`` rows (the frontier members are the same
+    objects), and the frontier alone when it materialized ``"frontier"``.
     """
 
     space_rows: int
     admitted_rows: int
+    #: Rows the constraints rejected: area-infeasible (never costed) plus
+    #: ``throughput_pruned_rows``.
     pruned_rows: int
     chunk_rows: int
     chunks_total: int
@@ -766,10 +541,9 @@ class StreamingExploration:
     mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
     pareto: List[DesignPoint]
-    top_k: int
-    top_points: List[DesignPoint]
-    #: Rows pruned by the min-fps suffix pushdown (included in
-    #: ``pruned_rows``); 0 when no floor was set or the model declined.
+    design_points: List[DesignPoint]
+    #: Rows inside the area prefix that a min-fps floor rejected (0 when no
+    #: floor was set); the suffix probe skips costing most of them.
     throughput_pruned_rows: int = 0
     #: Effective worker count the chunk schedule was dispatched across.
     jobs: int = 1
@@ -813,116 +587,41 @@ _ShardPayload = Tuple
 
 
 def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
-    """Worker entry point: fold one shard of chunks into private state.
-
-    Runs identically on the calling thread (serial path), in a thread pool,
-    or in a worker process — it touches no module-level mutable state (the
-    counters are updated by the parent from the returned report, so process
-    workers are not special-cased).  Returns the private frontier/top-k
-    plus the shard's accounting and the global indices of the chunks it
-    materialized (the parent asserts the shards did not overlap).
+    """Worker entry point: :func:`repro.dse.engine.fold_shard` one shard.
 
     The payload's trailing ``trace_context`` (a span handoff payload, or
     ``None``) parents a per-shard ``stream.shard`` span into the caller's
     trace.  In-process workers record straight into the live recorder;
     a worker process (recorder off in a fresh interpreter) captures its
-    spans locally and ships them back under ``report["spans"]`` — same
-    ship-through-the-report pattern as the counters, so no worker ever
-    mutates parent state.  ``report["fold_wall_s"]`` always carries the
-    shard's fold wall time for the parent's chunk-fold histogram.
+    spans locally and ships them back under ``report["spans"]`` — the
+    counters travel the same way, so no worker ever mutates parent state.
+    ``report["fold_wall_s"]`` always carries the shard's fold wall time
+    for the parent's chunk-fold histogram.
     """
-    (space, characterizations, throughput_model, frame_width, frame_height,
-     shard, plans, top_k, min_fps, trace_context) = payload
+    *arguments, trace_context = payload  # fold_shard's arguments
+    shard = arguments[5]
     fold_started = time.perf_counter()
 
     def traced_fold() -> Dict[str, object]:
         with obs_trace.adopt(trace_context):
             with obs_trace.span("stream.shard", chunks=len(shard)) as span:
-                report = fold()
+                report = fold_shard(*arguments)
                 span.set_attributes(
                     chunks_materialized=len(report["materialized"]),
                     admitted_rows=report["admitted_rows"])
                 return report
 
     if trace_context is None:
-        report = fold_shard(space, characterizations, throughput_model,
-                            frame_width, frame_height, shard, plans,
-                            top_k, min_fps)
+        report = fold_shard(*arguments)
+    elif obs_trace.enabled():
+        report = traced_fold()
     else:
-        def fold() -> Dict[str, object]:
-            return fold_shard(space, characterizations, throughput_model,
-                              frame_width, frame_height, shard, plans,
-                              top_k, min_fps)
-
-        if obs_trace.enabled():
+        shipped: List[Dict[str, object]] = []
+        with obs_trace.capture(shipped):
             report = traced_fold()
-        else:
-            shipped: List[Dict[str, object]] = []
-            with obs_trace.capture(shipped):
-                report = traced_fold()
-            report["spans"] = shipped
+        report["spans"] = shipped
     report["fold_wall_s"] = time.perf_counter() - fold_started
     return report
-
-
-def fold_shard(space: ArchitectureSpace,
-               characterizations: Mapping[Tuple[int, int],
-                                          "ConeCharacterization"],
-               throughput_model: ThroughputModel,
-               frame_width: int, frame_height: int,
-               shard: Sequence[Tuple[int, SpaceChunk]],
-               plans: Mapping[Tuple[int, int], _GroupPlan],
-               top_k: int, min_fps: Optional[float]) -> Dict[str, object]:
-    """The pure fold over one shard's chunks (see :func:`_fold_chunk_shard`)."""
-    frontier = StreamingFrontier()
-    topk = StreamingTopK(top_k)
-    contexts: Dict[Tuple[int, int], _GroupContext] = {}
-    admitted_rows = 0
-    chunks_skipped = 0
-    peak_chunk_rows = 0
-    frontier_peak = 0
-    materialized: List[int] = []
-
-    for chunk_index, chunk in shard:
-        group_key = (chunk.window_index, chunk.split_index)
-        plan = plans[group_key]
-        start = max(chunk.count_start, plan.start)
-        stop = min(chunk.count_stop, plan.stop)
-        if not plan.evaluable or stop <= start:
-            chunks_skipped += 1
-            continue
-        context = contexts.get(group_key)
-        if context is None:
-            context = _group_context(space, characterizations,
-                                     chunk.window, chunk.split)
-            contexts[group_key] = context
-
-        counts = chunk.counts(start=start, stop=stop)
-        materialized.append(chunk_index)
-        peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
-        area = _group_area(counts, context.depths, context.primary,
-                           context.area_by_depth)
-        columns = throughput_model.estimate_batch(
-            context.representative, context.cone_performance,
-            frame_width, frame_height, counts)
-        times = np.asarray(columns["seconds_per_frame"])
-        rows = chunk.base_row + np.arange(start, stop, dtype=np.int64)
-        if plan.post_filter and min_fps is not None:
-            admitted = columns["frames_per_second"] >= min_fps
-            area, times, rows = area[admitted], times[admitted], rows[admitted]
-        if rows.size == 0:
-            continue
-        admitted_rows += int(rows.size)
-        frontier.update(area, times, rows)
-        topk.update(area, times, rows)
-        frontier_peak = max(frontier_peak, len(frontier))
-
-    return {"frontier": frontier, "topk": topk,
-            "admitted_rows": admitted_rows,
-            "chunks_skipped": chunks_skipped,
-            "peak_chunk_rows": peak_chunk_rows,
-            "frontier_peak": frontier_peak,
-            "materialized": materialized}
 
 
 def _map_shards(payloads: List[_ShardPayload], executor: object,
@@ -936,8 +635,7 @@ def _map_shards(payloads: List[_ShardPayload], executor: object,
     ``run_batch``-only backend) degrades to an in-process loop — correct,
     just not parallel.
     """
-    # lazy: keeps `import repro.dse.stream` NumPy+stdlib-only (the check.sh
-    # import guard) and avoids the api-layer dependency on the serial path.
+    # lazy: avoids the api-layer dependency on the serial path
     from repro.api.executor import resolve_strategy
 
     strategy = resolve_strategy(executor)
@@ -950,39 +648,38 @@ def _map_shards(payloads: List[_ShardPayload], executor: object,
 def explore_stream(space: ArchitectureSpace,
                    characterizations: Mapping[Tuple[int, int],
                                               "ConeCharacterization"],
-                   throughput_model: ThroughputModel,
+                   throughput_model: Any,
                    frame_width: int, frame_height: int,
                    constraints: Optional[DseConstraints] = None,
                    usable_luts: float = math.inf,
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                   top_k: int = DEFAULT_TOP_K,
                    chunk_order: Optional[Sequence[int]] = None,
                    use_mask_cache: bool = True,
                    jobs: Optional[int] = None,
-                   executor: object = None) -> StreamingExploration:
+                   executor: object = None,
+                   materialize: str = "frontier") -> StreamingExploration:
     """Evaluate a whole architecture space at bounded memory.
 
-    Visits the same candidates as :func:`repro.dse.engine.explore_columnar`
-    and produces the identical Pareto frontier (same design points, same
-    order, bit-identical serializations) — whatever ``chunk_rows`` is,
-    whatever order ``chunk_order`` (a permutation of the planned chunk
-    indices, mainly for tests) processes the chunks in, and whatever
+    Produces the same admitted rows and the same Pareto frontier (same
+    design points, same order, bit-identical serializations) as evaluating
+    every candidate one at a time — whatever ``chunk_rows`` is, whatever
+    order ``chunk_order`` (a permutation of the planned chunk indices,
+    mainly for tests) processes the chunks in, and whatever
     ``jobs``/``executor`` the chunk schedule is dispatched across (shards
-    fold privately and reduce via the associative ``merge``).  Peak memory
-    is bounded by the per-worker chunk size plus the frontier/top-k state,
-    never by the space.
+    fold privately and reduce via the associative ``merge``).
 
-    ``pruned_rows`` counts every row skipped before costing: the area-side
-    prefix pushdown (identical to the columnar engine's accounting) plus
-    the min-fps suffix pushdown (``throughput_pruned_rows``; the columnar
-    engine filters those after costing without counting them), so with an
-    fps floor ``admitted_rows + pruned_rows`` covers all evaluable rows.
+    ``materialize`` selects which rows become :class:`DesignPoint` objects:
+    ``"frontier"`` (default) only the Pareto members, so peak memory is
+    bounded by the per-worker chunk size plus the frontier state, never by
+    the space; ``"admitted"`` every constraint-admitted row.
     """
+    if materialize not in ("admitted", "frontier"):
+        raise ValueError(f"materialize must be 'admitted' or 'frontier' "
+                         f"(got {materialize!r})")
     constraints = constraints or DseConstraints()
     jobs = _validate_jobs(jobs)
     chunks = plan_chunks(space, chunk_rows)
     splits = tuple(tuple(split) for split in space.level_splits())
-    n_counts = space.max_cones_per_depth
 
     if chunk_order is None:
         schedule: List[int] = list(range(len(chunks)))
@@ -1002,19 +699,17 @@ def explore_stream(space: ArchitectureSpace,
             _mask_cache.put(key, admissions)
     plans, throughput_pruned = _plan_groups(
         space, splits, characterizations, throughput_model,
-        frame_width, frame_height, constraints, admissions)
-    pruned_rows = (sum(entry.pruned for entry in admissions.values())
-                   + throughput_pruned)
+        frame_width, frame_height, constraints, admissions, chunk_rows)
 
-    min_fps = constraints.min_frames_per_second
+    keep_points = materialize == "admitted"
     shards = _shard_schedule(schedule, jobs) if jobs > 1 else [schedule]
     frontier = StreamingFrontier()
-    topk = StreamingTopK(top_k)
     admitted_rows = 0
     chunks_skipped = 0
     peak_chunk_rows = 0
     frontier_peak = 0
     materialized: List[int] = []
+    points: List[Tuple[int, DesignPoint]] = []
     fold_histogram = obs_metrics.registry().histogram(
         "repro_stream_chunk_fold_seconds")
     with obs_trace.span("stream.explore", chunks=len(chunks), jobs=jobs,
@@ -1025,7 +720,8 @@ def explore_stream(space: ArchitectureSpace,
         payloads = [
             (space, characterizations, throughput_model, frame_width,
              frame_height, [(index, chunks[index]) for index in shard],
-             plans, top_k, min_fps, trace_context)
+             plans, constraints.min_frames_per_second, usable_luts,
+             keep_points, trace_context)
             for shard in shards]
         if len(payloads) > 1:
             folds = _map_shards(payloads, executor, jobs)
@@ -1034,13 +730,14 @@ def explore_stream(space: ArchitectureSpace,
 
         for fold in folds:
             frontier.merge(fold["frontier"])
-            topk.merge(fold["topk"])
             admitted_rows += fold["admitted_rows"]
+            throughput_pruned += fold["fps_rejected"]
             chunks_skipped += fold["chunks_skipped"]
             peak_chunk_rows = max(peak_chunk_rows, fold["peak_chunk_rows"])
             frontier_peak = max(frontier_peak, fold["frontier_peak"],
                                 len(frontier))
             materialized.extend(fold["materialized"])
+            points.extend(fold["points"])
             fold_histogram.observe(fold["fold_wall_s"])
             obs_trace.absorb(fold.get("spans"))
     duplicates = len(materialized) - len(set(materialized))
@@ -1051,14 +748,23 @@ def explore_stream(space: ArchitectureSpace,
                   throughput_pruned_rows=throughput_pruned)
 
     pareto_area, _pareto_time, pareto_rows = frontier.result()
-    top_area, _top_time, top_rows = topk.result()
-    builder = _PointBuilder(space, characterizations, throughput_model,
-                            frame_width, frame_height, usable_luts,
-                            splits, n_counts)
+    if keep_points:
+        # shards and shuffled schedules deliver rows out of order
+        points.sort(key=lambda pair: pair[0])
+        by_row = dict(points)
+        design_points = [point for _, point in points]
+        pareto = [by_row[row] for row in pareto_rows.tolist()]
+    else:
+        pareto = _frontier_points(space, splits, characterizations,
+                                  throughput_model, frame_width,
+                                  frame_height, usable_luts, pareto_rows,
+                                  pareto_area)
+        design_points = list(pareto)
     return StreamingExploration(
         space_rows=space.size(),
         admitted_rows=admitted_rows,
-        pruned_rows=pruned_rows,
+        pruned_rows=(sum(entry.pruned for entry in admissions.values())
+                     + throughput_pruned),
         chunk_rows=chunk_rows,
         chunks_total=len(chunks),
         chunks_skipped=chunks_skipped,
@@ -1066,79 +772,45 @@ def explore_stream(space: ArchitectureSpace,
         frontier_peak=frontier_peak,
         mask_cache_hit=mask_cache_hit,
         pareto_row_index=pareto_rows,
-        pareto=builder.build(pareto_rows, pareto_area),
-        top_k=top_k,
-        top_points=builder.build(top_rows, top_area),
+        pareto=pareto,
+        design_points=design_points,
         throughput_pruned_rows=throughput_pruned,
         jobs=len(folds),
     )
 
 
-class _PointBuilder:
-    """Rebuilds :class:`DesignPoint`s for surviving global rows.
+def _frontier_points(space: ArchitectureSpace,
+                     splits: Tuple[Tuple[int, ...], ...],
+                     characterizations: Mapping[Tuple[int, int],
+                                                "ConeCharacterization"],
+                     throughput_model: Any, frame_width: int,
+                     frame_height: int, usable_luts: float,
+                     rows: "np.ndarray",
+                     areas: "np.ndarray") -> List[DesignPoint]:
+    """Rebuild :class:`DesignPoint`s for the frontier's global rows.
 
-    The throughput columns are recomputed by ``estimate_batch`` on just the
-    survivors' counts, batched per (window, split) group; every column is
-    elementwise over the count axis, so the subset evaluation reproduces
-    the full-table values bit for bit (the stored frontier areas are reused
-    directly — they came from the same accumulation).  Group contexts are
-    rebuilt lazily per surviving group: the fold may have happened on
-    worker threads or in worker processes, so the parent holds none.
+    The throughput columns are recomputed on just the survivors' counts,
+    batched per (window, split) group, which reproduces the fold's values
+    bit for bit (the stored frontier areas are reused directly).  Group
+    contexts are rebuilt here: the fold may have happened on worker
+    threads or in worker processes, so the parent holds none.
     """
-
-    def __init__(self, space, characterizations, throughput_model,
-                 frame_width, frame_height, usable_luts, splits,
-                 n_counts) -> None:
-        self.space = space
-        self.characterizations = characterizations
-        self.throughput_model = throughput_model
-        self.frame_width = frame_width
-        self.frame_height = frame_height
-        self.usable_luts = usable_luts
-        self.splits = splits
-        self.n_counts = n_counts
-        self.contexts: Dict[Tuple[int, int], _GroupContext] = {}
-
-    def _context(self, group: Tuple[int, int]) -> _GroupContext:
-        context = self.contexts.get(group)
-        if context is None:
-            window_index, split_index = group
-            context = _group_context(self.space, self.characterizations,
-                                     self.space.window_sides[window_index],
-                                     self.splits[split_index])
-            self.contexts[group] = context
-        return context
-
-    def build(self, rows: "np.ndarray",
-              areas: "np.ndarray") -> List[DesignPoint]:
-        if rows.size == 0:
-            return []
-        n_splits = len(self.splits)
-        count_index = rows % self.n_counts
-        split_index = (rows // self.n_counts) % n_splits
-        window_index = rows // (self.n_counts * n_splits)
-        points: List[Optional[DesignPoint]] = [None] * rows.size
-        by_group: Dict[Tuple[int, int], List[int]] = {}
-        for position in range(rows.size):
-            group = (int(window_index[position]), int(split_index[position]))
-            by_group.setdefault(group, []).append(position)
-        for group, positions in by_group.items():
-            context = self._context(group)
-            counts = np.asarray([int(count_index[p]) + 1 for p in positions],
-                                dtype=np.int64)
-            columns = self.throughput_model.estimate_batch(
-                context.representative, context.cone_performance,
-                self.frame_width, self.frame_height, counts)
-            for offset, position in enumerate(positions):
-                architecture = self.space.materialize_row_parts(
-                    context.window, context.split, int(counts[offset]))
-                area = float(areas[position])
-                points[position] = DesignPoint(
-                    architecture=architecture,
-                    area_luts=area,
-                    area_estimated=context.area_estimated,
-                    performance=performance_from_columns(columns, offset),
-                    fits_device=bool(area <= self.usable_luts),
-                    cone_area_by_depth=dict(context.area_by_depth),
-                )
-        return [point for point in points if point is not None]
+    n_counts = space.max_cones_per_depth
+    batch = supports_batch(throughput_model)
+    by_group: Dict[Tuple[int, int], List[int]] = {}
+    for position, row in enumerate(rows.tolist()):
+        by_group.setdefault(divmod(row // n_counts, len(splits)),
+                            []).append(position)
+    points: List[Optional[DesignPoint]] = [None] * rows.size
+    for (window_index, split_index), positions in by_group.items():
+        context = group_context(space, characterizations,
+                                space.window_sides[window_index],
+                                splits[split_index])
+        counts = rows[positions] % n_counts + 1
+        columns = cost_counts(throughput_model, batch, space, context,
+                              frame_width, frame_height, counts)
+        built = build_points(space, context, counts, areas[positions],
+                             columns, range(len(positions)), usable_luts)
+        for position, point in zip(positions, built):
+            points[position] = point
+    return points

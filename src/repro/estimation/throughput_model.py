@@ -262,8 +262,7 @@ class ThroughputModel:
         """Estimate the frame rate of ``architecture`` on the given frame size.
 
         Calls the public :meth:`compute_cycles_per_tile` hook (so a subclass
-        override of it is honored, exactly as before the columnar refactor)
-        and shares the frame-level assembly with :meth:`estimate_batch` —
+        override of it is honored) and shares the frame-level assembly with :meth:`estimate_batch` —
         one formula either way.
         """
         compute = np.asarray([self.compute_cycles_per_tile(architecture,

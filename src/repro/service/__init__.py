@@ -2,10 +2,9 @@
 
 ``repro.service`` turns the batch API into a daemon: a
 :class:`ReproServer` owns one shared :class:`~repro.api.session.Session`
-(and therefore one characterization cache, one persistent
-:class:`~repro.api.store.ArtifactStore` binding, and one columnar
-architecture-table cache) and serves exploration *jobs* submitted by many
-concurrent clients.  Three properties distinguish it from N short-lived
+(and therefore one characterization cache and one persistent
+:class:`~repro.api.store.ArtifactStore` binding) and serves exploration
+*jobs* submitted by many concurrent clients.  Three properties distinguish it from N short-lived
 sessions:
 
 * **request coalescing** — identical in-flight workloads share one
@@ -19,10 +18,9 @@ sessions:
   ``batch`` > ``background``); the :class:`Scheduler` always drains the
   highest non-empty class first, so an interactive request never waits
   behind a background sweep that is still queued;
-* **batched columnar dispatch** — the scheduler drains *compatible* queued
-  jobs (same priority class) into one :meth:`Session.run_many` call, so a
-  burst of multi-device/multi-format requests is re-costed against one
-  cached :class:`~repro.architecture.enumeration.ArchitectureTable`
+* **batched dispatch** — the scheduler drains *compatible* queued jobs
+  (same priority class) into one :meth:`Session.run_many` call, so a burst
+  of multi-device/multi-format requests shares its characterizations
   instead of running serially, with the batch executor pluggable through
   the ``executor`` backend registry kind.
 

@@ -7,10 +7,9 @@ routes each batch through the shared session:
 * a larger batch goes through :meth:`Session.run_many` with the
   scheduler's executor strategy (any backend registered under the
   ``executor`` registry kind — resolved once, at construction, so a typo
-  fails server startup instead of the first burst), which re-costs sibling
-  scenarios (devices/formats/frames of one kernel family) against the
-  shared columnar :class:`~repro.architecture.enumeration
-  .ArchitectureTable` instead of running them serially.
+  fails server startup instead of the first burst), which explores sibling
+  scenarios (devices/formats/frames of one kernel family) over shared
+  characterizations instead of running them serially.
 
 Failure attribution: ``run_many`` completes the whole batch before
 re-raising the earliest failure, so on a batch error the scheduler replays

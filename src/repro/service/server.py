@@ -51,7 +51,6 @@ from repro.api.results import FlowResult, ValidationResult
 from repro.api.session import Session, SessionEvent, _defensive_copy
 from repro.api.store import ArtifactStore
 from repro.api.workload import Workload
-from repro.dse.engine import shared_table_stats
 from repro.dse.stream import stream_stats
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -313,7 +312,6 @@ class ReproServer:
             "session": self._session.stats.to_dict(),
             "store": (None if store is None
                       else {"root": store.root, **store.counters()}),
-            "shared_table": shared_table_stats(),
             # mask-cache counters of the out-of-core streaming engine:
             # hits growing across jobs = incremental re-explores reusing
             # pushdown analysis, re-costing only throughput columns

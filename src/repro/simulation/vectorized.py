@@ -4,7 +4,7 @@ PR 4 established the discipline for fast paths: the vectorized
 implementation is the default, the scalar implementation is preserved as a
 ``*_scalar`` differential oracle, and the fast path is only taken when it
 provably computes the same function — i.e. when none of the scalar hooks it
-mirrors have been overridden (see :func:`repro.dse.engine.supports_columnar`).
+mirrors have been overridden (see :func:`repro.dse.engine.supports_batch`).
 
 The simulation classes opt in by declaring ``_vectorized_hooks``: the names
 of the scalar methods their vectorized path shadows.  A subclass that

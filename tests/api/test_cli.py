@@ -104,8 +104,7 @@ class TestSweepCommand:
         assert session["synthesis_runs"] <= 12
 
     def test_sweep_formats_axis(self, capsys):
-        """ISSUE 4: multi-device/multi-format frontiers from one sweep (the
-        enumerated space is shared through the columnar table)."""
+        """Multi-device/multi-format frontiers from one sweep."""
         assert main(["sweep", "--algorithms", "blur",
                      "--devices", "xc6vlx760,xc2vp30",
                      "--formats", "fixed16,fixed32",

@@ -3,14 +3,11 @@
 import pytest
 
 from repro.architecture.enumeration import (
-    TABLE_CACHE_CAPACITY,
     ArchitectureSpace,
-    _space_table_cached,
     count_level_splits,
     enumerate_architectures,
     enumerate_level_splits,
     single_depth_split,
-    space_table,
 )
 
 
@@ -136,55 +133,3 @@ class TestConstantTimeSize:
         space = self.make_space(window_sides=tuple(range(1, 10)),
                                 max_depth=5, max_cones_per_depth=23_000)
         assert space.size() == 9 * 5 * 23_000  # > 10^6, computed instantly
-
-
-class TestBoundedTableCache:
-    def setup_method(self):
-        _space_table_cached.cache_clear()
-
-    def teardown_method(self):
-        _space_table_cached.cache_clear()
-
-    def make_space(self, iterations):
-        return ArchitectureSpace(kernel_name="blur",
-                                 total_iterations=iterations, radius=1,
-                                 window_sides=(2,), max_depth=2,
-                                 max_cones_per_depth=2)
-
-    def test_hits_and_misses_are_counted(self):
-        space = self.make_space(6)
-        first = space_table(space)
-        second = space_table(space)
-        assert first is second
-        info = _space_table_cached.cache_info()
-        assert info.hits == 1 and info.misses == 1 and info.currsize == 1
-        assert info.maxsize == TABLE_CACHE_CAPACITY
-
-    def test_capacity_is_enforced_with_lru_eviction(self):
-        tables = [space_table(self.make_space(i))
-                  for i in range(2, TABLE_CACHE_CAPACITY + 3)]
-        info = _space_table_cached.cache_info()
-        assert info.currsize == TABLE_CACHE_CAPACITY
-        assert _space_table_cached.evictions == len(tables) - TABLE_CACHE_CAPACITY
-        # the oldest entry was evicted: re-requesting it is a miss...
-        misses_before = info.misses
-        rebuilt = space_table(self.make_space(2))
-        assert _space_table_cached.cache_info().misses == misses_before + 1
-        assert rebuilt is not tables[0]
-        # ...while the newest is still a hit
-        assert space_table(self.make_space(TABLE_CACHE_CAPACITY + 2)) is tables[-1]
-
-    def test_recent_use_protects_an_entry(self):
-        keep = space_table(self.make_space(2))
-        for i in range(3, TABLE_CACHE_CAPACITY + 2):
-            space_table(self.make_space(i))
-        space_table(self.make_space(2))           # refresh recency
-        space_table(self.make_space(TABLE_CACHE_CAPACITY + 2))  # evicts i=3
-        assert space_table(self.make_space(2)) is keep
-
-    def test_clear_resets_counters(self):
-        space_table(self.make_space(6))
-        _space_table_cached.cache_clear()
-        info = _space_table_cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        assert _space_table_cached.evictions == 0

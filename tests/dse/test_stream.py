@@ -1,28 +1,29 @@
-"""Tests for the out-of-core chunked exploration engine (ISSUE 7 tentpole;
-parallel dispatch + throughput-side pushdown from ISSUE 9).
+"""Tests for the chunked exploration fold.
 
 The headline property: whatever the chunk size {1 row, group-sized, the
 whole space}, whatever the chunk order, and whatever the worker count /
-executor strategy, ``explore_stream`` produces the identical Pareto
-frontier — same global rows, byte-identical serialized design points — as
-the columnar oracle ``explore_columnar``; its ``pruned_rows`` additionally
-counts the rows the min-fps suffix pushdown skipped before costing.
+executor strategy, ``explore_stream`` produces the identical admitted rows
+and Pareto frontier — same global rows, byte-identical serialized design
+points — as the per-point scalar oracle (``scalar_oracle``); its
+``pruned_rows`` additionally counts the rows a min-fps floor rejected.
 """
 
 import json
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+from scalar_oracle import scalar_exploration
+
+import repro.dse.stream as stream_module
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import explore_columnar, shared_table_stats
+from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.stream import (
-    DEFAULT_CHUNK_ROWS,
+    MASK_CACHE_CAPACITY,
     SpaceChunk,
-    StreamingFrontier,
-    StreamingTopK,
     clear_stream_caches,
     explore_stream,
     plan_chunks,
@@ -72,17 +73,17 @@ def constraint_grid(baseline):
 
 
 class TestDigestIdentity:
-    def test_identical_to_columnar_across_chunk_sizes_and_orders(
+    def test_identical_to_scalar_across_chunk_sizes_and_orders(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
-        baseline = explore_columnar(space, characterizations,
-                                    explorer.throughput_model, 128, 96)
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
         group_rows = space.max_cones_per_depth
         for constraints in constraint_grid(baseline):
-            oracle = explore_columnar(
+            oracle = scalar_exploration(
                 space, characterizations, explorer.throughput_model,
-                128, 96, constraints, usable, materialize="frontier")
-            oracle_rows = oracle.row_index[oracle.pareto_index]
+                128, 96, constraints, usable)
+            oracle_rows = oracle.pareto_row_index
             oracle_digest = serialized_points(oracle.pareto)
             for chunk_rows in (1, group_rows, space.size()):
                 for seed in (None, 7, 23):
@@ -99,12 +100,40 @@ class TestDigestIdentity:
                                           oracle_rows)
                     assert (serialized_points(streamed.pareto)
                             == oracle_digest)
-                    # the oracle never counts fps-filtered rows as pruned;
-                    # the stream pushes the floor down and does
                     assert (streamed.pruned_rows
                             - streamed.throughput_pruned_rows
-                            == oracle.pruned_rows)
+                            == oracle.area_pruned_rows)
                     assert streamed.admitted_rows == oracle.admitted_rows
+
+    def test_admitted_rows_identical_to_scalar_at_any_chunking_and_jobs(
+            self, evaluation_inputs):
+        """In-memory explorations are the same fold keeping every admitted
+        row: the design points match the scalar loop's in enumeration
+        order, and the frontier members are the same objects."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
+        for constraints in constraint_grid(baseline):
+            oracle = scalar_exploration(
+                space, characterizations, explorer.throughput_model,
+                128, 96, constraints, usable)
+            expected = serialized_points(oracle.design_points)
+            for chunk_rows in (1, 4, space.size()):
+                order = list(range(len(plan_chunks(space, chunk_rows))))
+                random.Random(chunk_rows).shuffle(order)
+                for jobs, chunk_order in ((None, None), (3, order)):
+                    streamed = explore_stream(
+                        space, characterizations, explorer.throughput_model,
+                        128, 96, constraints, usable, chunk_rows=chunk_rows,
+                        chunk_order=chunk_order, jobs=jobs,
+                        executor="threads", materialize="admitted")
+                    assert (serialized_points(streamed.design_points)
+                            == expected)
+                    assert (serialized_points(streamed.pareto)
+                            == serialized_points(oracle.pareto))
+                    members = {id(point) for point in streamed.design_points}
+                    assert all(id(point) in members
+                               for point in streamed.pareto)
 
     def test_peak_chunk_never_exceeds_the_bound(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
@@ -116,20 +145,20 @@ class TestDigestIdentity:
 
 
 class TestConstraintPushdown:
-    def test_pruned_rows_match_engine_and_skip_materialization(
+    def test_pruned_rows_match_the_oracle_and_skip_materialization(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
-        baseline = explore_columnar(space, characterizations,
-                                    explorer.throughput_model, 128, 96)
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
         cutoff = float(np.median(baseline.area_luts))
         constraints = DseConstraints(max_area_luts=cutoff)
-        oracle = explore_columnar(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  constraints, usable)
+        oracle = scalar_exploration(space, characterizations,
+                                    explorer.throughput_model, 128, 96,
+                                    constraints, usable)
         streamed = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
                                   constraints, usable, chunk_rows=2)
-        assert streamed.pruned_rows == oracle.pruned_rows > 0
+        assert streamed.pruned_rows == oracle.area_pruned_rows > 0
         # whole chunks beyond the admitted prefix were never materialized
         assert streamed.chunks_skipped > 0
         assert (streamed.admitted_rows + streamed.pruned_rows
@@ -139,9 +168,10 @@ class TestConstraintPushdown:
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
         constraints = DseConstraints(min_frames_per_second=1e12)
+        # the suffix probe runs where a group's prefix spans several chunks
         streamed = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
-                                  constraints, usable)
+                                  constraints, usable, chunk_rows=2)
         assert streamed.pruned_rows == space.size()
         assert streamed.throughput_pruned_rows == space.size()
         assert streamed.admitted_rows == 0
@@ -152,8 +182,8 @@ class TestConstraintPushdown:
 
 
 class TestThroughputPushdown:
-    """The min-fps suffix probe admits exactly what post-cost filtering
-    admits (satellite: differential on 3 constraint sets)."""
+    """The min-fps suffix probe admits exactly what per-point filtering
+    admits (differential on 3 constraint sets)."""
 
     def fps_floors(self, baseline):
         fps = np.sort(1.0 / baseline.seconds_per_frame)
@@ -163,57 +193,56 @@ class TestThroughputPushdown:
     def test_admits_exactly_the_post_cost_filter_rows(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
-        baseline = explore_columnar(space, characterizations,
-                                    explorer.throughput_model, 128, 96)
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
         area_cap = float(np.median(baseline.area_luts))
         for floor in self.fps_floors(baseline):
             for extra in ({}, {"max_area_luts": area_cap,
                                "device_only": True}):
                 constraints = DseConstraints(min_frames_per_second=floor,
                                              **extra)
-                no_fps = explore_columnar(
+                no_fps = scalar_exploration(
                     space, characterizations, explorer.throughput_model,
                     128, 96, DseConstraints(**extra), usable)
-                oracle = explore_columnar(
+                oracle = scalar_exploration(
                     space, characterizations, explorer.throughput_model,
-                    128, 96, constraints, usable, materialize="frontier")
-                streamed = explore_stream(
-                    space, characterizations, explorer.throughput_model,
-                    128, 96, constraints, usable, chunk_rows=2)
-                assert streamed.admitted_rows == oracle.admitted_rows
-                assert np.array_equal(
-                    streamed.pareto_row_index,
-                    oracle.row_index[oracle.pareto_index])
-                assert (serialized_points(streamed.pareto)
-                        == serialized_points(oracle.pareto))
-                # the pushdown pruned exactly the rows the oracle costed
-                # and then dropped to the post-cost fps mask
-                assert (streamed.throughput_pruned_rows
-                        == no_fps.admitted_rows - oracle.admitted_rows)
-                assert (streamed.admitted_rows + streamed.pruned_rows
-                        == space.size())
+                    128, 96, constraints, usable)
+                for chunk_rows in (2, 4096):  # probed / filtered in-chunk
+                    streamed = explore_stream(
+                        space, characterizations, explorer.throughput_model,
+                        128, 96, constraints, usable, chunk_rows=chunk_rows)
+                    assert streamed.admitted_rows == oracle.admitted_rows
+                    assert np.array_equal(streamed.pareto_row_index,
+                                          oracle.pareto_row_index)
+                    assert (serialized_points(streamed.pareto)
+                            == serialized_points(oracle.pareto))
+                    # exactly the rows the floor rejects count as pruned
+                    assert (streamed.throughput_pruned_rows
+                            == no_fps.admitted_rows - oracle.admitted_rows)
+                    assert (streamed.admitted_rows + streamed.pruned_rows
+                            == space.size())
 
     def test_fps_floor_raises_pruned_rows_over_the_oracle(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
-        baseline = explore_columnar(space, characterizations,
-                                    explorer.throughput_model, 128, 96)
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
         constraints = DseConstraints(
             min_frames_per_second=self.fps_floors(baseline)[1])
-        oracle = explore_columnar(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  constraints, usable)
+        oracle = scalar_exploration(space, characterizations,
+                                    explorer.throughput_model, 128, 96,
+                                    constraints, usable)
         streamed = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
                                   constraints, usable)
         assert streamed.throughput_pruned_rows > 0
-        assert streamed.pruned_rows > oracle.pruned_rows == 0
+        assert streamed.pruned_rows > oracle.area_pruned_rows == 0
         assert stream_stats()["throughput_pruned_rows"] > 0
 
-    def test_non_monotone_model_falls_back_to_post_cost_filter(
+    def test_non_monotone_model_falls_back_to_costing_the_prefix(
             self, evaluation_inputs):
         class NegativeInterval(ThroughputModel):
-            """Columnar-capable, but the monotonicity argument is void."""
+            """Batch-capable, but the monotonicity argument is void."""
 
             def execution_interval_cycles(self, architecture, depth,
                                           performance):
@@ -224,13 +253,12 @@ class TestThroughputPushdown:
         model = NegativeInterval(device=explorer.device,
                                  data_format=explorer.data_format)
         constraints = DseConstraints(min_frames_per_second=1.0)
-        oracle = explore_columnar(space, characterizations, model,
-                                  128, 96, constraints, usable,
-                                  materialize="frontier")
+        oracle = scalar_exploration(space, characterizations, model,
+                                    128, 96, constraints, usable)
         streamed = explore_stream(space, characterizations, model,
                                   128, 96, constraints, usable,
                                   chunk_rows=3)
-        assert streamed.throughput_pruned_rows == 0  # probe declined
+        assert streamed.chunks_skipped == 0  # probe declined: all costed
         assert streamed.admitted_rows == oracle.admitted_rows
         assert (serialized_points(streamed.pareto)
                 == serialized_points(oracle.pareto))
@@ -238,8 +266,8 @@ class TestThroughputPushdown:
     def test_fps_floor_change_still_reuses_cached_masks(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
-        baseline = explore_columnar(space, characterizations,
-                                    explorer.throughput_model, 128, 96)
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
         floors = self.fps_floors(baseline)
         first = explore_stream(
             space, characterizations, explorer.throughput_model, 128, 96,
@@ -249,10 +277,9 @@ class TestThroughputPushdown:
             DseConstraints(min_frames_per_second=floors[2]), usable)
         assert not first.mask_cache_hit
         assert second.mask_cache_hit  # the floor is not in the mask key
-        oracle = explore_columnar(
+        oracle = scalar_exploration(
             space, characterizations, explorer.throughput_model, 128, 96,
-            DseConstraints(min_frames_per_second=floors[2]), usable,
-            materialize="frontier")
+            DseConstraints(min_frames_per_second=floors[2]), usable)
         assert (serialized_points(second.pareto)
                 == serialized_points(oracle.pareto))
 
@@ -284,28 +311,60 @@ class TestParallelDispatch:
                     assert serialized_points(streamed.pareto) == digest
                     assert streamed.admitted_rows == serial.admitted_rows
                     assert streamed.pruned_rows == serial.pruned_rows
-                    assert (serialized_points(streamed.top_points)
-                            == serialized_points(serial.top_points))
                     assert streamed.jobs == min(jobs, len(order))
         assert stream_stats()["duplicate_chunk_materializations"] == 0
 
-    def test_workers_get_descriptors_and_never_touch_the_table_cache(
+    def test_parallel_run_is_counted_once_without_duplicate_chunks(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
         reset_stream_stats()
-        before = shared_table_stats()
         streamed = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
                                   usable_luts=usable, chunk_rows=2,
                                   jobs=4, executor="threads")
-        after = shared_table_stats()
         assert streamed.jobs == 4
-        assert (after["hits"], after["misses"]) == (before["hits"],
-                                                    before["misses"])
         stats = stream_stats()
         assert stats["parallel_runs"] == 1 and stats["runs"] == 1
         assert stats["chunks_materialized"] > 0
         assert stats["duplicate_chunk_materializations"] == 0
+
+    def test_shard_payloads_survive_a_process_boundary(
+            self, evaluation_inputs, monkeypatch):
+        """Workers receive chunk descriptors only: every shard payload and
+        every report round-trips through pickle, as a process pool ships
+        them, and the merged result equals the serial fold."""
+        shipped = []
+
+        def pickled_map(payloads, executor, jobs):
+            reports = []
+            for payload in payloads:
+                shipped.append(pickle.loads(pickle.dumps(payload)))
+                reports.append(pickle.loads(pickle.dumps(
+                    stream_module._fold_chunk_shard(shipped[-1]))))
+            return reports
+
+        explorer, space, characterizations, usable = evaluation_inputs
+        constraints = DseConstraints(device_only=True,
+                                     min_frames_per_second=1.0)
+        serial = explore_stream(space, characterizations,
+                                explorer.throughput_model, 128, 96,
+                                constraints, usable, chunk_rows=2)
+        monkeypatch.setattr(stream_module, "_map_shards", pickled_map)
+        sharded = explore_stream(space, characterizations,
+                                 explorer.throughput_model, 128, 96,
+                                 constraints, usable, chunk_rows=2, jobs=3)
+        assert sharded.jobs == len(shipped) == 3
+        for payload in shipped:
+            assert not any(isinstance(value, np.ndarray)
+                           for value in payload)
+            assert all(isinstance(chunk, SpaceChunk)
+                       for _, chunk in payload[5])
+        assert np.array_equal(sharded.pareto_row_index,
+                              serial.pareto_row_index)
+        assert (serialized_points(sharded.pareto)
+                == serialized_points(serial.pareto))
+        assert sharded.admitted_rows == serial.admitted_rows
+        assert sharded.pruned_rows == serial.pruned_rows
 
     @pytest.mark.slow
     @pytest.mark.par
@@ -337,10 +396,6 @@ class TestParallelDispatch:
                                explorer.throughput_model, 128, 96,
                                usable_luts=usable, jobs=bad)
 
-    def test_topk_merge_rejects_mismatched_k(self):
-        with pytest.raises(ValueError, match="different k"):
-            StreamingTopK(3).merge(StreamingTopK(4))
-
 
 class TestMaskCache:
     def test_frame_change_reuses_masks(self, evaluation_inputs):
@@ -357,10 +412,9 @@ class TestMaskCache:
         stats = stream_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
         # the reused run is still digest-identical to its own oracle
-        oracle = explore_columnar(space, characterizations,
-                                  explorer.throughput_model, 640, 480,
-                                  constraints, usable,
-                                  materialize="frontier")
+        oracle = scalar_exploration(space, characterizations,
+                                    explorer.throughput_model, 640, 480,
+                                    constraints, usable)
         assert (serialized_points(second.pareto)
                 == serialized_points(oracle.pareto))
 
@@ -384,22 +438,58 @@ class TestMaskCache:
         assert stream_stats()["entries"] == 0
 
 
-class TestTopK:
-    def test_top_points_are_the_k_fastest_admitted(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        oracle = explore_columnar(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  usable_luts=usable)
-        k = 5
-        streamed = explore_stream(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=3, top_k=k)
-        expected = np.lexsort((oracle.row_index, oracle.area_luts,
-                               oracle.seconds_per_frame))[:k]
-        expected_times = oracle.seconds_per_frame[expected]
-        got_times = [p.seconds_per_frame for p in streamed.top_points]
-        assert got_times == expected_times.tolist()
-        assert len(streamed.top_points) == k
+class TestMaskCacheBound:
+    """The mask cache is a bounded LRU: each distinct area cap is its own
+    entry, and the least recently used entry is evicted first."""
+
+    @staticmethod
+    def explore_capped(inputs, cap):
+        explorer, space, characterizations, usable = inputs
+        return explore_stream(space, characterizations,
+                              explorer.throughput_model, 128, 96,
+                              DseConstraints(max_area_luts=cap), usable)
+
+    @staticmethod
+    def caps(n):
+        return [1000.0 * (i + 1) for i in range(n)]
+
+    def test_capacity_is_enforced_with_lru_eviction(self, evaluation_inputs):
+        caps = self.caps(MASK_CACHE_CAPACITY + 2)
+        for cap in caps:
+            assert not self.explore_capped(evaluation_inputs,
+                                           cap).mask_cache_hit
+        stats = stream_stats()
+        assert stats["entries"] == stats["capacity"] == MASK_CACHE_CAPACITY
+        assert stats["evictions"] == 2
+        # the newest entry is still cached; the oldest was evicted
+        assert self.explore_capped(evaluation_inputs, caps[-1]).mask_cache_hit
+        assert not self.explore_capped(evaluation_inputs,
+                                       caps[0]).mask_cache_hit
+
+    def test_recent_use_protects_an_entry(self, evaluation_inputs):
+        caps = self.caps(MASK_CACHE_CAPACITY + 1)
+        for cap in caps[:MASK_CACHE_CAPACITY]:
+            self.explore_capped(evaluation_inputs, cap)
+        # refresh the oldest entry, then overflow: the second-oldest goes
+        assert self.explore_capped(evaluation_inputs, caps[0]).mask_cache_hit
+        self.explore_capped(evaluation_inputs, caps[-1])
+        assert self.explore_capped(evaluation_inputs, caps[0]).mask_cache_hit
+        assert not self.explore_capped(evaluation_inputs,
+                                       caps[1]).mask_cache_hit
+
+    def test_reset_keeps_masks_but_clear_drops_them(self, evaluation_inputs):
+        self.explore_capped(evaluation_inputs, 5000.0)
+        reset_stream_stats()
+        stats = stream_stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"],
+                stats["runs"]) == (0, 0, 0, 0)
+        assert stats["entries"] == 1
+        assert self.explore_capped(evaluation_inputs, 5000.0).mask_cache_hit
+        clear_stream_caches()
+        stats = stream_stats()
+        assert (stats["entries"], stats["hits"], stats["runs"]) == (0, 0, 0)
+        assert not self.explore_capped(evaluation_inputs,
+                                       5000.0).mask_cache_hit
 
 
 class TestChunkPlanning:
@@ -433,15 +523,15 @@ class TestChunkPlanning:
 
 
 class TestExplorerIntegration:
-    def test_stream_true_matches_columnar_pareto(self, igf_kernel):
+    def test_stream_true_matches_in_memory_pareto(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
         streamed = explorer.explore(6, 128, 96, stream=True, chunk_rows=4)
-        columnar = explorer.explore(6, 128, 96)
+        in_memory = explorer.explore(6, 128, 96)
         assert (serialized_points(streamed.pareto)
-                == serialized_points(columnar.pareto))
+                == serialized_points(in_memory.pareto))
         assert streamed.streaming is not None
         assert streamed.streaming["chunk_rows"] == 4
-        assert columnar.streaming is None
+        assert in_memory.streaming is None
         # streamed results materialize only the frontier
         assert streamed.design_points == streamed.pareto
         payload = streamed.to_dict()
@@ -482,26 +572,38 @@ class TestExplorerIntegration:
         assert (serialized_points(auto.pareto)
                 == serialized_points(in_memory.pareto))
 
-    def test_explore_scalar_never_auto_streams(self, igf_kernel,
-                                               monkeypatch):
-        import repro.dse.explorer as explorer_module
-        monkeypatch.setattr(explorer_module, "STREAM_AUTO_THRESHOLD", 1)
+    def test_in_memory_explorations_are_counted_and_reuse_masks(
+            self, igf_kernel):
+        """An in-memory exploration runs the same fold, so it shows in
+        ``stream_stats()`` and a frame change re-uses its cached masks."""
         explorer = small_explorer(igf_kernel)
-        result = explorer.explore_scalar(6, 128, 96)
-        assert result.streaming is None
+        explorer.characterize_cones(6)
+        reset_stream_stats()
+        first = explorer.explore(6, 128, 96)
+        second = explorer.explore(6, 640, 480)
+        assert first.streaming is None and second.streaming is None
+        stats = stream_stats()
+        assert stats["runs"] == 2 and stats["parallel_runs"] == 0
+        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats["chunks_materialized"] > 0
 
-    def test_stream_requires_columnar_capable_backend(self, igf_kernel):
+    def test_pointwise_backend_streams_too(self, igf_kernel):
+        """A backend costed point by point (it overrides ``evaluate``)
+        runs the same fold, streamed or not."""
         class ScalarOnly(ThroughputModel):
             def evaluate(self, *args, **kwargs):
                 return super().evaluate(*args, **kwargs)
 
         explorer = small_explorer(igf_kernel,
                                   throughput_model_factory=ScalarOnly)
-        with pytest.raises(ValueError, match="columnar-capable"):
-            explorer.explore(6, 128, 96, stream=True)
-        # and auto-select quietly stays on the scalar path
-        result = explorer.explore(6, 128, 96)
-        assert result.streaming is None
+        streamed = explorer.explore(6, 128, 96, stream=True, chunk_rows=4)
+        in_memory = explorer.explore(6, 128, 96)
+        assert streamed.streaming is not None
+        assert in_memory.streaming is None
+        assert (serialized_points(streamed.pareto)
+                == serialized_points(in_memory.pareto)
+                == serialized_points(small_explorer(igf_kernel).explore(
+                    6, 128, 96).pareto))
 
 
 class TestFrontierStateBound:

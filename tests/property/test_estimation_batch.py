@@ -2,10 +2,10 @@
 
 The scalar paths of both estimation models delegate to their batch twins,
 so these tests pin the batch implementations against *independent* scalar
-references written out longhand here (the pre-columnar recursions), and
+references written out longhand here (the per-point recursions), and
 additionally assert that evaluating a whole count axis at once is
 bit-identical to evaluating its elements one by one.  Equality is exact
-(``==``, not approx): the columnar engine's byte-identical-results
+(``==``, not approx): the exploration fold's byte-identical-results
 guarantee rests on it.
 """
 
@@ -28,7 +28,7 @@ from repro.synth.fpga_device import VIRTEX6_XC6VLX760
 
 
 def reference_estimate_series(model, register_counts):
-    """The pre-columnar Equation-1 recursion, written out longhand."""
+    """The per-point Equation-1 recursion, written out longhand."""
     anchor = model.anchor
     keys = sorted(register_counts)
     estimates = {anchor.key: anchor.actual_area_luts}
@@ -115,7 +115,7 @@ def test_area_estimate_batch_validates_inputs():
 
 
 def reference_compute_cycles(model, architecture, cone_performance):
-    """The pre-columnar per-level accumulation, written out longhand."""
+    """The per-point per-level accumulation, written out longhand."""
     executions_per_level = architecture.executions_per_level()
     cycles = 0.0
     for level_index, depth in enumerate(architecture.level_depths):

@@ -2,7 +2,7 @@
 ``merge`` reduction from ISSUE 9).
 
 The contract under test: folding any chunking, in any chunk order, of any
-objective arrays into :class:`repro.dse.stream.StreamingFrontier` yields
+objective arrays into :class:`repro.dse.engine.StreamingFrontier` yields
 exactly ``pareto_indices`` of the concatenated arrays — including the
 duplicate-(area, time) first-seen tie-break — and non-finite objectives are
 rejected just like the batch path rejects them.  The ``merge`` reduction is
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.dse.pareto import pareto_indices
-from repro.dse.stream import StreamingFrontier, StreamingTopK
+from repro.dse.engine import StreamingFrontier
 
 #: Objectives drawn from a small grid so duplicate (area, time) pairs are
 #: common — the tie-break is the part a naive accumulator gets wrong.
@@ -113,14 +113,13 @@ def chunk_boundaries(n_rows, chunk_sizes):
 @given(objective_arrays,
        st.lists(st.integers(min_value=1, max_value=7), max_size=30),
        st.sampled_from([1, 2, 4]),
-       st.integers(min_value=0, max_value=2**32 - 1),
-       st.integers(min_value=1, max_value=6))
+       st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_merge_matches_serial_fold_for_any_worker_assignment(
-        pairs, chunk_sizes, workers, order_seed, k):
+        pairs, chunk_sizes, workers, order_seed):
     """Shuffle the chunks, deal them round-robin to ``workers`` private
     accumulators, merge in a seeded random order: bit-identical to the
-    one-accumulator serial fold, for both the frontier and the top-k."""
+    one-accumulator serial fold."""
     areas = np.asarray([a for a, _ in pairs], dtype=np.float64)
     times = np.asarray([t for _, t in pairs], dtype=np.float64)
     rows = np.arange(len(pairs), dtype=np.int64)
@@ -128,33 +127,23 @@ def test_merge_matches_serial_fold_for_any_worker_assignment(
     rng = np.random.default_rng(order_seed)
     rng.shuffle(boundaries)
 
-    serial_frontier = StreamingFrontier()
-    serial_topk = StreamingTopK(k)
+    serial = StreamingFrontier()
     for lo, hi in boundaries:
-        serial_frontier.update(areas[lo:hi], times[lo:hi], rows[lo:hi])
-        serial_topk.update(areas[lo:hi], times[lo:hi], rows[lo:hi])
+        serial.update(areas[lo:hi], times[lo:hi], rows[lo:hi])
 
     frontiers = [StreamingFrontier() for _ in range(workers)]
-    topks = [StreamingTopK(k) for _ in range(workers)]
     for index, (lo, hi) in enumerate(boundaries):
         frontiers[index % workers].update(areas[lo:hi], times[lo:hi],
                                           rows[lo:hi])
-        topks[index % workers].update(areas[lo:hi], times[lo:hi],
-                                      rows[lo:hi])
-    merge_order = rng.permutation(workers)
-    merged_frontier = StreamingFrontier()
-    merged_topk = StreamingTopK(k)
-    for worker in merge_order:
-        merged_frontier.merge(frontiers[worker])
-        merged_topk.merge(topks[worker])
+    merged = StreamingFrontier()
+    for worker in rng.permutation(workers):
+        merged.merge(frontiers[worker])
 
-    for merged, serial in ((merged_frontier, serial_frontier),
-                           (merged_topk, serial_topk)):
-        merged_area, merged_time, merged_rows = merged.result()
-        serial_area, serial_time, serial_rows = serial.result()
-        assert np.array_equal(merged_rows, serial_rows)
-        assert np.array_equal(merged_area, serial_area)
-        assert np.array_equal(merged_time, serial_time)
+    merged_area, merged_time, merged_rows = merged.result()
+    serial_area, serial_time, serial_rows = serial.result()
+    assert np.array_equal(merged_rows, serial_rows)
+    assert np.array_equal(merged_area, serial_area)
+    assert np.array_equal(merged_time, serial_time)
 
 
 @given(objective_arrays,
@@ -191,31 +180,3 @@ def test_merge_is_associative_on_the_frontier(pairs, workers, order_seed):
         merged.merge(right_spine)
         right_spine = merged
     assert np.array_equal(left.result()[2], right_spine.result()[2])
-
-
-@given(objective_arrays,
-       st.lists(st.integers(min_value=1, max_value=7), max_size=30),
-       st.integers(min_value=0, max_value=2**32 - 1),
-       st.integers(min_value=0, max_value=8))
-@settings(max_examples=100, deadline=None)
-def test_top_k_is_chunking_and_order_independent(pairs, chunk_sizes,
-                                                 order_seed, k):
-    areas = np.asarray([a for a, _ in pairs], dtype=np.float64)
-    times = np.asarray([t for _, t in pairs], dtype=np.float64)
-    rows = np.arange(len(pairs), dtype=np.int64)
-    expected = np.lexsort((rows, areas, times))[:k]
-
-    boundaries = []
-    start = 0
-    sizes = iter(chunk_sizes or [max(1, len(pairs))])
-    while start < len(pairs):
-        size = max(1, next(sizes, 1))
-        boundaries.append((start, min(start + size, len(pairs))))
-        start += size
-    rng = np.random.default_rng(order_seed)
-    rng.shuffle(boundaries)
-    topk = StreamingTopK(k)
-    for lo, hi in boundaries:
-        topk.update(areas[lo:hi], times[lo:hi], rows[lo:hi])
-    _, _, got = topk.result()
-    assert np.array_equal(got, rows[expected])

@@ -73,10 +73,10 @@ class TestHttpTransport:
         assert health["ok"] and health["state"] == "serving"
         stats = client.stats()
         for key in ("state", "queue", "scheduler", "session", "store",
-                    "shared_table", "uptime_s"):
+                    "stream", "uptime_s"):
             assert key in stats
         assert stats["store"] is None  # storeless server
-        assert stats["shared_table"]["capacity"] >= 1
+        assert stats["stream"]["capacity"] >= 1
 
     def test_unknown_job_and_unknown_route(self, http_server):
         _server, url = http_server
