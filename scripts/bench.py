@@ -6,10 +6,9 @@ Each bench module times one stage of a Section-4 experiment; the expensive
 shared artifact behind them is the full design-space exploration of each case
 study.  This runner drives those explorations through
 :meth:`repro.api.Session.run_many` (so characterizations are shared the way a
-production deployment would share them), records wall time and synthesizer
-accounting per workload, and maps every bench module to the workload(s) it
-draws on.  The emitted snapshot gives future PRs a trajectory to compare
-against.
+production deployment would share them) and records wall time and
+synthesizer accounting per workload.  The emitted snapshot gives future
+changes a trajectory to compare against.
 
 Usage::
 
@@ -63,11 +62,6 @@ And a ``simulation_throughput`` section (skip with ``--skip-sim``): a
 :class:`repro.simulation.FunctionalConeSimulator` and through the
 preserved scalar tile loop, with pixels/s for both paths, the speedup,
 and a digest check proving the two produce bit-identical output frames.
-
-Each module entry aggregates the wall time and synthesis-run count of the
-workload(s) it draws on; workload wall times are per-workload session
-latencies, so under a threaded batch their sum can exceed the batch wall
-time.
 """
 
 from __future__ import annotations
@@ -117,26 +111,6 @@ SCALING_WORKLOADS = [
         max_cones_per_depth=8, synthesize_all=True)
     for name in ("blur", "chamb", "jacobi", "heat")
 ]
-
-#: Which exploration(s) each bench module draws on.
-MODULE_WORKLOADS = {
-    "bench_fig05_igf_area_estimation": ["igf"],
-    "bench_fig06_igf_pareto": ["igf"],
-    "bench_fig07_igf_throughput": ["igf"],
-    "bench_fig08_chambolle_area_estimation": ["chambolle"],
-    "bench_fig09_chambolle_pareto": ["chambolle"],
-    "bench_fig10_chambolle_throughput": ["chambolle"],
-    "bench_sec41_igf_vs_literature": ["igf"],
-    "bench_sec42_chambolle_vs_literature": ["chambolle"],
-    "bench_sec43_commercial_hls": ["igf", "chambolle"],
-}
-
-
-def discover_bench_modules() -> list:
-    pattern = os.path.join(REPO_ROOT, "benchmarks", "bench_*.py")
-    return sorted(os.path.splitext(os.path.basename(path))[0]
-                  for path in glob.glob(pattern))
-
 
 def run_batch(jobs, store=None) -> dict:
     """Run every bench workload through one session; return the snapshot body."""
@@ -602,22 +576,6 @@ def run_parallel_stream(max_cones=23_000, rss_ceiling_mb=512.0, jobs=2,
     }
 
 
-def module_summary(modules, per_workload) -> dict:
-    """Map each bench module to its workloads plus their aggregate cost."""
-    summary = {}
-    for module in modules:
-        names = MODULE_WORKLOADS.get(module, [])
-        entries = [per_workload[name] for name in names
-                   if name in per_workload]
-        summary[module] = {
-            "workloads": names,
-            "wall_time_s": sum(entry["wall_time_s"] for entry in entries),
-            "synthesis_runs": sum(entry["synthesis_runs"]
-                                  for entry in entries),
-        }
-    return summary
-
-
 def run_pytest_suite() -> dict:
     """Optionally run the pytest benchmark suite and time it."""
     env = dict(os.environ)
@@ -681,12 +639,6 @@ def main(argv=None) -> int:
                              "throughput-side pruning, digest identity)")
     args = parser.parse_args(argv)
 
-    modules = discover_bench_modules()
-    unmapped = [m for m in modules if m not in MODULE_WORKLOADS]
-    if unmapped:
-        print(f"warning: bench modules without a workload mapping: "
-              f"{', '.join(unmapped)}", file=sys.stderr)
-
     if args.store:
         # the snapshot's primary numbers double as the cold pass, so a
         # pre-populated store would silently record warm timings as cold
@@ -707,7 +659,6 @@ def main(argv=None) -> int:
         "date": _dt.date.today().isoformat(),
         "python": sys.version.split()[0],
         **batch,
-        "modules": module_summary(modules, batch["workloads"]),
     }
 
     if args.store:

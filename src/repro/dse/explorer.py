@@ -32,6 +32,7 @@ from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import KernelProperties, validate_kernel
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat, OperatorLibrary, default_library
+from repro.obs import trace as obs_trace
 from repro.symbolic.cone_expression import ConeExpressionBuilder
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 from repro.synth.synthesizer import Synthesizer
@@ -266,7 +267,7 @@ class DesignSpaceExplorer:
         self.calibration_windows_per_depth = calibration_windows_per_depth
         self.synthesize_all = synthesize_all
         self.properties = validate_kernel(kernel)
-        self.cone_builder = ConeExpressionBuilder(kernel, params)
+        self._params = dict(params) if params else None
         self._synthesizer_factory = synthesizer_factory or Synthesizer
         self._area_model_factory = area_model_factory or RegisterAreaModel
         self._throughput_model_factory = (throughput_model_factory
@@ -310,7 +311,9 @@ class DesignSpaceExplorer:
         Characterisation (including the reference syntheses) is cached per
         ``(depth, window family)``, so exploring the same kernel with a
         different total iteration count only pays for depth families it has
-        not met before.
+        not met before.  The families this call characterizes share one
+        cone builder, so each element of their cones is expanded once; the
+        builder and its DAG are dropped on return.
         """
         space = self._space(total_iterations)
         shapes = space.distinct_shapes()
@@ -322,6 +325,7 @@ class DesignSpaceExplorer:
             by_depth.setdefault(depth, []).append(window)
 
         validations: Dict[int, AreaModelValidation] = {}
+        cone_builder: Optional[ConeExpressionBuilder] = None
 
         for depth, windows in sorted(by_depth.items()):
             windows = tuple(sorted(windows))
@@ -337,7 +341,11 @@ class DesignSpaceExplorer:
                         family = self._family_cache.setdefault(
                             (depth, windows), family)
             if family is None:
-                family = self._characterize_family(depth, windows)
+                if cone_builder is None:
+                    cone_builder = ConeExpressionBuilder(self.kernel,
+                                                         self._params)
+                family = self._characterize_family(cone_builder, depth,
+                                                   windows)
                 with self._cache_lock:
                     # another thread may have won the race; keep its entry
                     # so every caller shares one characterisation
@@ -372,7 +380,8 @@ class DesignSpaceExplorer:
             return all((depth, tuple(sorted(windows))) in self._family_cache
                        for depth, windows in by_depth.items())
 
-    def _characterize_family(self, depth: int, windows: Sequence[int]
+    def _characterize_family(self, cone_builder: ConeExpressionBuilder,
+                             depth: int, windows: Sequence[int]
                              ) -> Tuple[Dict[int, ConeCharacterization],
                                         AreaModelValidation]:
         """Characterise one depth family and calibrate its Equation-1 model."""
@@ -381,7 +390,8 @@ class DesignSpaceExplorer:
         per_window: Dict[int, ConeCharacterization] = {}
 
         for window in windows:
-            cone = self.cone_builder.build(window, depth)
+            with obs_trace.span("cone.build", window=window, depth=depth):
+                cone = cone_builder.build(window, depth)
             characterization = ConeCharacterization(
                 shape=ConeShape(window, depth),
                 register_count=cone.register_count,
@@ -393,8 +403,10 @@ class DesignSpaceExplorer:
 
             calibration_slot = windows.index(window) < self.calibration_windows_per_depth
             if calibration_slot or self.synthesize_all:
-                dfg = build_dfg_from_cone(cone)
-                report = self.synthesizer.synthesize(dfg)
+                with obs_trace.span("dfg.lower", window=window, depth=depth):
+                    dfg = build_dfg_from_cone(cone)
+                with obs_trace.span("synth.run", window=window, depth=depth):
+                    report = self.synthesizer.synthesize(dfg)
                 characterization.actual_area_luts = report.area.luts
                 characterization.latency_cycles = report.timing.latency_cycles
                 characterization.synthesized = True
@@ -412,10 +424,12 @@ class DesignSpaceExplorer:
             for w in windows[:self.calibration_windows_per_depth]
         ]
         if len(calibration) >= 2:
-            model = self._area_model_factory(library=self.library)
-            model.calibrate(calibration)
-            estimates = {e.key: e.estimated_area_luts
-                         for e in model.estimate_series(registers)}
+            with obs_trace.span("area.calibrate", depth=depth,
+                                windows=len(windows)):
+                model = self._area_model_factory(library=self.library)
+                model.calibrate(calibration)
+                estimates = {e.key: e.estimated_area_luts
+                             for e in model.estimate_series(registers)}
         else:
             # a single window in the family: its synthesis result is used
             # directly, no incremental model is needed.

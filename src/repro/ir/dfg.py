@@ -60,11 +60,14 @@ class DataflowGraph:
         self._next_id = 0
         self._outputs: List[int] = []
         self._users: Dict[int, Set[int]] = {}
+        #: :meth:`topological_order` until the next ``add_*``.
+        self._order: Optional[List[DfgNode]] = None
 
     # ------------------------------------------------------------------ #
     # construction
 
     def _add(self, node: DfgNode) -> int:
+        self._order = None
         self._nodes[node.node_id] = node
         self._users.setdefault(node.node_id, set())
         for operand in node.operands:
@@ -155,7 +158,16 @@ class DataflowGraph:
     # traversal
 
     def topological_order(self) -> List[DfgNode]:
-        """Return nodes in dependency order (operands before users)."""
+        """Return nodes in dependency order (operands before users).
+
+        The order is computed once per graph state; each call returns a new
+        list of it.
+        """
+        if self._order is None:
+            self._order = self._sort_topologically()
+        return list(self._order)
+
+    def _sort_topologically(self) -> List[DfgNode]:
         # count *distinct* operand nodes: a node used twice by the same user
         # (e.g. ``x * x``) still only gates that user once.
         in_degree: Dict[int, int] = {nid: len(set(n.operands))
@@ -223,39 +235,45 @@ def _port_name(field: str, component: int, offset: Offset, level: int) -> str:
     return f"{field}{comp}_{level_tag}_x{sign(offset.dx)}_y{sign(offset.dy)}"
 
 
+def _lower(expr: Expression, cone: ConeExpressions, graph: DataflowGraph,
+           mapping: Dict[int, int]) -> int:
+    """DFG node of ``expr``, lowering its operands first, in the cone's
+    order.  (A module function, not a closure: a self-referencing closure
+    would keep the cone's DAG alive until the next garbage collection.)"""
+    cached = mapping.get(expr.node_id)
+    if cached is not None:
+        return cached
+    if isinstance(expr, FieldSymbol):
+        node_id = graph.add_input(
+            _port_name(expr.field, expr.component, expr.offset, expr.level),
+            port=(expr.field, expr.component, expr.offset, expr.level))
+    elif isinstance(expr, Constant):
+        node_id = graph.add_const(expr.value)
+    elif isinstance(expr, Operation):
+        operand_ids = [_lower(op, cone, graph, mapping)
+                       for op in cone.operands(expr)]
+        node_id = graph.add_op(expr.kind, operand_ids)
+    else:  # pragma: no cover - defensive
+        raise TypeError(f"unsupported expression node {expr!r}")
+    mapping[expr.node_id] = node_id
+    return node_id
+
+
 def build_dfg_from_cone(cone: ConeExpressions, name: str = "") -> DataflowGraph:
     """Lower the symbolic expression DAG of a cone into a dataflow graph.
 
     The lowering preserves sharing exactly: every distinct expression node
     becomes one DFG node, so the register reuse achieved by the symbolic layer
-    carries over to the hardware view.
+    carries over to the hardware view.  Operands are lowered in the cone's
+    order (:meth:`ConeExpressions.operands`), which fixes the DFG node order.
     """
     graph = DataflowGraph(name or f"{cone.kernel_name}_w{cone.domain.window_side}"
                                   f"_d{cone.domain.depth}")
     mapping: Dict[int, int] = {}
-
-    def lower(expr: Expression) -> int:
-        cached = mapping.get(expr.node_id)
-        if cached is not None:
-            return cached
-        if isinstance(expr, FieldSymbol):
-            node_id = graph.add_input(
-                _port_name(expr.field, expr.component, expr.offset, expr.level),
-                port=(expr.field, expr.component, expr.offset, expr.level))
-        elif isinstance(expr, Constant):
-            node_id = graph.add_const(expr.value)
-        elif isinstance(expr, Operation):
-            operand_ids = [lower(op) for op in expr.operands]
-            node_id = graph.add_op(expr.kind, operand_ids)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unsupported expression node {expr!r}")
-        mapping[expr.node_id] = node_id
-        return node_id
-
     for (field, component, offset), expr in sorted(
             cone.outputs.items(),
             key=lambda item: (item[0][0], item[0][1], item[0][2].dy, item[0][2].dx)):
-        source = lower(expr)
+        source = _lower(expr, cone, graph, mapping)
         graph.add_output(
             source,
             name=_port_name(field, component, offset, cone.domain.depth) + "_out",

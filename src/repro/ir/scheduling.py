@@ -103,10 +103,14 @@ def pipeline_schedule(graph: DataflowGraph,
 
     stage_of: Dict[int, int] = {}
     slack_in_stage: Dict[int, float] = {}
+    # the ASAP finish times of asap_schedule, computed in the same pass
+    finish: Dict[int, float] = {}
     pipeline_registers = 0
 
     for node in graph.topological_order():
         delay = _node_delay(node, graph, library)
+        finish[node.node_id] = max((finish[i] for i in node.operands),
+                                   default=0.0) + delay
         if not node.operands:
             stage_of[node.node_id] = 0
             slack_in_stage[node.node_id] = delay
@@ -139,7 +143,7 @@ def pipeline_schedule(graph: DataflowGraph,
                 pipeline_registers += crossing
 
     stages = max(stage_of.values(), default=0) + 1
-    cp = critical_path_ns(graph, library)
+    cp = max(finish.values(), default=0.0)  # == critical_path_ns(graph)
     return Schedule(
         graph_name=graph.name,
         clock_period_ns=clock_period_ns,

@@ -359,6 +359,10 @@ class capture:
     worker can ship its spans back inside its result payload, where the
     parent re-anchors them with :func:`absorb`.  Restores the previous
     recorder state on exit.
+
+    The recorder state it swaps is process-global, not per thread: two
+    captures that overlap on different threads restore out of order and
+    lose spans.  Do not overlap captures across threads.
     """
 
     __slots__ = ("_into", "_prev")

@@ -9,32 +9,67 @@ register that is reused whenever the same value is needed again.
 
 Here that strategy is the memo table: each ``(field, component, offset,
 level)`` element is expanded exactly once, and the hash-consing expression
-builder collapses repeated operations.  The number of distinct DAG nodes is
-therefore exactly the number of registers of the generated VHDL — the
-``Reg_i`` quantity of Equation 1.
+builder collapses repeated operations.  The number of distinct DAG nodes
+reachable from a cone's outputs is therefore exactly the number of registers
+of the generated VHDL — the ``Reg_i`` quantity of Equation 1.
+
+**Reuse across cones.**  An element is the same expression in every cone of
+a kernel, so a :class:`ConeExpressionBuilder` keeps one
+:class:`ExpressionBuilder` and one element memo for its kernel and params,
+shared by every :meth:`~ConeExpressionBuilder.build`.  An element that an
+earlier cone expanded is never expanded again: characterizing the 45 cones
+of a paper kernel expands each element of its largest cone once.
+
+**The replay contract.**  Sharing must not change any cone.  A node's id
+decides one thing, the operand order of a commutative operation (the
+builder sorts operands by id), and that order decides the order of the
+cone's DFG nodes, which the VHDL text and the technology mapper's float
+sums follow.  A shared builder numbers nodes in the order *earlier* cones
+met them.  So the first expansion of each element records what it did: the
+ids of the nodes its builder calls yielded and the lower-level elements it
+asked for.  ``build`` replays those records in the order a builder private
+to the cone would make the calls.  That gives every node its *creation
+rank*, the id such a builder would give it.  The first build on an empty
+builder skips the replay, since its ids already are those ranks.  The
+replay also counts the elements a private build would expand
+(``element_register_count``).  Then one walk of the cone counts its
+registers and operations, lists its input symbols in a private build's
+order, and notes the commutative operations whose stored operands are out
+of rank order (:attr:`ConeExpressions.swapped`).
+:meth:`ConeExpressions.operands` gives every consumer, such as the DFG
+lowering, the operands in a private build's order.
+
+**Threads.**  A builder, with its DAG and records, is single-threaded.  The
+explorer scopes one to each ``characterize_cones`` call and drops it on
+return, so no long-lived object keeps a DAG alive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.utils.geometry import Offset, Window
 from repro.utils.validation import check_positive
 from repro.frontend.kernel_ir import StencilKernel
 from repro.symbolic.dependency import ConeDomain, analyze_footprint
-from repro.symbolic.executor import READONLY_LEVEL, SymbolicExecutor
+from repro.symbolic.executor import SymbolicExecutor
 from repro.symbolic.expression import (
     Expression,
     ExpressionBuilder,
     FieldSymbol,
     OpKind,
-    collect_symbols,
-    count_nodes,
-    count_operations,
+    Operation,
 )
 
 ElementKey = Tuple[str, int, int, int, int]  # field, component, dx, dy, level
+#: Where one expansion computes every updated element: ``(dx, dy, level)``.
+_Spot = Tuple[int, int, int]
+
+#: ``OpKind.is_commutative`` as a set: the walk tests every operation, and a
+#: set lookup is several times faster than the property.
+_COMMUTATIVE = frozenset(kind for kind in OpKind if kind.is_commutative)
 
 
 @dataclass
@@ -51,11 +86,15 @@ class ConeExpressions:
         reachable from the outputs — the registers of the generated VHDL.
     element_register_count:
         Number of distinct intermediate/output *element values* expanded
-        (the memo table size), excluding raw input symbols.
+        (the memo size of a builder private to this cone), excluding raw
+        input symbols.
     operation_counts:
         Distinct operation nodes per operator kind after reuse.
     input_symbols:
         The distinct level-0 / read-only symbols the cone reads.
+    swapped:
+        Ids of the commutative operations whose operands this cone orders
+        the other way round from the shared DAG (see :meth:`operands`).
     """
 
     kernel_name: str
@@ -65,6 +104,8 @@ class ConeExpressions:
     element_register_count: int
     operation_counts: Dict[OpKind, int]
     input_symbols: List[FieldSymbol]
+    swapped: FrozenSet[int] = field(default=frozenset(), repr=False,
+                                    compare=False)
 
     @property
     def operation_count(self) -> int:
@@ -83,15 +124,76 @@ class ConeExpressions:
         """Longest operator chain from any input to any output (DAG depth)."""
         return max((expr.depth for expr in self.outputs.values()), default=0)
 
+    def operands(self, node: Operation) -> Tuple[Expression, ...]:
+        """``node``'s operands in the order a builder private to this cone
+        stores them: commutative operands by creation rank."""
+        if node.node_id in self.swapped:
+            first, second = node.operands
+            return (second, first)
+        return node.operands
+
+
+def _walk(roots: Iterable[Expression], rank: Optional[Mapping[int, int]]
+          ) -> Tuple[int, Dict[OpKind, int], List[FieldSymbol], FrozenSet[int]]:
+    """One pass over the DAG under ``roots``.
+
+    Returns the distinct node count, the operations per kind, the input
+    symbols and the swapped operations.  Nodes are visited in the order
+    :func:`~repro.symbolic.expression.collect_symbols` visits them on a
+    builder private to the cone: commutative operands in ``rank`` order
+    (``None``: the node ids are the ranks).
+    """
+    seen: Set[int] = set()
+    operations: Dict[OpKind, int] = {}
+    symbols: List[FieldSymbol] = []
+    swapped: Set[int] = set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        node_id = node.node_id
+        if node_id in seen:
+            continue
+        seen.add(node_id)
+        if isinstance(node, Operation):
+            kind = node.kind
+            operations[kind] = operations.get(kind, 0) + 1
+            operands = node.operands
+            if rank is not None and kind in _COMMUTATIVE:
+                first, second = operands
+                if rank[second.node_id] < rank[first.node_id]:
+                    operands = (second, first)
+                    swapped.add(node_id)
+            stack.extend(operands)
+        elif isinstance(node, FieldSymbol):
+            symbols.append(node)
+    return len(seen), operations, symbols, frozenset(swapped)
+
 
 class ConeExpressionBuilder:
-    """Builds the reused-expression DAG of a cone for a given kernel."""
+    """Builds the reused-expression DAG of the cones of one kernel.
+
+    Every :meth:`build` shares one expression builder and element memo (see
+    the module docstring); an instance is single-threaded.
+    """
 
     def __init__(self, kernel: StencilKernel,
                  params: Optional[Mapping[str, float]] = None) -> None:
         self.kernel = kernel
         self.footprint = analyze_footprint(kernel)
-        self._params = dict(params) if params else None
+        self._builder = ExpressionBuilder()
+        self._executor = SymbolicExecutor(kernel, self._builder, params)
+        self._components = {decl.name: decl.components
+                            for decl in kernel.fields}
+        #: Elements one expansion computes (one per updated component).
+        self._updates = len({(update.field_name, update.component)
+                             for update in kernel.updates})
+        self._memo: Dict[ElementKey, Expression] = {}
+        #: Spot -> its marker in the records, ``~index``: a negative int.
+        self._markers: Dict[_Spot, int] = {}
+        #: Marker -> what the spot's first expansion did, in call order and
+        #: without repeats: ids of the nodes its builder calls yielded and
+        #: markers of the lower-level expansions it asked for.
+        self._records: Dict[int, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -100,61 +202,109 @@ class ConeExpressionBuilder:
         check_positive("window_side", window_side)
         check_positive("depth", depth)
 
-        builder = ExpressionBuilder()
-        executor = SymbolicExecutor(self.kernel, builder, self._params)
-        state_fields = list(self.kernel.state_field_names)
-        components = {decl.name: decl.components
-                      for decl in self.kernel.fields}
-
-        memo: Dict[ElementKey, Expression] = {}
-
-        def element(field: str, component: int, offset: Offset,
-                    level: int) -> Expression:
-            """Expression of ``field[component]`` at ``offset`` of iteration ``level``."""
-            if level == 0:
-                return builder.symbol(field, offset, component, level=0)
-            key = (field, component, offset.dx, offset.dy, level)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-
-            def resolver(rfield: str, rcomponent: int, roffset: Offset) -> Expression:
-                return element(rfield, rcomponent, roffset, level - 1)
-
-            frame = executor.execute_once(target=offset, source_level=level - 1,
-                                          state_resolver=resolver)
-            for (ufield, ucomponent), expr in frame.expressions.items():
-                memo[(ufield, ucomponent, offset.dx, offset.dy, level)] = expr
-            result = memo.get(key)
-            if result is None:
-                raise KeyError(
-                    f"kernel {self.kernel.name!r} does not update "
-                    f"{field}[{component}]"
-                )
-            return result
-
+        builder = self._builder
+        fresh = builder.interned_node_count == 0
         window = Window.square(window_side)
         outputs: Dict[Tuple[str, int, Offset], Expression] = {}
-        for field in state_fields:
-            for component in range(components[field]):
-                for offset in window.elements():
-                    outputs[(field, component, offset)] = element(
-                        field, component, offset, depth)
+        requests: List[int] = []
+        builder.record = requests
+        try:
+            for field_name in self.kernel.state_field_names:
+                for component in range(self._components[field_name]):
+                    for offset in window.elements():
+                        outputs[(field_name, component, offset)] = \
+                            self._element(field_name, component, offset,
+                                          depth)
+        finally:
+            builder.record = None
 
-        roots = list(outputs.values())
+        if fresh:
+            rank = None
+            element_count = len(self._memo)
+        else:
+            rank, expansions = self._replay(requests)
+            element_count = expansions * self._updates
+        register_count, operation_counts, symbols, swapped = _walk(
+            outputs.values(), rank)
         domain = ConeDomain(
             output_window=window,
             depth=depth,
             radius=self.footprint.radius,
-            components=sum(components[f] for f in state_fields),
+            components=sum(self._components[f]
+                           for f in self.kernel.state_field_names),
         )
-        symbols = collect_symbols(roots)
         return ConeExpressions(
             kernel_name=self.kernel.name,
             domain=domain,
             outputs=outputs,
-            register_count=count_nodes(roots),
-            element_register_count=len(memo),
-            operation_counts=count_operations(roots),
+            register_count=register_count,
+            element_register_count=element_count,
+            operation_counts=operation_counts,
             input_symbols=symbols,
+            swapped=swapped,
         )
+
+    # ------------------------------------------------------------------ #
+
+    def _element(self, field_name: str, component: int, offset: Offset,
+                 level: int) -> Expression:
+        """Expression of ``field[component]`` at ``offset`` of iteration ``level``."""
+        builder = self._builder
+        if level == 0:
+            return builder.symbol(field_name, offset, component, level=0)
+        spot = (offset.dx, offset.dy, level)
+        marker = self._markers.get(spot)
+        if marker is None:
+            marker = self._markers[spot] = ~len(self._markers)
+        caller = builder.record
+        caller.append(marker)
+        key = (field_name, component) + spot
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+
+        def resolver(rfield: str, rcomponent: int, roffset: Offset) -> Expression:
+            return self._element(rfield, rcomponent, roffset, level - 1)
+
+        record: List[int] = []
+        builder.record = record
+        try:
+            frame = self._executor.execute_once(
+                target=offset, source_level=level - 1, state_resolver=resolver)
+        finally:
+            builder.record = caller
+        self._records[marker] = tuple(dict.fromkeys(record))
+        for (ufield, ucomponent), expr in frame.expressions.items():
+            self._memo[(ufield, ucomponent) + spot] = expr
+        result = self._memo.get(key)
+        if result is None:
+            raise KeyError(
+                f"kernel {self.kernel.name!r} does not update "
+                f"{field_name}[{component}]"
+            )
+        return result
+
+    def _replay(self, requests: Iterable[int]) -> Tuple[Dict[int, int], int]:
+        """Replay the records under the top-level ``requests`` of a build.
+
+        Returns the creation rank of every node a builder private to the
+        cone would create, and the number of expansions it would make.
+        """
+        records = self._records
+        rank: Dict[int, int] = {}
+        expanded: Set[int] = set()
+        # depth-first, each record resuming after the expansions it asked
+        # for: the call order of a private build
+        pending = [iter(requests)]
+        while pending:
+            for item in pending[-1]:
+                if item < 0:
+                    if item not in expanded:
+                        expanded.add(item)
+                        pending.append(iter(records[item]))
+                        break
+                elif item not in rank:
+                    rank[item] = len(rank)
+            else:
+                pending.pop()
+        return rank, len(expanded)

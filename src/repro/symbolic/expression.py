@@ -157,6 +157,12 @@ class ExpressionBuilder:
     The builder also applies a small set of algebraic simplifications
     (x*0, x*1, x+0, x-x, ...) that a VHDL generator would perform anyway and
     that keep the register counts meaningful.
+
+    While ``record`` is a list, every :meth:`symbol`, :meth:`constant` and
+    :meth:`operation` call appends the id of the node it yields, unless the
+    call simplifies to one of its own operands.  That is every node a call
+    may create, in call order; the cone builder replays these logs (see
+    :mod:`repro.symbolic.cone_expression`).
     """
 
     def __init__(self, simplify: bool = True) -> None:
@@ -165,6 +171,7 @@ class ExpressionBuilder:
         self._constants: Dict[_ConstKey, Constant] = {}
         self._operations: Dict[_OpKey, Operation] = {}
         self._next_id = 0
+        self.record: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # node constructors
@@ -181,6 +188,8 @@ class ExpressionBuilder:
         if node is None:
             node = FieldSymbol(self._new_id(), field_name, component, offset, level)
             self._symbols[key] = node
+        if self.record is not None:
+            self.record.append(node._id)
         return node
 
     def constant(self, value: float) -> Constant:
@@ -190,6 +199,8 @@ class ExpressionBuilder:
         if node is None:
             node = Constant(self._new_id(), value)
             self._constants[key] = node
+        if self.record is not None:
+            self.record.append(node._id)
         return node
 
     def operation(self, kind: OpKind, *operands: Expression) -> Expression:
@@ -209,6 +220,8 @@ class ExpressionBuilder:
         if node is None:
             node = Operation(self._new_id(), kind, ordered)
             self._operations[key] = node
+        if self.record is not None:
+            self.record.append(node._id)
         return node
 
     # convenience wrappers -------------------------------------------------

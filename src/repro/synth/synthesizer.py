@@ -73,7 +73,7 @@ class Synthesizer:
         mapped = self.mapper.map(graph,
                                  pipeline_register_count=schedule.pipeline_register_count)
         area = self.reuse_model.optimize(mapped)
-        timing = self.timing_model.analyze(graph)
+        timing = self.timing_model.analyze(graph, schedule)
         runtime = self._tool_runtime(mapped)
 
         self.runs += 1

@@ -41,9 +41,13 @@ class TimingModel:
     def target_period_ns(self) -> float:
         return 1e9 / self.device.typical_clock_hz
 
-    def analyze(self, graph: DataflowGraph) -> TimingReport:
+    def analyze(self, graph: DataflowGraph,
+                schedule: Optional[Schedule] = None) -> TimingReport:
+        """Timing of ``graph``; pass the graph's :meth:`schedule` when the
+        caller already has it."""
         period = self.target_period_ns
-        schedule = pipeline_schedule(graph, period, self.library)
+        if schedule is None:
+            schedule = self.schedule(graph)
         frequency = min(self.device.typical_clock_hz, schedule.max_frequency_hz)
         latency_s = schedule.latency_cycles / frequency if frequency > 0 else float("inf")
         return TimingReport(

@@ -56,6 +56,21 @@ class TestTraversal:
             for operand in node.operands:
                 assert position[operand] < position[node.node_id]
 
+    def test_topological_order_is_sorted_once_per_graph_state(
+            self, monkeypatch):
+        graph = make_simple_graph()
+        sorts = []
+        real = graph._sort_topologically
+        monkeypatch.setattr(graph, "_sort_topologically",
+                            lambda: sorts.append(1) or real())
+        first = graph.topological_order()
+        first.clear()  # callers get their own list
+        assert graph.topological_order() == real()
+        assert len(sorts) == 1
+        graph.add_output(graph.add_input("c"), "c_out")
+        assert len(graph.topological_order()) == 9
+        assert len(sorts) == 2
+
     def test_duplicate_operand_is_handled(self):
         graph = DataflowGraph()
         a = graph.add_input("a")

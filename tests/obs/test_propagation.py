@@ -175,7 +175,10 @@ class TestWorkerHandoff:
         """A process worker starts with the recorder off; its spans must
         ride home inside the fold report (capture -> absorb).  Simulated
         in-process by running each shard fold under a disabled recorder,
-        which is exactly the child interpreter's state."""
+        which is exactly the child interpreter's state.  The shards run
+        one after the other (``serial``): the recorder state is
+        process-global, so two simulated workers on two threads would
+        swap it under each other."""
         import repro.dse.stream as stream_mod
 
         real_fold = stream_mod._fold_chunk_shard
@@ -195,7 +198,7 @@ class TestWorkerHandoff:
             explore_stream(space, characterizations,
                            explorer.throughput_model, 128, 96,
                            usable_luts=usable, chunk_rows=2,
-                           jobs=2, executor="threads")
+                           jobs=2, executor="serial")
         spans = trace.global_store().get(root.trace_id)
         shards = [s for s in spans if s["name"] == "stream.shard"]
         explore = next(s for s in spans if s["name"] == "stream.explore")

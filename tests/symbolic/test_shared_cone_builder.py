@@ -1,0 +1,172 @@
+"""The shared cone DAG against the per-cone fresh builder.
+
+One :class:`ConeExpressionBuilder` builds every cone of a kernel on one
+expression builder.  Its replay must make each cone indistinguishable from
+a cone built on a builder of its own (``fresh_cone_oracle``): the counts,
+the input symbol order, the DFG, the synthesis reports and the VHDL text.
+The cones are built in the explorer's order (depth-major) and in a seeded
+shuffled order, since the replay must not depend on which cones came first.
+"""
+
+import random
+
+import pytest
+
+from fresh_cone_oracle import fresh_build
+
+from repro.algorithms.registry import get_algorithm, list_algorithms
+from repro.codegen.vhdl_writer import VhdlWriter
+from repro.ir.dfg import build_dfg_from_cone
+from repro.ir.operators import DataFormat, default_library
+from repro.symbolic.cone_expression import ConeExpressionBuilder
+from repro.symbolic.expression import ExpressionBuilder
+from repro.synth.synthesizer import Synthesizer
+from repro.utils.geometry import Offset
+
+WINDOWS = (1, 2, 3, 4, 5)
+DEPTHS = (1, 2, 3, 4)
+#: The explorer characterizes depth family by depth family.
+EXPLORER_ORDER = [(window, depth) for depth in DEPTHS for window in WINDOWS]
+FORMATS = (DataFormat.FIXED16, DataFormat.FIXED32)
+
+
+def shuffled_order(seed):
+    order = list(EXPLORER_ORDER)
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def cone_summary(cone):
+    return {
+        "register_count": cone.register_count,
+        "element_register_count": cone.element_register_count,
+        "operation_counts": list(cone.operation_counts.items()),
+        "critical_path_depth": cone.critical_path_depth,
+        "input_symbols": [(s.field, s.component, s.offset, s.level)
+                          for s in cone.input_symbols],
+    }
+
+
+def dfg_nodes(graph):
+    return [(n.node_id, n.kind, n.op_kind, n.operands, n.name, n.value,
+             n.port) for n in graph.nodes()]
+
+
+def fingerprint(cone):
+    """Everything the flow derives from one cone."""
+    graph = build_dfg_from_cone(cone)
+    writer = VhdlWriter(DataFormat.FIXED16, fractional_bits=12)
+    return {
+        "cone": cone_summary(cone),
+        "dfg": dfg_nodes(graph),
+        "synthesis": [Synthesizer(library=default_library(data_format))
+                      .synthesize(graph) for data_format in FORMATS],
+        "vhdl": writer.generate(graph).code,
+    }
+
+
+def assert_same_cone(shared, expected):
+    """``expected`` is the fingerprint of the fresh-builder cone."""
+    actual = fingerprint(shared)
+    for part in ("cone", "dfg", "synthesis", "vhdl"):
+        assert actual[part] == expected[part], part
+
+
+@pytest.fixture(scope="module")
+def oracle_cones():
+    cones = {}
+    for name in list_algorithms():
+        kernel = get_algorithm(name).kernel()
+        for window, depth in EXPLORER_ORDER:
+            cones[(name, window, depth)] = fingerprint(
+                fresh_build(kernel, window, depth))
+    return cones
+
+
+@pytest.mark.parametrize("order", ["explorer", "shuffled"])
+@pytest.mark.parametrize("name", list_algorithms())
+def test_shared_builder_reproduces_every_fresh_cone(name, order, oracle_cones):
+    kernel = get_algorithm(name).kernel()
+    builder = ConeExpressionBuilder(kernel)
+    shapes = (EXPLORER_ORDER if order == "explorer"
+              else shuffled_order(sum(map(ord, name))))
+    for window, depth in shapes:
+        assert_same_cone(builder.build(window, depth),
+                         oracle_cones[(name, window, depth)])
+
+
+def test_only_the_first_build_of_a_builder_skips_the_replay(igf_kernel,
+                                                           monkeypatch):
+    builder = ConeExpressionBuilder(igf_kernel)
+    replays = []
+    replay = builder._replay
+    monkeypatch.setattr(builder, "_replay",
+                        lambda requests: replays.append(1) or replay(requests))
+    builder.build(2, 2)
+    assert replays == []
+    again = builder.build(2, 2)
+    assert replays == [1]
+    assert_same_cone(again, fingerprint(fresh_build(igf_kernel, 2, 2)))
+
+
+def test_each_element_is_expanded_once_per_builder(chambolle_kernel,
+                                                   monkeypatch):
+    builder = ConeExpressionBuilder(chambolle_kernel)
+    expansions = []
+    execute_once = builder._executor.execute_once
+
+    def counting(target, source_level, state_resolver):
+        expansions.append((target.dx, target.dy, source_level + 1))
+        return execute_once(target=target, source_level=source_level,
+                            state_resolver=state_resolver)
+
+    monkeypatch.setattr(builder._executor, "execute_once", counting)
+    for window, depth in EXPLORER_ORDER:
+        builder.build(window, depth)
+    assert len(expansions) == len(set(expansions))
+    # the largest cone expands every element any smaller cone needs; one
+    # expansion computes both components of p
+    assert len(expansions) * 2 \
+        == fresh_build(chambolle_kernel, 5, 4).element_register_count
+
+
+def test_params_are_shared_by_every_build(chambolle_kernel):
+    builder = ConeExpressionBuilder(chambolle_kernel, params={"tau": 0.5})
+    for window, depth in [(1, 1), (2, 2), (1, 2)]:
+        assert_same_cone(builder.build(window, depth),
+                         fingerprint(fresh_build(chambolle_kernel, window,
+                                                 depth, params={"tau": 0.5})))
+
+
+def test_a_build_that_fails_mid_expansion_leaves_the_builder_usable(
+        igf_kernel, monkeypatch):
+    builder = ConeExpressionBuilder(igf_kernel)
+    execute_once = builder._executor.execute_once
+    calls = []
+
+    def failing(**kwargs):
+        calls.append(kwargs["target"])
+        if len(calls) == 5:
+            raise RuntimeError("expansion failed")
+        return execute_once(**kwargs)
+
+    monkeypatch.setattr(builder._executor, "execute_once", failing)
+    with pytest.raises(RuntimeError, match="expansion failed"):
+        builder.build(3, 2)
+    monkeypatch.undo()
+    for window, depth in [(3, 2), (2, 3), (1, 1)]:
+        assert_same_cone(builder.build(window, depth),
+                         fingerprint(fresh_build(igf_kernel, window, depth)))
+
+
+def test_expression_builder_records_only_while_asked():
+    builder = ExpressionBuilder()
+    x = builder.symbol("f", Offset(0, 0))
+    assert builder.record is None
+    builder.record = []
+    y = builder.symbol("f", Offset(1, 0))
+    total = builder.add(x, y)
+    zero = builder.constant(0.0)
+    # x + 0 simplifies to one of its operands: nothing new to record
+    assert builder.add(total, zero) is total
+    assert builder.record == [y.node_id, total.node_id, zero.node_id]

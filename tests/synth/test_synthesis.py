@@ -112,6 +112,27 @@ class TestSynthesizer:
         assert synthesizer.max_parallel_instances(small) > \
             synthesizer.max_parallel_instances(large)
 
+    def test_each_synthesis_schedules_its_graph_once(self, igf_cone_graphs,
+                                                     monkeypatch):
+        import repro.synth.timing as timing
+
+        calls = []
+        real = timing.pipeline_schedule
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph.name)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(timing, "pipeline_schedule", counting)
+        library = default_library(DataFormat.FIXED16)
+        synthesizer = Synthesizer(VIRTEX6_XC6VLX760, library)
+        graph = igf_cone_graphs[(3, 2)]
+        report = synthesizer.synthesize(graph)
+        assert calls == [graph.name]
+        # the shared schedule yields the timing analyze() computes alone
+        assert report.timing == TimingModel(VIRTEX6_XC6VLX760,
+                                            library).analyze(graph)
+
     def test_small_device_fits_fewer_cones(self, igf_cone_graphs):
         big_dev = Synthesizer(VIRTEX6_XC6VLX760, default_library(DataFormat.FIXED16))
         small_dev = Synthesizer(VIRTEX2P_XC2VP30, default_library(DataFormat.FIXED16))
