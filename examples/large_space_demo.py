@@ -23,7 +23,7 @@ materializing the full candidate table:
   the instance count, so where a group's area prefix spans several chunks
   a second binary search admits only the count suffix that can meet the
   floor, and chunks below it are never costed;
-* independent chunks fan out across executor-strategy workers
+* independent chunks fan out across a pool of worker threads
   (``jobs=N`` / ``explore(stream=True, stream_jobs=4)`` /
   ``--stream --jobs 4`` on the CLI); each worker folds a shard into
   private state and the associative ``merge`` reduces them, bit-identical
@@ -120,7 +120,7 @@ def main() -> None:
     # 6. throughput-side pushdown + parallel dispatch: an fps floor
     #    admits only a suffix of each group's count axis (throughput is
     #    monotone in the instance count); and the chunk schedule fans out
-    #    across workers, merged back bit-identically.
+    #    across worker threads, merged back bit-identically.
     floored = DseConstraints(device_only=True, min_frames_per_second=30.0)
     serial = explore_stream(space, characterizations,
                             explorer.throughput_model, 1024, 768,
@@ -128,7 +128,7 @@ def main() -> None:
     parallel = explore_stream(space, characterizations,
                               explorer.throughput_model, 1024, 768,
                               floored, usable, chunk_rows=CHUNK_ROWS,
-                              jobs=4, executor="threads")
+                              jobs=4)
     identical = ([p.to_dict() for p in parallel.pareto]
                  == [p.to_dict() for p in serial.pareto])
     print(f"30 fps floor: {serial.throughput_pruned_rows:,} more rows "

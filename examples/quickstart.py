@@ -14,9 +14,9 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    (``register_backend``) — ten lines, no ``repro`` module touched;
 5. point a session at a persistent store directory so a later process reruns
    the same workloads with zero synthesis;
-6. scale a batch with ``run_many(..., executor=...)`` — ``serial``,
-   ``threads`` (default), or ``processes``, which shards cold CPU-bound
-   sweeps across worker processes and returns byte-identical results;
+6. run a batch with ``run_many(...)`` — in input order on the calling
+   thread, each kernel characterized once, with the earliest failure
+   re-raised after the whole batch ran;
 7. sweep one kernel across devices *and* data formats in a single batch —
    every scenario is evaluated by the same chunked fold
    (:mod:`repro.dse.stream`), which costs each (window, split) group of the
@@ -48,15 +48,8 @@ Run with::
     python examples/quickstart.py
 
 The same flow is available from the shell: ``python -m repro explore blur``
-(add ``--store`` to persist across invocations, ``--executor processes
---jobs 4`` to fan a cold sweep out over worker processes).
-
-When to pick which executor: ``processes`` wins on *cold*, CPU-bound sweeps
-of several distinct kernels — characterization is pure Python, so threads
-are GIL-serialized while processes genuinely run in parallel.  ``threads``
-wins when the batch is warm (persistent-store hits are I/O-bound and a warm
-``processes`` run detects the hits and stays in-process anyway) or when all
-workloads share one kernel (one characterization key cannot be sharded).
+(add ``--store`` to persist across invocations, ``--stream --jobs 4`` to
+fold a large space's chunks over four threads).
 """
 
 from __future__ import annotations
@@ -162,18 +155,16 @@ def main() -> None:
               f"{warm.stats.store_disk_hits} disk hit(s)")
     print()
 
-    # 6. batch scheduling is pluggable: a cold multi-kernel sweep shards
-    #    across worker processes (the characterization work is CPU-bound
-    #    Python, so threads cannot overlap it), while warm batches are
-    #    answered in-process either way.  Results are byte-identical
-    #    whatever the strategy or worker count.
+    # 6. a batch runs in input order on the calling thread; each kernel's
+    #    characterization is synthesized once and shared by every workload
+    #    of that kernel, and a failing workload stops nothing (the earliest
+    #    failure is re-raised after the whole batch ran).
     batch = [workload.replace(algorithm=name)
              for name in ("blur", "jacobi", "heat")]
-    parallel = Session()
-    results = parallel.run_many(batch, executor="processes", max_workers=3)
-    print(f"process-sharded sweep: {len(results)} kernels explored, "
-          f"{parallel.stats.synthesis_runs} synthesis runs merged back "
-          f"into the parent session")
+    batch_session = Session()
+    results = batch_session.run_many(batch)
+    print(f"batch: {len(results)} kernels explored, "
+          f"{batch_session.stats.synthesis_runs} synthesis runs")
     print()
 
     # 7. multi-device / multi-format frontiers in one batch: each scenario

@@ -22,17 +22,9 @@ runs the batch twice against a persistent :class:`repro.api.ArtifactStore`
 directory and records the cold-vs-warm comparison under ``store_demo`` (the
 warm pass must perform zero synthesis runs).
 
-The snapshot also records an ``executor_scaling`` section (skip with ``--skip-scaling``): the cold 4-kernel scaling batch run through every
-built-in ``Session.run_many`` strategy — ``serial``, ``threads``, and
-``processes`` — with per-strategy wall times, speedups over serial, and a
-digest check proving the three produce byte-identical results.  On a
-multi-core runner the ``processes`` strategy is the headline number
-(CPU-bound characterization work sidesteps the GIL); on a single core it
-only measures the forking overhead.
-
-And a ``service_throughput`` section (skip with ``--skip-service``): a
-16-job burst (4 unique device/format scenarios, 4 concurrent submitters
-each) through the in-process exploration service
+The snapshot also records a ``service_throughput`` section (skip with
+``--skip-service``): a 16-job burst (4 unique device/format scenarios, 4
+concurrent submitters each) through the in-process exploration service
 (:mod:`repro.service`), recording jobs/s, the coalesce hit-rate, and the
 ``run_many`` batch sizes the scheduler dispatched.
 
@@ -44,13 +36,13 @@ and the placement distribution the hash ring produced.
 And a ``parallel_stream`` section (skip with ``--skip-parallel-stream``):
 the million-candidate blur space streamed once serially and once with two
 chunk-shard workers under an fps floor, recording both walls, the speedup
-(honest numbers — on a 1-core container the fan-out can't beat the serial
-fold by much, like ``executor_scaling``), the pruned fraction including
-the throughput-side suffix pushdown, and the digest-identity verdict.
+(honest numbers — on one core the fan-out can't beat the serial fold by
+much), the pruned fraction including the throughput-side suffix pushdown,
+and the digest-identity verdict.
 
 And an ``obs_overhead`` section (skip with ``--skip-obs``): the 4 unique
-service-burst scenarios run through a threaded ``run_many`` batch with
-tracing off and again with tracing on (full span recording into a
+service-burst scenarios run through one ``run_many`` batch with tracing
+off and again with tracing on (full span recording into a
 :class:`repro.obs.trace.TraceStore` under a root span), recording both
 walls and the relative overhead.  The section *asserts* the subsystem's
 two headline guarantees — the traced and untraced result digests are
@@ -100,19 +92,8 @@ WORKLOADS = {
         max_cones_per_depth=16, synthesize_all=True),
 }
 
-#: The cold 4-kernel batch of the executor-scaling section: four distinct
-#: characterization keys (so the ``processes`` strategy has four shards to
-#: distribute), moderate knobs (cold wall time a few seconds per kernel).
-SCALING_WORKLOADS = [
-    Workload.from_algorithm(
-        name, data_format=DataFormat.FIXED16, iterations=8,
-        frame_width=FRAME[0], frame_height=FRAME[1],
-        window_sides=(1, 2, 3, 4, 5, 6), max_depth=4,
-        max_cones_per_depth=8, synthesize_all=True)
-    for name in ("blur", "chamb", "jacobi", "heat")
-]
 
-def run_batch(jobs, store=None) -> dict:
+def run_batch(store=None) -> dict:
     """Run every bench workload through one session; return the snapshot body."""
     names = list(WORKLOADS)
     workloads = [WORKLOADS[name] for name in names]
@@ -126,7 +107,7 @@ def run_batch(jobs, store=None) -> dict:
 
     per_workload = {}
     started = time.perf_counter()
-    results = session.run_many(workloads, max_workers=jobs)
+    results = session.run_many(workloads)
     batch_wall_s = time.perf_counter() - started
 
     for name, workload, result in zip(names, workloads, results):
@@ -150,55 +131,6 @@ def run_batch(jobs, store=None) -> dict:
         "wall_time_s": batch_wall_s,
         "session": stats.to_dict(),
         "workloads": per_workload,
-    }
-
-
-def run_executor_scaling(jobs=None) -> dict:
-    """Time the cold scaling batch under every built-in executor strategy.
-
-    Each strategy gets a fresh, storeless session, so every pass pays the
-    full characterization cost — exactly the cold CPU-bound sweep the
-    ``processes`` strategy targets.  Byte-identical results across the
-    strategies are asserted (and recorded) via a digest over the serialized
-    result list.
-    """
-    import hashlib
-
-    jobs = jobs or min(4, len(SCALING_WORKLOADS))
-    strategies = {}
-    digests = {}
-    for strategy in ("serial", "threads", "processes"):
-        session = Session()
-        started = time.perf_counter()
-        results = session.run_many(SCALING_WORKLOADS, max_workers=jobs,
-                                   executor=strategy)
-        wall_s = time.perf_counter() - started
-        stats = session.stats
-        digest = hashlib.sha256(json.dumps(
-            [result.to_dict() for result in results],
-            sort_keys=True).encode("utf-8")).hexdigest()
-        digests[strategy] = digest
-        strategies[strategy] = {
-            "wall_s": wall_s,
-            "synthesis_runs": stats.synthesis_runs,
-            "result_digest": digest,
-        }
-        print(f"    {strategy:<10} {wall_s:7.2f}s "
-              f"({stats.synthesis_runs} synthesis runs)")
-    serial_wall = strategies["serial"]["wall_s"]
-    for strategy, entry in strategies.items():
-        entry["speedup_vs_serial"] = (serial_wall / entry["wall_s"]
-                                      if entry["wall_s"] > 0 else None)
-    identical = len(set(digests.values())) == 1
-    if not identical:
-        print("  WARNING: executor strategies disagreed on results!",
-              file=sys.stderr)
-    return {
-        "cpu_count": os.cpu_count(),
-        "jobs": jobs,
-        "workloads": [workload.name for workload in SCALING_WORKLOADS],
-        "strategies": strategies,
-        "results_identical": identical,
     }
 
 
@@ -343,12 +275,12 @@ def run_fleet_throughput() -> dict:
 
 
 def run_obs_overhead(repeats=3, max_overhead=0.05) -> dict:
-    """Measure the cost of full tracing on a threaded exploration batch.
+    """Measure the cost of full tracing on an exploration batch.
 
     The 4 unique service-burst scenarios run through ``run_many`` with
     the recorder off and again with every span recorded into a dedicated
     :class:`~repro.obs.trace.TraceStore` under a root span — the
-    heaviest-instrumented path (session + stage + executor spans per
+    heaviest-instrumented path (batch + session + stage spans per
     workload).  One untimed warmup pass warms the process-global shared
     tables so both timed passes pay only exploration; each pass is timed
     ``repeats`` times and the best wall recorded.  Raises if the traced
@@ -368,8 +300,7 @@ def run_obs_overhead(repeats=3, max_overhead=0.05) -> dict:
             sort_keys=True).encode("utf-8")).hexdigest()
 
     def run_once():
-        return Session().run_many(workloads, max_workers=2,
-                                  executor="threads")
+        return Session().run_many(workloads)
 
     run_once()  # warmup: shared characterization tables, not timed
 
@@ -565,7 +496,6 @@ def run_parallel_stream(max_cones=23_000, rss_ceiling_mb=512.0, jobs=2,
         "serial_wall_s": metrics["elapsed_s"],
         "parallel_wall_s": parallel["elapsed_s"],
         "jobs": parallel["jobs"],
-        "executor": parallel["executor"],
         "speedup_vs_serial": parallel["speedup_vs_serial"],
         "digest_identical": parallel["digest_identical"],
         "admitted_rows": metrics["admitted_rows"],
@@ -602,8 +532,6 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", default=None,
                         help="snapshot path (default: BENCH_<date>.json in "
                              "the repo root)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for the batch (default: auto)")
     parser.add_argument("--pytest", action="store_true",
                         help="also run the pytest benchmark suite")
     parser.add_argument("--store", metavar="DIR", default=None,
@@ -611,9 +539,6 @@ def main(argv=None) -> int:
                              "artifact store under DIR and record the "
                              "cold-vs-warm comparison (DIR is CLEARED "
                              "first so the cold numbers are honest)")
-    parser.add_argument("--skip-scaling", action="store_true",
-                        help="skip the serial-vs-threads-vs-processes "
-                             "executor scaling section")
     parser.add_argument("--skip-service", action="store_true",
                         help="skip the exploration-service throughput "
                              "burst (jobs/s, coalesce hit-rate, batch "
@@ -649,7 +574,7 @@ def main(argv=None) -> int:
                   f"so the cold pass is cold")
 
     print(f"running {len(WORKLOADS)} bench workloads through the batch API...")
-    batch = run_batch(args.jobs, store=args.store)
+    batch = run_batch(store=args.store)
     print(f"  batch wall time : {batch['wall_time_s']:.2f}s")
     print(f"  synthesis runs  : {batch['session']['synthesis_runs']}")
     print(f"  tool time saved : "
@@ -663,7 +588,7 @@ def main(argv=None) -> int:
 
     if args.store:
         print("rerunning the batch against the warm store...")
-        warm = run_batch(args.jobs, store=args.store)
+        warm = run_batch(store=args.store)
         snapshot["store_demo"] = {
             "dir": os.path.abspath(args.store),
             "cold_wall_s": batch["wall_time_s"],
@@ -677,17 +602,6 @@ def main(argv=None) -> int:
               f"{warm['wall_time_s']:.2f}s "
               f"({warm['session']['store_disk_hits']} disk hits, "
               f"{warm['session']['synthesis_runs']} synthesis runs)")
-
-    if not args.skip_scaling:
-        print(f"running the executor scaling batch "
-              f"({len(SCALING_WORKLOADS)} kernels x serial/threads/"
-              f"processes, {os.cpu_count()} core(s))...")
-        snapshot["executor_scaling"] = run_executor_scaling(args.jobs)
-        scaling = snapshot["executor_scaling"]["strategies"]
-        print(f"  processes vs serial: "
-              f"{scaling['processes']['speedup_vs_serial']:.2f}x "
-              f"(identical results: "
-              f"{snapshot['executor_scaling']['results_identical']})")
 
     if not args.skip_service:
         print("running the service throughput burst "

@@ -6,8 +6,6 @@
 #
 # Every mode first runs the engine import-hygiene guard: repro.dse.engine
 # and repro.dse.stream must import with nothing beyond NumPy + the stdlib.
-#   scripts/check.sh --par      # process-parallel executor/store-stress
-#                               # tests only, plus marker-hygiene checks
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
 #                               # serve` on an ephemeral port, submit two
 #                               # workloads over HTTP, assert digests match
@@ -205,7 +203,7 @@ case "${1:-}" in
     shift
     python -m compileall -q src
     # The full observability suite first (span trees, header codec,
-    # capture/absorb handoff, typed exposition, propagation edges), then
+    # span capture, typed exposition, propagation edges), then
     # the live smoke: a real `python -m repro serve` subprocess proves
     # the X-Repro-Trace header joins traces across a process boundary
     # and /metrics survives the strict 0.0.4 parser.
@@ -213,22 +211,6 @@ case "${1:-}" in
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python scripts/obs_smoke.py
     exit $?
-    ;;
---par)
-    shift
-    python -m compileall -q src
-    # Marker hygiene: every `par` test must also carry `slow`, or it leaks
-    # into the default fast tier (`--fast` selects -m "not slow").  pytest
-    # exits 5 when the selection collects nothing — that is the good case.
-    if run_pytest --collect-only -q -m "par and not slow" >/dev/null 2>&1; then
-        echo "error: par-marked tests without the slow marker would leak" \
-             "into the fast tier-1 run:" >&2
-        run_pytest --collect-only -q -m "par and not slow" >&2
-        exit 1
-    fi
-    exec_status=0
-    run_pytest -x -q -m par "$@" || exec_status=$?
-    exit "$exec_status"
     ;;
 esac
 

@@ -17,8 +17,8 @@ Two checks in one fresh process:
    in this process, so the ceiling bounds the streaming path alone.
 
 ``--jobs N`` additionally streams the large space through N chunk-shard
-workers (``--executor``, default threads) and requires digest identity
-against the serial fold — under the same RSS ceiling.  ``--min-fps``
+worker threads and requires digest identity against the serial fold —
+under the same RSS ceiling.  ``--min-fps``
 engages the throughput-side suffix pushdown on the large run.  ``--json``
 emits the collected metrics (candidates/s, peak RSS, pruned fraction,
 parallel speedup, ...) on stdout for reuse by ``scripts/bench.py``.
@@ -95,12 +95,12 @@ def check_digest_identity(explorer, space, characterizations, usable):
 
 
 def run_large(explorer, space, characterizations, usable, chunk_rows,
-              constraints, jobs=None, executor=None):
+              constraints, jobs=None):
     started = time.perf_counter()
     streamed = explore_stream(space, characterizations,
                               explorer.throughput_model, 1024, 768,
                               constraints, usable, chunk_rows=chunk_rows,
-                              jobs=jobs, executor=executor)
+                              jobs=jobs)
     elapsed = time.perf_counter() - started
     return streamed, elapsed
 
@@ -123,9 +123,6 @@ def main(argv=None) -> int:
                              "chunk-shard workers and require digest "
                              "identity vs the serial fold (default 1: "
                              "serial only)")
-    parser.add_argument("--executor", default="threads",
-                        help="executor strategy for --jobs > 1 "
-                             "(default: threads)")
     parser.add_argument("--min-fps", type=float, default=None,
                         help="add a frames-per-second floor to the large "
                              "run so the throughput-side suffix pushdown "
@@ -159,16 +156,15 @@ def main(argv=None) -> int:
     if args.jobs > 1:
         parallel, parallel_s = run_large(
             explorer, space, characterizations, usable, args.chunk_rows,
-            constraints, jobs=args.jobs, executor=args.executor)
+            constraints, jobs=args.jobs)
         if serialized(parallel.pareto) != serialized(streamed.pareto):
             raise SystemExit(
                 f"parallel digest mismatch: --jobs {args.jobs} "
-                f"({args.executor}) != serial fold")
+                f"!= serial fold")
         if parallel.peak_chunk_rows > args.chunk_rows:
             raise SystemExit("parallel peak chunk exceeded --chunk-rows")
         parallel_metrics = {
             "jobs": parallel.jobs,
-            "executor": args.executor,
             "elapsed_s": round(parallel_s, 3),
             "speedup_vs_serial": round(elapsed / parallel_s, 2),
             "digest_identical": True,
@@ -206,7 +202,7 @@ def main(argv=None) -> int:
               f"(ceiling {args.rss_ceiling_mb} MB)")
         if parallel_metrics is not None:
             print(f"parallel ok: --jobs {parallel_metrics['jobs']} "
-                  f"({parallel_metrics['executor']}) digest-identical, "
+                  f"digest-identical, "
                   f"{parallel_metrics['elapsed_s']}s "
                   f"({parallel_metrics['speedup_vs_serial']}x vs serial)")
     if rss > args.rss_ceiling_mb:

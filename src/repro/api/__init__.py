@@ -11,12 +11,9 @@ Three concepts:
   artifact;
 * :class:`Session` — cached, batched execution: workloads sharing a
   characterization key reuse cone characterizations and calibrations instead
-  of re-running the synthesizer, and :meth:`Session.run_many` schedules
-  batches through a pluggable execution strategy
-  (:mod:`repro.api.executor`): ``serial``, ``threads`` (default), or
-  ``processes`` — which shards cold CPU-bound sweeps by characterization
-  key across worker processes with deterministic assignment and
-  byte-identical results.
+  of re-running the synthesizer, and :meth:`Session.run_many` runs a batch
+  in input order on the calling thread, re-raising the earliest failure
+  after the whole batch ran.
 
 Two supporting subsystems make the flow extensible and persistent:
 
@@ -64,14 +61,6 @@ from repro.api.store import (
     default_store_path,
 )
 from repro.api.workload import Workload
-from repro.api.executor import (
-    EXECUTOR_NAMES,
-    ExecutionStrategy,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    shard_workloads,
-)
 from repro.api.pipeline import (
     Pipeline,
     PipelineError,
@@ -121,11 +110,4 @@ __all__ = [
     "ArtifactStore",
     "CharacterizationStoreAdapter",
     "default_store_path",
-    # batch execution strategies
-    "EXECUTOR_NAMES",
-    "ExecutionStrategy",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "shard_workloads",
 ]

@@ -63,15 +63,12 @@ resolved through :mod:`repro.api.registry`; plugins named in the
 ``REPRO_BACKENDS`` environment variable are imported first, so their
 synthesizers/estimators/devices are addressable from every subcommand.
 
-``explore`` and ``sweep`` additionally accept ``--executor
-{serial,threads,processes}`` and ``--jobs N`` to pick the batch scheduling
-strategy (any strategy registered under the ``executor`` backend kind is
-accepted).  Rule of thumb: ``processes`` wins on *cold*, CPU-bound sweeps of
-several distinct kernels (it sidesteps the GIL by sharding the batch across
-worker processes); ``threads`` (the default) is better for warm batches —
-persistent-store hits are I/O-bound, and a warm ``processes`` run detects
-the store hits and stays in-process anyway — and for single-kernel batches,
-which share one characterization and cannot be sharded.
+``explore`` and ``sweep`` additionally accept ``--jobs N``: each
+exploration folds its chunk schedule over N threads, with results
+bit-identical to the one-thread fold (the default).  A sweep still runs its
+workloads one after another.  Rule of thumb: ``--jobs`` pays off on large
+(``--stream``) spaces, where costing chunks in NumPy dominates; the
+paper-scale space is too small to gain from it.
 """
 
 from __future__ import annotations
@@ -140,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore = commands.add_parser(
         "explore", help="explore the design space of one algorithm")
     _add_workload_arguments(explore)
-    _add_executor_arguments(explore)
+    _add_jobs_argument(explore)
     explore.add_argument("--json", action="store_true",
                          help="emit the full FlowResult as JSON")
     explore.add_argument("-o", "--output", metavar="FILE",
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "materialize only the Pareto frontier)")
     sweep.add_argument("--chunk-rows", type=int, default=None, metavar="N",
                        help="rows materialized per streaming chunk")
-    _add_executor_arguments(sweep)
+    _add_jobs_argument(sweep)
     sweep.add_argument("--json", action="store_true",
                        help="emit per-workload summaries plus session stats "
                             "as JSON")
@@ -233,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds the scheduler lingers for a burst to "
                             "finish arriving before sealing a batch "
                             "(default: 0.05)")
-    _add_executor_arguments(serve)
     serve.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="persist characterizations/results under DIR "
@@ -291,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="per-worker batch linger window "
                             "(default: 0.05)")
-    _add_executor_arguments(fleet)
     fleet.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="shared persistent store of the spawned "
@@ -393,16 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_executor_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--executor", default="threads", metavar="NAME",
-                        help="batch scheduling strategy: serial, threads "
-                             "(default), processes (cold CPU-bound sweeps), "
-                             "or any registered executor backend")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker threads/processes for the batch — and, "
-                             "with --stream, for the chunk-shard fan-out of "
-                             "each streamed exploration (default: auto / "
-                             "serial fold)")
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="threads each exploration folds its chunk "
+                             "schedule over (default: one, the serial "
+                             "fold)")
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser,
@@ -491,17 +481,6 @@ def _constraints_from(args: argparse.Namespace) -> Optional[DseConstraints]:
     )
 
 
-def _stream_jobs_from(args: argparse.Namespace) -> Optional[int]:
-    """``--jobs`` doubles as the streamed chunk-shard fan-out width.
-
-    Validated with the batch executor's own check so an invalid count gets
-    the same ``max_workers`` diagnostic whichever layer would hit it first.
-    """
-    from repro.api.executor import validate_max_workers
-
-    return validate_max_workers(getattr(args, "jobs", None))
-
-
 def workload_from_args(args: argparse.Namespace) -> Workload:
     frame_width, frame_height = parse_frame(args.frame)
     windows = parse_windows(args.windows)
@@ -517,7 +496,7 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
         constraints=_constraints_from(args),
         stream=args.stream,
         chunk_rows=args.chunk_rows,
-        stream_jobs=_stream_jobs_from(args),
+        stream_jobs=getattr(args, "jobs", None),
     )
     if windows is not None:
         keywords["window_sides"] = windows
@@ -527,14 +506,9 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
 def _session(args: argparse.Namespace) -> Session:
     store = getattr(args, "store", None)
     quiet = getattr(args, "quiet", False) or getattr(args, "json", False)
-    # streamed explorations fan chunk shards through the same strategy
-    # the batch scheduling picked (--executor), so `--stream --jobs N`
-    # means N workers whichever layer ends up doing the work
-    stream_executor = getattr(args, "executor", None)
     if quiet:
-        return Session(store=store, stream_executor=stream_executor)
-    return Session(on_event=_print_event, store=store,
-                   stream_executor=stream_executor)
+        return Session(store=store)
+    return Session(on_event=_print_event, store=store)
 
 
 def _print_event(event: SessionEvent) -> None:
@@ -614,8 +588,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     session = _session(args)
     profiled = maybe_profile(args.profile)
     with profiled:
-        result = session.run_many([workload], max_workers=args.jobs,
-                                  executor=args.executor)[0]
+        result = session.run(workload)
     if profiled.output:
         print(f"profile written to {profiled.output}", file=sys.stderr)
     if args.json or args.output:
@@ -686,7 +659,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                     max_cones_per_depth=args.max_cones,
                                     stream=args.stream,
                                     chunk_rows=args.chunk_rows,
-                                    stream_jobs=_stream_jobs_from(args))
+                                    stream_jobs=args.jobs)
                     if windows is not None:
                         keywords["window_sides"] = windows
                     workloads.append(Workload.from_algorithm(name, **keywords))
@@ -696,8 +669,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     session = _session(args)
     profiled = maybe_profile(args.profile)
     with profiled:
-        results = session.run_many(workloads, max_workers=args.jobs,
-                                   executor=args.executor)
+        results = session.run_many(workloads)
     if profiled.output:
         print(f"profile written to {profiled.output}", file=sys.stderr)
     stats = session.stats
@@ -755,8 +727,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     session = _session(args)
     server = create_backend("service", args.backend, session=session,
-                            executor=args.executor,
-                            max_workers=args.jobs,
                             max_batch=args.max_batch,
                             batch_window_s=args.batch_window,
                             max_pending=args.max_pending,
@@ -769,7 +739,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           flush=True)
     if session.store is not None:
         print(f"  persistent store: {session.store.root}", file=sys.stderr)
-    print(f"  executor={args.executor} max_batch={args.max_batch} "
+    print(f"  max_batch={args.max_batch} "
           f"(POST /shutdown or Ctrl-C drains and stops)", file=sys.stderr)
     if args.announce:
         from repro.service.client import ReproClient
@@ -826,7 +796,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             args.workers, store=args.store, policy=policy,
             max_pending=args.max_pending, replicas=replicas,
             healthcheck_interval_s=args.healthcheck_interval,
-            executor=args.executor, max_workers=args.jobs,
             max_batch=args.max_batch, batch_window_s=args.batch_window)
     port = DEFAULT_PORT if args.port is None else args.port
     host, bound_port = router.serve_http(args.host, port)

@@ -63,16 +63,12 @@ class Pipeline:
 
     def __init__(self, workload: Workload,
                  explorer: Optional[DesignSpaceExplorer] = None,
-                 observer: Optional[StageObserver] = None,
-                 stream_executor: object = None) -> None:
+                 observer: Optional[StageObserver] = None) -> None:
         self.workload = workload
         self.artifacts: Dict[str, Any] = {}
         self.timings: Dict[str, float] = {}
         self._explorer = explorer
         self._observer = observer
-        #: Executor strategy for streamed explorations (``stream_jobs``);
-        #: anything ``resolve_strategy`` accepts, ``None`` → threads.
-        self._stream_executor = stream_executor
         # Serializes stage execution: sessions share one pipeline between
         # equal workloads, which may run on different threads.  Reentrant
         # because the codegen stage runs result() -> pareto internally.
@@ -182,7 +178,6 @@ class Pipeline:
             stream=workload.stream,
             chunk_rows=workload.chunk_rows,
             stream_jobs=workload.stream_jobs,
-            stream_executor=self._stream_executor,
         )
 
     def _stage_pareto(self) -> FlowResult:

@@ -15,7 +15,7 @@ single ``repro`` module::
     result = Session().run(
         Workload.from_algorithm("blur", synthesizer="vivado"))
 
-Backends are registered under one of four *kinds*:
+Backends are registered under one of five *kinds*:
 
 ``synthesizer``
     Factory ``(device, library) ->`` :class:`SynthesizerBackend`.
@@ -28,13 +28,8 @@ Backends are registered under one of four *kinds*:
 ``device``
     Factory ``() ->`` :class:`DeviceProvider`; the provider's devices become
     resolvable by part name through :func:`resolve_device`.
-``executor``
-    Factory ``() ->`` batch-execution strategy for
-    :meth:`repro.api.Session.run_many` (``run_batch(session, workloads,
-    max_workers=None)``); the built-ins (``serial``/``threads``/
-    ``processes``) live in :mod:`repro.api.executor`.
 ``service``
-    Factory ``(session=..., executor=..., max_batch=..., ...) ->`` a
+    Factory ``(session=..., max_batch=..., ...) ->`` a
     long-lived exploration server exposing the job API (``submit`` /
     ``status`` / ``result`` / ``stats`` / ``healthz``); the built-in
     (``local``, :class:`repro.service.server.ReproServer`) lives in
@@ -93,7 +88,7 @@ DISCOVERY_ENV_VAR = "REPRO_BACKENDS"
 
 #: The extension-point kinds the registry knows.
 BACKEND_KINDS: Tuple[str, ...] = ("synthesizer", "area", "throughput",
-                                  "device", "executor", "service")
+                                  "device", "service")
 
 
 class BackendError(KeyError):
@@ -234,26 +229,13 @@ def unregister_backend(kind: str, name: str) -> None:
             _provider_instances.pop(name.lower(), None)
 
 
-def _ensure_executor_builtins() -> None:
-    """Import :mod:`repro.api.executor` so its built-ins are registered.
-
-    The executor module registers itself at import time (like plugins do);
-    importing it lazily here — instead of from this module's tail — keeps
-    the registry import-cycle free while still making ``executor`` lookups
-    work for callers that imported :mod:`repro.api.registry` alone.
-    """
-    with _registry_lock:
-        registered = bool(_backends["executor"])
-    if not registered:
-        importlib.import_module("repro.api.executor")
-
-
 def _ensure_service_builtins() -> None:
     """Import the service tier so ``service`` built-ins exist.
 
-    Same lazy self-registration idiom as the executors: the service tier
-    lives outside :mod:`repro.api` (it *uses* sessions), so the registry
-    must not import it eagerly — only when a ``service`` lookup asks.
+    The service modules register themselves at import time (like plugins
+    do), and the service tier lives outside :mod:`repro.api` (it *uses*
+    sessions), so the registry must not import it eagerly — only when a
+    ``service`` lookup asks.
     ``local`` registers from :mod:`repro.service.server`, ``fleet`` from
     :mod:`repro.fleet.router`.
     """
@@ -271,9 +253,7 @@ def get_backend(kind: str, name: str) -> Callable[..., Any]:
     visible to every lookup path.
     """
     _check_kind(kind)
-    if kind == "executor":
-        _ensure_executor_builtins()
-    elif kind == "service":
+    if kind == "service":
         _ensure_service_builtins()
     discover_backends()
     with _registry_lock:
@@ -305,8 +285,6 @@ def backend_signature(kind: str, name: str) -> str:
 
 def list_backends(kind: Optional[str] = None) -> Dict[str, List[str]]:
     """Registered backend names, per kind (or only the requested kind)."""
-    if kind is None or kind == "executor":
-        _ensure_executor_builtins()
     if kind is None or kind == "service":
         _ensure_service_builtins()
     discover_backends()

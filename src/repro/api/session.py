@@ -8,13 +8,11 @@ characterization cache), so exploring the same kernel on several frame sizes,
 or sweeping constraints, never re-synthesizes a cone shape that has already
 been characterized.
 
-:meth:`Session.run_many` delegates batch scheduling to a pluggable execution
-strategy (:mod:`repro.api.executor`): ``serial`` runs in input order,
-``threads`` (the default) fans out over a shared-session thread pool, and
-``processes`` shards cold CPU-bound batches by characterization key across
-worker processes, merging results and store writes back through the
-session's :class:`ArtifactStore`.  Whatever the strategy or worker count,
-results come back in input order and are byte-identical to a serial run.
+:meth:`Session.run_many` runs a batch in input order on the calling thread:
+the flow is pure Python, so a thread pool would only add interpreter-lock
+contention, and every workload of a shared key reuses the first one's
+characterization anyway.  A failing workload does not stop the batch; the
+earliest failure is re-raised after the last workload ran.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.api.pipeline import (
     Pipeline,
@@ -51,8 +49,9 @@ class SessionEvent:
 
     ``kind`` is one of ``workload-started``, ``stage-started``,
     ``stage-finished``, ``workload-finished``, ``workload-failed``,
-    ``cache-hit``.  Callbacks registered on a session receive every event;
-    during :meth:`Session.run_many` they may be invoked from worker threads.
+    ``cache-hit``.  Callbacks registered on a session receive every event,
+    on the thread that runs the workload (sessions shared by a service or
+    by user threads invoke them from several threads).
 
     With tracing enabled (:mod:`repro.obs.trace`), ``trace_id``/``span_id``
     carry the enclosing span's identity so logs and traces join on one key;
@@ -106,10 +105,10 @@ class SessionStats:
     store_disk_hits: int = 0
     store_disk_misses: int = 0
     store_writes: int = 0
-    #: Cumulative per-workload latency.  Under ``run_many`` this sums over
-    #: concurrent workers (including time blocked on shared-key locks), so
-    #: it can exceed real elapsed wall time — time the batch yourself for a
-    #: wall figure.
+    #: Cumulative per-workload latency.  On a session shared by several
+    #: threads this sums over concurrent callers (including time blocked on
+    #: shared-key locks), so it can exceed real elapsed wall time — time the
+    #: calls yourself for a wall figure.
     workload_time_s: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
@@ -150,18 +149,11 @@ class Session:
 
     def __init__(self, on_event: Optional[Callable[[SessionEvent], None]] = None,
                  store: Optional[Union[str, os.PathLike,
-                                       ArtifactStore]] = None,
-                 stream_executor: object = None) -> None:
+                                       ArtifactStore]] = None) -> None:
         if store is None or isinstance(store, ArtifactStore):
             self._store = store
         else:
             self._store = ArtifactStore(os.fspath(store))
-        #: Executor strategy handed to streamed explorations (a workload's
-        #: ``stream_jobs`` knob); anything ``resolve_strategy`` accepts,
-        #: ``None`` → the threads default.  Public and mutable: the service
-        #: scheduler adopts its own batch executor here when unset, so
-        #: streamed dispatch and batch dispatch share one pool strategy.
-        self.stream_executor = stream_executor
         self._explorers: Dict[Tuple, DesignSpaceExplorer] = {}
         self._key_locks: Dict[Tuple, threading.Lock] = {}
         self._pipelines: Dict[Workload, Pipeline] = {}
@@ -182,8 +174,8 @@ class Session:
         self._callbacks_lock = threading.Lock()
         self._callbacks: List[Callable[[SessionEvent], None]] = []
         # SessionStats mutations get their own (uncontended) lock: store
-        # observers and per-workload accounting fire from every worker
-        # thread of a batch — and from every service scheduler dispatch —
+        # observers and per-workload accounting fire from every thread that
+        # shares the session — every service dispatch and request thread —
         # so funnelling them through the registry lock would serialize
         # bookkeeping against cache lookups, and leaving them bare would
         # lose increments to the classic read-modify-write race.
@@ -398,8 +390,7 @@ class Session:
                                       stage=stage, elapsed_s=elapsed))
 
                 pipeline = Pipeline(workload, explorer=explorer,
-                                    observer=observe,
-                                    stream_executor=self.stream_executor)
+                                    observer=observe)
                 self._pipelines[workload] = pipeline
                 if result_key is not None:
                     self._result_keys[workload] = result_key
@@ -596,103 +587,38 @@ class Session:
                                 elapsed_s=elapsed))
         return cached
 
-    def run_many(self, workloads: Sequence[Workload],
-                 max_workers: Optional[int] = None,
-                 executor: Union[str, "ExecutionStrategy", None] = None
-                 ) -> List[FlowResult]:
-        """Run a batch of workloads, sharing characterizations across them.
+    def run_many(self, workloads: Sequence[Workload]) -> List[FlowResult]:
+        """Run a batch of workloads through :meth:`run`, sharing
+        characterizations across them.
 
-        Results are returned in input order, byte-identical whatever the
-        strategy or worker count.  ``executor`` picks the scheduling
-        strategy — a name resolved through the ``executor`` kind of
-        :mod:`repro.api.registry` (built-ins: ``serial``, ``threads``,
-        ``processes``) or a strategy instance; the default is ``threads``.
-        ``max_workers`` must be a positive integer (or ``None`` for
-        auto-sizing); the first failure is re-raised after the batch
-        completes scheduling.  ``processes`` suits cold CPU-bound sweeps of
-        distinct kernels; warm batches — cached/stored results, or kernels
-        whose cone characterizations this session already holds in memory —
-        stay in-process either way (no pool startup).
+        The workloads run in input order on the calling thread, and the
+        results come back in that order.  A failing workload does not stop
+        the batch: every later one still runs (and is cached), and the
+        earliest failure is re-raised after the last.  A caller can
+        therefore replay the batch through :meth:`run` to attribute each
+        failure, the completed members being cache hits.
         """
-        from repro.api.executor import resolve_strategy, validate_max_workers
-
-        validate_max_workers(max_workers)
         workloads = list(workloads)
         if not workloads:
             return []
-        strategy = resolve_strategy(executor)
-        with obs_trace.span(
-                "session.run_many", workloads=len(workloads),
-                executor=getattr(strategy, "name",
-                                 type(strategy).__name__)):
-            return list(strategy.run_batch(self, workloads,
-                                           max_workers=max_workers))
-
-    # ------------------------------------------------------------------ #
-    # executor support (used by repro.api.executor strategies)
-
-    def _has_local_result(self, workload: Workload) -> bool:
-        """Whether :meth:`run` would serve this workload without computing
-        (cached pipeline, promoted result, or persistent-store artifact) —
-        the probe the ``processes`` strategy uses to keep warm workloads
-        in-process instead of forking for them."""
-        with self._registry_lock:
-            pipeline = self._pipelines.get(workload)
-            if pipeline is not None and pipeline.has_run("pareto"):
-                return True
-            if workload in self._restored_results:
-                return True
-        if self._store is None:
-            return False
-        return self._store.has("result", self._result_store_key(workload))
-
-    def _prefers_in_process(self, workload: Workload) -> bool:
-        """Whether a batch executor should answer this workload in-process
-        instead of forking a worker for it.
-
-        True when a full result is already at hand (:meth:`_has_local_result`
-        — memory caches first, the persistent store second) *or* when this
-        session holds an explorer for the workload's characterization key
-        whose in-memory family cache already covers every depth family the
-        workload's iteration count needs: the expensive
-        synthesis/calibration work is done, a worker process could not see
-        it (it would re-characterize from scratch), and the remaining
-        per-frame exploration is cheaper than a pool startup.  Repeated
-        in-session batches — reruns, or new frame sizes over
-        already-characterized kernels — therefore never pay pool startup,
-        while an iteration count that introduces uncharacterized depth
-        families still counts as cold (forking genuinely parallelizes its
-        synthesis).
-        """
-        if self._has_local_result(workload):
-            return True
-        with self._registry_lock:
-            explorer = self._explorers.get(workload.characterization_key())
-        return (explorer is not None
-                and explorer.has_characterized(workload.iterations))
-
-    def _adopt_result(self, workload: Workload,
-                      result: FlowResult) -> FlowResult:
-        """Promote a worker-process result into the in-memory cache and
-        return the caller's isolated view of it."""
-        with self._registry_lock:
-            result = self._restored_results.setdefault(workload, result)
-        return _defensive_copy(result)
-
-    def _absorb_child_stats(self, payload: Mapping[str, Any]) -> None:
-        """Fold a worker-process session's ``SessionStats.to_dict()`` into
-        this session's counters (worker explorers die with their process, so
-        their already-folded totals arrive through the payload)."""
-        with self._stats_lock:
-            for field in dataclasses.fields(SessionStats):
-                value = payload.get(field.name, 0)
-                setattr(self._stats, field.name,
-                        getattr(self._stats, field.name) + value)
+        results: List[FlowResult] = []
+        failure: Optional[Exception] = None
+        with obs_trace.span("session.run_many", workloads=len(workloads)):
+            for workload in workloads:
+                try:
+                    results.append(self.run(workload))
+                except Exception as error:
+                    if failure is None:
+                        failure = error
+            if failure is not None:
+                raise failure
+        return results
 
     def _emit_batch_event(self, kind: str, workload: Workload,
                           elapsed_s: Optional[float] = None,
                           detail: str = "") -> None:
-        """Emit a workload lifecycle event on behalf of a batch executor."""
+        """Emit a lifecycle event on behalf of the service tier (the
+        ``job-*`` kinds of :mod:`repro.service`)."""
         self._emit(_event(kind, workload, elapsed_s=elapsed_s,
                                 detail=detail))
 

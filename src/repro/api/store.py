@@ -22,8 +22,8 @@ Robustness contract: a corrupted, truncated, or schema-incompatible artifact
 is *never* an error — :meth:`get` returns ``None`` and the caller recomputes
 (the bad file is removed so it cannot poison later runs).  Writes go through
 a per-process temp file and an atomic ``os.replace``, so concurrent writers
-(threads of one :meth:`~repro.api.Session.run_many`, or separate processes
-sharing one cache dir) can only ever land complete artifacts.
+(threads sharing one session, or separate processes sharing one cache
+dir) can only ever land complete artifacts.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ArtifactStore:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # pickling (executor worker processes receive store handles)
+    # pickling (process pools receive store handles)
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle everything but the (process-local) counter lock.

@@ -102,12 +102,15 @@ class Workload:
             raise ValueError(
                 f"frame must be at least 1x1 (got "
                 f"{self.frame_width}x{self.frame_height})")
-        if self.chunk_rows is not None and self.chunk_rows < 1:
-            raise ValueError(
-                f"chunk_rows must be >= 1 (got {self.chunk_rows})")
-        if self.stream_jobs is not None and self.stream_jobs < 1:
-            raise ValueError(
-                f"stream_jobs must be >= 1 (got {self.stream_jobs})")
+        for knob in ("chunk_rows", "stream_jobs"):
+            # rejected here, not after characterization: a service submit
+            # builds the Workload, so a bad knob is a 400, not a failed job
+            value = getattr(self, knob)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)
+                                      or value < 1):
+                raise ValueError(f"{knob} must be a positive integer or "
+                                 f"None (got {value!r})")
         object.__setattr__(self, "window_sides",
                            tuple(sorted(set(self.window_sides))))
         # Always normalize: an already-tuple params value may still be

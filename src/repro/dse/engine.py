@@ -104,9 +104,9 @@ def group_context(space: ArchitectureSpace,
                   window: int, split: Tuple[int, ...]) -> GroupContext:
     """Build one group's evaluation context from pure index arithmetic.
 
-    A worker process rebuilds contexts from the (small, picklable) space
-    and characterizations instead of receiving materialized columns, so
-    chunk shards ship as descriptors only.
+    A chunk-shard worker rebuilds contexts from the space and the
+    characterizations instead of receiving materialized columns, so chunk
+    shards travel as descriptors only.
     """
     depths = sorted(set(split))
     return GroupContext(
@@ -261,8 +261,8 @@ def fold_shard(space: ArchitectureSpace,
     ``plans`` maps each chunk's ``(window index, split index)`` to the
     count-axis interval pushdown admitted (``evaluable``, ``start``,
     ``stop``); rows outside it are never costed.  Touches no module-level
-    mutable state, so it runs identically on the calling thread, in a
-    thread pool, or in a worker process.  Returns the frontier, the
+    mutable state, so it runs identically on the calling thread or in a
+    thread pool.  Returns the frontier, the
     shard's accounting, the global indices of the chunks it materialized
     and — with ``keep_points`` — ``(global row, DesignPoint)`` for every
     admitted row.

@@ -362,24 +362,6 @@ class DesignSpaceExplorer:
 
         return characterizations, validations
 
-    def has_characterized(self, total_iterations: int) -> bool:
-        """Whether every depth family ``total_iterations`` needs is already
-        in the in-memory family cache — i.e. :meth:`characterize_cones`
-        for that iteration count would perform zero synthesis runs.
-
-        Used by :meth:`repro.api.session.Session` batch scheduling to tell
-        genuinely warm reruns (answer in-process) from workloads whose
-        iteration count introduces depth families this explorer has not
-        paid for yet (worth forking for).
-        """
-        space = self._space(total_iterations)
-        by_depth: Dict[int, List[int]] = {}
-        for window, depth in space.distinct_shapes():
-            by_depth.setdefault(depth, []).append(window)
-        with self._cache_lock:
-            return all((depth, tuple(sorted(windows))) in self._family_cache
-                       for depth, windows in by_depth.items())
-
     def _characterize_family(self, cone_builder: ConeExpressionBuilder,
                              depth: int, windows: Sequence[int]
                              ) -> Tuple[Dict[int, ConeCharacterization],
@@ -451,8 +433,7 @@ class DesignSpaceExplorer:
                 onchip_port_elements_per_cycle: Optional[int] = None,
                 *, stream: Optional[bool] = None,
                 chunk_rows: Optional[int] = None,
-                stream_jobs: Optional[int] = None,
-                stream_executor: object = None) -> ExplorationResult:
+                stream_jobs: Optional[int] = None) -> ExplorationResult:
         """Run the full exploration and return design points plus the Pareto set.
 
         ``onchip_port_elements_per_cycle`` overrides the constructor default
@@ -469,9 +450,8 @@ class DesignSpaceExplorer:
         (``result.design_points`` are the ``result.pareto`` members) and
         records chunking/pushdown metadata under ``result.streaming``.
         ``chunk_rows`` bounds the rows costed per chunk; ``stream_jobs``
-        fans the chunk schedule across workers through ``stream_executor``
-        (anything :func:`repro.api.executor.resolve_strategy` accepts;
-        ``None`` → threads) with bit-identical results at any worker count.
+        fans the chunk schedule across that many pool threads, with
+        bit-identical results at any worker count.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)
@@ -483,7 +463,7 @@ class DesignSpaceExplorer:
             frame_width, frame_height, constraints,
             self.device.usable_capacity.luts,
             chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            jobs=stream_jobs, executor=stream_executor,
+            jobs=stream_jobs,
             materialize="frontier" if stream else "admitted")
         streaming_meta: Optional[Dict[str, object]] = None
         if stream:

@@ -44,17 +44,16 @@ Pieces:
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).
 5. Chunks are independent by construction, so ``explore_stream(jobs=N)``
-   fans deterministic contiguous shards of the chunk schedule across an
-   executor strategy (:func:`repro.api.executor.resolve_strategy` — the
-   same ``serial``/``threads``/``processes`` names ``run_many`` accepts).
-   Each worker folds its shard into a private frontier and ships the
-   bounded state back; the parent reduces with
-   :meth:`~repro.dse.engine.StreamingFrontier.merge`, which is associative
-   and order-insensitive (the (area, time, global-row) total order makes
-   the merged state a pure function of the union), so the result is
-   bit-identical to the serial fold whatever the worker count, shard
-   assignment, or completion order.  Workers receive chunk *descriptors*
-   (pure index arithmetic), never materialized columns.
+   fans deterministic contiguous shards of the chunk schedule across a
+   thread pool of ``N`` workers owned by this module.  Each worker folds
+   its shard into a private frontier and returns the bounded state; the
+   caller reduces with :meth:`~repro.dse.engine.StreamingFrontier.merge`,
+   which is associative and order-insensitive (the (area, time,
+   global-row) total order makes the merged state a pure function of the
+   union), so the result is bit-identical to the serial fold whatever the
+   worker count, shard assignment, or completion order.  Workers receive
+   chunk *descriptors* (pure index arithmetic), never materialized
+   columns.
 
 :func:`explore_stream` is the entry point;
 :meth:`repro.dse.explorer.DesignSpaceExplorer.explore` streams spaces of at
@@ -68,6 +67,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -581,8 +581,9 @@ def _shard_schedule(schedule: Sequence[int], jobs: int) -> List[List[int]]:
             for i in range(jobs) if bounds[i] < bounds[i + 1]]
 
 
-#: One shard's work order: everything a worker needs to fold its chunks,
-#: descriptors only (picklable for process pools; no tables, no columns).
+#: One shard's work order: :func:`repro.dse.engine.fold_shard`'s arguments
+#: (chunk descriptors only; no tables, no columns) plus the caller's span
+#: handoff payload.
 _ShardPayload = Tuple
 
 
@@ -591,58 +592,22 @@ def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
 
     The payload's trailing ``trace_context`` (a span handoff payload, or
     ``None``) parents a per-shard ``stream.shard`` span into the caller's
-    trace.  In-process workers record straight into the live recorder;
-    a worker process (recorder off in a fresh interpreter) captures its
-    spans locally and ships them back under ``report["spans"]`` — the
-    counters travel the same way, so no worker ever mutates parent state.
-    ``report["fold_wall_s"]`` always carries the shard's fold wall time
-    for the parent's chunk-fold histogram.
+    trace, so pool-thread spans join it.  The counters travel back in the
+    report, so no worker ever mutates shared state;
+    ``report["fold_wall_s"]`` carries the shard's fold wall time for the
+    caller's chunk-fold histogram.
     """
     *arguments, trace_context = payload  # fold_shard's arguments
     shard = arguments[5]
     fold_started = time.perf_counter()
-
-    def traced_fold() -> Dict[str, object]:
-        with obs_trace.adopt(trace_context):
-            with obs_trace.span("stream.shard", chunks=len(shard)) as span:
-                report = fold_shard(*arguments)
-                span.set_attributes(
-                    chunks_materialized=len(report["materialized"]),
-                    admitted_rows=report["admitted_rows"])
-                return report
-
-    if trace_context is None:
-        report = fold_shard(*arguments)
-    elif obs_trace.enabled():
-        report = traced_fold()
-    else:
-        shipped: List[Dict[str, object]] = []
-        with obs_trace.capture(shipped):
-            report = traced_fold()
-        report["spans"] = shipped
+    with obs_trace.adopt(trace_context):
+        with obs_trace.span("stream.shard", chunks=len(shard)) as span:
+            report = fold_shard(*arguments)
+            span.set_attributes(
+                chunks_materialized=len(report["materialized"]),
+                admitted_rows=report["admitted_rows"])
     report["fold_wall_s"] = time.perf_counter() - fold_started
     return report
-
-
-def _map_shards(payloads: List[_ShardPayload], executor: object,
-                jobs: int) -> List[Dict[str, object]]:
-    """Dispatch shard payloads through an executor strategy.
-
-    ``executor`` is anything :func:`repro.api.executor.resolve_strategy`
-    accepts (``None`` → ``"threads"``, a registered name, or a strategy
-    instance).  Strategies expose chunk-shard fan-out through
-    ``map_tasks(fn, payloads, max_workers)``; one without it (a custom
-    ``run_batch``-only backend) degrades to an in-process loop — correct,
-    just not parallel.
-    """
-    # lazy: avoids the api-layer dependency on the serial path
-    from repro.api.executor import resolve_strategy
-
-    strategy = resolve_strategy(executor)
-    map_tasks = getattr(strategy, "map_tasks", None)
-    if map_tasks is None:
-        return [_fold_chunk_shard(payload) for payload in payloads]
-    return list(map_tasks(_fold_chunk_shard, payloads, max_workers=jobs))
 
 
 def explore_stream(space: ArchitectureSpace,
@@ -656,7 +621,6 @@ def explore_stream(space: ArchitectureSpace,
                    chunk_order: Optional[Sequence[int]] = None,
                    use_mask_cache: bool = True,
                    jobs: Optional[int] = None,
-                   executor: object = None,
                    materialize: str = "frontier") -> StreamingExploration:
     """Evaluate a whole architecture space at bounded memory.
 
@@ -664,8 +628,8 @@ def explore_stream(space: ArchitectureSpace,
     design points, same order, bit-identical serializations) as evaluating
     every candidate one at a time — whatever ``chunk_rows`` is, whatever
     order ``chunk_order`` (a permutation of the planned chunk indices,
-    mainly for tests) processes the chunks in, and whatever
-    ``jobs``/``executor`` the chunk schedule is dispatched across (shards
+    mainly for tests) processes the chunks in, and whatever number of
+    ``jobs`` (pool threads) the chunk schedule is dispatched across (shards
     fold privately and reduce via the associative ``merge``).
 
     ``materialize`` selects which rows become :class:`DesignPoint` objects:
@@ -715,7 +679,7 @@ def explore_stream(space: ArchitectureSpace,
     with obs_trace.span("stream.explore", chunks=len(chunks), jobs=jobs,
                         shards=len(shards)):
         # capture the span handoff *inside* the span so every shard —
-        # same thread, pool thread, or worker process — parents to it
+        # same thread or pool thread — parents to it
         trace_context = obs_trace.context_payload()
         payloads = [
             (space, characterizations, throughput_model, frame_width,
@@ -724,7 +688,9 @@ def explore_stream(space: ArchitectureSpace,
              keep_points, trace_context)
             for shard in shards]
         if len(payloads) > 1:
-            folds = _map_shards(payloads, executor, jobs)
+            with ThreadPoolExecutor(max_workers=len(payloads),
+                                    thread_name_prefix="repro-stream") as pool:
+                folds = list(pool.map(_fold_chunk_shard, payloads))
         else:
             folds = [_fold_chunk_shard(payload) for payload in payloads]
 
@@ -739,7 +705,6 @@ def explore_stream(space: ArchitectureSpace,
             materialized.extend(fold["materialized"])
             points.extend(fold["points"])
             fold_histogram.observe(fold["fold_wall_s"])
-            obs_trace.absorb(fold.get("spans"))
     duplicates = len(materialized) - len(set(materialized))
     _counters.add(runs=1,
                   parallel_runs=1 if len(folds) > 1 else 0,
@@ -792,8 +757,8 @@ def _frontier_points(space: ArchitectureSpace,
     The throughput columns are recomputed on just the survivors' counts,
     batched per (window, split) group, which reproduces the fold's values
     bit for bit (the stored frontier areas are reused directly).  Group
-    contexts are rebuilt here: the fold may have happened on worker
-    threads or in worker processes, so the parent holds none.
+    contexts are rebuilt here: the fold may have happened on pool threads,
+    so the caller holds none.
     """
     n_counts = space.max_cones_per_depth
     batch = supports_batch(throughput_model)

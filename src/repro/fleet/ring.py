@@ -1,11 +1,11 @@
 """Consistent-hash placement: which worker owns a characterization key.
 
 The router places every submission by the **consistent hash of its
-workload's characterization key** — the same key PR 3's deterministic
-key-multiset sharding groups by (:func:`repro.api.executor
-.shard_workloads`), lifted from "which shard of this batch" to "which
-worker of this fleet".  Placement is a pure function of ``(key token,
-ring membership)``:
+workload's characterization key** (:meth:`repro.api.Workload
+.characterization_key`), the key a session shares cone characterizations
+under, lifted from "which explorer of this session" to "which worker of
+this fleet".  Placement is a pure function of ``(key token, ring
+membership)``:
 
 * independent of submission order, timing, and fleet history — replaying
   a trace in any order lands every job on the same worker;

@@ -7,9 +7,9 @@ never pull in test/plot/config frameworks.  Three modules:
 :mod:`repro.obs.trace`
     A ``Span`` tree with ids/parent-ids, wall+CPU timings, and typed
     attributes.  Context propagates through ``contextvars`` inside a
-    process, through the ``X-Repro-Trace`` header across the
-    service/fleet HTTP hops, and through explicit picklable payloads
-    into executor workers and ``explore_stream`` chunk shards.  Spans
+    thread, through explicit handoff payloads into other threads
+    (``explore_stream`` chunk shards, service jobs), and through the
+    ``X-Repro-Trace`` header across the service/fleet HTTP hops.  Spans
     land in a ring-buffer :class:`~repro.obs.trace.TraceStore` and
     export as JSONL or Chrome ``trace_event`` JSON.
 

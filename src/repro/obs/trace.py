@@ -11,11 +11,13 @@ and a flat dict of typed attributes.  Three propagation edges:
   context through the ``X-Repro-Trace`` request header
   (``<32-hex trace>-<16-hex span>``); a malformed or absent header
   degrades to a fresh root span, never an error;
-* **worker handoff** — :func:`context_payload` produces a picklable
-  ``{"trace_id", "span_id", "pid"}`` dict that executor shards and
-  ``explore_stream`` chunk workers re-enter with :func:`adopt`; spans
-  recorded in a child process are captured with :func:`capture` and
-  re-anchored parent-side with :func:`absorb`.
+* **worker handoff** — :func:`context_payload` produces a plain
+  ``{"trace_id", "span_id", "pid"}`` dict that work handed to another
+  thread (``explore_stream`` chunk shards, service jobs) re-enters with
+  :func:`adopt`.
+
+:func:`capture` records spans into a plain list, for callers that want
+one run's spans without a :class:`TraceStore`.
 
 Recording is off by default.  When disabled, :func:`span` returns a
 shared no-op handle and :func:`current_ids` short-circuits on one global
@@ -36,10 +38,10 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "TRACE_HEADER", "Span", "TraceStore", "absorb", "adopt", "auto_enable",
-    "capture", "context_payload", "current_ids", "disable", "enable",
-    "enabled", "global_store", "header_value", "parse_header", "span",
-    "start_span", "to_chrome_trace", "to_jsonl",
+    "TRACE_HEADER", "Span", "TraceStore", "adopt", "auto_enable", "capture",
+    "context_payload", "current_ids", "disable", "enable", "enabled",
+    "global_store", "header_value", "parse_header", "span", "start_span",
+    "to_chrome_trace", "to_jsonl",
 ]
 
 #: HTTP request header carrying the trace context across service hops.
@@ -352,13 +354,10 @@ class adopt:
 
 
 class capture:
-    """Temporarily record spans into a plain list (worker-side).
+    """Record spans into a plain list.
 
-    Child processes start with recording disabled; ``with
-    capture(spans):`` turns it on with the list as an extra sink so the
-    worker can ship its spans back inside its result payload, where the
-    parent re-anchors them with :func:`absorb`.  Restores the previous
-    recorder state on exit.
+    ``with capture(spans):`` turns recording on with the list as an extra
+    sink, and restores the previous recorder state on exit.
 
     The recorder state it swaps is process-global, not per thread: two
     captures that overlap on different threads restore out of order and
@@ -384,18 +383,6 @@ class capture:
         with _STATE_LOCK:
             _ENABLED, _SINKS = self._prev
         return False
-
-
-def absorb(spans: Optional[Iterable[Dict[str, Any]]]) -> int:
-    """Re-record span dicts shipped back from a worker process."""
-    if not spans or not _ENABLED:
-        return 0
-    count = 0
-    for item in spans:
-        if isinstance(item, dict) and "trace_id" in item:
-            _record(dict(item))
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------- #

@@ -19,10 +19,9 @@ sessions:
   highest non-empty class first, so an interactive request never waits
   behind a background sweep that is still queued;
 * **batched dispatch** — the scheduler drains *compatible* queued jobs
-  (same priority class) into one :meth:`Session.run_many` call, so a burst
-  of multi-device/multi-format requests shares its characterizations
-  instead of running serially, with the batch executor pluggable through
-  the ``executor`` backend registry kind.
+  (same priority class) into one :meth:`Session.run_many` call; a burst
+  of multi-device/multi-format requests over one kernel family shares the
+  family's characterizations, which the session synthesizes once.
 
 The server speaks two transports with one protocol: in-process method
 calls, and a minimal stdlib-only JSON endpoint over :mod:`http.server`

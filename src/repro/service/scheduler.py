@@ -4,12 +4,10 @@ One daemon thread drains the :class:`~repro.service.queue.JobQueue` and
 routes each batch through the shared session:
 
 * a batch of one is answered by :meth:`Session.run`;
-* a larger batch goes through :meth:`Session.run_many` with the
-  scheduler's executor strategy (any backend registered under the
-  ``executor`` registry kind — resolved once, at construction, so a typo
-  fails server startup instead of the first burst), which explores sibling
-  scenarios (devices/formats/frames of one kernel family) over shared
-  characterizations instead of running them serially.
+* a larger batch goes through one :meth:`Session.run_many` call, which
+  explores sibling scenarios (devices/formats/frames of one kernel family)
+  in order over shared characterizations, so the family pays its
+  synthesis once.
 
 Failure attribution: ``run_many`` completes the whole batch before
 re-raising the earliest failure, so on a batch error the scheduler replays
@@ -23,11 +21,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional
 
 from collections import deque
 
-from repro.api.executor import resolve_strategy, validate_max_workers
 from repro.api.session import Session
 from repro.obs import trace as obs_trace
 from repro.service.jobs import Job
@@ -41,22 +38,12 @@ class Scheduler:
     """Owns the dispatcher thread between a queue and a session."""
 
     def __init__(self, session: Session, queue: JobQueue,
-                 executor: Union[str, object, None] = None,
-                 max_workers: Optional[int] = None,
                  max_batch: int = 16,
                  batch_window_s: float = 0.0) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
-        validate_max_workers(max_workers)
         self._session = session
         self._queue = queue
-        self._strategy = resolve_strategy(executor)
-        # streamed explorations dispatched by this scheduler fan chunk
-        # shards through the same strategy as the batch itself, unless the
-        # session was already configured with its own stream executor
-        if getattr(session, "stream_executor", None) is None:
-            session.stream_executor = self._strategy
-        self._max_workers = max_workers
         self._max_batch = max_batch
         self._batch_window_s = batch_window_s
         self._thread: Optional[threading.Thread] = None
@@ -67,10 +54,6 @@ class Scheduler:
         self._jobs_failed = 0
         self._batch_sizes: Deque[int] = deque(maxlen=BATCH_SIZE_HISTORY)
         self._largest_batch = 0
-
-    @property
-    def executor_name(self) -> str:
-        return getattr(self._strategy, "name", type(self._strategy).__name__)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -154,9 +137,7 @@ class Scheduler:
                     with obs_trace.span("scheduler.dispatch",
                                         jobs=len(jobs)):
                         results = self._session.run_many(
-                            [job.workload for job in jobs],
-                            max_workers=self._max_workers,
-                            executor=self._strategy)
+                            [job.workload for job in jobs])
         except Exception as error:
             if len(jobs) == 1:
                 # nothing to attribute: fail the lone job directly instead
@@ -232,7 +213,6 @@ class Scheduler:
         with self._lock:
             sizes = list(self._batch_sizes)
             return {
-                "executor": self.executor_name,
                 "max_batch": self._max_batch,
                 "batch_window_s": self._batch_window_s,
                 "batches": self._batches,

@@ -86,8 +86,6 @@ class ReproServer:
     def __init__(self, session: Optional[Session] = None,
                  store: Optional[Union[str, os.PathLike,
                                        ArtifactStore]] = None,
-                 executor: Union[str, object, None] = None,
-                 max_workers: Optional[int] = None,
                  max_batch: int = 16,
                  batch_window_s: float = 0.0,
                  history_limit: int = 1024,
@@ -113,8 +111,6 @@ class ReproServer:
         self.worker_id = worker_id or f"worker-{os.getpid()}"
         self._fleet_registration: Optional[Dict[str, Any]] = None
         self._scheduler = Scheduler(self._session, self._queue,
-                                    executor=executor,
-                                    max_workers=max_workers,
                                     max_batch=max_batch,
                                     batch_window_s=batch_window_s)
         self._started_at = time.time()

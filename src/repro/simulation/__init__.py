@@ -9,9 +9,7 @@ cycles of the tile cascade and cross-checks the analytic throughput model.
 Every simulator runs vectorized by default (whole-frame array passes,
 batched multi-frame runs, array-reduced cycle aggregation) with its original
 scalar walk preserved as a ``*_scalar`` differential oracle — the property
-suite pins the two paths bit-identical, and
-:func:`~repro.simulation.vectorized.supports_vectorized` falls back to the
-scalar path for subclasses that override a scalar hook.
+suite pins the two paths bit-identical.
 :func:`~repro.simulation.validation.validate_workload` packages
 simulated-vs-golden evidence as a :class:`ValidationResult` for the
 ``validate`` service job class.
@@ -20,7 +18,6 @@ simulated-vs-golden evidence as a :class:`ValidationResult` for the
 from repro.simulation.frame import Frame, FrameSet, make_test_frame
 from repro.simulation.golden import GoldenExecutor
 from repro.simulation.memory import OffChipMemoryModel, OnChipBufferModel, TransferRecord
-from repro.simulation.vectorized import supports_vectorized
 from repro.simulation.cone_simulator import (
     FunctionalConeSimulator,
     TileCascadeCycleSimulator,
@@ -46,6 +43,5 @@ __all__ = [
     "FrameBufferArchitecture",
     "FrameBufferPerformance",
     "ValidationResult",
-    "supports_vectorized",
     "validate_workload",
 ]

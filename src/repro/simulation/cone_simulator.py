@@ -17,11 +17,6 @@ Two complementary views are provided:
   :mod:`repro.estimation.throughput_model`.  Cycle totals are aggregated by
   a sequential-scan array reduction (bit-identical to the per-tile loop,
   preserved as :meth:`TileCascadeCycleSimulator.simulate_frame_scalar`).
-
-Both classes select the fast path behind
-:func:`repro.simulation.vectorized.supports_vectorized`: subclasses that
-override a scalar hook fall back to the scalar loop, so their overrides are
-honored.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from repro.frontend.kernel_ir import StencilKernel
 from repro.simulation.frame import Frame, FrameSet
 from repro.simulation.golden import GoldenExecutor
 from repro.simulation.memory import OffChipMemoryModel, OnChipBufferModel
-from repro.simulation.vectorized import supports_vectorized
 from repro.symbolic.cone_expression import ConeExpressionBuilder, ConeExpressions
 from repro.symbolic.executor import READONLY_LEVEL
 from repro.symbolic.expression import evaluate, evaluate_array
@@ -47,11 +41,6 @@ from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 
 class FunctionalConeSimulator:
     """Functional execution of a cone architecture over a frame."""
-
-    #: Scalar hooks the vectorized pass shadows — overriding either in a
-    #: subclass routes :meth:`run`/:meth:`run_batch` through the preserved
-    #: tile-by-tile loop so the override is honored.
-    _vectorized_hooks = ("_evaluate_tile_expressions", "_evaluate_tile_region")
 
     def __init__(self, kernel: StencilKernel,
                  params: Optional[Mapping[str, float]] = None) -> None:
@@ -87,12 +76,9 @@ class FunctionalConeSimulator:
 
         All tiles are evaluated by one vectorized array pass; the preserved
         tile loop (:meth:`run_scalar`) is the bit-identical differential
-        oracle, and is also the path taken when a subclass overrides one of
-        the scalar tile hooks.
+        oracle.
         """
         self._check_mode(mode)
-        if not supports_vectorized(self):
-            return self.run_scalar(frames, iterations, window_side, mode)
         return self.run_batch([frames], iterations, window_side, mode)[0]
 
     def run_batch(self, frame_sets: Iterable[FrameSet], iterations: int,
@@ -108,9 +94,6 @@ class FunctionalConeSimulator:
         """
         self._check_mode(mode)
         frame_sets = list(frame_sets)
-        if not supports_vectorized(self):
-            return [self.run_scalar(frames, iterations, window_side, mode)
-                    for frames in frame_sets]
         groups: Dict[Tuple[int, int], List[int]] = {}
         for index, frames in enumerate(frame_sets):
             groups.setdefault((frames.height, frames.width), []).append(index)
@@ -339,10 +322,6 @@ class CycleSimulationResult:
 class TileCascadeCycleSimulator:
     """Counts compute and memory cycles of the tile cascade."""
 
-    #: Overriding the per-tile walk in a subclass routes
-    #: :meth:`simulate_frame` through it instead of the array reduction.
-    _vectorized_hooks = ("simulate_frame_scalar",)
-
     def __init__(self, device: FpgaDevice = VIRTEX6_XC6VLX760,
                  bytes_per_element: int = 4,
                  onchip_port_elements_per_cycle: int = 16,
@@ -376,9 +355,6 @@ class TileCascadeCycleSimulator:
         sequential-scan array reduction — bit-identical to walking the tile
         loop (:meth:`simulate_frame_scalar`, the differential oracle).
         """
-        if not supports_vectorized(self):
-            return self.simulate_frame_scalar(
-                architecture, cone_performance, frame_width, frame_height)
         offchip = OffChipMemoryModel(self.device, self.bytes_per_element)
         onchip = OnChipBufferModel(
             capacity_bytes=self.device.onchip_memory_bytes,

@@ -20,7 +20,6 @@ import numpy as np
 from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import validate_kernel
 from repro.ir.operators import DataFormat
-from repro.simulation.vectorized import supports_vectorized
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 
 
@@ -45,11 +44,6 @@ class FrameBufferPerformance:
 
 class FrameBufferArchitecture:
     """Analytic model of the classic double-buffer ISL implementation."""
-
-    #: :meth:`evaluate_batch` vectorizes the closed form of
-    #: :meth:`evaluate`; a subclass overriding ``evaluate`` is driven
-    #: point-wise so its override is honored.
-    _vectorized_hooks = ("evaluate",)
 
     def __init__(self, kernel: StencilKernel,
                  device: FpgaDevice = VIRTEX6_XC6VLX760,
@@ -128,42 +122,12 @@ class FrameBufferArchitecture:
         field) whose every element is bit-identical to the corresponding
         scalar :meth:`evaluate` call — the closed form is evaluated with the
         same correctly rounded float64 primitives, and integer quantities
-        stay exact (all products are far below 2**53).  If a subclass
-        overrides :meth:`evaluate`, the batch is computed point-wise through
-        the override instead.
+        stay exact (all products are far below 2**53).
         """
         widths = np.atleast_1d(np.asarray(frame_widths, dtype=np.int64))
         heights = np.atleast_1d(np.asarray(frame_heights, dtype=np.int64))
         iters = np.atleast_1d(np.asarray(iterations, dtype=np.int64))
         widths, heights, iters = np.broadcast_arrays(widths, heights, iters)
-
-        if not supports_vectorized(self):
-            reports = [self.evaluate(int(w), int(h), int(i))
-                       for w, h, i in zip(widths.ravel(), heights.ravel(),
-                                          iters.ravel())]
-            shape = widths.shape
-            return {
-                "frame_fits_onchip": np.asarray(
-                    [r.frame_fits_onchip for r in reports]).reshape(shape),
-                "onchip_bytes_required": np.asarray(
-                    [r.onchip_bytes_required for r in reports],
-                    dtype=np.int64).reshape(shape),
-                "offchip_bytes_per_frame": np.asarray(
-                    [r.offchip_bytes_per_frame for r in reports],
-                    dtype=np.float64).reshape(shape),
-                "compute_cycles_per_frame": np.asarray(
-                    [r.compute_cycles_per_frame for r in reports],
-                    dtype=np.float64).reshape(shape),
-                "transfer_cycles_per_frame": np.asarray(
-                    [r.transfer_cycles_per_frame for r in reports],
-                    dtype=np.float64).reshape(shape),
-                "seconds_per_frame": np.asarray(
-                    [r.seconds_per_frame for r in reports],
-                    dtype=np.float64).reshape(shape),
-                "frames_per_second": np.asarray(
-                    [r.frames_per_second for r in reports],
-                    dtype=np.float64).reshape(shape),
-            }
 
         components = self.properties.total_state_components
         readonly = sum(self.properties.components_per_field[name]

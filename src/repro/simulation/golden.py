@@ -40,16 +40,10 @@ from repro.frontend.kernel_ir import (
     UnaryOp,
 )
 from repro.simulation.frame import Frame, FrameSet
-from repro.simulation.vectorized import supports_vectorized
 
 
 class GoldenExecutor:
     """Executes a kernel iteratively on whole frames (the reference model)."""
-
-    #: Scalar hooks the vectorized :meth:`step` shadows — a subclass that
-    #: overrides either falls back to the per-pixel loop (see
-    #: :func:`repro.simulation.vectorized.supports_vectorized`).
-    _vectorized_hooks = ("step_scalar", "_evaluate_scalar")
 
     def __init__(self, kernel: StencilKernel,
                  params: Optional[Mapping[str, float]] = None) -> None:
@@ -64,8 +58,6 @@ class GoldenExecutor:
 
     def run(self, frames: FrameSet, iterations: int) -> FrameSet:
         """Return the frame set after ``iterations`` applications of the kernel."""
-        if not supports_vectorized(self):
-            return self.run_scalar(frames, iterations)
         if iterations < 0:
             raise ValueError("iterations must be non-negative")
         current = frames.copy()

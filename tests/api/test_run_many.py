@@ -1,0 +1,310 @@
+"""``Session.run_many``: the one batch path.
+
+A batch runs through ``Session.run`` in input order on the calling thread.
+Its results come back in input order, byte-identical to per-workload
+``Session.run`` results whatever the submission order.  A failing workload
+stops nothing: the rest of the batch runs and is cached, and the earliest
+failure is re-raised after the last workload.
+"""
+
+import json
+import random
+import threading
+
+import pytest
+
+from repro.api import (
+    BackendError,
+    Pipeline,
+    Session,
+    Workload,
+    register_backend,
+)
+from repro.api.cli import build_parser
+from repro.api.cli import main as cli_main
+from repro.dse.stream import explore_stream
+from repro.service import JobQueue, ReproServer, Scheduler
+
+SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
+             max_cones_per_depth=3)
+
+SWEEP = ["sweep", "--algorithms", "blur", "--frames", "128x96",
+         "--iterations", "4", "--windows", "1,2,3", "--max-depth", "2",
+         "--json"]
+
+
+def mixed_batch():
+    """blur/jacobi/chambolle workloads, including shared-key frame pairs."""
+    return [
+        Workload.from_algorithm("blur", **SMALL),
+        Workload.from_algorithm("blur", frame_width=640, frame_height=480,
+                                **SMALL),
+        Workload.from_algorithm("jacobi", **SMALL),
+        Workload.from_algorithm("chamb", **SMALL),
+        Workload.from_algorithm("chamb", frame_width=640, frame_height=480,
+                                **SMALL),
+    ]
+
+
+def serialized(result):
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+class TestBatchResults:
+    def test_results_equal_per_workload_runs_in_input_order(self):
+        batch = mixed_batch()
+        expected = [serialized(Session().run(workload)) for workload in batch]
+        results = Session().run_many(batch)
+        assert [serialized(result) for result in results] == expected
+
+    def test_shuffled_submission_changes_nothing_per_workload(self):
+        batch = mixed_batch()
+        baseline = {workload: serialized(result) for workload, result
+                    in zip(batch, Session().run_many(batch))}
+        shuffled = list(batch)
+        random.Random(42).shuffle(shuffled)
+        results = Session().run_many(shuffled)
+        for workload, result in zip(shuffled, results):
+            assert serialized(result) == baseline[workload]
+
+    def test_empty_batch_runs_nothing(self):
+        session = Session()
+        assert session.run_many([]) == []
+        assert session.stats.workloads_run == 0
+
+    def test_workloads_run_in_input_order_on_the_calling_thread(self):
+        batch = mixed_batch()
+        started = []
+
+        def record(event):
+            if event.kind == "workload-started":
+                started.append((event.workload, threading.get_ident()))
+
+        Session(on_event=record).run_many(batch)
+        assert [workload for workload, _ in started] == batch
+        assert {ident for _, ident in started} == {threading.get_ident()}
+
+    def test_stats_and_events_can_be_read_during_a_batch(self):
+        batch = mixed_batch()
+        session = Session()
+        runs_seen = []
+
+        def poll(event):
+            if event.kind == "workload-finished":
+                runs_seen.append(session.stats.workloads_run)
+
+        session.on_event(poll)
+        session.run_many(batch)
+        assert runs_seen == list(range(1, len(batch) + 1))
+
+    def test_every_finished_workload_reports_its_elapsed_time(self):
+        events = []
+        Session(on_event=events.append).run_many(mixed_batch())
+        finished = [event for event in events
+                    if event.kind == "workload-finished"]
+        assert len(finished) == 5
+        assert all(event.elapsed_s is not None and event.elapsed_s >= 0
+                   for event in finished)
+
+
+class TestBatchCaching:
+    """A batch shares the session's caches: nothing it computed, and no
+    kernel it characterized, is synthesized again."""
+
+    def test_rerun_of_a_computed_batch_synthesizes_nothing(self):
+        batch = mixed_batch()
+        events = []
+        session = Session(on_event=events.append)
+        first = session.run_many(batch)
+        runs = session.stats.synthesis_runs
+        events.clear()
+        rerun = session.run_many(batch)
+        assert session.stats.synthesis_runs == runs
+        assert ([serialized(result) for result in rerun]
+                == [serialized(result) for result in first])
+        assert {event.workload for event in events
+                if event.kind == "cache-hit"} == set(batch)
+
+    def test_new_frames_over_characterized_kernels_synthesize_nothing(self):
+        batch = [Workload.from_algorithm("blur", **SMALL),
+                 Workload.from_algorithm("jacobi", **SMALL)]
+        session = Session()
+        session.run_many(batch)
+        runs = session.stats.synthesis_runs
+        shifted = [workload.replace(frame_width=200, frame_height=150)
+                   for workload in batch]
+        results = session.run_many(shifted)
+        assert all(result.pareto for result in results)
+        assert session.stats.synthesis_runs == runs
+        assert ([serialized(result) for result in results]
+                == [serialized(Session().run(workload))
+                    for workload in shifted])
+
+
+class TestFailureContract:
+    def test_failure_is_raised_after_the_whole_batch(self):
+        """``bad`` fails, ``good2`` still runs, and the error surfaces only
+        after it — with ``good2`` then a session-cache hit."""
+        good = Workload.from_algorithm("blur", **SMALL)
+        bad = Workload.from_algorithm("blur", calibration_windows_per_depth=1,
+                                      **SMALL)
+        good2 = Workload.from_algorithm("jacobi", **SMALL)
+        events = []
+        session = Session(on_event=events.append)
+        with pytest.raises(ValueError, match="calibration_windows_per_depth"):
+            session.run_many([good, bad, good2])
+        assert [(event.kind, event.workload) for event in events
+                if event.kind in ("workload-finished", "workload-failed")] \
+            == [("workload-finished", good), ("workload-failed", bad),
+                ("workload-finished", good2)]
+        stats = session.stats
+        assert stats.workloads_run == 2 and stats.workloads_failed == 1
+        runs = stats.synthesis_runs
+        events.clear()
+        rerun = session.run(good2)
+        assert session.stats.synthesis_runs == runs
+        assert any(event.kind == "cache-hit" for event in events)
+        assert serialized(rerun) == serialized(Session().run(good2))
+
+    def test_the_earliest_failure_is_the_one_raised(self):
+        unknown_backend = Workload.from_algorithm("blur", synthesizer="nope",
+                                                  **SMALL)
+        bad_calibration = Workload.from_algorithm(
+            "jacobi", calibration_windows_per_depth=1, **SMALL)
+        good = Workload.from_algorithm("heat", **SMALL)
+        session = Session()
+        with pytest.raises(BackendError, match="nope"):
+            session.run_many([good, unknown_backend, bad_calibration])
+        assert session.stats.workloads_failed == 2
+        assert session.stats.workloads_run == 1
+
+    def test_a_failing_first_workload_is_announced_and_stops_nothing(self):
+        bad = Workload.from_algorithm("blur", calibration_windows_per_depth=1,
+                                      **SMALL)
+        good = Workload.from_algorithm("jacobi", **SMALL)
+        events = []
+        session = Session(on_event=events.append)
+        with pytest.raises(ValueError, match="calibration_windows_per_depth"):
+            session.run_many([bad, good])
+        stats = session.stats
+        assert stats.workloads_failed == 1 and stats.workloads_run == 1
+        assert stats.synthesis_runs > 0  # the survivor kept its accounting
+        failed = [event for event in events
+                  if event.kind == "workload-failed"]
+        assert [event.workload for event in failed] == [bad]
+        assert "calibration_windows_per_depth" in failed[0].detail
+
+
+class TestRemovedStrategyKnobs:
+    """The executor strategies and their knobs are gone, loudly."""
+
+    def test_run_many_takes_no_strategy_arguments(self):
+        batch = [Workload.from_algorithm("blur", **SMALL)]
+        with pytest.raises(TypeError):
+            Session().run_many(batch, executor="threads")
+        with pytest.raises(TypeError):
+            Session().run_many(batch, max_workers=2)
+
+    def test_executor_is_not_a_registry_kind(self):
+        with pytest.raises(BackendError, match="unknown backend kind"):
+            register_backend("executor", "serial", object)
+
+    def test_cli_executor_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(SWEEP + ["--executor", "serial"])
+        assert exit_info.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arguments", [
+        ["explore", "blur", "--executor", "threads"],
+        ["serve", "--executor", "threads"],
+        ["fleet", "--executor", "threads"],
+        ["serve", "--jobs", "2"],
+        ["fleet", "--jobs", "2"],
+    ], ids=["explore-executor", "serve-executor", "fleet-executor",
+            "serve-jobs", "fleet-jobs"])
+    def test_strategy_flags_are_unknown_to_the_parser(self, capsys,
+                                                      arguments):
+        # parse only: serve and fleet would otherwise start listening
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(arguments)
+        assert exit_info.value.code == 2
+        assert arguments[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keyword, call", [
+        ("stream_executor", lambda: Session(stream_executor="threads")),
+        ("stream_executor", lambda: Pipeline(
+            Workload.from_algorithm("blur", **SMALL),
+            stream_executor="threads")),
+        ("stream_executor", lambda: Session().explorer_for(
+            Workload.from_algorithm("blur", **SMALL)).explore(
+                4, 128, 96, stream_executor="threads")),
+        ("executor", lambda: explore_stream(
+            None, {}, None, 128, 96, executor="threads")),
+        ("executor", lambda: Scheduler(Session(), JobQueue(),
+                                       executor="threads")),
+        ("max_workers", lambda: Scheduler(Session(), JobQueue(),
+                                          max_workers=2)),
+        ("executor", lambda: ReproServer(executor="threads", start=False)),
+        ("max_workers", lambda: ReproServer(max_workers=2, start=False)),
+    ], ids=["Session", "Pipeline", "explore", "explore_stream",
+            "Scheduler-executor", "Scheduler-max_workers",
+            "ReproServer-executor", "ReproServer-max_workers"])
+    def test_strategy_keywords_raise_type_error(self, keyword, call):
+        with pytest.raises(TypeError, match=keyword):
+            call()
+
+    def test_scheduler_stats_name_no_strategy(self):
+        snapshot = Scheduler(Session(), JobQueue()).stats_snapshot()
+        assert "executor" not in snapshot
+        assert "max_workers" not in snapshot
+
+
+class TestCliJobs:
+    def test_explore_accepts_jobs(self, capsys):
+        arguments = ["explore", "blur", "--frame", "128x96", "--iterations",
+                     "4", "--windows", "1,2,3", "--max-depth", "2",
+                     "--quiet", "--json"]
+        assert cli_main(arguments) == 0
+        serial = json.loads(capsys.readouterr().out)
+        assert cli_main(arguments + ["--jobs", "2"]) == 0
+        fanned = json.loads(capsys.readouterr().out)
+        assert fanned["exploration"]["pareto"]
+        assert (fanned["exploration"]["pareto"]
+                == serial["exploration"]["pareto"])
+
+    def test_jobs_leave_a_streamed_sweep_unchanged(self, capsys):
+        arguments = SWEEP + ["--stream", "--chunk-rows", "2"]
+        assert cli_main(arguments) == 0
+        serial = json.loads(capsys.readouterr().out)["workloads"]
+        assert cli_main(arguments + ["--jobs", "2"]) == 0
+        fanned = json.loads(capsys.readouterr().out)["workloads"]
+        assert serial and len(fanned) == len(serial)
+        for one, two in zip(serial, fanned):
+            assert (one["streaming"]["stream_jobs"],
+                    two["streaming"]["stream_jobs"]) == (1, 2)
+            assert (one["streaming"]["admitted_rows"]
+                    == two["streaming"]["admitted_rows"])
+            one.pop("streaming"), two.pop("streaming")
+            assert one == two
+
+    def test_sweep_reruns_warm_from_the_store(self, tmp_path, capsys):
+        arguments = ["sweep", "--algorithms", "blur,jacobi", "--frames",
+                     "128x96", "--iterations", "4", "--windows", "1,2,3",
+                     "--max-depth", "2", "--jobs", "2", "--store",
+                     str(tmp_path / "store"), "--json"]
+        assert cli_main(arguments) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["session"]["synthesis_runs"] > 0
+        assert cli_main(arguments) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["session"]["synthesis_runs"] == 0
+        assert warm["workloads"] == cold["workloads"]
+
+    @pytest.mark.parametrize("command", ["explore", "sweep"])
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_invalid_jobs_exits_2(self, capsys, command, bad):
+        arguments = (SWEEP if command == "sweep" else
+                     ["explore", "blur", "--frame", "128x96", "--quiet"])
+        assert cli_main(arguments + ["--jobs", bad]) == 2
+        assert "stream_jobs" in capsys.readouterr().err

@@ -164,7 +164,10 @@ class TestCharacterizationSharing:
 
     def test_stats_can_be_polled_during_a_threaded_batch(self):
         """Reading stats (e.g. from an event callback) must not race the
-        characterization of in-flight workloads."""
+        characterization of in-flight workloads: two user threads run
+        batches through one shared session."""
+        from concurrent.futures import ThreadPoolExecutor
+
         session = Session()
         session.on_event(lambda event: session.stats)
         workloads = [
@@ -172,19 +175,29 @@ class TestCharacterizationSharing:
             for name in ("blur", "jacobi", "heat", "erode")
             for width in (128, 256)
         ]
-        results = session.run_many(workloads, max_workers=4)
-        assert len(results) == 8
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            batches = list(pool.map(session.run_many,
+                                    [workloads[0::2], workloads[1::2]]))
+        assert sum(len(results) for results in batches) == 8
         assert session.stats.synthesis_runs > 0
 
     def test_sequential_and_threaded_batches_agree(self):
+        """One batch, and the same workloads split into batches run by two
+        user threads over one shared session, give equal results."""
+        from concurrent.futures import ThreadPoolExecutor
+
         workloads = [
             Workload.from_algorithm("blur", **SMALL),
             Workload.from_algorithm("blur", frame_width=640,
                                     frame_height=480, **SMALL),
             Workload.from_algorithm("jacobi", **SMALL),
         ]
-        sequential = Session().run_many(workloads, max_workers=1)
-        threaded = Session().run_many(workloads, max_workers=4)
+        sequential = Session().run_many(workloads)
+        shared = Session()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(shared.run_many,
+                                     [workloads[0::2], workloads[1::2]])
+        threaded = [first[0], second[0], first[1]]
         for a, b in zip(sequential, threaded):
             assert a.pareto == b.pareto
             assert a.exploration.synthesis_runs == b.exploration.synthesis_runs

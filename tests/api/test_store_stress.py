@@ -17,7 +17,7 @@ import pytest
 from repro.api import ArtifactStore, Session, Workload
 from repro.api import store as store_module
 
-pytestmark = [pytest.mark.par, pytest.mark.slow]
+pytestmark = pytest.mark.slow
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=3)

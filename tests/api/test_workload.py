@@ -40,6 +40,19 @@ class TestConstruction:
         workload = Workload.from_algorithm("blur", window_sides=[3, 1, 3, 2])
         assert workload.window_sides == (1, 2, 3)
 
+    @pytest.mark.parametrize("knob", ["stream_jobs", "chunk_rows"])
+    @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -1])
+    def test_bad_stream_knobs_rejected_at_construction(self, knob, bad):
+        with pytest.raises(ValueError, match=knob):
+            Workload.from_algorithm("blur", **{knob: bad})
+
+    @pytest.mark.parametrize("knob", ["stream_jobs", "chunk_rows"])
+    def test_stream_knobs_accept_none_and_positive_ints(self, knob):
+        assert getattr(Workload.from_algorithm("blur", **{knob: 3}),
+                       knob) == 3
+        assert getattr(Workload.from_algorithm("blur", **{knob: None}),
+                       knob) is None
+
 
 class TestHashingAndEquality:
     def test_hashable_and_equal_across_instances(self):

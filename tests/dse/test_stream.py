@@ -1,16 +1,16 @@
 """Tests for the chunked exploration fold.
 
 The headline property: whatever the chunk size {1 row, group-sized, the
-whole space}, whatever the chunk order, and whatever the worker count /
-executor strategy, ``explore_stream`` produces the identical admitted rows
+whole space}, whatever the chunk order, and whatever the worker count,
+``explore_stream`` produces the identical admitted rows
 and Pareto frontier — same global rows, byte-identical serialized design
 points — as the per-point scalar oracle (``scalar_oracle``); its
 ``pruned_rows`` additionally counts the rows a min-fps floor rejected.
 """
 
 import json
-import pickle
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -126,7 +126,7 @@ class TestDigestIdentity:
                         space, characterizations, explorer.throughput_model,
                         128, 96, constraints, usable, chunk_rows=chunk_rows,
                         chunk_order=chunk_order, jobs=jobs,
-                        executor="threads", materialize="admitted")
+                        materialize="admitted")
                     assert (serialized_points(streamed.design_points)
                             == expected)
                     assert (serialized_points(streamed.pareto)
@@ -286,10 +286,9 @@ class TestThroughputPushdown:
 
 class TestParallelDispatch:
     """Multi-worker chunk dispatch is bit-identical to the serial fold
-    across executor strategies, worker counts, and shuffled schedules."""
+    across worker counts and shuffled schedules."""
 
-    def test_bit_identity_across_jobs_executors_and_orders(
-            self, evaluation_inputs):
+    def test_bit_identity_across_jobs_and_orders(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
         constraints = DseConstraints(device_only=True)
         serial = explore_stream(space, characterizations,
@@ -299,19 +298,17 @@ class TestParallelDispatch:
         order = list(range(len(plan_chunks(space, 2))))
         random.Random(11).shuffle(order)
         for jobs in (1, 2, 4):
-            for executor in ("serial", "threads"):
-                for chunk_order in (None, order):
-                    streamed = explore_stream(
-                        space, characterizations, explorer.throughput_model,
-                        128, 96, constraints, usable, chunk_rows=2,
-                        chunk_order=chunk_order, jobs=jobs,
-                        executor=executor)
-                    assert np.array_equal(streamed.pareto_row_index,
-                                          serial.pareto_row_index)
-                    assert serialized_points(streamed.pareto) == digest
-                    assert streamed.admitted_rows == serial.admitted_rows
-                    assert streamed.pruned_rows == serial.pruned_rows
-                    assert streamed.jobs == min(jobs, len(order))
+            for chunk_order in (None, order):
+                streamed = explore_stream(
+                    space, characterizations, explorer.throughput_model,
+                    128, 96, constraints, usable, chunk_rows=2,
+                    chunk_order=chunk_order, jobs=jobs)
+                assert np.array_equal(streamed.pareto_row_index,
+                                      serial.pareto_row_index)
+                assert serialized_points(streamed.pareto) == digest
+                assert streamed.admitted_rows == serial.admitted_rows
+                assert streamed.pruned_rows == serial.pruned_rows
+                assert streamed.jobs == min(jobs, len(order))
         assert stream_stats()["duplicate_chunk_materializations"] == 0
 
     def test_parallel_run_is_counted_once_without_duplicate_chunks(
@@ -320,73 +317,38 @@ class TestParallelDispatch:
         reset_stream_stats()
         streamed = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=2,
-                                  jobs=4, executor="threads")
+                                  usable_luts=usable, chunk_rows=2, jobs=4)
         assert streamed.jobs == 4
         stats = stream_stats()
         assert stats["parallel_runs"] == 1 and stats["runs"] == 1
         assert stats["chunks_materialized"] > 0
         assert stats["duplicate_chunk_materializations"] == 0
 
-    def test_shard_payloads_survive_a_process_boundary(
-            self, evaluation_inputs, monkeypatch):
-        """Workers receive chunk descriptors only: every shard payload and
-        every report round-trips through pickle, as a process pool ships
-        them, and the merged result equals the serial fold."""
-        shipped = []
+    def test_shards_fold_on_a_pool_the_call_owns(self, evaluation_inputs,
+                                                 monkeypatch):
+        """``jobs > 1`` folds every shard on a thread of a pool the call
+        creates and joins before returning; ``jobs=1`` folds on the
+        calling thread."""
+        real_fold = stream_module._fold_chunk_shard
+        folded_on = []
 
-        def pickled_map(payloads, executor, jobs):
-            reports = []
-            for payload in payloads:
-                shipped.append(pickle.loads(pickle.dumps(payload)))
-                reports.append(pickle.loads(pickle.dumps(
-                    stream_module._fold_chunk_shard(shipped[-1]))))
-            return reports
+        def recording_fold(payload):
+            folded_on.append(threading.current_thread().name)
+            return real_fold(payload)
 
+        monkeypatch.setattr(stream_module, "_fold_chunk_shard",
+                            recording_fold)
         explorer, space, characterizations, usable = evaluation_inputs
-        constraints = DseConstraints(device_only=True,
-                                     min_frames_per_second=1.0)
-        serial = explore_stream(space, characterizations,
-                                explorer.throughput_model, 128, 96,
-                                constraints, usable, chunk_rows=2)
-        monkeypatch.setattr(stream_module, "_map_shards", pickled_map)
-        sharded = explore_stream(space, characterizations,
-                                 explorer.throughput_model, 128, 96,
-                                 constraints, usable, chunk_rows=2, jobs=3)
-        assert sharded.jobs == len(shipped) == 3
-        for payload in shipped:
-            assert not any(isinstance(value, np.ndarray)
-                           for value in payload)
-            assert all(isinstance(chunk, SpaceChunk)
-                       for _, chunk in payload[5])
-        assert np.array_equal(sharded.pareto_row_index,
-                              serial.pareto_row_index)
-        assert (serialized_points(sharded.pareto)
-                == serialized_points(serial.pareto))
-        assert sharded.admitted_rows == serial.admitted_rows
-        assert sharded.pruned_rows == serial.pruned_rows
-
-    @pytest.mark.slow
-    @pytest.mark.par
-    def test_processes_executor_is_digest_identical(self,
-                                                    evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        constraints = DseConstraints(device_only=True,
-                                     min_frames_per_second=1.0)
-        serial = explore_stream(space, characterizations,
-                                explorer.throughput_model, 128, 96,
-                                constraints, usable, chunk_rows=2)
-        forked = explore_stream(space, characterizations,
-                                explorer.throughput_model, 128, 96,
-                                constraints, usable, chunk_rows=2,
-                                jobs=2, executor="processes")
-        assert forked.jobs == 2
-        assert np.array_equal(forked.pareto_row_index,
-                              serial.pareto_row_index)
-        assert (serialized_points(forked.pareto)
-                == serialized_points(serial.pareto))
-        assert forked.admitted_rows == serial.admitted_rows
-        assert stream_stats()["duplicate_chunk_materializations"] == 0
+        explore_stream(space, characterizations, explorer.throughput_model,
+                       128, 96, usable_luts=usable, chunk_rows=2, jobs=3)
+        assert len(folded_on) == 3
+        assert all(name.startswith("repro-stream") for name in folded_on)
+        assert not any(thread.name.startswith("repro-stream")
+                       for thread in threading.enumerate())
+        folded_on.clear()
+        explore_stream(space, characterizations, explorer.throughput_model,
+                       128, 96, usable_luts=usable, chunk_rows=2)
+        assert folded_on == [threading.current_thread().name]
 
     def test_invalid_jobs_rejected(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
@@ -541,7 +503,7 @@ class TestExplorerIntegration:
         explorer = small_explorer(igf_kernel)
         serial = explorer.explore(6, 128, 96, stream=True, chunk_rows=2)
         parallel = explorer.explore(6, 128, 96, stream=True, chunk_rows=2,
-                                    stream_jobs=4, stream_executor="serial")
+                                    stream_jobs=4)
         assert (serialized_points(parallel.pareto)
                 == serialized_points(serial.pareto))
         assert serial.streaming["stream_jobs"] == 1

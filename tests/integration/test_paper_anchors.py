@@ -1,4 +1,4 @@
-"""Paper anchors: the characterization behind Figures 5, 6, 8 and 9.
+"""Paper anchors: the characterization and throughput behind Figures 5-10.
 
 IGF with 10 iterations and Chambolle with 11, at the paper configuration:
 FIXED16, windows 1-9, cone depth <= 5, <= 16 cones per depth, every cone
@@ -6,9 +6,11 @@ synthesized, 1024x768 frames.  ``tests/fixtures/paper_anchors.json`` pins,
 per case study:
 
 * per (window, depth): register count, operation count, actual and
-  Equation-1 estimated LUTs, and latency cycles;
+  Equation-1 estimated LUTs, and latency cycles (Figures 5 and 8);
 * per depth: the Equation-1 maximum and mean error;
-* a digest of the Pareto frontier.
+* a digest of the Pareto frontier (Figures 6 and 9);
+* per (window, depth): the best device-fitting frames per second
+  (Figures 7 and 10).
 
 The comparison is exact.  An intended change to the science updates the
 fixture in the same change, with the difference explained.  Regenerate it
@@ -71,7 +73,20 @@ def case_study_anchors(algorithm: str, iterations: int) -> Dict[str, object]:
         "depths": depths,
         "pareto_size": len(result.pareto),
         "pareto_digest": hashlib.sha256(frontier.encode()).hexdigest(),
+        "throughput": best_fitting_fps(result.design_points),
     }
+
+
+def best_fitting_fps(points) -> Dict[str, float]:
+    """Best device-fitting frames per second per (window, primary depth),
+    the quantity Figures 7 and 10 plot (0.0 where nothing fits)."""
+    best = {f"w{window}_d{depth}": 0.0
+            for window in range(1, 10) for depth in range(1, 6)}
+    for point in points:
+        if point.fits_device:
+            key = f"w{point.architecture.window_side}_d{point.primary_depth}"
+            best[key] = max(best[key], point.frames_per_second)
+    return best
 
 
 def load_fixture() -> Dict[str, object]:
@@ -89,6 +104,7 @@ def test_characterization_matches_the_pinned_paper_anchors(case):
     assert current["depths"] == pinned["depths"]
     assert current["pareto_size"] == pinned["pareto_size"]
     assert current["pareto_digest"] == pinned["pareto_digest"]
+    assert current["throughput"] == pinned["throughput"]
 
 
 def test_fixture_covers_the_paper_configuration():
@@ -96,6 +112,7 @@ def test_fixture_covers_the_paper_configuration():
     assert sorted(pinned) == sorted(CASE_STUDIES)
     for anchors in pinned.values():
         assert len(anchors["cones"]) == 45  # windows 1-9 x depths 1-5
+        assert len(anchors["throughput"]) == 45
         assert sorted(anchors["depths"]) == ["1", "2", "3", "4", "5"]
 
 

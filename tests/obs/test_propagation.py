@@ -1,7 +1,7 @@
 """Propagation-edge tests: spans must stay connected across every hop —
-HTTP (client -> server header), pool threads, shipped worker reports,
-and the full fleet path (submit -> route -> job -> dispatch -> stages ->
-stream shards) — while digests stay bit-identical with tracing on."""
+HTTP (client -> server header), pool threads, and the full fleet path
+(submit -> route -> job -> dispatch -> stages -> stream shards) — while
+digests stay bit-identical with tracing on."""
 
 import hashlib
 import json
@@ -137,12 +137,11 @@ class TestHttpPropagation:
 
 
 class TestWorkerHandoff:
-    def test_run_many_thread_workers_join_the_trace(self):
+    def test_run_many_workloads_join_the_trace(self):
         trace.enable()
         session = Session()
         with trace.span("root") as root:
-            session.run_many([workload("blur"), workload("jacobi")],
-                             max_workers=2, executor="threads")
+            session.run_many([workload("blur"), workload("jacobi")])
         spans = trace.global_store().get(root.trace_id)
         names = [s["name"] for s in spans]
         assert "session.run_many" in names
@@ -150,7 +149,6 @@ class TestWorkerHandoff:
         run_many = next(s for s in spans
                         if s["name"] == "session.run_many")
         runs = [s for s in spans if s["name"] == "session.run"]
-        # pool threads re-entered the captured context explicitly
         assert all(s["parent_id"] == run_many["span_id"] for s in runs)
 
     def test_stream_shards_parent_under_the_explore_span(
@@ -160,8 +158,7 @@ class TestWorkerHandoff:
         with trace.span("root") as root:
             explore_stream(space, characterizations,
                            explorer.throughput_model, 128, 96,
-                           usable_luts=usable, chunk_rows=2,
-                           jobs=2, executor="threads")
+                           usable_luts=usable, chunk_rows=2, jobs=2)
         spans = trace.global_store().get(root.trace_id)
         explore = next(s for s in spans if s["name"] == "stream.explore")
         shards = [s for s in spans if s["name"] == "stream.shard"]
@@ -170,54 +167,18 @@ class TestWorkerHandoff:
         assert sum(s["attributes"]["chunks"] for s in shards) \
             == explore["attributes"]["chunks"]
 
-    def test_cold_recorder_workers_ship_spans_through_the_report(
-            self, stream_inputs, monkeypatch):
-        """A process worker starts with the recorder off; its spans must
-        ride home inside the fold report (capture -> absorb).  Simulated
-        in-process by running each shard fold under a disabled recorder,
-        which is exactly the child interpreter's state.  The shards run
-        one after the other (``serial``): the recorder state is
-        process-global, so two simulated workers on two threads would
-        swap it under each other."""
-        import repro.dse.stream as stream_mod
-
-        real_fold = stream_mod._fold_chunk_shard
-
-        def child_like(payload):
-            saved = (trace._ENABLED, trace._SINKS)
-            trace._ENABLED, trace._SINKS = False, ()
-            try:
-                return real_fold(payload)
-            finally:
-                trace._ENABLED, trace._SINKS = saved
-
-        monkeypatch.setattr(stream_mod, "_fold_chunk_shard", child_like)
-        explorer, space, characterizations, usable = stream_inputs
-        trace.enable()
-        with trace.span("root") as root:
-            explore_stream(space, characterizations,
-                           explorer.throughput_model, 128, 96,
-                           usable_luts=usable, chunk_rows=2,
-                           jobs=2, executor="serial")
-        spans = trace.global_store().get(root.trace_id)
-        shards = [s for s in spans if s["name"] == "stream.shard"]
-        explore = next(s for s in spans if s["name"] == "stream.explore")
-        assert len(shards) == 2  # absorbed, not recorded live
-        assert all(s["parent_id"] == explore["span_id"] for s in shards)
-
     def test_digests_are_bit_identical_with_tracing_on(
             self, stream_inputs):
         explorer, space, characterizations, usable = stream_inputs
         untraced = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=2,
-                                  jobs=2, executor="threads")
+                                  usable_luts=usable, chunk_rows=2, jobs=2)
         trace.enable()
         with trace.span("root"):
             traced = explore_stream(space, characterizations,
                                     explorer.throughput_model, 128, 96,
                                     usable_luts=usable, chunk_rows=2,
-                                    jobs=2, executor="threads")
+                                    jobs=2)
         assert serialized_points(traced.pareto) \
             == serialized_points(untraced.pareto)
         assert traced.admitted_rows == untraced.admitted_rows
@@ -228,9 +189,7 @@ class TestFleetTrace:
         # both runs start with a cold process-global mask cache, so the
         # streamed metadata (mask_cache_hit) matches too
         clear_stream_caches()
-        # same stream executor as the fleet workers' schedulers, so the
-        # result metadata (worker fan-out) matches bit-for-bit too
-        reference = digest(Session(stream_executor="threads").run(
+        reference = digest(Session().run(
             workload(stream=True, chunk_rows=2, stream_jobs=2)))
         clear_stream_caches()
         with FleetRouter.local(2, healthcheck_interval_s=0) as fleet:

@@ -1,5 +1,5 @@
 """Unit tests for repro.obs.trace: span trees, the header codec, the
-ring-buffer store, worker capture/absorb, and the exporters."""
+ring-buffer store, span capture, and the exporters."""
 
 import json
 import threading
@@ -90,9 +90,7 @@ class TestDisabledPath:
         assert trace.current_ids() == (None, None)
         assert trace.header_value() is None
 
-    def test_absorb_and_adopt_are_noops_when_disabled(self):
-        assert trace.absorb(None) == 0
-        assert trace.absorb([{"trace_id": "x"}]) == 0
+    def test_adopt_is_a_noop_when_disabled(self):
         with trace.adopt({"trace_id": "a" * 32, "span_id": "b" * 16}):
             assert trace.current_ids() == (None, None)
 
@@ -120,26 +118,22 @@ class TestHeaderCodec:
         assert parsed == {"trace_id": "a" * 32, "span_id": "b" * 16}
 
 
-class TestCaptureAbsorb:
-    def test_worker_capture_ships_spans_parent_absorbs(self):
-        # child-process side: recording starts disabled, capture() turns
-        # it on into a plain list the worker ships back in its report
+class TestCapture:
+    def test_capture_records_spans_into_a_list(self):
+        # recording starts disabled; capture() turns it on into a plain
+        # list and restores the previous state on exit
         assert not trace.enabled()
-        shipped = []
+        captured = []
         payload = {"trace_id": "c" * 32, "span_id": "d" * 16}
-        with trace.capture(shipped):
+        with trace.capture(captured):
             with trace.adopt(payload):
                 with trace.span("stream.shard", chunks=3):
                     pass
-        assert not trace.enabled()  # capture restored the previous state
-        assert len(shipped) == 1
-        assert shipped[0]["trace_id"] == "c" * 32
-        assert shipped[0]["parent_id"] == "d" * 16
-        # parent side: absorb re-records into the live store
-        store = recorded_store()
-        assert trace.absorb(shipped) == 1
-        assert trace.absorb([{"no": "trace_id"}, None]) == 0
-        assert [s["name"] for s in store.get("c" * 32)] == ["stream.shard"]
+        assert not trace.enabled()
+        assert len(captured) == 1
+        assert captured[0]["name"] == "stream.shard"
+        assert captured[0]["trace_id"] == "c" * 32
+        assert captured[0]["parent_id"] == "d" * 16
 
 
 class TestTraceStore:

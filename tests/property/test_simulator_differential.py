@@ -33,7 +33,6 @@ from repro.simulation.cone_simulator import (
 from repro.simulation.frame import FrameSet
 from repro.simulation.framebuffer_baseline import FrameBufferArchitecture
 from repro.simulation.golden import GoldenExecutor
-from repro.simulation.vectorized import supports_vectorized
 from repro.synth.fpga_device import VIRTEX6_XC6VLX760
 
 #: Single-state-field algorithms cheap enough for randomized sweeps (the
@@ -320,47 +319,3 @@ def test_run_batch_multi_field():
         single = simulator.run(frames, 1, 2, mode="region")
         assert_frames_identical(batched[position], single,
                                 f"chamb batch[{position}]")
-
-
-# ---------------------------------------------------------------------- #
-# the override-fallback contract
-
-
-class _PaddedRegionSimulator(FunctionalConeSimulator):
-    """Subclass overriding a scalar hook: must disable the fast path."""
-
-    def _evaluate_tile_region(self, *args, **kwargs):
-        result = super()._evaluate_tile_region(*args, **kwargs)
-        return {name: arrays + 1000.0 for name, arrays in result.items()}
-
-
-def test_overridden_scalar_hook_disables_vectorized_path():
-    kernel = get_algorithm("blur").kernel()
-    custom = _PaddedRegionSimulator(kernel)
-    assert supports_vectorized(FunctionalConeSimulator(kernel))
-    assert not supports_vectorized(custom)
-    frames = FrameSet.for_kernel(kernel, 6, 6, seed=3)
-    result = custom.run(frames, 1, 2, mode="region")
-    # the override's +1000 must be visible: run() fell back to the scalar
-    # walk instead of silently bypassing the subclass's semantics
-    assert float(result["f"].data.min()) > 900.0
-
-
-def test_cycle_simulator_override_fallback():
-    import dataclasses
-
-    class _Tweaked(TileCascadeCycleSimulator):
-        def simulate_frame_scalar(self, architecture, cone_performance,
-                                  frame_width, frame_height):
-            result = super().simulate_frame_scalar(
-                architecture, cone_performance, frame_width, frame_height)
-            return dataclasses.replace(result, architecture_label="tweaked")
-
-    architecture = ConeArchitecture(kernel_name="blur", window_side=4,
-                                    level_depths=[2, 2],
-                                    cone_counts={2: 2}, radius=1)
-    performance = {2: ConePerformance(2, 4, 4)}
-    tweaked = _Tweaked(VIRTEX6_XC6VLX760)
-    assert not supports_vectorized(tweaked)
-    result = tweaked.simulate_frame(architecture, performance, 64, 64)
-    assert result.architecture_label == "tweaked"

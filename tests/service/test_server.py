@@ -97,6 +97,18 @@ class TestHttpTransport:
             urllib.request.urlopen(request, timeout=5)
         assert excinfo.value.code == 400
 
+    def test_bad_stream_knob_is_a_400_at_submit(self, http_server):
+        server, url = http_server
+        payload = dict(workload().to_dict(), stream_jobs=True)
+        request = urllib.request.Request(
+            url + "/submit", data=json.dumps({"workload": payload}).encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert "stream_jobs" in json.loads(excinfo.value.read())["error"]
+        assert server.queue.stats_snapshot()["submitted"] == 0
+
     def test_bad_url_scheme_rejected(self):
         with pytest.raises(ValueError):
             ReproClient("ftp://example.org")
