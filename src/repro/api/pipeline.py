@@ -8,7 +8,8 @@ them as named, independently runnable steps over one :class:`Workload`:
     inline kernel).
 ``analyze``
     Semantic analysis plus symbolic ISL verification (domain narrowness,
-    translation invariance).
+    translation invariance), and a check that no divisor folds to the
+    constant zero.
 ``characterize``
     Cone characterization and Equation-1 area-model calibration — the
     expensive, cacheable step (the only one that runs the synthesizer).
@@ -79,7 +80,8 @@ class Pipeline:
 
     @property
     def explorer(self) -> DesignSpaceExplorer:
-        """The (possibly session-shared) explorer driving stages 3-5."""
+        """The (possibly session-shared) explorer driving stages 3-5; the
+        analyze stage reads its divisor check."""
         if self._explorer is None:
             self._explorer = build_explorer(self.workload)
         return self._explorer
@@ -158,6 +160,13 @@ class Pipeline:
             raise PipelineError(
                 f"kernel {kernel.name!r} is outside the ISL class the flow "
                 f"targets: {invariance.detail}")
+        # checked once per explorer, which sessions share between
+        # workloads of one kernel and params
+        divisor = self.explorer.zero_divisor
+        if divisor is not None:
+            raise PipelineError(
+                f"kernel {kernel.name!r} divides by {divisor}, which folds "
+                f"to the constant zero")
         return {"properties": properties, "invariance": invariance}
 
     def _stage_characterize(self) -> Dict[str, Any]:

@@ -106,8 +106,8 @@ class BackendError(KeyError):
 class SynthesizerBackend(Protocol):
     """What the flow needs from a synthesis backend (the ISE/Vivado role).
 
-    Besides synthesizing one cone datapath, a backend keeps the two counters
-    the session accounting folds into :class:`repro.api.SessionStats`.
+    Besides synthesizing one cone, a backend keeps the two counters the
+    session accounting folds into :class:`repro.api.SessionStats`.
     """
 
     #: Number of synthesis runs performed by this backend instance.
@@ -115,8 +115,13 @@ class SynthesizerBackend(Protocol):
     #: Cumulative tool CPU time of those runs (seconds).
     total_tool_runtime_s: float
 
-    def synthesize(self, graph: Any) -> SynthesisReport:
-        """Synthesize one :class:`~repro.ir.dfg.DataflowGraph`."""
+    def synthesize(self, cone: Any) -> SynthesisReport:
+        """Synthesize one cone, a
+        :class:`~repro.symbolic.cone_expression.ConeExpressions`.
+
+        A backend that wants the cone's dataflow graph lowers it with
+        :func:`~repro.ir.dfg.build_dfg_from_cone`.
+        """
         ...
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -28,14 +29,14 @@ from repro.estimation.area_model import (
     validate_against_synthesis,
 )
 from repro.estimation.throughput_model import ThroughputModel
-from repro.frontend.kernel_ir import StencilKernel
+from repro.frontend.kernel_ir import KernelExpr, StencilKernel
 from repro.frontend.semantic import KernelProperties, validate_kernel
-from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat, OperatorLibrary, default_library
 from repro.obs import trace as obs_trace
 from repro.symbolic.cone_expression import ConeExpressionBuilder
+from repro.symbolic.invariance import constant_zero_divisor
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
-from repro.synth.synthesizer import Synthesizer
+from repro.synth.synthesizer import Synthesizer, tool_runtime_s
 
 
 @dataclass
@@ -218,8 +219,13 @@ class DesignSpaceExplorer:
     :func:`repro.api.pipeline.build_explorer` — slot in without subclassing:
 
     * ``synthesizer_factory(device=..., library=...)`` builds the synthesis
-      backend (must expose ``synthesize()``, ``runs``,
-      ``total_tool_runtime_s``);
+      backend: ``synthesize(cone)`` takes a
+      :class:`~repro.symbolic.cone_expression.ConeExpressions` and returns
+      a :class:`~repro.synth.synthesizer.SynthesisReport`, and the backend
+      counts its ``runs`` and ``total_tool_runtime_s``.  The cones of one
+      ``characterize_cones`` call share a DAG and its memo, so a backend
+      can reuse per-node work across them; one that wants a dataflow graph
+      lowers the cone with :func:`~repro.ir.dfg.build_dfg_from_cone`;
     * ``area_model_factory(library=...)`` builds one Equation-1-style
       estimator per depth family (``calibrate()``/``estimate_series()``);
     * ``throughput_model_factory(device=..., data_format=...,
@@ -300,6 +306,12 @@ class DesignSpaceExplorer:
         # (accounting reads may come from other threads mid-exploration)
         self._cache_lock = threading.Lock()
 
+    @cached_property
+    def zero_divisor(self) -> Optional[KernelExpr]:
+        """A divisor of the kernel that folds to the constant zero under
+        this explorer's params, or ``None``; checked once per explorer."""
+        return constant_zero_divisor(self.kernel, self._params)
+
     # ------------------------------------------------------------------ #
     # phase 1: cone characterisation and area-model calibration
 
@@ -312,8 +324,9 @@ class DesignSpaceExplorer:
         ``(depth, window family)``, so exploring the same kernel with a
         different total iteration count only pays for depth families it has
         not met before.  The families this call characterizes share one
-        cone builder, so each element of their cones is expanded once; the
-        builder and its DAG are dropped on return.
+        cone builder, so each element of their cones is expanded once and
+        the synthesizer maps and schedules each DAG node once; the builder,
+        its DAG and the DAG memo are dropped on return.
         """
         space = self._space(total_iterations)
         shapes = space.distinct_shapes()
@@ -385,10 +398,8 @@ class DesignSpaceExplorer:
 
             calibration_slot = windows.index(window) < self.calibration_windows_per_depth
             if calibration_slot or self.synthesize_all:
-                with obs_trace.span("dfg.lower", window=window, depth=depth):
-                    dfg = build_dfg_from_cone(cone)
                 with obs_trace.span("synth.run", window=window, depth=depth):
-                    report = self.synthesizer.synthesize(dfg)
+                    report = self.synthesizer.synthesize(cone)
                 characterization.actual_area_luts = report.area.luts
                 characterization.latency_cycles = report.timing.latency_cycles
                 characterization.synthesized = True
@@ -560,8 +571,6 @@ class DesignSpaceExplorer:
         avoided = 0.0
         for characterization in characterizations.values():
             if not characterization.synthesized:
-                # approximate with the same runtime model the synthesiser uses,
-                # fed with the estimated area.
-                luts = characterization.estimated_area_luts
-                avoided += 40.0 + 90.0 * (max(luts, 0.0) / 10_000.0) ** 1.15
+                # the synthesiser's runtime model, fed with the estimated area
+                avoided += tool_runtime_s(characterization.estimated_area_luts)
         return avoided

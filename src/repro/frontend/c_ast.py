@@ -12,8 +12,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 
-class CParseError(SyntaxError):
-    """Raised on any lexical or syntactic error in the C source."""
+class CParseError(SyntaxError, ValueError):
+    """Raised on any lexical or syntactic error in the C source.
+
+    It is a ``ValueError`` too, so callers that reject bad input by that
+    type (the HTTP service answers 400, the CLI exits 2) reject bad C the
+    same way.
+    """
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         location = f" (line {line}, column {column})" if line else ""

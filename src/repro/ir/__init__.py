@@ -2,8 +2,9 @@
 
 The symbolic expression DAG of a cone is lowered to an explicit dataflow
 graph whose nodes carry hardware operator information (delay and resource
-cost per data format).  The DFG is what the VHDL generator emits and what the
-synthesis simulator maps onto the FPGA fabric.
+cost per data format).  The DFG is the code generator's view of a cone: the
+VHDL writer emits it and pipelines it with :func:`pipeline_schedule`.  The
+synthesis simulator works on the shared cone DAG itself and lowers nothing.
 """
 
 from repro.ir.operators import (
@@ -14,14 +15,7 @@ from repro.ir.operators import (
     default_library,
 )
 from repro.ir.dfg import DfgNode, NodeKind, DataflowGraph, build_dfg_from_cone
-from repro.ir.cse import eliminate_common_subexpressions, dead_code_elimination
-from repro.ir.scheduling import (
-    Schedule,
-    asap_schedule,
-    alap_schedule,
-    pipeline_schedule,
-    critical_path_ns,
-)
+from repro.ir.scheduling import Schedule, pipeline_schedule
 
 __all__ = [
     "DataFormat",
@@ -33,11 +27,6 @@ __all__ = [
     "NodeKind",
     "DataflowGraph",
     "build_dfg_from_cone",
-    "eliminate_common_subexpressions",
-    "dead_code_elimination",
     "Schedule",
-    "asap_schedule",
-    "alap_schedule",
     "pipeline_schedule",
-    "critical_path_ns",
 ]

@@ -1,9 +1,11 @@
 """Dataflow graph (DFG) of a cone datapath.
 
-The DFG is the hardware-facing view of the cone: inputs are the level-0
+The DFG is the code generator's view of the cone: inputs are the level-0
 window elements the cone reads from the previous level (or from on-chip
 memory), constants are kernel coefficients, operation nodes are the
 arithmetic units, and outputs are the elements of the cone's output window.
+Characterization never lowers a cone; the synthesizer reads the shared cone
+DAG directly, in the node order :func:`build_dfg_from_cone` gives the DFG.
 """
 
 from __future__ import annotations
@@ -142,13 +144,6 @@ class DataflowGraph:
     def operation_count(self) -> int:
         return len(self.operation_nodes)
 
-    def operation_histogram(self) -> Dict[OpKind, int]:
-        histogram: Dict[OpKind, int] = {}
-        for node in self.operation_nodes:
-            assert node.op_kind is not None
-            histogram[node.op_kind] = histogram.get(node.op_kind, 0) + 1
-        return histogram
-
     @property
     def register_count(self) -> int:
         """Registers needed with full data reuse: one per op node plus one per input."""
@@ -264,15 +259,14 @@ def build_dfg_from_cone(cone: ConeExpressions, name: str = "") -> DataflowGraph:
 
     The lowering preserves sharing exactly: every distinct expression node
     becomes one DFG node, so the register reuse achieved by the symbolic layer
-    carries over to the hardware view.  Operands are lowered in the cone's
-    order (:meth:`ConeExpressions.operands`), which fixes the DFG node order.
+    carries over to the hardware view.  Outputs are lowered in the cone's
+    port order (:meth:`ConeExpressions.ordered_outputs`) and operands in the
+    cone's order (:meth:`ConeExpressions.operands`), which fixes the DFG
+    node order.
     """
-    graph = DataflowGraph(name or f"{cone.kernel_name}_w{cone.domain.window_side}"
-                                  f"_d{cone.domain.depth}")
+    graph = DataflowGraph(name or cone.name)
     mapping: Dict[int, int] = {}
-    for (field, component, offset), expr in sorted(
-            cone.outputs.items(),
-            key=lambda item: (item[0][0], item[0][1], item[0][2].dy, item[0][2].dx)):
+    for (field, component, offset), expr in cone.ordered_outputs():
         source = _lower(expr, cone, graph, mapping)
         graph.add_output(
             source,

@@ -97,10 +97,6 @@ class OperatorSpec:
     resources: ResourceVector
     is_constant_operand: bool = False
 
-    def with_delay(self, delay_ns: float) -> "OperatorSpec":
-        return OperatorSpec(self.kind, delay_ns, self.resources,
-                            self.is_constant_operand)
-
 
 def _fixed_catalog(width: int) -> Dict[str, OperatorSpec]:
     """Build the operator catalog for a fixed-point datapath of ``width`` bits.

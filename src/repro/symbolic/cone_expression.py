@@ -39,16 +39,25 @@ of rank order (:attr:`ConeExpressions.swapped`).
 :meth:`ConeExpressions.operands` gives every consumer, such as the DFG
 lowering, the operands in a private build's order.
 
-**Threads.**  A builder, with its DAG and records, is single-threaded.  The
-explorer scopes one to each ``characterize_cones`` call and drops it on
-return, so no long-lived object keeps a DAG alive.
+**The DAG memo.**  Whatever a consumer derives from one DAG node holds in
+every cone that contains it.  So the builder keeps one memo dict per DAG,
+and every cone it builds carries it (:attr:`ConeExpressions.dag_memo`).
+Consumers key their part of it by everything their per-node data depends
+on: the synthesizer keeps each node's operator cost, ASAP finish time,
+pipeline stage and stage-crossing registers under its operator library and
+clock, and computes them once per distinct node however many cones share
+it.  The memo dies with the builder and its cones; no consumer keeps it.
+
+**Threads.**  A builder, with its DAG, records and memo, is
+single-threaded.  The explorer scopes one to each ``characterize_cones``
+call and drops it on return, so no long-lived object keeps a DAG alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Any, Dict, FrozenSet, Hashable, Iterable, List, Mapping,
+                    Optional, Set, Tuple)
 
 from repro.utils.geometry import Offset, Window
 from repro.utils.validation import check_positive
@@ -95,6 +104,9 @@ class ConeExpressions:
     swapped:
         Ids of the commutative operations whose operands this cone orders
         the other way round from the shared DAG (see :meth:`operands`).
+    dag_memo:
+        The per-DAG memo shared by every cone of one builder: consumer key
+        -> that consumer's per-node data (see the module docstring).
     """
 
     kernel_name: str
@@ -106,6 +118,14 @@ class ConeExpressions:
     input_symbols: List[FieldSymbol]
     swapped: FrozenSet[int] = field(default=frozenset(), repr=False,
                                     compare=False)
+    dag_memo: Dict[Hashable, Any] = field(default_factory=dict, repr=False,
+                                          compare=False)
+
+    @property
+    def name(self) -> str:
+        """``<kernel>_w<window>_d<depth>``: the cone's design name."""
+        return (f"{self.kernel_name}_w{self.domain.window_side}"
+                f"_d{self.domain.depth}")
 
     @property
     def operation_count(self) -> int:
@@ -123,6 +143,14 @@ class ConeExpressions:
     def critical_path_depth(self) -> int:
         """Longest operator chain from any input to any output (DAG depth)."""
         return max((expr.depth for expr in self.outputs.values()), default=0)
+
+    def ordered_outputs(self) -> List[Tuple[Tuple[str, int, Offset],
+                                            Expression]]:
+        """``(port, expression)`` of every output in port order: by field,
+        component, row, then column."""
+        return sorted(self.outputs.items(),
+                      key=lambda item: (item[0][0], item[0][1],
+                                        item[0][2].dy, item[0][2].dx))
 
     def operands(self, node: Operation) -> Tuple[Expression, ...]:
         """``node``'s operands in the order a builder private to this cone
@@ -194,6 +222,8 @@ class ConeExpressionBuilder:
         #: without repeats: ids of the nodes its builder calls yielded and
         #: markers of the lower-level expansions it asked for.
         self._records: Dict[int, Tuple[int, ...]] = {}
+        #: The DAG memo every cone of this builder carries.
+        self._dag_memo: Dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -242,6 +272,7 @@ class ConeExpressionBuilder:
             operation_counts=operation_counts,
             input_symbols=symbols,
             swapped=swapped,
+            dag_memo=self._dag_memo,
         )
 
     # ------------------------------------------------------------------ #

@@ -105,6 +105,12 @@ class SymbolicExecutor:
             expressions[(update.field_name, update.component)] = expr
         return SymbolicFrame(target=target, expressions=expressions)
 
+    def convert(self, expr: KernelExpr,
+                target: Offset = Offset(0, 0)) -> Expression:
+        """One kernel expression for the element at ``target``, with state
+        reads as level-0 symbols."""
+        return self._convert(expr, target, 0, None)
+
     # ------------------------------------------------------------------ #
 
     def _convert(self, expr: KernelExpr, target: Offset, source_level: int,

@@ -5,16 +5,18 @@ subscripts must be ``loop index + constant``).  This module additionally
 verifies the property *semantically*, by symbolically executing the kernel at
 two different target elements and checking that the resulting expressions are
 identical up to a translation of the leaf symbols — which is the definition
-given in Section 2 of the paper.
+given in Section 2 of the paper.  It also finds divisors that fold to the
+constant zero, which no cone of the kernel could be built with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.utils.geometry import Offset
-from repro.frontend.kernel_ir import StencilKernel
+from repro.frontend.kernel_ir import (BinaryOp, BinOpKind, KernelExpr,
+                                      StencilKernel)
 from repro.frontend.semantic import MAX_NARROW_FOOTPRINT, MAX_NARROW_RADIUS
 from repro.symbolic.dependency import analyze_footprint
 from repro.symbolic.executor import SymbolicExecutor
@@ -134,3 +136,32 @@ def verify_kernel(kernel: StencilKernel) -> InvarianceReport:
         footprint_size=footprint.size,
         detail="; ".join(details),
     )
+
+
+def constant_zero_divisor(kernel: StencilKernel,
+                          params: Optional[Mapping[str, float]] = None
+                          ) -> Optional[KernelExpr]:
+    """A divisor of ``kernel`` that folds to the constant zero, or ``None``.
+
+    Cone construction folds constants and rejects a division by a constant
+    zero with :class:`ZeroDivisionError`.  This finds such a divisor before
+    any cone is built.  A divisor folds the same way wherever it appears,
+    so each one is folded on its own, with field reads as symbols and the
+    kernel's parameters overridden by ``params``.  (A divisor that folds to
+    zero only once an earlier iteration has folded a state field to a
+    constant still meets the builder's check.)
+    """
+    executor = SymbolicExecutor(kernel, ExpressionBuilder(), params)
+    stack: List[KernelExpr] = [update.expr for update in kernel.updates]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children())
+        if not (isinstance(node, BinaryOp) and node.kind is BinOpKind.DIV):
+            continue
+        try:
+            divisor = executor.convert(node.right)
+        except ZeroDivisionError:
+            continue  # a division inside this divisor: the walk meets it
+        if isinstance(divisor, Constant) and divisor.value == 0.0:
+            return node.right
+    return None

@@ -19,7 +19,27 @@ import math
 from dataclasses import dataclass
 
 from repro.ir.operators import ResourceVector
-from repro.synth.technology_map import MappedDesign
+
+
+@dataclass(frozen=True)
+class MappedDesign:
+    """Pre-optimisation resource usage of one datapath.
+
+    Every operation costs its operator's resources, every datapath register
+    (data-reuse and pipeline registers) costs flip-flops plus packing LUTs,
+    and every output element is driven through an output register.
+    """
+
+    name: str
+    operation_resources: ResourceVector
+    register_resources: ResourceVector
+    io_resources: ResourceVector
+    register_count: int
+    operation_count: int
+
+    @property
+    def total(self) -> ResourceVector:
+        return self.operation_resources + self.register_resources + self.io_resources
 
 
 def _deterministic_ripple(key: str, amplitude: float) -> float:

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.ir.dfg import DataflowGraph
-from repro.ir.operators import OperatorLibrary, default_library
-from repro.ir.scheduling import Schedule, critical_path_ns, pipeline_schedule
+from repro.ir.scheduling import Schedule
 from repro.synth.fpga_device import FpgaDevice
 
 
@@ -32,36 +29,23 @@ class TimingModel:
     that period; the resulting pipeline depth is the core latency.
     """
 
-    def __init__(self, device: FpgaDevice,
-                 library: Optional[OperatorLibrary] = None) -> None:
+    def __init__(self, device: FpgaDevice) -> None:
         self.device = device
-        self.library = library or default_library()
 
     @property
     def target_period_ns(self) -> float:
         return 1e9 / self.device.typical_clock_hz
 
-    def analyze(self, graph: DataflowGraph,
-                schedule: Optional[Schedule] = None) -> TimingReport:
-        """Timing of ``graph``; pass the graph's :meth:`schedule` when the
-        caller already has it."""
-        period = self.target_period_ns
-        if schedule is None:
-            schedule = self.schedule(graph)
+    def analyze(self, schedule: Schedule) -> TimingReport:
+        """Timing of a cone pipelined by ``schedule`` at the target period."""
         frequency = min(self.device.typical_clock_hz, schedule.max_frequency_hz)
         latency_s = schedule.latency_cycles / frequency if frequency > 0 else float("inf")
         return TimingReport(
             critical_path_ns=schedule.critical_path_ns,
-            clock_period_ns=period,
+            clock_period_ns=self.target_period_ns,
             achieved_frequency_hz=frequency,
             pipeline_stages=schedule.pipeline_stages,
             latency_cycles=schedule.latency_cycles,
             latency_seconds=latency_s,
             initiation_interval=schedule.initiation_interval,
         )
-
-    def schedule(self, graph: DataflowGraph) -> Schedule:
-        return pipeline_schedule(graph, self.target_period_ns, self.library)
-
-    def combinational_delay(self, graph: DataflowGraph) -> float:
-        return critical_path_ns(graph, self.library)

@@ -1,0 +1,88 @@
+"""Bad C source fails with a typed error, never a crash.
+
+Seeded character-level mutations of the IGF C source go through the front
+door (``Workload(c_source=...)``), then the analyze and characterize stages.
+Each one either succeeds or raises one of the flow's typed input errors:
+the ones the service answers with a 400 at submit (``CParseError``,
+``ExtractionError``, ``KernelValidationError``) or the ``PipelineError`` a
+stage raises for a kernel it cannot compile.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from repro.algorithms import IGF_C_SOURCE
+from repro.api import Pipeline, PipelineError, Session, Workload
+from repro.frontend import CParseError
+from repro.frontend.extractor import ExtractionError
+from repro.frontend.kernel_ir import KernelValidationError
+
+TYPED_ERRORS = (CParseError, ExtractionError, KernelValidationError,
+                PipelineError)
+TINY = dict(iterations=2, window_sides=(1, 2), max_depth=1,
+            max_cones_per_depth=1, frame_width=16, frame_height=16)
+#: What a mutation may insert: C punctuation, digits, letters, whitespace.
+ALPHABET = "+-*/%<>=!&|()[]{};,.?:#_0123456789xyfWHCEDint \n"
+CASES = 300
+SEED = 20261017
+
+
+def mutate(source, rng):
+    """``source`` with one to three character deletions, insertions or
+    replacements."""
+    chars = list(source)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars))
+        edit = rng.choice(("delete", "insert", "replace"))
+        if edit == "delete":
+            del chars[at]
+        elif edit == "insert":
+            chars.insert(at, rng.choice(ALPHABET))
+        else:
+            chars[at] = rng.choice(ALPHABET)
+    return "".join(chars)
+
+
+def compile_c(source):
+    """Run ``source`` through analyze and characterize; return the outcome."""
+    try:
+        pipeline = Pipeline(Workload(c_source=source, **TINY))
+        pipeline.run_stage("analyze")
+        pipeline.run_stage("characterize")
+    except TYPED_ERRORS as error:
+        return type(error).__name__
+    return "accepted"
+
+
+def test_mutated_c_sources_fail_only_with_typed_errors():
+    rng = random.Random(SEED)
+    outcomes = Counter()
+    for _ in range(CASES):
+        source = mutate(IGF_C_SOURCE, rng)
+        try:
+            outcomes[compile_c(source)] += 1
+        except Exception as error:  # an untyped failure: show the input
+            pytest.fail(f"{type(error).__name__}: {error}\n{source}")
+    assert sum(outcomes.values()) == CASES
+    # the fuzz exercises both sides: rejected and compiled sources
+    assert outcomes["CParseError"] and outcomes["accepted"]
+
+
+def test_a_constant_zero_divisor_is_rejected_by_analyze():
+    source = IGF_C_SOURCE.replace("W_C * f[y][x]", "W_C * f[y][x] / 0", 1)
+    assert source != IGF_C_SOURCE
+    assert compile_c(source) == "PipelineError"
+    session = Session()
+    with pytest.raises(PipelineError, match="constant zero"):
+        session.run(Workload(c_source=source, **TINY))
+    assert session.stats.synthesis_runs == 0
+
+
+def test_a_divisor_that_folds_to_zero_is_rejected_by_analyze():
+    source = IGF_C_SOURCE.replace("W_C * f[y][x]",
+                                  "W_C * f[y][x] / (f[y][x] - f[y][x])", 1)
+    pipeline = Pipeline(Workload(c_source=source, **TINY))
+    with pytest.raises(PipelineError, match="constant zero"):
+        pipeline.run_stage("analyze")

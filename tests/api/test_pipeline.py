@@ -60,6 +60,15 @@ class TestStages:
         with pytest.raises(PipelineError, match="narrow|outside the ISL class"):
             pipeline.run_stage("analyze")
 
+    def test_a_parameter_that_zeroes_a_divisor_fails_in_analyze(self):
+        pipeline = Pipeline(Workload.from_algorithm(
+            "chamb", params={"lambda": 0.0}, **SMALL))
+        with pytest.raises(PipelineError,
+                           match="divides by lambda, which folds to the "
+                                 "constant zero"):
+            pipeline.run_stage("analyze")
+        assert not pipeline.has_run("characterize")
+
     def test_observer_sees_every_stage(self):
         events = []
         pipeline = Pipeline(

@@ -122,6 +122,31 @@ class TestCustomBackendEndToEnd:
         assert any(c.synthesized
                    for c in result.exploration.characterizations.values())
 
+    def test_a_synthesizer_backend_receives_the_cone(self, scratch_backend):
+        """The migration path: a backend that wants a dataflow graph lowers
+        the cone it is given."""
+        from repro.ir.dfg import build_dfg_from_cone
+        from repro.symbolic.cone_expression import ConeExpressions
+
+        lowered = []
+
+        class LoweringSynthesizer(Synthesizer):
+            def synthesize(self, cone):
+                assert isinstance(cone, ConeExpressions)
+                lowered.append(build_dfg_from_cone(cone).name)
+                return super().synthesize(cone)
+
+        scratch_backend("synthesizer", "lowering", LoweringSynthesizer)
+        workload = Workload.from_algorithm("blur", **SMALL)
+        result = Session().run(workload.replace(synthesizer="lowering"))
+        synthesized = sorted(
+            key for key, c in result.exploration.characterizations.items()
+            if c.synthesized)
+        assert sorted(lowered) == sorted(f"blur_w{w}_d{d}"
+                                         for w, d in synthesized)
+        assert result.to_dict()["exploration"] \
+            == Session().run(workload).to_dict()["exploration"]
+
     def test_custom_area_estimator_changes_estimates(self, scratch_backend):
         class InflatedAreaModel(RegisterAreaModel):
             def estimate_series(self, register_counts):

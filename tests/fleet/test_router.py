@@ -274,6 +274,20 @@ class TestHttpFleet:
         assert digest(client.run(workload(), timeout=120)) \
             == reference["blur"]
 
+    def test_http_unparsable_c_source_is_a_400(self, http_fleet):
+        from repro.algorithms import IGF_C_SOURCE
+
+        _fleet, url, _reference = http_fleet
+        bad = IGF_C_SOURCE.replace("for (int y", "for (int y(", 1)
+        payload = dict(workload().to_dict(), algorithm=None, c_source=bad)
+        request = urllib.request.Request(
+            url + "/submit", data=json.dumps({"workload": payload}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 400
+        assert json.loads(caught.value.read())["kind"] == "CParseError"
+
     def test_http_shed_carries_503_and_retry_after(self, tmp_path):
         with FleetRouter.local(1, store=tmp_path, max_pending=1,
                                healthcheck_interval_s=0,

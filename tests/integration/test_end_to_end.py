@@ -32,7 +32,7 @@ class TestCSourceToVhdl:
         graph = build_dfg_from_cone(cone)
         module = VhdlWriter(DataFormat.FIXED16).generate(graph)
         assert "entity" in module.code
-        report = Synthesizer(VIRTEX6_XC6VLX760).synthesize(graph)
+        report = Synthesizer(VIRTEX6_XC6VLX760).synthesize(cone)
         assert report.area.luts > 0
 
     def test_flow_from_c_source_produces_pareto_set(self):

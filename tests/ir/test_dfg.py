@@ -29,10 +29,6 @@ class TestConstruction:
         assert len(graph.output_nodes) == 2
         assert graph.register_count == 4  # 2 ops + 2 inputs
 
-    def test_operation_histogram(self):
-        histogram = make_simple_graph().operation_histogram()
-        assert histogram == {OpKind.ADD: 1, OpKind.MUL: 1}
-
     def test_unknown_operand_rejected(self):
         graph = DataflowGraph()
         with pytest.raises(KeyError):
@@ -114,6 +110,22 @@ class TestLoweringFromCone:
         output_names = [n.name for n in graph.output_nodes]
         assert len(set(input_names)) == len(input_names)
         assert len(set(output_names)) == len(output_names)
+
+    def test_cone_lowered_graph_is_already_maximally_shared(self,
+                                                            igf_kernel):
+        """Hash-consing in the symbolic layer leaves no two structurally
+        equal nodes in the lowered graph."""
+        cone = ConeExpressionBuilder(igf_kernel).build(3, 2)
+        graph = build_dfg_from_cone(cone)
+        structures = set()
+        for node in graph.topological_order():
+            operands = node.operands
+            if node.kind is NodeKind.OP and node.op_kind.is_commutative:
+                operands = tuple(sorted(operands))
+            structure = (node.kind, node.op_kind, node.value, operands,
+                         node.port)
+            assert structure not in structures, node.name
+            structures.add(structure)
 
     def test_lowered_graph_validates(self, igf_kernel):
         cone = ConeExpressionBuilder(igf_kernel).build(3, 2)

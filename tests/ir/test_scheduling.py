@@ -1,15 +1,10 @@
-"""Unit tests for ASAP/ALAP and pipeline scheduling."""
+"""Unit tests for pipeline scheduling and its stage rule."""
 
 import pytest
 
 from repro.ir.dfg import DataflowGraph, build_dfg_from_cone
 from repro.ir.operators import DataFormat, default_library
-from repro.ir.scheduling import (
-    alap_schedule,
-    asap_schedule,
-    critical_path_ns,
-    pipeline_schedule,
-)
+from repro.ir.scheduling import pipeline_schedule, place_in_stage
 from repro.symbolic.cone_expression import ConeExpressionBuilder
 from repro.symbolic.expression import OpKind
 
@@ -27,20 +22,24 @@ def chain_graph(length=4):
 
 def test_critical_path_scales_with_chain_length():
     library = default_library(DataFormat.FIXED16)
-    short = critical_path_ns(chain_graph(2), library)
-    long = critical_path_ns(chain_graph(8), library)
+    short = pipeline_schedule(chain_graph(2), 4.0, library).critical_path_ns
+    long = pipeline_schedule(chain_graph(8), 4.0, library).critical_path_ns
     assert long == pytest.approx(4 * short)
 
 
-def test_asap_before_alap():
-    graph = chain_graph(5)
-    library = default_library()
-    asap = asap_schedule(graph, library)
-    alap = alap_schedule(graph, library)
-    for node in graph.nodes():
-        finish = asap[node.node_id]
-        latest_start = alap[node.node_id]
-        assert latest_start >= finish - critical_path_ns(graph, library) - 1e-9
+class TestPlaceInStage:
+    def test_a_node_without_operands_starts_stage_zero(self):
+        assert place_in_stage((), 0.0, 4.0) == (0, 0.0)
+
+    def test_a_node_joins_its_latest_operand_stage_while_it_fits(self):
+        # the stage-2 operand decides; the stage-1 operand's delay does not
+        assert place_in_stage([(1, 3.5), (2, 1.0)], 2.0, 4.0) == (2, 3.0)
+
+    def test_a_node_that_overflows_the_stage_opens_the_next(self):
+        assert place_in_stage([(2, 3.0), (2, 1.0)], 2.0, 4.0) == (3, 2.0)
+
+    def test_an_operator_longer_than_the_period_spans_stages(self):
+        assert place_in_stage([(1, 0.5)], 9.0, 4.0) == (4, 1.0)
 
 
 def test_pipeline_schedule_meets_clock_period():

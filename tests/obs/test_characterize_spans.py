@@ -1,6 +1,6 @@
-"""Spans below ``stage.characterize``: one per cone build, DFG lowering and
-synthesis run, and one per Equation-1 calibration, so a trace shows where
-characterization time goes."""
+"""Spans below ``stage.characterize``: one per cone build and synthesis run,
+and one per Equation-1 calibration, so a trace shows where characterization
+time goes.  Characterization synthesizes the cone DAG and lowers nothing."""
 
 import hashlib
 import json
@@ -8,7 +8,7 @@ import json
 from repro.api import Session, Workload
 from repro.obs import trace
 
-LAYER_SPANS = ("cone.build", "dfg.lower", "synth.run", "area.calibrate")
+LAYER_SPANS = ("cone.build", "synth.run", "area.calibrate")
 
 
 def tiny_workload():
@@ -47,6 +47,7 @@ def test_characterization_layers_trace_below_the_stage():
                 a["name"] for a in ancestors(span, by_id)}, name
             assert span["attributes"]["depth"] >= 1
 
+    assert not [s for s in spans if s["name"] == "dfg.lower"]
     built = sorted((s["attributes"]["window"], s["attributes"]["depth"])
                    for s in spans if s["name"] == "cone.build")
     assert built == sorted(traced.exploration.characterizations)

