@@ -25,8 +25,7 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    (:mod:`repro.service`): ``python -m repro serve --store DIR`` starts an
    HTTP job API over one shared session; ``ReproClient.submit(...)`` (or
    ``python -m repro submit blur``) files jobs that coalesce with
-   identical in-flight requests, schedule by priority class, and ride
-   batched ``run_many`` dispatches;
+   identical in-flight requests and run one at a time by priority class;
 9. scale the service tier out to a fleet (:mod:`repro.fleet`): a
    ``FleetRouter`` fronts N workers and routes each submission by a
    consistent hash of its characterization key, so identical workloads
@@ -190,8 +189,8 @@ def main() -> None:
 
     # 8. service mode: the same workloads served by a long-lived daemon.
     #    One ReproServer = one shared session behind a job API; identical
-    #    in-flight submissions coalesce onto one computation, bursts ride
-    #    batched run_many dispatches, and everything is also reachable
+    #    in-flight submissions coalesce onto one computation, jobs run one
+    #    at a time by priority class, and everything is also reachable
     #    over HTTP:  python -m repro serve --store DIR   then
     #                python -m repro submit blur --priority interactive
     #    (see examples/service_demo.py for the full tour)

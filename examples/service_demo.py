@@ -4,14 +4,13 @@ The batch API answers one process's workloads; ``repro.service`` serves
 *everyone's*.  One `ReproServer` owns a single shared `Session`, so every
 client that hits it — in-process or over HTTP — shares one
 characterization cache and one persistent store binding.  This demo shows
-the three service-tier behaviors on top of that sharing:
+the two service-tier behaviors on top of that sharing, then the HTTP
+transport:
 
 1. request coalescing — concurrent identical submissions ride one
    computation and all get the same result;
 2. priority scheduling — interactive jobs overtake a queued background
-   sweep;
-3. batched dispatch — a burst of device/format scenarios is explored as
-   one ``run_many`` batch.
+   sweep.
 
 Run with:  PYTHONPATH=src python examples/service_demo.py
 
@@ -20,8 +19,6 @@ Shell equivalent of the HTTP part:
     python -m repro serve --store ~/.cache/repro &
     python -m repro submit blur --priority interactive
 """
-
-import threading
 
 from repro.api import Workload
 from repro.ir.operators import DataFormat
@@ -52,10 +49,9 @@ def main() -> None:
               f"{len(results[0].pareto)} Pareto points each")
 
     # ------------------------------------------------------------------ #
-    # 2. priorities + 3. batched dispatch: queue a background sweep of
-    #    four device/format scenarios, then an interactive request; the
-    #    interactive job completes first, and the sweep rides batched
-    #    run_many dispatches.
+    # 2. priorities: queue a background sweep of four device/format
+    #    scenarios, then an interactive request; the interactive job
+    #    completes first.
     finished = []
     server = ReproServer(
         start=False,
@@ -75,12 +71,9 @@ def main() -> None:
         urgent.result(timeout=60)
         for handle in sweep:
             handle.result(timeout=120)
-        stats = server.stats()
         print(f"priorities: interactive job finished "
               f"{'first' if finished[0] == urgent.id else 'NOT first'} "
               f"of {len(finished)} jobs")
-        print(f"batching:   sweep dispatched as batch sizes "
-              f"{stats['scheduler']['recent_batch_sizes']}")
     finally:
         server.close()
 

@@ -25,8 +25,7 @@ warm pass must perform zero synthesis runs).
 The snapshot also records a ``service_throughput`` section (skip with
 ``--skip-service``): a 16-job burst (4 unique device/format scenarios, 4
 concurrent submitters each) through the in-process exploration service
-(:mod:`repro.service`), recording jobs/s, the coalesce hit-rate, and the
-``run_many`` batch sizes the scheduler dispatched.
+(:mod:`repro.service`), recording jobs/s and the coalesce hit-rate.
 
 And a ``fleet_throughput`` section (skip with ``--skip-fleet``): the same
 burst through a 3-worker consistent-hash fleet (:mod:`repro.fleet`) with
@@ -157,9 +156,8 @@ def run_service_throughput() -> dict:
     16 jobs (4 unique device/format scenarios x 4 duplicate submitters)
     land on a paused in-process :class:`repro.service.ReproServer` from 16
     threads, then the scheduler is released: duplicates coalesce onto one
-    job each and the 4 unique scenarios ride batched ``run_many``
-    dispatches.  Records jobs/s, the
-    coalesce hit-rate, and the dispatched batch sizes.
+    job each and the scheduler runs the 4 unique scenarios one at a time.
+    Records jobs/s and the coalesce hit-rate.
     """
     import threading
 
@@ -194,8 +192,7 @@ def run_service_throughput() -> dict:
     jobs_per_s = len(burst) / wall_s if wall_s > 0 else None
     print(f"    {len(burst)} jobs in {wall_s:.2f}s "
           f"({jobs_per_s:.1f} jobs/s), coalesce hit-rate "
-          f"{stats['queue']['coalesce_hit_rate']:.2f}, batch sizes "
-          f"{stats['scheduler']['recent_batch_sizes']}")
+          f"{stats['queue']['coalesce_hit_rate']:.2f}")
     return {
         "transport": "in-process",
         "jobs": len(burst),
@@ -204,8 +201,6 @@ def run_service_throughput() -> dict:
         "jobs_per_s": jobs_per_s,
         "coalesce_hits": stats["queue"]["coalesced"],
         "coalesce_hit_rate": stats["queue"]["coalesce_hit_rate"],
-        "batch_sizes": stats["scheduler"]["recent_batch_sizes"],
-        "batched_dispatches": stats["scheduler"]["batched_dispatches"],
         "session_synthesis_runs": stats["session"]["synthesis_runs"],
     }
 

@@ -137,7 +137,6 @@ builtins.__import__ = guarded
 import repro.obs  # noqa: F401  (the guard is the side effect)
 import repro.obs.trace  # noqa: F401
 import repro.obs.metrics  # noqa: F401
-import repro.obs.profile  # noqa: F401
 
 non_stdlib = [name for name in BLOCKED if name in sys.modules]
 assert not non_stdlib, non_stdlib

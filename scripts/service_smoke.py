@@ -83,9 +83,7 @@ def main() -> int:
 
         stats = client.stats()
         assert stats["queue"]["completed"] == 2, stats["queue"]
-        assert stats["scheduler"]["jobs_completed"] == 2
-        assert stats["session"]["synthesis_runs"] >= 0
-        print(f"  stats ok (batches={stats['scheduler']['batches']}, "
+        print(f"  stats ok (completed={stats['queue']['completed']}, "
               f"coalesce_hit_rate="
               f"{stats['queue']['coalesce_hit_rate']:.2f})")
 

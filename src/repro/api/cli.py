@@ -30,8 +30,8 @@ Subcommands
 ``serve``
     Run the long-lived exploration service (:mod:`repro.service`): one
     shared session behind an HTTP JSON job API that coalesces identical
-    in-flight requests and dispatches compatible bursts as batched
-    ``run_many`` calls.  ``--store`` gives the daemon a persistent cache;
+    in-flight requests and runs the queued jobs one at a time, highest
+    priority first.  ``--store`` gives the daemon a persistent cache;
     ``--port 0`` binds an ephemeral port (printed on startup).
 ``fleet``
     Run the worker-fleet tier (:mod:`repro.fleet`): a consistent-hash
@@ -142,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the full FlowResult as JSON")
     explore.add_argument("-o", "--output", metavar="FILE",
                          help="write the JSON payload to FILE")
-    explore.add_argument("--profile", action="store_true",
-                         help="sample the exploration with the built-in "
-                              "profiler and write flamegraph-ready JSON "
-                              "(repro-profile.json)")
     explore.set_defaults(handler=cmd_explore)
 
     codegen = commands.add_parser(
@@ -206,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist characterizations/results under DIR "
                             "(default when DIR is omitted: "
                             f"{default_store_path()})")
-    sweep.add_argument("--profile", action="store_true",
-                       help="sample the sweep with the built-in profiler "
-                            "and write flamegraph-ready JSON "
-                            "(repro-profile.json)")
     sweep.set_defaults(handler=cmd_sweep)
 
     serve = commands.add_parser(
@@ -222,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default="local", metavar="NAME",
                        help="service backend from the registry "
                             "(default: local)")
-    serve.add_argument("--max-batch", type=int, default=16,
-                       help="largest run_many batch one dispatch may form "
-                            "(default: 16)")
-    serve.add_argument("--batch-window", type=float, default=0.05,
-                       metavar="S",
-                       help="seconds the scheduler lingers for a burst to "
-                            "finish arriving before sealing a batch "
-                            "(default: 0.05)")
     serve.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="persist characterizations/results under DIR "
@@ -280,13 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="seconds between worker healthchecks "
                             "(default: 1.0)")
-    fleet.add_argument("--max-batch", type=int, default=16,
-                       help="largest run_many batch per worker dispatch "
-                            "(default: 16)")
-    fleet.add_argument("--batch-window", type=float, default=0.05,
-                       metavar="S",
-                       help="per-worker batch linger window "
-                            "(default: 0.05)")
     fleet.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="shared persistent store of the spawned "
@@ -582,15 +559,9 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    from repro.obs.profile import maybe_profile
-
     workload = workload_from_args(args)
     session = _session(args)
-    profiled = maybe_profile(args.profile)
-    with profiled:
-        result = session.run(workload)
-    if profiled.output:
-        print(f"profile written to {profiled.output}", file=sys.stderr)
+    result = session.run(workload)
     if args.json or args.output:
         _write_payload(result.to_dict(), args)
         return 0
@@ -664,14 +635,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         keywords["window_sides"] = windows
                     workloads.append(Workload.from_algorithm(name, **keywords))
 
-    from repro.obs.profile import maybe_profile
-
     session = _session(args)
-    profiled = maybe_profile(args.profile)
-    with profiled:
-        results = session.run_many(workloads)
-    if profiled.output:
-        print(f"profile written to {profiled.output}", file=sys.stderr)
+    results = session.run_many(workloads)
     stats = session.stats
 
     summaries = []
@@ -727,8 +692,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     session = _session(args)
     server = create_backend("service", args.backend, session=session,
-                            max_batch=args.max_batch,
-                            batch_window_s=args.batch_window,
                             max_pending=args.max_pending,
                             worker_id=args.worker_id)
     port = DEFAULT_PORT if args.port is None else args.port
@@ -739,8 +702,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           flush=True)
     if session.store is not None:
         print(f"  persistent store: {session.store.root}", file=sys.stderr)
-    print(f"  max_batch={args.max_batch} "
-          f"(POST /shutdown or Ctrl-C drains and stops)", file=sys.stderr)
+    print("  POST /shutdown or Ctrl-C drains and stops", file=sys.stderr)
     if args.announce:
         from repro.service.client import ReproClient
         reply = ReproClient(args.announce).register(
@@ -795,8 +757,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         router = FleetRouter.local(
             args.workers, store=args.store, policy=policy,
             max_pending=args.max_pending, replicas=replicas,
-            healthcheck_interval_s=args.healthcheck_interval,
-            max_batch=args.max_batch, batch_window_s=args.batch_window)
+            healthcheck_interval_s=args.healthcheck_interval)
     port = DEFAULT_PORT if args.port is None else args.port
     host, bound_port = router.serve_http(args.host, port)
     # stdout, flushed: scripts/fleet_smoke.py parses this line to discover

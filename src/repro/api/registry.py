@@ -29,7 +29,7 @@ Backends are registered under one of five *kinds*:
     Factory ``() ->`` :class:`DeviceProvider`; the provider's devices become
     resolvable by part name through :func:`resolve_device`.
 ``service``
-    Factory ``(session=..., max_batch=..., ...) ->`` a
+    Factory ``(session=..., max_pending=..., ...) ->`` a
     long-lived exploration server exposing the job API (``submit`` /
     ``status`` / ``result`` / ``stats`` / ``healthz``); the built-in
     (``local``, :class:`repro.service.server.ReproServer`) lives in

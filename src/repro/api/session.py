@@ -333,8 +333,9 @@ class Session:
         """Release cached state to bound memory in long-lived sessions.
 
         With a workload, drop only that workload's pipeline (its result and
-        stage artifacts); its characterizations stay shared.  Without one,
-        drop every pipeline and every *idle* explorer — keys with runs in
+        stage artifacts) and its validation evidence; its characterizations
+        stay shared.  Without one, drop every pipeline, every validation
+        and every *idle* explorer — keys with runs in
         flight are left untouched — folding the synthesizer counters of
         evicted explorers into :attr:`stats` so accounting survives
         eviction.
@@ -349,10 +350,16 @@ class Session:
                 self._pipelines.pop(workload, None)
                 self._restored_results.pop(workload, None)
                 self._result_keys.pop(workload, None)
+                # the plain key and every (workload, window_side, mode) key
+                for key in [key for key in self._validations
+                            if key == workload or (isinstance(key, tuple)
+                                                   and key[0] == workload)]:
+                    del self._validations[key]
                 return
             self._pipelines.clear()
             self._restored_results.clear()
             self._result_keys.clear()
+            self._validations.clear()
             # Keys with work in flight keep their explorer, so a concurrent
             # run never loses its synthesis accounting.
             for key in [k for k in self._explorers

@@ -152,12 +152,15 @@ class ArtifactStore:
         envelope = {"schema": SCHEMA_VERSION, "kind": kind, "key": key,
                     "payload": payload}
         try:
+            # one C-encoder pass, then one write: json.dump would stream
+            # through the pure-Python encoder
+            text = json.dumps(envelope)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
                 dir=os.path.dirname(path), suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(envelope, handle)
+                    handle.write(text)
                 os.replace(tmp_path, path)
             except BaseException:
                 self._remove_quietly(tmp_path)

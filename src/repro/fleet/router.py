@@ -217,7 +217,7 @@ class FleetRouter:
         ``store`` path makes that one directory the fleet's shared cache
         tier (a characterization synthesized on ``worker-0`` is a disk
         hit on ``worker-3``).  ``server_kwargs`` pass through to every
-        :class:`ReproServer` (``max_batch=``, ``batch_window_s=``, ...).
+        :class:`ReproServer` (``history_limit=``, ``on_event=``, ...).
         """
         if count < 1:
             raise ValueError(f"count must be >= 1 (got {count})")

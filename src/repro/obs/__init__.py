@@ -1,8 +1,8 @@
-"""Observability substrate: tracing, typed metrics, profiling.
+"""Observability substrate: tracing and typed metrics.
 
 ``repro.obs`` is stdlib-only (NumPy allowed but unused) and holds the
 same import-hygiene bar as :mod:`repro.dse.engine`: importing it must
-never pull in test/plot/config frameworks.  Three modules:
+never pull in test/plot/config frameworks.  Two modules:
 
 :mod:`repro.obs.trace`
     A ``Span`` tree with ids/parent-ids, wall+CPU timings, and typed
@@ -18,17 +18,12 @@ never pull in test/plot/config frameworks.  Three modules:
     buckets) behind a process-global registry, plus a strict parser for
     the Prometheus text exposition format used by the ``--obs`` smoke.
 
-:mod:`repro.obs.profile`
-    An opt-in sampling profiler (``REPRO_OBS_PROFILE=1`` / ``--profile``)
-    that attributes hot-path samples to the enclosing span and writes
-    flamegraph-ready folded-stack JSON.
-
 Everything is ~zero-cost when disabled: the recorder is a no-op
 singleton behind one module-global check (pinned by the ``obs_overhead``
 section of ``scripts/bench.py``), and tracing is bit-neutral — spans are
 a side channel that never touches result payloads or digests.
 """
 
-from repro.obs import metrics, profile, trace
+from repro.obs import metrics, trace
 
-__all__ = ["metrics", "profile", "trace"]
+__all__ = ["metrics", "trace"]

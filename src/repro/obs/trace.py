@@ -63,10 +63,6 @@ _ENABLED = False
 #: the state lock so the hot path reads it without locking.
 _SINKS: Tuple[Callable[[Dict[str, Any]], None], ...] = ()
 
-#: ``thread ident -> [span names]`` maintained only while the sampling
-#: profiler is attributing samples to spans (see repro.obs.profile).
-_THREAD_SPANS: Optional[Dict[int, List[str]]] = None
-
 
 def _new_trace_id() -> str:
     return os.urandom(_TRACE_ID_HEX // 2).hex()
@@ -174,9 +170,6 @@ class Span:
         self._token = (_CURRENT.set((self.trace_id, self.span_id))
                        if activate else None)
         self._finished = False
-        tracked = _THREAD_SPANS
-        if tracked is not None:
-            tracked.setdefault(self._tid, []).append(name)
 
     # -- context-manager protocol -------------------------------------- #
 
@@ -214,11 +207,6 @@ class Span:
                 _CURRENT.reset(self._token)
             except ValueError:
                 pass  # finished on a different thread than it started
-        tracked = _THREAD_SPANS
-        if tracked is not None:
-            stack = tracked.get(self._tid)
-            if stack and stack[-1] == self.name:
-                stack.pop()
         record = {
             "trace_id": self.trace_id,
             "span_id": self.span_id,

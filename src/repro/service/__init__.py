@@ -4,8 +4,8 @@
 :class:`ReproServer` owns one shared :class:`~repro.api.session.Session`
 (and therefore one characterization cache and one persistent
 :class:`~repro.api.store.ArtifactStore` binding) and serves exploration
-*jobs* submitted by many concurrent clients.  Three properties distinguish it from N short-lived
-sessions:
+*jobs* submitted by many concurrent clients.  Two properties distinguish
+it from N short-lived sessions:
 
 * **request coalescing** — identical in-flight workloads share one
   computation: the :class:`JobQueue` keys queued *and* running jobs by the
@@ -15,13 +15,10 @@ sessions:
   :class:`~repro.api.results.FlowResult` — digest-identical to a direct
   ``Session.run``;
 * **priority scheduling** — jobs carry a priority class (``interactive`` >
-  ``batch`` > ``background``); the :class:`Scheduler` always drains the
-  highest non-empty class first, so an interactive request never waits
-  behind a background sweep that is still queued;
-* **batched dispatch** — the scheduler drains *compatible* queued jobs
-  (same priority class) into one :meth:`Session.run_many` call; a burst
-  of multi-device/multi-format requests over one kernel family shares the
-  family's characterizations, which the session synthesizes once.
+  ``batch`` > ``background``); the :class:`Scheduler` runs one job at a
+  time and always pops the highest non-empty class next, so an
+  interactive request never waits behind a background sweep that is
+  still queued.
 
 The server speaks two transports with one protocol: in-process method
 calls, and a minimal stdlib-only JSON endpoint over :mod:`http.server`

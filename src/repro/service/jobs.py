@@ -74,9 +74,9 @@ def priority_name(priority: int) -> str:
 
 
 #: The job classes the service runs.  ``explore`` is the full staged flow
-#: (coalescible, batchable through ``run_many``); ``validate`` is the
+#: (coalescible, dispatched through ``Session.run``); ``validate`` is the
 #: simulated-vs-golden equivalence check (coalescible among validations,
-#: always dispatched per-job through ``Session.validate``).
+#: dispatched through ``Session.validate``).
 JOB_KINDS: Tuple[str, ...] = ("explore", "validate")
 
 
@@ -202,8 +202,6 @@ class Job:
     requesters: int = 1
     #: How many of those were coalesced onto an already-in-flight job.
     coalesced: int = 0
-    #: Size of the ``run_many`` batch this job was dispatched in.
-    batch_size: int = 0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     result: Optional[Union[FlowResult, ValidationResult]] = None
@@ -246,7 +244,6 @@ class Job:
             "finished_at": self.finished_at,
             "requesters": self.requesters,
             "coalesced": self.coalesced,
-            "batch_size": self.batch_size,
             "timeout_s": self.timeout_s,
             "trace_id": (None if self.trace_context is None
                          else self.trace_context.get("trace_id")),

@@ -2,7 +2,7 @@
 
 No new dependency, no new bookkeeping: :func:`render_prometheus` walks the
 JSON-ready ``stats()`` document a server (or router) already maintains —
-``SessionStats``, the queue/scheduler counters, store counters — and emits
+``SessionStats``, the queue counters, store counters — and emits
 every numeric leaf in the Prometheus text exposition format (version
 0.0.4)::
 
@@ -50,8 +50,6 @@ COUNTER_LEAVES = frozenset({
     # queue lifecycle totals
     "submitted", "coalesced", "completed", "failed", "cancelled",
     "timed_out", "shed",
-    # scheduler dispatch totals
-    "batches", "batched_dispatches", "jobs_completed", "jobs_failed",
     # session totals (work done and cache traffic)
     "workloads_run", "workloads_failed", "synthesis_runs",
     "characterization_cache_hits", "characterization_cache_misses",

@@ -18,9 +18,8 @@ it under the better class (the heap uses lazy invalidation — stale entries
 are skipped on pop, so promotion is O(log n), not a rebuild).
 
 Per-job deadlines are enforced at the queue: a job whose deadline passes
-while still queued is moved to the ``timeout`` state instead of being
-dispatched, and :meth:`drain_batch` sleeps no longer than the nearest
-queued deadline so expiry does not wait for the next submission.
+while still queued is moved to the ``timeout`` state by the next
+:meth:`next_job` call instead of being dispatched.
 
 The queue is optionally *bounded* (``max_pending``): once that many jobs
 are queued, further non-coalescing submissions are **shed** with
@@ -223,82 +222,29 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     # dispatch
 
-    def drain_batch(self, max_batch: int,
-                    linger_s: float = 0.0,
-                    wait_timeout: Optional[float] = None
-                    ) -> Optional[List[Job]]:
-        """Pop the next batch of compatible jobs (blocks until available).
+    def next_job(self) -> Optional[Job]:
+        """Pop the next job to run, blocking until one is ready.
 
-        The batch is the highest-priority queued job plus every further
-        queued job *of the same priority class*, in submission order, up
-        to ``max_batch`` — the compatibility rule that keeps priority
-        inversion out while still letting a burst of sibling scenarios
-        ride one ``run_many`` call.  With ``linger_s > 0`` the first job
-        waits that long for same-class company before the batch is sealed
-        (bursts arriving over HTTP rarely land in the same microsecond).
-
-        Every returned job is already in the ``running`` state.  Returns
-        ``None`` when the queue is closed and empty (the scheduler's exit
-        signal); ``wait_timeout`` bounds the idle wait (returns ``[]`` on
-        expiry so callers can run periodic upkeep).
+        The next job is the highest-priority queued one, in submission
+        order within its class, and is returned already ``running``.
+        Returns ``None`` once the queue is closed and drained (the
+        scheduler's exit signal).
         """
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
         with self._has_work:
-            started = time.monotonic()
             while True:
                 self._expire_queued()
-                first = self._pop_ready()
-                if first is not None:
-                    break
-                if self._closed:
-                    return None
-                remaining = (None if wait_timeout is None
-                             else wait_timeout - (time.monotonic() - started))
-                if remaining is not None and remaining <= 0:
-                    return []
-                self._has_work.wait(self._bounded_wait(remaining))
-            if linger_s > 0:
-                # give the burst a moment to finish arriving; coalescing
-                # onto the (already running) first job still works either
-                # way, lingering only widens the batch.  Loop: each
-                # submit() notifies the condition, and returning on the
-                # first wakeup would seal the batch at size two — wait
-                # out the full window (or until it cannot grow further).
-                linger_until = time.monotonic() + linger_s
-                while True:
-                    remaining = linger_until - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    if self._queued_count(first.priority) >= max_batch - 1:
-                        break  # the batch is already full
-                    self._has_work.wait(remaining)
-                self._expire_queued()
-            batch = [first]
-            while len(batch) < max_batch:
-                follower = self._pop_ready(priority=first.priority)
-                if follower is None:
-                    break
-                batch.append(follower)
-            for job in batch:
-                job.batch_size = len(batch)
-            return batch
+                job = self._pop_ready()
+                if job is not None or self._closed:
+                    return job
+                # nothing is queued, so no deadline can pass while waiting
+                self._has_work.wait()
 
-    def _queued_count(self, priority: int) -> int:
-        """Queued jobs of one priority class (caller holds the lock)."""
-        return sum(1 for job in self._inflight.values()
-                   if job.state == "queued" and job.priority == priority)
-
-    def _pop_ready(self, priority: Optional[int] = None) -> Optional[Job]:
-        """Pop the next dispatchable job (optionally only of one class)."""
+    def _pop_ready(self) -> Optional[Job]:
+        """Pop the next dispatchable job (caller holds the lock)."""
         while self._heap:
-            entry_priority, _sequence, job = self._heap[0]
+            entry_priority, _sequence, job = heapq.heappop(self._heap)
             if job.state != "queued" or entry_priority != job.priority:
-                heapq.heappop(self._heap)  # stale (terminal or promoted)
-                continue
-            if priority is not None and entry_priority != priority:
-                return None
-            heapq.heappop(self._heap)
+                continue  # stale (terminal or promoted)
             job.state = "running"
             job.started_at = time.time()
             waited = job.started_at - job.submitted_at
@@ -319,19 +265,6 @@ class JobQueue:
                     f"job {job.id} spent more than {job.timeout_s}s queued")
                 self._make_terminal(job, "timeout")
                 self._timed_out += 1
-
-    def _bounded_wait(self, timeout: Optional[float]) -> Optional[float]:
-        """Cap an idle wait at the nearest queued deadline."""
-        nearest: Optional[float] = None
-        now = time.monotonic()
-        for job in self._inflight.values():
-            if job.state == "queued" and job.deadline is not None:
-                remaining = max(0.0, job.deadline - now)
-                nearest = (remaining if nearest is None
-                           else min(nearest, remaining))
-        if nearest is None:
-            return timeout
-        return nearest if timeout is None else min(timeout, nearest)
 
     # ------------------------------------------------------------------ #
     # completion (called by the scheduler)
@@ -380,7 +313,7 @@ class JobQueue:
 
         With ``cancel_pending`` every still-queued job turns ``cancelled``
         (their waiters are released immediately); without it the scheduler
-        keeps draining until :meth:`drain_batch` returns ``None``.
+        keeps draining until :meth:`next_job` returns ``None``.
         """
         with self._has_work:
             self._closed = True

@@ -1,59 +1,34 @@
-"""The dispatcher: queue batches -> ``Session.run_many``.
+"""The dispatcher: one queued job at a time through the shared session.
 
-One daemon thread drains the :class:`~repro.service.queue.JobQueue` and
-routes each batch through the shared session:
-
-* a batch of one is answered by :meth:`Session.run`;
-* a larger batch goes through one :meth:`Session.run_many` call, which
-  explores sibling scenarios (devices/formats/frames of one kernel family)
-  in order over shared characterizations, so the family pays its
-  synthesis once.
-
-Failure attribution: ``run_many`` completes the whole batch before
-re-raising the earliest failure, so on a batch error the scheduler replays
-each member through ``Session.run`` — completed members are in-memory
-cache hits (no recompute), failing members raise individually — and every
-job ends in its own ``done``/``failed`` state.  One poisoned workload
-never takes its batch siblings down.
+One daemon thread pops the :class:`~repro.service.queue.JobQueue` job by
+job and runs each one alone before the next pop: :meth:`Session.validate`
+for ``validate`` jobs, :meth:`Session.run` for the rest.  So every job
+ends in its own ``done``/``failed`` state as soon as its own run ends,
+runs (and fails) exactly once, and dispatches under its own trace; a
+higher-priority submission is next in line as soon as the running job
+ends, and a queued job stays cancellable until it is popped.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Deque, Dict, List, Optional
-
-from collections import deque
+from typing import Optional
 
 from repro.api.session import Session
 from repro.obs import trace as obs_trace
 from repro.service.jobs import Job
 from repro.service.queue import JobQueue
 
-#: How many recent batch sizes the stats ring buffer remembers.
-BATCH_SIZE_HISTORY = 256
-
 
 class Scheduler:
     """Owns the dispatcher thread between a queue and a session."""
 
-    def __init__(self, session: Session, queue: JobQueue,
-                 max_batch: int = 16,
-                 batch_window_s: float = 0.0) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
+    def __init__(self, session: Session, queue: JobQueue) -> None:
         self._session = session
         self._queue = queue
-        self._max_batch = max_batch
-        self._batch_window_s = batch_window_s
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
-        self._batches = 0
-        self._batched_dispatches = 0  # batches with more than one job
-        self._jobs_completed = 0
-        self._jobs_failed = 0
-        self._batch_sizes: Deque[int] = deque(maxlen=BATCH_SIZE_HISTORY)
-        self._largest_batch = 0
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -78,7 +53,7 @@ class Scheduler:
 
         With ``drain`` (the default) every already-queued job is still
         executed; without it the queued jobs are cancelled (their waiters
-        are released with :class:`JobCancelledError`) and only the batch
+        are released with :class:`JobCancelledError`) and only the job
         already in flight finishes.
         """
         self._queue.close(cancel_pending=not drain)
@@ -96,105 +71,32 @@ class Scheduler:
 
     def _loop(self) -> None:
         while True:
-            batch = self._queue.drain_batch(self._max_batch,
-                                            linger_s=self._batch_window_s)
-            if batch is None:
+            job = self._queue.next_job()
+            if job is None:
                 return  # queue closed and fully drained
-            if batch:
-                self._dispatch(batch)
+            self._run(job)
 
-    def _dispatch(self, jobs: List[Job]) -> None:
+    def _run(self, job: Job) -> None:
+        """Run one job through the session, with full accounting."""
+        runner = (self._session.validate if job.kind == "validate"
+                  else self._session.run)
         started = time.perf_counter()
-        with self._lock:
-            self._batches += 1
-            self._batch_sizes.append(len(jobs))
-            self._largest_batch = max(self._largest_batch, len(jobs))
-            if len(jobs) > 1:
-                self._batched_dispatches += 1
-        for job in jobs:
-            with obs_trace.adopt(job.trace_context):
-                self._emit_job_event("job-started", job)
-        # Partition by job class: validations run per-job through
-        # Session.validate (each is one vectorized simulation — there is no
-        # cross-job batching to exploit), explorations keep the
-        # run/run_many batch semantics below.
-        validations = [job for job in jobs if job.kind == "validate"]
-        jobs = [job for job in jobs if job.kind != "validate"]
-        for job in validations:
-            self._run_single(job, self._session.validate)
-        if not jobs:
-            return
-        try:
-            if len(jobs) == 1:
-                with obs_trace.adopt(jobs[0].trace_context):
-                    with obs_trace.span("scheduler.dispatch", jobs=1):
-                        results = [self._session.run(jobs[0].workload)]
-            else:
-                # a multi-job batch dispatches under the *first* job's
-                # trace (one run_many call cannot belong to N traces);
-                # every job still owns its service.job span and events
-                with obs_trace.adopt(jobs[0].trace_context):
-                    with obs_trace.span("scheduler.dispatch",
-                                        jobs=len(jobs)):
-                        results = self._session.run_many(
-                            [job.workload for job in jobs])
-        except Exception as error:
-            if len(jobs) == 1:
-                # nothing to attribute: fail the lone job directly instead
-                # of paying the failed pipeline a second time in a replay
-                context = jobs[0].trace_context
-                self._queue.fail(jobs[0], error)
-                with obs_trace.adopt(context):
-                    self._emit_job_event(
-                        "job-failed", jobs[0],
-                        elapsed_s=time.perf_counter() - started,
-                        detail=str(error))
-                with self._lock:
-                    self._jobs_failed += 1
-            else:
-                self._replay_individually(jobs)
-            return
-        elapsed = time.perf_counter() - started
-        for job, result in zip(jobs, results):
-            context = job.trace_context
-            self._queue.finish(job, result)
-            with obs_trace.adopt(context):
-                self._emit_job_event("job-finished", job,
-                                     elapsed_s=elapsed / len(jobs))
-        with self._lock:
-            self._jobs_completed += len(jobs)
-
-    def _run_single(self, job: Job, runner) -> None:
-        """Run one job through ``runner(workload)`` with full accounting."""
-        started = time.perf_counter()
-        try:
-            with obs_trace.adopt(job.trace_context):
-                with obs_trace.span("scheduler.dispatch", jobs=1):
+        with obs_trace.adopt(job.trace_context):
+            self._emit_job_event("job-started", job)
+            try:
+                with obs_trace.span("scheduler.dispatch"):
                     result = runner(job.workload)
-        except Exception as error:
-            context = job.trace_context
-            self._queue.fail(job, error)
-            with obs_trace.adopt(context):
+            except Exception as error:
+                self._queue.fail(job, error)
                 self._emit_job_event(
                     "job-failed", job,
                     elapsed_s=time.perf_counter() - started,
                     detail=str(error))
-            with self._lock:
-                self._jobs_failed += 1
-        else:
-            context = job.trace_context
-            self._queue.finish(job, result)
-            with obs_trace.adopt(context):
+            else:
+                self._queue.finish(job, result)
                 self._emit_job_event(
                     "job-finished", job,
                     elapsed_s=time.perf_counter() - started)
-            with self._lock:
-                self._jobs_completed += 1
-
-    def _replay_individually(self, jobs: List[Job]) -> None:
-        """Attribute a batch failure job by job (cache-hit replays)."""
-        for job in jobs:
-            self._run_single(job, self._session.run)
 
     def _emit_job_event(self, kind: str, job: Job,
                         elapsed_s: Optional[float] = None,
@@ -204,23 +106,3 @@ class Scheduler:
         self._session._emit_batch_event(
             kind, job.workload, elapsed_s=elapsed_s,
             detail=detail or job.id)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-
-    def stats_snapshot(self) -> Dict[str, object]:
-        """Atomic JSON-ready view of the dispatch counters."""
-        with self._lock:
-            sizes = list(self._batch_sizes)
-            return {
-                "max_batch": self._max_batch,
-                "batch_window_s": self._batch_window_s,
-                "batches": self._batches,
-                "batched_dispatches": self._batched_dispatches,
-                "largest_batch": self._largest_batch,
-                "mean_batch_size": (sum(sizes) / len(sizes)
-                                    if sizes else 0.0),
-                "recent_batch_sizes": sizes,
-                "jobs_completed": self._jobs_completed,
-                "jobs_failed": self._jobs_failed,
-            }

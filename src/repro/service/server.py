@@ -3,8 +3,9 @@
 :class:`ReproServer` wires the service pieces together — a
 :class:`~repro.api.session.Session` (optionally store-backed), a
 coalescing :class:`~repro.service.queue.JobQueue`, and a
-:class:`~repro.service.scheduler.Scheduler` — and exposes one protocol
-over two transports:
+:class:`~repro.service.scheduler.Scheduler` that runs the queued jobs one
+at a time through the session — and exposes one protocol over two
+transports:
 
 * **in-process**: ``submit`` / ``status`` / ``result`` / ``cancel`` /
   ``stats`` / ``healthz`` as plain methods (every payload JSON-ready, so
@@ -31,7 +32,7 @@ transitions and the underlying pipeline stages.
 Shutdown is graceful by default: ``close(drain=True)`` stops accepting
 submissions (HTTP submitters get 503), finishes every queued job, then
 tears the HTTP listener down — so a deploy rollover never drops accepted
-work.  ``drain=False`` cancels the queued backlog instead (the batch
+work.  ``drain=False`` cancels the queued backlog instead (the job
 already executing still completes; pure-Python explorations cannot be
 interrupted mid-flight).
 """
@@ -86,8 +87,6 @@ class ReproServer:
     def __init__(self, session: Optional[Session] = None,
                  store: Optional[Union[str, os.PathLike,
                                        ArtifactStore]] = None,
-                 max_batch: int = 16,
-                 batch_window_s: float = 0.0,
                  history_limit: int = 1024,
                  max_pending: Optional[int] = None,
                  worker_id: Optional[str] = None,
@@ -110,9 +109,7 @@ class ReproServer:
         #: handshake (lets a router detect two URLs naming one worker).
         self.worker_id = worker_id or f"worker-{os.getpid()}"
         self._fleet_registration: Optional[Dict[str, Any]] = None
-        self._scheduler = Scheduler(self._session, self._queue,
-                                    max_batch=max_batch,
-                                    batch_window_s=batch_window_s)
+        self._scheduler = Scheduler(self._session, self._queue)
         self._started_at = time.time()
         self._httpd: Optional[_ServiceHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
@@ -304,7 +301,6 @@ class ReproServer:
             "http_address": (None if self._http_address is None
                              else "http://{}:{}".format(*self._http_address)),
             "queue": self._queue.stats_snapshot(),
-            "scheduler": self._scheduler.stats_snapshot(),
             "session": self._session.stats.to_dict(),
             "store": (None if store is None
                       else {"root": store.root, **store.counters()}),

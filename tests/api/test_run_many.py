@@ -196,7 +196,8 @@ class TestFailureContract:
 
 
 class TestRemovedStrategyKnobs:
-    """The executor strategies and their knobs are gone, loudly."""
+    """The executor strategies, the service's batching knobs and the
+    profiler flag are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -221,15 +222,24 @@ class TestRemovedStrategyKnobs:
         ["fleet", "--executor", "threads"],
         ["serve", "--jobs", "2"],
         ["fleet", "--jobs", "2"],
+        ["serve", "--max-batch", "4"],
+        ["serve", "--batch-window", "0.05"],
+        ["fleet", "--max-batch", "4"],
+        ["fleet", "--batch-window", "0.05"],
+        ["explore", "blur", "--profile"],
+        ["sweep", "--profile"],
     ], ids=["explore-executor", "serve-executor", "fleet-executor",
-            "serve-jobs", "fleet-jobs"])
+            "serve-jobs", "fleet-jobs", "serve-max-batch",
+            "serve-batch-window", "fleet-max-batch", "fleet-batch-window",
+            "explore-profile", "sweep-profile"])
     def test_strategy_flags_are_unknown_to_the_parser(self, capsys,
                                                       arguments):
         # parse only: serve and fleet would otherwise start listening
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(arguments)
         assert exit_info.value.code == 2
-        assert arguments[-2] in capsys.readouterr().err
+        flag = next(each for each in arguments if each.startswith("--"))
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("keyword, call", [
         ("stream_executor", lambda: Session(stream_executor="threads")),
@@ -247,17 +257,29 @@ class TestRemovedStrategyKnobs:
                                           max_workers=2)),
         ("executor", lambda: ReproServer(executor="threads", start=False)),
         ("max_workers", lambda: ReproServer(max_workers=2, start=False)),
+        ("max_batch", lambda: ReproServer(max_batch=4, start=False)),
+        ("batch_window_s", lambda: ReproServer(batch_window_s=0.05,
+                                               start=False)),
+        ("max_batch", lambda: Scheduler(Session(), JobQueue(),
+                                        max_batch=4)),
     ], ids=["Session", "Pipeline", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
-            "ReproServer-executor", "ReproServer-max_workers"])
+            "ReproServer-executor", "ReproServer-max_workers",
+            "ReproServer-max_batch", "ReproServer-batch_window_s",
+            "Scheduler-max_batch"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()
 
     def test_scheduler_stats_name_no_strategy(self):
-        snapshot = Scheduler(Session(), JobQueue()).stats_snapshot()
-        assert "executor" not in snapshot
-        assert "max_workers" not in snapshot
+        server = ReproServer(start=False)
+        try:
+            stats = server.stats()
+        finally:
+            server.close(drain=False)
+        assert "scheduler" not in stats
+        knobs = {"executor", "max_workers", "max_batch", "batch_window_s"}
+        assert not knobs & set(stats["queue"])
 
 
 class TestCliJobs:

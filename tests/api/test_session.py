@@ -8,6 +8,7 @@ the number of unique ``(kernel, window, depth)`` cone shapes.
 import pytest
 
 from repro.api import Session, Workload
+from repro.api import session as session_module
 from repro.dse.constraints import DseConstraints
 
 
@@ -118,6 +119,33 @@ class TestCharacterizationSharing:
         # the session still works after a full eviction
         result = session.run(workload)
         assert result.pareto
+
+    @pytest.mark.parametrize("scope", ["workload", "all"])
+    def test_evict_releases_validation_evidence(self, monkeypatch, scope):
+        calls = []
+        real = session_module.validate_workload
+
+        def counting(workload, **knobs):
+            calls.append(knobs)
+            return real(workload, **knobs)
+
+        monkeypatch.setattr(session_module, "validate_workload", counting)
+        events = []
+        session = Session(on_event=events.append)
+        workload = Workload.from_algorithm("blur", frame_width=64,
+                                           frame_height=48, **SMALL)
+        session.validate(workload)
+        session.validate(workload, window_side=2)
+        session.evict(workload.replace(frame_width=96))  # someone else
+        session.validate(workload)
+        assert len(calls) == 2
+        assert [e.kind for e in events].count("cache-hit") == 1
+        events.clear()
+        session.evict(workload if scope == "workload" else None)
+        session.validate(workload)
+        session.validate(workload, window_side=2)
+        assert len(calls) == 4
+        assert "cache-hit" not in [e.kind for e in events]
 
     def test_partial_reuse_across_iteration_counts_counts_as_miss(self):
         """A deeper run that only partially reuses cached depth families

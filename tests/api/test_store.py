@@ -214,6 +214,19 @@ class TestWarmResume:
         assert store.put("result", "weird", {"x": object()}) is None
         assert store.writes == 0
         assert store.get("result", "weird") is None
+        leftovers = [name for _root, _dirs, names in os.walk(store_dir)
+                     for name in names if name.endswith(".tmp")]
+        assert leftovers == []
+
+    def test_stored_file_is_the_json_encoding_of_its_envelope(
+            self, store_dir):
+        store = ArtifactStore(store_dir)
+        payload = {"pareto": [{"luts": 120, "fps": 61.5}], "name": "blur"}
+        path = store.put("result", "exact", payload)
+        envelope = {"schema": store_module.SCHEMA_VERSION, "kind": "result",
+                    "key": "exact", "payload": payload}
+        with open(path, "rb") as handle:
+            assert handle.read() == json.dumps(envelope).encode()
 
 
 class TestRobustness:

@@ -122,6 +122,30 @@ class TestHttpPropagation:
             lambda spans: "service.job" in {s["name"] for s in spans})
         assert "service.job" in {s["name"] for s in spans}
 
+    def test_each_queued_job_dispatches_in_its_own_trace(self):
+        server = ReproServer(start=False)
+        try:
+            client = ReproClient(server)
+            roots, handles = [], []
+            for name in ("blur", "jacobi"):
+                with trace.span(f"root.{name}") as root:
+                    handles.append(client.submit(workload(name)))
+                roots.append(root)
+            server.start()
+            for handle in handles:
+                handle.result(timeout=120)
+        finally:
+            server.close(drain=False)
+        required = {"service.job", "scheduler.dispatch", "session.run"}
+        for root in roots:
+            spans = wait_for_spans(
+                root.trace_id,
+                lambda spans: required <= {s["name"] for s in spans})
+            names = [s["name"] for s in spans]
+            assert required <= set(names)
+            assert names.count("scheduler.dispatch") == 1
+            assert names.count("session.run") == 1
+
     def test_trace_index_and_unknown_trace(self, http_server):
         _server, url = http_server
         client = ReproClient(url)

@@ -65,7 +65,7 @@ class TestCoalescing:
     def test_coalescing_onto_a_running_job(self):
         queue = JobQueue()
         job, _ = queue.submit(workload())
-        [running] = queue.drain_batch(max_batch=4)
+        running = queue.next_job()
         assert running is job and job.state == "running"
         again, coalesced = queue.submit(workload())
         assert coalesced and again is job
@@ -73,7 +73,7 @@ class TestCoalescing:
     def test_terminal_jobs_do_not_coalesce(self):
         queue = JobQueue()
         job, _ = queue.submit(workload())
-        [job] = queue.drain_batch(max_batch=1)
+        assert queue.next_job() is job
         queue.finish(job, result="sentinel")
         fresh, coalesced = queue.submit(workload())
         assert fresh is not job and not coalesced
@@ -86,18 +86,7 @@ class TestPriorityOrder:
         mid, _ = queue.submit(workload(frame_width=200), "batch")
         high, _ = queue.submit(workload(frame_width=300), "interactive")
         mid2, _ = queue.submit(workload(frame_width=400), "batch")
-        assert queue.drain_batch(max_batch=10) == [high]
-        assert queue.drain_batch(max_batch=10) == [mid, mid2]
-        assert queue.drain_batch(max_batch=10) == [low]
-
-    def test_batch_respects_max_batch(self):
-        queue = JobQueue()
-        jobs = [queue.submit(workload(frame_width=100 + i), "batch")[0]
-                for i in range(5)]
-        first = queue.drain_batch(max_batch=3)
-        assert first == jobs[:3]
-        assert all(job.batch_size == 3 for job in first)
-        assert queue.drain_batch(max_batch=3) == jobs[3:]
+        assert [queue.next_job() for _ in range(4)] == [high, mid, mid2, low]
 
     def test_coalesced_resubmission_promotes_priority(self):
         queue = JobQueue()
@@ -106,7 +95,7 @@ class TestPriorityOrder:
         promoted, coalesced = queue.submit(workload(frame_width=100),
                                            "interactive")
         assert coalesced and promoted is slow
-        assert queue.drain_batch(max_batch=1) == [slow]
+        assert queue.next_job() is slow
 
 
 class TestCancellation:
@@ -123,12 +112,12 @@ class TestCancellation:
         queue.submit(workload())
         assert queue.cancel(job.id) is True
         assert job.state == "queued"
-        assert queue.drain_batch(max_batch=1) == [job]
+        assert queue.next_job() is job
 
     def test_running_job_cannot_be_cancelled(self):
         queue = JobQueue()
         job, _ = queue.submit(workload())
-        queue.drain_batch(max_batch=1)
+        queue.next_job()
         assert queue.cancel(job.id) is True
         assert job.state == "running"
 
@@ -143,7 +132,7 @@ class TestTimeouts:
         doomed, _ = queue.submit(workload(frame_width=100), timeout_s=0.0)
         live, _ = queue.submit(workload(frame_width=200))
         time.sleep(0.01)
-        assert queue.drain_batch(max_batch=4) == [live]
+        assert queue.next_job() is live
         assert doomed.state == "timeout"
         assert isinstance(doomed.error, JobTimeoutError)
         assert queue.stats_snapshot()["timed_out"] == 1
@@ -160,59 +149,47 @@ class TestTimeouts:
         queue.submit(workload(), timeout_s=0.0)      # impatient follower
         assert job.deadline is None                  # stays unbounded
         time.sleep(0.01)
-        assert queue.drain_batch(max_batch=1) == [job]
+        assert queue.next_job() is job
 
     def test_coalescing_keeps_the_most_patient_deadline(self):
         queue = JobQueue()
         job, _ = queue.submit(workload(), timeout_s=0.0)
         queue.submit(workload(), timeout_s=60.0)     # extends the deadline
         assert job.timeout_s == 60.0
-        assert queue.drain_batch(max_batch=1) == [job]
+        assert queue.next_job() is job
         unbounded_job, _ = queue.submit(workload(frame_width=200),
                                         timeout_s=0.0)
         queue.submit(workload(frame_width=200))      # clears the deadline
         assert unbounded_job.deadline is None
 
-    def test_idle_drain_honours_wait_timeout(self):
+    def test_a_waiting_dispatcher_skips_a_job_expired_on_arrival(self):
         queue = JobQueue()
-        started = time.monotonic()
-        assert queue.drain_batch(max_batch=1, wait_timeout=0.05) == []
-        assert time.monotonic() - started < 2.0
+        popped = []
+        waiter = threading.Thread(target=lambda: popped.append(
+            queue.next_job()), daemon=True)
+        waiter.start()
+        # wake the waiter with a job whose deadline is already over: it is
+        # expired instead of dispatched, and the waiter sleeps on
+        doomed, _ = queue.submit(workload(), timeout_s=0.0)
+        assert doomed.wait(5.0) and doomed.state == "timeout"
+        live, _ = queue.submit(workload(frame_width=200))
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive() and popped == [live]
 
 
-class TestBatchWindow:
-    def test_linger_survives_early_wakeups(self):
-        """The linger window must wait out its full duration (not return
-        on the first submit's notify), so a staggered burst lands in one
-        batch instead of a size-2 batch plus stragglers."""
+class TestNextJob:
+    def test_blocks_until_a_submission_arrives(self):
         queue = JobQueue()
-        queue.submit(workload(frame_width=100))
-        batch_holder = []
-
-        def drain():
-            batch_holder.append(queue.drain_batch(max_batch=16,
-                                                  linger_s=0.6))
-
-        drainer = threading.Thread(target=drain)
-        drainer.start()
-        # stagger three more submissions into the open window; each one
-        # notifies the queue condition — a single-wait implementation
-        # would seal the batch after the first
-        for index in range(3):
-            time.sleep(0.1)
-            queue.submit(workload(frame_width=200 + index))
-        drainer.join(timeout=5.0)
-        assert not drainer.is_alive()
-        assert len(batch_holder[0]) == 4
-
-    def test_linger_seals_early_once_the_batch_is_full(self):
-        queue = JobQueue()
-        for index in range(3):
-            queue.submit(workload(frame_width=100 + index))
-        started = time.monotonic()
-        batch = queue.drain_batch(max_batch=3, linger_s=30.0)
-        assert len(batch) == 3
-        assert time.monotonic() - started < 5.0
+        popped = []
+        waiter = threading.Thread(target=lambda: popped.append(
+            queue.next_job()), daemon=True)
+        waiter.start()
+        time.sleep(0.05)
+        assert waiter.is_alive() and not popped
+        job, _ = queue.submit(workload())
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert popped == [job] and job.state == "running"
 
 
 class TestShutdown:
@@ -226,9 +203,9 @@ class TestShutdown:
         queue = JobQueue()
         job, _ = queue.submit(workload())
         queue.close()
-        assert queue.drain_batch(max_batch=1) == [job]
+        assert queue.next_job() is job
         queue.finish(job, result=None)
-        assert queue.drain_batch(max_batch=1) is None
+        assert queue.next_job() is None
 
     def test_close_cancel_pending_releases_waiters(self):
         queue = JobQueue()
@@ -245,4 +222,4 @@ class TestShutdown:
         assert released.wait(5.0)
         waiter.join()
         assert job.state == "cancelled"
-        assert queue.drain_batch(max_batch=1) is None
+        assert queue.next_job() is None

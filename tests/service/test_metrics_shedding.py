@@ -69,7 +69,6 @@ class TestRenderPrometheus:
             text = server.metrics_text()
             for name in ("repro_queue_submitted", "repro_queue_shed",
                          "repro_session_synthesis_runs",
-                         "repro_scheduler_batches",
                          "repro_uptime_s"):
                 assert name in text, f"missing {name}"
         finally:

@@ -1,10 +1,11 @@
-"""Scheduler tests: coalescing determinism, batched dispatch, priorities.
+"""Scheduler tests: coalescing determinism, one-job dispatch, priorities.
 
-Carries the ISSUE 5 acceptance criteria: 16 concurrent identical
-submissions trigger exactly one exploration with every served result
-digest-identical to a direct ``Session.run``, and a mixed 4-device x
-2-format burst is dispatched as one batched ``run_many`` call instead of
-per-job serial runs.
+16 concurrent identical submissions trigger exactly one exploration with
+every served result digest-identical to a direct ``Session.run``; a mixed
+4-device x 2-format burst serves results identical to per-workload
+``Session.run``; and each job runs alone: it is delivered when its own run
+ends, runs (and fails) once, and a later interactive job or a cancel
+takes effect before the next pop.
 """
 
 import hashlib
@@ -16,7 +17,12 @@ import pytest
 from repro.api import Session, Workload
 from repro.api.registry import list_devices
 from repro.ir.operators import DataFormat
-from repro.service import JobFailedError, ReproClient, ReproServer
+from repro.service import (
+    JobCancelledError,
+    JobFailedError,
+    ReproClient,
+    ReproServer,
+)
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=3, frame_width=320, frame_height=240)
@@ -42,9 +48,8 @@ def paused_server():
 
 class TestCoalescingDeterminism:
     def test_16_identical_submissions_one_exploration(self, paused_server):
-        """ISSUE 5 acceptance: N identical in-flight submits share one
-        computation and every served result is digest-identical to a
-        direct ``Session.run``."""
+        """N identical in-flight submits share one computation and every
+        served result is digest-identical to a direct ``Session.run``."""
         reference = Session().run(workload())
         reference_digest = digest(reference)
         expected_runs = Session()
@@ -94,33 +99,25 @@ class TestCoalescingDeterminism:
         assert not first.coalesced and second.coalesced
 
 
-class TestBatchedDispatch:
-    def test_mixed_device_format_burst_is_batched(self, paused_server):
-        """ISSUE 5 acceptance: a 4-device x 2-format burst rides >= 1
-        batched ``run_many`` dispatch, and the served results are
-        byte-identical to a direct ``Session.run_many``."""
+class TestBurstDispatch:
+    def test_mixed_device_format_burst_matches_per_workload_runs(
+            self, paused_server):
+        """A 4-device x 2-format burst serves results byte-identical to
+        per-workload ``Session.run`` calls."""
         devices = sorted(list_devices())[:4]
         assert len(devices) == 4
         burst = [workload(device=device, data_format=data_format)
                  for device in devices
                  for data_format in (DataFormat.FIXED16,
                                      DataFormat.FIXED32)]
-        reference = Session().run_many(burst)
-        reference_digests = [digest(result) for result in reference]
+        reference_digests = [digest(Session().run(each)) for each in burst]
 
         client = ReproClient(paused_server)
         handles = [client.submit(each) for each in burst]
         paused_server.start()
         results = [handle.result(timeout=120) for handle in handles]
         assert [digest(result) for result in results] == reference_digests
-
-        scheduler_stats = paused_server.scheduler.stats_snapshot()
-        # one dispatch took the whole burst through run_many, not 8
-        # serial single-job dispatches
-        assert scheduler_stats["batched_dispatches"] >= 1
-        assert scheduler_stats["largest_batch"] == len(burst)
-        assert scheduler_stats["batches"] == 1
-        assert scheduler_stats["recent_batch_sizes"] == [len(burst)]
+        assert paused_server.stats()["queue"]["completed"] == len(burst)
 
     def test_singleton_dispatches_still_complete(self):
         server = ReproServer()
@@ -128,12 +125,64 @@ class TestBatchedDispatch:
             client = ReproClient(server)
             result = client.run(workload(), timeout=60)
             assert result.design_points
-            assert server.scheduler.stats_snapshot()["jobs_completed"] == 1
+            assert server.stats()["queue"]["completed"] == 1
         finally:
             server.close()
 
+    def test_each_job_is_delivered_before_the_next_one_starts(
+            self, paused_server):
+        events = []
+        paused_server.on_event(
+            lambda event: events.append((event.kind, event.workload))
+            if event.kind in ("workload-started", "job-finished") else None)
+        burst = [workload(frame_width=400 + 16 * i) for i in range(3)]
+        client = ReproClient(paused_server)
+        handles = [client.submit(each) for each in burst]
+        paused_server.start()
+        for handle in handles:
+            handle.result(timeout=60)
+        assert events == [(kind, each) for each in burst
+                          for kind in ("workload-started", "job-finished")]
+
 
 class TestPriorityScheduling:
+    def test_interactive_job_and_cancel_take_effect_before_the_next_pop(
+            self, paused_server):
+        """While the first background job runs, an interactive submission
+        jumps the rest of the queue and the third background job can still
+        be cancelled: it never runs."""
+        client = ReproClient(paused_server)
+        sweep = [workload(frame_width=448 + 16 * i) for i in range(3)]
+        background = [client.submit(each, priority="background")
+                      for each in sweep]
+        urgent_workload = workload(frame_width=496)
+        urgent = []
+        finished = []
+        started = []
+
+        def on_event(event):
+            if event.kind == "workload-started":
+                started.append(event.workload)
+            elif event.kind == "job-finished":
+                finished.append(event.detail)
+            elif (event.kind == "job-started" and not urgent
+                  and event.detail == background[0].id):
+                urgent.append(client.submit(urgent_workload,
+                                            priority="interactive"))
+                background[2].cancel()
+
+        paused_server.on_event(on_event)
+        paused_server.start()
+        for handle in background[:2] + urgent:
+            handle.result(timeout=60)
+        assert finished == [background[0].id, urgent[0].id,
+                            background[1].id]
+        assert background[2].status()["state"] == "cancelled"
+        with pytest.raises(JobCancelledError):
+            background[2].result(timeout=5)
+        assert sweep[2] not in started
+        assert paused_server.session.stats.workloads_run == 3
+
     def test_mixed_priority_burst_completes_in_priority_order(
             self, paused_server):
         finished = []
@@ -163,12 +212,16 @@ class TestPriorityScheduling:
 
 class TestFailureAttribution:
     def test_poisoned_batch_member_fails_alone(self, paused_server):
+        """A failing job fails alone, and runs and counts once."""
+        failed = []
+        paused_server.on_event(
+            lambda event: failed.append(event.workload)
+            if event.kind == "workload-failed" else None)
         client = ReproClient(paused_server)
         good = client.submit(workload(frame_width=352))
-        # an unknown backend name resolves (and fails) only inside run():
-        # the job must fail individually without poisoning its batch
-        bad = client.submit(workload(frame_width=368,
-                                     synthesizer="no-such-backend"))
+        # an unknown backend name resolves (and fails) only inside run()
+        poisoned = workload(frame_width=368, synthesizer="no-such-backend")
+        bad = client.submit(poisoned)
         also_good = client.submit(workload(frame_width=384))
         paused_server.start()
         assert good.result(timeout=60).design_points
@@ -176,13 +229,16 @@ class TestFailureAttribution:
         with pytest.raises(JobFailedError, match="no-such-backend"):
             bad.result(timeout=60)
         assert bad.status()["state"] == "failed"
-        stats = paused_server.scheduler.stats_snapshot()
-        assert stats["jobs_failed"] == 1
-        assert stats["jobs_completed"] == 2
+        stats = paused_server.stats()
+        assert stats["queue"]["failed"] == 1
+        assert stats["queue"]["completed"] == 2
+        assert stats["session"]["workloads_failed"] == 1
+        assert stats["session"]["workloads_run"] == 2
+        assert failed == [poisoned]
 
     def test_failing_singleton_is_not_replayed(self):
-        """A batch of one failing job must fail directly — not pay the
-        broken pipeline a second time in the attribution replay."""
+        """A failing job must fail directly — not pay the broken pipeline
+        a second time."""
         server = ReproServer()
         try:
             client = ReproClient(server)

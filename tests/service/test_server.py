@@ -72,7 +72,7 @@ class TestHttpTransport:
         health = client.healthz()
         assert health["ok"] and health["state"] == "serving"
         stats = client.stats()
-        for key in ("state", "queue", "scheduler", "session", "store",
+        for key in ("state", "queue", "session", "store",
                     "stream", "uptime_s"):
             assert key in stats
         assert stats["store"] is None  # storeless server
@@ -246,10 +246,10 @@ class TestRegistryIntegration:
 
     def test_create_backend_builds_a_server(self):
         server = create_backend("service", "local", start=False,
-                                max_batch=4)
+                                max_pending=4)
         try:
             assert isinstance(server, ReproServer)
-            assert server.scheduler.stats_snapshot()["max_batch"] == 4
+            assert server.stats()["queue"]["max_pending"] == 4
         finally:
             server.close(drain=False)
 
