@@ -15,9 +15,8 @@ fleet-tier behaviors on top of the service tier:
    store: the fleet's second tier of caching;
 3. failover — killing a worker moves only its ring segment to the
    successor, and its in-flight jobs are replayed idempotently;
-4. load shedding + admission — bounded worker queues shed bursts with a
-   ``Retry-After`` hint the retrying client honors, and role-based
-   admission gates who may submit at which priority.
+4. load shedding — bounded worker queues, the fleet's one admission gate,
+   shed bursts with a ``Retry-After`` hint the retrying client honors.
 
 Run with:  PYTHONPATH=src python examples/fleet_demo.py
 
@@ -34,8 +33,8 @@ import tempfile
 import threading
 
 from repro.api import Session, Workload
-from repro.fleet import AdmissionPolicy, FleetRouter, routing_token
-from repro.service import AdmissionDeniedError, QueueFullError, ReproClient
+from repro.fleet import FleetRouter, routing_token
+from repro.service import QueueFullError, ReproClient
 
 #: Small knobs so the demo finishes in seconds.
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
@@ -98,10 +97,10 @@ def main() -> None:
                   f"{len(pareto_sizes)} results delivered")
 
     # ------------------------------------------------------------------ #
-    # 4a. load shedding: a paused worker with a one-slot queue sheds the
-    #     overflow with a Retry-After hint; the retrying client backs off
-    #     (capped exponential + seeded jitter) and recovers once the
-    #     worker starts draining.
+    # 4. load shedding: a paused worker with a one-slot queue sheds the
+    #    overflow with a Retry-After hint; the retrying client backs off
+    #    (capped exponential + seeded jitter) and recovers once the
+    #    worker starts draining.
     with FleetRouter.local(1, max_pending=1, start=False) as fleet:
         raw = ReproClient(fleet, retries=0)       # surface the shed
         raw.submit(workloads[0])                  # fills the only slot
@@ -119,20 +118,6 @@ def main() -> None:
         print(f"recovery:   retrying client got the result anyway "
               f"(router shed {fleet.stats()['router']['shed']} "
               f"submission(s) along the way)")
-
-    # 4b. admission control: a guest-by-default fleet only accepts
-    #     background work; operators keep every priority class.
-    policy = AdmissionPolicy(default_role="guest")
-    with FleetRouter.local(1, policy=policy, start=False) as fleet:
-        try:
-            fleet.submit(workloads[0], priority="interactive")
-        except AdmissionDeniedError as denied:
-            print(f"admission:  {denied}")
-        receipt = fleet.submit(workloads[0], priority="interactive",
-                               role="operator")
-        print(f"admission:  operator admitted ({receipt['job_id']}), "
-              f"counters {fleet.stats()['admission']['denied']} denied / "
-              f"{fleet.stats()['admission']['admitted']} admitted")
 
     # ------------------------------------------------------------------ #
     # everything above is also scrape-able: workers and the router expose

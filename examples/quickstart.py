@@ -219,8 +219,8 @@ def main() -> None:
     #    still coalesce (same key -> same worker), and the shared store
     #    turns the whole fleet into one cache: the session-5 store above
     #    already holds this workload, so a fresh 3-worker fleet serves it
-    #    with zero synthesis.  (see examples/fleet_demo.py for failover,
-    #    load shedding, and admission control)
+    #    with zero synthesis.  (see examples/fleet_demo.py for failover
+    #    and load shedding)
     from repro.fleet import FleetRouter
 
     with tempfile.TemporaryDirectory() as store_dir:

@@ -56,7 +56,7 @@ def print_tree(spans) -> None:
         siblings.sort(key=lambda span: span["start_s"])
 
     def walk(span, depth):
-        attrs = span["attributes"]
+        attrs = span.get("attributes", {})  # omitted when a span has none
         detail = ", ".join(f"{key}={value}"
                            for key, value in sorted(attrs.items())
                            if key in ("workload", "kind", "state", "chunks",
@@ -82,7 +82,7 @@ def main() -> None:
         #    crosses every hop, so the receipt's trace id IS the root's.
         trace.enable()
         with trace.span("demo.submit", workload=workload.name) as root:
-            handle = client.submit(workload, role="operator")
+            handle = client.submit(workload)
             result = handle.result(timeout=120)
         print(f"submitted:  {workload.name} -> {len(result.pareto)} "
               f"Pareto point(s), trace {handle.trace_id[:12]}... "

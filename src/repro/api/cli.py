@@ -44,8 +44,7 @@ Subcommands
     router (``--fleet URL``), wait for the result, and print it like
     ``explore`` — or ``--no-wait`` to just queue it and print the job
     id.  Shed submissions (``503 + Retry-After``) are retried with
-    capped backoff (``--retries``); ``--role`` names the requester's
-    role for fleet admission control.  The submission carries this
+    capped backoff (``--retries``).  The submission carries this
     process's span context in ``X-Repro-Trace``, so the server-side
     trace joins the caller's; the receipt's trace id is printed for
     ``trace`` to fetch.
@@ -211,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=None,
                        help="TCP port (default: 8177; 0 binds an "
                             "ephemeral port, printed on startup)")
-    serve.add_argument("--backend", default="local", metavar="NAME",
-                       help="service backend from the registry "
-                            "(default: local)")
     serve.add_argument("--store", metavar="DIR", nargs="?",
                        const=default_store_path(), default=None,
                        help="persist characterizations/results under DIR "
@@ -250,16 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--port", type=int, default=None,
                        help="TCP port (default: 8177; 0 binds an "
                             "ephemeral port, printed on startup)")
-    fleet.add_argument("--replicas", type=int, default=None, metavar="N",
-                       help="virtual nodes per worker on the hash ring "
-                            "(default: 64)")
     fleet.add_argument("--max-pending", type=int, default=None, metavar="N",
                        help="per-worker queue bound for spawned workers "
                             "(default: unbounded)")
-    fleet.add_argument("--default-role", default="operator", metavar="ROLE",
-                       help="admission role of submissions that name none "
-                            "(default: operator; use guest for "
-                            "multi-tenant fleets)")
     fleet.add_argument("--healthcheck-interval", type=float, default=1.0,
                        metavar="S",
                        help="seconds between worker healthchecks "
@@ -305,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="job class: explore the design space "
                              "(default) or validate the simulated "
                              "architecture against the golden model")
-    submit.add_argument("--role", default=None, metavar="ROLE",
-                        help="requester role for fleet admission control "
-                             "(default: the router's default role)")
     submit.add_argument("--retries", type=int, default=4, metavar="N",
                         help="shed-retry budget: resubmissions after "
                              "503 + Retry-After before giving up "
@@ -687,13 +673,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.api.registry import create_backend
-    from repro.service.server import DEFAULT_PORT
+    from repro.service.server import DEFAULT_PORT, ReproServer
 
     session = _session(args)
-    server = create_backend("service", args.backend, session=session,
-                            max_pending=args.max_pending,
-                            worker_id=args.worker_id)
+    server = ReproServer(session=session, max_pending=args.max_pending,
+                         worker_id=args.worker_id)
     port = DEFAULT_PORT if args.port is None else args.port
     host, bound_port = server.serve_http(args.host, port)
     # stdout, flushed: the line tooling (scripts/service_smoke.py) parses
@@ -731,14 +715,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.fleet.admission import AdmissionPolicy
-    from repro.fleet.ring import DEFAULT_REPLICAS
     from repro.fleet.router import FleetRouter
     from repro.service.server import DEFAULT_PORT
 
-    policy = AdmissionPolicy(default_role=args.default_role)
-    replicas = (DEFAULT_REPLICAS if args.replicas is None
-                else args.replicas)
     if args.worker:
         specs = []
         for item in args.worker:
@@ -750,13 +729,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             else:
                 specs.append(item)
         router = FleetRouter(
-            specs, policy=policy, replicas=replicas,
-            healthcheck_interval_s=args.healthcheck_interval,
+            specs, healthcheck_interval_s=args.healthcheck_interval,
             close_workers=False)
     else:
         router = FleetRouter.local(
-            args.workers, store=args.store, policy=policy,
-            max_pending=args.max_pending, replicas=replicas,
+            args.workers, store=args.store, max_pending=args.max_pending,
             healthcheck_interval_s=args.healthcheck_interval)
     port = DEFAULT_PORT if args.port is None else args.port
     host, bound_port = router.serve_http(args.host, port)
@@ -766,9 +743,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
           flush=True)
     counters = router.membership.counters()
     print(f"  {counters['workers_alive']}/{counters['workers_total']} "
-          f"worker(s) alive, {replicas} ring replicas each, "
-          f"default role {policy.default_role!r} "
-          f"(POST /shutdown or Ctrl-C drains the fleet)", file=sys.stderr)
+          f"worker(s) alive (POST /shutdown or Ctrl-C drains the fleet)",
+          file=sys.stderr)
     if args.store and not args.worker:
         print(f"  shared persistent store: {args.store}", file=sys.stderr)
 
@@ -814,8 +790,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     try:
         with obs_trace.span("cli.submit", workload=workload.name):
             handle = client.submit(workload, priority=args.priority,
-                                   timeout_s=args.timeout, role=args.role,
-                                   job=args.job)
+                                   timeout_s=args.timeout, job=args.job)
             if args.no_wait:
                 print(handle.id)
                 if handle.trace_id:

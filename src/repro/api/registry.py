@@ -15,7 +15,7 @@ single ``repro`` module::
     result = Session().run(
         Workload.from_algorithm("blur", synthesizer="vivado"))
 
-Backends are registered under one of five *kinds*:
+Backends are registered under one of four *kinds*:
 
 ``synthesizer``
     Factory ``(device, library) ->`` :class:`SynthesizerBackend`.
@@ -28,16 +28,6 @@ Backends are registered under one of five *kinds*:
 ``device``
     Factory ``() ->`` :class:`DeviceProvider`; the provider's devices become
     resolvable by part name through :func:`resolve_device`.
-``service``
-    Factory ``(session=..., max_pending=..., ...) ->`` a
-    long-lived exploration server exposing the job API (``submit`` /
-    ``status`` / ``result`` / ``stats`` / ``healthz``); the built-in
-    (``local``, :class:`repro.service.server.ReproServer`) lives in
-    :mod:`repro.service` and backs ``python -m repro serve``; ``fleet``
-    (:class:`repro.fleet.router.FleetRouter`) fronts N of those workers
-    behind the same job API and backs ``python -m repro fleet``.  An
-    out-of-tree deployment (a gRPC frontend, a queue-backed farm) plugs
-    in by registering a factory with the same surface.
 
 Factories are invoked with keyword arguments only, so the built-in classes
 (:class:`repro.synth.Synthesizer`, :class:`repro.estimation.RegisterAreaModel`,
@@ -88,7 +78,7 @@ DISCOVERY_ENV_VAR = "REPRO_BACKENDS"
 
 #: The extension-point kinds the registry knows.
 BACKEND_KINDS: Tuple[str, ...] = ("synthesizer", "area", "throughput",
-                                  "device", "service")
+                                  "device")
 
 
 class BackendError(KeyError):
@@ -234,23 +224,6 @@ def unregister_backend(kind: str, name: str) -> None:
             _provider_instances.pop(name.lower(), None)
 
 
-def _ensure_service_builtins() -> None:
-    """Import the service tier so ``service`` built-ins exist.
-
-    The service modules register themselves at import time (like plugins
-    do), and the service tier lives outside :mod:`repro.api` (it *uses*
-    sessions), so the registry must not import it eagerly — only when a
-    ``service`` lookup asks.
-    ``local`` registers from :mod:`repro.service.server`, ``fleet`` from
-    :mod:`repro.fleet.router`.
-    """
-    with _registry_lock:
-        registered = len(_backends["service"]) >= 2
-    if not registered:
-        importlib.import_module("repro.service.server")
-        importlib.import_module("repro.fleet.router")
-
-
 def get_backend(kind: str, name: str) -> Callable[..., Any]:
     """The factory registered under ``(kind, name)``.
 
@@ -258,8 +231,6 @@ def get_backend(kind: str, name: str) -> Callable[..., Any]:
     visible to every lookup path.
     """
     _check_kind(kind)
-    if kind == "service":
-        _ensure_service_builtins()
     discover_backends()
     with _registry_lock:
         factory = _backends[kind].get(name.lower())
@@ -290,8 +261,6 @@ def backend_signature(kind: str, name: str) -> str:
 
 def list_backends(kind: Optional[str] = None) -> Dict[str, List[str]]:
     """Registered backend names, per kind (or only the requested kind)."""
-    if kind is None or kind == "service":
-        _ensure_service_builtins()
     discover_backends()
     with _registry_lock:
         kinds = (_check_kind(kind),) if kind is not None else BACKEND_KINDS

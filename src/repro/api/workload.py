@@ -102,17 +102,21 @@ class Workload:
             raise ValueError(
                 f"frame must be at least 1x1 (got "
                 f"{self.frame_width}x{self.frame_height})")
-        for knob in ("chunk_rows", "stream_jobs"):
-            # rejected here, not after characterization: a service submit
-            # builds the Workload, so a bad knob is a 400, not a failed job
-            value = getattr(self, knob)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)
-                                      or value < 1):
-                raise ValueError(f"{knob} must be a positive integer or "
-                                 f"None (got {value!r})")
+        # knobs are rejected here, not mid-run: a service submit builds the
+        # Workload, so a bad knob is a 400, not a failed job
+        for knob in ("chunk_rows", "stream_jobs"):  # None: engine default
+            if getattr(self, knob) is not None:
+                _require_positive_int(knob, getattr(self, knob))
+        for knob in ("max_depth", "max_cones_per_depth",
+                     "onchip_port_elements_per_cycle"):
+            _require_positive_int(knob, getattr(self, knob))
+        window_sides = tuple(self.window_sides)
+        if not window_sides:
+            raise ValueError("window_sides must name at least one side")
+        for side in window_sides:
+            _require_positive_int("each window side", side)
         object.__setattr__(self, "window_sides",
-                           tuple(sorted(set(self.window_sides))))
+                           tuple(sorted(set(window_sides))))
         # Always normalize: an already-tuple params value may still be
         # unsorted or hold non-float values, which would break eq/hash and
         # the characterization-cache key.
@@ -121,6 +125,7 @@ class Workload:
         object.__setattr__(self, "_resolved_kernel", resolved)
         if self.iterations is None:
             object.__setattr__(self, "iterations", self._default_iterations())
+        _require_positive_int("iterations", self.iterations)
         digest = hashlib.sha256(
             (resolved.fingerprint()
              + repr(self.params or ())).encode("utf-8")).hexdigest()[:16]
@@ -256,6 +261,8 @@ class Workload:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Workload":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"workload must be a JSON object (got {data!r})")
         options = FlowOptions.from_dict(data)
         kernel = data.get("kernel")
         return cls(
@@ -266,6 +273,14 @@ class Workload:
             params=_normalize_params(data.get("params")),
             **{name: getattr(options, name) for name in _OPTION_FIELDS},
         )
+
+
+def _require_positive_int(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` >= 1 (a
+    ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer "
+                         f"(got {value!r})")
 
 
 @lru_cache(maxsize=64)

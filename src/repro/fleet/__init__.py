@@ -20,10 +20,10 @@ drive a fleet exactly like one worker.  Four properties define the tier:
 * **failover** — a healthcheck loop takes dead workers off the ring (only
   *their* segments move, each to its ring successor) and replays their
   in-flight jobs; killing a worker mid-burst loses zero jobs;
-* **load shedding + admission control** — bounded worker queues shed with
-  ``503 + Retry-After`` end-to-end (clients retry with capped, seeded
-  backoff), and a role-based :class:`AdmissionPolicy` gates priority
-  classes at the router (:mod:`repro.fleet.admission`).
+* **load shedding** — bounded worker queues (``max_pending``) are the
+  fleet's one admission gate: a full queue sheds with ``503 +
+  Retry-After`` end-to-end, and clients retry with capped, seeded
+  backoff.  The router admits every well-formed submission.
 
 Quick start::
 
@@ -39,15 +39,12 @@ Shell equivalent: ``python -m repro fleet --workers 4 --store
 ~/.cache/repro`` then ``python -m repro submit blur --fleet http://...``.
 """
 
-from repro.fleet.admission import AdmissionPolicy, DEFAULT_ROLES
 from repro.fleet.membership import FleetMember, FleetMembership
 from repro.fleet.ring import DEFAULT_REPLICAS, HashRing, routing_token
 from repro.fleet.router import FleetRouter
 
 __all__ = [
-    "AdmissionPolicy",
     "DEFAULT_REPLICAS",
-    "DEFAULT_ROLES",
     "FleetMember",
     "FleetMembership",
     "FleetRouter",

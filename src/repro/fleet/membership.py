@@ -24,7 +24,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service.client import ReproClient
-from repro.fleet.ring import DEFAULT_REPLICAS, HashRing
+from repro.fleet.ring import HashRing
 
 
 class FleetMember:
@@ -40,7 +40,6 @@ class FleetMember:
         #: The in-process server, when the router owns/wraps one.
         self.server = server
         self.alive = True
-        self.consecutive_failures = 0
         #: The worker's answer to the registration handshake.
         self.registration: Optional[Dict[str, Any]] = None
         self.last_checked_at: Optional[float] = None
@@ -61,7 +60,6 @@ class FleetMember:
             "url": self.url,
             "in_process": self.server is not None,
             "alive": self.alive,
-            "consecutive_failures": self.consecutive_failures,
             "jobs_routed": self.jobs_routed,
             "worker_id": (None if self.registration is None
                           else self.registration.get("worker_id")),
@@ -73,10 +71,10 @@ class FleetMember:
 class FleetMembership:
     """The member set plus the ring over its alive subset (thread-safe)."""
 
-    def __init__(self, replicas: int = DEFAULT_REPLICAS) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._members: Dict[str, FleetMember] = {}
-        self._ring = HashRing(replicas=replicas)
+        self._ring = HashRing()
         self._deaths = 0
         self._revivals = 0
 
@@ -117,7 +115,6 @@ class FleetMembership:
             if member is None or member.alive:
                 return False
             member.alive = True
-            member.consecutive_failures = 0
             self._ring.add(name)
             self._revivals += 1
             return True
@@ -147,13 +144,11 @@ class FleetMembership:
     # ------------------------------------------------------------------ #
     # liveness sweep
 
-    def healthcheck(self, failure_threshold: int = 1
-                    ) -> Tuple[List[str], List[str]]:
+    def healthcheck(self) -> Tuple[List[str], List[str]]:
         """Probe every member; returns ``(newly_dead, newly_alive)``.
 
-        A member is marked dead after ``failure_threshold`` consecutive
-        failed probes (1 = immediately), and alive again on the first
-        successful probe.
+        A member is marked dead on its first failed probe, and alive again
+        on its first successful one.
         """
         newly_dead: List[str] = []
         newly_alive: List[str] = []
@@ -162,15 +157,10 @@ class FleetMembership:
             with self._lock:
                 member.last_checked_at = time.time()
                 if ok:
-                    member.consecutive_failures = 0
-                    if not member.alive and self.mark_alive(member.name):
+                    if self.mark_alive(member.name):
                         newly_alive.append(member.name)
-                else:
-                    member.consecutive_failures += 1
-                    if (member.alive and member.consecutive_failures
-                            >= failure_threshold
-                            and self.mark_dead(member.name)):
-                        newly_dead.append(member.name)
+                elif self.mark_dead(member.name):
+                    newly_dead.append(member.name)
         return newly_dead, newly_alive
 
     def counters(self) -> Dict[str, int]:
@@ -205,7 +195,7 @@ def build_member(spec: Union[str, Tuple[str, Any], Any],
         return FleetMember(name or spec.rstrip("/"), client,
                            url=spec.rstrip("/"))
     if isinstance(spec, ReproClient):
-        url = spec._base_urls[0] if spec._base_urls else None
+        url = spec._url
         return FleetMember(name or url or f"worker-{index}", spec, url=url)
     if hasattr(spec, "submit") and hasattr(spec, "result"):
         return FleetMember(name or f"worker-{index}",

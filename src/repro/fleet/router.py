@@ -23,32 +23,28 @@ shared :class:`~repro.api.store.ArtifactStore` the replay is typically a
 disk hit, not a recomputation (the registration handshake records every
 worker's store root so ``stats()`` can attest the sharing).
 
-Traffic hygiene: per-priority-class admission control at the router
-(:class:`~repro.fleet.admission.AdmissionPolicy` — roles grant classes),
-an optional router-level in-flight bound, and end-to-end load-shedding —
-a worker's bounded queue refusing work surfaces to the client as ``503 +
-Retry-After`` (rerouting a shed would both break same-key coalescing and
-overload the neighbors; backpressure is the correct answer).
+Traffic hygiene: the router admits every well-formed submission; the
+one admission gate is each worker's bounded queue (``max_pending``).  A
+worker refusing work surfaces to the client as ``503 + Retry-After``
+(rerouting a shed would both break same-key coalescing and overload the
+neighbors; backpressure is the correct answer).
 """
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.api.registry import register_backend
 from repro.api.results import FlowResult
 from repro.api.workload import Workload
-from repro.fleet.admission import AdmissionPolicy
 from repro.fleet.membership import (
     FleetMember,
     FleetMembership,
     build_member,
 )
-from repro.fleet.ring import DEFAULT_REPLICAS, routing_token
+from repro.fleet.ring import routing_token
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.service.jobs import (
@@ -61,6 +57,7 @@ from repro.service.jobs import (
     ServiceError,
     UnknownJobError,
     parse_job_kind,
+    parse_priority,
     priority_name,
 )
 from repro.service.metrics import render_prometheus
@@ -78,10 +75,6 @@ MAX_REPLAYS_SLACK = 2
 #: Default seconds between healthcheck sweeps (0 disables the loop;
 #: :meth:`FleetRouter.check_workers` probes on demand either way).
 DEFAULT_HEALTHCHECK_INTERVAL_S = 1.0
-
-#: Folds an arbitrary requester role into a legal metric-name suffix for
-#: the per-role submit counters.
-_ROLE_SANITIZER = re.compile(r"[^a-z0-9_]")
 
 
 class _RoutedJob:
@@ -138,29 +131,20 @@ class FleetRouter:
     construction (``POST /register``), healthchecks them on
     ``healthcheck_interval_s``, and **owns** them by default: closing the
     router drains and closes the whole fleet (``close_workers=False`` to
-    front workers with an independent lifecycle).
+    front workers with an independent lifecycle).  It admits every
+    well-formed submission: only a worker's bounded queue sheds.
     """
 
     def __init__(self, workers: Any = (),
-                 policy: Optional[AdmissionPolicy] = None,
-                 replicas: int = DEFAULT_REPLICAS,
-                 max_inflight: Optional[int] = None,
                  healthcheck_interval_s: float =
                  DEFAULT_HEALTHCHECK_INTERVAL_S,
-                 failure_threshold: int = 1,
                  history_limit: int = 1024,
                  close_workers: bool = True) -> None:
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1 or None (got {max_inflight})")
         # routers trace by default, exactly like workers (REPRO_OBS=0
         # opts out); with in-process workers the one global TraceStore
         # then holds the full route -> worker -> pipeline trace
         obs_trace.auto_enable()
-        self._policy = policy if policy is not None else AdmissionPolicy()
-        self._membership = FleetMembership(replicas=replicas)
-        self._max_inflight = max_inflight
-        self._failure_threshold = failure_threshold
+        self._membership = FleetMembership()
         self._close_workers = close_workers
         self._lock = threading.RLock()
         self._jobs: Dict[str, _RoutedJob] = {}
@@ -204,10 +188,7 @@ class FleetRouter:
     @classmethod
     def local(cls, count: int,
               store: Union[str, Any, None] = None,
-              policy: Optional[AdmissionPolicy] = None,
               max_pending: Optional[int] = None,
-              replicas: int = DEFAULT_REPLICAS,
-              max_inflight: Optional[int] = None,
               healthcheck_interval_s: float =
               DEFAULT_HEALTHCHECK_INTERVAL_S,
               **server_kwargs: Any) -> "FleetRouter":
@@ -229,9 +210,7 @@ class FleetRouter:
             server = ReproServer(store=store, max_pending=max_pending,
                                  worker_id=name, **server_kwargs)
             workers.append((name, server))
-        return cls(workers, policy=policy, replicas=replicas,
-                   max_inflight=max_inflight,
-                   healthcheck_interval_s=healthcheck_interval_s)
+        return cls(workers, healthcheck_interval_s=healthcheck_interval_s)
 
     def _handshake(self, member: FleetMember) -> None:
         """Register with a worker; record its identity and store root."""
@@ -254,10 +233,6 @@ class FleetRouter:
     @property
     def membership(self) -> FleetMembership:
         return self._membership
-
-    @property
-    def policy(self) -> AdmissionPolicy:
-        return self._policy
 
     def __enter__(self) -> "FleetRouter":
         return self
@@ -332,8 +307,7 @@ class FleetRouter:
     def check_workers(self) -> Dict[str, List[str]]:
         """One synchronous healthcheck sweep; replays the in-flight jobs
         of every newly-dead worker onto its ring successors."""
-        newly_dead, newly_alive = self._membership.healthcheck(
-            failure_threshold=self._failure_threshold)
+        newly_dead, newly_alive = self._membership.healthcheck()
         for name in newly_alive:
             # a worker that came back re-handshakes (it may have restarted
             # and lost the registration)
@@ -400,12 +374,10 @@ class FleetRouter:
     def submit(self, workload: Union[Workload, Mapping[str, Any]],
                priority: Union[str, int, None] = None,
                timeout_s: Optional[float] = None,
-               role: Optional[str] = None,
                job: Optional[str] = None) -> Dict[str, Any]:
-        """Admit, place, and file a workload; returns the fleet receipt.
+        """Place and file a workload; returns the fleet receipt.
 
-        Admission first (the role must hold the priority class), then
-        consistent-hash placement, then the home worker's own bounded
+        Consistent-hash placement, then the home worker's own bounded
         queue — whose shed (``QueueFullError``) propagates to the caller
         untouched: backpressure is end-to-end, never rerouted.  ``job``
         selects the job class (``explore``/``validate``) and is forwarded
@@ -414,36 +386,22 @@ class FleetRouter:
         """
         if not isinstance(workload, Workload):
             workload = Workload.from_dict(workload)
-        obs_metrics.registry().counter(
-            "repro_fleet_submits_role_"
-            + _ROLE_SANITIZER.sub("_", (role or "default").lower())).inc()
-        with obs_trace.span("fleet.route", workload=workload.name,
-                            role=role or "default") as route_span:
-            return self._route(workload, priority, timeout_s, role, job,
+        with obs_trace.span("fleet.route",
+                            workload=workload.name) as route_span:
+            return self._route(workload, priority, timeout_s, job,
                                route_span)
 
     def _route(self, workload: Workload,
                priority: Union[str, int, None],
                timeout_s: Optional[float],
-               role: Optional[str],
                job: Optional[str],
                route_span: Any) -> Dict[str, Any]:
-        parsed = self._policy.admit(role, priority)
+        parsed = parse_priority(priority)
         kind = parse_job_kind(job)
         with self._lock:
             if self._closed:
                 raise ServiceClosedError(
                     "the fleet router is draining and accepts no new jobs")
-            if self._max_inflight is not None:
-                inflight = sum(1 for job in self._jobs.values()
-                               if job.state == "routed")
-                if inflight >= self._max_inflight:
-                    self._shed += 1
-                    retry_after = min(30.0, 1.0 + 0.1 * inflight)
-                    raise QueueFullError(
-                        f"router in-flight bound reached ({inflight} jobs "
-                        f">= {self._max_inflight})",
-                        retry_after_s=retry_after)
         token = routing_token(workload)
         preference = self._membership.preference(token)
         if not preference:
@@ -682,7 +640,6 @@ class FleetRouter:
                 "cancelled": self._cancelled_count,
                 "inflight": sum(1 for job in self._jobs.values()
                                 if job.state == "routed"),
-                "max_inflight": self._max_inflight,
             }
         return {
             "state": self._state(),
@@ -690,9 +647,6 @@ class FleetRouter:
             "http_address": (None if self._http_address is None
                              else "http://{}:{}".format(*self._http_address)),
             "router": router,
-            "admission": {**self._policy.counters(),
-                          "default_role": self._policy.default_role,
-                          "roles": self._policy.roles()},
             "membership": self._membership.counters(),
             "ring": {"members": list(self._membership.ring.members),
                      "replicas": self._membership.ring.replicas},
@@ -716,8 +670,7 @@ class FleetRouter:
 
     def metrics_text(self) -> str:
         """Prometheus text over the fleet aggregation (``GET /metrics``):
-        typed walked leaves plus the registry families (per-role submit
-        counters, latency histograms)."""
+        typed walked leaves plus the registry's latency histograms."""
         return render_prometheus(self.stats(), prefix="repro_fleet",
                                  registry=obs_metrics.registry())
 
@@ -774,6 +727,3 @@ class FleetRouter:
             start_http_endpoint(self, host, port,
                                 thread_name="repro-fleet-http"))
         return self._http_address
-
-
-register_backend("service", "fleet", FleetRouter)

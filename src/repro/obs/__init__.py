@@ -14,9 +14,11 @@ never pull in test/plot/config frameworks.  Two modules:
     export as JSONL or Chrome ``trace_event`` JSON.
 
 :mod:`repro.obs.metrics`
-    ``Counter`` / ``Gauge`` / ``Histogram`` (fixed log-spaced latency
-    buckets) behind a process-global registry, plus a strict parser for
-    the Prometheus text exposition format used by the ``--obs`` smoke.
+    Latency histograms (fixed log-spaced buckets) behind a
+    process-global registry, plus a strict parser for the Prometheus
+    text exposition format used by the ``--obs`` smoke.  Counters and
+    gauges come from the walked ``stats()`` documents
+    (:mod:`repro.service.metrics`), not from the registry.
 
 Everything is ~zero-cost when disabled: the recorder is a no-op
 singleton behind one module-global check (pinned by the ``obs_overhead``

@@ -1,13 +1,14 @@
-"""Typed metrics: Counter / Gauge / Histogram behind a global registry.
+"""Latency histograms behind a global registry.
 
 The service/fleet ``/metrics`` endpoints render two sources: the
-``stats()`` document walk (now classified counter-vs-gauge by leaf name,
-see :mod:`repro.service.metrics`) and this registry, which holds the
-instruments the walkers cannot express — log-spaced latency histograms
-(queue wait, pipeline stage, chunk fold) and labelled counters (per-role
-submits).  Everything is process-global so one exposition shows the
-whole process, and thread-safe behind one registry lock plus per-metric
-locks.
+``stats()`` document walk, which supplies every counter and gauge
+(classified by leaf name, see :mod:`repro.service.metrics`), and this
+registry, which holds what the walk cannot express — the log-spaced
+latency histograms ``repro_session_stage_seconds``,
+``repro_service_queue_wait_seconds`` and
+``repro_stream_chunk_fold_seconds``.  Everything is process-global so one
+exposition shows the whole process, and thread-safe behind one registry
+lock plus per-histogram locks.
 
 :func:`parse_exposition` is a strict validator for the Prometheus text
 format 0.0.4 (``# TYPE`` before samples, histogram ``le`` buckets
@@ -24,8 +25,8 @@ from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
-    "Counter", "DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram",
-    "MetricsRegistry", "parse_exposition", "registry",
+    "DEFAULT_LATENCY_BUCKETS", "Histogram", "MetricsRegistry",
+    "parse_exposition", "registry",
 ]
 
 #: Fixed log-spaced latency buckets (seconds): a 1-2.5-5 ladder from
@@ -45,66 +46,9 @@ def _validate_name(name: str) -> str:
     return name
 
 
-class Counter:
-    """Monotonically increasing value (``# TYPE ... counter``)."""
-
-    kind = "counter"
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = _validate_name(name)
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease "
-                             f"(inc {amount})")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "value": self._value}
-
-
-class Gauge:
-    """Freely settable value (``# TYPE ... gauge``)."""
-
-    kind = "gauge"
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = _validate_name(name)
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "value": self._value}
-
-
 class Histogram:
     """Cumulative-bucket histogram (``# TYPE ... histogram``)."""
 
-    kind = "histogram"
     __slots__ = ("name", "buckets", "_lock", "_counts", "_sum", "_count")
 
     def __init__(self, name: str,
@@ -154,49 +98,35 @@ class Histogram:
         for bound, count in zip(self.buckets, counts):
             running += count
             cumulative.append((bound, running))
-        return {"type": self.kind, "buckets": cumulative,
+        return {"type": "histogram", "buckets": cumulative,
                 "sum": acc, "count": total}
 
 
 class MetricsRegistry:
-    """Name-keyed get-or-create store of typed instruments."""
+    """Name-keyed get-or-create store of histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._metrics: Dict[str, Any] = {}
-
-    def _get_or_create(self, name: str, factory, kind: str):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = factory()
-            elif metric.kind != kind:
-                raise TypeError(f"metric {name!r} already registered as "
-                                f"{metric.kind}, not {kind}")
-            return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, lambda: Counter(name), "counter")
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name), "gauge")
+        self._metrics: Dict[str, Histogram] = {}
 
     def histogram(self, name: str,
                   buckets: Optional[Tuple[float, ...]] = None) -> Histogram:
-        return self._get_or_create(
-            name,
-            lambda: Histogram(name, buckets or DEFAULT_LATENCY_BUCKETS),
-            "histogram")
+        with self._lock:
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = self._metrics[name] = Histogram(
+                    name, buckets or DEFAULT_LATENCY_BUCKETS)
+            return metric
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Name-sorted JSON-ready view of every instrument."""
+        """Name-sorted JSON-ready view of every histogram."""
         with self._lock:
             metrics = list(self._metrics.items())
         return {name: metric.snapshot()
                 for name, metric in sorted(metrics)}
 
     def reset(self) -> None:
-        """Drop every instrument (tests only)."""
+        """Drop every histogram (tests only)."""
         with self._lock:
             self._metrics.clear()
 

@@ -44,7 +44,6 @@ Shell equivalent: ``python -m repro serve --store ~/.cache/repro`` then
 
 from repro.service.jobs import (
     JOB_STATES,
-    AdmissionDeniedError,
     FleetOverloadedError,
     Job,
     JobCancelledError,
@@ -66,7 +65,6 @@ from repro.service.server import DEFAULT_PORT, ReproServer
 from repro.service.client import JobHandle, ReproClient
 
 __all__ = [
-    "AdmissionDeniedError",
     "DEFAULT_PORT",
     "FleetOverloadedError",
     "JOB_STATES",

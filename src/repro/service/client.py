@@ -10,17 +10,12 @@ chunked into bounded server-side polls, so a slow exploration never pins
 one connection), and unsuccessful jobs raise the same
 :class:`~repro.service.jobs` error taxonomy the server raises locally.
 
-Production traffic hygiene (both transports):
-
-* **shed-retry with backoff** — a submission shed by a bounded queue
-  (``503 + Retry-After``, :class:`QueueFullError`) is retried with capped
-  exponential backoff and *deterministic, seeded* jitter, honoring the
-  server's ``Retry-After`` hint as the floor of each delay; once the
-  retry budget is spent the client gives up with a typed
-  :class:`FleetOverloadedError` instead of a bare :mod:`urllib` error;
-* **endpoint failover** — ``ReproClient(["http://a", "http://b"])``
-  rotates to the next URL when the current one is unreachable, and stays
-  on the working one (sticky) until it too fails.
+Production traffic hygiene (both transports): a submission shed by a
+bounded queue (``503 + Retry-After``, :class:`QueueFullError`) is retried
+with capped exponential backoff and *deterministic, seeded* jitter,
+honoring the server's ``Retry-After`` hint as the floor of each delay;
+once the retry budget is spent the client gives up with a typed
+:class:`FleetOverloadedError` instead of a bare :mod:`urllib` error.
 """
 
 from __future__ import annotations
@@ -30,13 +25,12 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.api.results import FlowResult, ValidationResult
 from repro.api.workload import Workload
 from repro.obs import trace as obs_trace
 from repro.service.jobs import (
-    AdmissionDeniedError,
     FleetOverloadedError,
     JobCancelledError,
     JobFailedError,
@@ -67,7 +61,6 @@ _ERROR_KINDS = {
     "JobCancelledError": JobCancelledError,
     "JobFailedError": JobFailedError,
     "QueueFullError": QueueFullError,
-    "AdmissionDeniedError": AdmissionDeniedError,
     "ServiceClosedError": ServiceClosedError,
     "ValueError": ValueError,
     "TypeError": TypeError,
@@ -110,36 +103,31 @@ class ReproClient:
     """Submit workloads to a server or fleet router, local or remote.
 
     ``target`` is an in-process server-like object (anything exposing the
-    job-API verbs: ``ReproServer``, ``FleetRouter``), one ``http://`` URL,
-    or a sequence of URLs (failover order).  ``retries`` /
+    job-API verbs: ``ReproServer``, ``FleetRouter``) or one ``http://``
+    URL.  ``retries`` /
     ``backoff_base_s`` / ``backoff_cap_s`` configure the shed-retry
     policy; ``retry_jitter_seed`` seeds the jitter deterministically (two
     clients with the same seed back off identically — reproducible tests,
     and distinct seeds de-synchronize a thundering herd).
     """
 
-    def __init__(self, target: Union[str, Sequence[str], Any],
+    def __init__(self, target: Union[str, Any],
                  request_timeout_s: float = 10.0,
                  retries: int = DEFAULT_RETRIES,
                  backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
                  backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
                  retry_jitter_seed: int = 0) -> None:
         self._server: Optional[Any] = None
-        self._base_urls: List[str] = []
-        self._url_index = 0
+        #: The server's base URL (``None`` for an in-process target).
+        self._url: Optional[str] = None
         if isinstance(target, str):
-            self._base_urls = [self._check_url(target)]
-        elif (isinstance(target, Sequence)
-              and all(isinstance(item, str) for item in target)):
-            if not target:
-                raise ValueError("target URL list must not be empty")
-            self._base_urls = [self._check_url(url) for url in target]
+            self._url = self._check_url(target)
         elif hasattr(target, "submit") and hasattr(target, "result"):
             self._server = target
         else:
             raise ValueError(
-                f"target must be a server object, an http(s) URL, or a "
-                f"list of URLs (got {target!r})")
+                f"target must be a server object or an http(s) URL "
+                f"(got {target!r})")
         if retries < 0:
             raise ValueError(f"retries must be >= 0 (got {retries})")
         #: Socket timeout of one HTTP exchange (waiting calls add the
@@ -159,18 +147,12 @@ class ReproClient:
                 f"(got {url!r})")
         return url
 
-    @property
-    def _base_url(self) -> str:
-        """The currently-preferred endpoint (sticky across failovers)."""
-        return self._base_urls[self._url_index]
-
     # ------------------------------------------------------------------ #
     # verbs
 
     def submit(self, workload: Union[Workload, Mapping[str, Any]],
                priority: Union[str, int, None] = None,
                timeout_s: Optional[float] = None,
-               role: Optional[str] = None,
                job: Optional[str] = None) -> JobHandle:
         """File a workload; returns its :class:`JobHandle`.
 
@@ -186,14 +168,12 @@ class ReproClient:
         ``retries=0`` disables the retry layer entirely — the raw
         :class:`QueueFullError` propagates (how the fleet router's
         internal clients run: backpressure must reach the *end* client
-        untouched).  ``role`` names the requester's role for fleet
-        admission control (omit it against a plain worker).
+        untouched).
         """
         attempt = 0
         while True:
             try:
-                return self._submit_once(workload, priority, timeout_s,
-                                         role, job)
+                return self._submit_once(workload, priority, timeout_s, job)
             except QueueFullError as shed:
                 if self.retries == 0:
                     raise
@@ -219,13 +199,10 @@ class ReproClient:
     def _submit_once(self, workload: Union[Workload, Mapping[str, Any]],
                      priority: Union[str, int, None],
                      timeout_s: Optional[float],
-                     role: Optional[str],
-                     job: Optional[str] = None) -> JobHandle:
+                     job: Optional[str]) -> JobHandle:
         if self._server is not None:
             keywords: Dict[str, Any] = {"priority": priority,
                                         "timeout_s": timeout_s}
-            if role is not None:
-                keywords["role"] = role
             if job is not None:
                 keywords["job"] = job
             receipt = self._server.submit(workload, **keywords)
@@ -235,8 +212,6 @@ class ReproClient:
             body: Dict[str, Any] = {"workload": payload,
                                     "priority": priority,
                                     "timeout_s": timeout_s}
-            if role is not None:
-                body["role"] = role
             if job is not None:
                 body["job"] = job
             receipt = self._post("/submit", body)
@@ -246,11 +221,10 @@ class ReproClient:
 
     def run(self, workload: Union[Workload, Mapping[str, Any]],
             priority: Union[str, int, None] = None,
-            timeout: Optional[float] = None,
-            role: Optional[str] = None) -> FlowResult:
+            timeout: Optional[float] = None) -> FlowResult:
         """``submit`` + ``result`` in one call (the blocking convenience)."""
-        return self.submit(workload, priority=priority, timeout_s=timeout,
-                           role=role).result(timeout=timeout)
+        return self.submit(workload, priority=priority,
+                           timeout_s=timeout).result(timeout=timeout)
 
     def status(self, job_id: str) -> Dict[str, Any]:
         if self._server is not None:
@@ -343,41 +317,30 @@ class ReproClient:
     def _exchange(self, path: str, body: Optional[bytes],
                   read_timeout: Optional[float],
                   decode_json: bool = True) -> Any:
-        """One request against the preferred URL, failing over on
-        unreachable endpoints (sticky: the first URL that answers stays
-        preferred until it stops answering)."""
+        """One request against the server URL."""
         timeout = (self.request_timeout_s if read_timeout is None
                    else read_timeout)
-        reasons: List[str] = []
-        for offset in range(len(self._base_urls)):
-            index = (self._url_index + offset) % len(self._base_urls)
-            url = self._base_urls[index]
-            headers: Dict[str, str] = {}
-            if body is not None:
-                headers["Content-Type"] = "application/json"
-            trace_header = obs_trace.header_value()
-            if trace_header is not None:
-                # propagate the caller's span context across the hop so
-                # the server parents its job span into the same trace
-                headers[obs_trace.TRACE_HEADER] = trace_header
-            request = urllib.request.Request(
-                url + path, data=body,
-                method="POST" if body is not None else "GET",
-                headers=headers)
-            try:
-                with urllib.request.urlopen(request,
-                                            timeout=timeout) as reply:
-                    text = reply.read().decode("utf-8")
-                self._url_index = index
-                return json.loads(text) if decode_json else text
-            except urllib.error.HTTPError as error:
-                self._url_index = index  # reachable; its answer is final
-                raise self._taxonomy_error(error) from None
-            except urllib.error.URLError as error:
-                reasons.append(f"{url}: {error.reason}")
-        raise ServiceError(
-            "cannot reach the repro service at any endpoint ("
-            + "; ".join(reasons) + ")") from None
+        headers: Dict[str, str] = {}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        trace_header = obs_trace.header_value()
+        if trace_header is not None:
+            # propagate the caller's span context across the hop so the
+            # server parents its job span into the same trace
+            headers[obs_trace.TRACE_HEADER] = trace_header
+        request = urllib.request.Request(
+            self._url + path, data=body,
+            method="POST" if body is not None else "GET", headers=headers)
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as reply:
+                text = reply.read().decode("utf-8")
+        except urllib.error.HTTPError as error:
+            raise self._taxonomy_error(error) from None
+        except urllib.error.URLError as error:
+            raise ServiceError(
+                f"cannot reach the repro service at {self._url} "
+                f"({error.reason})") from None
+        return json.loads(text) if decode_json else text
 
     @staticmethod
     def _taxonomy_error(error: urllib.error.HTTPError) -> ServiceError:

@@ -163,15 +163,6 @@ class FleetOverloadedError(ServiceError):
     """
 
 
-class AdmissionDeniedError(ServiceError):
-    """Raised when a requester's role does not grant the priority class.
-
-    Enforced by the fleet router's :class:`~repro.fleet.admission
-    .AdmissionPolicy` (priority classes are *capabilities*, not an honor
-    system); the HTTP transport maps this to ``403``.
-    """
-
-
 # ---------------------------------------------------------------------- #
 # the job record
 

@@ -20,10 +20,10 @@ only sound over counters, and exposing a counter as a gauge (the pre-0.10
 behavior) silently breaks them across restarts.
 
 A :class:`repro.obs.metrics.MetricsRegistry` can additionally be merged in
-(``registry=``): its counters/gauges render alongside the walked leaves
-and its histograms emit the full ``_bucket{le="..."}`` / ``_sum`` /
-``_count`` family — queue-wait, stage-latency, and chunk-fold latency
-distributions ride the same ``GET /metrics`` scrape.
+(``registry=``): it holds only latency histograms, each emitted as the
+full ``_bucket{le="..."}`` / ``_sum`` / ``_count`` family — queue-wait,
+stage-latency, and chunk-fold latency distributions ride the same ``GET
+/metrics`` scrape.  Every counter and gauge comes from the walk.
 
 Nested mappings flatten with ``_`` (``{"queue": {"pending": 3}}`` becomes
 ``repro_queue_pending``); booleans render as ``0``/``1``; strings, nulls,
@@ -59,9 +59,8 @@ COUNTER_LEAVES = frozenset({
     "hits", "misses", "writes", "corrupt", "evictions",
     "runs", "parallel_runs", "chunks_materialized",
     "duplicate_chunk_materializations", "throughput_pruned_rows",
-    # fleet router / admission / membership totals
-    "routed", "failovers", "replays", "done",
-    "admitted", "denied", "deaths", "revivals",
+    # fleet router / membership totals
+    "routed", "failovers", "replays", "done", "deaths", "revivals",
     # trace-store accounting
     "spans_added", "traces_evicted", "spans_dropped",
 })
@@ -109,25 +108,18 @@ def _format_le(bound: float) -> str:
 
 def _render_registry(snapshot: Mapping[str, Mapping[str, Any]],
                      samples: List[str]) -> None:
-    """Emit a :meth:`MetricsRegistry.snapshot` as exposition families."""
+    """Emit a :meth:`MetricsRegistry.snapshot` as histogram families."""
     for name in sorted(snapshot):
         family = snapshot[name]
         metric = _metric_name(name)
-        kind = family["type"]
-        if kind == "histogram":
-            lines = [f"# TYPE {metric} histogram"]
-            for bound, count in family["buckets"]:
-                lines.append(
-                    f'{metric}_bucket{{le="{_format_le(bound)}"}} {count}')
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {family["count"]}')
-            lines.append(f"{metric}_sum {family['sum']}")
-            lines.append(f"{metric}_count {family['count']}")
-            samples.append("\n".join(lines))
-        else:
-            value = family["value"]
-            if isinstance(value, float) and not math.isfinite(value):
-                continue
-            samples.append(f"# TYPE {metric} {kind}\n{metric} {value}")
+        lines = [f"# TYPE {metric} histogram"]
+        for bound, count in family["buckets"]:
+            lines.append(
+                f'{metric}_bucket{{le="{_format_le(bound)}"}} {count}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {family["count"]}')
+        lines.append(f"{metric}_sum {family['sum']}")
+        lines.append(f"{metric}_count {family['count']}")
+        samples.append("\n".join(lines))
 
 
 def render_prometheus(stats: Mapping[str, Any],
@@ -136,9 +128,9 @@ def render_prometheus(stats: Mapping[str, Any],
     """Flatten a ``stats()`` document into Prometheus text format.
 
     ``registry`` (a :class:`repro.obs.metrics.MetricsRegistry`) merges its
-    typed families — histograms included — after the walked leaves; its
-    metric names are absolute (already ``repro_...``-prefixed), not nested
-    under ``prefix``.  Deterministic: keys are emitted in sorted order at
+    histogram families after the walked leaves; their metric names are
+    absolute (already ``repro_...``-prefixed), not nested under
+    ``prefix``.  Deterministic: keys are emitted in sorted order at
     every nesting level, so two scrapes of identical counters are
     byte-identical.
     """

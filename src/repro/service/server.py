@@ -47,7 +47,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
-from repro.api.registry import register_backend
 from repro.api.results import FlowResult, ValidationResult
 from repro.api.session import Session, SessionEvent, _defensive_copy
 from repro.api.store import ArtifactStore
@@ -56,7 +55,6 @@ from repro.dse.stream import stream_stats
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.service.jobs import (
-    AdmissionDeniedError,
     JobCancelledError,
     JobFailedError,
     JobTimeoutError,
@@ -79,6 +77,10 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 #: clients with larger timeouts poll (see :class:`repro.service.client
 #: .ReproClient`), so slow explorations never pin a connection forever.
 MAX_RESULT_WAIT_S = 300.0
+
+#: The body keys ``POST /submit`` accepts; any other key is a 400, so a
+#: field the server does not know is never silently dropped.
+_SUBMIT_FIELDS = ("workload", "priority", "timeout_s", "job")
 
 
 class ReproServer:
@@ -420,7 +422,6 @@ _ERROR_STATUS = (
     (UnknownJobError, 404),
     (JobTimeoutError, 408),
     (JobCancelledError, 409),
-    (AdmissionDeniedError, 403),
     (QueueFullError, 503),
     (ServiceClosedError, 503),
     (JobFailedError, 500),
@@ -497,23 +498,21 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_json()
             if parsed.path == "/submit":
-                keywords: Dict[str, Any] = {
-                    "priority": body.get("priority"),
-                    "timeout_s": body.get("timeout_s"),
-                }
-                if "role" in body:
-                    # admission-control surface of the fleet router; a
-                    # plain worker rejects it (TypeError -> 400) instead
-                    # of silently dropping a capability check
-                    keywords["role"] = body["role"]
-                if "job" in body:
-                    keywords["job"] = body["job"]
+                unknown = sorted(set(body) - set(_SUBMIT_FIELDS))
+                if unknown:
+                    raise ValueError(
+                        f"unknown /submit field(s) "
+                        f"{', '.join(map(repr, unknown))}; the fields are "
+                        f"{', '.join(_SUBMIT_FIELDS)}")
                 # strict parse: a malformed or absent X-Repro-Trace header
                 # degrades to None — a fresh root span — never an error
                 context = obs_trace.parse_header(
                     self.headers.get(obs_trace.TRACE_HEADER))
                 with obs_trace.adopt(context):
-                    receipt = service.submit(body["workload"], **keywords)
+                    receipt = service.submit(
+                        body["workload"], priority=body.get("priority"),
+                        timeout_s=body.get("timeout_s"),
+                        job=body.get("job"))
                 self._respond(200, receipt)
             elif parsed.path == "/register":
                 self._respond(200, service.register(body))
@@ -539,6 +538,10 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would read until the client hangs up, pinning
+            # this handler thread on a keep-alive connection
+            raise ValueError(f"negative Content-Length ({length})")
         if length > MAX_REQUEST_BYTES:
             raise ValueError(
                 f"request body of {length} bytes exceeds the "
@@ -592,6 +595,3 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence per-request stderr logging (stats() is the observable)."""
-
-
-register_backend("service", "local", ReproServer)

@@ -23,7 +23,8 @@ from repro.api import (
 from repro.api.cli import build_parser
 from repro.api.cli import main as cli_main
 from repro.dse.stream import explore_stream
-from repro.service import JobQueue, ReproServer, Scheduler
+from repro.fleet import FleetRouter
+from repro.service import JobQueue, ReproClient, ReproServer, Scheduler
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=3)
@@ -196,8 +197,9 @@ class TestFailureContract:
 
 
 class TestRemovedStrategyKnobs:
-    """The executor strategies, the service's batching knobs and the
-    profiler flag are gone, loudly."""
+    """The executor strategies, the service's batching knobs, the profiler
+    flag, the fleet's admission and ring knobs and the ``service`` backend
+    kind are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -206,9 +208,10 @@ class TestRemovedStrategyKnobs:
         with pytest.raises(TypeError):
             Session().run_many(batch, max_workers=2)
 
-    def test_executor_is_not_a_registry_kind(self):
+    @pytest.mark.parametrize("kind", ["executor", "service"])
+    def test_removed_kinds_are_not_registry_kinds(self, kind):
         with pytest.raises(BackendError, match="unknown backend kind"):
-            register_backend("executor", "serial", object)
+            register_backend(kind, "x", object)
 
     def test_cli_executor_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -228,10 +231,15 @@ class TestRemovedStrategyKnobs:
         ["fleet", "--batch-window", "0.05"],
         ["explore", "blur", "--profile"],
         ["sweep", "--profile"],
+        ["serve", "--backend", "local"],
+        ["fleet", "--replicas", "8"],
+        ["fleet", "--default-role", "guest"],
+        ["submit", "blur", "--role", "operator"],
     ], ids=["explore-executor", "serve-executor", "fleet-executor",
             "serve-jobs", "fleet-jobs", "serve-max-batch",
             "serve-batch-window", "fleet-max-batch", "fleet-batch-window",
-            "explore-profile", "sweep-profile"])
+            "explore-profile", "sweep-profile", "serve-backend",
+            "fleet-replicas", "fleet-default-role", "submit-role"])
     def test_strategy_flags_are_unknown_to_the_parser(self, capsys,
                                                       arguments):
         # parse only: serve and fleet would otherwise start listening
@@ -262,14 +270,28 @@ class TestRemovedStrategyKnobs:
                                                start=False)),
         ("max_batch", lambda: Scheduler(Session(), JobQueue(),
                                         max_batch=4)),
+        ("policy", lambda: FleetRouter((), policy=object())),
+        ("max_inflight", lambda: FleetRouter((), max_inflight=1)),
+        ("failure_threshold", lambda: FleetRouter((), failure_threshold=2)),
+        ("replicas", lambda: FleetRouter((), replicas=8)),
+        ("policy", lambda: FleetRouter.local(1, policy=object())),
+        ("role", lambda: ReproClient(ReproServer(start=False)).submit(
+            Workload.from_algorithm("blur", **SMALL), role="operator")),
     ], ids=["Session", "Pipeline", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
             "ReproServer-max_batch", "ReproServer-batch_window_s",
-            "Scheduler-max_batch"])
+            "Scheduler-max_batch", "FleetRouter-policy",
+            "FleetRouter-max_inflight", "FleetRouter-failure_threshold",
+            "FleetRouter-replicas", "FleetRouter.local-policy",
+            "ReproClient.submit-role"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()
+
+    def test_client_takes_one_url_not_a_list(self):
+        with pytest.raises(ValueError, match="URL"):
+            ReproClient(["http://127.0.0.1:1"])
 
     def test_scheduler_stats_name_no_strategy(self):
         server = ReproServer(start=False)

@@ -46,6 +46,45 @@ class TestConstruction:
         with pytest.raises(ValueError, match=knob):
             Workload.from_algorithm("blur", **{knob: bad})
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: Workload.from_algorithm(
+            "blur", onchip_port_elements_per_cycle=0),
+         "onchip_port_elements_per_cycle"),
+        (lambda: Workload.from_algorithm(
+            "blur", onchip_port_elements_per_cycle=-4),
+         "onchip_port_elements_per_cycle"),
+        (lambda: Workload.from_algorithm("blur", window_sides="abc"),
+         "window side"),
+        (lambda: Workload.from_algorithm("blur", window_sides=()),
+         "window_sides"),
+        (lambda: Workload.from_algorithm("blur", max_depth=0), "max_depth"),
+        (lambda: Workload.from_algorithm("blur", max_depth=True),
+         "max_depth"),
+        (lambda: Workload.from_algorithm("blur", max_cones_per_depth=0),
+         "max_cones_per_depth"),
+        (lambda: Workload.from_algorithm("blur", max_cones_per_depth=-2),
+         "max_cones_per_depth"),
+        (lambda: Workload.from_algorithm("blur", iterations=0),
+         "iterations"),
+        (lambda: Workload.from_algorithm("blur", iterations=-3),
+         "iterations"),
+        (lambda: DseConstraints(min_frames_per_second="x"),
+         "min_frames_per_second"),
+        (lambda: DseConstraints(min_frames_per_second=float("nan")),
+         "min_frames_per_second"),
+        (lambda: DseConstraints(max_area_luts=True), "max_area_luts"),
+        (lambda: DseConstraints(device_only="yes"), "device_only"),
+    ], ids=["port-zero", "port-negative", "window-sides-string",
+            "window-sides-empty", "max-depth-zero", "max-depth-bool",
+            "cones-zero", "cones-negative", "iterations-zero",
+            "iterations-negative", "min-fps-string", "min-fps-nan",
+            "max-area-bool", "device-only-string"])
+    def test_bad_knobs_rejected_at_construction(self, build, named):
+        # each one used to fail mid-run, or to return an empty or
+        # meaningless front without an error
+        with pytest.raises(ValueError, match=named):
+            build()
+
     @pytest.mark.parametrize("knob", ["stream_jobs", "chunk_rows"])
     def test_stream_knobs_accept_none_and_positive_ints(self, knob):
         assert getattr(Workload.from_algorithm("blur", **{knob: 3}),

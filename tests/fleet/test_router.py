@@ -1,6 +1,6 @@
 """Fleet router tests: digest identity across fleet sizes and submission
 orders, cross-worker store warming, failover replay, load shedding with
-client retry recovery, admission, aggregation, HTTP transport, CLI."""
+client retry recovery, aggregation, HTTP transport, CLI."""
 
 import hashlib
 import json
@@ -12,10 +12,8 @@ import urllib.request
 import pytest
 
 from repro.api import Session, Workload
-from repro.api.registry import create_backend, list_backends
-from repro.fleet import AdmissionPolicy, FleetRouter, routing_token
+from repro.fleet import FleetRouter
 from repro.service import (
-    AdmissionDeniedError,
     FleetOverloadedError,
     QueueFullError,
     ReproClient,
@@ -228,33 +226,20 @@ class TestLoadShedding:
             # never started: drop the queued job instead of draining
             fleet.close(drain=False)
 
-    def test_router_inflight_bound_sheds(self, tmp_path):
-        with FleetRouter.local(1, store=tmp_path, max_inflight=1,
+
+class TestPriority:
+    def test_router_files_every_submission_at_its_priority_class(
+            self, tmp_path):
+        with FleetRouter.local(1, store=tmp_path,
                                healthcheck_interval_s=0,
                                start=False) as fleet:
-            ReproClient(fleet, retries=0).submit(workload())
-            with pytest.raises(QueueFullError):
-                ReproClient(fleet, retries=0).submit(workload("erode"))
-            fleet.close(drain=False)
-
-
-class TestAdmission:
-    def test_guest_default_denies_interactive_fleet_wide(self, tmp_path):
-        policy = AdmissionPolicy(default_role="guest")
-        with FleetRouter.local(1, store=tmp_path, policy=policy,
-                               healthcheck_interval_s=0,
-                               start=False) as fleet:
-            client = ReproClient(fleet)
-            with pytest.raises(AdmissionDeniedError):
-                client.submit(workload(), priority="interactive")
-            with pytest.raises(AdmissionDeniedError):
-                client.submit(workload(), priority="interactive",
-                              role="guest")
-            handle = client.submit(workload(), priority="interactive",
-                                   role="operator")
-            assert fleet.status(handle.id)["priority"] == "interactive"
-            counters = fleet.stats()["admission"]
-            assert counters["denied"] == 2 and counters["admitted"] == 1
+            handle = ReproClient(fleet).submit(workload(),
+                                               priority="interactive")
+            status = fleet.status(handle.id)
+            assert status["priority"] == "interactive"
+            assert status["worker_status"]["priority"] == "interactive"
+            with pytest.raises(ValueError, match="priority"):
+                fleet.submit(workload(), priority="urgent")
             fleet.close(drain=False)
 
 
@@ -307,17 +292,6 @@ class TestHttpFleet:
             payload = json.loads(caught.value.read().decode())
             assert payload["kind"] == "QueueFullError"
             assert payload["retry_after_s"] > 0
-            fleet.close(drain=False)
-
-    def test_http_admission_denial_is_403(self, tmp_path):
-        policy = AdmissionPolicy(default_role="guest")
-        with FleetRouter.local(1, store=tmp_path, policy=policy,
-                               healthcheck_interval_s=0,
-                               start=False) as fleet:
-            host, port = fleet.serve_http("127.0.0.1", 0)
-            client = ReproClient(f"http://{host}:{port}")
-            with pytest.raises(AdmissionDeniedError):
-                client.submit(workload(), priority="interactive")
             fleet.close(drain=False)
 
     def test_stats_and_healthz_and_metrics_aggregate(self, http_fleet):
@@ -382,15 +356,11 @@ class TestRegistration:
                 fleet.register({"name": "nameless"})
 
 
-class TestRegistryAndCli:
-    def test_fleet_backend_is_registered(self):
-        assert "fleet" in list_backends("service")["service"]
-
-    def test_create_backend_builds_a_router(self, tmp_path):
+class TestConstructionAndCli:
+    def test_router_fronts_a_server_object(self, tmp_path):
         from repro.service import ReproServer
         worker = ReproServer(store=tmp_path)
-        router = create_backend("service", "fleet", workers=[worker],
-                                healthcheck_interval_s=0)
+        router = FleetRouter([worker], healthcheck_interval_s=0)
         try:
             assert router.healthz()["ok"]
         finally:

@@ -1,4 +1,4 @@
-"""Unit tests for repro.obs.metrics (typed instruments, the registry,
+"""Unit tests for repro.obs.metrics (latency histograms, the registry,
 and the strict exposition parser) plus the typed rendering contract of
 repro.service.metrics.render_prometheus."""
 
@@ -8,8 +8,6 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     parse_exposition,
@@ -18,23 +16,6 @@ from repro.service.metrics import COUNTER_LEAVES, render_prometheus
 
 
 class TestInstruments:
-    def test_counter_is_monotone(self):
-        counter = Counter("repro_test_total")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1)
-        assert counter.snapshot() == {"type": "counter", "value": 3.5}
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("repro_test_level")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13.0
-        assert gauge.snapshot() == {"type": "gauge", "value": 13.0}
-
     def test_histogram_snapshot_is_cumulative(self):
         histogram = Histogram("repro_test_seconds", buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):  # 50 > top bucket
@@ -67,28 +48,20 @@ class TestInstruments:
 
     def test_metric_names_validated(self):
         with pytest.raises(ValueError, match="invalid metric name"):
-            Counter("1starts-with-digit")
+            Histogram("1starts-with-digit")
 
 
 class TestRegistry:
     def test_get_or_create_returns_the_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("repro_a") is registry.counter("repro_a")
-        registry.counter("repro_a").inc()
-        assert registry.snapshot()["repro_a"]["value"] == 1.0
-
-    def test_kind_conflicts_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_a")
-        with pytest.raises(TypeError, match="already registered"):
-            registry.gauge("repro_a")
-        with pytest.raises(TypeError, match="already registered"):
-            registry.histogram("repro_a")
+        assert registry.histogram("repro_a") is registry.histogram("repro_a")
+        registry.histogram("repro_a").observe(0.5)
+        assert registry.snapshot()["repro_a"]["count"] == 1
 
     def test_snapshot_is_name_sorted(self):
         registry = MetricsRegistry()
-        registry.gauge("repro_z")
-        registry.counter("repro_a")
+        registry.histogram("repro_z")
+        registry.histogram("repro_a")
         assert list(registry.snapshot()) == ["repro_a", "repro_z"]
 
 
@@ -118,7 +91,7 @@ class TestRenderPrometheus:
         histogram.observe(0.05)
         histogram.observe(0.5)
         histogram.observe(7.0)
-        registry.counter("repro_fleet_submits_role_guest").inc(2)
+        registry.histogram("repro_other_seconds").observe(0.01)
         text = render_prometheus({"queue": {"pending": 0}},
                                  registry=registry)
         families = parse_exposition(text)
@@ -132,8 +105,12 @@ class TestRenderPrometheus:
                    in families["repro_wait_seconds"]["samples"]
                    if name == "repro_wait_seconds_bucket"]
         assert buckets == [("0.1", 1.0), ("1", 2.0), ("+Inf", 3.0)]
-        assert families["repro_fleet_submits_role_guest"]["type"] \
-            == "counter"
+        # every registry family renders, each as a histogram, after the
+        # walked leaves
+        assert families["repro_other_seconds"]["type"] == "histogram"
+        assert list(families) == ["repro_queue_pending",
+                                  "repro_other_seconds",
+                                  "repro_wait_seconds"]
 
     def test_deterministic_and_newline_terminated(self):
         stats = {"b": 2, "a": {"c": 1}}

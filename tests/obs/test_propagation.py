@@ -220,8 +220,7 @@ class TestFleetTrace:
             client = ReproClient(fleet)
             with trace.span("cli.submit") as root:
                 handle = client.submit(
-                    workload(stream=True, chunk_rows=2, stream_jobs=2),
-                    role="operator")
+                    workload(stream=True, chunk_rows=2, stream_jobs=2))
                 result = handle.result(timeout=120)
             assert digest(result) == reference
             assert handle.trace_id == root.trace_id

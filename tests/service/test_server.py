@@ -1,8 +1,9 @@
 """Server/transport tests: HTTP endpoint, client parity, lifecycle events,
-timeouts/cancellation, graceful shutdown, registry integration, CLI submit."""
+timeouts/cancellation, graceful shutdown, construction, CLI submit."""
 
 import hashlib
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -11,7 +12,6 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.api.cli import main as cli_main
-from repro.api.registry import create_backend, list_backends
 from repro.service import (
     JobCancelledError,
     JobTimeoutError,
@@ -240,18 +240,37 @@ class TestGracefulShutdown:
         assert server.healthz()["state"] == "stopped"
 
 
-class TestRegistryIntegration:
-    def test_service_kind_lists_local_backend(self):
-        assert "local" in list_backends("service")["service"]
+class TestConstruction:
+    def test_cli_serve_builds_a_server_from_its_flags(self, monkeypatch):
+        # drive cmd_serve on a thread (it blocks in server.wait()) and
+        # capture the server it built once it is listening
+        built = {}
+        original_serve = ReproServer.serve_http
 
-    def test_create_backend_builds_a_server(self):
-        server = create_backend("service", "local", start=False,
-                                max_pending=4)
+        def capture_serve(self, host, port):
+            address = original_serve(self, host, port)
+            built["server"] = self
+            return address
+
+        monkeypatch.setattr(ReproServer, "serve_http", capture_serve)
+        thread = threading.Thread(
+            target=cli_main,
+            args=(["serve", "--port", "0", "--quiet", "--max-pending", "4",
+                   "--worker-id", "worker-7"],),
+            daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30
+        while "server" not in built and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert "server" in built, "serve CLI never bound its port"
         try:
-            assert isinstance(server, ReproServer)
-            assert server.stats()["queue"]["max_pending"] == 4
+            stats = built["server"].stats()
+            assert stats["queue"]["max_pending"] == 4
+            assert stats["worker_id"] == "worker-7"
         finally:
-            server.close(drain=False)
+            built["server"].initiate_shutdown(drain=False)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
 
     def test_session_and_store_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
