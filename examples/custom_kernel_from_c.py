@@ -17,7 +17,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import FlowOptions, HlsFlow
+from repro import Session, Workload
 from repro.flow.report import pareto_table
 from repro.ir.operators import DataFormat
 from repro.symbolic.cone_expression import ConeExpressionBuilder
@@ -45,7 +45,8 @@ void smooth(float out[H][W], const float u[H][W]) {
 
 
 def main() -> None:
-    options = FlowOptions(
+    workload = Workload.from_c(
+        MY_KERNEL_C,
         data_format=DataFormat.FIXED16,
         frame_width=640,
         frame_height=480,
@@ -54,17 +55,17 @@ def main() -> None:
         max_depth=4,
         max_cones_per_depth=6,
     )
-    flow = HlsFlow(MY_KERNEL_C, options)
+    kernel = workload.resolve_kernel()
 
     print("extracted kernel:")
-    print(flow.kernel)
-    report = verify_kernel(flow.kernel)
+    print(kernel)
+    report = verify_kernel(kernel)
     print(f"ISL verification: translation invariant={report.is_translation_invariant}, "
           f"domain narrow={report.is_domain_narrow} "
           f"(radius {report.radius}, {report.footprint_size} reads)")
     print()
 
-    cone = ConeExpressionBuilder(flow.kernel).build(window_side=2, depth=3)
+    cone = ConeExpressionBuilder(kernel).build(window_side=2, depth=3)
     print("cone (window 2x2, depth 3):")
     print(f"  input window : {cone.domain.input_window.width}x"
           f"{cone.domain.input_window.height} elements")
@@ -72,12 +73,13 @@ def main() -> None:
     print(f"  operations   : {cone.operation_count}")
     print()
 
-    result = flow.run()
+    session = Session()
+    result = session.run(workload)
     print(pareto_table(result.pareto, title="Pareto set for the custom kernel"))
     best = result.best_fitting_point()
     print(f"\nbest on device: {best.summary()}\n")
 
-    files = flow.generate_vhdl(best)
+    files = session.generate_vhdl(workload, point=best)
     entity = next(name for name in sorted(files) if name.endswith(".vhd")
                   and "pkg" not in name and "top" not in name)
     print(f"--- head of {entity} ---")

@@ -22,12 +22,7 @@ materializing the full candidate table:
 * a frames-per-second floor is pushed down too: throughput is monotone in
   the instance count, so where a group's area prefix spans several chunks
   a second binary search admits only the count suffix that can meet the
-  floor, and chunks below it are never costed;
-* independent chunks fan out across a pool of worker threads
-  (``jobs=N`` / ``explore(stream=True, stream_jobs=4)`` /
-  ``--stream --jobs 4`` on the CLI); each worker folds a shard into
-  private state and the associative ``merge`` reduces them, bit-identical
-  to the serial fold at any worker count.
+  floor, and chunks below it are never costed.
 
 Run with::
 
@@ -117,25 +112,17 @@ def main() -> None:
           f"across {len(streamed.pareto)} points")
     print()
 
-    # 6. throughput-side pushdown + parallel dispatch: an fps floor
-    #    admits only a suffix of each group's count axis (throughput is
-    #    monotone in the instance count); and the chunk schedule fans out
-    #    across worker threads, merged back bit-identically.
+    # 6. throughput-side pushdown: an fps floor admits only a suffix of
+    #    each group's count axis (throughput is monotone in the instance
+    #    count), so the chunks below it are never costed.
     floored = DseConstraints(device_only=True, min_frames_per_second=30.0)
-    serial = explore_stream(space, characterizations,
-                            explorer.throughput_model, 1024, 768,
-                            floored, usable, chunk_rows=CHUNK_ROWS)
-    parallel = explore_stream(space, characterizations,
-                              explorer.throughput_model, 1024, 768,
-                              floored, usable, chunk_rows=CHUNK_ROWS,
-                              jobs=4)
-    identical = ([p.to_dict() for p in parallel.pareto]
-                 == [p.to_dict() for p in serial.pareto])
-    print(f"30 fps floor: {serial.throughput_pruned_rows:,} more rows "
+    fast = explore_stream(space, characterizations,
+                          explorer.throughput_model, 1024, 768,
+                          floored, usable, chunk_rows=CHUNK_ROWS)
+    print(f"30 fps floor: {fast.throughput_pruned_rows:,} more rows "
           f"rejected throughput-side "
-          f"({serial.pruned_fraction:.2%} pruned in total); "
-          f"jobs=4 fan-out digest-identical to the serial fold: "
-          f"{identical}")
+          f"({fast.pruned_fraction:.2%} pruned in total), "
+          f"{len(fast.pareto)} Pareto points")
 
 
 if __name__ == "__main__":

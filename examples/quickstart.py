@@ -47,8 +47,8 @@ Run with::
     python examples/quickstart.py
 
 The same flow is available from the shell: ``python -m repro explore blur``
-(add ``--store`` to persist across invocations, ``--stream --jobs 4`` to
-fold a large space's chunks over four threads).
+(add ``--store`` to persist across invocations, ``--stream`` to keep only
+the Pareto frontier of a large space).
 """
 
 from __future__ import annotations

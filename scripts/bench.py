@@ -32,12 +32,10 @@ burst through a 3-worker consistent-hash fleet (:mod:`repro.fleet`) with
 deliberately tight per-worker queues, recording jobs/s, the shed count,
 and the placement distribution the hash ring produced.
 
-And a ``parallel_stream`` section (skip with ``--skip-parallel-stream``):
-the million-candidate blur space streamed once serially and once with two
-chunk-shard workers under an fps floor, recording both walls, the speedup
-(honest numbers — on one core the fan-out can't beat the serial fold by
-much), the pruned fraction including the throughput-side suffix pushdown,
-and the digest-identity verdict.
+And a ``floored_stream`` section: the million-candidate blur space
+streamed under an fps floor, recording the wall, the rows the
+throughput-side suffix pushdown pruned, the pruned fraction in total and
+the peak RSS.
 
 And an ``obs_overhead`` section (skip with ``--skip-obs``): the 4 unique
 service-burst scenarios run through one ``run_many`` batch with tracing
@@ -454,45 +452,34 @@ def run_large_space(max_cones=23_000, rss_ceiling_mb=512.0) -> dict:
     return metrics
 
 
-def run_parallel_stream(max_cones=23_000, rss_ceiling_mb=512.0, jobs=2,
-                        min_fps=30.0) -> dict:
-    """Parallel streamed exploration vs the serial fold, with an fps floor.
+def run_floored_stream(max_cones=23_000, rss_ceiling_mb=512.0,
+                       min_fps=30.0) -> dict:
+    """Streamed exploration of the million-candidate space under an fps floor.
 
-    One ``scripts/large_smoke.py --jobs`` subprocess streams the
-    million-candidate blur space twice — serial fold, then ``jobs``
-    chunk-shard workers — under a frames-per-second floor so the
+    One ``scripts/large_smoke.py`` subprocess streams the
+    million-candidate blur space under a frames-per-second floor, so the
     throughput-side suffix pushdown engages on top of the area-side
-    pruning.  The subprocess fails on any digest divergence between the
-    two runs (and on an RSS-ceiling breach), so a recorded section *is*
-    the bit-identity proof.  The speedup is honest: on a 1-core container
-    the thread fan-out mostly measures dispatch overhead.
+    pruning.  The subprocess fails on an RSS-ceiling breach.
     """
     completed = subprocess.run(
         [sys.executable, os.path.join(REPO_ROOT, "scripts",
                                       "large_smoke.py"),
          "--skip-digest", "--json", "--max-cones", str(max_cones),
          "--min-rows", "1000000", "--rss-ceiling-mb", str(rss_ceiling_mb),
-         "--jobs", str(jobs), "--min-fps", str(min_fps)],
+         "--min-fps", str(min_fps)],
         capture_output=True, text=True)
     if completed.returncode != 0:
-        raise RuntimeError(f"parallel-stream smoke failed:\n"
+        raise RuntimeError(f"floored-stream smoke failed:\n"
                            f"{completed.stdout}\n{completed.stderr}")
     metrics = json.loads(completed.stdout)
-    parallel = metrics["parallel"]
-    print(f"    serial {metrics['elapsed_s']}s -> --jobs "
-          f"{parallel['jobs']} {parallel['elapsed_s']}s "
-          f"({parallel['speedup_vs_serial']}x, digest identical: "
-          f"{parallel['digest_identical']}); fps floor {min_fps} pruned "
+    print(f"    {metrics['elapsed_s']}s; fps floor {min_fps} pruned "
           f"{metrics['throughput_pruned_rows']:,} rows throughput-side "
-          f"({metrics['pruned_fraction']:.2%} pruned in total)")
+          f"({metrics['pruned_fraction']:.2%} pruned in total), "
+          f"peak RSS {metrics['peak_rss_mb']} MB")
     return {
         "space_rows": metrics["space_rows"],
         "min_fps": min_fps,
-        "serial_wall_s": metrics["elapsed_s"],
-        "parallel_wall_s": parallel["elapsed_s"],
-        "jobs": parallel["jobs"],
-        "speedup_vs_serial": parallel["speedup_vs_serial"],
-        "digest_identical": parallel["digest_identical"],
+        "wall_s": metrics["elapsed_s"],
         "admitted_rows": metrics["admitted_rows"],
         "pruned_rows": metrics["pruned_rows"],
         "throughput_pruned_rows": metrics["throughput_pruned_rows"],
@@ -553,10 +540,6 @@ def main(argv=None) -> int:
                         help="skip the million-candidate out-of-core "
                              "streaming benchmark (candidates/s, peak "
                              "RSS, pruned fraction)")
-    parser.add_argument("--skip-parallel-stream", action="store_true",
-                        help="skip the parallel streamed exploration "
-                             "benchmark (serial vs --jobs 2 walls, "
-                             "throughput-side pruning, digest identity)")
     args = parser.parse_args(argv)
 
     if args.store:
@@ -618,10 +601,9 @@ def main(argv=None) -> int:
               "(1,035,000-candidate blur space, fresh subprocess)...")
         snapshot["large_space"] = run_large_space()
 
-    if not args.skip_parallel_stream:
-        print("running the parallel streamed exploration benchmark "
-              "(serial fold vs --jobs 2, fps floor, fresh subprocess)...")
-        snapshot["parallel_stream"] = run_parallel_stream()
+    print("running the floored streamed exploration benchmark "
+          "(fps floor, fresh subprocess)...")
+    snapshot["floored_stream"] = run_floored_stream()
 
     # Runs after the large-space section on purpose: the subprocess behind
     # that section inherits this process's resident set at fork time, so

@@ -19,10 +19,7 @@
 #                               # candidate space under a hard RSS ceiling
 #                               # and assert streamed results are digest-
 #                               # identical to the in-memory exploration on
-#                               # the paper-scale subspace, then repeat the
-#                               # large run with --jobs 2 chunk-shard
-#                               # workers (same ceiling, digest identity
-#                               # vs the serial fold)
+#                               # the paper-scale subspace
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
 #                               # boundary-contract regressions, with a
@@ -173,11 +170,8 @@ case "${1:-}" in
 --large)
     shift
     python -m compileall -q src
-    # A fresh process so ru_maxrss measures the streaming run alone.  The
-    # parallel variant (--jobs 2) runs the serial fold and the two-worker
-    # fan-out in the same process under the same RSS ceiling and fails on
-    # any digest divergence between them.
-    python scripts/large_smoke.py --jobs 2 "$@"
+    # A fresh process so ru_maxrss measures the streaming run alone.
+    python scripts/large_smoke.py "$@"
     exit $?
     ;;
 --sim)

@@ -7,7 +7,7 @@ Two checks in one fresh process:
    reproduce the in-memory exploration (every admitted row kept, one chunk
    per group) exactly: same Pareto rows, byte-identical serialized design
    points, same pruned-row count — across chunk sizes {1 row, one
-   (window, split) group, the whole space} and a shuffled chunk order.
+   (window, split) group, the whole space}, each from a cold mask cache.
 
 2. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
@@ -16,12 +16,9 @@ Two checks in one fresh process:
    The in-memory exploration is deliberately *not* run on the large space
    in this process, so the ceiling bounds the streaming path alone.
 
-``--jobs N`` additionally streams the large space through N chunk-shard
-worker threads and requires digest identity against the serial fold —
-under the same RSS ceiling.  ``--min-fps``
-engages the throughput-side suffix pushdown on the large run.  ``--json``
-emits the collected metrics (candidates/s, peak RSS, pruned fraction,
-parallel speedup, ...) on stdout for reuse by ``scripts/bench.py``.
+``--min-fps`` engages the throughput-side suffix pushdown on the large
+run.  ``--json`` emits the collected metrics (candidates/s, peak RSS,
+pruned fraction, ...) on stdout for reuse by ``scripts/bench.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import resource
 import sys
 import time
@@ -40,7 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
-from repro.dse.stream import explore_stream, plan_chunks     # noqa: E402
+from repro.dse.stream import (clear_stream_caches,           # noqa: E402
+                              explore_stream)
 
 ITERATIONS = 10  # the paper's blur case study (Section 4.1)
 
@@ -71,36 +68,29 @@ def check_digest_identity(explorer, space, characterizations, usable):
                                 materialize="admitted")
         digest = serialized(oracle.pareto)
         for chunk_rows in (1, group_rows, paper_space.size()):
-            n_chunks = len(plan_chunks(paper_space, chunk_rows))
-            orders = [None, random.Random(2013).sample(range(n_chunks),
-                                                       n_chunks)]
-            for order in orders:
-                streamed = explore_stream(
-                    paper_space, characterizations,
-                    explorer.throughput_model, 1024, 768, constraints,
-                    usable, chunk_rows=chunk_rows, chunk_order=order,
-                    use_mask_cache=False)
-                if serialized(streamed.pareto) != digest:
-                    raise SystemExit(
-                        f"digest mismatch ({label}, chunk_rows="
-                        f"{chunk_rows}, shuffled={order is not None})")
-                if streamed.pruned_rows != oracle.pruned_rows:
-                    raise SystemExit(
-                        f"pruned-row mismatch ({label}): streamed "
-                        f"{streamed.pruned_rows} != oracle "
-                        f"{oracle.pruned_rows}")
-                checked += 1
+            clear_stream_caches()  # recompute the pushdown every run
+            streamed = explore_stream(
+                paper_space, characterizations, explorer.throughput_model,
+                1024, 768, constraints, usable, chunk_rows=chunk_rows)
+            if serialized(streamed.pareto) != digest:
+                raise SystemExit(f"digest mismatch ({label}, "
+                                 f"chunk_rows={chunk_rows})")
+            if streamed.pruned_rows != oracle.pruned_rows:
+                raise SystemExit(
+                    f"pruned-row mismatch ({label}): streamed "
+                    f"{streamed.pruned_rows} != oracle "
+                    f"{oracle.pruned_rows}")
+            checked += 1
     print(f"digest identity ok: {checked} streamed runs == in-memory run "
           f"on the {paper_space.size()}-candidate paper space")
 
 
 def run_large(explorer, space, characterizations, usable, chunk_rows,
-              constraints, jobs=None):
+              constraints):
     started = time.perf_counter()
     streamed = explore_stream(space, characterizations,
                               explorer.throughput_model, 1024, 768,
-                              constraints, usable, chunk_rows=chunk_rows,
-                              jobs=jobs)
+                              constraints, usable, chunk_rows=chunk_rows)
     elapsed = time.perf_counter() - started
     return streamed, elapsed
 
@@ -118,11 +108,6 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-digest", action="store_true",
                         help="skip the paper-space identity check "
                              "(bench reuse)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="additionally stream the large space with N "
-                             "chunk-shard workers and require digest "
-                             "identity vs the serial fold (default 1: "
-                             "serial only)")
     parser.add_argument("--min-fps", type=float, default=None,
                         help="add a frames-per-second floor to the large "
                              "run so the throughput-side suffix pushdown "
@@ -152,23 +137,6 @@ def main(argv=None) -> int:
                                  min_frames_per_second=args.min_fps)
     streamed, elapsed = run_large(explorer, space, characterizations,
                                   usable, args.chunk_rows, constraints)
-    parallel_metrics = None
-    if args.jobs > 1:
-        parallel, parallel_s = run_large(
-            explorer, space, characterizations, usable, args.chunk_rows,
-            constraints, jobs=args.jobs)
-        if serialized(parallel.pareto) != serialized(streamed.pareto):
-            raise SystemExit(
-                f"parallel digest mismatch: --jobs {args.jobs} "
-                f"!= serial fold")
-        if parallel.peak_chunk_rows > args.chunk_rows:
-            raise SystemExit("parallel peak chunk exceeded --chunk-rows")
-        parallel_metrics = {
-            "jobs": parallel.jobs,
-            "elapsed_s": round(parallel_s, 3),
-            "speedup_vs_serial": round(elapsed / parallel_s, 2),
-            "digest_identical": True,
-        }
     rss = peak_rss_mb()
     metrics = {
         "space_rows": streamed.space_rows,
@@ -188,8 +156,6 @@ def main(argv=None) -> int:
         "peak_rss_mb": round(rss, 1),
         "rss_ceiling_mb": args.rss_ceiling_mb,
     }
-    if parallel_metrics is not None:
-        metrics["parallel"] = parallel_metrics
     if args.json:
         print(json.dumps(metrics, indent=2, sort_keys=True))
     else:
@@ -200,11 +166,6 @@ def main(argv=None) -> int:
               f"{metrics['pareto_points']} Pareto points, "
               f"peak RSS {metrics['peak_rss_mb']} MB "
               f"(ceiling {args.rss_ceiling_mb} MB)")
-        if parallel_metrics is not None:
-            print(f"parallel ok: --jobs {parallel_metrics['jobs']} "
-                  f"digest-identical, "
-                  f"{parallel_metrics['elapsed_s']}s "
-                  f"({parallel_metrics['speedup_vs_serial']}x vs serial)")
     if rss > args.rss_ceiling_mb:
         raise SystemExit(f"peak RSS {rss:.1f} MB exceeded the "
                          f"{args.rss_ceiling_mb} MB ceiling")

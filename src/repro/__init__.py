@@ -55,9 +55,6 @@ The same pipeline is scriptable from the shell: ``python -m repro list``,
 ``python -m repro explore blur --json``, ``python -m repro codegen blur
 --out vhdl/``, ``python -m repro sweep --algorithms blur,jacobi
 --frames 640x480,1024x768``.
-
-The pre-1.1 entry point (``HlsFlow(kernel, FlowOptions(...)).run()``) keeps
-working as a thin shim over the new API — see :mod:`repro.flow.hls_flow`.
 """
 
 from repro.frontend import (
@@ -107,7 +104,6 @@ from repro.api import (
     register_device,
     resolve_device,
 )
-from repro.flow import HlsFlow
 
 __version__ = "1.2.0"
 
@@ -150,7 +146,6 @@ __all__ = [
     "SessionEvent",
     "SessionStats",
     "default_session",
-    "HlsFlow",
     "FlowOptions",
     "FlowResult",
     "register_backend",

@@ -61,13 +61,6 @@ completes with zero synthesizer invocations.  Devices and backends are
 resolved through :mod:`repro.api.registry`; plugins named in the
 ``REPRO_BACKENDS`` environment variable are imported first, so their
 synthesizers/estimators/devices are addressable from every subcommand.
-
-``explore`` and ``sweep`` additionally accept ``--jobs N``: each
-exploration folds its chunk schedule over N threads, with results
-bit-identical to the one-thread fold (the default).  A sweep still runs its
-workloads one after another.  Rule of thumb: ``--jobs`` pays off on large
-(``--stream``) spaces, where costing chunks in NumPy dominates; the
-paper-scale space is too small to gain from it.
 """
 
 from __future__ import annotations
@@ -136,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore = commands.add_parser(
         "explore", help="explore the design space of one algorithm")
     _add_workload_arguments(explore)
-    _add_jobs_argument(explore)
     explore.add_argument("--json", action="store_true",
                          help="emit the full FlowResult as JSON")
     explore.add_argument("-o", "--output", metavar="FILE",
@@ -188,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "materialize only the Pareto frontier)")
     sweep.add_argument("--chunk-rows", type=int, default=None, metavar="N",
                        help="rows materialized per streaming chunk")
-    _add_jobs_argument(sweep)
     sweep.add_argument("--json", action="store_true",
                        help="emit per-workload summaries plus session stats "
                             "as JSON")
@@ -351,13 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="threads each exploration folds its chunk "
-                             "schedule over (default: one, the serial "
-                             "fold)")
-
-
 def _add_workload_arguments(parser: argparse.ArgumentParser,
                             include_store: bool = True) -> None:
     parser.add_argument("algorithm", help="registry algorithm name "
@@ -459,7 +443,6 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
         constraints=_constraints_from(args),
         stream=args.stream,
         chunk_rows=args.chunk_rows,
-        stream_jobs=getattr(args, "jobs", None),
     )
     if windows is not None:
         keywords["window_sides"] = windows
@@ -615,8 +598,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                     max_depth=args.max_depth,
                                     max_cones_per_depth=args.max_cones,
                                     stream=args.stream,
-                                    chunk_rows=args.chunk_rows,
-                                    stream_jobs=args.jobs)
+                                    chunk_rows=args.chunk_rows)
                     if windows is not None:
                         keywords["window_sides"] = windows
                     workloads.append(Workload.from_algorithm(name, **keywords))

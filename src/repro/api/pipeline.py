@@ -186,7 +186,6 @@ class Pipeline:
                 workload.onchip_port_elements_per_cycle),
             stream=workload.stream,
             chunk_rows=workload.chunk_rows,
-            stream_jobs=workload.stream_jobs,
         )
 
     def _stage_pareto(self) -> FlowResult:
@@ -218,7 +217,7 @@ class Pipeline:
 
 
 # ---------------------------------------------------------------------- #
-# stage helpers shared with the compatibility shim
+# stage helpers
 
 
 def build_explorer(workload: Workload,

@@ -1,8 +1,7 @@
 """Canonical, serializable result and option types of the flow.
 
-These used to live in :mod:`repro.flow.hls_flow`; they are now owned by the
-composable API so that every stage artifact can be written to and restored
-from JSON.  :mod:`repro.flow` re-exports them for backwards compatibility.
+They are owned by the composable API so that every stage artifact can be
+written to and restored from JSON.  :mod:`repro.flow` re-exports them.
 """
 
 from __future__ import annotations
@@ -52,11 +51,9 @@ class FlowOptions:
     #: Out-of-core evaluation knobs (:mod:`repro.dse.stream`): ``stream``
     #: is tri-state (None = auto-select above the engine's row threshold),
     #: ``chunk_rows`` bounds the rows materialized per chunk (None = the
-    #: engine default), ``stream_jobs`` fans chunk shards across workers
-    #: (None = serial fold; results are bit-identical either way).
+    #: engine default).
     stream: Optional[bool] = None
     chunk_rows: Optional[int] = None
-    stream_jobs: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation."""
@@ -79,11 +76,19 @@ class FlowOptions:
             "throughput_estimator": self.throughput_estimator,
             "stream": self.stream,
             "chunk_rows": self.chunk_rows,
-            "stream_jobs": self.stream_jobs,
+            # the removed chunk fan-out knob, always null: the benchmark's
+            # pinned request pools and result digests are encoded by this
+            # codec, so the key stays until they are re-pinned
+            "stream_jobs": None,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FlowOptions":
+        if data.get("stream_jobs") is not None:
+            raise ValueError(
+                f"stream_jobs is no longer supported (got "
+                f"{data['stream_jobs']!r}); every exploration is one serial "
+                f"fold")
         constraints = data.get("constraints")
         return cls(
             device=FpgaDevice.from_dict(data["device"]),
@@ -106,7 +111,6 @@ class FlowOptions:
             # .get: payloads written before the streaming engine existed
             stream=data.get("stream"),
             chunk_rows=data.get("chunk_rows"),
-            stream_jobs=data.get("stream_jobs"),
         )
 
 

@@ -4,6 +4,8 @@ An :class:`ArtifactStore` is a content-addressed JSON cache on disk: every
 artifact is filed under ``<root>/v<schema>/<kind>/<sha256(key)>.json`` with
 its schema version and full key embedded, so a new process — or a fresh
 ``python -m repro sweep`` — resumes a workload batch with zero re-synthesis.
+An artifact file is two lines: a JSON header (``schema``, ``kind``, ``key``
+and the ``sha256`` of the payload bytes), then the JSON payload.
 Three artifact kinds are stored today:
 
 ``characterization``
@@ -20,10 +22,11 @@ Three artifact kinds are stored today:
 
 Robustness contract: a corrupted, truncated, or schema-incompatible artifact
 is *never* an error — :meth:`get` returns ``None`` and the caller recomputes
-(the bad file is removed so it cannot poison later runs).  Writes go through
-a per-process temp file and an atomic ``os.replace``, so concurrent writers
-(threads sharing one session, or separate processes sharing one cache
-dir) can only ever land complete artifacts.
+(the bad file is removed so it cannot poison later runs).  The payload hash
+catches an edit that still parses, before the payload is decoded.  Writes
+go through a per-process temp file and an atomic ``os.replace``, so
+concurrent writers (threads sharing one session, or separate processes
+sharing one cache dir) can only ever land complete artifacts.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.estimation.area_model import AreaModelValidation
 
 #: Bumped whenever an artifact payload changes incompatibly; artifacts of
 #: other versions are ignored (recomputed), never migrated in place.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The artifact kinds the store files separately.
 ARTIFACT_KINDS: Tuple[str, ...] = ("characterization", "result",
@@ -122,14 +125,9 @@ class ArtifactStore:
         """
         path = self.path_for(kind, key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-            if (not isinstance(envelope, dict)
-                    or envelope.get("schema") != SCHEMA_VERSION
-                    or envelope.get("kind") != kind
-                    or envelope.get("key") != key):
+            envelope = self._read_artifact(path)
+            if envelope["kind"] != kind or envelope["key"] != key:
                 raise ValueError("artifact envelope mismatch")
-            payload = envelope["payload"]
         except FileNotFoundError:
             self._count("misses")
             return None
@@ -138,7 +136,25 @@ class ArtifactStore:
             self._remove_quietly(path)
             return None
         self._count("hits")
-        return payload
+        return envelope["payload"]
+
+    @staticmethod
+    def _read_artifact(path: str) -> Dict[str, Any]:
+        """The ``{schema, kind, key, payload}`` envelope stored at ``path``.
+
+        Raises ``ValueError`` unless the header is of this schema and the
+        payload bytes hash to its ``sha256``; the payload is decoded only
+        after that check.
+        """
+        with open(path, "rb") as handle:
+            header_line, _, body = handle.read().partition(b"\n")
+        header = json.loads(header_line)
+        if (not isinstance(header, dict)
+                or header.get("schema") != SCHEMA_VERSION
+                or header.get("sha256") != hashlib.sha256(body).hexdigest()):
+            raise ValueError("artifact header or payload hash mismatch")
+        return {"schema": SCHEMA_VERSION, "kind": header.get("kind"),
+                "key": header.get("key"), "payload": json.loads(body)}
 
     def put(self, kind: str, key: str,
             payload: Dict[str, Any]) -> Optional[str]:
@@ -149,18 +165,19 @@ class ArtifactStore:
         but callers must not account a write that never landed.
         """
         path = self.path_for(kind, key)
-        envelope = {"schema": SCHEMA_VERSION, "kind": kind, "key": key,
-                    "payload": payload}
         try:
             # one C-encoder pass, then one write: json.dump would stream
             # through the pure-Python encoder
-            text = json.dumps(envelope)
+            body = json.dumps(payload).encode("utf-8")
+            header = {"schema": SCHEMA_VERSION, "kind": kind, "key": key,
+                      "sha256": hashlib.sha256(body).hexdigest()}
+            data = json.dumps(header).encode("utf-8") + b"\n" + body
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
                 dir=os.path.dirname(path), suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.replace(tmp_path, path)
             except BaseException:
                 self._remove_quietly(tmp_path)
@@ -282,11 +299,9 @@ class ArtifactStore:
         artifacts = []
         for path in self.artifact_paths():
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    envelope = json.load(handle)
+                artifacts.append(self._read_artifact(path))
             except (OSError, ValueError):
                 continue
-            artifacts.append(envelope)
         return {"schema": SCHEMA_VERSION, "root": self.root,
                 "artifacts": artifacts}
 

@@ -30,8 +30,8 @@ from repro.synth.fpga_device import FpgaDevice
 DEFAULT_OPTIONS = FlowOptions()
 _DEFAULTS = DEFAULT_OPTIONS
 
-#: The knobs shared 1:1 between FlowOptions and Workload.  from_options(),
-#: options(), characterization_key(), and (via the FlowOptions codec)
+#: The knobs shared 1:1 between FlowOptions and Workload.  options(),
+#: characterization_key(), and (via the FlowOptions codec)
 #: to_dict()/from_dict() are all derived from this list, so a new
 #: FlowOptions field (same name on Workload, codec added in
 #: FlowOptions.to_dict/from_dict) flows through every surface.
@@ -44,7 +44,7 @@ _OPTION_FIELDS = tuple(f.name for f in fields(FlowOptions))
 _NON_SHAPE_FIELDS = frozenset({"frame_width", "frame_height", "iterations",
                                "constraints",
                                "onchip_port_elements_per_cycle",
-                               "stream", "chunk_rows", "stream_jobs"})
+                               "stream", "chunk_rows"})
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class Workload:
     #: characterizations (listed in _NON_SHAPE_FIELDS).
     stream: Optional[bool] = _DEFAULTS.stream
     chunk_rows: Optional[int] = _DEFAULTS.chunk_rows
-    stream_jobs: Optional[int] = _DEFAULTS.stream_jobs
     kernel_fingerprint: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
@@ -104,9 +103,8 @@ class Workload:
                 f"{self.frame_width}x{self.frame_height})")
         # knobs are rejected here, not mid-run: a service submit builds the
         # Workload, so a bad knob is a 400, not a failed job
-        for knob in ("chunk_rows", "stream_jobs"):  # None: engine default
-            if getattr(self, knob) is not None:
-                _require_positive_int(knob, getattr(self, knob))
+        if self.chunk_rows is not None:  # None: engine default
+            _require_positive_int("chunk_rows", self.chunk_rows)
         for knob in ("max_depth", "max_cones_per_depth",
                      "onchip_port_elements_per_cycle"):
             _require_positive_int(knob, getattr(self, knob))
@@ -151,20 +149,6 @@ class Workload:
     def from_kernel(cls, kernel: StencilKernel, **overrides: Any) -> "Workload":
         """Build a workload from an in-memory kernel IR."""
         return cls(kernel=kernel, **overrides)
-
-    @classmethod
-    def from_options(cls, kernel_or_c_source: Union[StencilKernel, str],
-                     options: Optional[FlowOptions] = None,
-                     params: Optional[Mapping[str, float]] = None,
-                     c_function_name: Optional[str] = None) -> "Workload":
-        """Translate the legacy ``(kernel, FlowOptions)`` surface."""
-        options = options or FlowOptions()
-        common = {name: getattr(options, name) for name in _OPTION_FIELDS}
-        common["params"] = params
-        if isinstance(kernel_or_c_source, StencilKernel):
-            return cls(kernel=kernel_or_c_source, **common)
-        return cls(c_source=kernel_or_c_source,
-                   c_function_name=c_function_name, **common)
 
     def replace(self, **changes: Any) -> "Workload":
         """Return a copy with the given fields changed (fingerprint is
@@ -221,7 +205,8 @@ class Workload:
         return dict(self.params) if self.params else None
 
     def options(self) -> FlowOptions:
-        """Project the exploration knobs onto the legacy options object."""
+        """Project the exploration knobs onto a :class:`FlowOptions` (a
+        result's ``options`` and the knobs' wire codec)."""
         return FlowOptions(**{name: getattr(self, name)
                               for name in _OPTION_FIELDS})
 

@@ -16,9 +16,8 @@ slice of one group's count axis — is evaluated as columns:
    :class:`~repro.dse.design_point.DesignPoint` objects
    (:func:`build_points`).
 
-:func:`fold_shard` runs these steps over a list of chunks.  Chunk planning,
-constraint pushdown, worker dispatch and the final merge live in
-:mod:`repro.dse.stream`.
+:func:`fold_chunks` runs these steps over the chunk plan.  Chunk planning
+and constraint pushdown live in :mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -102,12 +101,8 @@ def group_context(space: ArchitectureSpace,
                   characterizations: Mapping[Tuple[int, int],
                                              "ConeCharacterization"],
                   window: int, split: Tuple[int, ...]) -> GroupContext:
-    """Build one group's evaluation context from pure index arithmetic.
-
-    A chunk-shard worker rebuilds contexts from the space and the
-    characterizations instead of receiving materialized columns, so chunk
-    shards travel as descriptors only.
-    """
+    """Build one group's evaluation context from the space and the
+    characterizations (pure index arithmetic, no materialized columns)."""
     depths = sorted(set(split))
     return GroupContext(
         window=window, split=split, depths=depths, primary=depths[-1],
@@ -227,45 +222,28 @@ class StreamingFrontier:
         self._time = times[keep]
         self._order = orders[by_order][keep]
 
-    def merge(self, other: "StreamingFrontier") -> "StreamingFrontier":
-        """Fold another frontier's state into this one (in place).
-
-        Associative and commutative: the frontier of a set is the frontier
-        of the union of its parts' frontiers, and the (area, time, order)
-        total order picks the same tie-break representative whichever side
-        it arrives on — so parallel workers can fold disjoint chunk shards
-        independently and reduce in *any* order, with a result bit-identical
-        to one serial fold over everything.  Orders must stay globally
-        unique across the merged parts (disjoint chunk shards guarantee
-        it).  Returns ``self`` for reduction chaining.
-        """
-        self.update(other._area, other._time, other._order)
-        return self
-
     def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """``(area, time, order)`` of the frontier, in increasing-area order
         (the exact order ``pareto_indices`` would return the same rows in)."""
         return self._area.copy(), self._time.copy(), self._order.copy()
 
 
-def fold_shard(space: ArchitectureSpace,
-               characterizations: Mapping[Tuple[int, int],
-                                          "ConeCharacterization"],
-               throughput_model: Any, frame_width: int, frame_height: int,
-               shard: Sequence[Tuple[int, Any]],
-               plans: Mapping[Tuple[int, int], Any],
-               min_fps: Optional[float], usable_luts: float,
-               keep_points: bool) -> Dict[str, Any]:
-    """Fold one shard of ``(chunk index, chunk)`` pairs into private state.
+def fold_chunks(space: ArchitectureSpace,
+                characterizations: Mapping[Tuple[int, int],
+                                           "ConeCharacterization"],
+                throughput_model: Any, frame_width: int, frame_height: int,
+                chunks: Sequence[Any],
+                plans: Mapping[Tuple[int, int], Any],
+                min_fps: Optional[float], usable_luts: float,
+                keep_points: bool) -> Dict[str, Any]:
+    """Fold ``chunks``, in order, into one frontier.
 
     ``plans`` maps each chunk's ``(window index, split index)`` to the
     count-axis interval pushdown admitted (``evaluable``, ``start``,
-    ``stop``); rows outside it are never costed.  Touches no module-level
-    mutable state, so it runs identically on the calling thread or in a
-    thread pool.  Returns the frontier, the
-    shard's accounting, the global indices of the chunks it materialized
-    and — with ``keep_points`` — ``(global row, DesignPoint)`` for every
-    admitted row.
+    ``stop``); rows outside it are never costed.  Returns the frontier,
+    the fold's accounting, the number of chunks it materialized and —
+    with ``keep_points`` — ``(global row, DesignPoint)`` for every
+    admitted row, in the order the chunks deliver them.
     """
     batch = supports_batch(throughput_model)
     frontier = StreamingFrontier()
@@ -275,13 +253,13 @@ def fold_shard(space: ArchitectureSpace,
     chunks_skipped = 0
     peak_chunk_rows = 0
     frontier_peak = 0
-    materialized: List[int] = []
+    chunks_materialized = 0
     points: List[Tuple[int, DesignPoint]] = []
-    # a shard that keeps every point holds its triples anyway: fold them
+    # a fold that keeps every point holds its triples anyway: fold them
     # once at the end instead of re-sorting the frontier per chunk
     pending: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
 
-    for chunk_index, chunk in shard:
+    for chunk in chunks:
         group_key = (chunk.window_index, chunk.split_index)
         plan = plans[group_key]
         start = max(chunk.count_start, plan.start)
@@ -296,7 +274,7 @@ def fold_shard(space: ArchitectureSpace,
             contexts[group_key] = context
 
         counts = chunk.counts(start=start, stop=stop)
-        materialized.append(chunk_index)
+        chunks_materialized += 1
         peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
         columns = cost_counts(throughput_model, batch, space, context,
                               frame_width, frame_height, counts)
@@ -331,5 +309,5 @@ def fold_shard(space: ArchitectureSpace,
             "chunks_skipped": chunks_skipped,
             "peak_chunk_rows": peak_chunk_rows,
             "frontier_peak": frontier_peak,
-            "materialized": materialized,
+            "chunks_materialized": chunks_materialized,
             "points": points}

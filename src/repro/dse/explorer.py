@@ -443,8 +443,7 @@ class DesignSpaceExplorer:
                 constraints: Optional[DseConstraints] = None,
                 onchip_port_elements_per_cycle: Optional[int] = None,
                 *, stream: Optional[bool] = None,
-                chunk_rows: Optional[int] = None,
-                stream_jobs: Optional[int] = None) -> ExplorationResult:
+                chunk_rows: Optional[int] = None) -> ExplorationResult:
         """Run the full exploration and return design points plus the Pareto set.
 
         ``onchip_port_elements_per_cycle`` overrides the constructor default
@@ -452,17 +451,16 @@ class DesignSpaceExplorer:
         throughput estimate, not the cone characterizations, so sweeps over
         it reuse all synthesis/calibration work.
 
-        Every exploration runs the chunked fold of :mod:`repro.dse.stream`.
-        ``stream`` selects what it keeps: ``None`` (the default) streams
-        spaces of at least ``STREAM_AUTO_THRESHOLD`` candidates and keeps
-        every admitted design point of smaller ones; ``True``/``False``
-        force either.  A streamed result carries the identical Pareto
-        frontier, but materializes *only* the frontier as design points
+        Every exploration runs the chunked fold of :mod:`repro.dse.stream`,
+        once, on the calling thread.  ``stream`` selects what it keeps:
+        ``None`` (the default) streams spaces of at least
+        ``STREAM_AUTO_THRESHOLD`` candidates and keeps every admitted
+        design point of smaller ones; ``True``/``False`` force either.  A
+        streamed result carries the identical Pareto frontier, but
+        materializes *only* the frontier as design points
         (``result.design_points`` are the ``result.pareto`` members) and
         records chunking/pushdown metadata under ``result.streaming``.
-        ``chunk_rows`` bounds the rows costed per chunk; ``stream_jobs``
-        fans the chunk schedule across that many pool threads, with
-        bit-identical results at any worker count.
+        ``chunk_rows`` bounds the rows costed per chunk.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)
@@ -474,7 +472,6 @@ class DesignSpaceExplorer:
             frame_width, frame_height, constraints,
             self.device.usable_capacity.luts,
             chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            jobs=stream_jobs,
             materialize="frontier" if stream else "admitted")
         streaming_meta: Optional[Dict[str, object]] = None
         if stream:
@@ -490,7 +487,6 @@ class DesignSpaceExplorer:
                 "peak_chunk_rows": evaluation.peak_chunk_rows,
                 "frontier_peak": evaluation.frontier_peak,
                 "mask_cache_hit": evaluation.mask_cache_hit,
-                "stream_jobs": evaluation.jobs,
             }
 
         full_space_runs = len(characterizations)

@@ -4,7 +4,7 @@ Every exploration — the 720-candidate paper space and million-candidate
 spaces alike — evaluates its candidates as a sequence of bounded-row chunks,
 in the divide-and-conquer spirit of SCC-chunked automaton determinization:
 split the space into independently evaluable pieces, solve each piece, and
-merge the partial solutions into a state whose size is bounded by the
+fold the partial solutions into a state whose size is bounded by the
 answer, not by the space.  An in-memory exploration is the same fold with
 every admitted row kept as a design point (``materialize="admitted"``); a
 streamed one keeps only the frontier (``materialize="frontier"``).
@@ -32,9 +32,10 @@ Pieces:
 3. :mod:`repro.dse.engine` costs each chunk and folds its admitted objective
    columns into a :class:`~repro.dse.engine.StreamingFrontier` whose state is
    byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
-   concatenated full arrays regardless of chunk size or arrival order.  A
-   streamed run rebuilds design points only for the frontier survivors at
-   finalization, by re-costing just their rows.
+   concatenated full arrays regardless of chunk size.  The fold visits the
+   chunks once, in plan order, on the calling thread.  A streamed run
+   rebuilds design points only for the frontier survivors at finalization,
+   by re-costing just their rows.
 4. The admitted-row prefixes are persisted in a small process-wide LRU
    keyed by shape knobs + the cone-area inputs + the area constraints, so a
    re-explore that changes only per-run knobs (frame geometry, minimum
@@ -43,17 +44,6 @@ Pieces:
    recomputed per call and deliberately kept out of the cache key.
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).
-5. Chunks are independent by construction, so ``explore_stream(jobs=N)``
-   fans deterministic contiguous shards of the chunk schedule across a
-   thread pool of ``N`` workers owned by this module.  Each worker folds
-   its shard into a private frontier and returns the bounded state; the
-   caller reduces with :meth:`~repro.dse.engine.StreamingFrontier.merge`,
-   which is associative and order-insensitive (the (area, time,
-   global-row) total order makes the merged state a pure function of the
-   union), so the result is bit-identical to the serial fold whatever the
-   worker count, shard assignment, or completion order.  Workers receive
-   chunk *descriptors* (pure index arithmetic), never materialized
-   columns.
 
 :func:`explore_stream` is the entry point;
 :meth:`repro.dse.explorer.DesignSpaceExplorer.explore` streams spaces of at
@@ -67,7 +57,6 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -77,9 +66,9 @@ import numpy as np
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (GroupContext, StreamingFrontier, build_points,
-                              cost_counts, fold_shard, group_area,
-                              group_context, supports_batch)
+from repro.dse.engine import (GroupContext, build_points, cost_counts,
+                              fold_chunks, group_area, group_context,
+                              supports_batch)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -269,13 +258,11 @@ class _StreamCounters:
     """Process-wide exploration counters behind a dedicated lock.
 
     The same dedicated-stats-lock pattern as ``SessionStats``: concurrent
-    explorations (service bursts, thread-pool chunk workers reporting
-    through one parent) would otherwise lose increments to read-modify-write
-    races on plain module globals.
+    explorations (sessions shared between threads) would otherwise lose
+    increments to read-modify-write races on plain module globals.
     """
 
-    _FIELDS = ("runs", "parallel_runs", "chunks_materialized",
-               "duplicate_chunk_materializations", "throughput_pruned_rows")
+    _FIELDS = ("runs", "chunks_materialized", "throughput_pruned_rows")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -307,12 +294,9 @@ def stream_stats() -> Dict[str, int]:
     ``hits`` growing across jobs is the signature of incremental
     re-explores (only per-run knobs changed, pushdown analysis reused);
     ``evictions`` counts distinct (shape, area, constraint) combinations
-    beyond the bound.  The run half: ``runs``/``parallel_runs`` count
-    explorations (parallel = dispatched to >1 worker),
-    ``chunks_materialized`` the chunks actually costed across them,
-    ``duplicate_chunk_materializations`` how many of those were redundant
-    (always 0 unless the shard partition is broken — asserted in tests),
-    and ``throughput_pruned_rows`` the rows a min-fps floor rejected.
+    beyond the bound.  The run half: ``runs`` counts explorations,
+    ``chunks_materialized`` the chunks actually costed across them, and
+    ``throughput_pruned_rows`` the rows a min-fps floor rejected.
     """
     stats = _mask_cache.stats()
     stats.update(_counters.snapshot())
@@ -533,10 +517,9 @@ class StreamingExploration:
     #: Chunks never materialized: fully pruned by pushdown, outside the
     #: admitted interval, or in a group without characterizations.
     chunks_skipped: int
-    #: Largest number of rows actually materialized at once (per worker).
+    #: Largest number of rows actually materialized at once.
     peak_chunk_rows: int
-    #: Largest frontier state observed while streaming (on any worker, or
-    #: after a merge).
+    #: Largest frontier state observed while streaming.
     frontier_peak: int
     mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
@@ -545,69 +528,10 @@ class StreamingExploration:
     #: Rows inside the area prefix that a min-fps floor rejected (0 when no
     #: floor was set); the suffix probe skips costing most of them.
     throughput_pruned_rows: int = 0
-    #: Effective worker count the chunk schedule was dispatched across.
-    jobs: int = 1
 
     @property
     def pruned_fraction(self) -> float:
         return self.pruned_rows / self.space_rows if self.space_rows else 0.0
-
-
-def _validate_jobs(jobs: Optional[int]) -> int:
-    """The effective worker count (``None`` means serial in-process)."""
-    if jobs is None:
-        return 1
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(
-            f"jobs must be a positive integer or None (got {jobs!r})")
-    return jobs
-
-
-def _shard_schedule(schedule: Sequence[int], jobs: int) -> List[List[int]]:
-    """Split the chunk schedule into up to ``jobs`` contiguous shards.
-
-    Contiguous slices keep each worker's group contexts warm (consecutive
-    chunks usually share a group); the balanced bounds are a pure function
-    of (len, jobs), so the partition — like everything else here — is
-    deterministic.  Merge associativity makes the results independent of
-    the partition anyway; this only shapes the wall-clock.
-    """
-    total = len(schedule)
-    if total == 0:
-        return [[]]
-    jobs = min(jobs, total)
-    bounds = [round(shard * total / jobs) for shard in range(jobs + 1)]
-    return [list(schedule[bounds[i]:bounds[i + 1]])
-            for i in range(jobs) if bounds[i] < bounds[i + 1]]
-
-
-#: One shard's work order: :func:`repro.dse.engine.fold_shard`'s arguments
-#: (chunk descriptors only; no tables, no columns) plus the caller's span
-#: handoff payload.
-_ShardPayload = Tuple
-
-
-def _fold_chunk_shard(payload: _ShardPayload) -> Dict[str, object]:
-    """Worker entry point: :func:`repro.dse.engine.fold_shard` one shard.
-
-    The payload's trailing ``trace_context`` (a span handoff payload, or
-    ``None``) parents a per-shard ``stream.shard`` span into the caller's
-    trace, so pool-thread spans join it.  The counters travel back in the
-    report, so no worker ever mutates shared state;
-    ``report["fold_wall_s"]`` carries the shard's fold wall time for the
-    caller's chunk-fold histogram.
-    """
-    *arguments, trace_context = payload  # fold_shard's arguments
-    shard = arguments[5]
-    fold_started = time.perf_counter()
-    with obs_trace.adopt(trace_context):
-        with obs_trace.span("stream.shard", chunks=len(shard)) as span:
-            report = fold_shard(*arguments)
-            span.set_attributes(
-                chunks_materialized=len(report["materialized"]),
-                admitted_rows=report["admitted_rows"])
-    report["fold_wall_s"] = time.perf_counter() - fold_started
-    return report
 
 
 def explore_stream(space: ArchitectureSpace,
@@ -618,106 +542,56 @@ def explore_stream(space: ArchitectureSpace,
                    constraints: Optional[DseConstraints] = None,
                    usable_luts: float = math.inf,
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                   chunk_order: Optional[Sequence[int]] = None,
-                   use_mask_cache: bool = True,
-                   jobs: Optional[int] = None,
                    materialize: str = "frontier") -> StreamingExploration:
     """Evaluate a whole architecture space at bounded memory.
 
     Produces the same admitted rows and the same Pareto frontier (same
     design points, same order, bit-identical serializations) as evaluating
-    every candidate one at a time — whatever ``chunk_rows`` is, whatever
-    order ``chunk_order`` (a permutation of the planned chunk indices,
-    mainly for tests) processes the chunks in, and whatever number of
-    ``jobs`` (pool threads) the chunk schedule is dispatched across (shards
-    fold privately and reduce via the associative ``merge``).
+    every candidate one at a time, whatever ``chunk_rows`` is.
 
     ``materialize`` selects which rows become :class:`DesignPoint` objects:
     ``"frontier"`` (default) only the Pareto members, so peak memory is
-    bounded by the per-worker chunk size plus the frontier state, never by
-    the space; ``"admitted"`` every constraint-admitted row.
+    bounded by the chunk size plus the frontier state, never by the space;
+    ``"admitted"`` every constraint-admitted row.
     """
     if materialize not in ("admitted", "frontier"):
         raise ValueError(f"materialize must be 'admitted' or 'frontier' "
                          f"(got {materialize!r})")
     constraints = constraints or DseConstraints()
-    jobs = _validate_jobs(jobs)
     chunks = plan_chunks(space, chunk_rows)
     splits = tuple(tuple(split) for split in space.level_splits())
 
-    if chunk_order is None:
-        schedule: List[int] = list(range(len(chunks)))
-    else:
-        schedule = list(chunk_order)
-        if sorted(schedule) != list(range(len(chunks))):
-            raise ValueError(
-                f"chunk_order must be a permutation of range({len(chunks)})")
-
     key = _mask_cache_key(space, characterizations, constraints, usable_luts)
-    admissions = _mask_cache.get(key) if use_mask_cache else None
+    admissions = _mask_cache.get(key)
     mask_cache_hit = admissions is not None
     if admissions is None:
         admissions = _compute_admissions(space, splits, characterizations,
                                          constraints, usable_luts)
-        if use_mask_cache:
-            _mask_cache.put(key, admissions)
+        _mask_cache.put(key, admissions)
     plans, throughput_pruned = _plan_groups(
         space, splits, characterizations, throughput_model,
         frame_width, frame_height, constraints, admissions, chunk_rows)
 
     keep_points = materialize == "admitted"
-    shards = _shard_schedule(schedule, jobs) if jobs > 1 else [schedule]
-    frontier = StreamingFrontier()
-    admitted_rows = 0
-    chunks_skipped = 0
-    peak_chunk_rows = 0
-    frontier_peak = 0
-    materialized: List[int] = []
-    points: List[Tuple[int, DesignPoint]] = []
-    fold_histogram = obs_metrics.registry().histogram(
-        "repro_stream_chunk_fold_seconds")
-    with obs_trace.span("stream.explore", chunks=len(chunks), jobs=jobs,
-                        shards=len(shards)):
-        # capture the span handoff *inside* the span so every shard —
-        # same thread or pool thread — parents to it
-        trace_context = obs_trace.context_payload()
-        payloads = [
-            (space, characterizations, throughput_model, frame_width,
-             frame_height, [(index, chunks[index]) for index in shard],
-             plans, constraints.min_frames_per_second, usable_luts,
-             keep_points, trace_context)
-            for shard in shards]
-        if len(payloads) > 1:
-            with ThreadPoolExecutor(max_workers=len(payloads),
-                                    thread_name_prefix="repro-stream") as pool:
-                folds = list(pool.map(_fold_chunk_shard, payloads))
-        else:
-            folds = [_fold_chunk_shard(payload) for payload in payloads]
-
-        for fold in folds:
-            frontier.merge(fold["frontier"])
-            admitted_rows += fold["admitted_rows"]
-            throughput_pruned += fold["fps_rejected"]
-            chunks_skipped += fold["chunks_skipped"]
-            peak_chunk_rows = max(peak_chunk_rows, fold["peak_chunk_rows"])
-            frontier_peak = max(frontier_peak, fold["frontier_peak"],
-                                len(frontier))
-            materialized.extend(fold["materialized"])
-            points.extend(fold["points"])
-            fold_histogram.observe(fold["fold_wall_s"])
-    duplicates = len(materialized) - len(set(materialized))
+    with obs_trace.span("stream.explore", chunks=len(chunks)):
+        fold_started = time.perf_counter()
+        fold = fold_chunks(space, characterizations, throughput_model,
+                           frame_width, frame_height, chunks, plans,
+                           constraints.min_frames_per_second, usable_luts,
+                           keep_points)
+        obs_metrics.registry().histogram(
+            "repro_stream_chunk_fold_seconds").observe(
+                time.perf_counter() - fold_started)
+    throughput_pruned += fold["fps_rejected"]
     _counters.add(runs=1,
-                  parallel_runs=1 if len(folds) > 1 else 0,
-                  chunks_materialized=len(materialized),
-                  duplicate_chunk_materializations=duplicates,
+                  chunks_materialized=fold["chunks_materialized"],
                   throughput_pruned_rows=throughput_pruned)
 
-    pareto_area, _pareto_time, pareto_rows = frontier.result()
+    pareto_area, _pareto_time, pareto_rows = fold["frontier"].result()
     if keep_points:
-        # shards and shuffled schedules deliver rows out of order
-        points.sort(key=lambda pair: pair[0])
-        by_row = dict(points)
-        design_points = [point for _, point in points]
+        # plan order delivers the admitted rows in enumeration order
+        by_row = dict(fold["points"])
+        design_points = list(by_row.values())
         pareto = [by_row[row] for row in pareto_rows.tolist()]
     else:
         pareto = _frontier_points(space, splits, characterizations,
@@ -727,20 +601,19 @@ def explore_stream(space: ArchitectureSpace,
         design_points = list(pareto)
     return StreamingExploration(
         space_rows=space.size(),
-        admitted_rows=admitted_rows,
+        admitted_rows=fold["admitted_rows"],
         pruned_rows=(sum(entry.pruned for entry in admissions.values())
                      + throughput_pruned),
         chunk_rows=chunk_rows,
         chunks_total=len(chunks),
-        chunks_skipped=chunks_skipped,
-        peak_chunk_rows=peak_chunk_rows,
-        frontier_peak=frontier_peak,
+        chunks_skipped=fold["chunks_skipped"],
+        peak_chunk_rows=fold["peak_chunk_rows"],
+        frontier_peak=fold["frontier_peak"],
         mask_cache_hit=mask_cache_hit,
         pareto_row_index=pareto_rows,
         pareto=pareto,
         design_points=design_points,
         throughput_pruned_rows=throughput_pruned,
-        jobs=len(folds),
     )
 
 
@@ -757,8 +630,7 @@ def _frontier_points(space: ArchitectureSpace,
     The throughput columns are recomputed on just the survivors' counts,
     batched per (window, split) group, which reproduces the fold's values
     bit for bit (the stored frontier areas are reused directly).  Group
-    contexts are rebuilt here: the fold may have happened on pool threads,
-    so the caller holds none.
+    contexts are rebuilt here, for the survivors' groups only.
     """
     n_counts = space.max_cones_per_depth
     batch = supports_batch(throughput_model)

@@ -1,6 +1,6 @@
-"""End-to-end flow orchestration (Figure 2 of the paper)."""
+"""Flow result types and the text reports printed from them."""
 
-from repro.flow.hls_flow import HlsFlow, FlowOptions, FlowResult
+from repro.api.results import FlowOptions, FlowResult
 from repro.flow.report import (
     pareto_table,
     area_validation_table,
@@ -9,7 +9,6 @@ from repro.flow.report import (
 )
 
 __all__ = [
-    "HlsFlow",
     "FlowOptions",
     "FlowResult",
     "pareto_table",

@@ -7,11 +7,11 @@ never pull in test/plot/config frameworks.  Two modules:
 :mod:`repro.obs.trace`
     A ``Span`` tree with ids/parent-ids, wall+CPU timings, and typed
     attributes.  Context propagates through ``contextvars`` inside a
-    thread, through explicit handoff payloads into other threads
-    (``explore_stream`` chunk shards, service jobs), and through the
-    ``X-Repro-Trace`` header across the service/fleet HTTP hops.  Spans
-    land in a ring-buffer :class:`~repro.obs.trace.TraceStore` and
-    export as JSONL or Chrome ``trace_event`` JSON.
+    thread, through an explicit handoff payload into a service job's
+    dispatch thread, and through the ``X-Repro-Trace`` header across the
+    service/fleet HTTP hops.  Spans land in a ring-buffer
+    :class:`~repro.obs.trace.TraceStore` and export as JSONL or Chrome
+    ``trace_event`` JSON.
 
 :mod:`repro.obs.metrics`
     Latency histograms (fixed log-spaced buckets) behind a

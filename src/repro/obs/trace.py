@@ -12,9 +12,8 @@ and a flat dict of typed attributes.  Three propagation edges:
   (``<32-hex trace>-<16-hex span>``); a malformed or absent header
   degrades to a fresh root span, never an error;
 * **worker handoff** — :func:`context_payload` produces a plain
-  ``{"trace_id", "span_id", "pid"}`` dict that work handed to another
-  thread (``explore_stream`` chunk shards, service jobs) re-enters with
-  :func:`adopt`.
+  ``{"trace_id", "span_id", "pid"}`` dict that a service job re-enters
+  with :func:`adopt` on its dispatch thread.
 
 :func:`capture` records spans into a plain list, for callers that want
 one run's spans without a :class:`TraceStore`.

@@ -57,8 +57,7 @@ COUNTER_LEAVES = frozenset({
     "tool_runtime_spent_s", "tool_runtime_avoided_s", "workload_time_s",
     # store / shared-table / stream-cache traffic
     "hits", "misses", "writes", "corrupt", "evictions",
-    "runs", "parallel_runs", "chunks_materialized",
-    "duplicate_chunk_materializations", "throughput_pruned_rows",
+    "runs", "chunks_materialized", "throughput_pruned_rows",
     # fleet router / membership totals
     "routed", "failovers", "replays", "done", "deaths", "revivals",
     # trace-store accounting

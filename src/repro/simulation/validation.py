@@ -87,10 +87,13 @@ class ValidationResult:
     def passed(self) -> bool:
         """Whether the evidence supports equivalence.
 
-        The interior must match the golden model exactly and the vectorized
-        path must be bit-identical to its scalar oracle.
+        The interior must be non-empty and match the golden model exactly,
+        and the vectorized path must be bit-identical to its scalar oracle.
+        A frame no wider or taller than twice the border band has no
+        interior, so it compares no pixel and proves nothing.
         """
-        return self.max_abs_error == 0.0 and self.vectorized_matches_scalar
+        return (self.interior_pixels > 0 and self.max_abs_error == 0.0
+                and self.vectorized_matches_scalar)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -150,15 +153,20 @@ class ValidationResult:
         )
 
     def summary(self) -> str:
+        if self.interior_pixels:
+            interior = (f"  interior max |simulated - golden|: "
+                        f"{self.max_abs_error:.3e} over "
+                        f"{self.interior_pixels} pixel(s) (border band of "
+                        f"width {self.interior_margin} excluded; ")
+        else:
+            interior = (f"  no interior pixel compared: the border band of "
+                        f"width {self.interior_margin} covers the frame (")
         lines = [
             f"validate {self.kernel_name}: "
             f"{self.frame_width}x{self.frame_height}, "
             f"{self.iterations} iteration(s), window {self.window_side}, "
             f"mode {self.mode} -> {'PASS' if self.passed else 'FAIL'}",
-            f"  interior max |simulated - golden|: {self.max_abs_error:.3e} "
-            f"over {self.interior_pixels} pixel(s) "
-            f"(border band of width {self.interior_margin} excluded; "
-            f"full-frame max {self.max_abs_error_full:.3e})",
+            f"{interior}full-frame max {self.max_abs_error_full:.3e})",
             f"  vectorized == scalar oracle on "
             f"{self.oracle_width}x{self.oracle_height}: "
             f"{self.vectorized_matches_scalar}",

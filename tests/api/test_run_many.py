@@ -7,6 +7,7 @@ stops nothing: the rest of the batch runs and is cached, and the earliest
 failure is re-raised after the last workload.
 """
 
+import dataclasses
 import json
 import random
 import threading
@@ -15,6 +16,7 @@ import pytest
 
 from repro.api import (
     BackendError,
+    FlowOptions,
     Pipeline,
     Session,
     Workload,
@@ -22,7 +24,9 @@ from repro.api import (
 )
 from repro.api.cli import build_parser
 from repro.api.cli import main as cli_main
-from repro.dse.stream import explore_stream
+from repro.dse import engine
+from repro.dse.engine import StreamingFrontier
+from repro.dse.stream import StreamingExploration, explore_stream
 from repro.fleet import FleetRouter
 from repro.service import JobQueue, ReproClient, ReproServer, Scheduler
 
@@ -198,8 +202,9 @@ class TestFailureContract:
 
 class TestRemovedStrategyKnobs:
     """The executor strategies, the service's batching knobs, the profiler
-    flag, the fleet's admission and ring knobs and the ``service`` backend
-    kind are gone, loudly."""
+    flag, the fleet's admission and ring knobs, the ``service`` backend
+    kind, the exploration fan-out with the fold's test-only knobs, and the
+    legacy ``HlsFlow`` entry point are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -235,11 +240,14 @@ class TestRemovedStrategyKnobs:
         ["fleet", "--replicas", "8"],
         ["fleet", "--default-role", "guest"],
         ["submit", "blur", "--role", "operator"],
+        ["explore", "blur", "--jobs", "2"],
+        ["sweep", "--jobs", "2"],
     ], ids=["explore-executor", "serve-executor", "fleet-executor",
             "serve-jobs", "fleet-jobs", "serve-max-batch",
             "serve-batch-window", "fleet-max-batch", "fleet-batch-window",
             "explore-profile", "sweep-profile", "serve-backend",
-            "fleet-replicas", "fleet-default-role", "submit-role"])
+            "fleet-replicas", "fleet-default-role", "submit-role",
+            "explore-jobs", "sweep-jobs"])
     def test_strategy_flags_are_unknown_to_the_parser(self, capsys,
                                                       arguments):
         # parse only: serve and fleet would otherwise start listening
@@ -277,6 +285,17 @@ class TestRemovedStrategyKnobs:
         ("policy", lambda: FleetRouter.local(1, policy=object())),
         ("role", lambda: ReproClient(ReproServer(start=False)).submit(
             Workload.from_algorithm("blur", **SMALL), role="operator")),
+        ("stream_jobs", lambda: Workload.from_algorithm(
+            "blur", stream_jobs=2, **SMALL)),
+        ("stream_jobs", lambda: FlowOptions(stream_jobs=2)),
+        ("stream_jobs", lambda: Session().explorer_for(
+            Workload.from_algorithm("blur", **SMALL)).explore(
+                4, 128, 96, stream_jobs=2)),
+        ("jobs", lambda: explore_stream(None, {}, None, 128, 96, jobs=2)),
+        ("chunk_order", lambda: explore_stream(
+            None, {}, None, 128, 96, chunk_order=[0])),
+        ("use_mask_cache", lambda: explore_stream(
+            None, {}, None, 128, 96, use_mask_cache=False)),
     ], ids=["Session", "Pipeline", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
@@ -284,10 +303,34 @@ class TestRemovedStrategyKnobs:
             "Scheduler-max_batch", "FleetRouter-policy",
             "FleetRouter-max_inflight", "FleetRouter-failure_threshold",
             "FleetRouter-replicas", "FleetRouter.local-policy",
-            "ReproClient.submit-role"])
+            "ReproClient.submit-role", "Workload-stream_jobs",
+            "FlowOptions-stream_jobs", "explore-stream_jobs",
+            "explore_stream-jobs", "explore_stream-chunk_order",
+            "explore_stream-use_mask_cache"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()
+
+    def test_workload_dict_with_stream_jobs_is_a_value_error(self):
+        payload = Workload.from_algorithm("blur", **SMALL).to_dict()
+        assert payload["stream_jobs"] is None  # the pinned wire key
+        payload["stream_jobs"] = 2
+        with pytest.raises(ValueError, match="stream_jobs"):
+            Workload.from_dict(payload)
+
+    def test_fan_out_names_are_gone(self):
+        assert not hasattr(StreamingFrontier, "merge")
+        assert "jobs" not in {field.name
+                              for field in dataclasses.fields(
+                                  StreamingExploration)}
+        assert not hasattr(engine, "fold_shard")
+        assert not hasattr(Workload, "from_options")
+
+    def test_the_legacy_entry_point_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro import HlsFlow  # noqa: F401
+        with pytest.raises(ImportError):
+            import repro.flow.hls_flow  # noqa: F401
 
     def test_client_takes_one_url_not_a_list(self):
         with pytest.raises(ValueError, match="URL"):
@@ -305,37 +348,10 @@ class TestRemovedStrategyKnobs:
 
 
 class TestCliJobs:
-    def test_explore_accepts_jobs(self, capsys):
-        arguments = ["explore", "blur", "--frame", "128x96", "--iterations",
-                     "4", "--windows", "1,2,3", "--max-depth", "2",
-                     "--quiet", "--json"]
-        assert cli_main(arguments) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert cli_main(arguments + ["--jobs", "2"]) == 0
-        fanned = json.loads(capsys.readouterr().out)
-        assert fanned["exploration"]["pareto"]
-        assert (fanned["exploration"]["pareto"]
-                == serial["exploration"]["pareto"])
-
-    def test_jobs_leave_a_streamed_sweep_unchanged(self, capsys):
-        arguments = SWEEP + ["--stream", "--chunk-rows", "2"]
-        assert cli_main(arguments) == 0
-        serial = json.loads(capsys.readouterr().out)["workloads"]
-        assert cli_main(arguments + ["--jobs", "2"]) == 0
-        fanned = json.loads(capsys.readouterr().out)["workloads"]
-        assert serial and len(fanned) == len(serial)
-        for one, two in zip(serial, fanned):
-            assert (one["streaming"]["stream_jobs"],
-                    two["streaming"]["stream_jobs"]) == (1, 2)
-            assert (one["streaming"]["admitted_rows"]
-                    == two["streaming"]["admitted_rows"])
-            one.pop("streaming"), two.pop("streaming")
-            assert one == two
-
     def test_sweep_reruns_warm_from_the_store(self, tmp_path, capsys):
         arguments = ["sweep", "--algorithms", "blur,jacobi", "--frames",
                      "128x96", "--iterations", "4", "--windows", "1,2,3",
-                     "--max-depth", "2", "--jobs", "2", "--store",
+                     "--max-depth", "2", "--store",
                      str(tmp_path / "store"), "--json"]
         assert cli_main(arguments) == 0
         cold = json.loads(capsys.readouterr().out)
@@ -345,10 +361,3 @@ class TestCliJobs:
         assert warm["session"]["synthesis_runs"] == 0
         assert warm["workloads"] == cold["workloads"]
 
-    @pytest.mark.parametrize("command", ["explore", "sweep"])
-    @pytest.mark.parametrize("bad", ["0", "-1"])
-    def test_invalid_jobs_exits_2(self, capsys, command, bad):
-        arguments = (SWEEP if command == "sweep" else
-                     ["explore", "blur", "--frame", "128x96", "--quiet"])
-        assert cli_main(arguments + ["--jobs", bad]) == 2
-        assert "stream_jobs" in capsys.readouterr().err

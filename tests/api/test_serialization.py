@@ -93,6 +93,23 @@ class TestFlowResultRoundTrip:
         assert restored.device == VIRTEX6_XC6VLX760
 
 
+class TestRetiredStreamJobsKey:
+    """The chunk fan-out knob is gone; its wire key stays, always null,
+    because the benchmark pins request pools and digests over this codec."""
+
+    def test_options_write_a_null_stream_jobs_key(self, small_result):
+        payload = small_result.options.to_dict()
+        assert "stream_jobs" in payload
+        assert payload["stream_jobs"] is None
+
+    @pytest.mark.parametrize("value", [2, 0, True, "x"])
+    def test_options_refuse_a_non_null_stream_jobs(self, small_result,
+                                                   value):
+        payload = dict(small_result.options.to_dict(), stream_jobs=value)
+        with pytest.raises(ValueError, match="stream_jobs"):
+            FlowOptions.from_dict(through_json(payload))
+
+
 class TestSupportingTypes:
     def test_kernel_round_trip_all_algorithms(self):
         from repro.algorithms import ALGORITHMS

@@ -273,16 +273,6 @@ class TestCharacterizationSharing:
         assert session.stats.characterization_cache_hits == 0
         assert session.stats.characterization_cache_misses == 1
 
-    @pytest.mark.slow
-    def test_legacy_flow_first_run_is_a_cache_miss(self, igf_kernel):
-        from repro import HlsFlow
-
-        flow = HlsFlow(igf_kernel)
-        flow.run()
-        stats = flow._session.stats
-        assert stats.characterization_cache_hits == 0
-        assert stats.characterization_cache_misses == 1
-
 
 class TestEventsAndStats:
     def test_run_emits_lifecycle_events(self):

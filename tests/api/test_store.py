@@ -8,8 +8,10 @@ artifacts, schema-version mismatches, and concurrent writers must all fall
 back to recomputation, never crash.
 """
 
+import hashlib
 import json
 import os
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -218,15 +220,16 @@ class TestWarmResume:
                      for name in names if name.endswith(".tmp")]
         assert leftovers == []
 
-    def test_stored_file_is_the_json_encoding_of_its_envelope(
+    def test_stored_file_is_a_hashed_header_then_the_payload(
             self, store_dir):
         store = ArtifactStore(store_dir)
         payload = {"pareto": [{"luts": 120, "fps": 61.5}], "name": "blur"}
         path = store.put("result", "exact", payload)
-        envelope = {"schema": store_module.SCHEMA_VERSION, "kind": "result",
-                    "key": "exact", "payload": payload}
+        body = json.dumps(payload).encode()
+        header = {"schema": store_module.SCHEMA_VERSION, "kind": "result",
+                  "key": "exact", "sha256": hashlib.sha256(body).hexdigest()}
         with open(path, "rb") as handle:
-            assert handle.read() == json.dumps(envelope).encode()
+            assert handle.read() == json.dumps(header).encode() + b"\n" + body
 
 
 class TestRobustness:
@@ -263,14 +266,15 @@ class TestRobustness:
     def test_schema_version_mismatch_recomputes(self, store_dir, monkeypatch):
         workload = blur()
         Session(store=store_dir).run(workload)
-        # rewrite every artifact as a future schema version
+        # rewrite every artifact header as a future schema version
         store = ArtifactStore(store_dir)
         for path in store.artifact_paths():
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-            envelope["schema"] = store_module.SCHEMA_VERSION + 1
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle)
+            with open(path, "rb") as handle:
+                header_line, _, body = handle.read().partition(b"\n")
+            header = json.loads(header_line)
+            header["schema"] = store_module.SCHEMA_VERSION + 1
+            with open(path, "wb") as handle:
+                handle.write(json.dumps(header).encode() + b"\n" + body)
 
         session = Session(store=store_dir)
         result = session.run(workload)
@@ -327,12 +331,11 @@ class TestRobustness:
             batches = list(pool.map(cold.run_many,
                                     [workloads[0::2], workloads[1::2]]))
         assert sum(len(results) for results in batches) == len(workloads)
-        # every artifact on disk parses cleanly after the concurrent batch
+        # every artifact on disk passes its hash check after the
+        # concurrent batch
         store = ArtifactStore(store_dir)
-        for path in store.artifact_paths():
-            with open(path, "r", encoding="utf-8") as handle:
-                assert json.load(handle)["schema"] == \
-                    store_module.SCHEMA_VERSION
+        assert (len(store.export_payload()["artifacts"])
+                == len(store.artifact_paths()))
         warm = Session(store=store_dir)
         warm.run_many(workloads)
         assert warm.stats.synthesis_runs == 0
@@ -346,6 +349,145 @@ class TestRobustness:
         second.run(blur())
         assert second.stats.synthesis_runs == 0
         assert first.store is store and second.store is store
+
+
+#: Replacement values of the tamper sweep (the value pool of the seeded
+#: C-source and submit-body fuzzers).
+TAMPER_VALUES = (None, "x", -1, 0, 1.5, True, [], {}, [1, "a"], {"a": 1},
+                 10**12)
+
+
+def json_leaves(node, path=()):
+    """Path of every leaf (scalar, empty list or empty object) of ``node``."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    children = list(children)
+    if not children:
+        yield path
+    for key, child in children:
+        yield from json_leaves(child, path + (key,))
+
+
+def result_digest(result):
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+class TestTamperedArtifacts:
+    """An artifact edited so that it still parses is recomputed, never
+    served: the store checks each artifact's payload hash before decoding
+    it."""
+
+    def test_single_value_edits_never_change_the_result(self, store_dir):
+        workload = blur(max_depth=3)
+        reference = result_digest(Session().run(workload))
+        Session(store=store_dir).run(workload)
+        store = ArtifactStore(store_dir)
+        (result_path,) = store.artifact_paths("result")
+        pristine = {}
+        for path in store.artifact_paths():
+            with open(path, "rb") as handle:
+                pristine[path] = handle.read()
+        assert len(pristine) == 4  # the result and three depth families
+        # every leaf of every JSON line of every artifact
+        leaves = [(path, line, leaf)
+                  for path, data in sorted(pristine.items())
+                  for line, text in enumerate(data.split(b"\n"))
+                  for leaf in json_leaves(json.loads(text))]
+
+        rng = random.Random(19)
+        bad = []
+        for trial in range(300):
+            for path, data in pristine.items():
+                with open(path, "wb") as handle:
+                    handle.write(data)
+            path, line, leaf = rng.choice(leaves)
+            value = rng.choice(TAMPER_VALUES)
+            lines = pristine[path].split(b"\n")
+            document = json.loads(lines[line])
+            parent = document
+            for key in leaf[:-1]:
+                parent = parent[key]
+            parent[leaf[-1]] = value
+            lines[line] = json.dumps(document).encode()
+            with open(path, "wb") as handle:
+                handle.write(b"\n".join(lines))
+            if path != result_path:
+                # an intact result artifact would hide the edited family
+                os.remove(result_path)
+            edit = (trial, os.path.basename(path), leaf, value)
+            try:
+                result = Session(store=store_dir).run(workload)
+            except Exception as error:  # noqa: BLE001 - reported below
+                bad.append(edit + (repr(error),))
+                continue
+            if result_digest(result) != reference:
+                bad.append(edit + ("different result",))
+        assert bad == []
+
+
+    def test_payload_edit_that_still_parses_is_corrupt(self, store_dir):
+        store = ArtifactStore(store_dir)
+        path = store.put("result", "key", {"area_luts": 120.0})
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data.replace(b"120.0", b"121.0"))
+        assert store.get("result", "key") is None
+        assert store.counters()["corrupt"] == 1
+        assert not os.path.exists(path)
+
+    def test_export_skips_an_artifact_that_fails_its_hash(self, store_dir):
+        store = ArtifactStore(store_dir)
+        store.put("result", "kept", {"value": 1})
+        edited = store.put("result", "edited", {"value": 2})
+        with open(edited, "rb") as handle:
+            data = handle.read()
+        with open(edited, "wb") as handle:
+            handle.write(data.replace(b'"value": 2', b'"value": 3'))
+        assert store.export_payload()["artifacts"] == [
+            {"schema": store_module.SCHEMA_VERSION, "kind": "result",
+             "key": "kept", "payload": {"value": 1}}]
+
+    def test_stored_result_carrying_stream_jobs_is_recomputed(
+            self, store_dir):
+        """A hash-valid result whose options name a chunk fan-out decodes
+        as a miss, so the session recomputes instead of serving it."""
+        workload = blur()
+        reference = result_digest(Session().run(workload))
+        Session(store=store_dir).run(workload)
+        store = ArtifactStore(store_dir)
+        (stored,) = [entry for entry in store.export_payload()["artifacts"]
+                     if entry["kind"] == "result"]
+        stored["payload"]["options"]["stream_jobs"] = 2
+        store.put("result", stored["key"], stored["payload"])
+
+        session = Session(store=store_dir)
+        result = session.run(workload)
+        assert result.options.to_dict()["stream_jobs"] is None
+        assert result_digest(result) == reference
+        assert session.stats.synthesis_runs == 0  # families still load
+
+    def test_schema_1_artifacts_are_ignored_and_reclaimed(self, store_dir):
+        workload = blur()
+        Session(store=store_dir).run(workload)
+        store = ArtifactStore(store_dir)
+        # the same artifacts as a schema-1 store held them: one JSON
+        # envelope per file, no payload hash
+        for envelope in store.export_payload()["artifacts"]:
+            directory = os.path.join(store_dir, "v1", envelope["kind"])
+            os.makedirs(directory, exist_ok=True)
+            with open(os.path.join(directory, store.digest(envelope["key"])
+                                   + ".json"), "w", encoding="utf-8") as out:
+                json.dump(dict(envelope, schema=1), out)
+        removed = store.clear("result") + store.clear("characterization")
+        assert store.describe()["stale_artifacts"] == removed > 0
+
+        session = Session(store=store_dir)
+        session.run(workload)
+        assert session.stats.store_disk_hits == 0
+        assert session.stats.synthesis_runs > 0
+        store.clear()
+        assert store.describe()["stale_artifacts"] == 0
 
 
 class TestStoreMaintenance:

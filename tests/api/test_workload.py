@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import FlowOptions, Workload
+from repro.api import Workload
 from repro.dse.constraints import DseConstraints
 from repro.ir.operators import DataFormat
 from repro.synth.fpga_device import VIRTEX2P_XC2VP30
@@ -40,7 +40,7 @@ class TestConstruction:
         workload = Workload.from_algorithm("blur", window_sides=[3, 1, 3, 2])
         assert workload.window_sides == (1, 2, 3)
 
-    @pytest.mark.parametrize("knob", ["stream_jobs", "chunk_rows"])
+    @pytest.mark.parametrize("knob", ["chunk_rows"])
     @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -1])
     def test_bad_stream_knobs_rejected_at_construction(self, knob, bad):
         with pytest.raises(ValueError, match=knob):
@@ -85,7 +85,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match=named):
             build()
 
-    @pytest.mark.parametrize("knob", ["stream_jobs", "chunk_rows"])
+    @pytest.mark.parametrize("knob", ["chunk_rows"])
     def test_stream_knobs_accept_none_and_positive_ints(self, knob):
         assert getattr(Workload.from_algorithm("blur", **{knob: 3}),
                        knob) == 3
@@ -177,13 +177,6 @@ class TestCharacterizationKey:
 
 
 class TestOptionsBridge:
-    def test_options_round_trip(self, igf_kernel):
-        options = FlowOptions(frame_width=256, frame_height=128, iterations=6,
-                              window_sides=(1, 2, 4), max_depth=3,
-                              synthesize_all=True)
-        workload = Workload.from_options(igf_kernel, options)
-        assert workload.options() == options
-
     def test_workload_serialization_round_trip(self, igf_kernel):
         workload = Workload.from_kernel(
             igf_kernel, iterations=4, window_sides=(1, 2),

@@ -18,7 +18,7 @@ from scalar_oracle import explore_scalar, scalar_exploration
 
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import (build_points, cost_counts, fold_shard,
+from repro.dse.engine import (build_points, cost_counts, fold_chunks,
                               group_area, group_context, supports_batch)
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_indices
@@ -204,7 +204,7 @@ class TestFoldKernel:
             assert [point["architecture"] for point in built[0]] == [
                 architecture.to_dict() for architecture in group]
 
-    def test_fold_shard_costs_only_the_planned_interval(self, inputs):
+    def test_fold_chunks_costs_only_the_planned_interval(self, inputs):
         explorer, space, characterizations, usable = inputs
         chunks = plan_chunks(space, 2)
         groups = sorted({(chunk.window_index, chunk.split_index)
@@ -213,18 +213,17 @@ class TestFoldKernel:
         plans = {key: SimpleNamespace(evaluable=position % 3 != 0,
                                       start=1, stop=3)
                  for position, key in enumerate(groups)}
-        report = fold_shard(space, characterizations,
-                            explorer.throughput_model, 128, 96,
-                            list(enumerate(chunks)), plans, None, usable,
-                            True)
+        report = fold_chunks(space, characterizations,
+                             explorer.throughput_model, 128, 96,
+                             chunks, plans, None, usable, True)
 
         def costed(chunk):
             plan = plans[(chunk.window_index, chunk.split_index)]
             return plan.evaluable and (min(chunk.count_stop, plan.stop)
                                        > max(chunk.count_start, plan.start))
 
-        assert report["materialized"] == [
-            index for index, chunk in enumerate(chunks) if costed(chunk)]
+        assert report["chunks_materialized"] == sum(
+            costed(chunk) for chunk in chunks)
         assert report["chunks_skipped"] == sum(
             not costed(chunk) for chunk in chunks)
         bases = {chunk.base_row for chunk in chunks
@@ -245,7 +244,7 @@ class TestFoldKernel:
             np.asarray([point.seconds_per_frame for _, point in kept]))
         assert np.array_equal(report["frontier"].result()[2], rows[keep])
 
-    def test_fold_shard_filters_costed_rows_by_the_fps_floor(self, inputs):
+    def test_fold_chunks_filters_costed_rows_by_the_fps_floor(self, inputs):
         explorer, space, characterizations, usable = inputs
         model = explorer.throughput_model
         baseline = scalar_exploration(space, characterizations, model,
@@ -255,10 +254,9 @@ class TestFoldKernel:
             space, characterizations, model, 128, 96,
             DseConstraints(min_frames_per_second=floor), usable)
         chunks = plan_chunks(space, 3)
-        report = fold_shard(space, characterizations, model, 128, 96,
-                            list(enumerate(chunks)),
-                            self.whole_axis_plans(space, chunks), floor,
-                            usable, False)
+        report = fold_chunks(space, characterizations, model, 128, 96,
+                             chunks, self.whole_axis_plans(space, chunks),
+                             floor, usable, False)
         assert 0 < oracle.admitted_rows < space.size()
         assert report["admitted_rows"] == oracle.admitted_rows
         assert report["fps_rejected"] == space.size() - oracle.admitted_rows
@@ -269,19 +267,19 @@ class TestFoldKernel:
     def test_keeping_points_leaves_the_frontier_unchanged(self, inputs):
         explorer, space, characterizations, usable = inputs
         chunks = plan_chunks(space, 1)
-        shard = list(enumerate(chunks))
-        random.Random(5).shuffle(shard)
+        shuffled = list(chunks)
+        random.Random(5).shuffle(shuffled)
         plans = self.whole_axis_plans(space, chunks)
-        lean, full = (fold_shard(space, characterizations,
-                                 explorer.throughput_model, 128, 96, shard,
-                                 plans, None, usable, keep_points)
+        lean, full = (fold_chunks(space, characterizations,
+                                  explorer.throughput_model, 128, 96,
+                                  shuffled, plans, None, usable, keep_points)
                       for keep_points in (False, True))
         for lean_column, full_column in zip(lean["frontier"].result(),
                                             full["frontier"].result()):
             assert np.array_equal(lean_column, full_column)
         assert lean["admitted_rows"] == full["admitted_rows"] == space.size()
         assert len(full["points"]) == space.size()
-        assert sorted(lean["materialized"]) == list(range(len(chunks)))
+        assert lean["chunks_materialized"] == len(chunks)
 
 
 class TestBackendCompatibility:

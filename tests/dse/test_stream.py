@@ -1,15 +1,13 @@
 """Tests for the chunked exploration fold.
 
 The headline property: whatever the chunk size {1 row, group-sized, the
-whole space}, whatever the chunk order, and whatever the worker count,
-``explore_stream`` produces the identical admitted rows
+whole space}, ``explore_stream`` produces the identical admitted rows
 and Pareto frontier — same global rows, byte-identical serialized design
 points — as the per-point scalar oracle (``scalar_oracle``); its
 ``pruned_rows`` additionally counts the rows a min-fps floor rejected.
 """
 
 import json
-import random
 import threading
 
 import numpy as np
@@ -32,6 +30,8 @@ from repro.dse.stream import (
 )
 from repro.estimation.throughput_model import ThroughputModel
 from repro.ir.operators import DataFormat
+from repro.obs import metrics as obs_metrics
+from repro.service.metrics import render_prometheus
 
 
 def small_explorer(kernel, **overrides):
@@ -73,8 +73,7 @@ def constraint_grid(baseline):
 
 
 class TestDigestIdentity:
-    def test_identical_to_scalar_across_chunk_sizes_and_orders(
-            self, evaluation_inputs):
+    def test_identical_to_scalar_across_chunk_sizes(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
         baseline = scalar_exploration(space, characterizations,
                                       explorer.throughput_model, 128, 96)
@@ -86,26 +85,17 @@ class TestDigestIdentity:
             oracle_rows = oracle.pareto_row_index
             oracle_digest = serialized_points(oracle.pareto)
             for chunk_rows in (1, group_rows, space.size()):
-                for seed in (None, 7, 23):
-                    order = None
-                    if seed is not None:
-                        order = list(range(len(plan_chunks(space,
-                                                           chunk_rows))))
-                        random.Random(seed).shuffle(order)
-                    streamed = explore_stream(
-                        space, characterizations, explorer.throughput_model,
-                        128, 96, constraints, usable,
-                        chunk_rows=chunk_rows, chunk_order=order)
-                    assert np.array_equal(streamed.pareto_row_index,
-                                          oracle_rows)
-                    assert (serialized_points(streamed.pareto)
-                            == oracle_digest)
-                    assert (streamed.pruned_rows
-                            - streamed.throughput_pruned_rows
-                            == oracle.area_pruned_rows)
-                    assert streamed.admitted_rows == oracle.admitted_rows
+                streamed = explore_stream(
+                    space, characterizations, explorer.throughput_model,
+                    128, 96, constraints, usable, chunk_rows=chunk_rows)
+                assert np.array_equal(streamed.pareto_row_index, oracle_rows)
+                assert serialized_points(streamed.pareto) == oracle_digest
+                assert (streamed.pruned_rows
+                        - streamed.throughput_pruned_rows
+                        == oracle.area_pruned_rows)
+                assert streamed.admitted_rows == oracle.admitted_rows
 
-    def test_admitted_rows_identical_to_scalar_at_any_chunking_and_jobs(
+    def test_admitted_rows_identical_to_scalar_at_any_chunking(
             self, evaluation_inputs):
         """In-memory explorations are the same fold keeping every admitted
         row: the design points match the scalar loop's in enumeration
@@ -119,21 +109,15 @@ class TestDigestIdentity:
                 128, 96, constraints, usable)
             expected = serialized_points(oracle.design_points)
             for chunk_rows in (1, 4, space.size()):
-                order = list(range(len(plan_chunks(space, chunk_rows))))
-                random.Random(chunk_rows).shuffle(order)
-                for jobs, chunk_order in ((None, None), (3, order)):
-                    streamed = explore_stream(
-                        space, characterizations, explorer.throughput_model,
-                        128, 96, constraints, usable, chunk_rows=chunk_rows,
-                        chunk_order=chunk_order, jobs=jobs,
-                        materialize="admitted")
-                    assert (serialized_points(streamed.design_points)
-                            == expected)
-                    assert (serialized_points(streamed.pareto)
-                            == serialized_points(oracle.pareto))
-                    members = {id(point) for point in streamed.design_points}
-                    assert all(id(point) in members
-                               for point in streamed.pareto)
+                streamed = explore_stream(
+                    space, characterizations, explorer.throughput_model,
+                    128, 96, constraints, usable, chunk_rows=chunk_rows,
+                    materialize="admitted")
+                assert serialized_points(streamed.design_points) == expected
+                assert (serialized_points(streamed.pareto)
+                        == serialized_points(oracle.pareto))
+                members = {id(point) for point in streamed.design_points}
+                assert all(id(point) in members for point in streamed.pareto)
 
     def test_peak_chunk_never_exceeds_the_bound(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
@@ -284,79 +268,45 @@ class TestThroughputPushdown:
                 == serialized_points(oracle.pareto))
 
 
-class TestParallelDispatch:
-    """Multi-worker chunk dispatch is bit-identical to the serial fold
-    across worker counts and shuffled schedules."""
-
-    def test_bit_identity_across_jobs_and_orders(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        constraints = DseConstraints(device_only=True)
-        serial = explore_stream(space, characterizations,
-                                explorer.throughput_model, 128, 96,
-                                constraints, usable, chunk_rows=2)
-        digest = serialized_points(serial.pareto)
-        order = list(range(len(plan_chunks(space, 2))))
-        random.Random(11).shuffle(order)
-        for jobs in (1, 2, 4):
-            for chunk_order in (None, order):
-                streamed = explore_stream(
-                    space, characterizations, explorer.throughput_model,
-                    128, 96, constraints, usable, chunk_rows=2,
-                    chunk_order=chunk_order, jobs=jobs)
-                assert np.array_equal(streamed.pareto_row_index,
-                                      serial.pareto_row_index)
-                assert serialized_points(streamed.pareto) == digest
-                assert streamed.admitted_rows == serial.admitted_rows
-                assert streamed.pruned_rows == serial.pruned_rows
-                assert streamed.jobs == min(jobs, len(order))
-        assert stream_stats()["duplicate_chunk_materializations"] == 0
-
-    def test_parallel_run_is_counted_once_without_duplicate_chunks(
-            self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        reset_stream_stats()
-        streamed = explore_stream(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=2, jobs=4)
-        assert streamed.jobs == 4
-        stats = stream_stats()
-        assert stats["parallel_runs"] == 1 and stats["runs"] == 1
-        assert stats["chunks_materialized"] > 0
-        assert stats["duplicate_chunk_materializations"] == 0
-
-    def test_shards_fold_on_a_pool_the_call_owns(self, evaluation_inputs,
-                                                 monkeypatch):
-        """``jobs > 1`` folds every shard on a thread of a pool the call
-        creates and joins before returning; ``jobs=1`` folds on the
-        calling thread."""
-        real_fold = stream_module._fold_chunk_shard
+class TestSerialFold:
+    def test_the_fold_runs_once_on_the_calling_thread(
+            self, evaluation_inputs, monkeypatch):
+        real_fold = stream_module.fold_chunks
         folded_on = []
 
-        def recording_fold(payload):
+        def recording_fold(*args, **kwargs):
             folded_on.append(threading.current_thread().name)
-            return real_fold(payload)
+            return real_fold(*args, **kwargs)
 
-        monkeypatch.setattr(stream_module, "_fold_chunk_shard",
-                            recording_fold)
+        monkeypatch.setattr(stream_module, "fold_chunks", recording_fold)
         explorer, space, characterizations, usable = evaluation_inputs
-        explore_stream(space, characterizations, explorer.throughput_model,
-                       128, 96, usable_luts=usable, chunk_rows=2, jobs=3)
-        assert len(folded_on) == 3
-        assert all(name.startswith("repro-stream") for name in folded_on)
-        assert not any(thread.name.startswith("repro-stream")
-                       for thread in threading.enumerate())
-        folded_on.clear()
         explore_stream(space, characterizations, explorer.throughput_model,
                        128, 96, usable_luts=usable, chunk_rows=2)
         assert folded_on == [threading.current_thread().name]
 
-    def test_invalid_jobs_rejected(self, evaluation_inputs):
+    def test_one_exploration_is_one_run_and_one_fold_observation(
+            self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
-        for bad in (0, -1, True, 2.5):
-            with pytest.raises(ValueError, match="jobs"):
-                explore_stream(space, characterizations,
-                               explorer.throughput_model, 128, 96,
-                               usable_luts=usable, jobs=bad)
+        histogram = obs_metrics.registry().histogram(
+            "repro_stream_chunk_fold_seconds")
+        observed = histogram.count
+        reset_stream_stats()
+        streamed = explore_stream(space, characterizations,
+                                  explorer.throughput_model, 128, 96,
+                                  usable_luts=usable, chunk_rows=2)
+        stats = stream_stats()
+        assert stats["runs"] == 1
+        assert (stats["chunks_materialized"]
+                == streamed.chunks_total - streamed.chunks_skipped > 0)
+        assert histogram.count == observed + 1
+
+    def test_stream_stats_name_no_fan_out_counters(self):
+        assert set(stream_stats()) == {
+            "hits", "misses", "evictions", "entries", "capacity", "runs",
+            "chunks_materialized", "throughput_pruned_rows"}
+        text = render_prometheus({"stream": stream_stats()})
+        assert "# TYPE repro_stream_runs counter" in text
+        assert "parallel" not in text and "duplicate" not in text
 
 
 class TestMaskCache:
@@ -388,16 +338,6 @@ class TestMaskCache:
             space, characterizations, explorer.throughput_model, 128, 96,
             DseConstraints(device_only=True, max_area_luts=50_000.0), usable)
         assert not tightened.mask_cache_hit
-
-    def test_cache_can_be_disabled(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        for _ in range(2):
-            streamed = explore_stream(space, characterizations,
-                                      explorer.throughput_model, 128, 96,
-                                      usable_luts=usable,
-                                      use_mask_cache=False)
-            assert not streamed.mask_cache_hit
-        assert stream_stats()["entries"] == 0
 
 
 class TestMaskCacheBound:
@@ -475,13 +415,9 @@ class TestChunkPlanning:
         assert counts.tolist() == [3, 4, 5]
 
     def test_invalid_arguments_rejected(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
+        _, space, _, _ = evaluation_inputs
         with pytest.raises(ValueError, match="chunk_rows"):
             plan_chunks(space, 0)
-        with pytest.raises(ValueError, match="permutation"):
-            explore_stream(space, characterizations,
-                           explorer.throughput_model, 128, 96,
-                           usable_luts=usable, chunk_order=[0, 0, 1])
 
 
 class TestExplorerIntegration:
@@ -499,17 +435,14 @@ class TestExplorerIntegration:
         payload = streamed.to_dict()
         assert all(isinstance(entry, int) for entry in payload["pareto"])
 
-    def test_stream_jobs_matches_the_serial_stream(self, igf_kernel):
-        explorer = small_explorer(igf_kernel)
-        serial = explorer.explore(6, 128, 96, stream=True, chunk_rows=2)
-        parallel = explorer.explore(6, 128, 96, stream=True, chunk_rows=2,
-                                    stream_jobs=4)
-        assert (serialized_points(parallel.pareto)
-                == serialized_points(serial.pareto))
-        assert serial.streaming["stream_jobs"] == 1
-        assert parallel.streaming["stream_jobs"] == 4
-        assert (parallel.streaming["pruned_rows"]
-                == serial.streaming["pruned_rows"])
+    def test_streaming_metadata_keys(self, igf_kernel):
+        streamed = small_explorer(igf_kernel).explore(6, 128, 96,
+                                                      stream=True)
+        assert set(streamed.streaming) == {
+            "chunk_rows", "space_rows", "admitted_rows", "pruned_rows",
+            "throughput_pruned_rows", "pruned_fraction", "chunks_total",
+            "chunks_skipped", "peak_chunk_rows", "frontier_peak",
+            "mask_cache_hit"}
 
     def test_streaming_result_round_trips_through_json(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
@@ -545,7 +478,7 @@ class TestExplorerIntegration:
         second = explorer.explore(6, 640, 480)
         assert first.streaming is None and second.streaming is None
         stats = stream_stats()
-        assert stats["runs"] == 2 and stats["parallel_runs"] == 0
+        assert stats["runs"] == 2
         assert stats["misses"] == 1 and stats["hits"] == 1
         assert stats["chunks_materialized"] > 0
 

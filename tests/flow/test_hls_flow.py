@@ -1,9 +1,10 @@
-"""Unit tests for the end-to-end flow driver and the reporting helpers."""
+"""Tests for the end-to-end flow result (through ``Session``) and the
+reporting helpers."""
 
 import pytest
 
+from repro.api import Session, Workload
 from repro.dse.constraints import DseConstraints
-from repro.flow.hls_flow import FlowOptions, HlsFlow
 from repro.flow.report import (
     area_validation_table,
     flow_summary,
@@ -13,7 +14,7 @@ from repro.flow.report import (
 from repro.ir.operators import DataFormat
 
 
-SMALL_OPTIONS = FlowOptions(
+SMALL = dict(
     data_format=DataFormat.FIXED16,
     frame_width=128,
     frame_height=96,
@@ -21,31 +22,16 @@ SMALL_OPTIONS = FlowOptions(
     window_sides=(1, 2, 3),
     max_depth=2,
     max_cones_per_depth=3,
-    synthesize_all=True,
 )
+
+
+def small_workload(kernel, **overrides):
+    return Workload.from_kernel(kernel, **dict(SMALL, **overrides))
 
 
 @pytest.fixture(scope="module")
 def igf_flow_result(igf_kernel):
-    return HlsFlow(igf_kernel, SMALL_OPTIONS).run()
-
-
-class TestFlowConstruction:
-    def test_flow_from_c_source(self):
-        from repro.algorithms.gaussian import IGF_C_SOURCE
-        flow = HlsFlow(IGF_C_SOURCE, SMALL_OPTIONS)
-        assert flow.kernel.name == "blur"
-        assert flow.invariance.is_isl
-
-    def test_non_isl_kernel_rejected(self):
-        from repro.frontend.dsl import stencil_kernel
-
-        def define(k):
-            f = k.field("f")
-            k.update(f, f(10, 0) + f(-10, 0))
-
-        with pytest.raises(Exception):
-            HlsFlow(stencil_kernel("wide", define), SMALL_OPTIONS)
+    return Session().run(small_workload(igf_kernel, synthesize_all=True))
 
 
 class TestFlowResult:
@@ -65,50 +51,27 @@ class TestFlowResult:
         assert smallest.area_luts <= best.area_luts
 
     def test_constraints_are_honoured(self, igf_kernel):
-        options = FlowOptions(
-            data_format=DataFormat.FIXED16, frame_width=128, frame_height=96,
-            iterations=4, window_sides=(1, 2, 3), max_depth=2,
-            max_cones_per_depth=3,
-            constraints=DseConstraints(device_only=True))
-        result = HlsFlow(igf_kernel, options).run()
+        result = Session().run(small_workload(
+            igf_kernel, constraints=DseConstraints(device_only=True)))
         assert all(p.fits_device for p in result.design_points)
 
     def test_repeated_runs_return_fresh_results(self, igf_kernel):
         """Mutating a returned result must not leak into a later run()."""
-        flow = HlsFlow(igf_kernel, SMALL_OPTIONS)
-        first = flow.run()
+        session = Session()
+        workload = small_workload(igf_kernel, synthesize_all=True)
+        first = session.run(workload)
         point_count = len(first.design_points)
         first.design_points.clear()
-        second = flow.run()
+        second = session.run(workload)
         assert second is not first
         assert len(second.design_points) == point_count
-
-    def test_options_mutation_after_construction_takes_effect(self, igf_kernel):
-        """The old driver honoured `flow.options` mutations between runs;
-        the shim must too (frame-size changes even reuse characterizations)."""
-        flow = HlsFlow(igf_kernel, SMALL_OPTIONS)
-        first = flow.run()
-        assert first.exploration.frame_width == 128
-        flow.options = FlowOptions(
-            data_format=DataFormat.FIXED16, frame_width=640, frame_height=480,
-            iterations=4, window_sides=(1, 2, 3), max_depth=2,
-            max_cones_per_depth=3, synthesize_all=True)
-        second = flow.run()
-        assert second.exploration.frame_width == 640
-        # same cone shapes -> the characterization cache absorbed the change
-        assert (second.exploration.synthesis_runs
-                == first.exploration.synthesis_runs)
 
     def test_extreme_points_are_none_when_constraints_exclude_everything(
             self, igf_kernel):
         """Regression: fastest/smallest_point used to crash with a bare
         ValueError from min() on an empty design-point list."""
-        options = FlowOptions(
-            data_format=DataFormat.FIXED16, frame_width=128, frame_height=96,
-            iterations=4, window_sides=(1, 2, 3), max_depth=2,
-            max_cones_per_depth=3,
-            constraints=DseConstraints(max_area_luts=1.0))
-        result = HlsFlow(igf_kernel, options).run()
+        result = Session().run(small_workload(
+            igf_kernel, constraints=DseConstraints(max_area_luts=1.0)))
         assert result.design_points == []
         assert result.fastest_point() is None
         assert result.smallest_point() is None
@@ -117,9 +80,9 @@ class TestFlowResult:
 
 class TestVhdlGeneration:
     def test_generate_vhdl_for_a_design_point(self, igf_kernel, igf_flow_result):
-        flow = HlsFlow(igf_kernel, SMALL_OPTIONS)
         point = igf_flow_result.pareto[-1]
-        files = flow.generate_vhdl(point)
+        files = Session().generate_vhdl(
+            small_workload(igf_kernel, synthesize_all=True), point=point)
         assert "isl_fixed_pkg.vhd" in files
         entity_files = [name for name in files if name.endswith(".vhd")
                         and "pkg" not in name and "top" not in name]

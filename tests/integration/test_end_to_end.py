@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
+from repro.api import Session, Workload
 from repro.codegen.vhdl_writer import VhdlWriter
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.estimation.throughput_model import ConePerformance, ThroughputModel
-from repro.flow.hls_flow import FlowOptions, HlsFlow
 from repro.frontend.extractor import extract_kernel_from_c
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat
@@ -37,11 +37,12 @@ class TestCSourceToVhdl:
 
     def test_flow_from_c_source_produces_pareto_set(self):
         spec = get_algorithm("blur")
-        options = FlowOptions(data_format=DataFormat.FIXED16,
-                              frame_width=256, frame_height=192, iterations=4,
-                              window_sides=(2, 3, 4), max_depth=2,
-                              max_cones_per_depth=4)
-        result = HlsFlow(spec.c_source, options).run()
+        workload = Workload.from_c(spec.c_source,
+                                   data_format=DataFormat.FIXED16,
+                                   frame_width=256, frame_height=192,
+                                   iterations=4, window_sides=(2, 3, 4),
+                                   max_depth=2, max_cones_per_depth=4)
+        result = Session().run(workload)
         assert len(result.pareto) >= 3
         areas = [p.area_luts for p in result.pareto]
         times = [p.seconds_per_frame for p in result.pareto]

@@ -1,7 +1,7 @@
 """Propagation-edge tests: spans must stay connected across every hop —
-HTTP (client -> server header), pool threads, and the full fleet path
-(submit -> route -> job -> dispatch -> stages -> stream shards) — while
-digests stay bit-identical with tracing on."""
+HTTP (client -> server header), the service dispatch thread, and the full
+fleet path (submit -> route -> job -> dispatch -> stages -> stream fold) —
+while digests stay bit-identical with tracing on."""
 
 import hashlib
 import json
@@ -175,34 +175,31 @@ class TestWorkerHandoff:
         runs = [s for s in spans if s["name"] == "session.run"]
         assert all(s["parent_id"] == run_many["span_id"] for s in runs)
 
-    def test_stream_shards_parent_under_the_explore_span(
+    def test_the_fold_joins_the_caller_trace_without_shard_spans(
             self, stream_inputs):
         explorer, space, characterizations, usable = stream_inputs
         trace.enable()
         with trace.span("root") as root:
             explore_stream(space, characterizations,
                            explorer.throughput_model, 128, 96,
-                           usable_luts=usable, chunk_rows=2, jobs=2)
+                           usable_luts=usable, chunk_rows=2)
         spans = trace.global_store().get(root.trace_id)
         explore = next(s for s in spans if s["name"] == "stream.explore")
-        shards = [s for s in spans if s["name"] == "stream.shard"]
-        assert len(shards) == 2
-        assert all(s["parent_id"] == explore["span_id"] for s in shards)
-        assert sum(s["attributes"]["chunks"] for s in shards) \
-            == explore["attributes"]["chunks"]
+        assert explore["parent_id"] == root.span_id
+        assert not [s for s in spans
+                    if s["parent_id"] == explore["span_id"]]
 
     def test_digests_are_bit_identical_with_tracing_on(
             self, stream_inputs):
         explorer, space, characterizations, usable = stream_inputs
         untraced = explore_stream(space, characterizations,
                                   explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=2, jobs=2)
+                                  usable_luts=usable, chunk_rows=2)
         trace.enable()
         with trace.span("root"):
             traced = explore_stream(space, characterizations,
                                     explorer.throughput_model, 128, 96,
-                                    usable_luts=usable, chunk_rows=2,
-                                    jobs=2)
+                                    usable_luts=usable, chunk_rows=2)
         assert serialized_points(traced.pareto) \
             == serialized_points(untraced.pareto)
         assert traced.admitted_rows == untraced.admitted_rows
@@ -214,13 +211,13 @@ class TestFleetTrace:
         # streamed metadata (mask_cache_hit) matches too
         clear_stream_caches()
         reference = digest(Session().run(
-            workload(stream=True, chunk_rows=2, stream_jobs=2)))
+            workload(stream=True, chunk_rows=2)))
         clear_stream_caches()
         with FleetRouter.local(2, healthcheck_interval_s=0) as fleet:
             client = ReproClient(fleet)
             with trace.span("cli.submit") as root:
                 handle = client.submit(
-                    workload(stream=True, chunk_rows=2, stream_jobs=2))
+                    workload(stream=True, chunk_rows=2))
                 result = handle.result(timeout=120)
             assert digest(result) == reference
             assert handle.trace_id == root.trace_id
@@ -235,8 +232,6 @@ class TestFleetTrace:
             names = {s["name"] for s in spans}
             assert required <= names
             assert any(name.startswith("stage.") for name in names)
-            shards = [s for s in spans if s["name"] == "stream.shard"]
-            assert len(shards) >= 2
             # one trace id throughout, and every non-root span's parent
             # is present: the tree is fully connected
             assert all(s["trace_id"] == root.trace_id for s in spans)

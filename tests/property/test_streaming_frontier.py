@@ -1,14 +1,10 @@
-"""Property suite for the streaming Pareto accumulator (ISSUE 7; parallel
-``merge`` reduction from ISSUE 9).
+"""Property suite for the streaming Pareto accumulator.
 
 The contract under test: folding any chunking, in any chunk order, of any
 objective arrays into :class:`repro.dse.engine.StreamingFrontier` yields
 exactly ``pareto_indices`` of the concatenated arrays — including the
 duplicate-(area, time) first-seen tie-break — and non-finite objectives are
-rejected just like the batch path rejects them.  The ``merge`` reduction is
-associative and order-insensitive: fanning the chunks across any worker
-count, with any (shuffled) chunk-to-worker assignment, and merging the
-private accumulators in any order is bit-identical to the serial fold.
+rejected just like the batch path rejects them.
 """
 
 import numpy as np
@@ -97,86 +93,3 @@ def test_mismatched_shapes_are_rejected():
     with pytest.raises(ValueError, match="equal length"):
         frontier.update(np.asarray([1.0, 2.0]), np.asarray([1.0]),
                         np.asarray([0], dtype=np.int64))
-
-
-def chunk_boundaries(n_rows, chunk_sizes):
-    boundaries = []
-    start = 0
-    sizes = iter(chunk_sizes or [max(1, n_rows)])
-    while start < n_rows:
-        size = max(1, next(sizes, 1))
-        boundaries.append((start, min(start + size, n_rows)))
-        start += size
-    return boundaries
-
-
-@given(objective_arrays,
-       st.lists(st.integers(min_value=1, max_value=7), max_size=30),
-       st.sampled_from([1, 2, 4]),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_merge_matches_serial_fold_for_any_worker_assignment(
-        pairs, chunk_sizes, workers, order_seed):
-    """Shuffle the chunks, deal them round-robin to ``workers`` private
-    accumulators, merge in a seeded random order: bit-identical to the
-    one-accumulator serial fold."""
-    areas = np.asarray([a for a, _ in pairs], dtype=np.float64)
-    times = np.asarray([t for _, t in pairs], dtype=np.float64)
-    rows = np.arange(len(pairs), dtype=np.int64)
-    boundaries = chunk_boundaries(len(pairs), chunk_sizes)
-    rng = np.random.default_rng(order_seed)
-    rng.shuffle(boundaries)
-
-    serial = StreamingFrontier()
-    for lo, hi in boundaries:
-        serial.update(areas[lo:hi], times[lo:hi], rows[lo:hi])
-
-    frontiers = [StreamingFrontier() for _ in range(workers)]
-    for index, (lo, hi) in enumerate(boundaries):
-        frontiers[index % workers].update(areas[lo:hi], times[lo:hi],
-                                          rows[lo:hi])
-    merged = StreamingFrontier()
-    for worker in rng.permutation(workers):
-        merged.merge(frontiers[worker])
-
-    merged_area, merged_time, merged_rows = merged.result()
-    serial_area, serial_time, serial_rows = serial.result()
-    assert np.array_equal(merged_rows, serial_rows)
-    assert np.array_equal(merged_area, serial_area)
-    assert np.array_equal(merged_time, serial_time)
-
-
-@given(objective_arrays,
-       st.sampled_from([2, 4]),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_merge_is_associative_on_the_frontier(pairs, workers, order_seed):
-    """(A ∪ B) ∪ C == A ∪ (B ∪ C): merging left-to-right equals merging a
-    pre-merged right spine — pareto(pareto(X) ∪ pareto(Y)) == pareto(X ∪ Y)
-    made operational."""
-    areas = np.asarray([a for a, _ in pairs], dtype=np.float64)
-    times = np.asarray([t for _, t in pairs], dtype=np.float64)
-    rows = np.arange(len(pairs), dtype=np.int64)
-    rng = np.random.default_rng(order_seed)
-    assignment = rng.integers(0, workers + 1, size=len(pairs))
-    parts = []
-    for worker in range(workers + 1):
-        member = assignment == worker
-        part = StreamingFrontier()
-        part.update(areas[member], times[member], rows[member])
-        parts.append(part)
-
-    def clone(frontier):
-        copy = StreamingFrontier()
-        copy.merge(frontier)
-        return copy
-
-    left = clone(parts[0])
-    for part in parts[1:]:
-        left.merge(part)
-    right_spine = clone(parts[-1])
-    for part in reversed(parts[:-1]):
-        merged = clone(part)
-        merged.merge(right_spine)
-        right_spine = merged
-    assert np.array_equal(left.result()[2], right_spine.result()[2])

@@ -78,6 +78,34 @@ class TestInProcessValidateJob:
             server.close(drain=False)
 
 
+class TestEmptyInterior:
+    """A frame at most twice the border band (``radius * iterations``)
+    has no interior, so a validation of it compares no pixel and fails."""
+
+    EMPTY = ["--frame", "16x16", "--iterations", "10"]
+
+    @pytest.mark.parametrize("width, height", [(16, 16), (20, 64),
+                                               (64, 20)])
+    def test_session_validate_fails_without_an_interior(self, width,
+                                                        height):
+        result = Session().validate(Workload.from_algorithm(
+            "blur", frame_width=width, frame_height=height, iterations=10))
+        assert result.interior_pixels == 0
+        assert result.max_abs_error == 0.0
+        assert result.passed is False
+        assert "no interior pixel compared" in result.summary()
+
+    def test_a_one_pixel_interior_is_compared(self):
+        result = Session().validate(Workload.from_algorithm(
+            "blur", frame_width=21, frame_height=21, iterations=10))
+        assert result.interior_pixels == 1
+        assert result.passed
+
+    def test_cli_validate_exits_1_without_an_interior(self, capsys):
+        assert cli_main(["validate", "blur", "--quiet"] + self.EMPTY) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+
 class TestKindAwareCoalescing:
     def test_identical_validate_jobs_coalesce(self):
         server = ReproServer(start=False)  # hold dispatch so both queue
