@@ -10,37 +10,35 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    cone characterizations, so related workloads share the expensive work;
 3. inspect the Pareto set, serialize the result to JSON, and generate VHDL
    for a chosen design point;
-4. plug a custom estimation backend into the flow through the named registry
-   (``register_backend``) — ten lines, no ``repro`` module touched;
-5. point a session at a persistent store directory so a later process reruns
+4. point a session at a persistent store directory so a later process reruns
    the same workloads with zero synthesis;
-6. run a batch with ``run_many(...)`` — in input order on the calling
+5. run a batch with ``run_many(...)`` — in input order on the calling
    thread, each kernel characterized once, with the earliest failure
    re-raised after the whole batch ran;
-7. sweep one kernel across devices *and* data formats in a single batch —
+6. sweep one kernel across devices *and* data formats in a single batch —
    every scenario is evaluated by the same chunked fold
    (:mod:`repro.dse.stream`), which costs each (window, split) group of the
    candidate space with column arithmetic;
-8. serve exploration traffic from a long-lived daemon
+7. serve exploration traffic from a long-lived daemon
    (:mod:`repro.service`): ``python -m repro serve --store DIR`` starts an
    HTTP job API over one shared session; ``ReproClient.submit(...)`` (or
    ``python -m repro submit blur``) files jobs that coalesce with
    identical in-flight requests and run one at a time by priority class;
-9. scale the service tier out to a fleet (:mod:`repro.fleet`): a
+8. scale the service tier out to a fleet (:mod:`repro.fleet`): a
    ``FleetRouter`` fronts N workers and routes each submission by a
    consistent hash of its characterization key, so identical workloads
    always land on the same worker (coalescing keeps working fleet-wide)
    and a shared artifact store makes anything synthesized on one worker a
    disk hit on every other.  ``python -m repro fleet --workers 4`` from
    the shell; ``python -m repro submit blur --fleet URL`` to use it;
-10. stream million-candidate spaces out of core (:mod:`repro.dse.stream`):
-    ``stream=True`` (or just a big enough space — exploration auto-selects
-    streaming above ~200k candidates) evaluates fixed-size chunks against
-    a bounded running frontier instead of materializing every column, with
-    infeasible rows pruned *before* they are ever costed.  Same frontier,
-    bit for bit.  ``python -m repro explore blur --stream --chunk-rows
-    4096`` from the shell (``sweep`` takes the same flags); see
-    ``examples/large_space_demo.py`` for the full out-of-core tour.
+9. stream million-candidate spaces out of core (:mod:`repro.dse.stream`):
+   ``stream=True`` (or just a big enough space — exploration auto-selects
+   streaming above ~200k candidates) evaluates fixed-size chunks against
+   a bounded running frontier instead of materializing every column, with
+   infeasible rows pruned *before* they are ever costed.  Same frontier,
+   bit for bit.  ``python -m repro explore blur --stream --chunk-rows
+   4096`` from the shell (``sweep`` takes the same flags); see
+   ``examples/large_space_demo.py`` for the full out-of-core tour.
 
 Run with::
 
@@ -53,12 +51,10 @@ the Pareto frontier of a large space).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import tempfile
 
-from repro import FlowResult, Session, Workload, register_backend
-from repro.estimation import RegisterAreaModel
+from repro import FlowResult, Session, Workload
 from repro.flow.report import area_validation_table, flow_summary, pareto_table
 from repro.ir.operators import DataFormat
 
@@ -118,31 +114,7 @@ def main() -> None:
     print("\n".join(files[entity].splitlines()[:12]))
     print()
 
-    # 4. a custom estimation backend in ~10 lines: subclass (or reimplement)
-    #    the Equation-1 model, register it under a name, and select it per
-    #    workload — synthesizers/throughput models/devices plug in the same
-    #    way ("synthesizer"/"throughput"/"device" kinds).
-    class PessimisticAreaModel(RegisterAreaModel):
-        """Equation 1 plus a 15% routing-congestion margin."""
-
-        def estimate_series(self, register_counts):
-            return [dataclasses.replace(e, estimated_area_luts=1.15
-                                        * e.estimated_area_luts)
-                    for e in super().estimate_series(register_counts)]
-
-    register_backend("area", "pessimistic", PessimisticAreaModel)
-    # apples to apples: both runs rely on the area *estimator* for the
-    # non-calibration cones (synthesize_all off), differing only in backend
-    analytic = session.run(workload.replace(synthesize_all=False))
-    pessimistic = session.run(workload.replace(
-        synthesize_all=False, area_estimator="pessimistic"))
-    print(f"custom 'pessimistic' area backend: largest design point "
-          f"{max(p.area_luts for p in pessimistic.design_points):.0f} LUTs "
-          f"vs {max(p.area_luts for p in analytic.design_points):.0f} "
-          f"with the built-in Equation-1 estimator")
-    print()
-
-    # 5. persistence: Session(store=DIR) mirrors characterizations and
+    # 4. persistence: Session(store=DIR) mirrors characterizations and
     #    results to disk, so a *new process* (or `python -m repro sweep
     #    --store DIR`) resumes without re-synthesizing anything.
     with tempfile.TemporaryDirectory() as store_dir:
@@ -154,7 +126,7 @@ def main() -> None:
               f"{warm.stats.store_disk_hits} disk hit(s)")
     print()
 
-    # 6. a batch runs in input order on the calling thread; each kernel's
+    # 5. a batch runs in input order on the calling thread; each kernel's
     #    characterization is synthesized once and shared by every workload
     #    of that kernel, and a failing workload stops nothing (the earliest
     #    failure is re-raised after the whole batch ran).
@@ -166,7 +138,7 @@ def main() -> None:
           f"{batch_session.stats.synthesis_runs} synthesis runs")
     print()
 
-    # 7. multi-device / multi-format frontiers in one batch: each scenario
+    # 6. multi-device / multi-format frontiers in one batch: each scenario
     #    re-costs the candidate space with array arithmetic over its own
     #    characterizations.  Same thing from the
     #    shell:  python -m repro sweep --algorithms blur \
@@ -187,7 +159,7 @@ def main() -> None:
               f"{len(result.pareto):>2} Pareto points   best {fastest}")
     print()
 
-    # 8. service mode: the same workloads served by a long-lived daemon.
+    # 7. service mode: the same workloads served by a long-lived daemon.
     #    One ReproServer = one shared session behind a job API; identical
     #    in-flight submissions coalesce onto one computation, jobs run one
     #    at a time by priority class, and everything is also reachable
@@ -213,11 +185,11 @@ def main() -> None:
         server.close()
     print()
 
-    # 9. fleet mode: the same job API fronting several workers at once.
+    # 8. fleet mode: the same job API fronting several workers at once.
     #    The router hashes each workload's characterization key onto a
     #    consistent-hash ring, so placement is deterministic, duplicates
     #    still coalesce (same key -> same worker), and the shared store
-    #    turns the whole fleet into one cache: the session-5 store above
+    #    turns the whole fleet into one cache: the session-4 store above
     #    already holds this workload, so a fresh 3-worker fleet serves it
     #    with zero synthesis.  (see examples/fleet_demo.py for failover
     #    and load shedding)
@@ -237,12 +209,12 @@ def main() -> None:
                   f"(served from the fleet-shared store)")
     print()
 
-    # 10. out-of-core streaming: widen the instance-count axis and the
-    #     space jumps from hundreds to tens of thousands of candidates.
-    #     stream=True folds fixed-size chunks into a bounded running
-    #     frontier — the result is identical to the in-memory engine, and
-    #     the `streaming` block reports how many rows were pruned by the
-    #     area constraints before ever being costed.
+    # 9. out-of-core streaming: widen the instance-count axis and the
+    #    space jumps from hundreds to tens of thousands of candidates.
+    #    stream=True folds fixed-size chunks into a bounded running
+    #    frontier — the result is identical to the in-memory engine, and
+    #    the `streaming` block reports how many rows were pruned by the
+    #    area constraints before ever being costed.
     from repro.dse.constraints import DseConstraints
 
     wide = workload.replace(synthesize_all=False, max_cones_per_depth=2000,
@@ -257,10 +229,10 @@ def main() -> None:
           f"({len(streamed.pareto)} final Pareto points)")
     print()
 
-    # 11. validation: simulate the cone pipeline on real frames and compare
-    #     against the golden whole-frame model.  Interior pixels (those
-    #     whose dependency cone never touches the frame border) must match
-    #     exactly; the result also re-checks the vectorized simulator
+    # 10. validation: simulate the cone pipeline on real frames and
+    #     compare against the golden whole-frame model.  Interior pixels
+    #     (those whose dependency cone never touches the frame border) must
+    #     match exactly; the result also re-checks the vectorized simulator
     #     against its preserved scalar oracle.  The same evidence is
     #     available as a service job class: client.submit(w, job="validate")
     #     or `python -m repro validate blur --frames 640x480`.

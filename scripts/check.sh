@@ -4,8 +4,9 @@
 #   scripts/check.sh            # full suite (what CI runs)
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
-# Every mode first runs the engine import-hygiene guard: repro.dse.engine
-# and repro.dse.stream must import with nothing beyond NumPy + the stdlib.
+# Every mode first runs the import-hygiene guard: the engine, simulation
+# and observability modules must import with nothing beyond NumPy + the
+# stdlib.
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
 #                               # serve` on an ephemeral port, submit two
 #                               # workloads over HTTP, assert digests match
@@ -41,111 +42,50 @@ run_pytest() {
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest "$@"
 }
 
-check_engine_imports() {
-    # Import hygiene: the exploration evaluator must import with nothing
+check_imports() {
+    # Import hygiene: the exploration evaluator, the simulation/validation
+    # layer behind the `validate` job class, and the observability layer
+    # every server and session records into must import with nothing
     # beyond NumPy and the stdlib — test-only/optional packages sneaking
-    # into its import closure would break minimal production deployments.  The
-    # blocked import hook fails the build the moment one is touched.
+    # into their import closure would break minimal production deployments.
+    # The blocked import hook fails the build the moment one is touched,
+    # naming the module being imported.
     python - <<'PYEOF'
 import builtins
+import importlib
 import sys
 
 sys.path.insert(0, "src")
+MODULES = ("repro.dse.engine", "repro.dse.stream",
+           "repro.simulation", "repro.simulation.validation",
+           "repro.obs", "repro.obs.trace", "repro.obs.metrics")
 BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml")
 real_import = builtins.__import__
+importing = None
 
 
 def guarded(name, *args, **kwargs):
     root = name.split(".")[0]
     if root in BLOCKED:
         raise SystemExit(
-            f"error: repro.dse.engine pulled optional dependency {root!r} "
+            f"error: {importing} pulled optional dependency {root!r} "
             f"into its import closure (only NumPy + stdlib are allowed)")
     return real_import(name, *args, **kwargs)
 
 
 builtins.__import__ = guarded
-import repro.dse.engine  # noqa: F401  (the guard is the side effect)
-import repro.dse.stream  # noqa: F401  (same deployment footprint)
+for importing in MODULES:
+    importlib.import_module(importing)  # the guard is the side effect
 
 non_stdlib = [name for name in BLOCKED if name in sys.modules]
 assert not non_stdlib, non_stdlib
-print(f"engine import guard ok ({len(sys.modules)} modules, "
-      f"numpy {sys.modules['numpy'].__version__})")
+print(f"import guard ok: {len(MODULES)} modules checked "
+      f"({len(sys.modules)} loaded, numpy {sys.modules['numpy'].__version__})")
 PYEOF
 }
 
-check_simulation_imports() {
-    # Same deployment-footprint rule for the simulation/validation layer:
-    # it backs the `validate` job class in production services, so it must
-    # import with nothing beyond NumPy + the stdlib.
-    python - <<'PYEOF'
-import builtins
-import sys
-
-sys.path.insert(0, "src")
-BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml")
-real_import = builtins.__import__
-
-
-def guarded(name, *args, **kwargs):
-    root = name.split(".")[0]
-    if root in BLOCKED:
-        raise SystemExit(
-            f"error: repro.simulation pulled optional dependency {root!r} "
-            f"into its import closure (only NumPy + stdlib are allowed)")
-    return real_import(name, *args, **kwargs)
-
-
-builtins.__import__ = guarded
-import repro.simulation  # noqa: F401  (the guard is the side effect)
-import repro.simulation.validation  # noqa: F401  (validate job backend)
-
-non_stdlib = [name for name in BLOCKED if name in sys.modules]
-assert not non_stdlib, non_stdlib
-print(f"simulation import guard ok ({len(sys.modules)} modules, "
-      f"numpy {sys.modules['numpy'].__version__})")
-PYEOF
-}
-
-check_obs_imports() {
-    # The observability layer ships everywhere the engine does (every
-    # server mounts a TraceStore, every session records metrics), so it
-    # gets the same deployment-footprint rule: NumPy + stdlib only.
-    python - <<'PYEOF'
-import builtins
-import sys
-
-sys.path.insert(0, "src")
-BLOCKED = ("hypothesis", "pytest", "matplotlib", "pandas", "scipy", "yaml")
-real_import = builtins.__import__
-
-
-def guarded(name, *args, **kwargs):
-    root = name.split(".")[0]
-    if root in BLOCKED:
-        raise SystemExit(
-            f"error: repro.obs pulled optional dependency {root!r} "
-            f"into its import closure (only NumPy + stdlib are allowed)")
-    return real_import(name, *args, **kwargs)
-
-
-builtins.__import__ = guarded
-import repro.obs  # noqa: F401  (the guard is the side effect)
-import repro.obs.trace  # noqa: F401
-import repro.obs.metrics  # noqa: F401
-
-non_stdlib = [name for name in BLOCKED if name in sys.modules]
-assert not non_stdlib, non_stdlib
-print(f"obs import guard ok ({len(sys.modules)} modules, "
-      f"numpy {sys.modules['numpy'].__version__})")
-PYEOF
-}
-
-# The guards are cheap, so every mode runs them (CI's flagless invocation too).
-check_engine_imports
-check_simulation_imports
-check_obs_imports
+# The guard is cheap, so every mode runs it (CI's flagless invocation too).
+check_imports
 
 PYTEST_ARGS=(-x -q)
 case "${1:-}" in

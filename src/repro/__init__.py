@@ -22,10 +22,10 @@ The package implements the full flow of the paper:
 The user-facing surface is the composable API of :mod:`repro.api`: declare a
 :class:`Workload`, run it in a :class:`Session` (which caches cone
 characterizations across workloads), and every result round-trips through
-JSON.  Synthesizers, estimators, and devices are pluggable backends resolved
-by name through :mod:`repro.api.registry` (``register_backend`` /
-``REPRO_BACKENDS``), and ``Session(store=...)`` persists characterizations
-and results across processes through :mod:`repro.api.store`.
+JSON.  A workload names its device by catalog part name
+(:func:`resolve_device`) or passes an :class:`FpgaDevice` for a custom board,
+and ``Session(store=...)`` persists characterizations and results across
+processes through :mod:`repro.api.store`.
 
 Quick start::
 
@@ -72,7 +72,7 @@ from repro.synth import (
     Synthesizer,
     VIRTEX6_XC6VLX760,
     VIRTEX2P_XC2VP30,
-    device_by_name,
+    resolve_device,
 )
 from repro.estimation import RegisterAreaModel, ThroughputModel
 from repro.dse import DesignSpaceExplorer, DesignPoint, pareto_front, DseConstraints
@@ -97,12 +97,6 @@ from repro.api import (
     Workload,
     default_session,
     default_store_path,
-    get_backend,
-    list_backends,
-    list_devices,
-    register_backend,
-    register_device,
-    resolve_device,
 )
 
 __version__ = "1.2.0"
@@ -121,7 +115,7 @@ __all__ = [
     "Synthesizer",
     "VIRTEX6_XC6VLX760",
     "VIRTEX2P_XC2VP30",
-    "device_by_name",
+    "resolve_device",
     "RegisterAreaModel",
     "ThroughputModel",
     "DesignSpaceExplorer",
@@ -148,12 +142,6 @@ __all__ = [
     "default_session",
     "FlowOptions",
     "FlowResult",
-    "register_backend",
-    "get_backend",
-    "list_backends",
-    "register_device",
-    "resolve_device",
-    "list_devices",
     "ArtifactStore",
     "default_store_path",
     "__version__",

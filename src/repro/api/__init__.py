@@ -15,16 +15,10 @@ Three concepts:
   in input order on the calling thread, re-raising the earliest failure
   after the whole batch ran.
 
-Two supporting subsystems make the flow extensible and persistent:
-
-* :mod:`repro.api.registry` — protocol-based extension points
-  (:class:`SynthesizerBackend`, :class:`AreaEstimator`,
-  :class:`ThroughputEstimator`, :class:`DeviceProvider`) behind a named
-  registry (:func:`register_backend` / :func:`get_backend`), with plugin
-  discovery via the ``REPRO_BACKENDS`` environment variable;
-* :mod:`repro.api.store` — a disk-backed, content-addressed
-  :class:`ArtifactStore` (``Session(store=...)``) that persists cone
-  characterizations, calibration points, and flow results across processes.
+:mod:`repro.api.store` makes the flow persistent: a disk-backed,
+content-addressed :class:`ArtifactStore` (``Session(store=...)``) persists
+cone characterizations, calibration points, and flow results across
+processes.
 
 Quick start::
 
@@ -36,24 +30,6 @@ Quick start::
         print(point.summary())
 """
 
-from repro.api.registry import (
-    AreaEstimator,
-    BackendError,
-    CatalogDeviceProvider,
-    DeviceProvider,
-    SynthesizerBackend,
-    ThroughputEstimator,
-    backend_signature,
-    create_backend,
-    discover_backends,
-    get_backend,
-    list_backends,
-    list_devices,
-    register_backend,
-    register_device,
-    resolve_device,
-    unregister_backend,
-)
 from repro.api.results import FlowOptions, FlowResult, ValidationResult
 from repro.api.store import (
     ArtifactStore,
@@ -89,23 +65,6 @@ __all__ = [
     "SessionEvent",
     "SessionStats",
     "default_session",
-    # registry (extension points)
-    "SynthesizerBackend",
-    "AreaEstimator",
-    "ThroughputEstimator",
-    "DeviceProvider",
-    "CatalogDeviceProvider",
-    "BackendError",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "create_backend",
-    "backend_signature",
-    "list_backends",
-    "register_device",
-    "resolve_device",
-    "list_devices",
-    "discover_backends",
     # persistent store
     "ArtifactStore",
     "CharacterizationStoreAdapter",

@@ -57,10 +57,9 @@ Subcommands
 ``explore``, ``codegen``, and ``sweep`` accept ``--store [DIR]`` to persist
 characterizations and results across invocations (default directory:
 ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), so a rerun of the same command
-completes with zero synthesizer invocations.  Devices and backends are
-resolved through :mod:`repro.api.registry`; plugins named in the
-``REPRO_BACKENDS`` environment variable are imported first, so their
-synthesizers/estimators/devices are addressable from every subcommand.
+completes with zero synthesizer invocations.  ``--device`` (``--devices``
+on ``sweep``) takes part names of the device catalog, case-insensitively
+(``python -m repro list --devices``).
 """
 
 from __future__ import annotations
@@ -71,12 +70,12 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms import ALGORITHMS, get_algorithm
-from repro.api.registry import list_backends, list_devices, resolve_device
 from repro.api.session import Session, SessionEvent
 from repro.api.store import ArtifactStore, default_store_path
 from repro.api.workload import DEFAULT_OPTIONS, Workload
 from repro.dse.constraints import DseConstraints
 from repro.ir.operators import DataFormat
+from repro.synth.fpga_device import DEVICE_CATALOG, resolve_device
 
 #: argparse defaults are derived from the flow's single default source
 _FRAME = f"{DEFAULT_OPTIONS.frame_width}x{DEFAULT_OPTIONS.frame_height}"
@@ -492,7 +491,6 @@ def _write_payload(payload: object, args: argparse.Namespace) -> None:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    backends = list_backends()
     if args.json:
         payload = {
             "algorithms": {
@@ -501,26 +499,21 @@ def cmd_list(args: argparse.Namespace) -> int:
                        "paper_section": spec.paper_section}
                 for name, spec in sorted(ALGORITHMS.items())
             },
-            "backends": backends,
         }
         if args.devices:
             payload["devices"] = {name: device.to_dict()
                                   for name, device in
-                                  sorted(list_devices().items())}
+                                  sorted(DEVICE_CATALOG.items())}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print("registered algorithms:")
     for name, spec in sorted(ALGORITHMS.items()):
         print(f"  {name:<10} {spec.description} "
               f"(default {spec.default_iterations} iterations)")
-    print()
-    print("registered backends:")
-    for kind, names in backends.items():
-        print(f"  {kind:<12} {', '.join(names) or '(none)'}")
     if args.devices:
         print()
         print("device catalog:")
-        for name, device in sorted(list_devices().items()):
+        for name, device in sorted(DEVICE_CATALOG.items()):
             print(f"  {name:<12} {device.family:<14} "
                   f"{device.slice_luts:>8} LUTs, "
                   f"{device.typical_clock_hz / 1e6:6.1f} MHz")

@@ -224,15 +224,10 @@ def build_explorer(workload: Workload,
                    family_store: Optional[Any] = None) -> DesignSpaceExplorer:
     """Construct the design-space explorer a workload asks for.
 
-    The synthesizer, area estimator, and throughput estimator are resolved
-    by name through :mod:`repro.api.registry` (``workload.synthesizer`` et
-    al.), so a backend registered with ``register_backend`` is exercised
-    end-to-end without any explorer change.  ``family_store`` (usually a
+    ``family_store`` (usually a
     :class:`repro.api.store.CharacterizationStoreAdapter` built by the
     session) persists depth-family characterizations across processes.
     """
-    from repro.api import registry
-
     return DesignSpaceExplorer(
         kernel=workload.resolve_kernel(),
         device=workload.device,
@@ -244,12 +239,6 @@ def build_explorer(workload: Workload,
         synthesize_all=workload.synthesize_all,
         onchip_port_elements_per_cycle=workload.onchip_port_elements_per_cycle,
         params=workload.params_dict(),
-        synthesizer_factory=registry.get_backend("synthesizer",
-                                                 workload.synthesizer),
-        area_model_factory=registry.get_backend("area",
-                                                workload.area_estimator),
-        throughput_model_factory=registry.get_backend(
-            "throughput", workload.throughput_estimator),
         family_store=family_store,
     )
 

@@ -23,14 +23,24 @@ from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 from repro.simulation.validation import ValidationResult  # noqa: F401
 
 
+#: Keys of removed knobs, each with the one value the codec still writes
+#: and accepts: perfbench pins its request pools and result digests over
+#: this JSON, so the keys stay until a benchmark change re-pins them.
+_RETIRED_KEYS: Dict[str, object] = {
+    "synthesizer": "analytic",
+    "area_estimator": "register-model",
+    "throughput_estimator": "analytic",
+    "stream_jobs": None,
+}
+
+
 @dataclass(frozen=True)
 class FlowOptions:
     """User-tunable knobs of the flow.
 
-    The ``synthesizer``/``area_estimator``/``throughput_estimator`` fields
-    name backends in :mod:`repro.api.registry`; they are resolved to
-    instances only when an explorer is built, so options (and workloads)
-    remain declarative and serializable whatever the backend is.
+    Options (and workloads) are declarative and serializable; the explorer
+    they configure always runs the one synthesizer, Equation-1 area model
+    and throughput model of the flow.
     """
 
     device: FpgaDevice = VIRTEX6_XC6VLX760
@@ -45,9 +55,6 @@ class FlowOptions:
     synthesize_all: bool = False
     onchip_port_elements_per_cycle: int = 16
     constraints: Optional[DseConstraints] = None
-    synthesizer: str = "analytic"
-    area_estimator: str = "register-model"
-    throughput_estimator: str = "analytic"
     #: Out-of-core evaluation knobs (:mod:`repro.dse.stream`): ``stream``
     #: is tri-state (None = auto-select above the engine's row threshold),
     #: ``chunk_rows`` bounds the rows materialized per chunk (None = the
@@ -71,24 +78,18 @@ class FlowOptions:
             "onchip_port_elements_per_cycle": self.onchip_port_elements_per_cycle,
             "constraints": (None if self.constraints is None
                             else self.constraints.to_dict()),
-            "synthesizer": self.synthesizer,
-            "area_estimator": self.area_estimator,
-            "throughput_estimator": self.throughput_estimator,
             "stream": self.stream,
             "chunk_rows": self.chunk_rows,
-            # the removed chunk fan-out knob, always null: the benchmark's
-            # pinned request pools and result digests are encoded by this
-            # codec, so the key stays until they are re-pinned
-            "stream_jobs": None,
+            **_RETIRED_KEYS,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FlowOptions":
-        if data.get("stream_jobs") is not None:
-            raise ValueError(
-                f"stream_jobs is no longer supported (got "
-                f"{data['stream_jobs']!r}); every exploration is one serial "
-                f"fold")
+        for key, pinned in _RETIRED_KEYS.items():
+            if data.get(key, pinned) != pinned:
+                raise ValueError(f"{key} is no longer supported: only "
+                                 f"{pinned!r} is accepted (got "
+                                 f"{data[key]!r})")
         constraints = data.get("constraints")
         return cls(
             device=FpgaDevice.from_dict(data["device"]),
@@ -104,10 +105,6 @@ class FlowOptions:
             onchip_port_elements_per_cycle=data["onchip_port_elements_per_cycle"],
             constraints=(None if constraints is None
                          else DseConstraints.from_dict(constraints)),
-            # .get: payloads written before the backend registry existed
-            synthesizer=data.get("synthesizer", "analytic"),
-            area_estimator=data.get("area_estimator", "register-model"),
-            throughput_estimator=data.get("throughput_estimator", "analytic"),
             # .get: payloads written before the streaming engine existed
             stream=data.get("stream"),
             chunk_rows=data.get("chunk_rows"),

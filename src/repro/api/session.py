@@ -32,7 +32,6 @@ from repro.api.pipeline import (
     STAGE_NAMES,
     build_explorer,
 )
-from repro.api.registry import backend_signature
 from repro.api.results import FlowResult
 from repro.api.store import ArtifactStore, CharacterizationStoreAdapter
 from repro.api.workload import Workload
@@ -163,11 +162,6 @@ class Session:
         #: Validation evidence per workload; validation is deterministic so
         #: equal workloads share one immutable result.
         self._validations: Dict[Workload, ValidationResult] = {}
-        #: Result-store key of each pipeline, captured at pipeline creation:
-        #: write-back must file a result under the signature of the backend
-        #: implementation that computed it, which a later register_backend
-        #: (replace=True) may no longer be the registered one.
-        self._result_keys: Dict[Workload, str] = {}
         #: Keys with work in flight (refcounts); evict() leaves them alone.
         self._active_keys: Dict[Tuple, int] = {}
         self._registry_lock = threading.Lock()
@@ -263,25 +257,15 @@ class Session:
         """The disk binding for one characterization key's depth families.
 
         The scope string is the repr of the (fully value-typed, hashable)
-        characterization key — every participating type has a deterministic
+        characterization key: every participating type has a deterministic
         repr, so the same workload addresses the same artifacts from any
-        process — extended with the backend *implementation* signatures:
-        re-registering a different class under the same backend name must
-        invalidate, not reuse, the old implementation's artifacts.
+        process.
         """
         if self._store is None:
             return None
-        scope = "|".join([repr(workload.characterization_key())]
-                         + self._backend_signatures(workload))
         return CharacterizationStoreAdapter(
-            self._store, scope=scope, observer=self._record_store_event)
-
-    @staticmethod
-    def _backend_signatures(workload: Workload) -> List[str]:
-        return [backend_signature("synthesizer", workload.synthesizer),
-                backend_signature("area", workload.area_estimator),
-                backend_signature("throughput",
-                                  workload.throughput_estimator)]
+            self._store, scope=repr(workload.characterization_key()),
+            observer=self._record_store_event)
 
     def _record_store_event(self, event: str) -> None:
         # dedicated stats lock: store traffic is reported from every
@@ -295,8 +279,8 @@ class Session:
             elif event == "write":
                 self._stats.store_writes += 1
 
-    @classmethod
-    def _result_store_key(cls, workload: Workload) -> str:
+    @staticmethod
+    def _result_store_key(workload: Workload) -> str:
         # canonical JSON of the full declarative workload: two equal
         # workloads address the same artifact from any process
         payload = workload.to_dict()
@@ -304,9 +288,6 @@ class Session:
         # fingerprint ties the artifact to the kernel's actual content, so
         # editing an algorithm definition can never serve a stale result
         payload["kernel_fingerprint"] = workload.kernel_fingerprint
-        # likewise, swapping the implementation behind a backend name must
-        # miss instead of serving the old implementation's result
-        payload["backend_signatures"] = cls._backend_signatures(workload)
         return json.dumps(payload, sort_keys=True)
 
     def _load_stored_result(self, workload: Workload) -> Optional[FlowResult]:
@@ -339,17 +320,11 @@ class Session:
         flight are left untouched — folding the synthesizer counters of
         evicted explorers into :attr:`stats` so accounting survives
         eviction.
-
-        Also the way to pick up a backend implementation re-registered under
-        an existing name (``register_backend(..., replace=True)``): the
-        memoized explorers/results were built against the old implementation
-        and are served as-is until evicted.
         """
         with self._registry_lock:
             if workload is not None:
                 self._pipelines.pop(workload, None)
                 self._restored_results.pop(workload, None)
-                self._result_keys.pop(workload, None)
                 # the plain key and every (workload, window_side, mode) key
                 for key in [key for key in self._validations
                             if key == workload or (isinstance(key, tuple)
@@ -358,7 +333,6 @@ class Session:
                 return
             self._pipelines.clear()
             self._restored_results.clear()
-            self._result_keys.clear()
             self._validations.clear()
             # Keys with work in flight keep their explorer, so a concurrent
             # run never loses its synthesis accounting.
@@ -382,8 +356,6 @@ class Session:
         later calls such as :meth:`generate_vhdl`.
         """
         explorer, _ = self._explorer_entry(workload)
-        result_key = (self._result_store_key(workload)
-                      if self._store is not None else None)
         with self._registry_lock:
             pipeline = self._pipelines.get(workload)
             if pipeline is None:
@@ -399,8 +371,6 @@ class Session:
                 pipeline = Pipeline(workload, explorer=explorer,
                                     observer=observe)
                 self._pipelines[workload] = pipeline
-                if result_key is not None:
-                    self._result_keys[workload] = result_key
         return pipeline
 
     def _mark_active(self, key: Tuple, delta: int) -> None:
@@ -442,9 +412,7 @@ class Session:
             # consulted only for a workload this session has neither
             # computed through `pareto` nor already restored, and a restored
             # result is promoted into memory so same-session reruns never
-            # re-read the disk.  (Inside the try: a bad backend name raises
-            # from the key computation and must be accounted/announced like
-            # any other workload failure.)
+            # re-read the disk.
             stored: Optional[FlowResult] = None
             if until == "pareto":
                 detail = "restored result: full flow result"
@@ -519,13 +487,7 @@ class Session:
             # stage may have first run as a prerequisite of generate_vhdl
             # (a memory hit here with nothing on disk yet), and rewriting an
             # artifact that is already present would only churn the disk.
-            # The key recorded at pipeline creation is used, so a result a
-            # since-replaced backend computed is never filed under the new
-            # implementation's signature.
-            with self._registry_lock:
-                key_string = self._result_keys.get(workload)
-            if key_string is None:
-                key_string = self._result_store_key(workload)
+            key_string = self._result_store_key(workload)
             if not self._store.has("result", key_string):
                 written = self._store.put("result", key_string,
                                           result.to_dict())

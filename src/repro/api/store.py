@@ -6,7 +6,7 @@ its schema version and full key embedded, so a new process — or a fresh
 ``python -m repro sweep`` — resumes a workload batch with zero re-synthesis.
 An artifact file is two lines: a JSON header (``schema``, ``kind``, ``key``
 and the ``sha256`` of the payload bytes), then the JSON payload.
-Three artifact kinds are stored today:
+Two artifact kinds are stored:
 
 ``characterization``
     One explorer depth-family: the :class:`ConeCharacterization` of every
@@ -16,9 +16,6 @@ Three artifact kinds are stored today:
 ``result``
     A complete :class:`~repro.api.results.FlowResult`, keyed by the full
     workload description.
-``calibration`` (reserved)
-    Standalone calibration-point sets for backends that calibrate outside a
-    depth family.
 
 Robustness contract: a corrupted, truncated, or schema-incompatible artifact
 is *never* an error — :meth:`get` returns ``None`` and the caller recomputes
@@ -46,8 +43,7 @@ from repro.estimation.area_model import AreaModelValidation
 SCHEMA_VERSION = 2
 
 #: The artifact kinds the store files separately.
-ARTIFACT_KINDS: Tuple[str, ...] = ("characterization", "result",
-                                   "calibration")
+ARTIFACT_KINDS: Tuple[str, ...] = ("characterization", "result")
 
 #: Environment override for the default cache location.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -183,9 +179,9 @@ class ArtifactStore:
                 self._remove_quietly(tmp_path)
                 raise
         except (OSError, TypeError, ValueError):
-            # full/read-only disk, or a payload json can't encode (e.g. a
-            # third-party backend leaking non-JSON scalars into a result):
-            # the computed result is still good, only the cache write is lost
+            # full/read-only disk, or a payload json can't encode (non-JSON
+            # scalars): the computed result is still good, only the cache
+            # write is lost
             return None
         self._count("writes")
         return path

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.registry import resolve_device
 from repro.api.results import FlowOptions
 from repro.dse.constraints import DseConstraints
 from repro.frontend.extractor import extract_kernel_from_c
 from repro.frontend.kernel_ir import StencilKernel
 from repro.ir.operators import DataFormat
-from repro.synth.fpga_device import FpgaDevice
+from repro.synth.fpga_device import FpgaDevice, resolve_device
 
 #: Single source of the flow's default knobs — Workload's field defaults
 #: (and the CLI's argparse defaults) mirror FlowOptions' by construction,
@@ -61,9 +60,10 @@ class Workload:
     c_source: Optional[str] = None
     c_function_name: Optional[str] = None
     kernel: Optional[StencilKernel] = field(default=None, compare=False)
-    #: Accepts a full device model or a part name registered with a
-    #: DeviceProvider (``device="xc6vlx760"``); names are resolved to the
-    #: FpgaDevice at construction so keys/serialization see the full model.
+    #: Accepts a full device model or a part name of
+    #: :data:`~repro.synth.fpga_device.DEVICE_CATALOG`
+    #: (``device="xc6vlx760"``); names are resolved to the FpgaDevice at
+    #: construction so keys/serialization see the full model.
     device: Union[FpgaDevice, str] = _DEFAULTS.device
     data_format: DataFormat = _DEFAULTS.data_format
     frame_width: int = _DEFAULTS.frame_width
@@ -77,11 +77,6 @@ class Workload:
     onchip_port_elements_per_cycle: int = _DEFAULTS.onchip_port_elements_per_cycle
     params: Optional[Tuple[Tuple[str, float], ...]] = None
     constraints: Optional[DseConstraints] = _DEFAULTS.constraints
-    #: Backend names resolved through :mod:`repro.api.registry` when the
-    #: explorer is built (see ``register_backend``).
-    synthesizer: str = _DEFAULTS.synthesizer
-    area_estimator: str = _DEFAULTS.area_estimator
-    throughput_estimator: str = _DEFAULTS.throughput_estimator
     #: Out-of-core evaluation knobs (None = auto / engine default); they
     #: parameterize only the per-exploration evaluation, never the cone
     #: characterizations (listed in _NON_SHAPE_FIELDS).
@@ -97,22 +92,27 @@ class Workload:
             raise ValueError(
                 "a Workload needs exactly one of: algorithm (registry name), "
                 "c_source, or kernel")
-        if self.frame_width < 1 or self.frame_height < 1:
-            raise ValueError(
-                f"frame must be at least 1x1 (got "
-                f"{self.frame_width}x{self.frame_height})")
         # knobs are rejected here, not mid-run: a service submit builds the
         # Workload, so a bad knob is a 400, not a failed job
         if self.chunk_rows is not None:  # None: engine default
-            _require_positive_int("chunk_rows", self.chunk_rows)
-        for knob in ("max_depth", "max_cones_per_depth",
-                     "onchip_port_elements_per_cycle"):
-            _require_positive_int(knob, getattr(self, knob))
+            _require_int("chunk_rows", self.chunk_rows)
+        for knob in ("frame_width", "frame_height", "max_depth",
+                     "max_cones_per_depth", "onchip_port_elements_per_cycle"):
+            _require_int(knob, getattr(self, knob))
+        # Equation 1 needs two reference syntheses per cone depth
+        _require_int("calibration_windows_per_depth",
+                     self.calibration_windows_per_depth, minimum=2)
+        if not isinstance(self.synthesize_all, bool):
+            raise ValueError(f"synthesize_all must be a bool (got "
+                             f"{self.synthesize_all!r})")
+        if self.stream is not None and not isinstance(self.stream, bool):
+            raise ValueError(f"stream must be None or a bool (got "
+                             f"{self.stream!r})")
         window_sides = tuple(self.window_sides)
         if not window_sides:
             raise ValueError("window_sides must name at least one side")
         for side in window_sides:
-            _require_positive_int("each window side", side)
+            _require_int("each window side", side)
         object.__setattr__(self, "window_sides",
                            tuple(sorted(set(window_sides))))
         # Always normalize: an already-tuple params value may still be
@@ -123,7 +123,7 @@ class Workload:
         object.__setattr__(self, "_resolved_kernel", resolved)
         if self.iterations is None:
             object.__setattr__(self, "iterations", self._default_iterations())
-        _require_positive_int("iterations", self.iterations)
+        _require_int("iterations", self.iterations)
         digest = hashlib.sha256(
             (resolved.fingerprint()
              + repr(self.params or ())).encode("utf-8")).hexdigest()[:16]
@@ -260,12 +260,14 @@ class Workload:
         )
 
 
-def _require_positive_int(name: str, value: Any) -> None:
-    """Raise ``ValueError`` unless ``value`` is an ``int`` >= 1 (a
-    ``bool`` is not)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive integer "
-                         f"(got {value!r})")
+def _require_int(name: str, value: Any, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` >= ``minimum``
+    (a ``bool`` is not)."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum):
+        expected = ("a positive integer" if minimum == 1
+                    else f"an integer >= {minimum}")
+        raise ValueError(f"{name} must be {expected} (got {value!r})")
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,7 @@ every admitted row as a design point; streamed ones keep only the frontier.
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_front, pareto_indices, is_dominated
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import StreamingFrontier, supports_batch
+from repro.dse.engine import StreamingFrontier
 from repro.dse.stream import (DEFAULT_CHUNK_ROWS, STREAM_AUTO_THRESHOLD,
                               SpaceChunk, StreamingExploration,
                               explore_stream, plan_chunks,
@@ -24,7 +24,6 @@ __all__ = [
     "pareto_indices",
     "is_dominated",
     "DseConstraints",
-    "supports_batch",
     "DEFAULT_CHUNK_ROWS",
     "STREAM_AUTO_THRESHOLD",
     "SpaceChunk",

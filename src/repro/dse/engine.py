@@ -6,9 +6,8 @@ cone shapes, per-depth areas and cone-performance table, so a *chunk* — a
 slice of one group's count axis — is evaluated as columns:
 
 1. per-row area is Σ_depth instances × cone area (:func:`group_area`);
-2. throughput is the model's ``estimate_batch`` over the chunk's counts, or,
-   for a backend that overrides the per-point hooks, its ``evaluate`` one
-   architecture at a time (:func:`supports_batch`, :func:`cost_counts`);
+2. throughput is the model's ``estimate_batch`` over the chunk's counts
+   (:func:`cost_counts`);
 3. a ``min_frames_per_second`` floor masks the costed rows;
 4. the admitted ``(area, time, global row)`` triples fold into a
    :class:`StreamingFrontier`, whose state is the Pareto frontier of
@@ -32,7 +31,6 @@ from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_indices
 from repro.estimation.throughput_model import (
-    ArchitecturePerformance,
     ConePerformance,
     ThroughputModel,
     performance_from_columns,
@@ -40,29 +38,6 @@ from repro.estimation.throughput_model import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
-
-
-def supports_batch(throughput_model: object) -> bool:
-    """Whether ``throughput_model`` may be costed through ``estimate_batch``.
-
-    True iff the model's frame-level ``evaluate``, its per-tile
-    ``compute_cycles_per_tile`` hook, and ``estimate_batch`` itself are the
-    stock :class:`ThroughputModel` implementations, so the batch formula
-    cannot diverge from per-point evaluation.  A backend that overrides any
-    of the three — or duck-types the protocol without subclassing — is
-    costed one architecture at a time through its own ``evaluate`` (its
-    overrides are honored, just not vectorized).  The finer-grained hooks
-    (``transfer_cycles_per_tile``, ``tiles_per_frame``,
-    ``execution_interval_cycles``) are invoked on the instance either way,
-    so overriding those keeps the batch path usable and consistent.
-    """
-    model_type = type(throughput_model)
-    return (getattr(model_type, "estimate_batch", None)
-            is ThroughputModel.estimate_batch
-            and getattr(model_type, "evaluate", None)
-            is ThroughputModel.evaluate
-            and getattr(model_type, "compute_cycles_per_tile", None)
-            is ThroughputModel.compute_cycles_per_tile)
 
 
 def group_area(counts: "np.ndarray", depths: Sequence[int], primary: int,
@@ -120,43 +95,17 @@ def group_context(space: ArchitectureSpace,
             for depth in depths})
 
 
-def cost_counts(throughput_model: Any, batch: bool,
-                space: ArchitectureSpace, context: GroupContext,
+def cost_counts(throughput_model: ThroughputModel, context: GroupContext,
                 frame_width: int, frame_height: int,
                 counts: "np.ndarray") -> Mapping[str, Any]:
     """Throughput columns of one group's candidates at ``counts``.
 
-    ``batch`` (:func:`supports_batch`) picks ``estimate_batch``, which is
-    elementwise over the count axis, so any subset of counts reproduces the
-    full-column values bit for bit.  Otherwise every candidate is costed by
-    the backend's own ``evaluate``, and the column dict carries the
-    resulting performances under ``"performances"``.
+    ``estimate_batch`` is elementwise over the count axis, so any subset of
+    counts reproduces the full-column values bit for bit.
     """
-    if batch:
-        return throughput_model.estimate_batch(
-            context.representative, context.cone_performance,
-            frame_width, frame_height, counts)
-    performances = [
-        throughput_model.evaluate(
-            space.materialize_row_parts(context.window, context.split,
-                                        int(count)),
-            context.cone_performance, frame_width, frame_height)
-        for count in counts]
-    return {"performances": performances,
-            "seconds_per_frame": np.asarray(
-                [p.seconds_per_frame for p in performances],
-                dtype=np.float64),
-            "frames_per_second": np.asarray(
-                [p.frames_per_second for p in performances],
-                dtype=np.float64)}
-
-
-def _performance_at(columns: Mapping[str, Any],
-                    index: int) -> ArchitecturePerformance:
-    performances = columns.get("performances")
-    if performances is not None:
-        return performances[index]
-    return performance_from_columns(columns, index)
+    return throughput_model.estimate_batch(
+        context.representative, context.cone_performance,
+        frame_width, frame_height, counts)
 
 
 def build_points(space: ArchitectureSpace, context: GroupContext,
@@ -171,7 +120,7 @@ def build_points(space: ArchitectureSpace, context: GroupContext,
                 context.window, context.split, int(count)),
             area_luts=float(area),
             area_estimated=context.area_estimated,
-            performance=_performance_at(columns, int(position)),
+            performance=performance_from_columns(columns, int(position)),
             fits_device=bool(area <= usable_luts),
             cone_area_by_depth=dict(context.area_by_depth))
         for count, area, position in zip(counts, areas, index)]
@@ -231,8 +180,8 @@ class StreamingFrontier:
 def fold_chunks(space: ArchitectureSpace,
                 characterizations: Mapping[Tuple[int, int],
                                            "ConeCharacterization"],
-                throughput_model: Any, frame_width: int, frame_height: int,
-                chunks: Sequence[Any],
+                throughput_model: ThroughputModel,
+                frame_width: int, frame_height: int, chunks: Sequence[Any],
                 plans: Mapping[Tuple[int, int], Any],
                 min_fps: Optional[float], usable_luts: float,
                 keep_points: bool) -> Dict[str, Any]:
@@ -245,7 +194,6 @@ def fold_chunks(space: ArchitectureSpace,
     with ``keep_points`` — ``(global row, DesignPoint)`` for every
     admitted row, in the order the chunks deliver them.
     """
-    batch = supports_batch(throughput_model)
     frontier = StreamingFrontier()
     contexts: Dict[Tuple[int, int], GroupContext] = {}
     admitted_rows = 0
@@ -276,8 +224,8 @@ def fold_chunks(space: ArchitectureSpace,
         counts = chunk.counts(start=start, stop=stop)
         chunks_materialized += 1
         peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
-        columns = cost_counts(throughput_model, batch, space, context,
-                              frame_width, frame_height, counts)
+        columns = cost_counts(throughput_model, context, frame_width,
+                              frame_height, counts)
         if min_fps is None:
             index = np.arange(counts.size)
         else:

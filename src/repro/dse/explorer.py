@@ -13,8 +13,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.architecture.cone import ConeShape
 from repro.architecture.enumeration import ArchitectureSpace
@@ -213,24 +212,13 @@ FamilyEntry = Tuple[Dict[int, ConeCharacterization], AreaModelValidation]
 class DesignSpaceExplorer:
     """Runs the estimation + exploration phase of the flow for one kernel.
 
-    The three analytical components are injected as keyword-only factories
-    (defaulting to the built-in analytic models), so alternative backends —
-    registered through :mod:`repro.api.registry` and resolved by
-    :func:`repro.api.pipeline.build_explorer` — slot in without subclassing:
-
-    * ``synthesizer_factory(device=..., library=...)`` builds the synthesis
-      backend: ``synthesize(cone)`` takes a
-      :class:`~repro.symbolic.cone_expression.ConeExpressions` and returns
-      a :class:`~repro.synth.synthesizer.SynthesisReport`, and the backend
-      counts its ``runs`` and ``total_tool_runtime_s``.  The cones of one
-      ``characterize_cones`` call share a DAG and its memo, so a backend
-      can reuse per-node work across them; one that wants a dataflow graph
-      lowers the cone with :func:`~repro.ir.dfg.build_dfg_from_cone`;
-    * ``area_model_factory(library=...)`` builds one Equation-1-style
-      estimator per depth family (``calibrate()``/``estimate_series()``);
-    * ``throughput_model_factory(device=..., data_format=...,
-      readonly_components=..., onchip_port_elements_per_cycle=...)`` builds
-      the frame-level performance model (``evaluate()``).
+    The explorer builds its three analytical components itself: one
+    :class:`~repro.synth.synthesizer.Synthesizer` for the reference
+    syntheses (its ``runs`` and ``total_tool_runtime_s`` feed the session
+    accounting), one Equation-1
+    :class:`~repro.estimation.area_model.RegisterAreaModel` per depth
+    family, and the :class:`~repro.estimation.throughput_model.ThroughputModel`
+    every exploration costs its candidates with.
 
     ``family_store`` (duck-typed ``load(depth, windows)`` /
     ``save(depth, windows, family)``, see
@@ -250,9 +238,6 @@ class DesignSpaceExplorer:
                  onchip_port_elements_per_cycle: int = 16,
                  params: Optional[Mapping[str, float]] = None,
                  *,
-                 synthesizer_factory: Optional[Callable[..., Any]] = None,
-                 area_model_factory: Optional[Callable[..., Any]] = None,
-                 throughput_model_factory: Optional[Callable[..., Any]] = None,
                  family_store: Optional[Any] = None) -> None:
         self.kernel = kernel
         self.device = device
@@ -274,18 +259,13 @@ class DesignSpaceExplorer:
         self.synthesize_all = synthesize_all
         self.properties = validate_kernel(kernel)
         self._params = dict(params) if params else None
-        self._synthesizer_factory = synthesizer_factory or Synthesizer
-        self._area_model_factory = area_model_factory or RegisterAreaModel
-        self._throughput_model_factory = (throughput_model_factory
-                                          or ThroughputModel)
         self.family_store = family_store
-        self.synthesizer = self._synthesizer_factory(device=device,
-                                                     library=self.library)
+        self.synthesizer = Synthesizer(device=device, library=self.library)
         readonly = sum(self.properties.components_per_field[name]
                        for name in self.properties.readonly_fields)
         self._readonly_components = readonly
         self.onchip_port_elements_per_cycle = onchip_port_elements_per_cycle
-        self.throughput_model = self._throughput_model_factory(
+        self.throughput_model = ThroughputModel(
             device=device,
             data_format=data_format,
             readonly_components=readonly,
@@ -419,7 +399,7 @@ class DesignSpaceExplorer:
         if len(calibration) >= 2:
             with obs_trace.span("area.calibrate", depth=depth,
                                 windows=len(windows)):
-                model = self._area_model_factory(library=self.library)
+                model = RegisterAreaModel(library=self.library)
                 model.calibrate(calibration)
                 estimates = {e.key: e.estimated_area_luts
                              for e in model.estimate_series(registers)}
@@ -518,14 +498,14 @@ class DesignSpaceExplorer:
         )
 
     def _throughput_model_for(self, onchip_port_elements_per_cycle:
-                              Optional[int]) -> Any:
+                              Optional[int]) -> ThroughputModel:
         """The throughput model, rebuilt when an exploration overrides the
         on-chip port width."""
         if (onchip_port_elements_per_cycle is None
                 or onchip_port_elements_per_cycle
                 == self.onchip_port_elements_per_cycle):
             return self.throughput_model
-        return self._throughput_model_factory(
+        return ThroughputModel(
             device=self.device,
             data_format=self.data_format,
             readonly_components=self._readonly_components,

@@ -67,8 +67,7 @@ from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.engine import (GroupContext, build_points, cost_counts,
-                              fold_chunks, group_area, group_context,
-                              supports_batch)
+                              fold_chunks, group_area, group_context)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -465,18 +464,15 @@ def _plan_groups(space: ArchitectureSpace,
     Returns the per-group plans plus the rows the suffix probes cut off
     (inside the area prefix but below the floor).  A probe costs a few
     single-row batch calls, so it runs only where it can skip whole chunks
-    — a prefix longer than ``chunk_rows`` — and only for models on the
-    stock batch formula (:func:`repro.dse.engine.supports_batch`), which
-    the monotonicity argument is about.  Elsewhere the fold filters the
+    — a prefix longer than ``chunk_rows``.  Elsewhere the fold filters the
     costed rows; the admitted set is the same either way.
     """
     min_fps = constraints.min_frames_per_second
-    pushdown = min_fps is not None and supports_batch(throughput_model)
     plans: Dict[Tuple[int, int], _GroupPlan] = {}
     fps_pruned = 0
     for group_key, admission in admissions.items():
         start = 0
-        if (pushdown and admission.evaluable
+        if (min_fps is not None and admission.evaluable
                 and admission.admit_len > chunk_rows):
             window_index, split_index = group_key
             context = group_context(space, characterizations,
@@ -633,7 +629,6 @@ def _frontier_points(space: ArchitectureSpace,
     contexts are rebuilt here, for the survivors' groups only.
     """
     n_counts = space.max_cones_per_depth
-    batch = supports_batch(throughput_model)
     by_group: Dict[Tuple[int, int], List[int]] = {}
     for position, row in enumerate(rows.tolist()):
         by_group.setdefault(divmod(row // n_counts, len(splits)),
@@ -644,8 +639,8 @@ def _frontier_points(space: ArchitectureSpace,
                                 space.window_sides[window_index],
                                 splits[split_index])
         counts = rows[positions] % n_counts + 1
-        columns = cost_counts(throughput_model, batch, space, context,
-                              frame_width, frame_height, counts)
+        columns = cost_counts(throughput_model, context, frame_width,
+                              frame_height, counts)
         built = build_points(space, context, counts, areas[positions],
                              columns, range(len(positions)), usable_luts)
         for position, point in zip(positions, built):

@@ -261,9 +261,10 @@ class ThroughputModel:
                  frame_width: int, frame_height: int) -> ArchitecturePerformance:
         """Estimate the frame rate of ``architecture`` on the given frame size.
 
-        Calls the public :meth:`compute_cycles_per_tile` hook (so a subclass
-        override of it is honored) and shares the frame-level assembly with :meth:`estimate_batch` —
-        one formula either way.
+        The per-architecture twin of :meth:`estimate_batch`, which the
+        exploration costs every candidate with: both call the same per-tile
+        methods and share the frame-level assembly, so they agree bit for
+        bit.
         """
         compute = np.asarray([self.compute_cycles_per_tile(architecture,
                                                            cone_performance)],

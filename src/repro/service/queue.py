@@ -8,7 +8,7 @@ Two data structures under one lock:
   :class:`~repro.api.workload.Workload` to its :class:`Job` — the
   coalescing table.  :class:`Workload` equality covers the
   characterization key, the kernel fingerprint, and every per-run knob
-  (frame geometry, iterations, constraints, backend names), so two
+  (frame geometry, iterations, constraints), so two
   submissions coalesce exactly when a direct ``Session.run`` would return
   the same :class:`~repro.api.results.FlowResult` for both.
 

@@ -196,9 +196,14 @@ def validate_workload(workload: "Workload", *,
     if mode not in ("expression", "region"):
         raise ValueError("mode must be 'expression' or 'region'")
     kernel = workload.resolve_kernel()
-    window = int(window_side) if window_side else max(workload.window_sides)
-    if window < 1:
-        raise ValueError("window_side must be positive")
+    if window_side is None:
+        window = max(workload.window_sides)
+    elif (isinstance(window_side, bool) or not isinstance(window_side, int)
+            or window_side < 1):
+        raise ValueError(f"window_side must be a positive integer (got "
+                         f"{window_side!r})")
+    else:
+        window = window_side
     height, width = workload.frame_height, workload.frame_width
     iterations = workload.iterations
 

@@ -20,7 +20,7 @@ from repro.synth.fpga_device import (
     VIRTEX2P_XC2VP30,
     SPARTAN6_XC6SLX45,
     DEVICE_CATALOG,
-    device_by_name,
+    resolve_device,
 )
 from repro.synth.logic_reuse import LogicReuseModel, MappedDesign
 from repro.synth.timing import TimingModel, TimingReport
@@ -33,7 +33,7 @@ __all__ = [
     "VIRTEX2P_XC2VP30",
     "SPARTAN6_XC6SLX45",
     "DEVICE_CATALOG",
-    "device_by_name",
+    "resolve_device",
     "MappedDesign",
     "LogicReuseModel",
     "TimingModel",

@@ -12,7 +12,7 @@ the device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Union
 
 from repro.ir.operators import ResourceVector
 
@@ -143,11 +143,17 @@ DEVICE_CATALOG: Dict[str, FpgaDevice] = {
 }
 
 
-def device_by_name(name: str) -> FpgaDevice:
-    """Look up a device model by part name (case-insensitive)."""
-    key = name.upper()
-    if key not in DEVICE_CATALOG:
-        raise KeyError(
-            f"unknown device {name!r}; available: {sorted(DEVICE_CATALOG)}"
-        )
-    return DEVICE_CATALOG[key]
+def resolve_device(device: Union[str, FpgaDevice]) -> FpgaDevice:
+    """The catalog model of a part name (case-insensitive); an
+    :class:`FpgaDevice` passes through unchanged, so a custom board is
+    passed as the model itself."""
+    if isinstance(device, FpgaDevice):
+        return device
+    if not isinstance(device, str):
+        raise TypeError(f"device must be a part name or an FpgaDevice "
+                        f"(got {device!r})")
+    try:
+        return DEVICE_CATALOG[device.upper()]
+    except KeyError:
+        raise KeyError(f"unknown device {device!r}; available: "
+                       f"{', '.join(sorted(DEVICE_CATALOG))}") from None

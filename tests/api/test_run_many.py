@@ -15,23 +15,32 @@ import threading
 import pytest
 
 from repro.api import (
-    BackendError,
     FlowOptions,
     Pipeline,
+    PipelineError,
     Session,
     Workload,
-    register_backend,
 )
 from repro.api.cli import build_parser
 from repro.api.cli import main as cli_main
 from repro.dse import engine
 from repro.dse.engine import StreamingFrontier
+from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.stream import StreamingExploration, explore_stream
+from repro.estimation.throughput_model import ThroughputModel
+from repro.frontend.dsl import stencil_kernel
 from repro.fleet import FleetRouter
 from repro.service import JobQueue, ReproClient, ReproServer, Scheduler
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=3)
+
+
+def zero_divisor(**overrides):
+    """A workload that builds, then fails in the analyze stage: Chambolle's
+    ``lambda`` divisor folds to the constant zero."""
+    return Workload.from_algorithm("chamb", params={"lambda": 0.0},
+                                   **{**SMALL, **overrides})
 
 SWEEP = ["sweep", "--algorithms", "blur", "--frames", "128x96",
          "--iterations", "4", "--windows", "1,2,3", "--max-depth", "2",
@@ -151,12 +160,11 @@ class TestFailureContract:
         """``bad`` fails, ``good2`` still runs, and the error surfaces only
         after it — with ``good2`` then a session-cache hit."""
         good = Workload.from_algorithm("blur", **SMALL)
-        bad = Workload.from_algorithm("blur", calibration_windows_per_depth=1,
-                                      **SMALL)
+        bad = zero_divisor()
         good2 = Workload.from_algorithm("jacobi", **SMALL)
         events = []
         session = Session(on_event=events.append)
-        with pytest.raises(ValueError, match="calibration_windows_per_depth"):
+        with pytest.raises(PipelineError, match="constant zero"):
             session.run_many([good, bad, good2])
         assert [(event.kind, event.workload) for event in events
                 if event.kind in ("workload-finished", "workload-failed")] \
@@ -172,24 +180,26 @@ class TestFailureContract:
         assert serialized(rerun) == serialized(Session().run(good2))
 
     def test_the_earliest_failure_is_the_one_raised(self):
-        unknown_backend = Workload.from_algorithm("blur", synthesizer="nope",
-                                                  **SMALL)
-        bad_calibration = Workload.from_algorithm(
-            "jacobi", calibration_windows_per_depth=1, **SMALL)
+        def define(k):
+            f = k.field("f")
+            k.update(f, f(10, 0) + f(-10, 0))
+
+        zero_lambda = zero_divisor()
+        # fails too, later and otherwise: its kernel is not domain-narrow
+        later = Workload.from_kernel(stencil_kernel("wide", define), **SMALL)
         good = Workload.from_algorithm("heat", **SMALL)
         session = Session()
-        with pytest.raises(BackendError, match="nope"):
-            session.run_many([good, unknown_backend, bad_calibration])
+        with pytest.raises(PipelineError, match="divides by lambda"):
+            session.run_many([good, zero_lambda, later])
         assert session.stats.workloads_failed == 2
         assert session.stats.workloads_run == 1
 
     def test_a_failing_first_workload_is_announced_and_stops_nothing(self):
-        bad = Workload.from_algorithm("blur", calibration_windows_per_depth=1,
-                                      **SMALL)
+        bad = zero_divisor()
         good = Workload.from_algorithm("jacobi", **SMALL)
         events = []
         session = Session(on_event=events.append)
-        with pytest.raises(ValueError, match="calibration_windows_per_depth"):
+        with pytest.raises(PipelineError, match="constant zero"):
             session.run_many([bad, good])
         stats = session.stats
         assert stats.workloads_failed == 1 and stats.workloads_run == 1
@@ -197,14 +207,15 @@ class TestFailureContract:
         failed = [event for event in events
                   if event.kind == "workload-failed"]
         assert [event.workload for event in failed] == [bad]
-        assert "calibration_windows_per_depth" in failed[0].detail
+        assert "constant zero" in failed[0].detail
 
 
 class TestRemovedStrategyKnobs:
     """The executor strategies, the service's batching knobs, the profiler
-    flag, the fleet's admission and ring knobs, the ``service`` backend
-    kind, the exploration fan-out with the fold's test-only knobs, and the
-    legacy ``HlsFlow`` entry point are gone, loudly."""
+    flag, the fleet's admission and ring knobs, the exploration fan-out
+    with the fold's test-only knobs, the legacy ``HlsFlow`` entry point,
+    and the backend registry with its backend-name knobs and the
+    explorer's factory arguments are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -213,10 +224,11 @@ class TestRemovedStrategyKnobs:
         with pytest.raises(TypeError):
             Session().run_many(batch, max_workers=2)
 
-    @pytest.mark.parametrize("kind", ["executor", "service"])
-    def test_removed_kinds_are_not_registry_kinds(self, kind):
-        with pytest.raises(BackendError, match="unknown backend kind"):
-            register_backend(kind, "x", object)
+    def test_the_backend_registry_is_gone(self):
+        with pytest.raises(ImportError):
+            from repro import register_backend  # noqa: F401
+        with pytest.raises(ModuleNotFoundError):
+            import repro.api.registry  # noqa: F401
 
     def test_cli_executor_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -296,6 +308,15 @@ class TestRemovedStrategyKnobs:
             None, {}, None, 128, 96, chunk_order=[0])),
         ("use_mask_cache", lambda: explore_stream(
             None, {}, None, 128, 96, use_mask_cache=False)),
+        ("synthesizer", lambda: Workload.from_algorithm(
+            "blur", synthesizer="analytic", **SMALL)),
+        ("area_estimator", lambda: Workload.from_algorithm(
+            "blur", area_estimator="register-model", **SMALL)),
+        ("throughput_estimator", lambda: FlowOptions(
+            throughput_estimator="analytic")),
+        ("throughput_model_factory", lambda: DesignSpaceExplorer(
+            Workload.from_algorithm("blur", **SMALL).resolve_kernel(),
+            throughput_model_factory=ThroughputModel)),
     ], ids=["Session", "Pipeline", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
@@ -306,7 +327,9 @@ class TestRemovedStrategyKnobs:
             "ReproClient.submit-role", "Workload-stream_jobs",
             "FlowOptions-stream_jobs", "explore-stream_jobs",
             "explore_stream-jobs", "explore_stream-chunk_order",
-            "explore_stream-use_mask_cache"])
+            "explore_stream-use_mask_cache", "Workload-synthesizer",
+            "Workload-area_estimator", "FlowOptions-throughput_estimator",
+            "DesignSpaceExplorer-throughput_model_factory"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()

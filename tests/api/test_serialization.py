@@ -110,6 +110,36 @@ class TestRetiredStreamJobsKey:
             FlowOptions.from_dict(through_json(payload))
 
 
+class TestRetiredBackendKeys:
+    """The backend-name knobs are gone; like ``stream_jobs``, their wire
+    keys stay with the one value each is pinned to, and a missing key
+    reads as that value."""
+
+    PINNED = {"synthesizer": "analytic", "area_estimator": "register-model",
+              "throughput_estimator": "analytic", "stream_jobs": None}
+
+    def test_every_retired_key_is_written_with_its_pinned_value(
+            self, small_result):
+        payload = small_result.options.to_dict()
+        assert {key: payload[key] for key in self.PINNED} == self.PINNED
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_a_missing_retired_key_is_accepted(self, small_result, key):
+        payload = small_result.options.to_dict()
+        del payload[key]
+        assert (FlowOptions.from_dict(through_json(payload))
+                == small_result.options)
+
+    @pytest.mark.parametrize("value", ["vivado", 7, None])
+    @pytest.mark.parametrize("key", ["synthesizer", "area_estimator",
+                                     "throughput_estimator"])
+    def test_another_backend_name_is_a_value_error_naming_the_key(
+            self, small_result, key, value):
+        payload = dict(small_result.options.to_dict(), **{key: value})
+        with pytest.raises(ValueError, match=key):
+            FlowOptions.from_dict(through_json(payload))
+
+
 class TestSupportingTypes:
     def test_kernel_round_trip_all_algorithms(self):
         from repro.algorithms import ALGORITHMS

@@ -7,7 +7,7 @@ the number of unique ``(kernel, window, depth)`` cone shapes.
 
 import pytest
 
-from repro.api import Session, Workload
+from repro.api import PipelineError, Session, Workload
 from repro.api import session as session_module
 from repro.dse.constraints import DseConstraints
 
@@ -289,9 +289,10 @@ class TestEventsAndStats:
     def test_failed_workload_counted_and_reported(self):
         events = []
         session = Session(on_event=events.append)
-        bad = Workload.from_algorithm("blur",
-                                      calibration_windows_per_depth=1, **SMALL)
-        with pytest.raises(ValueError, match="calibration_windows_per_depth"):
+        # builds, then fails in analyze: the lambda divisor folds to zero
+        bad = Workload.from_algorithm("chamb", params={"lambda": 0.0},
+                                      **SMALL)
+        with pytest.raises(PipelineError, match="constant zero"):
             session.run(bad)
         assert session.stats.workloads_failed == 1
         assert any(event.kind == "workload-failed" for event in events)

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import ArtifactStore, Session, Workload
+from repro.api import ArtifactStore, PipelineError, Session, Workload
 from repro.api import store as store_module
 from repro.api.cli import main as cli_main
 
@@ -123,60 +123,6 @@ class TestWarmResume:
         second.design_points.clear()
         assert warm.run(workload).design_points
 
-    def test_replacing_a_backend_invalidates_stored_artifacts(
-            self, store_dir):
-        """Swapping the implementation behind a backend name must recompute,
-        not serve the old implementation's artifacts."""
-        from repro.api import register_backend
-        from repro.estimation import RegisterAreaModel
-
-        workload = blur()
-        Session(store=store_dir).run(workload)
-
-        class SameNameModel(RegisterAreaModel):
-            pass
-
-        register_backend("area", "register-model", SameNameModel,
-                         replace=True)
-        try:
-            swapped = Session(store=store_dir)
-            swapped.run(workload)
-            assert swapped.stats.synthesis_runs > 0
-            assert swapped.stats.store_disk_hits == 0
-        finally:
-            register_backend("area", "register-model", RegisterAreaModel,
-                             replace=True)
-        # the original implementation still finds its own artifacts
-        warm = Session(store=store_dir)
-        warm.run(workload)
-        assert warm.stats.synthesis_runs == 0
-
-    def test_memory_served_result_not_filed_under_new_backend(
-            self, store_dir):
-        """A backend hot-swapped mid-session must not get the OLD
-        implementation's memory-cached result written under ITS key."""
-        from repro.api import register_backend
-        from repro.estimation import RegisterAreaModel
-
-        workload = blur()
-        session = Session(store=store_dir)
-        session.run(workload)
-
-        class SwappedIn(RegisterAreaModel):
-            pass
-
-        register_backend("area", "register-model", SwappedIn, replace=True)
-        try:
-            session.run(workload)  # memory hit computed by the OLD backend
-            # a fresh process with the new backend must MISS and recompute,
-            # not be served the old implementation's numbers
-            fresh = Session(store=store_dir)
-            fresh.run(workload)
-            assert fresh.stats.synthesis_runs > 0
-        finally:
-            register_backend("area", "register-model", RegisterAreaModel,
-                             replace=True)
-
     def test_result_key_tracks_kernel_content(self, store_dir):
         """The result artifact is keyed by kernel fingerprint, not just the
         algorithm's registry name, so editing an algorithm definition can
@@ -210,8 +156,8 @@ class TestWarmResume:
         assert fresh.stats.synthesis_runs == 0
 
     def test_unserializable_payload_degrades_to_noop(self, store_dir):
-        """A payload json cannot encode (third-party backend leaking exotic
-        scalars) must lose only the cache write, not the workload."""
+        """A payload json cannot encode (exotic scalars) must lose only the
+        cache write, not the workload."""
         store = ArtifactStore(store_dir)
         assert store.put("result", "weird", {"x": object()}) is None
         assert store.writes == 0
@@ -292,18 +238,31 @@ class TestRobustness:
         assert store.get("result", "key-b") is None
         assert store.corrupt == 1
 
-    def test_unknown_backend_fails_with_full_accounting(self, store_dir):
-        """An unregistered backend name on a store-backed session is
-        counted and announced exactly like any other workload failure."""
-        from repro.api import BackendError
-
+    def test_a_failing_workload_fails_with_full_accounting(self, store_dir):
+        """A workload failing inside ``run()`` on a store-backed session is
+        counted and announced exactly like on an in-memory one."""
         events = []
         session = Session(on_event=events.append, store=store_dir)
-        bad = blur(synthesizer="not-a-backend")
-        with pytest.raises(BackendError, match="unknown synthesizer"):
+        # builds, then fails in analyze: the lambda divisor folds to zero
+        bad = Workload.from_algorithm("chamb", params={"lambda": 0.0},
+                                      **SMALL)
+        with pytest.raises(PipelineError, match="constant zero"):
             session.run(bad)
         assert session.stats.workloads_failed == 1
         assert any(event.kind == "workload-failed" for event in events)
+
+    def test_a_stored_result_naming_another_backend_is_recomputed(
+            self, store_dir):
+        workload = blur()
+        payload = Session().run(workload).to_dict()
+        payload["options"]["synthesizer"] = "vivado"
+        ArtifactStore(store_dir).put(
+            "result", Session._result_store_key(workload), payload)
+        session = Session(store=store_dir)
+        result = session.run(workload)
+        assert result.options.to_dict()["synthesizer"] == "analytic"
+        assert session.stats.store_disk_hits == 0
+        assert session.stats.synthesis_runs > 0
 
     def test_unwritable_store_degrades_to_noop(self, store_dir):
         workload = blur()

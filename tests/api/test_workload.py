@@ -74,11 +74,39 @@ class TestConstruction:
          "min_frames_per_second"),
         (lambda: DseConstraints(max_area_luts=True), "max_area_luts"),
         (lambda: DseConstraints(device_only="yes"), "device_only"),
+        (lambda: Workload.from_algorithm("blur", frame_width=100.5),
+         "frame_width"),
+        (lambda: Workload.from_algorithm("blur", frame_width=True),
+         "frame_width"),
+        (lambda: Workload.from_algorithm("blur", frame_height=64.5),
+         "frame_height"),
+        (lambda: Workload.from_algorithm(
+            "blur", calibration_windows_per_depth=1),
+         "calibration_windows_per_depth"),
+        (lambda: Workload.from_algorithm(
+            "blur", calibration_windows_per_depth=0),
+         "calibration_windows_per_depth"),
+        (lambda: Workload.from_algorithm(
+            "blur", calibration_windows_per_depth=2.5),
+         "calibration_windows_per_depth"),
+        (lambda: Workload.from_algorithm(
+            "blur", calibration_windows_per_depth="2"),
+         "calibration_windows_per_depth"),
+        (lambda: Workload.from_algorithm("blur", synthesize_all="yes"),
+         "synthesize_all"),
+        (lambda: Workload.from_algorithm("blur", synthesize_all=1),
+         "synthesize_all"),
+        (lambda: Workload.from_algorithm("blur", stream="yes"), "stream"),
+        (lambda: Workload.from_algorithm("blur", stream=1), "stream"),
     ], ids=["port-zero", "port-negative", "window-sides-string",
             "window-sides-empty", "max-depth-zero", "max-depth-bool",
             "cones-zero", "cones-negative", "iterations-zero",
             "iterations-negative", "min-fps-string", "min-fps-nan",
-            "max-area-bool", "device-only-string"])
+            "max-area-bool", "device-only-string", "frame-width-float",
+            "frame-width-bool", "frame-height-float", "calibration-one",
+            "calibration-zero", "calibration-float", "calibration-string",
+            "synthesize-all-string", "synthesize-all-int", "stream-string",
+            "stream-int"])
     def test_bad_knobs_rejected_at_construction(self, build, named):
         # each one used to fail mid-run, or to return an empty or
         # meaningless front without an error

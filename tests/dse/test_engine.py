@@ -6,7 +6,6 @@ loop (``scalar_oracle.explore_scalar``) produces — vectorization is a
 performance concern, never a semantics concern.
 """
 
-import dataclasses
 import json
 import random
 from types import SimpleNamespace
@@ -19,7 +18,7 @@ from scalar_oracle import explore_scalar, scalar_exploration
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.engine import (build_points, cost_counts, fold_chunks,
-                              group_area, group_context, supports_batch)
+                              group_area, group_context)
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_indices
 from repro.dse.stream import explore_stream, plan_chunks
@@ -183,8 +182,7 @@ class TestFoldKernel:
                                   context.primary, context.area_by_depth)
                 assert area.tolist() == expected[start:]
 
-    def test_batch_and_pointwise_costing_build_identical_points(
-            self, inputs):
+    def test_batch_costing_builds_the_per_point_evaluations(self, inputs):
         explorer, space, characterizations, usable = inputs
         model = explorer.throughput_model
         for window, split, group in space.architecture_groups():
@@ -193,16 +191,15 @@ class TestFoldKernel:
             counts = np.arange(1, len(group) + 1, dtype=np.int32)
             areas = group_area(counts, context.depths, context.primary,
                                context.area_by_depth)
-            index = np.arange(counts.size)
-            built = []
-            for batch in (True, False):
-                columns = cost_counts(model, batch, space, context, 128, 96,
-                                      counts)
-                built.append([point.to_dict() for point in build_points(
-                    space, context, counts, areas, columns, index, usable)])
-            assert built[0] == built[1]
-            assert [point["architecture"] for point in built[0]] == [
+            columns = cost_counts(model, context, 128, 96, counts)
+            points = build_points(space, context, counts, areas, columns,
+                                  np.arange(counts.size), usable)
+            assert [point.architecture.to_dict() for point in points] == [
                 architecture.to_dict() for architecture in group]
+            assert [point.performance.to_dict() for point in points] == [
+                model.evaluate(architecture, context.cone_performance,
+                               128, 96).to_dict()
+                for architecture in group]
 
     def test_fold_chunks_costs_only_the_planned_interval(self, inputs):
         explorer, space, characterizations, usable = inputs
@@ -282,91 +279,12 @@ class TestFoldKernel:
         assert lean["chunks_materialized"] == len(chunks)
 
 
-class TestBackendCompatibility:
-    def test_builtin_model_is_batch_capable(self):
-        assert supports_batch(ThroughputModel())
-
-    def test_override_of_evaluate_is_honored_pointwise(self, igf_kernel):
-        """A backend that overrides ``evaluate`` must be honored point-wise
-        instead of silently evaluating the stock batch formula."""
-
-        class Halved(ThroughputModel):
-            def evaluate(self, architecture, cone_performance,
-                         frame_width, frame_height):
-                performance = super().evaluate(
-                    architecture, cone_performance, frame_width, frame_height)
-                return dataclasses.replace(
-                    performance,
-                    seconds_per_frame=performance.seconds_per_frame * 2.0,
-                    frames_per_second=performance.frames_per_second / 2.0)
-
-        assert not supports_batch(Halved())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=Halved)
-        auto = explorer.explore(6, 128, 96)
-        scalar = explore_scalar(explorer, 6, 128, 96)
-        assert serialized(auto) == serialized(scalar)
-        stock = small_explorer(igf_kernel).explore(6, 128, 96)
-        assert (auto.design_points[0].seconds_per_frame
-                == 2.0 * stock.design_points[0].seconds_per_frame)
-        # a floor on the halved rates admits what the scalar loop admits
-        floor = DseConstraints(min_frames_per_second=float(np.median(
-            [p.frames_per_second for p in auto.design_points])))
-        assert serialized(explorer.explore(6, 128, 96, floor)) == serialized(
-            explore_scalar(explorer, 6, 128, 96, floor))
-
-    def test_override_of_compute_cycles_hook_is_honored_pointwise(
-            self, igf_kernel):
-        """``compute_cycles_per_tile`` is a public hook ``evaluate`` calls;
-        a subclass override must be honored, never silently replaced by the
-        stock batch accumulation."""
-
-        class Congested(ThroughputModel):
-            def compute_cycles_per_tile(self, architecture,
-                                        cone_performance):
-                return 1.5 * super().compute_cycles_per_tile(
-                    architecture, cone_performance)
-
-        assert not supports_batch(Congested())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=Congested)
-        auto = explorer.explore(6, 128, 96)
-        assert serialized(auto) == serialized(explore_scalar(explorer, 6, 128,
-                                                             96))
-        stock = small_explorer(igf_kernel).explore(6, 128, 96)
-        assert (auto.design_points[0].performance.compute_cycles_per_tile
-                == 1.5 * stock.design_points[0].performance
-                .compute_cycles_per_tile)
-
-    def test_override_of_estimate_batch_alone_is_never_consulted(
-            self, igf_kernel):
-        """A lone ``estimate_batch`` override cannot be proven consistent
-        with per-point evaluation, so the fold costs point-wise (where the
-        override is simply never consulted)."""
-
-        class Padded(ThroughputModel):
-            def estimate_batch(self, architecture, cone_performance,
-                               frame_width, frame_height, primary_counts):
-                columns = dict(super().estimate_batch(
-                    architecture, cone_performance, frame_width,
-                    frame_height, primary_counts))
-                columns["seconds_per_frame"] = (
-                    columns["seconds_per_frame"] * 1.25)
-                return columns
-
-        assert not supports_batch(Padded())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=Padded)
-        auto = explorer.explore(6, 128, 96)
-        assert serialized(auto) == serialized(explore_scalar(explorer, 6, 128,
-                                                             96))
-        assert serialized(auto) == serialized(
-            small_explorer(igf_kernel).explore(6, 128, 96))
-
+class TestModelHooks:
     def test_interval_hook_override_keeps_batch_costing_consistent(
             self, igf_kernel):
-        """The fine-grained hooks are invoked on the instance by both
-        paths, so overriding them composes with batch costing."""
+        """The per-tile hooks are invoked on the instance by the batch
+        formula and by ``evaluate``, so overriding one composes with batch
+        costing."""
 
         class SlowPorts(ThroughputModel):
             def execution_interval_cycles(self, architecture, depth,
@@ -374,9 +292,13 @@ class TestBackendCompatibility:
                 return 2.0 * super().execution_interval_cycles(
                     architecture, depth, performance)
 
-        assert supports_batch(SlowPorts())
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=SlowPorts)
+        explorer = small_explorer(igf_kernel)
+        stock_model = explorer.throughput_model
+        explorer.throughput_model = SlowPorts(
+            device=stock_model.device, data_format=stock_model.data_format,
+            readonly_components=stock_model.readonly_components,
+            onchip_port_elements_per_cycle=(
+                stock_model.onchip_port_elements_per_cycle))
         auto = explorer.explore(6, 128, 96)
         assert serialized(auto) == serialized(explore_scalar(explorer, 6, 128,
                                                              96))

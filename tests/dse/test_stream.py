@@ -482,24 +482,6 @@ class TestExplorerIntegration:
         assert stats["misses"] == 1 and stats["hits"] == 1
         assert stats["chunks_materialized"] > 0
 
-    def test_pointwise_backend_streams_too(self, igf_kernel):
-        """A backend costed point by point (it overrides ``evaluate``)
-        runs the same fold, streamed or not."""
-        class ScalarOnly(ThroughputModel):
-            def evaluate(self, *args, **kwargs):
-                return super().evaluate(*args, **kwargs)
-
-        explorer = small_explorer(igf_kernel,
-                                  throughput_model_factory=ScalarOnly)
-        streamed = explorer.explore(6, 128, 96, stream=True, chunk_rows=4)
-        in_memory = explorer.explore(6, 128, 96)
-        assert streamed.streaming is not None
-        assert in_memory.streaming is None
-        assert (serialized_points(streamed.pareto)
-                == serialized_points(in_memory.pareto)
-                == serialized_points(small_explorer(igf_kernel).explore(
-                    6, 128, 96).pareto))
-
 
 class TestFrontierStateBound:
     def test_state_is_bounded_by_the_frontier_not_the_space(

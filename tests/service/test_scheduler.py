@@ -15,8 +15,8 @@ import threading
 import pytest
 
 from repro.api import Session, Workload
-from repro.api.registry import list_devices
 from repro.ir.operators import DataFormat
+from repro.synth.fpga_device import DEVICE_CATALOG
 from repro.service import (
     JobCancelledError,
     JobFailedError,
@@ -104,7 +104,7 @@ class TestBurstDispatch:
             self, paused_server):
         """A 4-device x 2-format burst serves results byte-identical to
         per-workload ``Session.run`` calls."""
-        devices = sorted(list_devices())[:4]
+        devices = sorted(DEVICE_CATALOG)[:4]
         assert len(devices) == 4
         burst = [workload(device=device, data_format=data_format)
                  for device in devices
@@ -219,14 +219,15 @@ class TestFailureAttribution:
             if event.kind == "workload-failed" else None)
         client = ReproClient(paused_server)
         good = client.submit(workload(frame_width=352))
-        # an unknown backend name resolves (and fails) only inside run()
-        poisoned = workload(frame_width=368, synthesizer="no-such-backend")
+        # builds, then fails inside run(): the lambda divisor folds to zero
+        poisoned = workload("chamb", frame_width=368,
+                            params={"lambda": 0.0})
         bad = client.submit(poisoned)
         also_good = client.submit(workload(frame_width=384))
         paused_server.start()
         assert good.result(timeout=60).design_points
         assert also_good.result(timeout=60).design_points
-        with pytest.raises(JobFailedError, match="no-such-backend"):
+        with pytest.raises(JobFailedError, match="constant zero"):
             bad.result(timeout=60)
         assert bad.status()["state"] == "failed"
         stats = paused_server.stats()
@@ -242,8 +243,9 @@ class TestFailureAttribution:
         server = ReproServer()
         try:
             client = ReproClient(server)
-            handle = client.submit(workload(synthesizer="no-such-backend"))
-            with pytest.raises(JobFailedError, match="no-such-backend"):
+            handle = client.submit(workload("chamb",
+                                            params={"lambda": 0.0}))
+            with pytest.raises(JobFailedError, match="constant zero"):
                 handle.result(timeout=60)
             # one failed run, not two (a replay would double the counter)
             assert server.session.stats.workloads_failed == 1

@@ -78,6 +78,27 @@ BAD_BODIES = {
                          "constraints"),
     # a bad knob fails when the Workload is built, not as a job
     "max-depth-zero": (submit_body(max_depth=0), "ValueError", "max_depth"),
+    "frame-width-float": (submit_body(frame_width=1.5), "ValueError",
+                          "frame_width"),
+    "frame-width-bool": (submit_body(frame_width=True), "ValueError",
+                         "frame_width"),
+    "calibration-one": (submit_body(calibration_windows_per_depth=1),
+                        "ValueError", "calibration_windows_per_depth"),
+    "calibration-float": (submit_body(calibration_windows_per_depth=2.5),
+                          "ValueError", "calibration_windows_per_depth"),
+    "calibration-string": (submit_body(calibration_windows_per_depth="2"),
+                           "ValueError", "calibration_windows_per_depth"),
+    "synthesize-all-string": (submit_body(synthesize_all="yes"),
+                              "ValueError", "synthesize_all"),
+    "synthesize-all-int": (submit_body(synthesize_all=1), "ValueError",
+                           "synthesize_all"),
+    "stream-string": (submit_body(stream="yes"), "ValueError", "stream"),
+    "stream-int": (submit_body(stream=1), "ValueError", "stream"),
+    # a retired backend-name key accepts only the one value the flow runs
+    "synthesizer-vivado": (submit_body(synthesizer="vivado"), "ValueError",
+                           "synthesizer"),
+    "throughput-estimator-int": (submit_body(throughput_estimator=7),
+                                 "ValueError", "throughput_estimator"),
     # a key the server does not know is refused, never dropped
     "role": (dict(submit_body(), role="operator"), "ValueError", "'role'"),
 }
@@ -89,6 +110,14 @@ def test_bad_body_is_a_400_naming_the_field(url, body, kind, named):
     status, payload = post(url, body)
     assert (status, payload["kind"]) == (400, kind)
     assert named in payload["error"]
+
+
+def test_a_workload_without_the_retired_keys_is_filed(url):
+    workload = {key: value for key, value in WORKLOAD.items()
+                if key not in ("synthesizer", "area_estimator",
+                               "throughput_estimator", "stream_jobs")}
+    status, payload = post(url, {"workload": workload})
+    assert status == 200, payload
 
 
 def test_negative_content_length_is_a_400(url):

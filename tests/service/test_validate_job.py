@@ -106,6 +106,16 @@ class TestEmptyInterior:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestWindowSide:
+    def test_only_none_selects_the_default_window(self):
+        assert Session().validate(workload()).window_side == 3
+
+    @pytest.mark.parametrize("bad", [0, 2.7, True, "2"])
+    def test_a_bad_window_side_is_refused(self, bad):
+        with pytest.raises(ValueError, match="window_side"):
+            Session().validate(workload(), window_side=bad)
+
+
 class TestKindAwareCoalescing:
     def test_identical_validate_jobs_coalesce(self):
         server = ReproServer(start=False)  # hold dispatch so both queue
@@ -191,6 +201,12 @@ class TestCliValidate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_abs_error"] == 0.0
         assert ValidationResult.from_dict(payload).passed
+
+    def test_validate_window_zero_exits_2(self, capsys):
+        status = cli_main(["validate", "blur", "--quiet", "--window", "0"]
+                          + self.ARGS)
+        assert status == 2
+        assert "window_side" in capsys.readouterr().err
 
     def test_submit_job_validate_against_live_server(self, http_server,
                                                      capsys):

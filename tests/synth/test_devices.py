@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.api import Workload
 from repro.ir.operators import ResourceVector
 from repro.synth.fpga_device import (
     DEVICE_CATALOG,
+    SPARTAN6_XC6SLX45,
     VIRTEX2P_XC2VP30,
     VIRTEX6_XC6VLX760,
-    device_by_name,
+    FpgaDevice,
+    resolve_device,
 )
+
+SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
+             max_cones_per_depth=3)
 
 
 def test_catalog_contains_paper_devices():
@@ -17,9 +23,41 @@ def test_catalog_contains_paper_devices():
 
 
 def test_device_lookup_case_insensitive():
-    assert device_by_name("xc6vlx760") is VIRTEX6_XC6VLX760
+    assert resolve_device("xc6vlx760") is VIRTEX6_XC6VLX760
     with pytest.raises(KeyError):
-        device_by_name("XC7Z020")
+        resolve_device("XC7Z020")
+
+
+def test_every_catalog_device_is_resolvable():
+    for name in ("XC6VLX760", "XC6VLX240T", "XC2VP30", "XC6SLX45"):
+        assert resolve_device(name) is DEVICE_CATALOG[name]
+
+
+def test_device_instances_pass_through():
+    assert resolve_device(SPARTAN6_XC6SLX45) is SPARTAN6_XC6SLX45
+
+
+def test_unknown_device_is_a_key_error_listing_the_catalog():
+    with pytest.raises(KeyError, match="unknown device 'XC999'.*XC6VLX760"):
+        resolve_device("XC999")
+
+
+def test_workload_accepts_catalog_device_names():
+    workload = Workload.from_algorithm("blur", device="xc2vp30", **SMALL)
+    assert workload.device is VIRTEX2P_XC2VP30
+
+
+def test_a_custom_board_is_passed_as_the_model():
+    board = FpgaDevice(
+        name="TEST9000", family="Test", slice_luts=1000, slice_ffs=2000,
+        dsp_slices=4, bram_kbits=100, typical_clock_hz=1e8,
+        offchip_bandwidth_bytes_per_s=1e9)
+    workload = Workload.from_algorithm("blur", device=board, **SMALL)
+    assert workload.device is board
+    # the wire format carries the full model, not a name to look up
+    assert Workload.from_dict(workload.to_dict()) == workload
+    with pytest.raises(KeyError, match="TEST9000"):
+        resolve_device("TEST9000")
 
 
 def test_virtex6_is_much_larger_than_virtex2pro():
