@@ -34,6 +34,12 @@
 #                               # via GET /trace/<id> and the CLI, and
 #                               # /metrics strict-parses as 0.0.4 with
 #                               # correctly typed families
+#   scripts/check.sh --memory   # memory gate: 600 distinct explore jobs
+#                               # through one in-process server; fails
+#                               # when peak RSS at job 600 exceeds peak
+#                               # RSS at job 200 by more than 30 MB (a
+#                               # server that keeps every result grows
+#                               # ~0.45 MB per job)
 #   scripts/check.sh -k store   # extra args are passed through to pytest
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -131,6 +137,13 @@ case "${1:-}" in
         echo "error: simulation tier exceeded its 300s wall-clock budget" >&2
     fi
     exit "$sim_status"
+    ;;
+--memory)
+    shift
+    python -m compileall -q src
+    # A fresh process so ru_maxrss measures the server's jobs alone.
+    python scripts/memory_smoke.py "$@"
+    exit $?
     ;;
 --obs)
     shift

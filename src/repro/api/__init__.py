@@ -7,13 +7,14 @@ Three concepts:
   iterations + constraints);
 * :class:`Pipeline` — the staged flow (``frontend`` → ``analyze`` →
   ``characterize`` → ``explore`` → ``pareto`` → ``codegen``) over one
-  workload, each stage independently runnable and producing a serializable
-  artifact;
+  workload: one computation, any stage runnable by name (after its missing
+  prerequisites);
 * :class:`Session` — cached, batched execution: workloads sharing a
-  characterization key reuse cone characterizations and calibrations instead
-  of re-running the synthesizer, and :meth:`Session.run_many` runs a batch
-  in input order on the calling thread, re-raising the earliest failure
-  after the whole batch ran.
+  characterization key reuse the kernel analysis, cone characterizations
+  and calibrations instead of re-running the synthesizer, a bounded result
+  layer keeps the most recent flow results, and :meth:`Session.run_many`
+  runs a batch in input order on the calling thread, re-raising the
+  earliest failure after the whole batch ran.
 
 :mod:`repro.api.store` makes the flow persistent: a disk-backed,
 content-addressed :class:`ArtifactStore` (``Session(store=...)``) persists

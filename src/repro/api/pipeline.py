@@ -9,7 +9,8 @@ them as named, independently runnable steps over one :class:`Workload`:
 ``analyze``
     Semantic analysis plus symbolic ISL verification (domain narrowness,
     translation invariance), and a check that no divisor folds to the
-    constant zero.
+    constant zero; the explorer computes each fact once per kernel and
+    params.
 ``characterize``
     Cone characterization and Equation-1 area-model calibration — the
     expensive, cacheable step (the only one that runs the synthesizer).
@@ -20,15 +21,15 @@ them as named, independently runnable steps over one :class:`Workload`:
 ``codegen``
     VHDL generation for a selected design point.
 
-Each stage stores its artifact under its name in :attr:`Pipeline.artifacts`;
-every artifact is serializable (``to_dict``/``from_dict``), so a pipeline can
-be cut at any stage boundary and resumed elsewhere.  Running a stage runs any
-missing prerequisite stages first.
+A pipeline is one computation: each stage stores its artifact under its name
+in :attr:`Pipeline.artifacts` for the later stages of the same pipeline, and
+running a stage runs any missing prerequisite stages first.  It caches
+nothing across workloads; a :class:`~repro.api.session.Session` keeps the
+results and shares the explorers.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -39,12 +40,10 @@ from repro.codegen.vhdl_writer import FIXED_POINT_PACKAGE, VhdlWriter
 from repro.dse.design_point import DesignPoint
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.frontend.kernel_ir import KernelValidationError, StencilKernel
-from repro.frontend.semantic import validate_kernel
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat
 from repro.obs import trace as obs_trace
 from repro.symbolic.cone_expression import ConeExpressionBuilder
-from repro.symbolic.invariance import verify_kernel
 
 #: Stage names in execution order.
 STAGE_NAMES: Tuple[str, ...] = ("frontend", "analyze", "characterize",
@@ -67,59 +66,65 @@ class Pipeline:
                  observer: Optional[StageObserver] = None) -> None:
         self.workload = workload
         self.artifacts: Dict[str, Any] = {}
-        self.timings: Dict[str, float] = {}
         self._explorer = explorer
         self._observer = observer
-        # Serializes stage execution: sessions share one pipeline between
-        # equal workloads, which may run on different threads.  Reentrant
-        # because the codegen stage runs result() -> pareto internally.
-        self._exec_lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
     # stage access
 
     @property
     def explorer(self) -> DesignSpaceExplorer:
-        """The (possibly session-shared) explorer driving stages 3-5; the
-        analyze stage reads its divisor check."""
+        """The (possibly session-shared) explorer behind the analyze,
+        characterize and explore stages."""
         if self._explorer is None:
-            self._explorer = build_explorer(self.workload)
+            try:
+                self._explorer = build_explorer(self.workload)
+            except KernelValidationError as error:
+                raise PipelineError(str(error)) from error
         return self._explorer
 
     def has_run(self, stage: str) -> bool:
         return stage in self.artifacts
 
-    def run_stage(self, stage: str, force: bool = False,
-                  **stage_args: Any) -> Any:
+    def run_stage(self, stage: str, **stage_args: Any) -> Any:
         """Run one named stage (and any missing prerequisites); return its
         artifact.
 
-        Stages are idempotent: a stage whose artifact is already cached
-        returns it without re-executing unless ``force`` is given.  The
-        exception is ``codegen``, which always executes (its output depends
-        on the selected design point and is never cached).
+        A stage that already ran returns its artifact without re-executing,
+        except ``codegen``, which always executes (its output depends on
+        the selected design point and is never kept).
         """
         if stage not in STAGE_NAMES:
             raise PipelineError(
                 f"unknown stage {stage!r}; stages are {', '.join(STAGE_NAMES)}")
-        with self._exec_lock:
-            for prerequisite in STAGE_NAMES[:STAGE_NAMES.index(stage)]:
-                if not self.has_run(prerequisite):
-                    self._execute(prerequisite)
-            if not force and stage != "codegen" and self.has_run(stage):
-                return self.artifacts[stage]
-            return self._execute(stage, **stage_args)
-
-    def run(self, until: str = "pareto") -> "Pipeline":
-        """Run every stage up to and including ``until``; return self."""
-        self.run_stage(until)
-        return self
+        if stage_args and stage != "codegen":
+            raise TypeError(f"stage {stage!r} takes no arguments (got "
+                            f"{', '.join(stage_args)})")
+        for prerequisite in STAGE_NAMES[:STAGE_NAMES.index(stage)]:
+            if not self.has_run(prerequisite):
+                self._execute(prerequisite)
+        if stage == "codegen":
+            return self.codegen(self.artifacts["pareto"], **stage_args)
+        if not self.has_run(stage):
+            self._execute(stage)
+        return self.artifacts[stage]
 
     def result(self) -> FlowResult:
         """The assembled flow result (runs through ``pareto`` if needed)."""
-        if not self.has_run("pareto"):
-            self.run_stage("pareto")
-        return self.artifacts["pareto"]
+        return self.run_stage("pareto")
+
+    def codegen(self, result: FlowResult,
+                point: Optional[DesignPoint] = None,
+                fractional_bits: int = 12) -> Dict[str, str]:
+        """Run the codegen stage over ``result``, this workload's flow
+        result, and return the VHDL files.
+
+        ``point`` defaults to the result's best fitting point, else its
+        smallest.  A session passes the result it holds, so codegen re-runs
+        no earlier stage.
+        """
+        return self._execute("codegen", result=result, point=point,
+                             fractional_bits=fractional_bits)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -137,11 +142,6 @@ class Pipeline:
             # differ), so retaining its output — the full VHDL text — would
             # only hold memory, never serve a later stage.
             self.artifacts[stage] = artifact
-            # a (re-)executed stage supersedes everything built on top of
-            # it: drop downstream artifacts so they are rebuilt on demand
-            for later in STAGE_NAMES[STAGE_NAMES.index(stage) + 1:]:
-                self.artifacts.pop(later, None)
-        self.timings[stage] = elapsed
         if self._observer is not None:
             self._observer(stage, "finished", elapsed)
         return artifact
@@ -151,23 +151,21 @@ class Pipeline:
 
     def _stage_analyze(self) -> Dict[str, Any]:
         kernel = self.artifacts["frontend"]
-        try:
-            properties = validate_kernel(kernel)
-        except KernelValidationError as error:
-            raise PipelineError(str(error)) from error
-        invariance = verify_kernel(kernel)
+        # the explorer validated the kernel when it was built and keeps
+        # the other two facts, so sessions check each once per kernel and
+        # params
+        explorer = self.explorer
+        invariance = explorer.invariance
         if not invariance.is_isl:
             raise PipelineError(
                 f"kernel {kernel.name!r} is outside the ISL class the flow "
                 f"targets: {invariance.detail}")
-        # checked once per explorer, which sessions share between
-        # workloads of one kernel and params
-        divisor = self.explorer.zero_divisor
+        divisor = explorer.zero_divisor
         if divisor is not None:
             raise PipelineError(
                 f"kernel {kernel.name!r} divides by {divisor}, which folds "
                 f"to the constant zero")
-        return {"properties": properties, "invariance": invariance}
+        return {"properties": explorer.properties, "invariance": invariance}
 
     def _stage_characterize(self) -> Dict[str, Any]:
         characterizations, validations = self.explorer.characterize_cones(
@@ -198,9 +196,9 @@ class Pipeline:
             options=self.workload.options(),
         )
 
-    def _stage_codegen(self, point: Optional[DesignPoint] = None,
-                       fractional_bits: int = 12) -> Dict[str, str]:
-        result = self.result()
+    def _stage_codegen(self, result: FlowResult,
+                       point: Optional[DesignPoint],
+                       fractional_bits: int) -> Dict[str, str]:
         if point is None:
             point = result.best_fitting_point() or result.smallest_point()
         if point is None:
@@ -208,7 +206,7 @@ class Pipeline:
                 "codegen needs a design point, but the exploration produced "
                 "none (constraints too tight?)")
         return generate_vhdl_files(
-            kernel=self.artifacts["frontend"],
+            kernel=self.workload.resolve_kernel(),
             params=self.workload.params_dict(),
             data_format=self.workload.data_format,
             point=point,

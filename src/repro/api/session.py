@@ -3,10 +3,13 @@
 A :class:`Session` owns a characterization/calibration cache keyed by
 :meth:`Workload.characterization_key` — ``(kernel fingerprint, device, data
 format, cone-shape knobs)``.  Workloads that share a key share one
-:class:`DesignSpaceExplorer` (and hence its synthesizer and its per-iteration
-characterization cache), so exploring the same kernel on several frame sizes,
-or sweeping constraints, never re-synthesizes a cone shape that has already
-been characterized.
+:class:`DesignSpaceExplorer` (and hence its kernel analysis, its synthesizer
+and its per-iteration characterization cache), so exploring the same kernel
+on several frame sizes, or sweeping constraints, never re-synthesizes a cone
+shape that has already been characterized.  Finished results live in a
+bounded result layer (:data:`RESULT_CACHE_CAPACITY` workloads), so a
+long-lived session's memory does not grow with the number of distinct
+workloads it ran.
 
 :meth:`Session.run_many` runs a batch in input order on the calling thread:
 the flow is pure Python, so a thread pool would only add interpreter-lock
@@ -26,20 +29,24 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
-from repro.api.pipeline import (
-    Pipeline,
-    PipelineError,
-    STAGE_NAMES,
-    build_explorer,
-)
+from repro.api.pipeline import Pipeline, build_explorer
 from repro.api.results import FlowResult
 from repro.api.store import ArtifactStore, CharacterizationStoreAdapter
 from repro.api.workload import Workload
 from repro.dse.design_point import DesignPoint
-from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
+from repro.dse.explorer import DesignSpaceExplorer
+from repro.dse.stream import CountingLru
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.simulation.validation import ValidationResult, validate_workload
+
+#: Flow results a session keeps in memory, one per workload; the least
+#: recently used goes first (a store-backed session still finds it on disk).
+RESULT_CACHE_CAPACITY = 64
+
+#: Validation results a session keeps in memory, one per (workload,
+#: window, mode) request; the least recently used goes first.
+VALIDATION_CACHE_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,9 @@ class SessionStats:
 
     workloads_run: int = 0
     workloads_failed: int = 0
+    #: Runs whose characterize stage needed no new synthesis (partial
+    #: reuse counts as a miss).  A run served from the result layer or
+    #: the store runs no stage, so it counts neither.
     characterization_cache_hits: int = 0
     characterization_cache_misses: int = 0
     synthesis_runs: int = 0
@@ -130,20 +140,31 @@ class SessionStats:
 class Session:
     """Runs workloads through the staged pipeline with process-wide caching.
 
+    A session keeps three in-memory layers:
+
+    * one :class:`DesignSpaceExplorer` per characterization key, holding
+      the kernel analysis and every cone characterization of that key
+      (unbounded: dropping one throws away synthesis; see :meth:`evict`);
+    * the result layer: the flow results of the last
+      :data:`RESULT_CACHE_CAPACITY` workloads, which :meth:`run` and
+      :meth:`generate_vhdl` read;
+    * the validation layer: the last :data:`VALIDATION_CACHE_CAPACITY`
+      validation results.
+
     With ``store`` (a directory path or an :class:`ArtifactStore`), caching
     extends across processes: cone characterizations and full flow results
     are mirrored to disk, so a later session — or a ``python -m repro``
     rerun — pointed at the same store completes the same workloads with zero
     synthesizer invocations (observable as ``stats.store_disk_hits`` with
-    ``stats.synthesis_runs == 0``).  Without a store (the default), caching
-    stays in-memory exactly as before.
+    ``stats.synthesis_runs == 0``).  A result is looked up in memory, then
+    in the store, and computed only when both miss.
 
-    Sessions are safe for concurrent :meth:`run` callers (the service tier
-    shares one session across every request thread): the cache registries
-    are guarded by an internal lock, racing threads on one cold
-    characterization key serialize on that key's lock so the synthesis
-    happens exactly once, and the statistics counters take a dedicated
-    stats lock so no increment is ever lost to a read-modify-write race.
+    Sessions are safe for concurrent callers (user threads, or a server's
+    dispatcher next to direct calls): the registries are guarded by an
+    internal lock, racing threads on one cold characterization key
+    serialize on that key's lock so the synthesis happens exactly once,
+    and the statistics counters take a dedicated stats lock so no
+    increment is ever lost to a read-modify-write race.
     """
 
     def __init__(self, on_event: Optional[Callable[[SessionEvent], None]] = None,
@@ -155,13 +176,12 @@ class Session:
             self._store = ArtifactStore(os.fspath(store))
         self._explorers: Dict[Tuple, DesignSpaceExplorer] = {}
         self._key_locks: Dict[Tuple, threading.Lock] = {}
-        self._pipelines: Dict[Workload, Pipeline] = {}
-        #: Results restored from the persistent store, promoted here so
-        #: same-session reruns are memory hits (no repeat disk reads).
-        self._restored_results: Dict[Workload, FlowResult] = {}
-        #: Validation evidence per workload; validation is deterministic so
-        #: equal workloads share one immutable result.
-        self._validations: Dict[Workload, ValidationResult] = {}
+        #: The result layer: Workload -> FlowResult, shared by every caller
+        #: through _defensive_copy.
+        self._results = CountingLru(RESULT_CACHE_CAPACITY)
+        #: Validation evidence; validation is deterministic, so equal
+        #: requests share one immutable result.
+        self._validations = CountingLru(VALIDATION_CACHE_CAPACITY)
         #: Keys with work in flight (refcounts); evict() leaves them alone.
         self._active_keys: Dict[Tuple, int] = {}
         self._registry_lock = threading.Lock()
@@ -313,27 +333,24 @@ class Session:
     def evict(self, workload: Optional[Workload] = None) -> None:
         """Release cached state to bound memory in long-lived sessions.
 
-        With a workload, drop only that workload's pipeline (its result and
-        stage artifacts) and its validation evidence; its characterizations
-        stay shared.  Without one, drop every pipeline, every validation
-        and every *idle* explorer — keys with runs in
-        flight are left untouched — folding the synthesizer counters of
-        evicted explorers into :attr:`stats` so accounting survives
-        eviction.
+        With a workload, drop only that workload's result and its
+        validation evidence; its characterizations stay shared.  Without
+        one, drop every result, every validation and every *idle* explorer
+        — keys with runs in flight are left untouched — folding the
+        synthesizer counters of evicted explorers into :attr:`stats` so
+        accounting survives eviction.  The result and validation layers
+        also evict on their own once they hold their capacity.
         """
+        if workload is not None:
+            self._results.discard_if(lambda key: key == workload)
+            # the plain key and every (workload, window_side, mode) key
+            self._validations.discard_if(
+                lambda key: key == workload or (isinstance(key, tuple)
+                                                and key[0] == workload))
+            return
+        self._results.clear()
+        self._validations.clear()
         with self._registry_lock:
-            if workload is not None:
-                self._pipelines.pop(workload, None)
-                self._restored_results.pop(workload, None)
-                # the plain key and every (workload, window_side, mode) key
-                for key in [key for key in self._validations
-                            if key == workload or (isinstance(key, tuple)
-                                                   and key[0] == workload)]:
-                    del self._validations[key]
-                return
-            self._pipelines.clear()
-            self._restored_results.clear()
-            self._validations.clear()
             # Keys with work in flight keep their explorer, so a concurrent
             # run never loses its synthesis accounting.
             for key in [k for k in self._explorers
@@ -348,31 +365,6 @@ class Session:
     # ------------------------------------------------------------------ #
     # execution
 
-    def pipeline(self, workload: Workload) -> Pipeline:
-        """The pipeline over the workload wired to this session's cache.
-
-        Pipelines are cached per workload, so stages already run for an
-        equal workload (analyze, explore, ...) are not executed again by
-        later calls such as :meth:`generate_vhdl`.
-        """
-        explorer, _ = self._explorer_entry(workload)
-        with self._registry_lock:
-            pipeline = self._pipelines.get(workload)
-            if pipeline is None:
-
-                def observe(stage: str, status: str,
-                            elapsed: Optional[float]) -> None:
-                    if status == "finished" and elapsed is not None:
-                        obs_metrics.registry().histogram(
-                            "repro_session_stage_seconds").observe(elapsed)
-                    self._emit(_event(f"stage-{status}", workload,
-                                      stage=stage, elapsed_s=elapsed))
-
-                pipeline = Pipeline(workload, explorer=explorer,
-                                    observer=observe)
-                self._pipelines[workload] = pipeline
-        return pipeline
-
     def _mark_active(self, key: Tuple, delta: int) -> None:
         with self._registry_lock:
             count = self._active_keys.get(key, 0) + delta
@@ -381,125 +373,119 @@ class Session:
             else:
                 self._active_keys.pop(key, None)
 
-    def run(self, workload: Workload, until: str = "pareto") -> Any:
-        """Run one workload through the pipeline stage ``until`` (default:
-        Pareto extraction) and return that stage's artifact — a
-        :class:`FlowResult` for the default, the respective stage artifact
-        (kernel, analysis dict, :class:`ExplorationResult`, ...) otherwise.
+    def _observer_for(self, workload: Workload):
+        """The stage observer of this session's pipelines over
+        ``workload``: stage events plus the stage-latency histogram."""
 
-        The heavy artifacts (design points, characterizations) of equal
-        workloads are cached and shared, but each call returns a fresh
-        result wrapper with freshly copied point/Pareto lists, so in-place
+        def observe(stage: str, status: str,
+                    elapsed: Optional[float]) -> None:
+            if status == "finished" and elapsed is not None:
+                obs_metrics.registry().histogram(
+                    "repro_session_stage_seconds").observe(elapsed)
+            self._emit(_event(f"stage-{status}", workload,
+                              stage=stage, elapsed_s=elapsed))
+
+        return observe
+
+    def run(self, workload: Workload) -> FlowResult:
+        """Run one workload through the flow and return its
+        :class:`FlowResult`.
+
+        The result comes from the result layer when this session holds
+        one for an equal workload, else from the store, else from a fresh
+        :class:`Pipeline`; workloads sharing a characterization key share
+        its cone characterizations.  Each call returns a fresh result
+        wrapper with freshly copied point/Pareto lists, so in-place
         reordering or filtering by one caller never corrupts the cache or
         another caller's view.  Treat the shared entries themselves
-        (individual characterizations) as read-only.
+        (individual characterizations, the kernel properties) as
+        read-only.
         """
-        if until not in STAGE_NAMES:
-            raise PipelineError(
-                f"unknown stage {until!r}; stages are "
-                f"{', '.join(STAGE_NAMES)}")
-        with obs_trace.span("session.run", workload=workload.name,
-                            until=until):
-            return self._run_traced(workload, until)
-
-    def _run_traced(self, workload: Workload, until: str) -> Any:
-        started = time.perf_counter()
-        key = workload.characterization_key()
-        self._emit(_event("workload-started", workload))
-        memory_hit = False
-        try:
-            # The in-memory caches stay the first level: the store is
-            # consulted only for a workload this session has neither
-            # computed through `pareto` nor already restored, and a restored
-            # result is promoted into memory so same-session reruns never
-            # re-read the disk.
-            stored: Optional[FlowResult] = None
-            if until == "pareto":
-                detail = "restored result: full flow result"
-                with self._registry_lock:
-                    cached_pipeline = self._pipelines.get(workload)
-                    memory_hit = (cached_pipeline is not None
-                                  and cached_pipeline.has_run("pareto"))
-                    stored = self._restored_results.get(workload)
-                if (stored is None and not memory_hit
-                        and self._store is not None):
-                    stored = self._load_stored_result(workload)
-                    if stored is not None:
-                        detail = "persistent store: full flow result"
-                        with self._registry_lock:
-                            stored = self._restored_results.setdefault(
-                                workload, stored)
-                if stored is not None:
-                    elapsed = time.perf_counter() - started
-                    with self._stats_lock:
-                        self._stats.workloads_run += 1
-                        self._stats.workload_time_s += elapsed
-                    self._emit(_event("cache-hit", workload,
-                                            detail=detail))
-                    self._emit(_event("workload-finished", workload,
-                                            elapsed_s=elapsed))
-                    return _defensive_copy(stored)
-            # Mark the key in flight before the explorer becomes reachable,
-            # so a concurrent evict() can never fold-and-drop an explorer
-            # this run is about to use.
-            self._mark_active(key, +1)
+        with obs_trace.span("session.run", workload=workload.name):
+            started = time.perf_counter()
+            self._emit(_event("workload-started", workload))
             try:
-                explorer, lock = self._explorer_entry(workload)
-                pipeline = self.pipeline(workload)
-                needs_characterization = (STAGE_NAMES.index(until)
-                                          >= STAGE_NAMES.index("characterize"))
-                if needs_characterization:
-                    # Serialize only the characterize stage across workloads
-                    # sharing a key, so the expensive synthesis/calibration
-                    # work happens exactly once while per-frame explorations
-                    # still run in parallel.  Events raised inside the lock
-                    # are buffered and delivered after release.
-                    with self._locked_section(), lock:
-                        runs_before = explorer.synthesizer.runs
-                        pipeline.run_stage("characterize")
-                        # Ground-truth accounting: a hit means this run's
-                        # characterization needed no new synthesis — partial
-                        # reuse (e.g. new depth families for a higher
-                        # iteration count) honestly counts as a miss.
-                        hit = explorer.synthesizer.runs == runs_before
-                        with self._stats_lock:
-                            if hit:
-                                self._stats.characterization_cache_hits += 1
-                            else:
-                                self._stats.characterization_cache_misses += 1
-                        if hit:
-                            self._emit(_event(
-                                "cache-hit", workload,
-                                detail="shared cone characterization"))
-                result = _defensive_copy(pipeline.run_stage(until))
-            finally:
-                self._mark_active(key, -1)
-        except Exception as error:
+                result, hit = self._result(workload)
+                if hit is not None:
+                    self._emit(_event("cache-hit", workload, detail=hit))
+            except Exception as error:
+                with self._stats_lock:
+                    self._stats.workloads_failed += 1
+                self._emit(_event("workload-failed", workload,
+                                  elapsed_s=time.perf_counter() - started,
+                                  detail=str(error)))
+                raise
+            elapsed = time.perf_counter() - started
             with self._stats_lock:
-                self._stats.workloads_failed += 1
-            self._emit(_event("workload-failed", workload,
-                                    elapsed_s=time.perf_counter() - started,
-                                    detail=str(error)))
-            raise
-        if (self._store is not None and until == "pareto"
-                and isinstance(result, FlowResult)):
-            # Gate on existence, not on how this run was served: the pareto
-            # stage may have first run as a prerequisite of generate_vhdl
-            # (a memory hit here with nothing on disk yet), and rewriting an
-            # artifact that is already present would only churn the disk.
+                self._stats.workloads_run += 1
+                self._stats.workload_time_s += elapsed
+            self._emit(_event("workload-finished", workload,
+                              elapsed_s=elapsed))
+            return _defensive_copy(result)
+
+    def _result(self, workload: Workload
+                ) -> Tuple[FlowResult, Optional[str]]:
+        """The workload's shared result, and what served it as a cache-hit
+        detail (``None``: computed with new synthesis).
+
+        The result layer first, then the store, then a fresh pipeline; a
+        result from either of the latter enters the result layer.
+        """
+        result = self._results.get(workload)
+        if result is not None:
+            return result, "session memory: full flow result"
+        if self._store is not None:
+            result = self._load_stored_result(workload)
+            if result is not None:
+                self._results.put(workload, result)
+                return result, "persistent store: full flow result"
+        result, characterization_hit = self._compute(workload)
+        self._results.put(workload, result)
+        if self._store is not None:
+            # a racing caller (thread or process) may have filed it
+            # already; rewriting an artifact would only churn the disk
             key_string = self._result_store_key(workload)
             if not self._store.has("result", key_string):
                 written = self._store.put("result", key_string,
                                           result.to_dict())
                 if written is not None:
                     self._record_store_event("write")
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._stats.workloads_run += 1
-            self._stats.workload_time_s += elapsed
-        self._emit(_event("workload-finished", workload,
-                                elapsed_s=elapsed))
-        return result
+        return result, ("shared cone characterization"
+                        if characterization_hit else None)
+
+    def _compute(self, workload: Workload) -> Tuple[FlowResult, bool]:
+        """Run a fresh pipeline over the key's shared explorer; returns
+        the result and whether its characterization was a cache hit."""
+        key = workload.characterization_key()
+        # Mark the key in flight before the explorer becomes reachable,
+        # so a concurrent evict() can never fold-and-drop an explorer this
+        # run is about to use.
+        self._mark_active(key, +1)
+        try:
+            explorer, lock = self._explorer_entry(workload)
+            pipeline = Pipeline(workload, explorer=explorer,
+                                observer=self._observer_for(workload))
+            # Serialize only the characterize stage across workloads
+            # sharing a key, so the expensive synthesis/calibration work
+            # happens exactly once while per-frame explorations still run
+            # in parallel.  Stage events raised inside the lock are
+            # buffered and delivered after release.
+            with self._locked_section(), lock:
+                runs_before = explorer.synthesizer.runs
+                pipeline.run_stage("characterize")
+                # Ground-truth accounting: a hit means this run's
+                # characterization needed no new synthesis — partial reuse
+                # (e.g. new depth families for a higher iteration count)
+                # honestly counts as a miss.
+                hit = explorer.synthesizer.runs == runs_before
+            with self._stats_lock:
+                if hit:
+                    self._stats.characterization_cache_hits += 1
+                else:
+                    self._stats.characterization_cache_misses += 1
+            return pipeline.result(), hit
+        finally:
+            self._mark_active(key, -1)
 
     def validate(self, workload: Workload, *,
                  window_side: Optional[int] = None,
@@ -509,10 +495,10 @@ class Session:
         :class:`~repro.simulation.validation.ValidationResult` evidence.
 
         Validation is pure and deterministic, so equal ``(workload,
-        window_side, mode)`` requests are served from an in-memory cache
-        (announced with a ``cache-hit`` event) and count toward the same
-        run/time statistics as :meth:`run`.  The result is immutable — safe
-        to share across callers.
+        window_side, mode)`` requests are served from the validation layer
+        while it holds them (announced with a ``cache-hit`` event) and
+        count toward the same run/time statistics as :meth:`run`.  The
+        result is immutable — safe to share across callers.
         """
         with obs_trace.span("session.validate", workload=workload.name,
                             mode=mode):
@@ -530,14 +516,12 @@ class Session:
                 # Non-default knobs get their own entries; the plain-workload
                 # key stays reserved for the service's canonical validation.
                 cache_key = (workload, window_side, mode)  # type: ignore[assignment]
-            with self._registry_lock:
-                cached = self._validations.get(cache_key)
+            cached = self._validations.get(cache_key)
             hit = cached is not None
             if cached is None:
-                result = validate_workload(workload, window_side=window_side,
+                cached = validate_workload(workload, window_side=window_side,
                                            mode=mode)
-                with self._registry_lock:
-                    cached = self._validations.setdefault(cache_key, result)
+                self._validations.put(cache_key, cached)
         except Exception as error:
             with self._stats_lock:
                 self._stats.workloads_failed += 1
@@ -565,7 +549,10 @@ class Session:
         the batch: every later one still runs (and is cached), and the
         earliest failure is re-raised after the last.  A caller can
         therefore replay the batch through :meth:`run` to attribute each
-        failure, the completed members being cache hits.
+        failure; the completed members are cache hits while the result
+        layer still holds them (the last :data:`RESULT_CACHE_CAPACITY`),
+        store hits on a store-backed session, and recomputed (over the
+        shared characterizations) otherwise.
         """
         workloads = list(workloads)
         if not workloads:
@@ -594,21 +581,18 @@ class Session:
     def generate_vhdl(self, workload: Workload,
                       point: Optional[DesignPoint] = None,
                       fractional_bits: int = 12) -> Dict[str, str]:
-        """Run the codegen stage for a workload (reusing cached stages)."""
-        key = workload.characterization_key()
-        self._mark_active(key, +1)
-        try:
-            _, lock = self._explorer_entry(workload)
-            pipeline = self.pipeline(workload)
-            # hold the key lock only for the shared characterize step, as
-            # run() does; the pipeline's own lock serializes the rest, so
-            # codegen for sibling workloads proceeds in parallel
-            with self._locked_section(), lock:
-                pipeline.run_stage("characterize")
-            return pipeline.run_stage("codegen", point=point,
-                                      fractional_bits=fractional_bits)
-        finally:
-            self._mark_active(key, -1)
+        """Run the codegen stage over the workload's result.
+
+        The result is looked up exactly as :meth:`run` does (result layer,
+        store, compute), so after a run that the result layer still holds,
+        or on a store that has the result, only the codegen stage runs.
+        Codegen emits stage events only (no ``workload-*`` or
+        ``cache-hit`` events) and counts no workload.
+        """
+        result, _ = self._result(workload)
+        pipeline = Pipeline(workload, observer=self._observer_for(workload))
+        return pipeline.codegen(result, point=point,
+                                fractional_bits=fractional_bits)
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -663,32 +647,24 @@ class _DeferredEvents:
             self._session._emit(event)
 
 
-def _defensive_copy(artifact: Any) -> Any:
-    """Fresh wrapper with copied containers over shared entries.
+def _defensive_copy(result: Any) -> Any:
+    """Fresh result wrapper with copied containers over shared entries.
 
-    Shields the pipeline's cached stage artifacts from in-place mutation of
-    the containers callers naturally reorder/filter; the frozen design
-    points and the (read-only by contract) characterization entries stay
-    shared.  Artifacts with no mutable containers (the kernel) pass through.
+    Shields the result layer from in-place mutation of the containers
+    callers naturally reorder/filter; the frozen design points and the
+    (read-only by contract) characterization entries stay shared.  Other
+    results (immutable validation evidence) pass through.
     """
-    if isinstance(artifact, FlowResult):
-        return dataclasses.replace(
-            artifact, exploration=_defensive_copy(artifact.exploration))
-    if isinstance(artifact, ExplorationResult):
-        return dataclasses.replace(
-            artifact,
-            characterizations=dict(artifact.characterizations),
-            design_points=list(artifact.design_points),
-            pareto=list(artifact.pareto),
-            area_validations=dict(artifact.area_validations),
-        )
-    if isinstance(artifact, dict):
-        # one level of container copying: the characterize artifact nests
-        # the dicts a caller would naturally filter
-        return {key: (dict(value) if isinstance(value, dict)
-                      else list(value) if isinstance(value, list) else value)
-                for key, value in artifact.items()}
-    return artifact
+    if not isinstance(result, FlowResult):
+        return result
+    exploration = result.exploration
+    return dataclasses.replace(result, exploration=dataclasses.replace(
+        exploration,
+        characterizations=dict(exploration.characterizations),
+        design_points=list(exploration.design_points),
+        pareto=list(exploration.pareto),
+        area_validations=dict(exploration.area_validations),
+    ))
 
 
 #: Lazily created process-wide session for library callers that want

@@ -74,24 +74,6 @@ class ArtifactStore:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # pickling (process pools receive store handles)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle everything but the (process-local) counter lock.
-
-        The on-disk contents are shared through the filesystem; the runtime
-        counters travel as a snapshot and diverge per process — exactly like
-        two independently constructed stores over one root.
-        """
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
     # addressing
 
     @staticmethod

@@ -33,7 +33,8 @@ from repro.frontend.semantic import KernelProperties, validate_kernel
 from repro.ir.operators import DataFormat, OperatorLibrary, default_library
 from repro.obs import trace as obs_trace
 from repro.symbolic.cone_expression import ConeExpressionBuilder
-from repro.symbolic.invariance import constant_zero_divisor
+from repro.symbolic.invariance import (InvarianceReport,
+                                      constant_zero_divisor, verify_kernel)
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 from repro.synth.synthesizer import Synthesizer, tool_runtime_s
 
@@ -285,6 +286,12 @@ class DesignSpaceExplorer:
         # guards _family_cache against concurrent insert-vs-snapshot races
         # (accounting reads may come from other threads mid-exploration)
         self._cache_lock = threading.Lock()
+
+    @cached_property
+    def invariance(self) -> InvarianceReport:
+        """The kernel's ISL verification (translation invariance, domain
+        narrowness); run once per explorer."""
+        return verify_kernel(self.kernel)
 
     @cached_property
     def zero_divisor(self) -> Optional[KernelExpr]:

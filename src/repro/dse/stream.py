@@ -58,8 +58,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -206,8 +206,12 @@ def _admitted_prefix(n_counts: int, area_limit: float,
     return low
 
 
-class _CountingLru:
-    """Tiny thread-safe LRU with hit/miss/eviction counters."""
+class CountingLru:
+    """Tiny thread-safe LRU with hit/miss/eviction counters.
+
+    The mask cache below and a session's result and validation layers
+    (:mod:`repro.api.session`) are instances of it.
+    """
 
     def __init__(self, maxsize: int) -> None:
         self._maxsize = maxsize
@@ -252,6 +256,12 @@ class _CountingLru:
             self._entries.clear()
             self._hits = self._misses = self._evictions = 0
 
+    def discard_if(self, predicate: Callable[[Any], bool]) -> None:
+        """Drop every entry whose key satisfies ``predicate``."""
+        with self._lock:
+            for key in [key for key in self._entries if predicate(key)]:
+                del self._entries[key]
+
 
 class _StreamCounters:
     """Process-wide exploration counters behind a dedicated lock.
@@ -281,7 +291,7 @@ class _StreamCounters:
             self._counts = dict.fromkeys(self._FIELDS, 0)
 
 
-_mask_cache = _CountingLru(MASK_CACHE_CAPACITY)
+_mask_cache = CountingLru(MASK_CACHE_CAPACITY)
 _counters = _StreamCounters()
 
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple, Union
+from collections import OrderedDict
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.api.results import FlowResult
 from repro.api.workload import Workload
@@ -71,6 +71,12 @@ RESULT_CHUNK_S = 2.0
 #: How many times one job may be replayed before the router gives up
 #: (beyond membership-count replays something is systematically wrong).
 MAX_REPLAYS_SLACK = 2
+
+#: How many fleet jobs the router remembers, in submission order and
+#: whatever their state: each submission beyond the bound forgets the
+#: oldest.  An entry holds no result (its worker keeps that), so the bound
+#: is larger than a worker's history.
+HISTORY_LIMIT = 1024
 
 #: Default seconds between healthcheck sweeps (0 disables the loop;
 #: :meth:`FleetRouter.check_workers` probes on demand either way).
@@ -138,7 +144,6 @@ class FleetRouter:
     def __init__(self, workers: Any = (),
                  healthcheck_interval_s: float =
                  DEFAULT_HEALTHCHECK_INTERVAL_S,
-                 history_limit: int = 1024,
                  close_workers: bool = True) -> None:
         # routers trace by default, exactly like workers (REPRO_OBS=0
         # opts out); with in-process workers the one global TraceStore
@@ -147,9 +152,7 @@ class FleetRouter:
         self._membership = FleetMembership()
         self._close_workers = close_workers
         self._lock = threading.RLock()
-        self._jobs: Dict[str, _RoutedJob] = {}
-        self._terminal_order: Deque[str] = deque()
-        self._history_limit = history_limit
+        self._jobs: "OrderedDict[str, _RoutedJob]" = OrderedDict()
         self._sequence = 0
         self._closed = False
         self._started_at = time.time()
@@ -198,7 +201,7 @@ class FleetRouter:
         ``store`` path makes that one directory the fleet's shared cache
         tier (a characterization synthesized on ``worker-0`` is a disk
         hit on ``worker-3``).  ``server_kwargs`` pass through to every
-        :class:`ReproServer` (``history_limit=``, ``on_event=``, ...).
+        :class:`ReproServer` (``on_event=``).
         """
         if count < 1:
             raise ValueError(f"count must be >= 1 (got {count})")
@@ -448,6 +451,9 @@ class FleetRouter:
                                  member.name, handle.id, handle.coalesced,
                                  kind=kind, trace_id=trace_id)
                 self._jobs[job.id] = job
+                while len(self._jobs) > HISTORY_LIMIT:
+                    # a result() already waiting holds its job object
+                    self._jobs.popitem(last=False)
                 self._routed += 1
                 member.jobs_routed += 1
             return job.snapshot()
@@ -459,8 +465,8 @@ class FleetRouter:
             job = self._jobs.get(job_id)
         if job is None:
             raise UnknownJobError(
-                f"unknown fleet job {job_id!r} (terminal jobs are "
-                f"remembered for the last {self._history_limit})")
+                f"unknown fleet job {job_id!r} (jobs are remembered for "
+                f"the last {HISTORY_LIMIT} submissions)")
         return job
 
     def status(self, job_id: str) -> Dict[str, Any]:
@@ -518,14 +524,12 @@ class FleetRouter:
                     with self._lock:
                         job.state = "failed"
                         self._failed += 1
-                        self._remember_terminal(job)
                     raise
                 continue  # just this chunk expired; wait again
             except JobFailedError:
                 with self._lock:
                     job.state = "failed"
                     self._failed += 1
-                    self._remember_terminal(job)
                 raise
             except (JobCancelledError, UnknownJobError,
                     ServiceClosedError, ServiceError) as error:
@@ -536,7 +540,6 @@ class FleetRouter:
             with self._lock:
                 job.state = "done"
                 self._done += 1
-                self._remember_terminal(job)
             return result
 
     def _failover_or_raise(self, job: _RoutedJob, member: FleetMember,
@@ -545,7 +548,6 @@ class FleetRouter:
             with self._lock:
                 job.state = "cancelled"
                 self._cancelled_count += 1
-                self._remember_terminal(job)
             raise error
         if isinstance(error, UnknownJobError):
             # the worker restarted (or evicted the job from history) while
@@ -558,21 +560,11 @@ class FleetRouter:
             with self._lock:
                 job.state = "failed"
                 self._failed += 1
-                self._remember_terminal(job)
             raise error
         if self._membership.mark_dead(member.name):
             with self._lock:
                 self._failovers += 1
         self._replay(job)
-
-    def _remember_terminal(self, job: _RoutedJob) -> None:
-        """Bound the terminal-job history (caller holds the lock)."""
-        self._terminal_order.append(job.id)
-        while len(self._terminal_order) > self._history_limit:
-            forgotten = self._terminal_order.popleft()
-            old = self._jobs.get(forgotten)
-            if old is not None and old.state != "routed":
-                del self._jobs[forgotten]
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Withdraw this requester fleet-wide (forwarded to the worker)."""

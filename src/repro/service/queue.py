@@ -54,7 +54,9 @@ from repro.service.jobs import (
 
 #: How many terminal jobs are remembered for late ``status``/``result``
 #: calls before the oldest are forgotten (in-flight jobs never expire).
-DEFAULT_HISTORY_LIMIT = 1024
+#: A terminal job holds its result, so this also bounds the results a
+#: worker keeps beside its session's own result layer.
+HISTORY_LIMIT = 128
 
 #: ``Retry-After`` suggested by a shedding queue (seconds): the base hint
 #: plus this much per already-queued job, capped.  Deterministic — tests
@@ -70,11 +72,12 @@ class JobQueue:
     ``max_pending`` bounds the queued backlog (``None`` = unbounded): a
     non-coalescing submission that would exceed it is shed with
     :class:`QueueFullError` carrying a deterministic ``retry_after_s``
-    hint that grows with queue depth.
+    hint that grows with queue depth.  Terminal jobs stay collectable
+    until :data:`HISTORY_LIMIT` newer ones finished; queued and running
+    jobs are never forgotten.
     """
 
-    def __init__(self, history_limit: int = DEFAULT_HISTORY_LIMIT,
-                 max_pending: Optional[int] = None) -> None:
+    def __init__(self, max_pending: Optional[int] = None) -> None:
         if max_pending is not None and max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1 or None (got {max_pending})")
@@ -92,7 +95,6 @@ class JobQueue:
         #: Every remembered job by id (bounded terminal history).
         self._jobs: Dict[str, Job] = {}
         self._terminal_order: Deque[str] = deque()
-        self._history_limit = history_limit
         self._sequence = itertools.count(1)
         self._closed = False
         # lifetime counters (monotonic; read via stats_snapshot)
@@ -197,7 +199,7 @@ class JobQueue:
         if job is None:
             raise UnknownJobError(
                 f"unknown job {job_id!r} (completed jobs are remembered "
-                f"for the last {self._history_limit} terminals)")
+                f"for the last {HISTORY_LIMIT} terminals)")
         return job
 
     def cancel(self, job_id: str) -> bool:
@@ -298,7 +300,7 @@ class JobQueue:
         if self._inflight.get((job.kind, job.workload)) is job:
             del self._inflight[(job.kind, job.workload)]
         self._terminal_order.append(job.id)
-        while len(self._terminal_order) > self._history_limit:
+        while len(self._terminal_order) > HISTORY_LIMIT:
             forgotten = self._terminal_order.popleft()
             old = self._jobs.get(forgotten)
             if old is not None and old.done():

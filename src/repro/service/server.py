@@ -84,12 +84,17 @@ _SUBMIT_FIELDS = ("workload", "priority", "timeout_s", "job")
 
 
 class ReproServer:
-    """A long-lived exploration server over one shared session."""
+    """A long-lived exploration server over one shared session.
+
+    Its memory stays bounded however many distinct jobs it serves: the
+    session keeps a bounded result layer, and the queue remembers the last
+    :data:`~repro.service.queue.HISTORY_LIMIT` finished jobs (each holding
+    its result) for late ``status``/``result`` calls.
+    """
 
     def __init__(self, session: Optional[Session] = None,
                  store: Optional[Union[str, os.PathLike,
                                        ArtifactStore]] = None,
-                 history_limit: int = 1024,
                  max_pending: Optional[int] = None,
                  worker_id: Optional[str] = None,
                  on_event: Optional[Callable[[SessionEvent], None]] = None,
@@ -105,8 +110,7 @@ class ReproServer:
             store=store)
         if on_event is not None:
             self._session.on_event(on_event)
-        self._queue = JobQueue(history_limit=history_limit,
-                               max_pending=max_pending)
+        self._queue = JobQueue(max_pending=max_pending)
         #: This worker's own identity, reported in the fleet registration
         #: handshake (lets a router detect two URLs naming one worker).
         self.worker_id = worker_id or f"worker-{os.getpid()}"

@@ -7,11 +7,14 @@ store-traffic/statistics counters must be atomic — no increment lost to a
 read-modify-write race, however many threads report at once.
 """
 
+import json
+import sys
 import threading
 
 import pytest
 
 from repro.api import ArtifactStore, Session, Workload
+from repro.api import session as session_module
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=3, frame_width=320, frame_height=240)
@@ -83,6 +86,51 @@ class TestColdKeyRace:
         warm.run(workload())
         assert warm.stats.synthesis_runs == 0
         assert warm.stats.store_disk_hits >= 1
+
+
+class TestResultLayerUnderThreads:
+    def test_threads_sharing_a_small_result_layer(self, monkeypatch):
+        """More threads than cores run, repeat and evict six workloads
+        through a three-entry result layer, with a short switch interval
+        so the interpreter interleaves them often: the layer never holds
+        more than its bound, no run is lost, and every answer equals a
+        direct run."""
+        monkeypatch.setattr(session_module, "RESULT_CACHE_CAPACITY", 3)
+        workloads = [workload(frame_width=64 + 16 * index)
+                     for index in range(6)]
+
+        def digest(result):
+            return json.dumps(result.to_dict(), sort_keys=True)
+
+        expected = [digest(result) for result in Session().run_many(workloads)]
+        session = Session()
+        sizes, mismatches = [], []
+
+        def worker(offset):
+            for step in range(12):
+                index = (offset + step) % len(workloads)
+                result = session.run(workloads[index])
+                if digest(result) != expected[index]:
+                    mismatches.append(index)
+                if step % 5 == 4:
+                    session.evict(workloads[index])
+                sizes.append(session._results.stats()["entries"])
+
+        threads = [threading.Thread(target=worker, args=(offset,))
+                   for offset in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+        assert max(sizes) <= 3
+        assert session.stats.workloads_run == 8 * 12
 
 
 class TestCounterAtomicity:

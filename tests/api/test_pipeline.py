@@ -38,7 +38,6 @@ class TestStages:
         assert isinstance(result, FlowResult)
         for stage in ("frontend", "analyze", "characterize", "explore"):
             assert small_pipeline.has_run(stage)
-            assert stage in small_pipeline.timings
 
     def test_unknown_stage_rejected(self, small_pipeline):
         with pytest.raises(PipelineError, match="unknown stage"):
@@ -75,7 +74,7 @@ class TestStages:
             Workload.from_algorithm("blur", **SMALL),
             observer=lambda stage, status, elapsed: events.append(
                 (stage, status)))
-        pipeline.run("pareto")
+        pipeline.result()
         started = [stage for stage, status in events if status == "started"]
         finished = [stage for stage, status in events if status == "finished"]
         assert started == list(STAGE_NAMES[:5])
@@ -85,3 +84,28 @@ class TestStages:
         first = small_pipeline.result()
         second = small_pipeline.result()
         assert first is second
+
+    def test_an_early_stage_skips_characterization(self, small_pipeline):
+        analysis = small_pipeline.run_stage("analyze")
+        assert analysis["invariance"].is_isl
+        assert not small_pipeline.has_run("characterize")
+        assert small_pipeline.explorer.synthesizer.runs == 0
+
+    def test_analysis_facts_are_the_explorers(self, small_pipeline):
+        """The analyze stage reads the explorer's once-per-kernel facts."""
+        analysis = small_pipeline.run_stage("analyze")
+        explorer = small_pipeline.explorer
+        assert analysis["properties"] is explorer.properties
+        assert analysis["invariance"] is explorer.invariance
+        assert small_pipeline.result().properties is explorer.properties
+
+    def test_codegen_over_a_given_result_runs_only_codegen(self):
+        workload = Workload.from_algorithm("blur", **SMALL)
+        result = Pipeline(workload).result()
+        events = []
+        pipeline = Pipeline(workload, observer=lambda stage, status, _:
+                            events.append((stage, status)))
+        files = pipeline.codegen(result)
+        assert files == Pipeline(workload).run_stage("codegen")
+        assert events == [("codegen", "started"), ("codegen", "finished")]
+        assert pipeline.artifacts == {}

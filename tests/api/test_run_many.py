@@ -214,8 +214,9 @@ class TestRemovedStrategyKnobs:
     """The executor strategies, the service's batching knobs, the profiler
     flag, the fleet's admission and ring knobs, the exploration fan-out
     with the fold's test-only knobs, the legacy ``HlsFlow`` entry point,
-    and the backend registry with its backend-name knobs and the
-    explorer's factory arguments are gone, loudly."""
+    the backend registry with its backend-name knobs and the explorer's
+    factory arguments, the partial-run and re-run arguments of the
+    session and pipeline, and the job-history knobs are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -317,6 +318,15 @@ class TestRemovedStrategyKnobs:
         ("throughput_model_factory", lambda: DesignSpaceExplorer(
             Workload.from_algorithm("blur", **SMALL).resolve_kernel(),
             throughput_model_factory=ThroughputModel)),
+        ("until", lambda: Session().run(
+            Workload.from_algorithm("blur", **SMALL), until="explore")),
+        ("force", lambda: Pipeline(
+            Workload.from_algorithm("blur", **SMALL)).run_stage(
+                "analyze", force=True)),
+        ("history_limit", lambda: ReproServer(history_limit=5,
+                                              start=False)),
+        ("history_limit", lambda: JobQueue(history_limit=5)),
+        ("history_limit", lambda: FleetRouter((), history_limit=5)),
     ], ids=["Session", "Pipeline", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
@@ -329,7 +339,10 @@ class TestRemovedStrategyKnobs:
             "explore_stream-jobs", "explore_stream-chunk_order",
             "explore_stream-use_mask_cache", "Workload-synthesizer",
             "Workload-area_estimator", "FlowOptions-throughput_estimator",
-            "DesignSpaceExplorer-throughput_model_factory"])
+            "DesignSpaceExplorer-throughput_model_factory",
+            "Session.run-until", "Pipeline.run_stage-force",
+            "ReproServer-history_limit", "JobQueue-history_limit",
+            "FleetRouter-history_limit"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()
@@ -354,6 +367,12 @@ class TestRemovedStrategyKnobs:
             from repro import HlsFlow  # noqa: F401
         with pytest.raises(ImportError):
             import repro.flow.hls_flow  # noqa: F401
+
+    def test_the_session_keeps_no_pipelines(self):
+        assert not hasattr(Session, "pipeline")
+        assert not hasattr(Pipeline, "run")
+        assert not hasattr(Pipeline(Workload.from_algorithm(
+            "blur", **SMALL)), "timings")
 
     def test_client_takes_one_url_not_a_list(self):
         with pytest.raises(ValueError, match="URL"):

@@ -8,8 +8,12 @@ the number of unique ``(kernel, window, depth)`` cone shapes.
 import pytest
 
 from repro.api import PipelineError, Session, Workload
+from repro.api import pipeline as pipeline_module
 from repro.api import session as session_module
+from repro.dse import explorer as explorer_module
 from repro.dse.constraints import DseConstraints
+from repro.frontend.semantic import validate_kernel
+from repro.symbolic.invariance import verify_kernel
 
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
@@ -161,23 +165,30 @@ class TestCharacterizationSharing:
         assert stats.characterization_cache_hits == 0
         assert stats.characterization_cache_misses == 2
 
-    def test_mutating_an_early_stage_artifact_does_not_corrupt_cache(self):
-        session = Session()
-        workload = Workload.from_algorithm("blur", **SMALL)
-        exploration = session.run(workload, until="explore")
-        count = len(exploration.design_points)
-        exploration.design_points.clear()
-        result = session.run(workload)
-        assert len(result.design_points) == count
+    def test_what_if_workloads_on_one_key_analyze_the_kernel_once(
+            self, monkeypatch):
+        """The explorer, shared by every workload of a characterization
+        key, owns the kernel analysis: a what-if sequence (each result
+        evicted, as an interactive session does) validates and verifies
+        the kernel once."""
+        calls = []
 
-    def test_run_until_early_stage_skips_characterization(self):
+        def counting(check):
+            def wrapper(kernel):
+                calls.append(check.__name__)
+                return check(kernel)
+            return wrapper
+
+        for module in (pipeline_module, explorer_module):
+            for check in (validate_kernel, verify_kernel):
+                monkeypatch.setattr(module, check.__name__,
+                                    counting(check), raising=False)
         session = Session()
-        workload = Workload.from_algorithm("blur", **SMALL)
-        analysis = session.run(workload, until="analyze")
-        assert analysis["invariance"].is_isl
-        stats = session.stats
-        assert stats.synthesis_runs == 0
-        assert stats.characterization_cache_misses == 0
+        base = Workload.from_algorithm("chamb", **SMALL)
+        for width in (128, 256, 320, 640):
+            session.run(base.replace(frame_width=width))
+            session.evict(base.replace(frame_width=width))
+        assert sorted(calls) == ["validate_kernel", "verify_kernel"]
 
     def test_default_session_is_process_wide(self):
         from repro.api import default_session
@@ -235,18 +246,16 @@ class TestCharacterizationSharing:
         workload = Workload.from_algorithm("blur", **SMALL)
         assert session.explorer_for(workload) is session.explorer_for(workload)
 
-    def test_pipeline_is_cached_so_codegen_reuses_run_artifacts(self):
-        session = Session()
+    def test_codegen_after_run_runs_only_the_codegen_stage(self):
+        events = []
+        session = Session(on_event=events.append)
         workload = Workload.from_algorithm("blur", **SMALL)
         session.run(workload)
-        pipeline = session.pipeline(workload)
-        assert pipeline.has_run("explore")
-        explore_time_before = pipeline.timings["explore"]
+        events.clear()
         files = session.generate_vhdl(workload)
-        assert files
-        # codegen reused the cached pipeline; explore did not run again
-        assert session.pipeline(workload) is pipeline
-        assert pipeline.timings["explore"] == explore_time_before
+        assert files == Session().generate_vhdl(workload)
+        assert [(event.kind, event.stage) for event in events] == [
+            ("stage-started", "codegen"), ("stage-finished", "codegen")]
 
     def test_concurrent_codegen_does_not_duplicate_synthesis(self):
         from concurrent.futures import ThreadPoolExecutor

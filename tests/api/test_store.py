@@ -96,18 +96,24 @@ class TestWarmResume:
         assert hits and "persistent store" in hits[0].detail
 
     def test_memory_cache_stays_in_front_of_the_disk(self, store_dir):
-        """A repeat run() in one session is an in-memory pipeline hit: no
-        second disk read, no store_disk_hits inflation, no re-write."""
-        session = Session(store=store_dir)
+        """A repeat run() in one session is a result-layer hit: no second
+        disk read, no store_disk_hits inflation, no re-write, and no
+        characterize stage (so no characterization hit either)."""
+        events = []
+        session = Session(store=store_dir, on_event=events.append)
         workload = blur()
         first = session.run(workload)
         hits = session.stats.store_disk_hits
         writes = session.stats.store_writes
+        events.clear()
         second = session.run(workload)
         assert second.pareto == first.pareto
         assert session.stats.store_disk_hits == hits
         assert session.stats.store_writes == writes
-        assert session.stats.characterization_cache_hits == 1
+        assert session.stats.characterization_cache_hits == 0
+        assert [event.detail for event in events
+                if event.kind == "cache-hit"] == [
+            "session memory: full flow result"]
 
     def test_restored_result_is_promoted_to_memory(self, store_dir):
         """Repeat runs of a disk-restored workload hit memory, not disk."""
@@ -132,6 +138,22 @@ class TestWarmResume:
         assert workload.kernel_fingerprint in key
         # equal workloads from different construction paths share the key
         assert key == Session._result_store_key(blur())
+
+    def test_codegen_after_a_restored_run_runs_only_codegen(self, store_dir):
+        """generate_vhdl reads the result a store-served run() restored
+        instead of recomputing the flow."""
+        workload = blur()
+        Session(store=store_dir).run(workload)
+        events = []
+        warm = Session(store=store_dir, on_event=events.append)
+        warm.run(workload)
+        assert warm.stats.store_disk_hits == 1
+        events.clear()
+        files = warm.generate_vhdl(workload)
+        assert files == Session().generate_vhdl(workload)
+        assert [event.stage for event in events
+                if event.kind.startswith("stage-")] == ["codegen", "codegen"]
+        assert warm.cached_keys == []  # no explorer was built
 
     def test_generate_vhdl_reuses_stored_characterizations(self, store_dir):
         workload = blur()

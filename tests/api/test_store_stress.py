@@ -8,7 +8,6 @@ truncated artifact, and warm rereads must report correct
 """
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -131,17 +130,3 @@ class TestConcurrentSessions:
             assert disk_hits == 1
             assert disk_misses == 0
 
-
-class TestStorePickling:
-    def test_store_handles_cross_process_boundaries(self, tmp_path):
-        """Executor workers may receive store handles: pickling must drop
-        the process-local lock and keep the root/counters usable."""
-        store = ArtifactStore(str(tmp_path / "store"))
-        store.put("result", "k", {"v": 1})
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.root == store.root
-        assert clone.writes == store.writes
-        assert clone.get("result", "k") == {"v": 1}
-        # the clone's lock is fresh and functional
-        clone.put("result", "k2", {"v": 2})
-        assert clone.get("result", "k2") == {"v": 2}

@@ -13,10 +13,12 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.fleet import FleetRouter
+from repro.fleet import router as router_module
 from repro.service import (
     FleetOverloadedError,
     QueueFullError,
     ReproClient,
+    UnknownJobError,
 )
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
@@ -318,6 +320,24 @@ class TestHttpFleet:
         text = worker.client.metrics()
         assert "# TYPE repro_queue_submitted counter" in text
         assert "repro_uptime_s" in text
+
+
+class TestJobTable:
+    def test_uncollected_submissions_do_not_grow_the_table(
+            self, monkeypatch):
+        """The table is bounded in submission order whatever the state, so
+        fire-and-forget submissions (``submit --no-wait``) cannot pile up
+        as ``routed`` entries."""
+        monkeypatch.setattr(router_module, "HISTORY_LIMIT", 4)
+        with FleetRouter.local(1, healthcheck_interval_s=0) as fleet:
+            receipts = [fleet.submit(workload(frame_width=64 + 8 * index))
+                        for index in range(4 + 5)]
+            assert len(fleet._jobs) == 4
+            newest = fleet.result(receipts[-1]["job_id"], timeout=60)
+            assert digest(newest) == digest(Session().run(
+                workload(frame_width=64 + 8 * 8)))
+            with pytest.raises(UnknownJobError):
+                fleet.result(receipts[0]["job_id"], timeout=60)
 
 
 class TestRegistration:
