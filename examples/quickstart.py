@@ -23,7 +23,8 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    (:mod:`repro.service`): ``python -m repro serve --store DIR`` starts an
    HTTP job API over one shared session; ``ReproClient.submit(...)`` (or
    ``python -m repro submit blur``) files jobs that coalesce with
-   identical in-flight requests and run one at a time by priority class;
+   identical in-flight requests and run one at a time, in submission
+   order;
 8. scale the service tier out to a fleet (:mod:`repro.fleet`): a
    ``FleetRouter`` fronts N workers and routes each submission by a
    consistent hash of its characterization key, so identical workloads
@@ -162,17 +163,16 @@ def main() -> None:
     # 7. service mode: the same workloads served by a long-lived daemon.
     #    One ReproServer = one shared session behind a job API; identical
     #    in-flight submissions coalesce onto one computation, jobs run one
-    #    at a time by priority class, and everything is also reachable
+    #    at a time in submission order, and everything is also reachable
     #    over HTTP:  python -m repro serve --store DIR   then
-    #                python -m repro submit blur --priority interactive
+    #                python -m repro submit blur
     #    (see examples/service_demo.py for the full tour)
     from repro.service import ReproClient, ReproServer
 
     server = ReproServer(start=False)   # paused: let the burst land first
     try:
         client = ReproClient(server)
-        handles = [client.submit(workload.replace(synthesize_all=False),
-                                 priority="interactive")
+        handles = [client.submit(workload.replace(synthesize_all=False))
                    for _ in range(4)]
         server.start()
         pareto_sizes = {len(h.result(timeout=60).pareto) for h in handles}

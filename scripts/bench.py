@@ -170,7 +170,7 @@ def run_service_throughput() -> dict:
 
     def submit(workload):
         barrier.wait()
-        handle = client.submit(workload, priority="batch")
+        handle = client.submit(workload)
         with lock:
             handles.append(handle)
 
@@ -228,7 +228,7 @@ def run_fleet_throughput() -> dict:
 
     def submit(workload):
         barrier.wait()
-        handle = client.submit(workload, priority="batch")
+        handle = client.submit(workload)
         with lock:
             handles.append(handle)
 

@@ -40,6 +40,9 @@
 #                               # RSS at job 200 by more than 30 MB (a
 #                               # server that keeps every result grows
 #                               # ~0.45 MB per job)
+#   scripts/check.sh --examples # run every examples/*.py with
+#                               # PYTHONPATH=src; fails naming the first
+#                               # script that exits non-zero
 #   scripts/check.sh -k store   # extra args are passed through to pytest
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -144,6 +147,19 @@ case "${1:-}" in
     # A fresh process so ru_maxrss measures the server's jobs alone.
     python scripts/memory_smoke.py "$@"
     exit $?
+    ;;
+--examples)
+    shift
+    python -m compileall -q src
+    for example in examples/*.py; do
+        echo "== $example"
+        if ! PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+                python "$example" > /dev/null; then
+            echo "error: $example exited non-zero" >&2
+            exit 1
+        fi
+    done
+    exit 0
     ;;
 --obs)
     shift

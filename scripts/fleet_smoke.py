@@ -108,7 +108,7 @@ def main() -> int:
 
             served = []
             for each in workloads:
-                handle = client.submit(each, priority="interactive")
+                handle = client.submit(each)
                 served.append(digest(handle.result(timeout=180)))
             assert served == expected, (
                 f"fleet digests diverged from direct Session.run:\n"

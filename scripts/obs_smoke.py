@@ -78,8 +78,7 @@ def check_trace_surface(client: ReproClient, url: str) -> None:
     # a client-side root span crosses the process boundary in the header
     trace.enable()
     with trace.span("obs_smoke.submit") as root:
-        handle = client.submit(Workload.from_algorithm("blur", **SMALL),
-                               priority="interactive")
+        handle = client.submit(Workload.from_algorithm("blur", **SMALL))
         handle.result(timeout=120)
     assert handle.trace_id == root.trace_id, (
         f"receipt trace {handle.trace_id} is not the caller's "

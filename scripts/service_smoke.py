@@ -74,7 +74,7 @@ def main() -> int:
 
         served = []
         for each in workloads:
-            handle = client.submit(each, priority="interactive")
+            handle = client.submit(each)
             served.append(digest(handle.result(timeout=120)))
         assert served == expected, (
             f"served digests diverged from direct Session.run:\n"

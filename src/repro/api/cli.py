@@ -30,8 +30,8 @@ Subcommands
 ``serve``
     Run the long-lived exploration service (:mod:`repro.service`): one
     shared session behind an HTTP JSON job API that coalesces identical
-    in-flight requests and runs the queued jobs one at a time, highest
-    priority first.  ``--store`` gives the daemon a persistent cache;
+    in-flight requests and runs the queued jobs one at a time, first in,
+    first out.  ``--store`` gives the daemon a persistent cache;
     ``--port 0`` binds an ephemeral port (printed on startup).
 ``fleet``
     Run the worker-fleet tier (:mod:`repro.fleet`): a consistent-hash
@@ -43,8 +43,10 @@ Subcommands
     Send one workload to a running service (``--server URL``) or fleet
     router (``--fleet URL``), wait for the result, and print it like
     ``explore`` — or ``--no-wait`` to just queue it and print the job
-    id.  Shed submissions (``503 + Retry-After``) are retried with
-    capped backoff (``--retries``).  The submission carries this
+    id.  ``--timeout`` bounds only this command's wait: the job stays
+    queued or running on the server when it expires.  Shed submissions
+    (``503 + Retry-After``) are retried with capped backoff
+    (``--retries``).  The submission carries this
     process's span context in ``X-Repro-Trace``, so the server-side
     trace joins the caller's; the receipt's trace id is printed for
     ``trace`` to fetch.
@@ -276,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: http://127.0.0.1:8177)")
     submit.add_argument("--fleet", default=None, metavar="URL",
                         help="fleet router endpoint (overrides --server)")
-    submit.add_argument("--priority", default="batch",
-                        choices=["interactive", "batch", "background"],
-                        help="priority class (default: batch)")
     submit.add_argument("--job", default="explore",
                         choices=["explore", "validate"],
                         help="job class: explore the design space "
@@ -289,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "503 + Retry-After before giving up "
                              "(default: 4; 0 disables)")
     submit.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-job timeout budget in seconds "
-                             "(default: unbounded)")
+                        help="seconds to wait for the result; the job "
+                             "itself never expires (default: unbounded)")
     submit.add_argument("--no-wait", action="store_true",
                         help="queue the job and print its id instead of "
                              "waiting for the result")
@@ -755,17 +754,17 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.api.results import ValidationResult
     from repro.obs import trace as obs_trace
     from repro.service.client import ReproClient
-    from repro.service.jobs import ServiceError
+    from repro.service.jobs import ServiceError, check_wait
 
     workload = workload_from_args(args)
+    check_wait(args.timeout)  # refuse a bad wait before filing the job
     client = ReproClient(args.fleet or args.server, retries=args.retries)
     # root the trace in this process so the server-side spans join the
     # caller's trace id (propagated via the X-Repro-Trace header)
     obs_trace.auto_enable()
     try:
         with obs_trace.span("cli.submit", workload=workload.name):
-            handle = client.submit(workload, priority=args.priority,
-                                   timeout_s=args.timeout, job=args.job)
+            handle = client.submit(workload, job=args.job)
             if args.no_wait:
                 print(handle.id)
                 if handle.trace_id:

@@ -3,7 +3,7 @@
 ``repro.fleet`` scales the single-server service tier (:mod:`repro.service`)
 horizontally: a :class:`FleetRouter` fronts N :class:`~repro.service.server
 .ReproServer` workers behind the *same job API* (``submit`` / ``status`` /
-``result`` / ``cancel`` / ``stats`` / ``healthz`` / ``metrics``), so
+``result`` / ``stats`` / ``healthz`` / ``metrics``), so
 :class:`~repro.service.ReproClient`, the CLI, and the HTTP transport all
 drive a fleet exactly like one worker.  Four properties define the tier:
 

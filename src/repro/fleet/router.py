@@ -3,7 +3,7 @@
 :class:`FleetRouter` fronts a fleet of :class:`~repro.service.server
 .ReproServer` workers (in-process objects or remote URLs) behind the
 *same job API* the workers speak — ``submit`` / ``status`` / ``result``
-/ ``cancel`` / ``stats`` / ``healthz`` / ``metrics_text`` — so
+/ ``stats`` / ``healthz`` / ``metrics_text`` — so
 :class:`~repro.service.client.ReproClient` (and therefore the CLI and
 the HTTP transport, reused verbatim from :mod:`repro.service.server`)
 drives a whole fleet exactly like one worker.
@@ -56,9 +56,8 @@ from repro.service.jobs import (
     ServiceClosedError,
     ServiceError,
     UnknownJobError,
+    check_wait,
     parse_job_kind,
-    parse_priority,
-    priority_name,
 )
 from repro.service.metrics import render_prometheus
 from repro.service.server import start_http_endpoint
@@ -83,24 +82,29 @@ HISTORY_LIMIT = 1024
 DEFAULT_HEALTHCHECK_INTERVAL_S = 1.0
 
 
+def _submit_to(member: FleetMember, workload: Workload, kind: str) -> Any:
+    """Submit to one worker.  The job class is forwarded only when
+    non-default, so caller-supplied member clients predating job classes
+    keep working."""
+    if kind == "explore":
+        return member.client.submit(workload)
+    return member.client.submit(workload, job=kind)
+
+
 class _RoutedJob:
     """One fleet-level job: a workload pinned to a (current) worker."""
 
-    __slots__ = ("id", "workload", "token", "priority", "timeout_s",
-                 "kind", "worker_name", "worker_job_id", "state",
-                 "coalesced", "replays", "submitted_at", "cancelled",
-                 "trace_id")
+    __slots__ = ("id", "workload", "token", "kind", "worker_name",
+                 "worker_job_id", "state", "coalesced", "replays",
+                 "submitted_at", "trace_id")
 
     def __init__(self, job_id: str, workload: Workload, token: str,
-                 priority: int, timeout_s: Optional[float],
                  worker_name: str, worker_job_id: str,
                  coalesced: bool, kind: str = "explore",
                  trace_id: Optional[str] = None) -> None:
         self.id = job_id
         self.workload = workload
         self.token = token
-        self.priority = priority
-        self.timeout_s = timeout_s
         self.kind = kind
         self.worker_name = worker_name
         self.worker_job_id = worker_job_id
@@ -108,7 +112,6 @@ class _RoutedJob:
         self.coalesced = coalesced
         self.replays = 0
         self.submitted_at = time.time()
-        self.cancelled = False
         self.trace_id = trace_id
 
     def snapshot(self) -> Dict[str, Any]:
@@ -116,14 +119,12 @@ class _RoutedJob:
             "job_id": self.id,
             "state": self.state,
             "kind": self.kind,
-            "priority": priority_name(self.priority),
             "workload": self.workload.name,
             "worker": self.worker_name,
             "worker_job_id": self.worker_job_id,
             "coalesced": self.coalesced,
             "replays": self.replays,
             "submitted_at": self.submitted_at,
-            "timeout_s": self.timeout_s,
             "trace_id": self.trace_id,
         }
 
@@ -163,7 +164,6 @@ class FleetRouter:
         self._shed = 0
         self._done = 0
         self._failed = 0
-        self._cancelled_count = 0
         # transports / loops
         self._httpd = None
         self._http_thread: Optional[threading.Thread] = None
@@ -353,11 +353,7 @@ class FleetRouter:
         last_error: Optional[Exception] = None
         for member in preference:
             try:
-                keywords: Dict[str, Any] = {"priority": job.priority,
-                                            "timeout_s": job.timeout_s}
-                if job.kind != "explore":
-                    keywords["job"] = job.kind
-                handle = member.client.submit(job.workload, **keywords)
+                handle = _submit_to(member, job.workload, job.kind)
             except (QueueFullError, ServiceError) as error:
                 last_error = error
                 continue
@@ -375,8 +371,6 @@ class FleetRouter:
     # the job API (same verbs as ReproServer; the HTTP handler is shared)
 
     def submit(self, workload: Union[Workload, Mapping[str, Any]],
-               priority: Union[str, int, None] = None,
-               timeout_s: Optional[float] = None,
                job: Optional[str] = None) -> Dict[str, Any]:
         """Place and file a workload; returns the fleet receipt.
 
@@ -391,15 +385,10 @@ class FleetRouter:
             workload = Workload.from_dict(workload)
         with obs_trace.span("fleet.route",
                             workload=workload.name) as route_span:
-            return self._route(workload, priority, timeout_s, job,
-                               route_span)
+            return self._route(workload, job, route_span)
 
-    def _route(self, workload: Workload,
-               priority: Union[str, int, None],
-               timeout_s: Optional[float],
-               job: Optional[str],
+    def _route(self, workload: Workload, job: Optional[str],
                route_span: Any) -> Dict[str, Any]:
-        parsed = parse_priority(priority)
         kind = parse_job_kind(job)
         with self._lock:
             if self._closed:
@@ -416,13 +405,7 @@ class FleetRouter:
         last_error: Optional[Exception] = None
         for member in preference:
             try:
-                keywords: Dict[str, Any] = {"priority": parsed,
-                                            "timeout_s": timeout_s}
-                if kind != "explore":
-                    # forwarded only when non-default, so caller-supplied
-                    # member clients predating job classes keep working
-                    keywords["job"] = kind
-                handle = member.client.submit(workload, **keywords)
+                handle = _submit_to(member, workload, kind)
             except (QueueFullError, FleetOverloadedError) as shed:
                 # FleetOverloadedError can only come from a caller-supplied
                 # member client with its own retry budget; either way the
@@ -447,9 +430,9 @@ class FleetRouter:
             with self._lock:
                 self._sequence += 1
                 job = _RoutedJob(f"fleet-{self._sequence}", workload,
-                                 token, parsed, timeout_s,
-                                 member.name, handle.id, handle.coalesced,
-                                 kind=kind, trace_id=trace_id)
+                                 token, member.name, handle.id,
+                                 handle.coalesced, kind=kind,
+                                 trace_id=trace_id)
                 self._jobs[job.id] = job
                 while len(self._jobs) > HISTORY_LIMIT:
                     # a result() already waiting holds its job object
@@ -494,23 +477,21 @@ class FleetRouter:
         mid-wait is noticed within a chunk: the router probes the worker,
         replays the job onto the ring successor, and keeps waiting there.
         Zero jobs are lost to a worker death — replays are idempotent by
-        content-addressing.
+        content-addressing.  ``timeout`` bounds only this wait
+        (:class:`JobTimeoutError` leaves the job in flight); a NaN,
+        infinite or negative one is a :class:`ValueError`.
         """
+        check_wait(timeout)
         job = self._job(job_id)
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         while True:
-            if job.cancelled:
-                raise JobCancelledError(
-                    f"fleet job {job.id} was cancelled")
             remaining = (None if deadline is None
                          else deadline - time.monotonic())
             if remaining is not None and remaining <= 0:
-                error = JobTimeoutError(
+                raise JobTimeoutError(
                     f"fleet job {job.id} not finished within the "
                     f"{timeout}s wait (state: {job.state})")
-                error.terminal = False
-                raise error
             chunk = (RESULT_CHUNK_S if remaining is None
                      else max(0.05, min(RESULT_CHUNK_S, remaining)))
             with self._lock:
@@ -519,12 +500,7 @@ class FleetRouter:
             try:
                 result = member.client.result(worker_job_id,
                                               timeout=chunk)
-            except JobTimeoutError as error:
-                if getattr(error, "terminal", True):
-                    with self._lock:
-                        job.state = "failed"
-                        self._failed += 1
-                    raise
+            except JobTimeoutError:
                 continue  # just this chunk expired; wait again
             except JobFailedError:
                 with self._lock:
@@ -544,11 +520,6 @@ class FleetRouter:
 
     def _failover_or_raise(self, job: _RoutedJob, member: FleetMember,
                            error: Exception) -> None:
-        if isinstance(error, JobCancelledError) and job.cancelled:
-            with self._lock:
-                job.state = "cancelled"
-                self._cancelled_count += 1
-            raise error
         if isinstance(error, UnknownJobError):
             # the worker restarted (or evicted the job from history) while
             # the fleet entry is still in flight: replay, don't surface —
@@ -565,22 +536,6 @@ class FleetRouter:
             with self._lock:
                 self._failovers += 1
         self._replay(job)
-
-    def cancel(self, job_id: str) -> Dict[str, Any]:
-        """Withdraw this requester fleet-wide (forwarded to the worker)."""
-        job = self._job(job_id)
-        with self._lock:
-            job.cancelled = True
-            member = self._membership.get(job.worker_name)
-        try:
-            worker_view = member.client.cancel(job.worker_job_id)
-        except Exception:
-            worker_view = None
-        snapshot = job.snapshot()
-        if worker_view is not None:
-            snapshot["worker_status"] = worker_view
-            snapshot["still_running"] = worker_view.get("still_running")
-        return snapshot
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -629,7 +584,6 @@ class FleetRouter:
                 "shed": self._shed,
                 "done": self._done,
                 "failed": self._failed,
-                "cancelled": self._cancelled_count,
                 "inflight": sum(1 for job in self._jobs.values()
                                 if job.state == "routed"),
             }

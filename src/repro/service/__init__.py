@@ -14,11 +14,10 @@ it from N short-lived sessions:
   trigger exactly one exploration and all sixteen receive the same
   :class:`~repro.api.results.FlowResult` — digest-identical to a direct
   ``Session.run``;
-* **priority scheduling** — jobs carry a priority class (``interactive`` >
-  ``batch`` > ``background``); the :class:`Scheduler` runs one job at a
-  time and always pops the highest non-empty class next, so an
-  interactive request never waits behind a background sweep that is
-  still queued.
+* **first-in-first-out dispatch** — the :class:`Scheduler` runs one job
+  at a time, in submission order; a job never expires, and the only
+  timeout is a caller's own wait (``result(timeout=...)``), which leaves
+  the job in flight.
 
 The server speaks two transports with one protocol: in-process method
 calls, and a minimal stdlib-only JSON endpoint over :mod:`http.server`
@@ -34,8 +33,7 @@ Quick start::
 
     with ReproServer(store="~/.cache/repro") as server:
         client = ReproClient(server)            # or ReproClient("http://...")
-        handle = client.submit(Workload.from_algorithm("blur"),
-                               priority="interactive")
+        handle = client.submit(Workload.from_algorithm("blur"))
         result = handle.result(timeout=60)
 
 Shell equivalent: ``python -m repro serve --store ~/.cache/repro`` then
@@ -49,14 +47,11 @@ from repro.service.jobs import (
     JobCancelledError,
     JobFailedError,
     JobTimeoutError,
-    PRIORITY_CLASSES,
     QueueFullError,
     ServiceClosedError,
     ServiceError,
     UnknownJobError,
     parse_job_kind,
-    parse_priority,
-    priority_name,
 )
 from repro.service.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.service.queue import JobQueue
@@ -75,7 +70,6 @@ __all__ = [
     "JobQueue",
     "JobTimeoutError",
     "METRICS_CONTENT_TYPE",
-    "PRIORITY_CLASSES",
     "QueueFullError",
     "ReproClient",
     "ReproServer",
@@ -84,7 +78,5 @@ __all__ = [
     "ServiceError",
     "UnknownJobError",
     "parse_job_kind",
-    "parse_priority",
-    "priority_name",
     "render_prometheus",
 ]

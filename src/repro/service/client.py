@@ -9,6 +9,9 @@ returns a :class:`JobHandle`, ``handle.result()`` blocks (HTTP waits are
 chunked into bounded server-side polls, so a slow exploration never pins
 one connection), and unsuccessful jobs raise the same
 :class:`~repro.service.jobs` error taxonomy the server raises locally.
+``result(timeout=...)`` bounds only the caller's own wait: when it
+expires the job stays in flight, and a later ``result`` may still collect
+it.
 
 Production traffic hygiene (both transports): a submission shed by a
 bounded queue (``503 + Retry-After``, :class:`QueueFullError`) is retried
@@ -39,6 +42,7 @@ from repro.service.jobs import (
     ServiceClosedError,
     ServiceError,
     UnknownJobError,
+    check_wait,
 )
 
 #: Server-side wait per HTTP ``/result`` poll (the client loops until its
@@ -57,7 +61,6 @@ DEFAULT_BACKOFF_CAP_S = 4.0
 #: HTTP error payload ``kind`` -> the exception re-raised client-side.
 _ERROR_KINDS = {
     "UnknownJobError": UnknownJobError,
-    "JobTimeoutError": JobTimeoutError,
     "JobCancelledError": JobCancelledError,
     "JobFailedError": JobFailedError,
     "QueueFullError": QueueFullError,
@@ -94,9 +97,6 @@ class JobHandle:
         :class:`FlowResult` for ``explore`` submissions, a
         :class:`ValidationResult` for ``validate`` ones."""
         return self._client.result(self.id, timeout=timeout)
-
-    def cancel(self) -> Dict[str, Any]:
-        return self._client.cancel(self.id)
 
 
 class ReproClient:
@@ -151,8 +151,6 @@ class ReproClient:
     # verbs
 
     def submit(self, workload: Union[Workload, Mapping[str, Any]],
-               priority: Union[str, int, None] = None,
-               timeout_s: Optional[float] = None,
                job: Optional[str] = None) -> JobHandle:
         """File a workload; returns its :class:`JobHandle`.
 
@@ -173,7 +171,7 @@ class ReproClient:
         attempt = 0
         while True:
             try:
-                return self._submit_once(workload, priority, timeout_s, job)
+                return self._submit_once(workload, job)
             except QueueFullError as shed:
                 if self.retries == 0:
                     raise
@@ -197,34 +195,21 @@ class ReproClient:
         return delay * (0.5 + 0.5 * self._jitter.random())
 
     def _submit_once(self, workload: Union[Workload, Mapping[str, Any]],
-                     priority: Union[str, int, None],
-                     timeout_s: Optional[float],
                      job: Optional[str]) -> JobHandle:
         if self._server is not None:
-            keywords: Dict[str, Any] = {"priority": priority,
-                                        "timeout_s": timeout_s}
-            if job is not None:
-                keywords["job"] = job
-            receipt = self._server.submit(workload, **keywords)
+            receipt = self._server.submit(workload, job=job)
         else:
             payload = (workload.to_dict() if isinstance(workload, Workload)
                        else dict(workload))
-            body: Dict[str, Any] = {"workload": payload,
-                                    "priority": priority,
-                                    "timeout_s": timeout_s}
-            if job is not None:
-                body["job"] = job
-            receipt = self._post("/submit", body)
+            receipt = self._post("/submit", {"workload": payload, "job": job})
         return JobHandle(self, receipt["job_id"],
                          bool(receipt.get("coalesced")),
                          trace_id=receipt.get("trace_id"))
 
     def run(self, workload: Union[Workload, Mapping[str, Any]],
-            priority: Union[str, int, None] = None,
             timeout: Optional[float] = None) -> FlowResult:
         """``submit`` + ``result`` in one call (the blocking convenience)."""
-        return self.submit(workload, priority=priority,
-                           timeout_s=timeout).result(timeout=timeout)
+        return self.submit(workload).result(timeout=timeout)
 
     def status(self, job_id: str) -> Dict[str, Any]:
         if self._server is not None:
@@ -234,18 +219,21 @@ class ReproClient:
     def result(self, job_id: str,
                timeout: Optional[float] = None
                ) -> Union[FlowResult, ValidationResult]:
-        """Wait for a job and reconstruct its typed result."""
+        """Wait for a job and reconstruct its typed result.
+
+        ``timeout`` bounds this wait only: :class:`JobTimeoutError` leaves
+        the job in flight.
+        """
         if self._server is not None:
             return self._server.result(job_id, timeout=timeout)
+        check_wait(timeout)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             remaining = (None if deadline is None
                          else deadline - time.monotonic())
             if remaining is not None and remaining <= 0:
-                error = JobTimeoutError(
+                raise JobTimeoutError(
                     f"job {job_id} not finished within the {timeout}s wait")
-                error.terminal = False  # our wait expired, not the job's
-                raise error
             wait_s = (RESULT_POLL_S if remaining is None
                       else min(RESULT_POLL_S, max(0.1, remaining)))
             payload = self._get(
@@ -256,11 +244,6 @@ class ReproClient:
             if payload.get("result_kind") == "validation":
                 return ValidationResult.from_dict(payload["result"])
             return FlowResult.from_dict(payload["result"])
-
-    def cancel(self, job_id: str) -> Dict[str, Any]:
-        if self._server is not None:
-            return self._server.cancel(job_id)
-        return self._post("/cancel", {"job_id": job_id})
 
     def stats(self) -> Dict[str, Any]:
         if self._server is not None:

@@ -1,20 +1,26 @@
 """Job records and the service error taxonomy.
 
 A :class:`Job` is one unit of server-side work: a :class:`~repro.api
-.workload.Workload` plus scheduling metadata (priority class, optional
-deadline) and a completion event.  Jobs are created by
-:meth:`repro.service.queue.JobQueue.submit` and mutated only under the
-queue's lock; waiters block on the job's completion event, never on the
-lock, so a slow exploration cannot stall ``status``/``stats`` traffic.
+.workload.Workload`, its job class and a completion event.  Jobs are
+created by :meth:`repro.service.queue.JobQueue.submit` and mutated only
+under the queue's lock; waiters block on the job's completion event, never
+on the lock, so a slow exploration cannot stall ``status``/``stats``
+traffic.
+
+A job goes ``queued -> running -> done | failed``; it turns ``cancelled``
+only when its server closes with ``drain=False`` while it is still queued.
+The one timeout is a caller's own wait (``result(timeout=...)``): it
+raises :class:`JobTimeoutError` and leaves the job in flight.
 
 Coalescing makes one job the unit of *sharing* too: N identical
-submissions attach to one job (``requesters`` counts them,
-``coalesced`` counts the N-1 piggybackers) and every requester receives
-the same :class:`~repro.api.results.FlowResult`.
+submissions attach to one job (``coalesced`` counts the N-1
+piggybackers) and every requester receives the same
+:class:`~repro.api.results.FlowResult`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -23,54 +29,11 @@ from typing import Dict, Optional, Tuple, Union
 from repro.api.results import FlowResult, ValidationResult
 from repro.api.workload import Workload
 
-#: Priority classes, highest first.  Lower number = drained earlier; the
-#: scheduler always empties the highest non-empty class before touching
-#: the next one.
-PRIORITY_CLASSES: Dict[str, int] = {
-    "interactive": 0,
-    "batch": 1,
-    "background": 2,
-}
-
-#: Reverse mapping for reporting (priority number -> class name).
-_PRIORITY_NAMES = {number: name for name, number in PRIORITY_CLASSES.items()}
-
 #: The job lifecycle states.  ``queued`` and ``running`` are the in-flight
-#: states (new identical submissions coalesce onto them); the other four
+#: states (new identical submissions coalesce onto them); the other three
 #: are terminal.
 JOB_STATES: Tuple[str, ...] = ("queued", "running", "done", "failed",
-                               "cancelled", "timeout")
-
-
-def parse_priority(value: Union[str, int, None]) -> int:
-    """Normalize a priority class (name or number) to its number.
-
-    ``None`` means the default class (``batch``).  Unknown names and
-    out-of-range numbers are configuration errors, not requests for a
-    default.
-    """
-    if value is None:
-        return PRIORITY_CLASSES["batch"]
-    if isinstance(value, bool):
-        raise ValueError(f"invalid job priority {value!r}")
-    if isinstance(value, int):
-        if value not in _PRIORITY_NAMES:
-            raise ValueError(
-                f"invalid job priority {value}; classes are "
-                + ", ".join(f"{name}={n}"
-                            for name, n in PRIORITY_CLASSES.items()))
-        return value
-    try:
-        return PRIORITY_CLASSES[value.strip().lower()]
-    except (KeyError, AttributeError):
-        raise ValueError(
-            f"unknown job priority {value!r}; classes are "
-            f"{', '.join(PRIORITY_CLASSES)}") from None
-
-
-def priority_name(priority: int) -> str:
-    """The class name of a priority number (for reporting)."""
-    return _PRIORITY_NAMES.get(priority, str(priority))
+                               "cancelled")
 
 
 #: The job classes the service runs.  ``explore`` is the full staged flow
@@ -95,6 +58,18 @@ def parse_job_kind(value: Optional[str]) -> str:
     return name
 
 
+def check_wait(timeout: Optional[float]) -> Optional[float]:
+    """Validate a caller's ``result`` wait in seconds (``None`` waits
+    forever).  A NaN, infinite or negative wait is a :class:`ValueError`:
+    NaN would never expire and never sleep."""
+    if timeout is not None and not (math.isfinite(timeout)
+                                    and timeout >= 0):
+        raise ValueError(
+            f"timeout must be a finite number of seconds >= 0 "
+            f"(got {timeout!r})")
+    return timeout
+
+
 # ---------------------------------------------------------------------- #
 # error taxonomy
 
@@ -111,19 +86,13 @@ class UnknownJobError(ServiceError, KeyError):
 
 
 class JobCancelledError(ServiceError):
-    """Raised by ``result()`` when the job was cancelled before running."""
+    """Raised by ``result()`` when the server closed with ``drain=False``
+    while the job was still queued."""
 
 
 class JobTimeoutError(ServiceError):
-    """Raised when a job's deadline, or a waiter's timeout, expired.
-
-    ``terminal`` distinguishes the two: ``True`` means the *job's own*
-    timeout budget is exhausted (waiting longer cannot help this
-    requester), ``False`` means only the caller-supplied wait window
-    expired (the job is still in flight and may yet finish).
-    """
-
-    terminal = True
+    """Raised when a caller's ``result(timeout=...)`` wait expired; the job
+    itself is still in flight and may yet finish."""
 
 
 class JobFailedError(ServiceError):
@@ -171,27 +140,17 @@ class FleetOverloadedError(ServiceError):
 class Job:
     """One scheduled exploration request (mutated only under the queue lock).
 
-    ``sequence`` is the queue-wide submission counter; within a priority
-    class jobs are dispatched in sequence order, so equal-priority
-    requests complete first-come-first-served.
+    Jobs are dispatched in submission order.
     """
 
     id: str
     workload: Workload
-    priority: int
-    sequence: int
     #: Job class (see :data:`JOB_KINDS`): what the scheduler runs for this
     #: workload and what ``result`` carries when done.
     kind: str = "explore"
-    timeout_s: Optional[float] = None
-    #: Monotonic deadline derived from ``timeout_s`` (queued jobs past it
-    #: are timed out instead of dispatched; see the queue).
-    deadline: Optional[float] = None
     submitted_at: float = field(default_factory=time.time)
     state: str = "queued"
-    #: How many submissions this job currently serves (coalescing).
-    requesters: int = 1
-    #: How many of those were coalesced onto an already-in-flight job.
+    #: How many submissions were coalesced onto this in-flight job.
     coalesced: int = 0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -214,28 +173,18 @@ class Job:
         """Block until the job is terminal (or ``timeout`` elapses)."""
         return self._done.wait(timeout)
 
-    def deadline_remaining(self, now: Optional[float] = None
-                           ) -> Optional[float]:
-        """Seconds until the job's deadline (``None`` when unbounded)."""
-        if self.deadline is None:
-            return None
-        return self.deadline - (time.monotonic() if now is None else now)
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready status view (what ``status``/``submit`` return)."""
         return {
             "job_id": self.id,
             "state": self.state,
             "kind": self.kind,
-            "priority": priority_name(self.priority),
             "workload": self.workload.name,
             "kernel_fingerprint": self.workload.kernel_fingerprint,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "requesters": self.requesters,
             "coalesced": self.coalesced,
-            "timeout_s": self.timeout_s,
             "trace_id": (None if self.trace_context is None
                          else self.trace_context.get("trace_id")),
             "error": None if self.error is None else str(self.error),
@@ -249,7 +198,3 @@ class Job:
                 f"{self.error}") from self.error
         if self.state == "cancelled":
             raise JobCancelledError(f"job {self.id} was cancelled")
-        if self.state == "timeout":
-            raise JobTimeoutError(
-                f"job {self.id} timed out after {self.timeout_s}s "
-                f"in the queue")

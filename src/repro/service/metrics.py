@@ -48,8 +48,7 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: both type as counters while ``queue.pending`` stays a gauge.
 COUNTER_LEAVES = frozenset({
     # queue lifecycle totals
-    "submitted", "coalesced", "completed", "failed", "cancelled",
-    "timed_out", "shed",
+    "submitted", "coalesced", "completed", "failed", "cancelled", "shed",
     # session totals (work done and cache traffic)
     "workloads_run", "workloads_failed", "synthesis_runs",
     "characterization_cache_hits", "characterization_cache_misses",
@@ -60,8 +59,6 @@ COUNTER_LEAVES = frozenset({
     "runs", "chunks_materialized", "throughput_pruned_rows",
     # fleet router / membership totals
     "routed", "failovers", "replays", "done", "deaths", "revivals",
-    # trace-store accounting
-    "spans_added", "traces_evicted", "spans_dropped",
 })
 
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_]")

@@ -1,12 +1,11 @@
 """The dispatcher: one queued job at a time through the shared session.
 
 One daemon thread pops the :class:`~repro.service.queue.JobQueue` job by
-job and runs each one alone before the next pop: :meth:`Session.validate`
-for ``validate`` jobs, :meth:`Session.run` for the rest.  So every job
-ends in its own ``done``/``failed`` state as soon as its own run ends,
-runs (and fails) exactly once, and dispatches under its own trace; a
-higher-priority submission is next in line as soon as the running job
-ends, and a queued job stays cancellable until it is popped.
+job, in submission order, and runs each one alone before the next pop:
+:meth:`Session.validate` for ``validate`` jobs, :meth:`Session.run` for
+the rest.  So every job ends in its own ``done``/``failed`` state as soon
+as its own run ends, runs (and fails) exactly once, and dispatches under
+its own trace.
 """
 
 from __future__ import annotations

@@ -7,15 +7,20 @@ coalescing :class:`~repro.service.queue.JobQueue`, and a
 at a time through the session — and exposes one protocol over two
 transports:
 
-* **in-process**: ``submit`` / ``status`` / ``result`` / ``cancel`` /
-  ``stats`` / ``healthz`` as plain methods (every payload JSON-ready, so
-  the two transports cannot drift);
+* **in-process**: ``submit`` / ``status`` / ``result`` / ``stats`` /
+  ``healthz`` as plain methods (every payload JSON-ready, so the two
+  transports cannot drift);
 * **HTTP**: the same operations as a minimal stdlib-only JSON endpoint
   (:mod:`http.server`, threaded) via :meth:`serve_http` — ``POST
-  /submit``, ``GET /status``, ``GET /result``, ``POST /cancel``, ``GET
-  /stats``, ``GET /healthz``, ``GET /metrics`` (Prometheus text), ``GET
-  /trace`` / ``GET /trace/<id>`` (recorded traces), ``POST /register``
-  (fleet handshake), ``POST /shutdown``.
+  /submit``, ``GET /status``, ``GET /result``, ``GET /stats``, ``GET
+  /healthz``, ``GET /metrics`` (Prometheus text), ``GET /trace`` / ``GET
+  /trace/<id>`` (recorded traces), ``POST /register`` (fleet handshake),
+  ``POST /shutdown``.
+
+Jobs run first in, first out; a job never expires.  The only timeout is a
+caller's own wait: ``result(timeout=...)`` raises
+:class:`~repro.service.jobs.JobTimeoutError` and leaves the job in flight,
+and over HTTP an expired ``GET /result`` wait answers ``pending``.
 
 The queue is optionally bounded (``max_pending``): a saturated server
 *sheds* new work with ``503 + Retry-After`` (:class:`~repro.service.jobs
@@ -61,6 +66,7 @@ from repro.service.jobs import (
     QueueFullError,
     ServiceClosedError,
     UnknownJobError,
+    check_wait,
 )
 from repro.service.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.service.queue import JobQueue
@@ -80,7 +86,7 @@ MAX_RESULT_WAIT_S = 300.0
 
 #: The body keys ``POST /submit`` accepts; any other key is a 400, so a
 #: field the server does not know is never silently dropped.
-_SUBMIT_FIELDS = ("workload", "priority", "timeout_s", "job")
+_SUBMIT_FIELDS = ("workload", "job")
 
 
 class ReproServer:
@@ -211,8 +217,6 @@ class ReproServer:
     # the job API (shared verbatim by both transports)
 
     def submit(self, workload: Union[Workload, Mapping[str, Any]],
-               priority: Union[str, int, None] = None,
-               timeout_s: Optional[float] = None,
                job: Optional[str] = None) -> Dict[str, Any]:
         """File a workload; returns the submission receipt.
 
@@ -225,8 +229,7 @@ class ReproServer:
         """
         if not isinstance(workload, Workload):
             workload = Workload.from_dict(workload)
-        job, coalesced = self._queue.submit(workload, priority=priority,
-                                            timeout_s=timeout_s, kind=job)
+        job, coalesced = self._queue.submit(workload, kind=job)
         if obs_trace.enabled() and coalesced:
             # the job's own span was attached by the queue at creation;
             # record the join in the *requester's* trace too — this
@@ -234,7 +237,7 @@ class ReproServer:
             if job.span is not None:
                 job.span.set_attribute("coalesced", job.coalesced)
             with obs_trace.span("service.coalesce", job_id=job.id,
-                                requesters=job.requesters):
+                                coalesced=job.coalesced):
                 pass
         self._session._emit_batch_event(
             "job-coalesced" if coalesced else "job-queued",
@@ -254,47 +257,21 @@ class ReproServer:
         for ``explore`` jobs, a :class:`ValidationResult` for ``validate``
         jobs.
 
-        Raises :class:`JobFailedError` / :class:`JobCancelledError` /
-        :class:`JobTimeoutError` for unsuccessful terminals.  A job whose
-        own ``timeout_s`` deadline passes while *running* raises
-        :class:`JobTimeoutError` to waiters but keeps computing — the
-        result still lands in the session cache for later requests
-        (queued jobs past their deadline are never started at all).
+        Raises :class:`JobFailedError` / :class:`JobCancelledError` for
+        unsuccessful terminals, and :class:`JobTimeoutError` when
+        ``timeout`` seconds pass first (the job stays in flight).  A NaN,
+        infinite or negative ``timeout`` is a :class:`ValueError`.
         """
+        check_wait(timeout)
         job = self._queue.job(job_id)
-        caller_deadline = (None if timeout is None
-                           else time.monotonic() + timeout)
-        while not job.done():
-            waits = [w for w in (job.deadline_remaining(),
-                                 None if caller_deadline is None
-                                 else caller_deadline - time.monotonic())
-                     if w is not None]
-            if job.wait(None if not waits else max(0.0, min(waits))):
-                break
-            job_remaining = job.deadline_remaining()
-            if job_remaining is not None and job_remaining <= 0:
-                raise JobTimeoutError(
-                    f"job {job.id} exceeded its {job.timeout_s}s timeout "
-                    f"(state: {job.state}; a running job completes in the "
-                    f"background and warms the cache)")
-            if (caller_deadline is not None
-                    and caller_deadline - time.monotonic() <= 0):
-                error = JobTimeoutError(
-                    f"job {job.id} not finished within the {timeout}s wait "
-                    f"(state: {job.state})")
-                error.terminal = False  # the job itself is still in flight
-                raise error
+        if not job.wait(timeout):
+            raise JobTimeoutError(
+                f"job {job.id} not finished within the {timeout}s wait "
+                f"(state: {job.state})")
         job.raise_if_unsuccessful()
         # each requester gets an isolated view over the shared heavy
         # artifacts, exactly like concurrent Session.run callers
         return _defensive_copy(job.result)
-
-    def cancel(self, job_id: str) -> Dict[str, Any]:
-        """Withdraw one requester (see :meth:`JobQueue.cancel`)."""
-        still_running = self._queue.cancel(job_id)
-        snapshot = self.status(job_id)
-        snapshot["still_running"] = still_running
-        return snapshot
 
     def stats(self) -> Dict[str, Any]:
         """One JSON document over every layer's counters."""
@@ -424,7 +401,6 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
 #: Error class -> HTTP status code of the JSON endpoint.
 _ERROR_STATUS = (
     (UnknownJobError, 404),
-    (JobTimeoutError, 408),
     (JobCancelledError, 409),
     (QueueFullError, 503),
     (ServiceClosedError, 503),
@@ -465,16 +441,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             elif parsed.path == "/status":
                 self._respond(200, service.status(self._job_id(query)))
             elif parsed.path == "/result":
-                wait_s = min(float(query.get("timeout", 30.0)),
+                wait_s = min(check_wait(float(query.get("timeout", 30.0))),
                              MAX_RESULT_WAIT_S)
                 job_id = self._job_id(query)
                 try:
                     result = service.result(job_id, timeout=wait_s)
-                except JobTimeoutError as error:
-                    if error.terminal:
-                        raise
+                except JobTimeoutError:
                     # only this poll's wait window expired: tell the
-                    # client to keep polling instead of erroring out
+                    # client to keep polling
                     self._respond(200, {
                         "job_id": job_id,
                         "state": service.status(job_id)["state"],
@@ -513,17 +487,16 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 context = obs_trace.parse_header(
                     self.headers.get(obs_trace.TRACE_HEADER))
                 with obs_trace.adopt(context):
-                    receipt = service.submit(
-                        body["workload"], priority=body.get("priority"),
-                        timeout_s=body.get("timeout_s"),
-                        job=body.get("job"))
+                    receipt = service.submit(body["workload"],
+                                             job=body.get("job"))
                 self._respond(200, receipt)
             elif parsed.path == "/register":
                 self._respond(200, service.register(body))
-            elif parsed.path == "/cancel":
-                self._respond(200, service.cancel(body["job_id"]))
             elif parsed.path == "/shutdown":
-                drain = bool(body.get("drain", True))
+                drain = body.get("drain", True)
+                if not isinstance(drain, bool):
+                    raise ValueError(
+                        f"'drain' must be a JSON boolean (got {drain!r})")
                 service.initiate_shutdown(drain=drain)
                 self._respond(200, {"ok": True, "draining": drain})
             else:

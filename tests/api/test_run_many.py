@@ -216,7 +216,8 @@ class TestRemovedStrategyKnobs:
     with the fold's test-only knobs, the legacy ``HlsFlow`` entry point,
     the backend registry with its backend-name knobs and the explorer's
     factory arguments, the partial-run and re-run arguments of the
-    session and pipeline, and the job-history knobs are gone, loudly."""
+    session and pipeline, the job-history knobs, and the job priority
+    classes and dispatch deadlines are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -255,12 +256,13 @@ class TestRemovedStrategyKnobs:
         ["submit", "blur", "--role", "operator"],
         ["explore", "blur", "--jobs", "2"],
         ["sweep", "--jobs", "2"],
+        ["submit", "blur", "--priority", "interactive"],
     ], ids=["explore-executor", "serve-executor", "fleet-executor",
             "serve-jobs", "fleet-jobs", "serve-max-batch",
             "serve-batch-window", "fleet-max-batch", "fleet-batch-window",
             "explore-profile", "sweep-profile", "serve-backend",
             "fleet-replicas", "fleet-default-role", "submit-role",
-            "explore-jobs", "sweep-jobs"])
+            "explore-jobs", "sweep-jobs", "submit-priority"])
     def test_strategy_flags_are_unknown_to_the_parser(self, capsys,
                                                       arguments):
         # parse only: serve and fleet would otherwise start listening
@@ -327,6 +329,27 @@ class TestRemovedStrategyKnobs:
                                               start=False)),
         ("history_limit", lambda: JobQueue(history_limit=5)),
         ("history_limit", lambda: FleetRouter((), history_limit=5)),
+        ("priority", lambda: JobQueue().submit(
+            Workload.from_algorithm("blur", **SMALL), priority="batch")),
+        ("timeout_s", lambda: JobQueue().submit(
+            Workload.from_algorithm("blur", **SMALL), timeout_s=1.0)),
+        ("priority", lambda: ReproServer(start=False).submit(
+            Workload.from_algorithm("blur", **SMALL), priority="batch")),
+        ("timeout_s", lambda: ReproServer(start=False).submit(
+            Workload.from_algorithm("blur", **SMALL), timeout_s=1.0)),
+        ("priority", lambda: FleetRouter(
+            (), healthcheck_interval_s=0).submit(
+                Workload.from_algorithm("blur", **SMALL), priority="batch")),
+        ("timeout_s", lambda: FleetRouter(
+            (), healthcheck_interval_s=0).submit(
+                Workload.from_algorithm("blur", **SMALL), timeout_s=1.0)),
+        ("priority", lambda: ReproClient(ReproServer(start=False)).submit(
+            Workload.from_algorithm("blur", **SMALL), priority="batch")),
+        ("timeout_s", lambda: ReproClient(ReproServer(start=False)).submit(
+            Workload.from_algorithm("blur", **SMALL), timeout_s=1.0)),
+        ("priority", lambda: ReproClient(ReproServer(start=False)).run(
+            Workload.from_algorithm("blur", **SMALL), priority="batch",
+            timeout=0)),
     ], ids=["Session", "Pipeline", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
@@ -342,7 +365,11 @@ class TestRemovedStrategyKnobs:
             "DesignSpaceExplorer-throughput_model_factory",
             "Session.run-until", "Pipeline.run_stage-force",
             "ReproServer-history_limit", "JobQueue-history_limit",
-            "FleetRouter-history_limit"])
+            "FleetRouter-history_limit", "JobQueue.submit-priority",
+            "JobQueue.submit-timeout_s", "ReproServer.submit-priority",
+            "ReproServer.submit-timeout_s", "FleetRouter.submit-priority",
+            "FleetRouter.submit-timeout_s", "ReproClient.submit-priority",
+            "ReproClient.submit-timeout_s", "ReproClient.run-priority"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()

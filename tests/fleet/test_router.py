@@ -229,19 +229,17 @@ class TestLoadShedding:
             fleet.close(drain=False)
 
 
-class TestPriority:
-    def test_router_files_every_submission_at_its_priority_class(
-            self, tmp_path):
+class TestJobSnapshots:
+    def test_snapshots_carry_no_scheduling_fields(self, tmp_path):
         with FleetRouter.local(1, store=tmp_path,
                                healthcheck_interval_s=0,
                                start=False) as fleet:
-            handle = ReproClient(fleet).submit(workload(),
-                                               priority="interactive")
+            handle = ReproClient(fleet).submit(workload())
             status = fleet.status(handle.id)
-            assert status["priority"] == "interactive"
-            assert status["worker_status"]["priority"] == "interactive"
-            with pytest.raises(ValueError, match="priority"):
-                fleet.submit(workload(), priority="urgent")
+            assert status["worker_status"]["state"] == "queued"
+            for view in (status, status["worker_status"]):
+                assert not {"priority", "timeout_s", "requesters"} & set(view)
+            assert "cancelled" not in fleet.stats()["router"]
             fleet.close(drain=False)
 
 

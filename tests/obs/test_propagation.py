@@ -71,7 +71,7 @@ class TestHttpPropagation:
         _server, url = http_server  # construction auto-enabled tracing
         client = ReproClient(url)
         with trace.span("cli.submit") as root:
-            handle = client.submit(workload(), priority="interactive")
+            handle = client.submit(workload())
             handle.result(timeout=120)
         # the receipt's trace id IS the caller's: one connected trace
         assert handle.trace_id == root.trace_id
@@ -92,8 +92,7 @@ class TestHttpPropagation:
     def test_malformed_headers_degrade_to_fresh_roots_never_500(
             self, http_server):
         _server, url = http_server
-        body = json.dumps({"workload": workload().to_dict(),
-                           "priority": "interactive"}).encode()
+        body = json.dumps({"workload": workload().to_dict()}).encode()
         seen = set()
         for bad in ("garbage", "a-b", "Z" * 32 + "-" + "Z" * 16,
                     "0" * 31 + "-" + "0" * 16):

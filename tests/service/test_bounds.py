@@ -61,17 +61,18 @@ def test_distinct_jobs_leave_every_layer_at_its_bound(small_bounds):
 
 
 def test_an_in_flight_job_is_never_forgotten(small_bounds):
-    server = ReproServer(start=False)  # paused: nothing runs yet
+    server = ReproServer(start=False)  # paused: the test dispatches
+    queue = server.queue
     try:
+        finished = [server.submit(workload(20 + 4 * index))["job_id"]
+                    for index in range(HISTORY + 2)]
         waiting = server.submit(workload(16))["job_id"]
-        cancelled = [server.submit(workload(20 + 4 * index))["job_id"]
-                     for index in range(HISTORY + 2)]
-        for job_id in cancelled:
-            server.cancel(job_id)
+        for _ in finished:
+            queue.finish(queue.next_job(), result=None)
         # the oldest terminal jobs are forgotten, the queued one is not
         with pytest.raises(UnknownJobError):
-            server.status(cancelled[0])
-        assert server.status(cancelled[-1])["state"] == "cancelled"
+            server.status(finished[0])
+        assert server.status(finished[-1])["state"] == "done"
         assert server.status(waiting)["state"] == "queued"
         server.start()
         result = server.result(waiting, timeout=60)

@@ -7,14 +7,11 @@ import pytest
 
 from repro.api import Workload
 from repro.service import (
+    JOB_STATES,
     JobQueue,
-    PRIORITY_CLASSES,
     ServiceClosedError,
     UnknownJobError,
-    parse_priority,
-    priority_name,
 )
-from repro.service.jobs import JobTimeoutError
 
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
@@ -25,25 +22,6 @@ def workload(name="blur", **overrides):
     return Workload.from_algorithm(name, **{**SMALL, **overrides})
 
 
-class TestPriorities:
-    def test_names_map_to_numbers(self):
-        assert parse_priority("interactive") < parse_priority("batch")
-        assert parse_priority("batch") < parse_priority("background")
-        assert parse_priority(None) == PRIORITY_CLASSES["batch"]
-        assert parse_priority(" Interactive ") == 0
-        assert parse_priority(2) == PRIORITY_CLASSES["background"]
-
-    def test_round_trip_names(self):
-        for name, number in PRIORITY_CLASSES.items():
-            assert priority_name(parse_priority(name)) == name
-            assert parse_priority(number) == number
-
-    @pytest.mark.parametrize("bad", ["urgent", 7, -1, True, 1.5])
-    def test_unknown_priorities_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_priority(bad)
-
-
 class TestCoalescing:
     def test_identical_workloads_share_one_job(self):
         queue = JobQueue()
@@ -51,7 +29,7 @@ class TestCoalescing:
         second, coalesced_second = queue.submit(workload())
         assert first is second
         assert not coalesced_first and coalesced_second
-        assert first.requesters == 2 and first.coalesced == 1
+        assert first.coalesced == 1
         stats = queue.stats_snapshot()
         assert stats["submitted"] == 2 and stats["coalesced"] == 1
         assert stats["coalesce_hit_rate"] == pytest.approx(0.5)
@@ -79,102 +57,43 @@ class TestCoalescing:
         assert fresh is not job and not coalesced
 
 
-class TestPriorityOrder:
-    def test_drain_is_priority_then_submission_order(self):
+class TestFifoOrder:
+    def test_jobs_dispatch_in_submission_order(self):
         queue = JobQueue()
-        low, _ = queue.submit(workload(frame_width=100), "background")
-        mid, _ = queue.submit(workload(frame_width=200), "batch")
-        high, _ = queue.submit(workload(frame_width=300), "interactive")
-        mid2, _ = queue.submit(workload(frame_width=400), "batch")
-        assert [queue.next_job() for _ in range(4)] == [high, mid, mid2, low]
+        jobs = [queue.submit(workload(frame_width=100 * (i + 1)))[0]
+                for i in range(4)]
+        assert [queue.next_job() for _ in range(4)] == jobs
 
-    def test_coalesced_resubmission_promotes_priority(self):
+    def test_a_coalesced_submission_keeps_its_jobs_place(self):
         queue = JobQueue()
-        slow, _ = queue.submit(workload(frame_width=100), "background")
-        other, _ = queue.submit(workload(frame_width=200), "batch")
-        promoted, coalesced = queue.submit(workload(frame_width=100),
-                                           "interactive")
-        assert coalesced and promoted is slow
-        assert queue.next_job() is slow
-
-
-class TestCancellation:
-    def test_last_requester_cancels_queued_job(self):
-        queue = JobQueue()
-        job, _ = queue.submit(workload())
-        assert queue.cancel(job.id) is False
-        assert job.state == "cancelled" and job.done()
+        first, _ = queue.submit(workload(frame_width=100))
+        second, _ = queue.submit(workload(frame_width=200))
+        again, coalesced = queue.submit(workload(frame_width=200))
+        assert coalesced and again is second
+        assert [queue.next_job(), queue.next_job()] == [first, second]
         assert queue.pending_count() == 0
 
-    def test_coalesced_job_survives_one_cancel(self):
-        queue = JobQueue()
-        job, _ = queue.submit(workload())
-        queue.submit(workload())
-        assert queue.cancel(job.id) is True
-        assert job.state == "queued"
-        assert queue.next_job() is job
 
-    def test_running_job_cannot_be_cancelled(self):
-        queue = JobQueue()
-        job, _ = queue.submit(workload())
-        queue.next_job()
-        assert queue.cancel(job.id) is True
-        assert job.state == "running"
-
+class TestLifecycle:
     def test_unknown_job_raises(self):
         with pytest.raises(UnknownJobError):
             JobQueue().job("job-404")
 
+    def test_a_job_never_expires(self):
+        assert "timeout" not in JOB_STATES
+        job, _ = JobQueue().submit(workload())
+        for name in ("priority", "sequence", "timeout_s", "deadline",
+                     "requesters"):
+            assert not hasattr(job, name), name
+        assert not hasattr(JobQueue, "cancel")
 
-class TestTimeouts:
-    def test_expired_queued_job_is_never_dispatched(self):
-        queue = JobQueue()
-        doomed, _ = queue.submit(workload(frame_width=100), timeout_s=0.0)
-        live, _ = queue.submit(workload(frame_width=200))
-        time.sleep(0.01)
-        assert queue.next_job() is live
-        assert doomed.state == "timeout"
-        assert isinstance(doomed.error, JobTimeoutError)
-        assert queue.stats_snapshot()["timed_out"] == 1
+    def test_the_priority_classes_are_gone(self):
+        import repro.service
+        from repro.service import jobs
 
-    def test_negative_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            JobQueue().submit(workload(), timeout_s=-1)
-
-    def test_coalesced_tight_timeout_cannot_expire_patient_requesters(self):
-        """One requester's small timeout_s must never time the shared job
-        out for a requester that asked for no (or a longer) deadline."""
-        queue = JobQueue()
-        job, _ = queue.submit(workload())            # unbounded requester
-        queue.submit(workload(), timeout_s=0.0)      # impatient follower
-        assert job.deadline is None                  # stays unbounded
-        time.sleep(0.01)
-        assert queue.next_job() is job
-
-    def test_coalescing_keeps_the_most_patient_deadline(self):
-        queue = JobQueue()
-        job, _ = queue.submit(workload(), timeout_s=0.0)
-        queue.submit(workload(), timeout_s=60.0)     # extends the deadline
-        assert job.timeout_s == 60.0
-        assert queue.next_job() is job
-        unbounded_job, _ = queue.submit(workload(frame_width=200),
-                                        timeout_s=0.0)
-        queue.submit(workload(frame_width=200))      # clears the deadline
-        assert unbounded_job.deadline is None
-
-    def test_a_waiting_dispatcher_skips_a_job_expired_on_arrival(self):
-        queue = JobQueue()
-        popped = []
-        waiter = threading.Thread(target=lambda: popped.append(
-            queue.next_job()), daemon=True)
-        waiter.start()
-        # wake the waiter with a job whose deadline is already over: it is
-        # expired instead of dispatched, and the waiter sleeps on
-        doomed, _ = queue.submit(workload(), timeout_s=0.0)
-        assert doomed.wait(5.0) and doomed.state == "timeout"
-        live, _ = queue.submit(workload(frame_width=200))
-        waiter.join(timeout=5.0)
-        assert not waiter.is_alive() and popped == [live]
+        for name in ("PRIORITY_CLASSES", "parse_priority", "priority_name"):
+            assert not hasattr(repro.service, name), name
+            assert not hasattr(jobs, name), name
 
 
 class TestNextJob:

@@ -2,10 +2,12 @@
 shed path, and the client's deterministic shed-retry backoff."""
 
 import math
+from collections.abc import Mapping
 
 import pytest
 
 from repro.api import Workload
+from repro.fleet import FleetRouter
 from repro.service import (
     JobQueue,
     QueueFullError,
@@ -13,7 +15,7 @@ from repro.service import (
     ReproServer,
     render_prometheus,
 )
-from repro.service.metrics import METRICS_CONTENT_TYPE
+from repro.service.metrics import COUNTER_LEAVES, METRICS_CONTENT_TYPE
 from repro.service.queue import (
     SHED_RETRY_AFTER_BASE_S,
     SHED_RETRY_AFTER_CAP_S,
@@ -73,6 +75,27 @@ class TestRenderPrometheus:
                 assert name in text, f"missing {name}"
         finally:
             server.close(drain=False)
+
+    def test_every_counter_name_is_a_live_stats_leaf(self, tmp_path):
+        """Each name typed as a counter is a numeric leaf of a worker's or
+        the router's ``stats()``, so a deleted counter cannot leave its
+        name behind."""
+        with FleetRouter.local(2, store=tmp_path,
+                               healthcheck_interval_s=0) as fleet:
+            ReproClient(fleet).run(workload(), timeout=60)
+            stats = fleet.stats()  # the workers' stats() nest inside
+        leaves = set()
+
+        def walk(document):
+            for key, value in document.items():
+                if isinstance(value, Mapping):
+                    walk(value)
+                elif (isinstance(value, (int, float))
+                      and not isinstance(value, bool)):
+                    leaves.add(key)
+
+        walk(stats)
+        assert not COUNTER_LEAVES - leaves, sorted(COUNTER_LEAVES - leaves)
 
 
 class TestBoundedQueue:

@@ -1,11 +1,10 @@
-"""Scheduler tests: coalescing determinism, one-job dispatch, priorities.
+"""Scheduler tests: coalescing determinism, one-job dispatch, FIFO order.
 
 16 concurrent identical submissions trigger exactly one exploration with
 every served result digest-identical to a direct ``Session.run``; a mixed
 4-device x 2-format burst serves results identical to per-workload
 ``Session.run``; and each job runs alone: it is delivered when its own run
-ends, runs (and fails) once, and a later interactive job or a cancel
-takes effect before the next pop.
+ends, runs (and fails) once, and jobs finish in submission order.
 """
 
 import hashlib
@@ -18,7 +17,6 @@ from repro.api import Session, Workload
 from repro.ir.operators import DataFormat
 from repro.synth.fpga_device import DEVICE_CATALOG
 from repro.service import (
-    JobCancelledError,
     JobFailedError,
     ReproClient,
     ReproServer,
@@ -63,7 +61,7 @@ class TestCoalescingDeterminism:
 
         def submit():
             barrier.wait()
-            handle = client.submit(workload(), priority="interactive")
+            handle = client.submit(workload())
             with lock:
                 handles.append(handle)
 
@@ -145,69 +143,43 @@ class TestBurstDispatch:
                           for kind in ("workload-started", "job-finished")]
 
 
-class TestPriorityScheduling:
-    def test_interactive_job_and_cancel_take_effect_before_the_next_pop(
-            self, paused_server):
-        """While the first background job runs, an interactive submission
-        jumps the rest of the queue and the third background job can still
-        be cancelled: it never runs."""
+def finish_order(handles):
+    """The handles' job ids, in the order their jobs finished."""
+    return [handle.id for handle in sorted(
+        handles, key=lambda handle: handle.status()["finished_at"])]
+
+
+class TestFifoDispatch:
+    def test_a_burst_finishes_in_submission_order(self, paused_server):
         client = ReproClient(paused_server)
-        sweep = [workload(frame_width=448 + 16 * i) for i in range(3)]
-        background = [client.submit(each, priority="background")
-                      for each in sweep]
-        urgent_workload = workload(frame_width=496)
-        urgent = []
-        finished = []
-        started = []
+        handles = [client.submit(workload(frame_width=width))
+                   for width in (336, 304, 328, 312, 320, 296)]
+        paused_server.start()
+        for handle in handles:
+            handle.result(timeout=120)
+        assert finish_order(handles) == [handle.id for handle in handles]
+
+    def test_a_job_filed_mid_run_queues_behind_the_backlog(
+            self, paused_server):
+        """While the first job runs, a new submission lines up behind the
+        jobs already queued."""
+        client = ReproClient(paused_server)
+        backlog = [client.submit(workload(frame_width=448 + 16 * i))
+                   for i in range(3)]
+        late = []
 
         def on_event(event):
-            if event.kind == "workload-started":
-                started.append(event.workload)
-            elif event.kind == "job-finished":
-                finished.append(event.detail)
-            elif (event.kind == "job-started" and not urgent
-                  and event.detail == background[0].id):
-                urgent.append(client.submit(urgent_workload,
-                                            priority="interactive"))
-                background[2].cancel()
+            if (event.kind == "job-started" and not late
+                    and event.detail == backlog[0].id):
+                late.append(client.submit(workload(frame_width=496)))
 
         paused_server.on_event(on_event)
         paused_server.start()
-        for handle in background[:2] + urgent:
+        backlog[0].result(timeout=60)  # the late job was filed as it ran
+        handles = backlog + late
+        for handle in handles:
             handle.result(timeout=60)
-        assert finished == [background[0].id, urgent[0].id,
-                            background[1].id]
-        assert background[2].status()["state"] == "cancelled"
-        with pytest.raises(JobCancelledError):
-            background[2].result(timeout=5)
-        assert sweep[2] not in started
-        assert paused_server.session.stats.workloads_run == 3
-
-    def test_mixed_priority_burst_completes_in_priority_order(
-            self, paused_server):
-        finished = []
-        paused_server.on_event(
-            lambda event: finished.append(event.workload.frame_width)
-            if event.kind == "job-finished" else None)
-        client = ReproClient(paused_server)
-        by_priority = {
-            "background": [workload(frame_width=310 + i) for i in range(2)],
-            "batch": [workload(frame_width=320 + i) for i in range(2)],
-            "interactive": [workload(frame_width=330 + i)
-                            for i in range(2)],
-        }
-        handles = {}
-        for priority, workloads in by_priority.items():
-            for each in workloads:
-                handles[each.frame_width] = client.submit(each,
-                                                          priority=priority)
-        paused_server.start()
-        for handle in handles.values():
-            handle.result(timeout=120)
-        expected = ([w.frame_width for w in by_priority["interactive"]]
-                    + [w.frame_width for w in by_priority["batch"]]
-                    + [w.frame_width for w in by_priority["background"]])
-        assert finished == expected
+        assert finish_order(handles) == [handle.id for handle in handles]
 
 
 class TestFailureAttribution:

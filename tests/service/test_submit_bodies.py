@@ -101,6 +101,10 @@ BAD_BODIES = {
                                  "ValueError", "throughput_estimator"),
     # a key the server does not know is refused, never dropped
     "role": (dict(submit_body(), role="operator"), "ValueError", "'role'"),
+    "priority": (dict(submit_body(), priority="batch"), "ValueError",
+                 "'priority'"),
+    "timeout_s": (dict(submit_body(), timeout_s=60.0), "ValueError",
+                  "'timeout_s'"),
 }
 
 
@@ -134,8 +138,7 @@ def test_negative_content_length_is_a_400(url):
 def mutate(rng):
     """A valid submit body with one field replaced by a drawn value, or
     with one unknown key added."""
-    body = {"workload": json.loads(json.dumps(WORKLOAD)),
-            "priority": "batch", "timeout_s": 60.0, "job": "explore"}
+    body = {"workload": json.loads(json.dumps(WORKLOAD)), "job": "explore"}
     targets = ([(body, key) for key in list(body)]
                + [(body["workload"], key) for key in WORKLOAD]
                + [(body["workload"]["constraints"], key)
