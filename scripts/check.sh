@@ -23,9 +23,17 @@
 #                               # the paper-scale subspace
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
-#                               # boundary-contract regressions, with a
-#                               # wall-clock budget so the Hypothesis suite
-#                               # can't silently balloon
+#                               # boundary-contract regressions (both run
+#                               # against the oracles in tests/simulation),
+#                               # the throughput model against the cycle
+#                               # oracle, and the pinned validation digests,
+#                               # with a wall-clock budget so the
+#                               # Hypothesis suite can't silently balloon
+#   scripts/check.sh --figures  # paper figures: the nine Section 4 scripts
+#                               # benchmarks/bench_*.py (Figures 5-10 and
+#                               # Sections 4.1-4.3) in one pytest session,
+#                               # which shares the case-study explorations;
+#                               # fails on the first failing script
 #   scripts/check.sh --obs      # observability tier: the tracing/metrics/
 #                               # propagation suite, then a live-server
 #                               # smoke — client root span rides the
@@ -135,11 +143,20 @@ case "${1:-}" in
         python -m pytest -x -q \
         tests/property/test_simulator_differential.py \
         tests/simulation/test_frame_and_golden.py \
+        tests/simulation/test_cone_simulator.py \
+        tests/simulation/test_validation_anchors.py \
         tests/service/test_validate_job.py "$@" || sim_status=$?
     if [ "$sim_status" -eq 124 ]; then
         echo "error: simulation tier exceeded its 300s wall-clock budget" >&2
     fi
     exit "$sim_status"
+    ;;
+--figures)
+    shift
+    python -m compileall -q src
+    # pytest collects the bench scripts only when they are named.
+    run_pytest -x -q benchmarks/bench_*.py "$@"
+    exit $?
     ;;
 --memory)
     shift

@@ -13,8 +13,8 @@ The package implements the full flow of the paper:
 * the Equation-1 area model, the throughput model, and the design-space
   exploration with Pareto extraction (:mod:`repro.estimation`,
   :mod:`repro.dse`);
-* the cone-architecture template (:mod:`repro.architecture`), functional and
-  cycle-level simulators plus the frame-buffer baseline
+* the cone-architecture template (:mod:`repro.architecture`), the
+  functional simulator with its golden model and the frame-buffer baseline
   (:mod:`repro.simulation`), the commercial-HLS and literature baselines
   (:mod:`repro.baselines`), and the case-study algorithms
   (:mod:`repro.algorithms`).

@@ -65,7 +65,9 @@ class Workload:
     #: (``device="xc6vlx760"``); names are resolved to the FpgaDevice at
     #: construction so keys/serialization see the full model.
     device: Union[FpgaDevice, str] = _DEFAULTS.device
-    data_format: DataFormat = _DEFAULTS.data_format
+    #: A :class:`DataFormat` or its value (``data_format="fixed32"``),
+    #: resolved to the member at construction.
+    data_format: Union[DataFormat, str] = _DEFAULTS.data_format
     frame_width: int = _DEFAULTS.frame_width
     frame_height: int = _DEFAULTS.frame_height
     iterations: Optional[int] = None
@@ -86,6 +88,12 @@ class Workload:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "device", resolve_device(self.device))
+        object.__setattr__(self, "data_format",
+                           _resolve_data_format(self.data_format))
+        if (self.constraints is not None
+                and not isinstance(self.constraints, DseConstraints)):
+            raise TypeError(f"constraints must be None or a DseConstraints "
+                            f"(got {self.constraints!r})")
         sources = [s is not None
                    for s in (self.algorithm, self.c_source, self.kernel)]
         if sum(sources) != 1:
@@ -268,6 +276,17 @@ def _require_int(name: str, value: Any, minimum: int = 1) -> None:
         expected = ("a positive integer" if minimum == 1
                     else f"an integer >= {minimum}")
         raise ValueError(f"{name} must be {expected} (got {value!r})")
+
+
+def _resolve_data_format(value: Any) -> DataFormat:
+    """The :class:`DataFormat` member of ``value`` (a member or its value)."""
+    try:
+        return DataFormat(value)
+    except ValueError:
+        raise ValueError(
+            f"data_format must be one of "
+            f"{', '.join(member.value for member in DataFormat)} "
+            f"(got {value!r})") from None
 
 
 @lru_cache(maxsize=64)

@@ -2,8 +2,8 @@
 
 The design space the paper explores is the cross product of output window
 sizes, level splittings of the iteration count, and cone instance counts.
-For the experiments of Section 4 the splittings are *uniform*: a single cone
-depth d is used for all levels, plus (when d does not divide the iteration
+As in the experiments of Section 4, the splittings are *uniform*: a single
+cone depth d is used for all levels, plus (when d does not divide the iteration
 count) one extra level of smaller depth covering the remaining iterations —
 this is exactly the effect discussed around Figure 7, where depths that do
 not divide the iteration count waste area on the remainder cone.
@@ -52,86 +52,40 @@ def _uniform_splits(total_iterations: int,
     return tuple(splits)
 
 
-@lru_cache(maxsize=64)
-def _all_compositions(total_iterations: int,
-                      limit: int) -> Tuple[Tuple[int, ...], ...]:
-    """Memoized full composition enumeration (the ablation space)."""
-    results: List[Tuple[int, ...]] = []
-
-    def compose(remaining: int, current: List[int]) -> None:
-        if remaining == 0:
-            results.append(tuple(current))
-            return
-        for depth in range(1, min(limit, remaining) + 1):
-            current.append(depth)
-            compose(remaining - depth, current)
-            current.pop()
-
-    compose(total_iterations, [])
-    return tuple(results)
-
-
-def _cached_splits(total_iterations: int, max_depth: Optional[int],
-                   uniform_only: bool) -> Tuple[Tuple[int, ...], ...]:
+def _cached_splits(total_iterations: int,
+                   max_depth: Optional[int]) -> Tuple[Tuple[int, ...], ...]:
     check_positive("total_iterations", total_iterations)
     limit = max_depth if max_depth is not None else total_iterations
     limit = min(limit, total_iterations)
-    if uniform_only:
-        return _uniform_splits(total_iterations, limit)
-    return _all_compositions(total_iterations, limit)
-
-
-@lru_cache(maxsize=512)
-def _count_compositions(total_iterations: int, limit: int) -> int:
-    """Number of compositions of ``total_iterations`` into parts <= ``limit``
-    (counted by dynamic programming, never materialized)."""
-    counts = [0] * (total_iterations + 1)
-    counts[0] = 1
-    for value in range(1, total_iterations + 1):
-        counts[value] = sum(counts[value - part]
-                            for part in range(1, min(limit, value) + 1))
-    return counts[total_iterations]
+    return _uniform_splits(total_iterations, limit)
 
 
 def count_level_splits(total_iterations: int,
-                       max_depth: Optional[int] = None,
-                       uniform_only: bool = True) -> int:
+                       max_depth: Optional[int] = None) -> int:
     """``len(enumerate_level_splits(...))`` without materializing the splits.
 
     Uniform splittings are counted in O(1): for every depth ``d <= n`` the
     splitting produced by :func:`single_depth_split` starts with ``d``
     itself, so the candidate depths ``1..min(max_depth, n)`` yield pairwise
     distinct splittings and the deduplicated count is exactly that limit.
-    The full composition space is counted by a memoized DP.  Streaming
-    consumers (:mod:`repro.dse.stream`) use this to size million-candidate
-    spaces — auto-select thresholds and pruned-fraction denominators —
-    before (or instead of) enumerating anything.
+    Streaming consumers (:mod:`repro.dse.stream`) use this to size
+    million-candidate spaces — auto-select thresholds and pruned-fraction
+    denominators — before (or instead of) enumerating anything.
     """
     check_positive("total_iterations", total_iterations)
     limit = max_depth if max_depth is not None else total_iterations
-    limit = min(limit, total_iterations)
-    if limit <= 0:
-        return 0
-    if uniform_only:
-        return limit
-    return _count_compositions(total_iterations, limit)
+    return max(0, min(limit, total_iterations))
 
 
 def enumerate_level_splits(total_iterations: int,
-                           max_depth: Optional[int] = None,
-                           uniform_only: bool = True) -> List[List[int]]:
-    """Enumerate level splittings of the iteration count.
+                           max_depth: Optional[int] = None) -> List[List[int]]:
+    """Enumerate the uniform level splittings of the iteration count.
 
-    With ``uniform_only`` (the default, matching the paper's experiments) one
-    splitting per candidate depth is produced.  With ``uniform_only=False``
-    every composition of the iteration count into depths bounded by
-    ``max_depth`` is generated (useful for ablations; the space grows quickly).
-
+    One splitting per candidate depth, as in the paper's experiments.
     Returns fresh lists; the memoized backing tuples stay shared internally.
     """
     return [list(split)
-            for split in _cached_splits(total_iterations, max_depth,
-                                        uniform_only)]
+            for split in _cached_splits(total_iterations, max_depth)]
 
 
 @dataclass
@@ -145,12 +99,10 @@ class ArchitectureSpace:
     window_sides: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9)
     max_depth: Optional[int] = 5
     max_cones_per_depth: int = 16
-    uniform_levels_only: bool = True
 
     def _splits(self) -> Tuple[Tuple[int, ...], ...]:
         """The (memoized, shared) level splittings of the space."""
-        return _cached_splits(self.total_iterations, self.max_depth,
-                              self.uniform_levels_only)
+        return _cached_splits(self.total_iterations, self.max_depth)
 
     def level_splits(self) -> List[List[int]]:
         return [list(split) for split in self._splits()]
@@ -233,8 +185,7 @@ class ArchitectureSpace:
         # never materializes a single splitting.
         n_counts = (len(tuple(cone_count_choices)) if cone_count_choices
                     else self.max_cones_per_depth)
-        return (count_level_splits(self.total_iterations, self.max_depth,
-                                   self.uniform_levels_only)
+        return (count_level_splits(self.total_iterations, self.max_depth)
                 * len(tuple(self.window_sides)) * n_counts)
 
 

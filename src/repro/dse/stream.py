@@ -342,8 +342,7 @@ def _mask_cache_key(space: ArchitectureSpace,
     changes the key and recomputes, correctness before reuse.
     """
     shape_key = (space.total_iterations, space.max_depth,
-                 space.uniform_levels_only, tuple(space.window_sides),
-                 space.max_cones_per_depth)
+                 tuple(space.window_sides), space.max_cones_per_depth)
     area_key = tuple(sorted(
         (window, depth, float(entry.area_luts))
         for (window, depth), entry in characterizations.items()))

@@ -97,6 +97,23 @@ class FleetMembership:
             raise KeyError(f"unknown fleet member {name!r}")
         return member
 
+    def relocate(self, name: str, url: str) -> FleetMember:
+        """Point remote member ``name`` at ``url``; its ring name stays.
+
+        Raises ``KeyError`` for an unknown name and ``ValueError`` for an
+        in-process member, which has no address to move.
+        """
+        with self._lock:
+            member = self.get(name)
+            if member.url != url:
+                if member.url is None:
+                    raise ValueError(
+                        f"fleet member {name!r} is an in-process worker; "
+                        f"it cannot be announced at {url!r}")
+                member.client = ReproClient(url, retries=0)
+                member.url = url
+            return member
+
     def mark_dead(self, name: str) -> bool:
         """Remove ``name`` from placement; True if it was alive before."""
         with self._lock:

@@ -640,18 +640,21 @@ class FleetRouter:
 
         ``python -m repro serve --announce <router-url>`` posts here
         after binding; the router adds (or revives) the member and
-        handshakes back, completing the two-way registration.
+        handshakes back, completing the two-way registration.  A worker
+        restarted under the same name at a new address is moved there:
+        its ring name, and so its placement, stays the same.
         """
         url = info.get("url")
         if not url:
             raise ValueError(
                 "worker registration needs a 'url' field to route to")
-        name = info.get("name") or str(url).rstrip("/")
+        url = str(url).rstrip("/")
+        name = info.get("name") or url
         try:
-            member = self._membership.get(name)
+            member = self._membership.relocate(name, url)
             self._membership.mark_alive(name)
         except KeyError:
-            member = self._membership.add(build_member((name, str(url)), 0))
+            member = self._membership.add(build_member((name, url), 0))
         self._handshake(member)
         counters = self._membership.counters()
         return {

@@ -1,28 +1,25 @@
-"""Simulation substrate: frames, memories, golden model, cone simulators.
+"""Simulation substrate: frames, golden model, functional cone simulator.
 
 The paper evaluates real hardware; this reproduction replaces the board with
-(1) a functional simulator that executes the generated cone architecture tile
-by tile on synthetic frames and checks it against a software golden model,
-and (2) a transaction-level cycle simulator that counts compute and memory
-cycles of the tile cascade and cross-checks the analytic throughput model.
-
-Every simulator runs vectorized by default (whole-frame array passes,
-batched multi-frame runs, array-reduced cycle aggregation) with its original
-scalar walk preserved as a ``*_scalar`` differential oracle — the property
-suite pins the two paths bit-identical.
-:func:`~repro.simulation.validation.validate_workload` packages
+a functional simulator that executes the generated cone architecture tile
+by tile on synthetic frames and checks it against a software golden model.
+:func:`~repro.simulation.validation.validate_workload` packages the
 simulated-vs-golden evidence as a :class:`ValidationResult` for the
-``validate`` service job class.
+``validate`` service job class, together with the frame-buffer baseline's
+cycle counts for the same scenario.
+
+The simulator runs vectorized (one array pass over every tile) and
+``validate`` checks it bit for bit against its tile-by-tile walk,
+:meth:`FunctionalConeSimulator.run_scalar`, on a crop of every frame.  The
+other differential oracles live in the tests: the per-pixel golden walk
+(``tests/simulation/golden_oracle.py``) and the transaction-level cycle
+simulator with its memory models, which cross-checks the analytic
+throughput model (``tests/simulation/cycle_oracle.py``).
 """
 
 from repro.simulation.frame import Frame, FrameSet, make_test_frame
 from repro.simulation.golden import GoldenExecutor
-from repro.simulation.memory import OffChipMemoryModel, OnChipBufferModel, TransferRecord
-from repro.simulation.cone_simulator import (
-    FunctionalConeSimulator,
-    TileCascadeCycleSimulator,
-    CycleSimulationResult,
-)
+from repro.simulation.cone_simulator import FunctionalConeSimulator
 from repro.simulation.framebuffer_baseline import (
     FrameBufferArchitecture,
     FrameBufferPerformance,
@@ -34,12 +31,7 @@ __all__ = [
     "FrameSet",
     "make_test_frame",
     "GoldenExecutor",
-    "OffChipMemoryModel",
-    "OnChipBufferModel",
-    "TransferRecord",
     "FunctionalConeSimulator",
-    "TileCascadeCycleSimulator",
-    "CycleSimulationResult",
     "FrameBufferArchitecture",
     "FrameBufferPerformance",
     "ValidationResult",

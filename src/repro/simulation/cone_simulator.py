@@ -1,42 +1,29 @@
-"""Simulators of the cone architecture.
+"""Functional simulator of the cone architecture.
 
-Two complementary views are provided:
+:class:`FunctionalConeSimulator` executes the architecture functionally,
+either by numerically evaluating the symbolic cone expression DAG
+(``mode="expression"``, the strongest check of the symbolic layer) or by
+applying the kernel to each tile region with NumPy (``mode="region"``).
+:meth:`FunctionalConeSimulator.run` evaluates every tile of a frame set in
+one vectorized array pass.  The tile-by-tile walk,
+:meth:`FunctionalConeSimulator.run_scalar`, is the bit-identical reference
+``validate`` checks it against on a crop of every validated frame.
 
-* :class:`FunctionalConeSimulator` — executes the architecture functionally,
-  either by numerically evaluating the symbolic cone expression DAG
-  (``mode="expression"``, the strongest check of the symbolic layer) or by
-  applying the kernel to each tile region with NumPy (``mode="region"``).
-  The default path is vectorized: one array pass evaluates every tile (and,
-  via :meth:`FunctionalConeSimulator.run_batch`, every frame of a batch) at
-  once.  The original tile-by-tile walk is preserved as
-  :meth:`FunctionalConeSimulator.run_scalar` and serves as the differential
-  oracle — the property suite pins the two paths bit-identical.
-
-* :class:`TileCascadeCycleSimulator` — a transaction-level cycle counter for
-  the tile cascade; it cross-checks the analytic throughput model of
-  :mod:`repro.estimation.throughput_model`.  Cycle totals are aggregated by
-  a sequential-scan array reduction (bit-identical to the per-tile loop,
-  preserved as :meth:`TileCascadeCycleSimulator.simulate_frame_scalar`).
+The transaction-level cycle simulator that cross-checks the analytic
+throughput model is a test oracle (``tests/simulation/cycle_oracle.py``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.architecture.template import ConeArchitecture
-from repro.estimation.throughput_model import ConePerformance, ThroughputModel
 from repro.frontend.kernel_ir import StencilKernel
 from repro.simulation.frame import Frame, FrameSet
 from repro.simulation.golden import GoldenExecutor
-from repro.simulation.memory import OffChipMemoryModel, OnChipBufferModel
 from repro.symbolic.cone_expression import ConeExpressionBuilder, ConeExpressions
-from repro.symbolic.executor import READONLY_LEVEL
 from repro.symbolic.expression import evaluate, evaluate_array
-from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 
 
 class FunctionalConeSimulator:
@@ -74,50 +61,21 @@ class FunctionalConeSimulator:
         clamp-to-edge level-0 data, which differs from clamping at every
         iteration only in a border band of width ``radius * iterations``).
 
-        All tiles are evaluated by one vectorized array pass; the preserved
-        tile loop (:meth:`run_scalar`) is the bit-identical differential
-        oracle.
+        All tiles are evaluated by one vectorized array pass; the tile loop
+        (:meth:`run_scalar`) is the bit-identical reference.
         """
         self._check_mode(mode)
-        return self.run_batch([frames], iterations, window_side, mode)[0]
-
-    def run_batch(self, frame_sets: Iterable[FrameSet], iterations: int,
-                  window_side: int, mode: str = "expression") -> List[FrameSet]:
-        """Process several frame sets in one batched vectorized evaluation.
-
-        Element-identical to ``[self.run(f, ...) for f in frame_sets]``:
-        same-shape frame sets are stacked on a leading batch axis and every
-        operation of the evaluation is elementwise over that axis, so each
-        slice sees exactly the arithmetic an independent run performs.
-        Frame sets of different shapes are grouped and batched per shape;
-        the output order always matches the input order.
-        """
-        self._check_mode(mode)
-        frame_sets = list(frame_sets)
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for index, frames in enumerate(frame_sets):
-            groups.setdefault((frames.height, frames.width), []).append(index)
-
-        state_fields = self.kernel.state_field_names
-        results: List[Optional[FrameSet]] = [None] * len(frame_sets)
-        for (height, width), indices in groups.items():
-            names = frame_sets[indices[0]].names()
-            stacked = {
-                name: np.stack([frame_sets[i][name].data for i in indices])
-                for name in names
-            }
-            if mode == "expression":
-                outputs = self._run_expression_stack(
-                    stacked, height, width, iterations, window_side)
-            else:
-                outputs = self._run_region_stack(
-                    stacked, height, width, iterations, window_side)
-            for position, index in enumerate(indices):
-                result = frame_sets[index].copy()
-                for name in state_fields:
-                    result.replace(name, outputs[name][position].copy())
-                results[index] = result
-        return results  # type: ignore[return-value]
+        data = {name: frames[name].data for name in frames.names()}
+        if mode == "expression":
+            outputs = self._run_expression(
+                data, frames.height, frames.width, iterations, window_side)
+        else:
+            outputs = self._run_region(
+                data, frames.height, frames.width, iterations, window_side)
+        result = frames.copy()
+        for name in self.kernel.state_field_names:
+            result.replace(name, outputs[name])
+        return result
 
     def run_scalar(self, frames: FrameSet, iterations: int, window_side: int,
                    mode: str = "expression") -> FrameSet:
@@ -149,12 +107,12 @@ class FunctionalConeSimulator:
         return result
 
     # ------------------------------------------------------------------ #
-    # vectorized passes (whole frame batches, one array evaluation)
+    # vectorized passes (every tile of the frame, one array evaluation)
 
-    def _run_expression_stack(self, stacked: Mapping[str, np.ndarray],
-                              height: int, width: int, depth: int,
-                              window_side: int) -> Dict[str, np.ndarray]:
-        """Evaluate the cone DAG once with (batch, tiles_y, tiles_x) bindings.
+    def _run_expression(self, data: Mapping[str, np.ndarray],
+                        height: int, width: int, depth: int,
+                        window_side: int) -> Dict[str, np.ndarray]:
+        """Evaluate the cone DAG once with (tiles_y, tiles_x) bindings.
 
         Mirrors :meth:`_evaluate_tile_expressions`: each input symbol's
         clamped read becomes a gather over every tile origin at once, the
@@ -163,47 +121,45 @@ class FunctionalConeSimulator:
         scattered back through the same zero-initialised window tiles.
         """
         cone = self._cone(window_side, depth)
-        batch = next(iter(stacked.values())).shape[0]
         tile_ys = np.arange(0, height, window_side)
         tile_xs = np.arange(0, width, window_side)
 
         bindings: Dict[Tuple[str, int, int, int, int], np.ndarray] = {}
         for symbol in cone.input_symbols:
-            data = stacked[symbol.field]
             ys = np.clip(tile_ys + symbol.offset.dy, 0, height - 1)
             xs = np.clip(tile_xs + symbol.offset.dx, 0, width - 1)
             bindings[(symbol.field, symbol.component, symbol.offset.dx,
                       symbol.offset.dy, symbol.level)] = \
-                data[:, symbol.component][:, ys[:, None], xs[None, :]]
+                data[symbol.field][symbol.component][ys[:, None], xs[None, :]]
 
         cache: Dict[int, np.ndarray] = {}
         tile_grids: Dict[Tuple[str, int], np.ndarray] = {}
         for (field, component, offset), expr in cone.outputs.items():
             grid = tile_grids.setdefault(
                 (field, component),
-                np.zeros((batch, tile_ys.size, tile_xs.size,
+                np.zeros((tile_ys.size, tile_xs.size,
                           window_side, window_side)))
-            grid[:, :, :, offset.dy, offset.dx] = \
+            grid[:, :, offset.dy, offset.dx] = \
                 evaluate_array(expr, bindings, cache)
 
-        outputs = {name: stacked[name].copy()
+        outputs = {name: data[name].copy()
                    for name in self.kernel.state_field_names}
         for (field, component), grid in tile_grids.items():
-            full = grid.transpose(0, 1, 3, 2, 4).reshape(
-                batch, tile_ys.size * window_side, tile_xs.size * window_side)
-            outputs[field][:, component] = full[:, :height, :width]
+            full = grid.transpose(0, 2, 1, 3).reshape(
+                tile_ys.size * window_side, tile_xs.size * window_side)
+            outputs[field][component] = full[:height, :width]
         return outputs
 
-    def _run_region_stack(self, stacked: Mapping[str, np.ndarray],
-                          height: int, width: int, depth: int,
-                          window_side: int) -> Dict[str, np.ndarray]:
+    def _run_region(self, data: Mapping[str, np.ndarray],
+                    height: int, width: int, depth: int,
+                    window_side: int) -> Dict[str, np.ndarray]:
         """Apply the kernel ``depth`` times to every tile's halo region at once.
 
         Mirrors :meth:`_evaluate_tile_region`: the clamped halo regions of
-        all tiles (and all batched frames) are gathered into one
-        ``(batch, components, tiles_y, tiles_x, side, side)`` array per
-        field, and the golden executor's expression evaluation — purely
-        elementwise over the leading axes — is applied to the stack.
+        all tiles are gathered into one
+        ``(components, tiles_y, tiles_x, side, side)`` array per field, and
+        the golden executor's expression evaluation — purely elementwise
+        over the leading axes — is applied to the stack.
         """
         halo = self.radius * depth
         side = window_side + 2 * halo
@@ -214,13 +170,12 @@ class FunctionalConeSimulator:
         cols = np.clip(tile_xs[:, None] + span[None, :], 0, width - 1)
 
         region: Dict[str, np.ndarray] = {
-            name: data[:, :, rows[:, None, :, None], cols[None, :, None, :]]
-            for name, data in stacked.items()
+            name: array[:, rows[:, None, :, None], cols[None, :, None, :]]
+            for name, array in data.items()
         }
 
         radius = max(self.golden.radius, self.golden._readonly_radius())
-        pad_spec = ((0, 0), (0, 0), (0, 0), (0, 0),
-                    (radius, radius), (radius, radius))
+        pad_spec = ((0, 0), (0, 0), (0, 0), (radius, radius), (radius, radius))
         for _ in range(depth):
             padded = {name: np.pad(arr, pad_spec, mode="edge")
                       for name, arr in region.items()}
@@ -228,27 +183,26 @@ class FunctionalConeSimulator:
             def read(field_name: str, component: int,
                      dy: int, dx: int) -> np.ndarray:
                 array = padded[field_name]
-                return array[:, component, :, :,
+                return array[component, :, :,
                              radius + dy: radius + dy + side,
                              radius + dx: radius + dx + side]
 
             new_region = {name: arr.copy() for name, arr in region.items()}
             for update in self.kernel.updates:
-                new_region[update.field_name][:, update.component] = \
+                new_region[update.field_name][update.component] = \
                     self.golden._evaluate(update.expr, read)
             region = new_region
 
-        batch = next(iter(stacked.values())).shape[0]
         outputs = {}
         for name in self.kernel.state_field_names:
-            windows = region[name][:, :, :, :,
+            windows = region[name][:, :, :,
                                    halo:halo + window_side,
                                    halo:halo + window_side]
-            components = windows.shape[1]
-            full = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
-                batch, components,
+            components = windows.shape[0]
+            full = windows.transpose(0, 1, 3, 2, 4).reshape(
+                components,
                 tile_ys.size * window_side, tile_xs.size * window_side)
-            outputs[name] = np.ascontiguousarray(full[:, :, :height, :width])
+            outputs[name] = np.ascontiguousarray(full[:, :height, :width])
         return outputs
 
     # ------------------------------------------------------------------ #
@@ -302,161 +256,3 @@ class FunctionalConeSimulator:
                 outputs[(name, component)] = frame.data[
                     component, halo:halo + window_side, halo:halo + window_side]
         return outputs
-
-
-@dataclass(frozen=True)
-class CycleSimulationResult:
-    """Outcome of the transaction-level cycle simulation of one frame."""
-
-    architecture_label: str
-    tiles: int
-    total_cycles: float
-    compute_cycles: float
-    transfer_cycles: float
-    offchip_bytes: int
-    onchip_peak_bytes: int
-    seconds_per_frame: float
-    frames_per_second: float
-
-
-class TileCascadeCycleSimulator:
-    """Counts compute and memory cycles of the tile cascade."""
-
-    def __init__(self, device: FpgaDevice = VIRTEX6_XC6VLX760,
-                 bytes_per_element: int = 4,
-                 onchip_port_elements_per_cycle: int = 16,
-                 readonly_components: int = 0,
-                 tile_overhead_cycles: float = 24.0) -> None:
-        self.device = device
-        self.bytes_per_element = bytes_per_element
-        self.onchip_port_elements_per_cycle = onchip_port_elements_per_cycle
-        self.readonly_components = readonly_components
-        self.tile_overhead_cycles = tile_overhead_cycles
-
-    @staticmethod
-    def _sequential_total(per_tile: float, tiles: int) -> float:
-        """Fold ``tiles`` identical additions exactly like the scalar loop.
-
-        ``np.cumsum`` accumulates left to right — the same rounding sequence
-        as the scalar ``+=`` fold — where ``np.sum``'s pairwise reduction
-        would not be bit-identical.
-        """
-        if tiles <= 0:
-            return 0.0
-        return float(np.cumsum(np.full(tiles, per_tile, dtype=np.float64))[-1])
-
-    def simulate_frame(self, architecture: ConeArchitecture,
-                       cone_performance: Mapping[int, ConePerformance],
-                       frame_width: int, frame_height: int) -> CycleSimulationResult:
-        """Accumulate frame cycle counts from one representative tile.
-
-        Every tile of the cascade is identical, so the per-tile compute and
-        transfer cycles are costed once and the frame totals come from a
-        sequential-scan array reduction — bit-identical to walking the tile
-        loop (:meth:`simulate_frame_scalar`, the differential oracle).
-        """
-        offchip = OffChipMemoryModel(self.device, self.bytes_per_element)
-        onchip = OnChipBufferModel(
-            capacity_bytes=self.device.onchip_memory_bytes,
-            elements_per_cycle=self.onchip_port_elements_per_cycle,
-            bytes_per_element=self.bytes_per_element)
-
-        window = architecture.window_side
-        tiles_x = math.ceil(frame_width / window)
-        tiles_y = math.ceil(frame_height / window)
-        tiles = tiles_x * tiles_y
-        executions_per_level = architecture.executions_per_level()
-        read_elements, written_elements = architecture.offchip_elements_per_tile(
-            readonly_components=self.readonly_components)
-        onchip.occupy(architecture.onchip_elements())
-
-        load = offchip.transfer(read_elements, "tile input region")
-        store = offchip.transfer(written_elements, "tile output window")
-        tile_transfer = load.cycles + store.cycles
-
-        tile_compute = 0.0
-        for level_index, depth in enumerate(architecture.level_depths):
-            perf = cone_performance[depth]
-            instances = architecture.cone_counts.get(depth, 1)
-            executions = executions_per_level[level_index]
-            serialised = math.ceil(executions / max(1, instances))
-            geometry = architecture.geometry(depth)
-            feed_cycles = onchip.access_cycles(geometry.input_elements)
-            tile_compute += perf.latency_cycles + serialised * max(
-                feed_cycles, perf.initiation_interval)
-
-        compute_cycles = self._sequential_total(tile_compute, tiles)
-        transfer_cycles = self._sequential_total(tile_transfer, tiles)
-        total_cycles = self._sequential_total(
-            max(tile_compute, tile_transfer) + self.tile_overhead_cycles, tiles)
-
-        clock = self.device.typical_clock_hz
-        seconds = total_cycles / clock
-        return CycleSimulationResult(
-            architecture_label=architecture.label(),
-            tiles=tiles,
-            total_cycles=total_cycles,
-            compute_cycles=compute_cycles,
-            transfer_cycles=transfer_cycles,
-            offchip_bytes=tiles * (load.bytes + store.bytes),
-            onchip_peak_bytes=onchip.peak_occupancy_bytes,
-            seconds_per_frame=seconds,
-            frames_per_second=1.0 / seconds if seconds > 0 else 0.0,
-        )
-
-    def simulate_frame_scalar(self, architecture: ConeArchitecture,
-                              cone_performance: Mapping[int, ConePerformance],
-                              frame_width: int, frame_height: int
-                              ) -> CycleSimulationResult:
-        """Walk every tile of the frame and accumulate cycle counts."""
-        offchip = OffChipMemoryModel(self.device, self.bytes_per_element)
-        onchip = OnChipBufferModel(
-            capacity_bytes=self.device.onchip_memory_bytes,
-            elements_per_cycle=self.onchip_port_elements_per_cycle,
-            bytes_per_element=self.bytes_per_element)
-
-        window = architecture.window_side
-        tiles_x = math.ceil(frame_width / window)
-        tiles_y = math.ceil(frame_height / window)
-        executions_per_level = architecture.executions_per_level()
-        read_elements, written_elements = architecture.offchip_elements_per_tile(
-            readonly_components=self.readonly_components)
-
-        compute_cycles = 0.0
-        transfer_cycles = 0.0
-        total_cycles = 0.0
-        onchip.occupy(architecture.onchip_elements())
-
-        for _tile_index in range(tiles_x * tiles_y):
-            load = offchip.transfer(read_elements, "tile input region")
-            store = offchip.transfer(written_elements, "tile output window")
-            tile_transfer = load.cycles + store.cycles
-
-            tile_compute = 0.0
-            for level_index, depth in enumerate(architecture.level_depths):
-                perf = cone_performance[depth]
-                instances = architecture.cone_counts.get(depth, 1)
-                executions = executions_per_level[level_index]
-                serialised = math.ceil(executions / max(1, instances))
-                geometry = architecture.geometry(depth)
-                feed_cycles = onchip.access_cycles(geometry.input_elements)
-                tile_compute += perf.latency_cycles + serialised * max(
-                    feed_cycles, perf.initiation_interval)
-
-            compute_cycles += tile_compute
-            transfer_cycles += tile_transfer
-            total_cycles += max(tile_compute, tile_transfer) + self.tile_overhead_cycles
-
-        clock = self.device.typical_clock_hz
-        seconds = total_cycles / clock
-        return CycleSimulationResult(
-            architecture_label=architecture.label(),
-            tiles=tiles_x * tiles_y,
-            total_cycles=total_cycles,
-            compute_cycles=compute_cycles,
-            transfer_cycles=transfer_cycles,
-            offchip_bytes=offchip.total_bytes,
-            onchip_peak_bytes=onchip.peak_occupancy_bytes,
-            seconds_per_frame=seconds,
-            frames_per_second=1.0 / seconds if seconds > 0 else 0.0,
-        )

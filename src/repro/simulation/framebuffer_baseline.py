@@ -11,11 +11,7 @@ are exactly what the cone architecture removes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
 
 from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import validate_kernel
@@ -112,53 +108,3 @@ class FrameBufferArchitecture:
             seconds_per_frame=seconds,
             frames_per_second=1.0 / seconds if seconds > 0 else 0.0,
         )
-
-    def evaluate_batch(self, frame_widths, frame_heights,
-                       iterations) -> Dict[str, np.ndarray]:
-        """Vectorized :meth:`evaluate` over arrays of frame scenarios.
-
-        The three inputs broadcast against each other; the result is a dict
-        of parallel columns (one per numeric :class:`FrameBufferPerformance`
-        field) whose every element is bit-identical to the corresponding
-        scalar :meth:`evaluate` call — the closed form is evaluated with the
-        same correctly rounded float64 primitives, and integer quantities
-        stay exact (all products are far below 2**53).
-        """
-        widths = np.atleast_1d(np.asarray(frame_widths, dtype=np.int64))
-        heights = np.atleast_1d(np.asarray(frame_heights, dtype=np.int64))
-        iters = np.atleast_1d(np.asarray(iterations, dtype=np.int64))
-        widths, heights, iters = np.broadcast_arrays(widths, heights, iters)
-
-        components = self.properties.total_state_components
-        readonly = sum(self.properties.components_per_field[name]
-                       for name in self.properties.readonly_fields)
-        element_bytes = self.data_format.bytes
-        pixels = widths * heights
-
-        onchip_required = (2 * components + readonly) * pixels * element_bytes
-        fits = onchip_required <= self.device.onchip_memory_bytes
-
-        clock = self.device.typical_clock_hz
-        bytes_per_cycle = self.device.offchip_bandwidth_bytes_per_s / clock
-
-        compute_cycles = iters * pixels / self.pixels_per_cycle
-
-        fits_bytes = (components + readonly) * pixels * element_bytes \
-            + components * pixels * element_bytes
-        streamed_bytes = iters * (2 * components + readonly) * pixels * element_bytes
-        offchip_bytes = np.where(fits, fits_bytes, streamed_bytes)
-        transfer_cycles = offchip_bytes / bytes_per_cycle
-
-        total_cycles = np.maximum(compute_cycles, transfer_cycles)
-        seconds = total_cycles / clock
-        with np.errstate(divide="ignore"):
-            fps = np.where(seconds > 0, 1.0 / seconds, 0.0)
-        return {
-            "frame_fits_onchip": fits,
-            "onchip_bytes_required": onchip_required,
-            "offchip_bytes_per_frame": offchip_bytes.astype(np.float64),
-            "compute_cycles_per_frame": compute_cycles,
-            "transfer_cycles_per_frame": transfer_cycles,
-            "seconds_per_frame": seconds,
-            "frames_per_second": fps,
-        }

@@ -5,14 +5,13 @@ iteration computes the whole next frame from the whole current frame.  The
 cone simulators are validated against it, and it also provides the reference
 output for the generated VHDL testbenches.
 
-The vectorized :meth:`GoldenExecutor.step` is the default; the per-pixel
-walk is preserved as :meth:`GoldenExecutor.step_scalar` /
-:meth:`GoldenExecutor.run_scalar` and serves as the differential oracle
-(``tests/property/test_simulator_differential.py`` pins the two paths
-bit-identical).  Both use correctly rounded IEEE float64 primitives, so
-identity holds by construction: the scalar path's ``clamped_read`` and the
-vectorized path's edge-padded view read the same element for every
-coordinate (see :meth:`repro.simulation.frame.Frame.padded`).
+Its differential oracle, a per-pixel walk with Python floats and
+:meth:`~repro.simulation.frame.Frame.clamped_read` boundary handling, lives
+in the tests (``tests/simulation/golden_oracle.py``).  Both use correctly
+rounded IEEE float64 primitives, so bit-identity holds by construction: a
+``clamped_read`` and the edge-padded view :meth:`GoldenExecutor.step` reads
+select the same element for every coordinate (see
+:meth:`repro.simulation.frame.Frame.padded`).
 
 Boundary handling is clamp-to-edge (replicating the border element), the
 usual choice for image filters; the cone simulator uses the same convention
@@ -21,8 +20,6 @@ so results match exactly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -39,7 +36,7 @@ from repro.frontend.kernel_ir import (
     UnOpKind,
     UnaryOp,
 )
-from repro.simulation.frame import Frame, FrameSet
+from repro.simulation.frame import FrameSet
 
 
 class GoldenExecutor:
@@ -65,15 +62,6 @@ class GoldenExecutor:
             current = self.step(current)
         return current
 
-    def run_scalar(self, frames: FrameSet, iterations: int) -> FrameSet:
-        """Per-pixel differential oracle of :meth:`run` (bit-identical)."""
-        if iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        current = frames.copy()
-        for _ in range(iterations):
-            current = self.step_scalar(current)
-        return current
-
     def step(self, frames: FrameSet) -> FrameSet:
         """One whole-frame application of the kernel (f_i -> f_{i+1})."""
         radius = max(self.radius, self._readonly_radius())
@@ -95,36 +83,6 @@ class GoldenExecutor:
         for update in self.kernel.updates:
             value = self._evaluate(update.expr, read)
             new_data[update.field_name][update.component] = value
-        for name, data in new_data.items():
-            next_frames.replace(name, data)
-        return next_frames
-
-    def step_scalar(self, frames: FrameSet) -> FrameSet:
-        """Per-pixel differential oracle of :meth:`step`.
-
-        Walks every output element and evaluates the kernel expression with
-        Python floats and :meth:`~repro.simulation.frame.Frame.clamped_read`
-        boundary handling.  Bit-identical to the vectorized step: scalar
-        IEEE float64 arithmetic and NumPy elementwise float64 arithmetic are
-        both correctly rounded, and clamped reads select the same element as
-        the edge-padded view for every coordinate.
-        """
-        height, width = frames.height, frames.width
-        next_frames = frames.copy()
-        new_data: Dict[str, np.ndarray] = {
-            name: frames[name].data.copy() for name in frames.names()
-        }
-        for update in self.kernel.updates:
-            target = np.empty((height, width), dtype=np.float64)
-            for y in range(height):
-                for x in range(width):
-                    def read(field_name: str, component: int,
-                             dy: int, dx: int) -> float:
-                        return frames[field_name].clamped_read(
-                            component, y + dy, x + dx)
-
-                    target[y, x] = self._evaluate_scalar(update.expr, read)
-            new_data[update.field_name][update.component] = target
         for name, data in new_data.items():
             next_frames.replace(name, data)
         return next_frames
@@ -188,56 +146,4 @@ class GoldenExecutor:
             if_true = self._evaluate(expr.if_true, read)
             if_false = self._evaluate(expr.if_false, read)
             return np.where(cond != 0.0, if_true, if_false)
-        raise TypeError(f"unsupported kernel expression {type(expr).__name__}")
-
-    def _evaluate_scalar(self, expr: KernelExpr, read) -> float:
-        """Scalar twin of :meth:`_evaluate`; ``read`` returns a float."""
-        if isinstance(expr, Literal):
-            return float(expr.value)
-        if isinstance(expr, ParamRef):
-            return float(self.params[expr.name])
-        if isinstance(expr, FieldRead):
-            return read(expr.field_name, expr.component,
-                        expr.offset.dy, expr.offset.dx)
-        if isinstance(expr, BinaryOp):
-            left = self._evaluate_scalar(expr.left, read)
-            right = self._evaluate_scalar(expr.right, read)
-            kind = expr.kind
-            if kind is BinOpKind.ADD:
-                return left + right
-            if kind is BinOpKind.SUB:
-                return left - right
-            if kind is BinOpKind.MUL:
-                return left * right
-            if kind is BinOpKind.DIV:
-                return left / right
-            if kind is BinOpKind.MIN:
-                return min(left, right)
-            if kind is BinOpKind.MAX:
-                return max(left, right)
-            if kind is BinOpKind.LT:
-                return 1.0 if left < right else 0.0
-            if kind is BinOpKind.LE:
-                return 1.0 if left <= right else 0.0
-            if kind is BinOpKind.GT:
-                return 1.0 if left > right else 0.0
-            if kind is BinOpKind.GE:
-                return 1.0 if left >= right else 0.0
-            if kind is BinOpKind.EQ:
-                return 1.0 if left == right else 0.0
-            raise ValueError(f"unsupported binary operator {kind!r}")
-        if isinstance(expr, UnaryOp):
-            if expr.kind is UnOpKind.NEG:
-                return -self._evaluate_scalar(expr.operand, read)
-            if expr.kind is UnOpKind.ABS:
-                return abs(self._evaluate_scalar(expr.operand, read))
-            if expr.kind is UnOpKind.SQRT:
-                return math.sqrt(self._evaluate_scalar(expr.operand, read))
-            raise ValueError(f"unsupported unary operator {expr.kind!r}")
-        if isinstance(expr, Select):
-            # short-circuit: the not-taken branch is hardware don't-care and
-            # must not fault (the vectorized step evaluates both and merges)
-            if self._evaluate_scalar(expr.cond, read) != 0.0:
-                return self._evaluate_scalar(expr.if_true, read)
-            return self._evaluate_scalar(expr.if_false, read)
         raise TypeError(f"unsupported kernel expression {type(expr).__name__}")

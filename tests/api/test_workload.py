@@ -113,6 +113,37 @@ class TestConstruction:
         with pytest.raises(ValueError, match=named):
             build()
 
+    @pytest.mark.parametrize("value, member", [
+        ("fixed16", DataFormat.FIXED16),
+        ("fixed32", DataFormat.FIXED32),
+        ("float32", DataFormat.FLOAT32),
+        (DataFormat.FIXED32, DataFormat.FIXED32),
+    ], ids=["fixed16", "fixed32", "float32", "member"])
+    def test_data_format_values_resolve_to_the_member(self, value, member):
+        workload = Workload.from_algorithm("blur", data_format=value)
+        assert workload.data_format is member
+        as_member = Workload.from_algorithm("blur", data_format=member)
+        assert workload == as_member and hash(workload) == hash(as_member)
+        assert workload.to_dict()["data_format"] == member.value
+
+    @pytest.mark.parametrize("bad", ["bogus", "FIXED16", 16, None, 1.5,
+                                     ["fixed16"]],
+                             ids=["bogus", "upper-case", "int", "none",
+                                  "float", "list"])
+    def test_unknown_data_format_rejected_at_construction(self, bad):
+        # each one used to build, then fail in to_dict(), run or validate
+        with pytest.raises(ValueError, match="data_format"):
+            Workload.from_algorithm("blur", data_format=bad)
+
+    @pytest.mark.parametrize("bad", [{"min_frames_per_second": 30.0}, 5,
+                                     "device_only", (30.0, None, False)],
+                             ids=["dict", "int", "string", "tuple"])
+    def test_constraints_of_another_type_rejected_at_construction(self, bad):
+        # a dict used to build an unhashable workload (TypeError in
+        # Session.run), anything else an AttributeError mid-run
+        with pytest.raises(TypeError, match="constraints"):
+            Workload.from_algorithm("blur", constraints=bad)
+
     @pytest.mark.parametrize("knob", ["chunk_rows"])
     def test_stream_knobs_accept_none_and_positive_ints(self, knob):
         assert getattr(Workload.from_algorithm("blur", **{knob: 3}),

@@ -39,10 +39,6 @@ class TestLevelSplits:
         assert [3, 3, 3, 1] in splits
         assert len(splits) == 5
 
-    def test_non_uniform_enumeration_is_complete_for_small_counts(self):
-        splits = enumerate_level_splits(3, uniform_only=False)
-        assert sorted(splits) == sorted([[1, 1, 1], [1, 2], [2, 1], [3]])
-
     def test_max_depth_respected(self):
         for split in enumerate_level_splits(10, max_depth=3):
             assert max(split) <= 3
@@ -87,20 +83,16 @@ class TestArchitectureSpace:
 
 
 class TestCountLevelSplits:
-    """O(1)/DP counting must agree with the materializing enumeration."""
+    """O(1) counting must agree with the materializing enumeration."""
 
-    @pytest.mark.parametrize("uniform_only", [True, False])
-    def test_matches_enumeration(self, uniform_only):
+    def test_matches_enumeration(self):
         for total in range(1, 9):
             for max_depth in [None] + list(range(1, total + 2)):
-                expected = len(enumerate_level_splits(
-                    total, max_depth, uniform_only))
-                assert count_level_splits(
-                    total, max_depth, uniform_only) == expected
+                expected = len(enumerate_level_splits(total, max_depth))
+                assert count_level_splits(total, max_depth) == expected
 
     def test_counts_a_space_too_large_to_enumerate(self):
-        # 10^4 compositions would be fine, 10 iterations uniform is 10;
-        # the point is that huge uniform spaces stay O(1).
+        # huge uniform spaces are counted in O(1)
         assert count_level_splits(10**6, max_depth=5) == 5
         assert count_level_splits(10**6) == 10**6
 
@@ -118,10 +110,8 @@ class TestConstantTimeSize:
 
     def test_size_matches_enumeration_across_knobs(self):
         for max_depth in (1, 3, None):
-            for uniform in (True, False) if max_depth == 3 else (True,):
-                space = self.make_space(max_depth=max_depth,
-                                        uniform_levels_only=uniform)
-                assert space.size() == len(list(space.architectures()))
+            space = self.make_space(max_depth=max_depth)
+            assert space.size() == len(list(space.architectures()))
 
     def test_size_with_count_choices(self):
         space = self.make_space()

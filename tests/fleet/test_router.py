@@ -367,6 +367,58 @@ class TestRegistration:
             finally:
                 worker.close(drain=False)
 
+    def test_a_worker_reannounced_at_a_new_url_is_routed_there(
+            self, reference_digests):
+        # a worker restarted with `serve --port 0 --worker-id w --announce`
+        # comes back on another port; the router used to revive it at its
+        # old, dead address
+        from repro.service import ReproServer
+        store, reference = reference_digests
+        fleet = FleetRouter(healthcheck_interval_s=0, close_workers=False)
+        first = ReproServer(store=store, worker_id="w")
+        second = ReproServer(store=store, worker_id="w")
+        try:
+            old_url = "http://{}:{}".format(*first.serve_http("127.0.0.1", 0))
+            assert fleet.register({"url": old_url, "name": "w"})["ok"]
+            ring = list(fleet.membership.ring.members)
+            # bound while the first still holds its port, so they differ
+            new_url = "http://{}:{}".format(
+                *second.serve_http("127.0.0.1", 0))
+            first.close(drain=False)
+            reply = fleet.register({"url": new_url + "/", "name": "w"})
+            assert reply["ok"] and reply["workers_total"] == 1
+            member = fleet.membership.get("w")
+            assert member.url == new_url
+            assert member.registration["worker_id"] == "w"
+            assert list(fleet.membership.ring.members) == ring
+            receipt = fleet.submit(workload("blur"))
+            assert receipt["worker"] == "w"
+            result = fleet.result(receipt["job_id"], timeout=60)
+            assert digest(result) == reference["blur"]
+            assert member.alive
+        finally:
+            fleet.close(drain=False)
+            first.close(drain=False)
+            second.close(drain=False)
+
+    def test_a_url_announcement_naming_an_in_process_member_is_refused(
+            self, tmp_path):
+        with FleetRouter.local(1, store=tmp_path,
+                               healthcheck_interval_s=0) as fleet:
+            announcement = {"url": "http://127.0.0.1:9", "name": "worker-0"}
+            with pytest.raises(ValueError, match="in-process"):
+                fleet.register(announcement)
+            host, port = fleet.serve_http("127.0.0.1", 0)
+            request = urllib.request.Request(
+                f"http://{host}:{port}/register",
+                data=json.dumps(announcement).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=10)
+            assert caught.value.code == 400
+            member = fleet.membership.get("worker-0")
+            assert member.url is None and member.alive
+
     def test_registration_requires_a_url(self, tmp_path):
         with FleetRouter.local(1, store=tmp_path,
                                healthcheck_interval_s=0) as fleet:

@@ -1,7 +1,15 @@
 """Integration tests: the full pipeline from C source to VHDL and simulation."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
+
+# the cycle-level oracle lives beside the simulation tests
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "simulation"))
+from cycle_oracle import TileCascadeCycleSimulator  # noqa: E402
 
 from repro.algorithms import get_algorithm
 from repro.api import Session, Workload
@@ -11,10 +19,7 @@ from repro.estimation.throughput_model import ConePerformance, ThroughputModel
 from repro.frontend.extractor import extract_kernel_from_c
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat
-from repro.simulation.cone_simulator import (
-    FunctionalConeSimulator,
-    TileCascadeCycleSimulator,
-)
+from repro.simulation.cone_simulator import FunctionalConeSimulator
 from repro.simulation.frame import FrameSet
 from repro.simulation.golden import GoldenExecutor
 from repro.symbolic.cone_expression import ConeExpressionBuilder

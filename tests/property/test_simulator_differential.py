@@ -1,39 +1,39 @@
 """Differential property tests: cone simulator vs. the golden model, and
-the vectorized simulation paths vs. their preserved scalar oracles.
+the vectorized simulation paths vs. their scalar oracles.
 
 Two layers of evidence:
 
-* *semantic* (ISSUE 3 satellite) — the functional cone simulator must
-  agree with the whole-frame golden executor for randomized frame
-  geometries, simulator modes, and algorithm picks.  The architectural
-  contract (see :class:`FunctionalConeSimulator`): every output element
-  whose dependency cone does not touch the frame border is bit-identical
-  to Algorithm 1's result; border elements may differ only inside the
-  clamp band of width ``radius * iterations``.
-* *implementation* (ISSUE 8 tentpole) — every vectorized path
-  (``GoldenExecutor.step``, both cone-simulator modes, ``run_batch``, the
-  cycle simulator, the frame-buffer batch evaluator) must be
-  **bit-identical** — not merely close — to the retained ``*_scalar``
-  walk on the same inputs, including degenerate 1×1 and 1×N frames.
+* *semantic* — the functional cone simulator must agree with the
+  whole-frame golden executor for randomized frame geometries, simulator
+  modes, and algorithm picks.  The architectural contract (see
+  :class:`FunctionalConeSimulator`): every output element whose
+  dependency cone does not touch the frame border is bit-identical to
+  Algorithm 1's result; border elements may differ only inside the clamp
+  band of width ``radius * iterations``.
+* *implementation* — the vectorized golden step and both cone-simulator
+  modes must be **bit-identical** — not merely close — to their scalar
+  walks on the same inputs, including degenerate 1×1 and 1×N frames:
+  ``GoldenExecutor.run`` to the per-pixel ``golden_oracle`` and
+  ``FunctionalConeSimulator.run`` to its tile loop ``run_scalar``.
 """
 
+import os
+import sys
+
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+# the golden model's oracle lives beside the simulation tests
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "simulation"))
+from golden_oracle import run_scalar  # noqa: E402
+
 from repro.algorithms import ALGORITHMS as REGISTERED_ALGORITHMS
 from repro.algorithms import get_algorithm
-from repro.architecture.template import ConeArchitecture
-from repro.estimation.throughput_model import ConePerformance
-from repro.simulation.cone_simulator import (
-    FunctionalConeSimulator,
-    TileCascadeCycleSimulator,
-)
+from repro.simulation.cone_simulator import FunctionalConeSimulator
 from repro.simulation.frame import FrameSet
-from repro.simulation.framebuffer_baseline import FrameBufferArchitecture
 from repro.simulation.golden import GoldenExecutor
-from repro.synth.fpga_device import VIRTEX6_XC6VLX760
 
 #: Single-state-field algorithms cheap enough for randomized sweeps (the
 #: multi-field Chambolle case is covered by its own dedicated test below).
@@ -212,110 +212,7 @@ def test_golden_step_bit_identical_to_scalar(algorithm, height, width, seed,
     frames = FrameSet.for_kernel(kernel, height, width, seed=seed)
     executor = GoldenExecutor(kernel)
     vectorized = executor.run(frames, iterations)
-    scalar = executor.run_scalar(frames, iterations)
+    scalar = run_scalar(executor, frames, iterations)
     assert_frames_identical(vectorized, scalar,
                             f"golden {algorithm} {height}x{width} "
                             f"i{iterations}")
-
-
-@given(window=st.integers(min_value=1, max_value=8),
-       depth=st.integers(min_value=1, max_value=4),
-       levels=st.integers(min_value=1, max_value=3),
-       instances=st.integers(min_value=1, max_value=4),
-       frame_width=st.integers(min_value=1, max_value=300),
-       frame_height=st.integers(min_value=1, max_value=300),
-       latency=st.integers(min_value=1, max_value=12))
-@settings(max_examples=30, deadline=None)
-def test_cycle_simulator_bit_identical_to_scalar(window, depth, levels,
-                                                 instances, frame_width,
-                                                 frame_height, latency):
-    """The one-representative-tile cycle aggregation vs. the per-tile walk:
-    every count and cycle total must be *exactly* equal (the sequential
-    cumsum fold reproduces the scalar ``+=`` rounding sequence)."""
-    architecture = ConeArchitecture(
-        kernel_name="blur", window_side=window,
-        level_depths=[depth] * levels,
-        cone_counts={depth: instances}, radius=1)
-    performance = {d: ConePerformance(d, window, latency)
-                   for d in architecture.distinct_depths}
-    simulator = TileCascadeCycleSimulator(VIRTEX6_XC6VLX760)
-    fast = simulator.simulate_frame(architecture, performance,
-                                    frame_width, frame_height)
-    slow = simulator.simulate_frame_scalar(architecture, performance,
-                                           frame_width, frame_height)
-    assert fast.tiles == slow.tiles
-    assert fast.compute_cycles == slow.compute_cycles
-    assert fast.transfer_cycles == slow.transfer_cycles
-    assert fast.total_cycles == slow.total_cycles
-    assert fast.offchip_bytes == slow.offchip_bytes
-    assert fast.onchip_peak_bytes == slow.onchip_peak_bytes
-    assert fast.seconds_per_frame == slow.seconds_per_frame
-    assert fast.frames_per_second == slow.frames_per_second
-
-
-@given(widths=st.lists(st.integers(min_value=1, max_value=4000),
-                       min_size=1, max_size=8),
-       heights=st.lists(st.integers(min_value=1, max_value=4000),
-                        min_size=1, max_size=8),
-       iterations=st.integers(min_value=0, max_value=40))
-@settings(max_examples=25, deadline=None)
-def test_framebuffer_batch_bit_identical_to_scalar(widths, heights,
-                                                   iterations):
-    """``evaluate_batch`` columns vs. element-wise ``evaluate`` calls."""
-    size = min(len(widths), len(heights))
-    widths, heights = widths[:size], heights[:size]
-    baseline = FrameBufferArchitecture(get_algorithm("blur").kernel())
-    columns = baseline.evaluate_batch(widths, heights, iterations)
-    for index, (w, h) in enumerate(zip(widths, heights)):
-        report = baseline.evaluate(w, h, iterations)
-        assert bool(columns["frame_fits_onchip"][index]) \
-            == report.frame_fits_onchip
-        assert int(columns["onchip_bytes_required"][index]) \
-            == report.onchip_bytes_required
-        assert float(columns["offchip_bytes_per_frame"][index]) \
-            == report.offchip_bytes_per_frame
-        assert float(columns["compute_cycles_per_frame"][index]) \
-            == report.compute_cycles_per_frame
-        assert float(columns["transfer_cycles_per_frame"][index]) \
-            == report.transfer_cycles_per_frame
-        assert float(columns["seconds_per_frame"][index]) \
-            == report.seconds_per_frame
-        assert float(columns["frames_per_second"][index]) \
-            == report.frames_per_second
-
-
-# ---------------------------------------------------------------------- #
-# batched multi-frame runs
-
-
-@pytest.mark.parametrize("batch_size", [1, 2, 7])
-def test_run_batch_matches_independent_runs(batch_size):
-    """``run_batch`` over K frame sets (mixed shapes, shuffled order) is
-    element-identical to K independent ``run`` calls, in input order."""
-    kernel = get_algorithm("blur").kernel()
-    simulator = FunctionalConeSimulator(kernel)
-    shapes = [(9, 7), (1, 5), (12, 12), (4, 9), (1, 1), (7, 7), (5, 13)]
-    rng = np.random.default_rng(batch_size)
-    order = rng.permutation(len(shapes))[:batch_size]
-    frame_sets = [FrameSet.for_kernel(kernel, *shapes[i], seed=100 + int(i))
-                  for i in order]
-    batched = simulator.run_batch(frame_sets, iterations=2, window_side=3,
-                                  mode="region")
-    assert len(batched) == batch_size
-    for position, frames in enumerate(frame_sets):
-        single = simulator.run(frames, 2, 3, mode="region")
-        assert_frames_identical(batched[position], single,
-                                f"batch[{position}] of {batch_size}")
-
-
-def test_run_batch_multi_field():
-    """Batching must carry every state field of a multi-field kernel."""
-    kernel = get_algorithm("chamb").kernel()
-    simulator = FunctionalConeSimulator(kernel)
-    frame_sets = [FrameSet.for_kernel(kernel, 8, 6, seed=s) for s in (1, 2)]
-    batched = simulator.run_batch(frame_sets, iterations=1, window_side=2,
-                                  mode="region")
-    for position, frames in enumerate(frame_sets):
-        single = simulator.run(frames, 1, 2, mode="region")
-        assert_frames_identical(batched[position], single,
-                                f"chamb batch[{position}]")

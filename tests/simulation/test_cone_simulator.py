@@ -1,15 +1,15 @@
-"""Unit tests for the functional cone simulator and the cycle-level simulator."""
+"""Unit tests for the functional cone simulator, and the throughput model
+against the cycle-level oracle (``cycle_oracle``)."""
 
 import numpy as np
 import pytest
 
+from cycle_oracle import TileCascadeCycleSimulator
+
 from repro.architecture.template import ConeArchitecture
 from repro.estimation.throughput_model import ConePerformance, ThroughputModel
 from repro.ir.operators import DataFormat
-from repro.simulation.cone_simulator import (
-    FunctionalConeSimulator,
-    TileCascadeCycleSimulator,
-)
+from repro.simulation.cone_simulator import FunctionalConeSimulator
 from repro.simulation.frame import FrameSet
 from repro.simulation.golden import GoldenExecutor
 from repro.synth.fpga_device import VIRTEX6_XC6VLX760

@@ -1,8 +1,9 @@
-"""Unit tests for the memory hierarchy models."""
+"""Unit tests for the memory hierarchy models of the cycle oracle."""
 
 import pytest
 
-from repro.simulation.memory import OffChipMemoryModel, OnChipBufferModel
+from cycle_oracle import OffChipMemoryModel, OnChipBufferModel
+
 from repro.synth.fpga_device import VIRTEX6_XC6VLX760
 
 
