@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI/local gate: byte-compile the whole package, then run the tier-1 suite.
 #
-#   scripts/check.sh            # full suite (what CI runs)
+#   scripts/check.sh            # full suite, then --examples and --figures
+#                               # (what CI runs)
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
 # Every mode first runs the import-hygiene guard: the engine, simulation
@@ -59,6 +60,22 @@ run_pytest() {
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest "$@"
 }
 
+run_figures() {
+    # pytest collects the bench scripts only when they are named.
+    run_pytest -x -q benchmarks/bench_*.py "$@"
+}
+
+run_examples() {
+    for example in examples/*.py; do
+        echo "== $example"
+        if ! PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+                python "$example" > /dev/null; then
+            echo "error: $example exited non-zero" >&2
+            return 1
+        fi
+    done
+}
+
 check_imports() {
     # Import hygiene: the exploration evaluator, the simulation/validation
     # layer behind the `validate` job class, and the observability layer
@@ -105,6 +122,7 @@ PYEOF
 check_imports
 
 PYTEST_ARGS=(-x -q)
+FLAGLESS=$(( $# == 0 ))
 case "${1:-}" in
 --fast)
     shift
@@ -154,8 +172,7 @@ case "${1:-}" in
 --figures)
     shift
     python -m compileall -q src
-    # pytest collects the bench scripts only when they are named.
-    run_pytest -x -q benchmarks/bench_*.py "$@"
+    run_figures "$@"
     exit $?
     ;;
 --memory)
@@ -168,15 +185,8 @@ case "${1:-}" in
 --examples)
     shift
     python -m compileall -q src
-    for example in examples/*.py; do
-        echo "== $example"
-        if ! PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-                python "$example" > /dev/null; then
-            echo "error: $example exited non-zero" >&2
-            exit 1
-        fi
-    done
-    exit 0
+    run_examples
+    exit $?
     ;;
 --obs)
     shift
@@ -195,3 +205,9 @@ esac
 
 python -m compileall -q src
 run_pytest "${PYTEST_ARGS[@]}" "$@"
+if [ "$FLAGLESS" -eq 1 ]; then
+    # The examples and the Section 4 scripts are the public API's only
+    # callers outside tests/.
+    run_examples
+    run_figures
+fi

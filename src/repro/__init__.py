@@ -20,9 +20,9 @@ The package implements the full flow of the paper:
   (:mod:`repro.algorithms`).
 
 The user-facing surface is the composable API of :mod:`repro.api`: declare a
-:class:`Workload`, run it in a :class:`Session` (which caches cone
-characterizations across workloads), and every result round-trips through
-JSON.  A workload names its device by catalog part name
+:class:`Workload`, run it in a :class:`Session` (which runs the flow's stages
+and caches cone characterizations across workloads), and every result
+round-trips through JSON.  A workload names its device by catalog part name
 (:func:`resolve_device`) or passes an :class:`FpgaDevice` for a custom board,
 and ``Session(store=...)`` persists characterizations and results across
 processes through :mod:`repro.api.store`.
@@ -51,7 +51,7 @@ Everything serializes::
     payload = json.dumps(result.to_dict())
     restored = FlowResult.from_dict(json.loads(payload))
 
-The same pipeline is scriptable from the shell: ``python -m repro list``,
+The same flow is scriptable from the shell: ``python -m repro list``,
 ``python -m repro explore blur --json``, ``python -m repro codegen blur
 --out vhdl/``, ``python -m repro sweep --algorithms blur,jacobi
 --frames 640x480,1024x768``.
@@ -89,7 +89,6 @@ from repro.api import (
     ArtifactStore,
     FlowOptions,
     FlowResult,
-    Pipeline,
     PipelineError,
     Session,
     SessionEvent,
@@ -134,7 +133,6 @@ __all__ = [
     "get_algorithm",
     "list_algorithms",
     "Workload",
-    "Pipeline",
     "PipelineError",
     "Session",
     "SessionEvent",

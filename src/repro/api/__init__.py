@@ -1,20 +1,20 @@
 """The composable public API of the flow.
 
-Three concepts:
+Two concepts:
 
 * :class:`Workload` — a declarative, hashable description of one flow
   invocation (kernel or C source + device + data format + frame geometry +
   iterations + constraints);
-* :class:`Pipeline` — the staged flow (``frontend`` → ``analyze`` →
-  ``characterize`` → ``explore`` → ``pareto`` → ``codegen``) over one
-  workload: one computation, any stage runnable by name (after its missing
-  prerequisites);
-* :class:`Session` — cached, batched execution: workloads sharing a
-  characterization key reuse the kernel analysis, cone characterizations
-  and calibrations instead of re-running the synthesizer, a bounded result
-  layer keeps the most recent flow results, and :meth:`Session.run_many`
-  runs a batch in input order on the calling thread, re-raising the
-  earliest failure after the whole batch ran.
+* :class:`Session` — the one way to run a workload: it runs the flow's
+  stages (``frontend`` → ``analyze`` → ``characterize`` → ``explore`` →
+  ``pareto``, :data:`STAGE_NAMES`) in :meth:`Session.run` and ``codegen``
+  in :meth:`Session.generate_vhdl`.  Workloads sharing a characterization
+  key reuse the kernel analysis, cone characterizations and calibrations
+  instead of re-running the synthesizer, a bounded result layer keeps the
+  most recent flow results, and :meth:`Session.run_many` runs a batch in
+  input order on the calling thread, re-raising the earliest failure after
+  the whole batch ran.  :meth:`Session.explorer_for` hands out the
+  explorer behind the stages, with the kernel analysis facts.
 
 :mod:`repro.api.store` makes the flow persistent: a disk-backed,
 content-addressed :class:`ArtifactStore` (``Session(store=...)``) persists
@@ -39,7 +39,6 @@ from repro.api.store import (
 )
 from repro.api.workload import Workload
 from repro.api.pipeline import (
-    Pipeline,
     PipelineError,
     STAGE_NAMES,
     build_explorer,
@@ -57,7 +56,6 @@ __all__ = [
     "FlowResult",
     "ValidationResult",
     "Workload",
-    "Pipeline",
     "PipelineError",
     "STAGE_NAMES",
     "build_explorer",

@@ -7,7 +7,7 @@ written to and restored from JSON.  :mod:`repro.flow` re-exports them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
@@ -16,7 +16,8 @@ from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import KernelProperties
 from repro.ir.operators import DataFormat
 from repro.symbolic.invariance import InvarianceReport
-from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
+from repro.synth.fpga_device import (FpgaDevice, VIRTEX6_XC6VLX760,
+                                     resolve_device)
 
 # The validate job class returns simulation-layer evidence; re-exported here
 # so API consumers can type/parse results without importing repro.simulation.
@@ -40,11 +41,14 @@ class FlowOptions:
 
     Options (and workloads) are declarative and serializable; the explorer
     they configure always runs the one synthesizer, Equation-1 area model
-    and throughput model of the flow.
+    and throughput model of the flow.  Construction resolves a part name to
+    its :class:`FpgaDevice`, a value to its :class:`DataFormat` and the
+    window sides to a sorted tuple, and rejects a bad knob: every
+    :class:`~repro.api.workload.Workload` is checked here.
     """
 
-    device: FpgaDevice = VIRTEX6_XC6VLX760
-    data_format: DataFormat = DataFormat.FIXED16
+    device: Union[FpgaDevice, str] = VIRTEX6_XC6VLX760
+    data_format: Union[DataFormat, str] = DataFormat.FIXED16
     frame_width: int = 1024
     frame_height: int = 768
     iterations: int = 10
@@ -61,6 +65,36 @@ class FlowOptions:
     #: engine default).
     stream: Optional[bool] = None
     chunk_rows: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "device", resolve_device(self.device))
+        object.__setattr__(self, "data_format",
+                           _resolve_data_format(self.data_format))
+        if (self.constraints is not None
+                and not isinstance(self.constraints, DseConstraints)):
+            raise TypeError(f"constraints must be None or a DseConstraints "
+                            f"(got {self.constraints!r})")
+        if self.chunk_rows is not None:  # None: engine default
+            _require_int("chunk_rows", self.chunk_rows)
+        for knob in ("frame_width", "frame_height", "iterations", "max_depth",
+                     "max_cones_per_depth", "onchip_port_elements_per_cycle"):
+            _require_int(knob, getattr(self, knob))
+        # Equation 1 needs two reference syntheses per cone depth
+        _require_int("calibration_windows_per_depth",
+                     self.calibration_windows_per_depth, minimum=2)
+        if not isinstance(self.synthesize_all, bool):
+            raise ValueError(f"synthesize_all must be a bool (got "
+                             f"{self.synthesize_all!r})")
+        if self.stream is not None and not isinstance(self.stream, bool):
+            raise ValueError(f"stream must be None or a bool (got "
+                             f"{self.stream!r})")
+        window_sides = tuple(self.window_sides)
+        if not window_sides:
+            raise ValueError("window_sides must name at least one side")
+        for side in window_sides:
+            _require_int("each window side", side)
+        object.__setattr__(self, "window_sides",
+                           tuple(sorted(set(window_sides))))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation."""
@@ -93,11 +127,11 @@ class FlowOptions:
         constraints = data.get("constraints")
         return cls(
             device=FpgaDevice.from_dict(data["device"]),
-            data_format=DataFormat(data["data_format"]),
+            data_format=data["data_format"],
             frame_width=data["frame_width"],
             frame_height=data["frame_height"],
             iterations=data["iterations"],
-            window_sides=tuple(data["window_sides"]),
+            window_sides=data["window_sides"],
             max_depth=data["max_depth"],
             max_cones_per_depth=data["max_cones_per_depth"],
             calibration_windows_per_depth=data["calibration_windows_per_depth"],
@@ -109,6 +143,27 @@ class FlowOptions:
             stream=data.get("stream"),
             chunk_rows=data.get("chunk_rows"),
         )
+
+
+def _require_int(name: str, value: Any, minimum: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` >= ``minimum``
+    (a ``bool`` is not)."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum):
+        expected = ("a positive integer" if minimum == 1
+                    else f"an integer >= {minimum}")
+        raise ValueError(f"{name} must be {expected} (got {value!r})")
+
+
+def _resolve_data_format(value: Any) -> DataFormat:
+    """The :class:`DataFormat` member of ``value`` (a member or its value)."""
+    try:
+        return DataFormat(value)
+    except ValueError:
+        raise ValueError(
+            f"data_format must be one of "
+            f"{', '.join(member.value for member in DataFormat)} "
+            f"(got {value!r})") from None
 
 
 @dataclass

@@ -20,22 +20,24 @@ earliest failure is re-raised after the last workload ran.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
-from repro.api.pipeline import Pipeline, build_explorer
+from repro.api import pipeline
 from repro.api.results import FlowResult
 from repro.api.store import ArtifactStore, CharacterizationStoreAdapter
 from repro.api.workload import Workload
 from repro.dse.design_point import DesignPoint
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.stream import CountingLru
+from repro.frontend.kernel_ir import KernelValidationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.simulation.validation import ValidationResult, validate_workload
@@ -138,7 +140,7 @@ class SessionStats:
 
 
 class Session:
-    """Runs workloads through the staged pipeline with process-wide caching.
+    """Runs workloads through the flow's stages with process-wide caching.
 
     A session keeps three in-memory layers:
 
@@ -226,9 +228,18 @@ class Session:
         for callback in callbacks:
             callback(event)
 
-    def _locked_section(self):
-        """Context manager buffering events raised inside internal locks."""
-        return _DeferredEvents(self)
+    @contextlib.contextmanager
+    def _locked_section(self) -> Iterator[None]:
+        """Buffer the events this thread raises in the with-block (which
+        takes internal locks, and does not nest) and deliver them on exit,
+        after the locks are released."""
+        self._deferred.pending = []
+        try:
+            yield
+        finally:
+            pending, self._deferred.pending = self._deferred.pending, None
+            for event in pending:
+                self._emit(event)
 
     # ------------------------------------------------------------------ #
     # characterization cache
@@ -236,33 +247,33 @@ class Session:
     def explorer_for(self, workload: Workload) -> DesignSpaceExplorer:
         """The cached explorer for a workload's characterization key.
 
-        Escape hatch for direct explorer use.  Unlike :meth:`run`, work done
-        on the returned object is not guarded against a concurrent
-        :meth:`evict` (its counters may be folded out from under it); on
-        sessions shared across threads, prefer :meth:`run`.
+        Escape hatch for direct explorer use, such as reading the kernel
+        analysis facts (``properties``, ``invariance``, ``zero_divisor``)
+        without running the flow; building it validates the kernel.  Unlike
+        :meth:`run`, work done on the returned object is not guarded
+        against a concurrent :meth:`evict` (its counters may be folded out
+        from under it); on sessions shared across threads, prefer
+        :meth:`run`.
         """
-        explorer, _ = self._explorer_entry(workload)
-        return explorer
-
-    def _explorer_entry(self, workload: Workload
-                        ) -> Tuple[DesignSpaceExplorer, threading.Lock]:
-        """Cached (explorer, lock) pair for the workload's key."""
         key = workload.characterization_key()
         with self._registry_lock:
             explorer = self._explorers.get(key)
-            # Key locks outlive eviction (see evict()), so grab the lock
-            # while still holding the registry lock.
-            lock = self._key_locks.setdefault(key, threading.Lock())
         if explorer is None:
             # Build outside the registry lock — kernel validation and
             # footprint analysis would otherwise serialize batch startup
             # across distinct kernels.  A duplicate build from a racing
             # thread is discarded by setdefault (it performs no synthesis).
-            built = build_explorer(
+            built = pipeline.build_explorer(
                 workload, family_store=self._family_store_for(workload))
             with self._registry_lock:
                 explorer = self._explorers.setdefault(key, built)
-        return explorer, lock
+        return explorer
+
+    def _key_lock(self, key: Tuple) -> threading.Lock:
+        """The lock serializing the characterization of ``key``; key locks
+        outlive eviction (see :meth:`evict`)."""
+        with self._registry_lock:
+            return self._key_locks.setdefault(key, threading.Lock())
 
     # ------------------------------------------------------------------ #
     # persistent store
@@ -373,63 +384,73 @@ class Session:
             else:
                 self._active_keys.pop(key, None)
 
-    def _observer_for(self, workload: Workload):
-        """The stage observer of this session's pipelines over
-        ``workload``: stage events plus the stage-latency histogram."""
+    @contextlib.contextmanager
+    def _stage(self, workload: Workload, stage: str) -> Iterator[None]:
+        """Run the with-block as one stage of the flow: the
+        ``stage-started`` event, the ``stage.<name>`` span, then the
+        stage-latency observation and the ``stage-finished`` event (neither
+        when the stage raises)."""
+        self._emit(_event("stage-started", workload, stage=stage))
+        started = time.perf_counter()
+        with obs_trace.span(f"stage.{stage}", workload=workload.name):
+            yield
+        elapsed = time.perf_counter() - started
+        obs_metrics.registry().histogram(
+            "repro_session_stage_seconds").observe(elapsed)
+        self._emit(_event("stage-finished", workload, stage=stage,
+                          elapsed_s=elapsed))
 
-        def observe(stage: str, status: str,
-                    elapsed: Optional[float]) -> None:
-            if status == "finished" and elapsed is not None:
-                obs_metrics.registry().histogram(
-                    "repro_session_stage_seconds").observe(elapsed)
-            self._emit(_event(f"stage-{status}", workload,
-                              stage=stage, elapsed_s=elapsed))
-
-        return observe
+    def _account(self, workload: Workload,
+                 serve: Callable[[], Tuple[Any, Optional[str]]]) -> Any:
+        """Serve one workload request through ``serve``, which returns the
+        result and what served it as a cache-hit detail (``None``:
+        computed), with the ``workload-*`` and ``cache-hit`` events and the
+        run, failure and time counters."""
+        started = time.perf_counter()
+        self._emit(_event("workload-started", workload))
+        try:
+            result, hit = serve()
+        except Exception as error:
+            with self._stats_lock:
+                self._stats.workloads_failed += 1
+            self._emit(_event("workload-failed", workload,
+                              elapsed_s=time.perf_counter() - started,
+                              detail=str(error)))
+            raise
+        elapsed = time.perf_counter() - started
+        with self._stats_lock:
+            self._stats.workloads_run += 1
+            self._stats.workload_time_s += elapsed
+        if hit is not None:
+            self._emit(_event("cache-hit", workload, detail=hit))
+        self._emit(_event("workload-finished", workload, elapsed_s=elapsed))
+        return result
 
     def run(self, workload: Workload) -> FlowResult:
         """Run one workload through the flow and return its
         :class:`FlowResult`.
 
         The result comes from the result layer when this session holds
-        one for an equal workload, else from the store, else from a fresh
-        :class:`Pipeline`; workloads sharing a characterization key share
-        its cone characterizations.  Each call returns a fresh result
-        wrapper with freshly copied point/Pareto lists, so in-place
-        reordering or filtering by one caller never corrupts the cache or
-        another caller's view.  Treat the shared entries themselves
-        (individual characterizations, the kernel properties) as
-        read-only.
+        one for an equal workload, else from the store, else from running
+        the stages ``frontend`` to ``pareto``; workloads sharing a
+        characterization key share its cone characterizations.  Each call
+        returns a fresh result wrapper with freshly copied point/Pareto
+        lists, so in-place reordering or filtering by one caller never
+        corrupts the cache or another caller's view.  Treat the shared
+        entries themselves (individual characterizations, the kernel
+        properties) as read-only.
         """
         with obs_trace.span("session.run", workload=workload.name):
-            started = time.perf_counter()
-            self._emit(_event("workload-started", workload))
-            try:
-                result, hit = self._result(workload)
-                if hit is not None:
-                    self._emit(_event("cache-hit", workload, detail=hit))
-            except Exception as error:
-                with self._stats_lock:
-                    self._stats.workloads_failed += 1
-                self._emit(_event("workload-failed", workload,
-                                  elapsed_s=time.perf_counter() - started,
-                                  detail=str(error)))
-                raise
-            elapsed = time.perf_counter() - started
-            with self._stats_lock:
-                self._stats.workloads_run += 1
-                self._stats.workload_time_s += elapsed
-            self._emit(_event("workload-finished", workload,
-                              elapsed_s=elapsed))
-            return _defensive_copy(result)
+            return _defensive_copy(
+                self._account(workload, lambda: self._result(workload)))
 
     def _result(self, workload: Workload
                 ) -> Tuple[FlowResult, Optional[str]]:
         """The workload's shared result, and what served it as a cache-hit
         detail (``None``: computed with new synthesis).
 
-        The result layer first, then the store, then a fresh pipeline; a
-        result from either of the latter enters the result layer.
+        The result layer first, then the store, then the stages; a result
+        from either of the latter enters the result layer.
         """
         result = self._results.get(workload)
         if result is not None:
@@ -454,36 +475,61 @@ class Session:
                         if characterization_hit else None)
 
     def _compute(self, workload: Workload) -> Tuple[FlowResult, bool]:
-        """Run a fresh pipeline over the key's shared explorer; returns
-        the result and whether its characterization was a cache hit."""
+        """Run the stages ``frontend`` to ``pareto`` over the key's shared
+        explorer; returns the result and whether its characterization was a
+        cache hit."""
         key = workload.characterization_key()
         # Mark the key in flight before the explorer becomes reachable,
         # so a concurrent evict() can never fold-and-drop an explorer this
         # run is about to use.
         self._mark_active(key, +1)
         try:
-            explorer, lock = self._explorer_entry(workload)
-            pipeline = Pipeline(workload, explorer=explorer,
-                                observer=self._observer_for(workload))
-            # Serialize only the characterize stage across workloads
+            # Serialize the stages through characterize across workloads
             # sharing a key, so the expensive synthesis/calibration work
             # happens exactly once while per-frame explorations still run
             # in parallel.  Stage events raised inside the lock are
             # buffered and delivered after release.
-            with self._locked_section(), lock:
-                runs_before = explorer.synthesizer.runs
-                pipeline.run_stage("characterize")
-                # Ground-truth accounting: a hit means this run's
-                # characterization needed no new synthesis — partial reuse
-                # (e.g. new depth families for a higher iteration count)
-                # honestly counts as a miss.
-                hit = explorer.synthesizer.runs == runs_before
+            with self._locked_section(), self._key_lock(key):
+                with self._stage(workload, "frontend"):
+                    kernel = workload.resolve_kernel()
+                with self._stage(workload, "analyze"):
+                    try:
+                        # built on the key's first run, validating the kernel
+                        explorer = self.explorer_for(workload)
+                    except KernelValidationError as error:
+                        raise pipeline.PipelineError(str(error)) from error
+                    pipeline.check_analysis(kernel, explorer)
+                with self._stage(workload, "characterize"):
+                    runs_before = explorer.synthesizer.runs
+                    explorer.characterize_cones(workload.iterations)
+                    # Ground-truth accounting: a hit means this run's
+                    # characterization needed no new synthesis — partial
+                    # reuse (e.g. new depth families for a higher iteration
+                    # count) honestly counts as a miss.
+                    hit = explorer.synthesizer.runs == runs_before
             with self._stats_lock:
                 if hit:
                     self._stats.characterization_cache_hits += 1
                 else:
                     self._stats.characterization_cache_misses += 1
-            return pipeline.result(), hit
+            with self._stage(workload, "explore"):
+                exploration = explorer.explore(
+                    total_iterations=workload.iterations,
+                    frame_width=workload.frame_width,
+                    frame_height=workload.frame_height,
+                    constraints=workload.constraints,
+                    onchip_port_elements_per_cycle=(
+                        workload.onchip_port_elements_per_cycle),
+                    stream=workload.stream,
+                    chunk_rows=workload.chunk_rows,
+                )
+            with self._stage(workload, "pareto"):
+                result = FlowResult(kernel=kernel,
+                                    properties=explorer.properties,
+                                    invariance=explorer.invariance,
+                                    exploration=exploration,
+                                    options=workload.options())
+            return result, hit
         finally:
             self._mark_active(key, -1)
 
@@ -500,45 +546,24 @@ class Session:
         count toward the same run/time statistics as :meth:`run`.  The
         result is immutable — safe to share across callers.
         """
+        cache_key: Any = workload
+        if window_side is not None or mode != "region":
+            # Non-default knobs get their own entries; the plain-workload
+            # key stays reserved for the service's canonical validation.
+            cache_key = (workload, window_side, mode)
+
+        def serve() -> Tuple[ValidationResult, Optional[str]]:
+            cached = self._validations.get(cache_key)
+            if cached is not None:
+                return cached, "validation evidence"
+            validation = validate_workload(workload, window_side=window_side,
+                                           mode=mode)
+            self._validations.put(cache_key, validation)
+            return validation, None
+
         with obs_trace.span("session.validate", workload=workload.name,
                             mode=mode):
-            return self._validate_traced(workload, window_side=window_side,
-                                         mode=mode)
-
-    def _validate_traced(self, workload: Workload, *,
-                         window_side: Optional[int],
-                         mode: str) -> ValidationResult:
-        started = time.perf_counter()
-        self._emit(_event("workload-started", workload))
-        try:
-            cache_key = workload
-            if window_side is not None or mode != "region":
-                # Non-default knobs get their own entries; the plain-workload
-                # key stays reserved for the service's canonical validation.
-                cache_key = (workload, window_side, mode)  # type: ignore[assignment]
-            cached = self._validations.get(cache_key)
-            hit = cached is not None
-            if cached is None:
-                cached = validate_workload(workload, window_side=window_side,
-                                           mode=mode)
-                self._validations.put(cache_key, cached)
-        except Exception as error:
-            with self._stats_lock:
-                self._stats.workloads_failed += 1
-            self._emit(_event("workload-failed", workload,
-                                    elapsed_s=time.perf_counter() - started,
-                                    detail=str(error)))
-            raise
-        elapsed = time.perf_counter() - started
-        with self._stats_lock:
-            self._stats.workloads_run += 1
-            self._stats.workload_time_s += elapsed
-        if hit:
-            self._emit(_event("cache-hit", workload,
-                                    detail="validation evidence"))
-        self._emit(_event("workload-finished", workload,
-                                elapsed_s=elapsed))
-        return cached
+            return self._account(workload, serve)
 
     def run_many(self, workloads: Sequence[Workload]) -> List[FlowResult]:
         """Run a batch of workloads through :meth:`run`, sharing
@@ -579,9 +604,9 @@ class Session:
                                 detail=detail))
 
     def generate_vhdl(self, workload: Workload,
-                      point: Optional[DesignPoint] = None,
-                      fractional_bits: int = 12) -> Dict[str, str]:
-        """Run the codegen stage over the workload's result.
+                      point: Optional[DesignPoint] = None) -> Dict[str, str]:
+        """Run the codegen stage over the workload's result: the VHDL files
+        of ``point``, by default the best fitting point, else the smallest.
 
         The result is looked up exactly as :meth:`run` does (result layer,
         store, compute), so after a run that the result layer still holds,
@@ -590,9 +615,19 @@ class Session:
         ``cache-hit`` events) and counts no workload.
         """
         result, _ = self._result(workload)
-        pipeline = Pipeline(workload, observer=self._observer_for(workload))
-        return pipeline.codegen(result, point=point,
-                                fractional_bits=fractional_bits)
+        with self._stage(workload, "codegen"):
+            if point is None:
+                point = result.best_fitting_point() or result.smallest_point()
+            if point is None:
+                raise pipeline.PipelineError(
+                    "codegen needs a design point, but the exploration "
+                    "produced none (constraints too tight?)")
+            return pipeline.generate_vhdl_files(
+                kernel=workload.resolve_kernel(),
+                params=workload.params_dict(),
+                data_format=workload.data_format,
+                point=point,
+            )
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -622,29 +657,6 @@ class Session:
         stats.synthesis_runs += explorer.synthesizer.runs
         stats.tool_runtime_spent_s += explorer.synthesizer.total_tool_runtime_s
         stats.tool_runtime_avoided_s += explorer.tool_runtime_avoided_total_s()
-
-
-class _DeferredEvents:
-    """Buffers a session's events for the current thread, flushing on exit
-    (outside whatever lock the with-block holds)."""
-
-    def __init__(self, session: "Session") -> None:
-        self._session = session
-        self._outermost = False
-
-    def __enter__(self) -> "_DeferredEvents":
-        if getattr(self._session._deferred, "pending", None) is None:
-            self._session._deferred.pending = []
-            self._outermost = True
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        if not self._outermost:
-            return
-        pending = self._session._deferred.pending
-        self._session._deferred.pending = None
-        for event in pending:
-            self._session._emit(event)
 
 
 def _defensive_copy(result: Any) -> Any:

@@ -21,7 +21,7 @@ from repro.dse.constraints import DseConstraints
 from repro.frontend.extractor import extract_kernel_from_c
 from repro.frontend.kernel_ir import StencilKernel
 from repro.ir.operators import DataFormat
-from repro.synth.fpga_device import FpgaDevice, resolve_device
+from repro.synth.fpga_device import FpgaDevice
 
 #: Single source of the flow's default knobs — Workload's field defaults
 #: (and the CLI's argparse defaults) mirror FlowOptions' by construction,
@@ -87,42 +87,21 @@ class Workload:
     kernel_fingerprint: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "device", resolve_device(self.device))
-        object.__setattr__(self, "data_format",
-                           _resolve_data_format(self.data_format))
-        if (self.constraints is not None
-                and not isinstance(self.constraints, DseConstraints)):
-            raise TypeError(f"constraints must be None or a DseConstraints "
-                            f"(got {self.constraints!r})")
+        # FlowOptions resolves and checks every knob, before the kernel is
+        # resolved: a service submit builds the Workload, so a bad knob is a
+        # 400, not a failed job
+        knobs = {name: getattr(self, name) for name in _OPTION_FIELDS}
+        if self.iterations is None:
+            del knobs["iterations"]  # the kernel's default, resolved below
+        options = FlowOptions(**knobs)
+        for name in knobs:
+            object.__setattr__(self, name, getattr(options, name))
         sources = [s is not None
                    for s in (self.algorithm, self.c_source, self.kernel)]
         if sum(sources) != 1:
             raise ValueError(
                 "a Workload needs exactly one of: algorithm (registry name), "
                 "c_source, or kernel")
-        # knobs are rejected here, not mid-run: a service submit builds the
-        # Workload, so a bad knob is a 400, not a failed job
-        if self.chunk_rows is not None:  # None: engine default
-            _require_int("chunk_rows", self.chunk_rows)
-        for knob in ("frame_width", "frame_height", "max_depth",
-                     "max_cones_per_depth", "onchip_port_elements_per_cycle"):
-            _require_int(knob, getattr(self, knob))
-        # Equation 1 needs two reference syntheses per cone depth
-        _require_int("calibration_windows_per_depth",
-                     self.calibration_windows_per_depth, minimum=2)
-        if not isinstance(self.synthesize_all, bool):
-            raise ValueError(f"synthesize_all must be a bool (got "
-                             f"{self.synthesize_all!r})")
-        if self.stream is not None and not isinstance(self.stream, bool):
-            raise ValueError(f"stream must be None or a bool (got "
-                             f"{self.stream!r})")
-        window_sides = tuple(self.window_sides)
-        if not window_sides:
-            raise ValueError("window_sides must name at least one side")
-        for side in window_sides:
-            _require_int("each window side", side)
-        object.__setattr__(self, "window_sides",
-                           tuple(sorted(set(window_sides))))
         # Always normalize: an already-tuple params value may still be
         # unsorted or hold non-float values, which would break eq/hash and
         # the characterization-cache key.
@@ -131,7 +110,6 @@ class Workload:
         object.__setattr__(self, "_resolved_kernel", resolved)
         if self.iterations is None:
             object.__setattr__(self, "iterations", self._default_iterations())
-        _require_int("iterations", self.iterations)
         digest = hashlib.sha256(
             (resolved.fingerprint()
              + repr(self.params or ())).encode("utf-8")).hexdigest()[:16]
@@ -266,27 +244,6 @@ class Workload:
             params=_normalize_params(data.get("params")),
             **{name: getattr(options, name) for name in _OPTION_FIELDS},
         )
-
-
-def _require_int(name: str, value: Any, minimum: int = 1) -> None:
-    """Raise ``ValueError`` unless ``value`` is an ``int`` >= ``minimum``
-    (a ``bool`` is not)."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or value < minimum):
-        expected = ("a positive integer" if minimum == 1
-                    else f"an integer >= {minimum}")
-        raise ValueError(f"{name} must be {expected} (got {value!r})")
-
-
-def _resolve_data_format(value: Any) -> DataFormat:
-    """The :class:`DataFormat` member of ``value`` (a member or its value)."""
-    try:
-        return DataFormat(value)
-    except ValueError:
-        raise ValueError(
-            f"data_format must be one of "
-            f"{', '.join(member.value for member in DataFormat)} "
-            f"(got {value!r})") from None
 
 
 @lru_cache(maxsize=64)

@@ -68,10 +68,6 @@ class ArchitecturePerformance:
     offchip_bytes_per_frame: float
     compute_bound: bool
 
-    @property
-    def throughput_pixels_per_second(self) -> float:
-        return self.frames_per_second * self.tiles_per_frame
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation."""
         return {

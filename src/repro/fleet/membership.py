@@ -58,7 +58,7 @@ class FleetMember:
         return {
             "name": self.name,
             "url": self.url,
-            "in_process": self.server is not None,
+            "in_process": self.url is None,
             "alive": self.alive,
             "jobs_routed": self.jobs_routed,
             "worker_id": (None if self.registration is None

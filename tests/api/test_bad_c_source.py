@@ -1,9 +1,9 @@
 """Bad C source fails with a typed error, never a crash.
 
 Seeded character-level mutations of the IGF C source go through the front
-door (``Workload(c_source=...)``), then the analyze and characterize stages.
-Each one either succeeds or raises one of the flow's typed input errors:
-the ones the service answers with a 400 at submit (``CParseError``,
+door (``Workload(c_source=...)``), then through ``Session.run``.  Each one
+either succeeds or raises one of the flow's typed input errors: the ones
+the service answers with a 400 at submit (``CParseError``,
 ``ExtractionError``, ``KernelValidationError``) or the ``PipelineError`` a
 stage raises for a kernel it cannot compile.
 """
@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.algorithms import IGF_C_SOURCE
-from repro.api import Pipeline, PipelineError, Session, Workload
+from repro.api import PipelineError, Session, Workload
 from repro.frontend import CParseError
 from repro.frontend.extractor import ExtractionError
 from repro.frontend.kernel_ir import KernelValidationError
@@ -46,11 +46,9 @@ def mutate(source, rng):
 
 
 def compile_c(source):
-    """Run ``source`` through analyze and characterize; return the outcome."""
+    """Run ``source`` through the flow; return the outcome."""
     try:
-        pipeline = Pipeline(Workload(c_source=source, **TINY))
-        pipeline.run_stage("analyze")
-        pipeline.run_stage("characterize")
+        Session().run(Workload(c_source=source, **TINY))
     except TYPED_ERRORS as error:
         return type(error).__name__
     return "accepted"
@@ -83,6 +81,10 @@ def test_a_constant_zero_divisor_is_rejected_by_analyze():
 def test_a_divisor_that_folds_to_zero_is_rejected_by_analyze():
     source = IGF_C_SOURCE.replace("W_C * f[y][x]",
                                   "W_C * f[y][x] / (f[y][x] - f[y][x])", 1)
-    pipeline = Pipeline(Workload(c_source=source, **TINY))
+    events = []
+    session = Session(on_event=events.append)
     with pytest.raises(PipelineError, match="constant zero"):
-        pipeline.run_stage("analyze")
+        session.run(Workload(c_source=source, **TINY))
+    assert [event.stage for event in events
+            if event.kind == "stage-started"] == ["frontend", "analyze"]
+    assert session.stats.synthesis_runs == 0

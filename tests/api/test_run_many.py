@@ -8,6 +8,7 @@ failure is re-raised after the last workload.
 """
 
 import dataclasses
+import importlib
 import json
 import random
 import threading
@@ -16,7 +17,6 @@ import pytest
 
 from repro.api import (
     FlowOptions,
-    Pipeline,
     PipelineError,
     Session,
     Workload,
@@ -216,8 +216,9 @@ class TestRemovedStrategyKnobs:
     with the fold's test-only knobs, the legacy ``HlsFlow`` entry point,
     the backend registry with its backend-name knobs and the explorer's
     factory arguments, the partial-run and re-run arguments of the
-    session and pipeline, the job-history knobs, and the job priority
-    classes and dispatch deadlines are gone, loudly."""
+    session, the ``Pipeline`` class, codegen's fractional-bits knob, the
+    job-history knobs, and the job priority classes and dispatch deadlines
+    are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
         batch = [Workload.from_algorithm("blur", **SMALL)]
@@ -274,9 +275,6 @@ class TestRemovedStrategyKnobs:
 
     @pytest.mark.parametrize("keyword, call", [
         ("stream_executor", lambda: Session(stream_executor="threads")),
-        ("stream_executor", lambda: Pipeline(
-            Workload.from_algorithm("blur", **SMALL),
-            stream_executor="threads")),
         ("stream_executor", lambda: Session().explorer_for(
             Workload.from_algorithm("blur", **SMALL)).explore(
                 4, 128, 96, stream_executor="threads")),
@@ -322,9 +320,8 @@ class TestRemovedStrategyKnobs:
             throughput_model_factory=ThroughputModel)),
         ("until", lambda: Session().run(
             Workload.from_algorithm("blur", **SMALL), until="explore")),
-        ("force", lambda: Pipeline(
-            Workload.from_algorithm("blur", **SMALL)).run_stage(
-                "analyze", force=True)),
+        ("fractional_bits", lambda: Session().generate_vhdl(
+            Workload.from_algorithm("blur", **SMALL), fractional_bits=12)),
         ("history_limit", lambda: ReproServer(history_limit=5,
                                               start=False)),
         ("history_limit", lambda: JobQueue(history_limit=5)),
@@ -350,7 +347,7 @@ class TestRemovedStrategyKnobs:
         ("priority", lambda: ReproClient(ReproServer(start=False)).run(
             Workload.from_algorithm("blur", **SMALL), priority="batch",
             timeout=0)),
-    ], ids=["Session", "Pipeline", "explore", "explore_stream",
+    ], ids=["Session", "explore", "explore_stream",
             "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
             "ReproServer-max_batch", "ReproServer-batch_window_s",
@@ -363,7 +360,7 @@ class TestRemovedStrategyKnobs:
             "explore_stream-use_mask_cache", "Workload-synthesizer",
             "Workload-area_estimator", "FlowOptions-throughput_estimator",
             "DesignSpaceExplorer-throughput_model_factory",
-            "Session.run-until", "Pipeline.run_stage-force",
+            "Session.run-until", "Session.generate_vhdl-fractional_bits",
             "ReproServer-history_limit", "JobQueue-history_limit",
             "FleetRouter-history_limit", "JobQueue.submit-priority",
             "JobQueue.submit-timeout_s", "ReproServer.submit-priority",
@@ -397,9 +394,12 @@ class TestRemovedStrategyKnobs:
 
     def test_the_session_keeps_no_pipelines(self):
         assert not hasattr(Session, "pipeline")
-        assert not hasattr(Pipeline, "run")
-        assert not hasattr(Pipeline(Workload.from_algorithm(
-            "blur", **SMALL)), "timings")
+        assert not hasattr(Session, "_observer_for")
+
+    @pytest.mark.parametrize("module", ["repro", "repro.api",
+                                        "repro.api.pipeline"])
+    def test_the_pipeline_class_is_gone(self, module):
+        assert not hasattr(importlib.import_module(module), "Pipeline")
 
     def test_client_takes_one_url_not_a_list(self):
         with pytest.raises(ValueError, match="URL"):

@@ -1,18 +1,23 @@
-"""Tests for session-level caching, batching, and events.
+"""Tests for the session: the one runner of the flow's stages, and its
+caching, batching, and events.
 
-The headline property (satellite of ISSUE 1, acceptance criterion): batching
-workloads through one session must not run the synthesizer more often than
-the number of unique ``(kernel, window, depth)`` cone shapes.
+The headline property: batching workloads through one session must not run
+the synthesizer more often than the number of unique ``(kernel, window,
+depth)`` cone shapes.
 """
+
+import threading
 
 import pytest
 
-from repro.api import PipelineError, Session, Workload
+from repro.api import STAGE_NAMES, PipelineError, Session, Workload
 from repro.api import pipeline as pipeline_module
 from repro.api import session as session_module
 from repro.dse import explorer as explorer_module
 from repro.dse.constraints import DseConstraints
+from repro.frontend.dsl import stencil_kernel
 from repro.frontend.semantic import validate_kernel
+from repro.obs import trace
 from repro.symbolic.invariance import verify_kernel
 
 
@@ -28,6 +33,163 @@ def unique_shape_count(session):
         for per_window, _ in explorer._family_cache.values():
             total += len(per_window)
     return total
+
+
+def stage_events(events):
+    """``(kind, stage)`` of each stage event, in order."""
+    return [(event.kind, event.stage) for event in events
+            if event.kind in ("stage-started", "stage-finished")]
+
+
+def wide_kernel_workload():
+    """A workload whose kernel is outside the ISL class (not narrow)."""
+    def define(k):
+        f = k.field("f")
+        k.update(f, f(10, 0) + f(-10, 0))
+
+    return Workload.from_kernel(stencil_kernel("wide", define), **SMALL)
+
+
+class TestStages:
+    """The session runs the flow's stages itself."""
+
+    def test_a_cold_run_runs_each_stage_once_in_order(self):
+        assert STAGE_NAMES == ("frontend", "analyze", "characterize",
+                               "explore", "pareto", "codegen")
+        events = []
+        session = Session(on_event=events.append)
+        result = session.run(Workload.from_algorithm("blur", **SMALL))
+        assert result.pareto
+        assert stage_events(events) == [
+            (kind, stage) for stage in STAGE_NAMES[:5]
+            for kind in ("stage-started", "stage-finished")]
+        finished = [event for event in events
+                    if event.kind == "stage-finished"]
+        assert all(event.elapsed_s >= 0 for event in finished)
+
+    def test_a_traced_run_has_one_span_per_stage_under_session_run(self):
+        spans = []
+        with trace.capture(spans):
+            Session().run(Workload.from_algorithm("blur", **SMALL))
+        by_id = {span["span_id"]: span for span in spans}
+        (run,) = [span for span in spans if span["name"] == "session.run"]
+        for stage in STAGE_NAMES[:5]:
+            (found,) = [span for span in spans
+                        if span["name"] == f"stage.{stage}"]
+            assert by_id[found["parent_id"]] is run
+            assert found["attributes"]["workload"] == "blur"
+        assert not [span for span in spans
+                    if span["name"] == "stage.codegen"]
+
+    def test_a_second_run_runs_no_stage(self):
+        events = []
+        session = Session(on_event=events.append)
+        workload = Workload.from_algorithm("blur", **SMALL)
+        first = session.run(workload)
+        events.clear()
+        second = session.run(workload)
+        assert stage_events(events) == []
+        assert second.pareto == first.pareto
+
+    @pytest.mark.parametrize("stage", STAGE_NAMES[:3])
+    def test_a_callback_reentering_during_a_locked_stage_does_not_deadlock(
+            self, stage):
+        """Events of the stages run under the key lock reach callbacks
+        after its release, so a callback may run a workload of the same
+        key."""
+        session = Session()
+        workload = Workload.from_algorithm("blur", **SMALL)
+        sibling = workload.replace(frame_width=256)
+        nested = []
+
+        def callback(event):
+            if (event.kind == "stage-started" and event.stage == stage
+                    and not nested):
+                nested.append(None)
+                nested.append(session.run(sibling))
+
+        session.on_event(callback)
+        outcome = []
+        runner = threading.Thread(
+            target=lambda: outcome.append(session.run(workload)),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "re-entrant callback deadlocked"
+        assert outcome and outcome[0].pareto
+        assert nested[1].exploration.frame_width == 256
+
+    def test_codegen_on_a_cold_session_runs_every_stage(self):
+        events = []
+        session = Session(on_event=events.append)
+        files = session.generate_vhdl(Workload.from_algorithm("blur",
+                                                              **SMALL))
+        assert "isl_fixed_pkg.vhd" in files
+        assert any(name.endswith("_top.vhd") for name in files)
+        assert [stage for kind, stage in stage_events(events)
+                if kind == "stage-finished"] == list(STAGE_NAMES)
+
+    @pytest.mark.parametrize("build, reason", [
+        (wide_kernel_workload, "narrow|outside the ISL class"),
+        (lambda: Workload.from_algorithm("chamb", params={"lambda": 0.0},
+                                         **SMALL),
+         "divides by lambda, which folds to the constant zero"),
+    ], ids=["non-isl-kernel", "zero-divisor"])
+    def test_a_kernel_the_flow_cannot_compile_fails_in_analyze(
+            self, build, reason):
+        events = []
+        session = Session(on_event=events.append)
+        with pytest.raises(PipelineError, match=reason):
+            session.run(build())
+        assert stage_events(events) == [
+            ("stage-started", "frontend"), ("stage-finished", "frontend"),
+            ("stage-started", "analyze")]
+        assert session.stats.synthesis_runs == 0
+        assert session.stats.workloads_failed == 1
+
+    def test_the_analysis_facts_are_the_explorers(self):
+        session = Session()
+        workload = Workload.from_algorithm("blur", **SMALL)
+        explorer = session.explorer_for(workload)
+        # the analysis alone: a read of the explorer's facts synthesizes
+        # nothing
+        assert explorer.invariance.is_isl
+        assert explorer.zero_divisor is None
+        assert explorer.synthesizer.runs == 0
+        result = session.run(workload)
+        assert result.properties is explorer.properties
+        assert result.invariance is explorer.invariance
+
+    def test_codegen_and_validate_call_their_module_bindings(
+            self, monkeypatch):
+        """Codegen reaches VHDL generation and DFG lowering, and validate
+        the simulation, through the module attributes a tracer wraps."""
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(pipeline_module, "generate_vhdl_files")
+        spy(pipeline_module, "build_dfg_from_cone")
+        spy(session_module, "validate_workload")
+        session = Session()
+        workload = Workload.from_algorithm("blur", frame_width=64,
+                                           frame_height=48, **SMALL)
+        session.run(workload)
+        assert calls == []
+        session.generate_vhdl(workload)
+        assert calls[0] == "generate_vhdl_files"
+        assert calls.count("generate_vhdl_files") == 1
+        assert "build_dfg_from_cone" in calls
+        del calls[:]
+        session.validate(workload)
+        assert calls == ["validate_workload"]
 
 
 class TestCharacterizationSharing:

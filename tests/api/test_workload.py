@@ -2,10 +2,26 @@
 
 import pytest
 
-from repro.api import Workload
+from repro.api import FlowOptions, Workload
 from repro.dse.constraints import DseConstraints
 from repro.ir.operators import DataFormat
 from repro.synth.fpga_device import VIRTEX2P_XC2VP30
+
+#: The two constructors that check the flow's knobs: a workload reaches
+#: the checks through one FlowOptions construction.
+BUILDERS = (lambda **knobs: Workload.from_algorithm("blur", **knobs),
+            FlowOptions)
+
+
+def assert_both_reject(error, named, attempt):
+    """``attempt(build)`` raises the same ``error``, matching ``named``,
+    with a Workload and with FlowOptions as ``build``."""
+    messages = set()
+    for build in BUILDERS:
+        with pytest.raises(error, match=named) as caught:
+            attempt(build)
+        messages.add(str(caught.value))
+    assert len(messages) == 1
 
 
 class TestConstruction:
@@ -43,61 +59,43 @@ class TestConstruction:
     @pytest.mark.parametrize("knob", ["chunk_rows"])
     @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -1])
     def test_bad_stream_knobs_rejected_at_construction(self, knob, bad):
-        with pytest.raises(ValueError, match=knob):
-            Workload.from_algorithm("blur", **{knob: bad})
+        assert_both_reject(ValueError, knob,
+                           lambda build: build(**{knob: bad}))
 
-    @pytest.mark.parametrize("build, named", [
-        (lambda: Workload.from_algorithm(
-            "blur", onchip_port_elements_per_cycle=0),
+    @pytest.mark.parametrize("knobs, named", [
+        (lambda build: build(onchip_port_elements_per_cycle=0),
          "onchip_port_elements_per_cycle"),
-        (lambda: Workload.from_algorithm(
-            "blur", onchip_port_elements_per_cycle=-4),
+        (lambda build: build(onchip_port_elements_per_cycle=-4),
          "onchip_port_elements_per_cycle"),
-        (lambda: Workload.from_algorithm("blur", window_sides="abc"),
-         "window side"),
-        (lambda: Workload.from_algorithm("blur", window_sides=()),
-         "window_sides"),
-        (lambda: Workload.from_algorithm("blur", max_depth=0), "max_depth"),
-        (lambda: Workload.from_algorithm("blur", max_depth=True),
-         "max_depth"),
-        (lambda: Workload.from_algorithm("blur", max_cones_per_depth=0),
-         "max_cones_per_depth"),
-        (lambda: Workload.from_algorithm("blur", max_cones_per_depth=-2),
-         "max_cones_per_depth"),
-        (lambda: Workload.from_algorithm("blur", iterations=0),
-         "iterations"),
-        (lambda: Workload.from_algorithm("blur", iterations=-3),
-         "iterations"),
-        (lambda: DseConstraints(min_frames_per_second="x"),
+        (lambda build: build(window_sides="abc"), "window side"),
+        (lambda build: build(window_sides=()), "window_sides"),
+        (lambda build: build(max_depth=0), "max_depth"),
+        (lambda build: build(max_depth=True), "max_depth"),
+        (lambda build: build(max_cones_per_depth=0), "max_cones_per_depth"),
+        (lambda build: build(max_cones_per_depth=-2), "max_cones_per_depth"),
+        (lambda build: build(iterations=0), "iterations"),
+        (lambda build: build(iterations=-3), "iterations"),
+        (lambda build: DseConstraints(min_frames_per_second="x"),
          "min_frames_per_second"),
-        (lambda: DseConstraints(min_frames_per_second=float("nan")),
+        (lambda build: DseConstraints(min_frames_per_second=float("nan")),
          "min_frames_per_second"),
-        (lambda: DseConstraints(max_area_luts=True), "max_area_luts"),
-        (lambda: DseConstraints(device_only="yes"), "device_only"),
-        (lambda: Workload.from_algorithm("blur", frame_width=100.5),
-         "frame_width"),
-        (lambda: Workload.from_algorithm("blur", frame_width=True),
-         "frame_width"),
-        (lambda: Workload.from_algorithm("blur", frame_height=64.5),
-         "frame_height"),
-        (lambda: Workload.from_algorithm(
-            "blur", calibration_windows_per_depth=1),
+        (lambda build: DseConstraints(max_area_luts=True), "max_area_luts"),
+        (lambda build: DseConstraints(device_only="yes"), "device_only"),
+        (lambda build: build(frame_width=100.5), "frame_width"),
+        (lambda build: build(frame_width=True), "frame_width"),
+        (lambda build: build(frame_height=64.5), "frame_height"),
+        (lambda build: build(calibration_windows_per_depth=1),
          "calibration_windows_per_depth"),
-        (lambda: Workload.from_algorithm(
-            "blur", calibration_windows_per_depth=0),
+        (lambda build: build(calibration_windows_per_depth=0),
          "calibration_windows_per_depth"),
-        (lambda: Workload.from_algorithm(
-            "blur", calibration_windows_per_depth=2.5),
+        (lambda build: build(calibration_windows_per_depth=2.5),
          "calibration_windows_per_depth"),
-        (lambda: Workload.from_algorithm(
-            "blur", calibration_windows_per_depth="2"),
+        (lambda build: build(calibration_windows_per_depth="2"),
          "calibration_windows_per_depth"),
-        (lambda: Workload.from_algorithm("blur", synthesize_all="yes"),
-         "synthesize_all"),
-        (lambda: Workload.from_algorithm("blur", synthesize_all=1),
-         "synthesize_all"),
-        (lambda: Workload.from_algorithm("blur", stream="yes"), "stream"),
-        (lambda: Workload.from_algorithm("blur", stream=1), "stream"),
+        (lambda build: build(synthesize_all="yes"), "synthesize_all"),
+        (lambda build: build(synthesize_all=1), "synthesize_all"),
+        (lambda build: build(stream="yes"), "stream"),
+        (lambda build: build(stream=1), "stream"),
     ], ids=["port-zero", "port-negative", "window-sides-string",
             "window-sides-empty", "max-depth-zero", "max-depth-bool",
             "cones-zero", "cones-negative", "iterations-zero",
@@ -107,11 +105,10 @@ class TestConstruction:
             "calibration-zero", "calibration-float", "calibration-string",
             "synthesize-all-string", "synthesize-all-int", "stream-string",
             "stream-int"])
-    def test_bad_knobs_rejected_at_construction(self, build, named):
+    def test_bad_knobs_rejected_at_construction(self, knobs, named):
         # each one used to fail mid-run, or to return an empty or
         # meaningless front without an error
-        with pytest.raises(ValueError, match=named):
-            build()
+        assert_both_reject(ValueError, named, knobs)
 
     @pytest.mark.parametrize("value, member", [
         ("fixed16", DataFormat.FIXED16),
@@ -132,8 +129,8 @@ class TestConstruction:
                                   "float", "list"])
     def test_unknown_data_format_rejected_at_construction(self, bad):
         # each one used to build, then fail in to_dict(), run or validate
-        with pytest.raises(ValueError, match="data_format"):
-            Workload.from_algorithm("blur", data_format=bad)
+        assert_both_reject(ValueError, "data_format",
+                           lambda build: build(data_format=bad))
 
     @pytest.mark.parametrize("bad", [{"min_frames_per_second": 30.0}, 5,
                                      "device_only", (30.0, None, False)],
@@ -141,8 +138,24 @@ class TestConstruction:
     def test_constraints_of_another_type_rejected_at_construction(self, bad):
         # a dict used to build an unhashable workload (TypeError in
         # Session.run), anything else an AttributeError mid-run
-        with pytest.raises(TypeError, match="constraints"):
-            Workload.from_algorithm("blur", constraints=bad)
+        assert_both_reject(TypeError, "constraints",
+                           lambda build: build(constraints=bad))
+
+    @pytest.mark.parametrize("bad, error", [
+        ("no-such-part", KeyError), (760, TypeError), (None, TypeError),
+    ], ids=["unknown-part", "int", "none"])
+    def test_unknown_device_rejected_at_construction(self, bad, error):
+        assert_both_reject(error, "device",
+                           lambda build: build(device=bad))
+
+    def test_flow_options_resolve_their_knobs(self):
+        options = FlowOptions(device="xc2vp30", data_format="fixed32",
+                              window_sides=[3, 1, 3])
+        assert options.device is VIRTEX2P_XC2VP30
+        assert options.data_format is DataFormat.FIXED32
+        assert options.window_sides == (1, 3)
+        assert options.to_dict()["data_format"] == "fixed32"
+        assert FlowOptions.from_dict(options.to_dict()) == options
 
     @pytest.mark.parametrize("knob", ["chunk_rows"])
     def test_stream_knobs_accept_none_and_positive_ints(self, knob):

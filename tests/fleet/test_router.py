@@ -14,10 +14,12 @@ import pytest
 from repro.api import Session, Workload
 from repro.fleet import FleetRouter
 from repro.fleet import router as router_module
+from repro.fleet.membership import build_member
 from repro.service import (
     FleetOverloadedError,
     QueueFullError,
     ReproClient,
+    ReproServer,
     UnknownJobError,
 )
 
@@ -241,6 +243,33 @@ class TestJobSnapshots:
                 assert not {"priority", "timeout_s", "requesters"} & set(view)
             assert "cancelled" not in fleet.stats()["router"]
             fleet.close(drain=False)
+
+
+class TestMemberSnapshots:
+    """A member is in-process exactly when it has no URL, however it was
+    specified."""
+
+    def test_a_client_over_an_in_process_server_is_in_process(self):
+        server = ReproServer(start=False)
+        try:
+            with FleetRouter([ReproClient(server)],
+                             healthcheck_interval_s=0) as fleet:
+                snapshot = fleet.membership.get("worker-0").snapshot()
+        finally:
+            server.close(drain=False)
+        assert snapshot["url"] is None and snapshot["in_process"]
+
+    def test_a_local_worker_is_in_process(self, tmp_path):
+        with FleetRouter.local(1, store=tmp_path, healthcheck_interval_s=0,
+                               start=False) as fleet:
+            snapshot = fleet.membership.get("worker-0").snapshot()
+            fleet.close(drain=False)
+        assert snapshot["url"] is None and snapshot["in_process"]
+
+    def test_a_url_member_is_remote(self):
+        snapshot = build_member("http://127.0.0.1:9/", 0).snapshot()
+        assert snapshot["url"] == "http://127.0.0.1:9"
+        assert not snapshot["in_process"]
 
 
 class TestHttpFleet:
