@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI/local gate: byte-compile the whole package, then run the tier-1 suite.
 #
-#   scripts/check.sh            # full suite, then --examples and --figures
-#                               # (what CI runs)
+#   scripts/check.sh            # full suite, then --examples, --figures
+#                               # and the three live smokes of --service,
+#                               # --fleet and --obs (what CI runs)
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
 # Every mode first runs the import-hygiene guard: the engine, simulation
@@ -63,6 +64,16 @@ run_pytest() {
 run_figures() {
     # pytest collects the bench scripts only when they are named.
     run_pytest -x -q benchmarks/bench_*.py "$@"
+}
+
+run_smoke() {
+    # scripts/<name>_smoke.py: boots `python -m repro serve` (and, for the
+    # fleet, `fleet`) as real processes and stops them over POST /shutdown
+    local name=$1
+    shift
+    echo "== scripts/${name}_smoke.py"
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+        python "scripts/${name}_smoke.py" "$@"
 }
 
 run_examples() {
@@ -131,15 +142,13 @@ case "${1:-}" in
 --service)
     shift
     python -m compileall -q src
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python scripts/service_smoke.py "$@"
+    run_smoke service "$@"
     exit $?
     ;;
 --fleet)
     shift
     python -m compileall -q src
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python scripts/fleet_smoke.py "$@"
+    run_smoke fleet "$@"
     exit $?
     ;;
 --large)
@@ -197,8 +206,7 @@ case "${1:-}" in
     # the X-Repro-Trace header joins traces across a process boundary
     # and /metrics survives the strict 0.0.4 parser.
     run_pytest -x -q tests/obs "$@"
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-        python scripts/obs_smoke.py
+    run_smoke obs
     exit $?
     ;;
 esac
@@ -207,7 +215,11 @@ python -m compileall -q src
 run_pytest "${PYTEST_ARGS[@]}" "$@"
 if [ "$FLAGLESS" -eq 1 ]; then
     # The examples and the Section 4 scripts are the public API's only
-    # callers outside tests/.
+    # callers outside tests/; the smokes are the only gates that run
+    # `serve` and `fleet` as real processes.
     run_examples
     run_figures
+    run_smoke service
+    run_smoke fleet
+    run_smoke obs
 fi

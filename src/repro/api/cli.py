@@ -69,7 +69,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.api.session import Session, SessionEvent
@@ -644,9 +644,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # service mode
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _serve_until_shutdown(endpoint: Any, name: str,
+                          address: Tuple[str, int],
+                          notes: Sequence[str]) -> int:
+    """The foreground loop of ``serve`` and ``fleet``: print the bound
+    address and ``notes``, block until ``POST /shutdown``, SIGTERM or
+    Ctrl-C, then drain and close ``endpoint``."""
     import signal
 
+    def _terminate(_signum, _frame):
+        raise KeyboardInterrupt
+
+    try:
+        # before the address line: a supervisor may signal once it reads it
+        signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:
+        pass  # not on the main thread (tests drive the commands directly)
+    try:
+        # stdout, flushed: the smokes (scripts/*_smoke.py) parse this line
+        # to discover an ephemeral --port 0 binding
+        print(f"repro {name} listening on http://{address[0]}:{address[1]}",
+              flush=True)
+        for note in notes:
+            print(note, file=sys.stderr)
+        endpoint.wait()
+    except KeyboardInterrupt:
+        print(f"interrupt: draining the {name}...", file=sys.stderr)
+    endpoint.close()
+    print(f"repro {name} stopped", file=sys.stderr)
+    return 0
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import DEFAULT_PORT, ReproServer
 
     session = _session(args)
@@ -654,41 +683,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          worker_id=args.worker_id)
     port = DEFAULT_PORT if args.port is None else args.port
     host, bound_port = server.serve_http(args.host, port)
-    # stdout, flushed: the line tooling (scripts/service_smoke.py) parses
-    # to discover an ephemeral --port 0 binding
-    print(f"repro service listening on http://{host}:{bound_port}",
-          flush=True)
+    notes = []
     if session.store is not None:
-        print(f"  persistent store: {session.store.root}", file=sys.stderr)
-    print("  POST /shutdown or Ctrl-C drains and stops", file=sys.stderr)
+        notes.append(f"  persistent store: {session.store.root}")
+    notes.append("  POST /shutdown or Ctrl-C drains and stops")
     if args.announce:
         from repro.service.client import ReproClient
         reply = ReproClient(args.announce).register(
             {"url": f"http://{host}:{bound_port}", "name": args.worker_id})
-        print(f"  announced to fleet router {args.announce} "
-              f"({reply.get('workers_alive')}/"
-              f"{reply.get('workers_total')} workers alive)",
-              file=sys.stderr)
-
-    def _terminate(_signum, _frame):
-        raise KeyboardInterrupt
-
-    try:
-        signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:
-        pass  # not on the main thread (tests drive cmd_serve directly)
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        print("interrupt: draining queued jobs...", file=sys.stderr)
-    server.close()
-    print("repro service stopped", file=sys.stderr)
-    return 0
+        notes.append(f"  announced to fleet router {args.announce} "
+                     f"({reply.get('workers_alive')}/"
+                     f"{reply.get('workers_total')} workers alive)")
+    return _serve_until_shutdown(server, "service", (host, bound_port),
+                                 notes)
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    import signal
-
     from repro.fleet.router import FleetRouter
     from repro.service.server import DEFAULT_PORT
 
@@ -710,32 +720,13 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             args.workers, store=args.store, max_pending=args.max_pending,
             healthcheck_interval_s=args.healthcheck_interval)
     port = DEFAULT_PORT if args.port is None else args.port
-    host, bound_port = router.serve_http(args.host, port)
-    # stdout, flushed: scripts/fleet_smoke.py parses this line to discover
-    # an ephemeral --port 0 binding
-    print(f"repro fleet listening on http://{host}:{bound_port}",
-          flush=True)
+    address = router.serve_http(args.host, port)
     counters = router.membership.counters()
-    print(f"  {counters['workers_alive']}/{counters['workers_total']} "
-          f"worker(s) alive (POST /shutdown or Ctrl-C drains the fleet)",
-          file=sys.stderr)
+    notes = [f"  {counters['workers_alive']}/{counters['workers_total']} "
+             f"worker(s) alive (POST /shutdown or Ctrl-C drains the fleet)"]
     if args.store and not args.worker:
-        print(f"  shared persistent store: {args.store}", file=sys.stderr)
-
-    def _terminate(_signum, _frame):
-        raise KeyboardInterrupt
-
-    try:
-        signal.signal(signal.SIGTERM, _terminate)
-    except ValueError:
-        pass  # not on the main thread (tests drive cmd_fleet directly)
-    try:
-        router.wait()
-    except KeyboardInterrupt:
-        print("interrupt: draining the fleet...", file=sys.stderr)
-    router.close()
-    print("repro fleet stopped", file=sys.stderr)
-    return 0
+        notes.append(f"  shared persistent store: {args.store}")
+    return _serve_until_shutdown(router, "fleet", address, notes)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

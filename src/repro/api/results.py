@@ -119,13 +119,19 @@ class FlowOptions:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FlowOptions":
+        return cls(**cls.knobs_from_dict(data))
+
+    @staticmethod
+    def knobs_from_dict(data: Mapping[str, object]) -> Dict[str, object]:
+        """The knobs of a :meth:`to_dict` payload as constructor keywords,
+        decoded but not yet checked (construction checks them)."""
         for key, pinned in _RETIRED_KEYS.items():
             if data.get(key, pinned) != pinned:
                 raise ValueError(f"{key} is no longer supported: only "
                                  f"{pinned!r} is accepted (got "
                                  f"{data[key]!r})")
         constraints = data.get("constraints")
-        return cls(
+        return dict(
             device=FpgaDevice.from_dict(data["device"]),
             data_format=data["data_format"],
             frame_width=data["frame_width"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.results import FlowOptions
+from repro.api.results import FlowOptions, _require_int
 from repro.dse.constraints import DseConstraints
 from repro.frontend.extractor import extract_kernel_from_c
 from repro.frontend.kernel_ir import StencilKernel
@@ -29,11 +29,11 @@ from repro.synth.fpga_device import FpgaDevice
 DEFAULT_OPTIONS = FlowOptions()
 _DEFAULTS = DEFAULT_OPTIONS
 
-#: The knobs shared 1:1 between FlowOptions and Workload.  options(),
-#: characterization_key(), and (via the FlowOptions codec)
-#: to_dict()/from_dict() are all derived from this list, so a new
-#: FlowOptions field (same name on Workload, codec added in
-#: FlowOptions.to_dict/from_dict) flows through every surface.
+#: The knobs shared 1:1 between FlowOptions and Workload.  The options
+#: checked at construction, characterization_key(), and (via the
+#: FlowOptions codec) to_dict()/from_dict() are all derived from this
+#: list, so a new FlowOptions field (same name on Workload, codec added in
+#: FlowOptions.to_dict/knobs_from_dict) flows through every surface.
 _OPTION_FIELDS = tuple(f.name for f in fields(FlowOptions))
 
 #: Option fields that do NOT shape the cone-characterization space (they
@@ -87,15 +87,16 @@ class Workload:
     kernel_fingerprint: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
-        # FlowOptions resolves and checks every knob, before the kernel is
-        # resolved: a service submit builds the Workload, so a bad knob is a
-        # 400, not a failed job
+        # FlowOptions resolves and checks every knob once, before the kernel
+        # is resolved: a service submit builds the Workload, so a bad knob
+        # is a 400, not a failed job.  options() hands out this instance.
         knobs = {name: getattr(self, name) for name in _OPTION_FIELDS}
         if self.iterations is None:
-            del knobs["iterations"]  # the kernel's default, resolved below
+            knobs["iterations"] = self._default_iterations()
         options = FlowOptions(**knobs)
         for name in knobs:
             object.__setattr__(self, name, getattr(options, name))
+        object.__setattr__(self, "_options", options)
         sources = [s is not None
                    for s in (self.algorithm, self.c_source, self.kernel)]
         if sum(sources) != 1:
@@ -108,8 +109,6 @@ class Workload:
         object.__setattr__(self, "params", _normalize_params(self.params))
         resolved = self._resolve_kernel()
         object.__setattr__(self, "_resolved_kernel", resolved)
-        if self.iterations is None:
-            object.__setattr__(self, "iterations", self._default_iterations())
         digest = hashlib.sha256(
             (resolved.fingerprint()
              + repr(self.params or ())).encode("utf-8")).hexdigest()[:16]
@@ -191,10 +190,9 @@ class Workload:
         return dict(self.params) if self.params else None
 
     def options(self) -> FlowOptions:
-        """Project the exploration knobs onto a :class:`FlowOptions` (a
-        result's ``options`` and the knobs' wire codec)."""
-        return FlowOptions(**{name: getattr(self, name)
-                              for name in _OPTION_FIELDS})
+        """The exploration knobs as the :class:`FlowOptions` checked at
+        construction (a result's ``options`` and the knobs' wire codec)."""
+        return getattr(self, "_options")
 
     def characterization_key(self) -> Tuple:
         """Cache key of the cone characterization this workload needs.
@@ -234,7 +232,12 @@ class Workload:
     def from_dict(cls, data: Mapping[str, Any]) -> "Workload":
         if not isinstance(data, Mapping):
             raise TypeError(f"workload must be a JSON object (got {data!r})")
-        options = FlowOptions.from_dict(data)
+        # decoded only: the Workload built below checks the knobs
+        knobs = FlowOptions.knobs_from_dict(data)
+        if knobs["iterations"] is None:
+            # a payload carries its resolved count; refuse a null one as
+            # FlowOptions does instead of taking the kernel's default
+            _require_int("iterations", None)
         kernel = data.get("kernel")
         return cls(
             algorithm=data.get("algorithm"),
@@ -242,7 +245,7 @@ class Workload:
             c_function_name=data.get("c_function_name"),
             kernel=None if kernel is None else StencilKernel.from_dict(kernel),
             params=_normalize_params(data.get("params")),
-            **{name: getattr(options, name) for name in _OPTION_FIELDS},
+            **knobs,
         )
 
 

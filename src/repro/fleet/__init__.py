@@ -5,7 +5,9 @@ horizontally: a :class:`FleetRouter` fronts N :class:`~repro.service.server
 .ReproServer` workers behind the *same job API* (``submit`` / ``status`` /
 ``result`` / ``stats`` / ``healthz`` / ``metrics``), so
 :class:`~repro.service.ReproClient`, the CLI, and the HTTP transport all
-drive a fleet exactly like one worker.  Four properties define the tier:
+drive a fleet exactly like one worker; the router inherits the worker's
+listener and shutdown sequence from :class:`~repro.service.server
+.JobEndpoint`.  Four properties define the tier:
 
 * **deterministic placement** — every submission routes by the consistent
   hash of its workload's characterization key (:mod:`repro.fleet.ring`):

@@ -4,9 +4,10 @@
 .ReproServer` workers (in-process objects or remote URLs) behind the
 *same job API* the workers speak — ``submit`` / ``status`` / ``result``
 / ``stats`` / ``healthz`` / ``metrics_text`` — so
-:class:`~repro.service.client.ReproClient` (and therefore the CLI and
-the HTTP transport, reused verbatim from :mod:`repro.service.server`)
-drives a whole fleet exactly like one worker.
+:class:`~repro.service.client.ReproClient` (and therefore the CLI)
+drives a whole fleet exactly like one worker.  The router and the worker
+share one base, :class:`~repro.service.server.JobEndpoint`: the HTTP
+transport, ``/trace``, ``/metrics`` and the shutdown sequence.
 
 Routing (:mod:`repro.fleet.ring`): each submission goes to the worker
 owning the consistent hash of its workload's characterization key.
@@ -35,7 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.results import FlowResult
 from repro.api.workload import Workload
@@ -45,7 +46,6 @@ from repro.fleet.membership import (
     build_member,
 )
 from repro.fleet.ring import routing_token
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.service.jobs import (
     FleetOverloadedError,
@@ -59,8 +59,7 @@ from repro.service.jobs import (
     check_wait,
     parse_job_kind,
 )
-from repro.service.metrics import render_prometheus
-from repro.service.server import start_http_endpoint
+from repro.service.server import JobEndpoint, ReproServer
 
 #: Upper bound of one worker-side wait chunk while the router waits for a
 #: result: short enough that a mid-wait worker death is noticed quickly,
@@ -129,7 +128,7 @@ class _RoutedJob:
         }
 
 
-class FleetRouter:
+class FleetRouter(JobEndpoint):
     """Route exploration jobs across a worker fleet (see module doc).
 
     ``workers`` is a sequence of worker specs — ``http://`` URLs,
@@ -142,21 +141,19 @@ class FleetRouter:
     well-formed submission: only a worker's bounded queue sheds.
     """
 
+    metrics_prefix = "repro_fleet"
+    thread_prefix = "repro-fleet"
+
     def __init__(self, workers: Any = (),
                  healthcheck_interval_s: float =
                  DEFAULT_HEALTHCHECK_INTERVAL_S,
                  close_workers: bool = True) -> None:
-        # routers trace by default, exactly like workers (REPRO_OBS=0
-        # opts out); with in-process workers the one global TraceStore
-        # then holds the full route -> worker -> pipeline trace
-        obs_trace.auto_enable()
+        super().__init__()
         self._membership = FleetMembership()
         self._close_workers = close_workers
         self._lock = threading.RLock()
         self._jobs: "OrderedDict[str, _RoutedJob]" = OrderedDict()
         self._sequence = 0
-        self._closed = False
-        self._started_at = time.time()
         # lifetime counters
         self._routed = 0
         self._failovers = 0
@@ -164,14 +161,6 @@ class FleetRouter:
         self._shed = 0
         self._done = 0
         self._failed = 0
-        # transports / loops
-        self._httpd = None
-        self._http_thread: Optional[threading.Thread] = None
-        self._http_address: Optional[Tuple[str, int]] = None
-        self._shutdown_requested = threading.Event()
-        self._drain_on_shutdown = True
-        self._close_lock = threading.Lock()
-        self._stopped = False
         self._healthcheck_stop = threading.Event()
         self._healthcheck_thread: Optional[threading.Thread] = None
         for index, spec in enumerate(workers):
@@ -205,8 +194,6 @@ class FleetRouter:
         """
         if count < 1:
             raise ValueError(f"count must be >= 1 (got {count})")
-        from repro.service.server import ReproServer
-
         workers = []
         for index in range(count):
             name = f"worker-{index}"
@@ -237,65 +224,22 @@ class FleetRouter:
     def membership(self) -> FleetMembership:
         return self._membership
 
-    def __enter__(self) -> "FleetRouter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until a shutdown was requested (the CLI foreground loop)."""
-        return self._shutdown_requested.wait(timeout)
-
-    def initiate_shutdown(self, drain: bool = True) -> None:
-        """Request an asynchronous shutdown (returns immediately)."""
-        self._drain_on_shutdown = drain
-        if not self._shutdown_requested.is_set():
-            self._shutdown_requested.set()
-            threading.Thread(target=self.close, kwargs={"drain": drain},
-                             name="repro-fleet-shutdown",
-                             daemon=True).start()
-
-    def close(self, drain: Optional[bool] = None,
-              close_workers: Optional[bool] = None) -> None:
-        """Stop routing; drain (default) and close the fleet's workers."""
-        if drain is None:
-            drain = self._drain_on_shutdown
-        if close_workers is None:
-            close_workers = self._close_workers
-        with self._close_lock:
-            if self._stopped:
-                return
-            self._shutdown_requested.set()
-            with self._lock:
-                self._closed = True
-            self._healthcheck_stop.set()
-            if self._healthcheck_thread is not None:
-                self._healthcheck_thread.join(timeout=5.0)
-            if close_workers:
-                for member in self._membership.all():
-                    try:
-                        if member.server is not None:
-                            member.server.close(drain=drain)
-                        else:
-                            member.client.shutdown(drain=drain)
-                    except Exception:
-                        pass  # a dead worker cannot be shut down twice
-            if self._httpd is not None:
-                self._httpd.shutdown()
-                self._httpd.server_close()
-                if self._http_thread is not None:
-                    self._http_thread.join(timeout=5.0)
-                self._httpd = None
-                self._http_thread = None
-            self._stopped = True
-
-    def _state(self) -> str:
-        if self._stopped:
-            return "stopped"
-        if self._closed or self._shutdown_requested.is_set():
-            return "draining"
-        return "serving"
+    def _stop_work(self, drain: bool) -> None:
+        # routing already stopped with the shutdown request (see _route);
+        # drain (default) and close the fleet's workers if the router owns
+        # them
+        self._healthcheck_stop.set()
+        if self._healthcheck_thread is not None:
+            self._healthcheck_thread.join(timeout=5.0)
+        if self._close_workers:
+            for member in self._membership.all():
+                try:
+                    if member.server is not None:
+                        member.server.close(drain=drain)
+                    else:
+                        member.client.shutdown(drain=drain)
+                except Exception:
+                    pass  # a dead worker cannot be shut down twice
 
     # ------------------------------------------------------------------ #
     # healthcheck / failover
@@ -390,10 +334,9 @@ class FleetRouter:
     def _route(self, workload: Workload, job: Optional[str],
                route_span: Any) -> Dict[str, Any]:
         kind = parse_job_kind(job)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError(
-                    "the fleet router is draining and accepts no new jobs")
+        if self._shutdown_requested.is_set():
+            raise ServiceClosedError(
+                "the fleet router is draining and accepts no new jobs")
         token = routing_token(workload)
         preference = self._membership.preference(token)
         if not preference:
@@ -588,10 +531,7 @@ class FleetRouter:
                                 if job.state == "routed"),
             }
         return {
-            "state": self._state(),
-            "uptime_s": time.time() - self._started_at,
-            "http_address": (None if self._http_address is None
-                             else "http://{}:{}".format(*self._http_address)),
+            **self._lifecycle_stats(),
             "router": router,
             "membership": self._membership.counters(),
             "ring": {"members": list(self._membership.ring.members),
@@ -613,27 +553,6 @@ class FleetRouter:
             "workers_alive": counters["workers_alive"],
             "workers_total": counters["workers_total"],
         }
-
-    def metrics_text(self) -> str:
-        """Prometheus text over the fleet aggregation (``GET /metrics``):
-        typed walked leaves plus the registry's latency histograms."""
-        return render_prometheus(self.stats(), prefix="repro_fleet",
-                                 registry=obs_metrics.registry())
-
-    def trace(self, trace_id: Optional[str] = None) -> Dict[str, Any]:
-        """Recorded traces (``GET /trace``, ``GET /trace/<id>``); with
-        in-process workers the router's global store holds the complete
-        route -> worker -> pipeline span tree."""
-        store = obs_trace.global_store()
-        if trace_id is None:
-            return {"traces": store.summaries(),
-                    "store": store.stats_snapshot()}
-        spans = store.get(trace_id)
-        if spans is None:
-            raise UnknownJobError(
-                f"unknown trace {trace_id!r} (the trace store is a ring "
-                f"buffer; old traces are evicted)")
-        return {"trace_id": trace_id, "spans": spans}
 
     def register(self, info: Mapping[str, Any]) -> Dict[str, Any]:
         """A worker announcing itself (``POST /register`` on the router).
@@ -663,16 +582,3 @@ class FleetRouter:
             "workers_alive": counters["workers_alive"],
             "workers_total": counters["workers_total"],
         }
-
-    # ------------------------------------------------------------------ #
-    # HTTP transport (the worker's handler, reused verbatim)
-
-    def serve_http(self, host: str = "127.0.0.1",
-                   port: int = 0) -> Tuple[str, int]:
-        """Serve the fleet job API on ``host:port`` (0 = ephemeral)."""
-        if self._httpd is not None:
-            return self._http_address
-        self._httpd, self._http_thread, self._http_address = (
-            start_http_endpoint(self, host, port,
-                                thread_name="repro-fleet-http"))
-        return self._http_address

@@ -14,15 +14,18 @@ it from N short-lived sessions:
   trigger exactly one exploration and all sixteen receive the same
   :class:`~repro.api.results.FlowResult` — digest-identical to a direct
   ``Session.run``;
-* **first-in-first-out dispatch** — the :class:`Scheduler` runs one job
-  at a time, in submission order; a job never expires, and the only
-  timeout is a caller's own wait (``result(timeout=...)``), which leaves
-  the job in flight.
+* **first-in-first-out dispatch** — the server's own dispatcher thread
+  runs one job at a time, in submission order; a job never expires, and
+  the only timeout is a caller's own wait (``result(timeout=...)``), which
+  leaves the job in flight.
 
 The server speaks two transports with one protocol: in-process method
 calls, and a minimal stdlib-only JSON endpoint over :mod:`http.server`
 (``submit`` / ``status`` / ``result`` / ``stats`` / ``healthz``), with
-:class:`ReproClient` wrapping both.  Job lifecycle is streamed through the
+:class:`ReproClient` wrapping both.  The listener, ``/trace``,
+``/metrics`` and the shutdown sequence live in
+:class:`~repro.service.server.JobEndpoint`, the base the worker shares
+with the fleet router.  Job lifecycle is streamed through the
 existing progress-callback protocol (:class:`~repro.api.session
 .SessionEvent` with ``job-*`` kinds) alongside the session's stage events.
 
@@ -55,7 +58,6 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.service.queue import JobQueue
-from repro.service.scheduler import Scheduler
 from repro.service.server import DEFAULT_PORT, ReproServer
 from repro.service.client import JobHandle, ReproClient
 
@@ -73,7 +75,6 @@ __all__ = [
     "QueueFullError",
     "ReproClient",
     "ReproServer",
-    "Scheduler",
     "ServiceClosedError",
     "ServiceError",
     "UnknownJobError",

@@ -105,7 +105,8 @@ class JobFailedError(ServiceError):
 
 
 class ServiceClosedError(ServiceError):
-    """Raised on submission to a draining or stopped server."""
+    """Raised on submission to a draining or stopped server, and by
+    ``serve_http`` once a shutdown was requested."""
 
 
 class QueueFullError(ServiceError):
@@ -145,7 +146,7 @@ class Job:
 
     id: str
     workload: Workload
-    #: Job class (see :data:`JOB_KINDS`): what the scheduler runs for this
+    #: Job class (see :data:`JOB_KINDS`): what the dispatcher runs for this
     #: workload and what ``result`` carries when done.
     kind: str = "explore"
     submitted_at: float = field(default_factory=time.time)

@@ -168,7 +168,7 @@ class JobQueue:
 
         The next job is the oldest queued one, and is returned already
         ``running``.  Returns ``None`` once the queue is closed and drained
-        (the scheduler's exit signal).
+        (the dispatcher's exit signal).
         """
         with self._has_work:
             while not self._queued:
@@ -186,7 +186,7 @@ class JobQueue:
             return job
 
     # ------------------------------------------------------------------ #
-    # completion (called by the scheduler)
+    # completion (called by the dispatcher)
 
     def finish(self, job: Job, result) -> None:
         """Mark a running job done and deliver its result to every waiter."""
@@ -231,7 +231,7 @@ class JobQueue:
         """Refuse new submissions; optionally cancel everything queued.
 
         With ``cancel_pending`` every still-queued job turns ``cancelled``
-        (their waiters are released immediately); without it the scheduler
+        (their waiters are released immediately); without it the dispatcher
         keeps draining until :meth:`next_job` returns ``None``.
         """
         with self._has_work:

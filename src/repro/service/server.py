@@ -2,20 +2,19 @@
 
 :class:`ReproServer` wires the service pieces together — a
 :class:`~repro.api.session.Session` (optionally store-backed), a
-coalescing :class:`~repro.service.queue.JobQueue`, and a
-:class:`~repro.service.scheduler.Scheduler` that runs the queued jobs one
-at a time through the session — and exposes one protocol over two
-transports:
+coalescing :class:`~repro.service.queue.JobQueue`, and its own dispatcher
+thread, which runs the queued jobs one at a time through the session —
+and exposes one protocol over two transports:
 
 * **in-process**: ``submit`` / ``status`` / ``result`` / ``stats`` /
   ``healthz`` as plain methods (every payload JSON-ready, so the two
   transports cannot drift);
 * **HTTP**: the same operations as a minimal stdlib-only JSON endpoint
-  (:mod:`http.server`, threaded) via :meth:`serve_http` — ``POST
-  /submit``, ``GET /status``, ``GET /result``, ``GET /stats``, ``GET
-  /healthz``, ``GET /metrics`` (Prometheus text), ``GET /trace`` / ``GET
-  /trace/<id>`` (recorded traces), ``POST /register`` (fleet handshake),
-  ``POST /shutdown``.
+  (:mod:`http.server`, threaded) via :meth:`~JobEndpoint.serve_http` —
+  ``POST /submit``, ``GET /status``, ``GET /result``, ``GET /stats``,
+  ``GET /healthz``, ``GET /metrics`` (Prometheus text), ``GET /trace`` /
+  ``GET /trace/<id>`` (recorded traces), ``POST /register`` (fleet
+  handshake), ``POST /shutdown``.
 
 Jobs run first in, first out; a job never expires.  The only timeout is a
 caller's own wait: ``result(timeout=...)`` raises
@@ -34,12 +33,14 @@ progress-callback protocol: :meth:`on_event` callbacks receive
 :class:`~repro.api.session.SessionEvent` objects for both the job
 transitions and the underlying pipeline stages.
 
-Shutdown is graceful by default: ``close(drain=True)`` stops accepting
-submissions (HTTP submitters get 503), finishes every queued job, then
-tears the HTTP listener down — so a deploy rollover never drops accepted
-work.  ``drain=False`` cancels the queued backlog instead (the job
-already executing still completes; pure-Python explorations cannot be
-interrupted mid-flight).
+The worker and the fleet router (:class:`~repro.fleet.router.FleetRouter`)
+share one base, :class:`JobEndpoint`: the HTTP listener, ``/trace``,
+``/metrics`` and the shutdown sequence.  Shutdown is graceful by default:
+``close(drain=True)`` stops accepting submissions (HTTP submitters get
+503), finishes every queued job, then tears the HTTP listener down — so a
+deploy rollover never drops accepted work.  ``drain=False`` cancels the
+queued backlog instead (the job already executing still completes;
+pure-Python explorations cannot be interrupted mid-flight).
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import METRICS_CONTENT_TYPE, render_prometheus
 from repro.service.queue import JobQueue
-from repro.service.scheduler import Scheduler
 
-#: Default TCP port of ``python -m repro serve`` (0 = OS-assigned).
+#: Default TCP port of ``python -m repro serve`` and ``fleet`` (0 =
+#: OS-assigned).
 DEFAULT_PORT = 8177
 
 #: Upper bound on one HTTP request body (a serialized workload is a few
@@ -89,78 +90,41 @@ MAX_RESULT_WAIT_S = 300.0
 _SUBMIT_FIELDS = ("workload", "job")
 
 
-class ReproServer:
-    """A long-lived exploration server over one shared session.
+class JobEndpoint:
+    """The lifecycle a worker and a fleet router share.
 
-    Its memory stays bounded however many distinct jobs it serves: the
-    session keeps a bounded result layer, and the queue remembers the last
-    :data:`~repro.service.queue.HISTORY_LIMIT` finished jobs (each holding
-    its result) for late ``status``/``result`` calls.
+    A subclass serves the job verbs (``submit`` / ``status`` / ``result``
+    / ``stats`` / ``healthz`` / ``register``) and :meth:`_stop_work`,
+    which winds the accepted work down on :meth:`close`.  This base owns
+    the rest: trace auto-enable, the start time, the HTTP listener,
+    ``/trace``, ``/metrics`` and the shutdown sequence.
     """
 
-    def __init__(self, session: Optional[Session] = None,
-                 store: Optional[Union[str, os.PathLike,
-                                       ArtifactStore]] = None,
-                 max_pending: Optional[int] = None,
-                 worker_id: Optional[str] = None,
-                 on_event: Optional[Callable[[SessionEvent], None]] = None,
-                 start: bool = True) -> None:
-        if session is not None and store is not None:
-            raise ValueError("pass either a session or a store, not both "
-                             "(a session already owns its store)")
-        # servers trace by default (REPRO_OBS=0 opts out): the ring-buffer
+    #: Prefix of the ``GET /metrics`` families walked from ``stats()``.
+    metrics_prefix = "repro"
+    #: Name prefix of the listener and shutdown threads.
+    thread_prefix = "repro-service"
+
+    def __init__(self) -> None:
+        # endpoints trace by default (REPRO_OBS=0 opts out): the ring-buffer
         # TraceStore is bounded, and library use without a server stays on
         # the zero-cost disabled path
         obs_trace.auto_enable()
-        self._session = session if session is not None else Session(
-            store=store)
-        if on_event is not None:
-            self._session.on_event(on_event)
-        self._queue = JobQueue(max_pending=max_pending)
-        #: This worker's own identity, reported in the fleet registration
-        #: handshake (lets a router detect two URLs naming one worker).
-        self.worker_id = worker_id or f"worker-{os.getpid()}"
-        self._fleet_registration: Optional[Dict[str, Any]] = None
-        self._scheduler = Scheduler(self._session, self._queue)
         self._started_at = time.time()
         self._httpd: Optional[_ServiceHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._http_address: Optional[Tuple[str, int]] = None
         self._shutdown_requested = threading.Event()
         self._drain_on_shutdown = True
-        self._close_lock = threading.Lock()
+        # serializes close() against itself and against serve_http()
+        self._lifecycle_lock = threading.Lock()
         self._stopped = False
-        if start:
-            self.start()
 
     # ------------------------------------------------------------------ #
     # lifecycle
 
-    @property
-    def session(self) -> Session:
-        """The shared session (one cache for every client)."""
-        return self._session
-
-    @property
-    def queue(self) -> JobQueue:
-        return self._queue
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._scheduler
-
-    def start(self) -> "ReproServer":
-        """Start the dispatcher (idempotent; ``start=False`` construction
-        lets tests pre-load the queue deterministically)."""
-        self._scheduler.start()
+    def __enter__(self) -> "JobEndpoint":
         return self
-
-    def on_event(self, callback: Callable[[SessionEvent], None]) -> None:
-        """Stream job + stage lifecycle events (the session's protocol)."""
-        self._session.on_event(callback)
-
-    def __enter__(self) -> "ReproServer":
-        return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
@@ -180,38 +144,222 @@ class ReproServer:
         if not self._shutdown_requested.is_set():
             self._shutdown_requested.set()
             threading.Thread(target=self.close, kwargs={"drain": drain},
-                             name="repro-service-shutdown",
+                             name=f"{self.thread_prefix}-shutdown",
                              daemon=True).start()
 
     def close(self, drain: Optional[bool] = None) -> None:
-        """Stop the service (idempotent, thread-safe).
+        """Stop serving (idempotent, thread-safe).
 
-        ``drain=True`` (default) executes every queued job first; HTTP
+        ``drain=True`` (default) finishes the accepted work first; HTTP
         stays up while draining so pending ``result`` calls are answered,
         then the listener stops.  ``drain=False`` cancels the backlog.
         """
         if drain is None:
             drain = self._drain_on_shutdown
-        with self._close_lock:
+        with self._lifecycle_lock:
             if self._stopped:
                 return
             self._shutdown_requested.set()
-            self._scheduler.stop(drain=drain)
+            self._stop_work(drain)
             if self._httpd is not None:
                 self._httpd.shutdown()
                 self._httpd.server_close()
-                if self._http_thread is not None:
-                    self._http_thread.join(timeout=5.0)
-                self._httpd = None
-                self._http_thread = None
+                self._http_thread.join(timeout=5.0)
             self._stopped = True
+
+    def _stop_work(self, drain: bool) -> None:
+        """Refuse new jobs, then finish (``drain``) or cancel the backlog."""
+        raise NotImplementedError
+
+    def _draining(self) -> bool:
+        """Whether the work refuses new jobs before any shutdown request
+        (a worker's queue can be closed on its own)."""
+        return False
 
     def _state(self) -> str:
         if self._stopped:
             return "stopped"
-        if self._queue.closed or self._shutdown_requested.is_set():
+        if self._shutdown_requested.is_set() or self._draining():
             return "draining"
         return "serving"
+
+    def _lifecycle_stats(self) -> Dict[str, Any]:
+        """The ``stats()`` fields every endpoint reports first."""
+        return {
+            "state": self._state(),
+            "uptime_s": time.time() - self._started_at,
+            "http_address": (None if self._http_address is None
+                             else "http://{}:{}".format(*self._http_address)),
+        }
+
+    # ------------------------------------------------------------------ #
+    # observability
+
+    def metrics_text(self) -> str:
+        """The counters as Prometheus text (``GET /metrics``).
+
+        Walked ``stats()`` leaves under :attr:`metrics_prefix` (typed
+        counter/gauge by leaf name) plus the typed registry families —
+        queue-wait, stage-latency, and chunk-fold histograms included.
+        """
+        return render_prometheus(self.stats(), prefix=self.metrics_prefix,
+                                 registry=obs_metrics.registry())
+
+    def trace(self, trace_id: Optional[str] = None) -> Dict[str, Any]:
+        """Recorded traces (``GET /trace``, ``GET /trace/<id>``).
+
+        Without an id: the store's per-trace summaries plus its
+        accounting.  With one: that trace's full span list (JSON-ready;
+        the CLI converts to JSONL or Chrome ``trace_event`` client-side).
+        With in-process workers a router's store holds the complete route
+        -> worker -> pipeline span tree.
+        """
+        store = obs_trace.global_store()
+        if trace_id is None:
+            return {"traces": store.summaries(),
+                    "store": store.stats_snapshot()}
+        spans = store.get(trace_id)
+        if spans is None:
+            raise UnknownJobError(
+                f"unknown trace {trace_id!r} (the trace store is a ring "
+                f"buffer; old traces are evicted)")
+        return {"trace_id": trace_id, "spans": spans}
+
+    # ------------------------------------------------------------------ #
+    # HTTP transport
+
+    def serve_http(self, host: str = "127.0.0.1",
+                   port: int = DEFAULT_PORT) -> Tuple[str, int]:
+        """Start the JSON endpoint on ``host:port`` (0 = ephemeral).
+
+        Returns the bound ``(host, port)``, the same one on every later
+        call; the listener runs on a daemon thread until :meth:`close`.
+        Once a shutdown was requested this raises
+        :class:`ServiceClosedError` and binds nothing.
+        """
+        with self._lifecycle_lock:
+            if self._shutdown_requested.is_set():
+                raise ServiceClosedError(
+                    "a shutdown was requested; serve_http binds nothing")
+            if self._httpd is None:
+                httpd = _ServiceHTTPServer((host, port),
+                                           _ServiceRequestHandler)
+                httpd.service = self
+                thread = threading.Thread(target=httpd.serve_forever,
+                                          name=f"{self.thread_prefix}-http",
+                                          daemon=True)
+                thread.start()
+                self._httpd, self._http_thread = httpd, thread
+                self._http_address = (httpd.server_address[0],
+                                      httpd.server_address[1])
+            return self._http_address
+
+
+class ReproServer(JobEndpoint):
+    """A long-lived exploration server over one shared session.
+
+    Its memory stays bounded however many distinct jobs it serves: the
+    session keeps a bounded result layer, and the queue remembers the last
+    :data:`~repro.service.queue.HISTORY_LIMIT` finished jobs (each holding
+    its result) for late ``status``/``result`` calls.
+    """
+
+    def __init__(self, session: Optional[Session] = None,
+                 store: Optional[Union[str, os.PathLike,
+                                       ArtifactStore]] = None,
+                 max_pending: Optional[int] = None,
+                 worker_id: Optional[str] = None,
+                 on_event: Optional[Callable[[SessionEvent], None]] = None,
+                 start: bool = True) -> None:
+        if session is not None and store is not None:
+            raise ValueError("pass either a session or a store, not both "
+                             "(a session already owns its store)")
+        super().__init__()
+        self._session = session if session is not None else Session(
+            store=store)
+        if on_event is not None:
+            self._session.on_event(on_event)
+        self._queue = JobQueue(max_pending=max_pending)
+        #: This worker's own identity, reported in the fleet registration
+        #: handshake (lets a router detect two URLs naming one worker).
+        self.worker_id = worker_id or f"worker-{os.getpid()}"
+        self._fleet_registration: Optional[Dict[str, Any]] = None
+        self._dispatcher: Optional[threading.Thread] = None
+        self._dispatcher_lock = threading.Lock()
+        if start:
+            self.start()
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+
+    @property
+    def session(self) -> Session:
+        """The shared session (one cache for every client)."""
+        return self._session
+
+    @property
+    def queue(self) -> JobQueue:
+        return self._queue
+
+    def start(self) -> "ReproServer":
+        """Start the dispatcher thread (idempotent; ``start=False``
+        construction holds submitted jobs queued until this call)."""
+        with self._dispatcher_lock:
+            if self._dispatcher is None or not self._dispatcher.is_alive():
+                thread = threading.Thread(target=self._dispatch,
+                                          name="repro-scheduler",
+                                          daemon=True)
+                thread.start()
+                self._dispatcher = thread
+        return self
+
+    def on_event(self, callback: Callable[[SessionEvent], None]) -> None:
+        """Stream job + stage lifecycle events (the session's protocol)."""
+        self._session.on_event(callback)
+
+    def __enter__(self) -> "ReproServer":
+        return self.start()
+
+    def _stop_work(self, drain: bool) -> None:
+        # with drain every queued job still runs; without it the queued
+        # jobs are cancelled (their waiters get JobCancelledError) and
+        # only the job already in flight finishes
+        self._queue.close(cancel_pending=not drain)
+        if self._dispatcher is not None:
+            self._dispatcher.join()
+
+    def _draining(self) -> bool:
+        return self._queue.closed
+
+    def _dispatch(self) -> None:
+        """The dispatcher thread: run the queued jobs one at a time, in
+        submission order, until the queue is closed and drained.  Each job
+        runs alone under its own trace, so it ends ``done`` or ``failed``
+        as soon as its own run ends, and runs (and fails) exactly once;
+        ``job-*`` events carry the job id in their detail."""
+        emit = self._session._emit_batch_event
+        while True:
+            job = self._queue.next_job()
+            if job is None:
+                return
+            runner = (self._session.validate if job.kind == "validate"
+                      else self._session.run)
+            started = time.perf_counter()
+            with obs_trace.adopt(job.trace_context):
+                emit("job-started", job.workload, detail=job.id)
+                try:
+                    with obs_trace.span("scheduler.dispatch"):
+                        result = runner(job.workload)
+                except Exception as error:
+                    self._queue.fail(job, error)
+                    emit("job-failed", job.workload,
+                         elapsed_s=time.perf_counter() - started,
+                         detail=str(error) or job.id)
+                else:
+                    self._queue.finish(job, result)
+                    emit("job-finished", job.workload,
+                         elapsed_s=time.perf_counter() - started,
+                         detail=job.id)
 
     # ------------------------------------------------------------------ #
     # the job API (shared verbatim by both transports)
@@ -277,12 +425,9 @@ class ReproServer:
         """One JSON document over every layer's counters."""
         store = self._session.store
         return {
-            "state": self._state(),
-            "uptime_s": time.time() - self._started_at,
+            **self._lifecycle_stats(),
             "worker_id": self.worker_id,
             "fleet": self._fleet_registration,
-            "http_address": (None if self._http_address is None
-                             else "http://{}:{}".format(*self._http_address)),
             "queue": self._queue.stats_snapshot(),
             "session": self._session.stats.to_dict(),
             "store": (None if store is None
@@ -303,36 +448,9 @@ class ReproServer:
             "uptime_s": time.time() - self._started_at,
             "pending_jobs": self._queue.pending_count(),
             "running_jobs": self._queue.running_count(),
-            "scheduler_alive": self._scheduler.running,
+            "scheduler_alive": (self._dispatcher is not None
+                                and self._dispatcher.is_alive()),
         }
-
-    def metrics_text(self) -> str:
-        """The counters as Prometheus text (``GET /metrics``).
-
-        Walked ``stats()`` leaves (typed counter/gauge by leaf name) plus
-        the typed registry families — queue-wait, stage-latency, and
-        chunk-fold histograms included.
-        """
-        return render_prometheus(self.stats(),
-                                 registry=obs_metrics.registry())
-
-    def trace(self, trace_id: Optional[str] = None) -> Dict[str, Any]:
-        """Recorded traces (``GET /trace``, ``GET /trace/<id>``).
-
-        Without an id: the store's per-trace summaries plus its
-        accounting.  With one: that trace's full span list (JSON-ready;
-        the CLI converts to JSONL or Chrome ``trace_event`` client-side).
-        """
-        store = obs_trace.global_store()
-        if trace_id is None:
-            return {"traces": store.summaries(),
-                    "store": store.stats_snapshot()}
-        spans = store.get(trace_id)
-        if spans is None:
-            raise UnknownJobError(
-                f"unknown trace {trace_id!r} (the trace store is a ring "
-                f"buffer; old traces are evicted)")
-        return {"trace_id": trace_id, "spans": spans}
 
     def register(self, info: Mapping[str, Any]) -> Dict[str, Any]:
         """Fleet registration handshake (``POST /register``).
@@ -359,43 +477,11 @@ class ReproServer:
             "max_pending": self._queue.stats_snapshot()["max_pending"],
         }
 
-    # ------------------------------------------------------------------ #
-    # HTTP transport
-
-    def serve_http(self, host: str = "127.0.0.1",
-                   port: int = DEFAULT_PORT) -> Tuple[str, int]:
-        """Start the JSON endpoint on ``host:port`` (0 = ephemeral).
-
-        Returns the bound ``(host, port)``; the listener runs on a
-        daemon thread until :meth:`close`.
-        """
-        if self._httpd is not None:
-            return self._http_address  # already listening
-        self._httpd, self._http_thread, self._http_address = (
-            start_http_endpoint(self, host, port))
-        return self._http_address
-
-
-def start_http_endpoint(service: Any, host: str, port: int,
-                        thread_name: str = "repro-service-http"
-                        ) -> Tuple["_ServiceHTTPServer", threading.Thread,
-                                   Tuple[str, int]]:
-    """Bind the JSON endpoint for any job-API object (worker or fleet
-    router — the handler only calls the shared verbs) and serve it on a
-    daemon thread.  Returns ``(httpd, thread, (host, port))``."""
-    httpd = _ServiceHTTPServer((host, port), _ServiceRequestHandler)
-    httpd.service = service
-    address = (httpd.server_address[0], httpd.server_address[1])
-    thread = threading.Thread(target=httpd.serve_forever,
-                              name=thread_name, daemon=True)
-    thread.start()
-    return httpd, thread, address
-
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
-    service: ReproServer
+    service: JobEndpoint
 
 
 #: Error class -> HTTP status code of the JSON endpoint.

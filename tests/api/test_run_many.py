@@ -30,7 +30,7 @@ from repro.dse.stream import StreamingExploration, explore_stream
 from repro.estimation.throughput_model import ThroughputModel
 from repro.frontend.dsl import stencil_kernel
 from repro.fleet import FleetRouter
-from repro.service import JobQueue, ReproClient, ReproServer, Scheduler
+from repro.service import JobQueue, ReproClient, ReproServer
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=3)
@@ -280,17 +280,11 @@ class TestRemovedStrategyKnobs:
                 4, 128, 96, stream_executor="threads")),
         ("executor", lambda: explore_stream(
             None, {}, None, 128, 96, executor="threads")),
-        ("executor", lambda: Scheduler(Session(), JobQueue(),
-                                       executor="threads")),
-        ("max_workers", lambda: Scheduler(Session(), JobQueue(),
-                                          max_workers=2)),
         ("executor", lambda: ReproServer(executor="threads", start=False)),
         ("max_workers", lambda: ReproServer(max_workers=2, start=False)),
         ("max_batch", lambda: ReproServer(max_batch=4, start=False)),
         ("batch_window_s", lambda: ReproServer(batch_window_s=0.05,
                                                start=False)),
-        ("max_batch", lambda: Scheduler(Session(), JobQueue(),
-                                        max_batch=4)),
         ("policy", lambda: FleetRouter((), policy=object())),
         ("max_inflight", lambda: FleetRouter((), max_inflight=1)),
         ("failure_threshold", lambda: FleetRouter((), failure_threshold=2)),
@@ -348,10 +342,9 @@ class TestRemovedStrategyKnobs:
             Workload.from_algorithm("blur", **SMALL), priority="batch",
             timeout=0)),
     ], ids=["Session", "explore", "explore_stream",
-            "Scheduler-executor", "Scheduler-max_workers",
             "ReproServer-executor", "ReproServer-max_workers",
             "ReproServer-max_batch", "ReproServer-batch_window_s",
-            "Scheduler-max_batch", "FleetRouter-policy",
+            "FleetRouter-policy",
             "FleetRouter-max_inflight", "FleetRouter-failure_threshold",
             "FleetRouter-replicas", "FleetRouter.local-policy",
             "ReproClient.submit-role", "Workload-stream_jobs",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms import get_algorithm, list_algorithms
 from repro.api import FlowOptions, Workload
 from repro.dse.constraints import DseConstraints
 from repro.ir.operators import DataFormat
@@ -256,3 +257,47 @@ class TestOptionsBridge:
         restored = Workload.from_dict(workload.to_dict())
         assert restored == workload
         assert restored.characterization_key() == workload.characterization_key()
+
+    def test_a_payload_with_a_null_iteration_count_is_refused(self):
+        payload = Workload.from_algorithm("blur").to_dict()
+        payload["iterations"] = None
+        with pytest.raises(ValueError,
+                           match=r"iterations must be a positive integer "
+                                 r"\(got None\)"):
+            Workload.from_dict(payload)
+
+
+class TestOneKnobCheck:
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        """Counts every FlowOptions knob check."""
+        calls = []
+        original = FlowOptions.__post_init__
+
+        def counting(options):
+            calls.append(options)
+            original(options)
+
+        monkeypatch.setattr(FlowOptions, "__post_init__", counting)
+        return calls
+
+    def test_each_surface_checks_the_knobs_at_most_once(self, checks):
+        workload = Workload.from_algorithm("blur", frame_width=320)
+        assert len(checks) == 1
+        workload.options()
+        payload = workload.to_dict()
+        assert len(checks) == 1
+        restored = Workload.from_dict(payload)
+        assert len(checks) == 2
+        assert restored == workload
+        assert restored.to_dict() == payload
+
+    def test_options_is_the_instance_checked_at_construction(self):
+        workload = Workload.from_algorithm("blur")
+        assert workload.options() is workload.options()
+
+    @pytest.mark.parametrize("name", list_algorithms())
+    def test_options_carry_the_resolved_iteration_count(self, name):
+        workload = Workload.from_algorithm(name)
+        assert workload.iterations == get_algorithm(name).default_iterations
+        assert workload.options().iterations == workload.iterations
