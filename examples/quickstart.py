@@ -37,9 +37,9 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    streaming above ~200k candidates) evaluates fixed-size chunks against
    a bounded running frontier instead of materializing every column, with
    infeasible rows pruned *before* they are ever costed.  Same frontier,
-   bit for bit.  ``python -m repro explore blur --stream --chunk-rows
-   4096`` from the shell (``sweep`` takes the same flags); see
-   ``examples/large_space_demo.py`` for the full out-of-core tour.
+   bit for bit.  ``python -m repro explore blur --stream`` from the shell
+   (``sweep`` takes the same flag); see ``examples/large_space_demo.py``
+   for the full out-of-core tour.
 
 Run with::
 
@@ -219,7 +219,7 @@ def main() -> None:
 
     wide = workload.replace(synthesize_all=False, max_cones_per_depth=2000,
                             constraints=DseConstraints(device_only=True),
-                            stream=True, chunk_rows=4096)
+                            stream=True)
     streamed = Session().run(wide)
     meta = streamed.exploration.streaming
     print(f"streaming mode: {meta['space_rows']:,} candidates in "

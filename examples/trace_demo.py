@@ -43,7 +43,7 @@ from repro.service import ReproClient
 #: the frontier, and its ``stream.explore`` span reports the chunks folded.
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=4, frame_width=640, frame_height=480,
-             stream=True, chunk_rows=2)
+             stream=True)
 
 
 def print_tree(spans) -> None:

@@ -28,9 +28,12 @@
 #                               # boundary-contract regressions (both run
 #                               # against the oracles in tests/simulation),
 #                               # the throughput model against the cycle
-#                               # oracle, and the pinned validation digests,
-#                               # with a wall-clock budget so the
-#                               # Hypothesis suite can't silently balloon
+#                               # oracle, the pinned validation digests, and
+#                               # the wide random-kernel sweep (1,500 drawn
+#                               # kernels through every symbolic oracle, new
+#                               # ones each run), with a wall-clock budget so
+#                               # the Hypothesis suites can't silently
+#                               # balloon
 #   scripts/check.sh --figures  # paper figures: the nine Section 4 scripts
 #                               # benchmarks/bench_*.py (Figures 5-10 and
 #                               # Sections 4.1-4.3) in one pytest session,
@@ -172,7 +175,8 @@ case "${1:-}" in
         tests/simulation/test_frame_and_golden.py \
         tests/simulation/test_cone_simulator.py \
         tests/simulation/test_validation_anchors.py \
-        tests/service/test_validate_job.py "$@" || sim_status=$?
+        tests/service/test_validate_job.py \
+        tests/symbolic/sweep_random_kernels.py "$@" || sim_status=$?
     if [ "$sim_status" -eq 124 ]; then
         echo "error: simulation tier exceeded its 300s wall-clock budget" >&2
     fi

@@ -94,7 +94,6 @@ from repro.api import (
     SessionEvent,
     SessionStats,
     Workload,
-    default_session,
     default_store_path,
 )
 
@@ -137,7 +136,6 @@ __all__ = [
     "Session",
     "SessionEvent",
     "SessionStats",
-    "default_session",
     "FlowOptions",
     "FlowResult",
     "ArtifactStore",

@@ -48,7 +48,6 @@ from repro.api.session import (
     Session,
     SessionEvent,
     SessionStats,
-    default_session,
 )
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "Session",
     "SessionEvent",
     "SessionStats",
-    "default_session",
     # persistent store
     "ArtifactStore",
     "CharacterizationStoreAdapter",

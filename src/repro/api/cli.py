@@ -179,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "every scenario (default: auto above the "
                             "engine's row threshold; streamed results "
                             "materialize only the Pareto frontier)")
-    sweep.add_argument("--chunk-rows", type=int, default=None, metavar="N",
-                       help="rows materialized per streaming chunk")
     sweep.add_argument("--json", action="store_true",
                        help="emit per-workload summaries plus session stats "
                             "as JSON")
@@ -380,9 +378,6 @@ def _add_workload_arguments(parser: argparse.ArgumentParser,
                              "(default: auto above the engine's row "
                              "threshold; streamed results materialize "
                              "only the Pareto frontier)")
-    parser.add_argument("--chunk-rows", type=int, default=None, metavar="N",
-                        help="rows materialized per streaming chunk "
-                             "(default: the engine default)")
     if include_store:
         parser.add_argument("--store", metavar="DIR", nargs="?",
                             const=default_store_path(), default=None,
@@ -440,7 +435,6 @@ def workload_from_args(args: argparse.Namespace) -> Workload:
         synthesize_all=args.synthesize_all,
         constraints=_constraints_from(args),
         stream=args.stream,
-        chunk_rows=args.chunk_rows,
     )
     if windows is not None:
         keywords["window_sides"] = windows
@@ -589,8 +583,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                     iterations=args.iterations,
                                     max_depth=args.max_depth,
                                     max_cones_per_depth=args.max_cones,
-                                    stream=args.stream,
-                                    chunk_rows=args.chunk_rows)
+                                    stream=args.stream)
                     if windows is not None:
                         keywords["window_sides"] = windows
                     workloads.append(Workload.from_algorithm(name, **keywords))

@@ -46,10 +46,6 @@ from repro.symbolic.cone_expression import ConeExpressionBuilder
 STAGE_NAMES: Tuple[str, ...] = ("frontend", "analyze", "characterize",
                                 "explore", "pareto", "codegen")
 
-#: Fractional bits of the fixed-point format the generated VHDL computes
-#: in (``isl_fixed_pkg.vhd``).
-FRACTIONAL_BITS = 12
-
 
 class PipelineError(RuntimeError):
     """Raised when a stage cannot run (non-ISL kernel, no design point,
@@ -110,8 +106,7 @@ def generate_vhdl_files(kernel: StencilKernel,
     """
     architecture = point.architecture
     builder = ConeExpressionBuilder(kernel, params)
-    writer = VhdlWriter(data_format=data_format,
-                        fractional_bits=FRACTIONAL_BITS)
+    writer = VhdlWriter(data_format)
     files: Dict[str, str] = {"isl_fixed_pkg.vhd": FIXED_POINT_PACKAGE}
     entity_names: Dict[int, str] = {}
     for depth in architecture.distinct_depths:

@@ -28,6 +28,7 @@ from repro.simulation.validation import ValidationResult  # noqa: F401
 #: and accepts: perfbench pins its request pools and result digests over
 #: this JSON, so the keys stay until a benchmark change re-pins them.
 _RETIRED_KEYS: Dict[str, object] = {
+    "chunk_rows": None,
     "synthesizer": "analytic",
     "area_estimator": "register-model",
     "throughput_estimator": "analytic",
@@ -59,12 +60,9 @@ class FlowOptions:
     synthesize_all: bool = False
     onchip_port_elements_per_cycle: int = 16
     constraints: Optional[DseConstraints] = None
-    #: Out-of-core evaluation knobs (:mod:`repro.dse.stream`): ``stream``
-    #: is tri-state (None = auto-select above the engine's row threshold),
-    #: ``chunk_rows`` bounds the rows materialized per chunk (None = the
-    #: engine default).
+    #: Out-of-core evaluation (:mod:`repro.dse.stream`), tri-state: None
+    #: auto-selects above the engine's row threshold.
     stream: Optional[bool] = None
-    chunk_rows: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "device", resolve_device(self.device))
@@ -74,8 +72,6 @@ class FlowOptions:
                 and not isinstance(self.constraints, DseConstraints)):
             raise TypeError(f"constraints must be None or a DseConstraints "
                             f"(got {self.constraints!r})")
-        if self.chunk_rows is not None:  # None: engine default
-            _require_int("chunk_rows", self.chunk_rows)
         for knob in ("frame_width", "frame_height", "iterations", "max_depth",
                      "max_cones_per_depth", "onchip_port_elements_per_cycle"):
             _require_int(knob, getattr(self, knob))
@@ -113,7 +109,6 @@ class FlowOptions:
             "constraints": (None if self.constraints is None
                             else self.constraints.to_dict()),
             "stream": self.stream,
-            "chunk_rows": self.chunk_rows,
             **_RETIRED_KEYS,
         }
 
@@ -147,7 +142,6 @@ class FlowOptions:
                          else DseConstraints.from_dict(constraints)),
             # .get: payloads written before the streaming engine existed
             stream=data.get("stream"),
-            chunk_rows=data.get("chunk_rows"),
         )
 
 
@@ -192,13 +186,6 @@ class FlowResult:
 
     def best_fitting_point(self) -> Optional[DesignPoint]:
         return self.exploration.best_fitting_point()
-
-    def fastest_point(self) -> Optional[DesignPoint]:
-        """Fastest explored point, or ``None`` when no point survived the
-        constraints."""
-        if not self.design_points:
-            return None
-        return min(self.design_points, key=lambda p: p.seconds_per_frame)
 
     def smallest_point(self) -> Optional[DesignPoint]:
         """Smallest explored point, or ``None`` when no point survived the

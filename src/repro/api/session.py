@@ -521,7 +521,6 @@ class Session:
                     onchip_port_elements_per_cycle=(
                         workload.onchip_port_elements_per_cycle),
                     stream=workload.stream,
-                    chunk_rows=workload.chunk_rows,
                 )
             with self._stage(workload, "pareto"):
                 result = FlowResult(kernel=kernel,
@@ -677,20 +676,3 @@ def _defensive_copy(result: Any) -> Any:
         pareto=list(exploration.pareto),
         area_validations=dict(exploration.area_validations),
     ))
-
-
-#: Lazily created process-wide session for library callers that want
-#: cross-call characterization caching without passing a Session around.
-#: (Each ``python -m repro`` invocation is its own process and builds its
-#: own session instead.)
-_default_session: Optional[Session] = None
-_default_session_lock = threading.Lock()
-
-
-def default_session() -> Session:
-    """The process-wide shared session (created on first use)."""
-    global _default_session
-    with _default_session_lock:
-        if _default_session is None:
-            _default_session = Session()
-        return _default_session

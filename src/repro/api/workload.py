@@ -43,7 +43,7 @@ _OPTION_FIELDS = tuple(f.name for f in fields(FlowOptions))
 _NON_SHAPE_FIELDS = frozenset({"frame_width", "frame_height", "iterations",
                                "constraints",
                                "onchip_port_elements_per_cycle",
-                               "stream", "chunk_rows"})
+                               "stream"})
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,10 @@ class Workload:
     onchip_port_elements_per_cycle: int = _DEFAULTS.onchip_port_elements_per_cycle
     params: Optional[Tuple[Tuple[str, float], ...]] = None
     constraints: Optional[DseConstraints] = _DEFAULTS.constraints
-    #: Out-of-core evaluation knobs (None = auto / engine default); they
-    #: parameterize only the per-exploration evaluation, never the cone
-    #: characterizations (listed in _NON_SHAPE_FIELDS).
+    #: Out-of-core evaluation (None = auto); it parameterizes only the
+    #: per-exploration evaluation, never the cone characterizations
+    #: (listed in _NON_SHAPE_FIELDS).
     stream: Optional[bool] = _DEFAULTS.stream
-    chunk_rows: Optional[int] = _DEFAULTS.chunk_rows
     kernel_fingerprint: str = field(default="", init=False)
 
     def __post_init__(self) -> None:

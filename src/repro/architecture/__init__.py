@@ -14,7 +14,6 @@ from repro.architecture.template import (
 )
 from repro.architecture.enumeration import (
     enumerate_level_splits,
-    enumerate_architectures,
     single_depth_split,
     ArchitectureSpace,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ConeArchitecture",
     "FeasibilityError",
     "enumerate_level_splits",
-    "enumerate_architectures",
     "single_depth_split",
     "ArchitectureSpace",
 ]

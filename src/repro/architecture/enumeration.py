@@ -187,21 +187,3 @@ class ArchitectureSpace:
                     else self.max_cones_per_depth)
         return (count_level_splits(self.total_iterations, self.max_depth)
                 * len(tuple(self.window_sides)) * n_counts)
-
-
-def enumerate_architectures(kernel_name: str, total_iterations: int, radius: int,
-                            components: int = 1,
-                            window_sides: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8, 9),
-                            max_depth: Optional[int] = 5,
-                            max_cones_per_depth: int = 16) -> List[ConeArchitecture]:
-    """Convenience wrapper returning the full candidate list."""
-    space = ArchitectureSpace(
-        kernel_name=kernel_name,
-        total_iterations=total_iterations,
-        radius=radius,
-        components=components,
-        window_sides=window_sides,
-        max_depth=max_depth,
-        max_cones_per_depth=max_cones_per_depth,
-    )
-    return list(space.architectures())

@@ -160,13 +160,6 @@ class ConeArchitecture:
             executions.append(math.ceil(side / self.window_side) ** 2)
         return executions
 
-    def executions_per_depth(self) -> Dict[int, int]:
-        """Total cone executions per distinct depth, per output tile."""
-        totals: Dict[int, int] = {}
-        for depth, executions in zip(self.level_depths, self.executions_per_level()):
-            totals[depth] = totals.get(depth, 0) + executions
-        return totals
-
     # ------------------------------------------------------------------ #
     # memory traffic per tile (elements, not bytes)
 

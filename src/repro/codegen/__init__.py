@@ -8,15 +8,12 @@ by construction.
 """
 
 from repro.codegen.naming import vhdl_identifier, signal_name
-from repro.codegen.vhdl_writer import VhdlWriter, generate_cone_entity
+from repro.codegen.vhdl_writer import VhdlWriter
 from repro.codegen.vhdl_toplevel import generate_architecture_toplevel
-from repro.codegen.vhdl_testbench import generate_testbench
 
 __all__ = [
     "vhdl_identifier",
     "signal_name",
     "VhdlWriter",
-    "generate_cone_entity",
     "generate_architecture_toplevel",
-    "generate_testbench",
 ]

@@ -6,9 +6,9 @@ signal assignment, registered at the pipeline-stage boundaries computed by
 the scheduler, so the synthesis tool sees the already-shared structure and
 only needs to perform its usual logic optimisation on top.
 
-Fixed-point values are represented as ``signed`` vectors with a configurable
-number of fractional bits; constant coefficients are quantised at generation
-time.
+Fixed-point values are represented as ``signed`` vectors with
+:data:`FRACTIONAL_BITS` fractional bits; constant coefficients are quantised
+at generation time.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.ir.dfg import DataflowGraph, DfgNode, NodeKind
-from repro.ir.operators import DataFormat, OperatorLibrary, default_library
+from repro.ir.operators import DataFormat, default_library
 from repro.ir.scheduling import Schedule, pipeline_schedule
 from repro.symbolic.expression import OpKind
 from repro.codegen.naming import signal_name, vhdl_identifier
+
+#: Target clock period of the generated pipelines.
+CLOCK_PERIOD_NS = 10.0
 
 
 @dataclass
@@ -39,16 +42,15 @@ class VhdlModule:
 
 
 class VhdlWriter:
-    """Generates synthesizable VHDL for cone dataflow graphs."""
+    """Generates synthesizable VHDL for cone dataflow graphs.
 
-    def __init__(self, data_format: DataFormat = DataFormat.FIXED32,
-                 fractional_bits: int = 16,
-                 library: Optional[OperatorLibrary] = None,
-                 clock_period_ns: float = 10.0) -> None:
+    Stages are pipelined at :data:`CLOCK_PERIOD_NS` with the delays of the
+    format's default operator library.
+    """
+
+    def __init__(self, data_format: DataFormat) -> None:
         self.data_format = data_format
-        self.fractional_bits = fractional_bits
-        self.library = library or default_library(data_format)
-        self.clock_period_ns = clock_period_ns
+        self.library = default_library(data_format)
 
     # ------------------------------------------------------------------ #
 
@@ -57,14 +59,14 @@ class VhdlWriter:
         return self.data_format.width
 
     def _quantise(self, value: float) -> int:
-        scaled = int(round(value * (1 << self.fractional_bits)))
+        scaled = int(round(value * (1 << FRACTIONAL_BITS)))
         limit = 1 << (self.width - 1)
         return max(-limit, min(limit - 1, scaled))
 
     def _binary_expr(self, kind: OpKind, operands: List[str]) -> str:
         a = operands[0]
         b = operands[1] if len(operands) > 1 else ""
-        frac = self.fractional_bits
+        frac = FRACTIONAL_BITS
         width = self.width
         if kind is OpKind.ADD:
             return f"{a} + {b}"
@@ -100,7 +102,7 @@ class VhdlWriter:
                  entity_name: Optional[str] = None) -> VhdlModule:
         """Emit the entity/architecture pair for one cone datapath."""
         entity = vhdl_identifier(entity_name or graph.name)
-        schedule = pipeline_schedule(graph, self.clock_period_ns, self.library)
+        schedule = pipeline_schedule(graph, CLOCK_PERIOD_NS, self.library)
         width = self.width
 
         input_ports = [vhdl_identifier(n.name) for n in graph.input_nodes]
@@ -190,6 +192,10 @@ class VhdlWriter:
         )
 
 
+#: Fractional bits of the fixed-point format the generated VHDL computes
+#: in (:data:`FIXED_POINT_PACKAGE`).
+FRACTIONAL_BITS = 12
+
 FIXED_POINT_PACKAGE = """\
 -- Support package for the generated cone datapaths.
 library ieee;
@@ -247,12 +253,3 @@ package body isl_fixed_pkg is
   end function;
 end package body isl_fixed_pkg;
 """
-
-
-def generate_cone_entity(graph: DataflowGraph,
-                         data_format: DataFormat = DataFormat.FIXED32,
-                         fractional_bits: int = 16,
-                         entity_name: Optional[str] = None) -> VhdlModule:
-    """Convenience wrapper: generate the VHDL entity of one cone datapath."""
-    writer = VhdlWriter(data_format=data_format, fractional_bits=fractional_bits)
-    return writer.generate(graph, entity_name=entity_name)

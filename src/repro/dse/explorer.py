@@ -19,8 +19,7 @@ from repro.architecture.cone import ConeShape
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.stream import (DEFAULT_CHUNK_ROWS, STREAM_AUTO_THRESHOLD,
-                              explore_stream)
+from repro.dse.stream import STREAM_AUTO_THRESHOLD, explore_stream
 from repro.estimation.area_model import (
     AreaModelValidation,
     CalibrationPoint,
@@ -128,16 +127,6 @@ class ExplorationResult:
         if not fitting:
             return None
         return min(fitting, key=lambda p: p.seconds_per_frame)
-
-    def points_for(self, window_side: Optional[int] = None,
-                   primary_depth: Optional[int] = None) -> List[DesignPoint]:
-        points = self.design_points
-        if window_side is not None:
-            points = [p for p in points
-                      if p.architecture.window_side == window_side]
-        if primary_depth is not None:
-            points = [p for p in points if p.primary_depth == primary_depth]
-        return points
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation of the full exploration outcome.
@@ -429,8 +418,7 @@ class DesignSpaceExplorer:
     def explore(self, total_iterations: int, frame_width: int, frame_height: int,
                 constraints: Optional[DseConstraints] = None,
                 onchip_port_elements_per_cycle: Optional[int] = None,
-                *, stream: Optional[bool] = None,
-                chunk_rows: Optional[int] = None) -> ExplorationResult:
+                *, stream: Optional[bool] = None) -> ExplorationResult:
         """Run the full exploration and return design points plus the Pareto set.
 
         ``onchip_port_elements_per_cycle`` overrides the constructor default
@@ -447,7 +435,8 @@ class DesignSpaceExplorer:
         materializes *only* the frontier as design points
         (``result.design_points`` are the ``result.pareto`` members) and
         records chunking/pushdown metadata under ``result.streaming``.
-        ``chunk_rows`` bounds the rows costed per chunk.
+        Chunks hold at most
+        :data:`~repro.dse.stream.DEFAULT_CHUNK_ROWS` rows.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)
@@ -458,7 +447,6 @@ class DesignSpaceExplorer:
             self._throughput_model_for(onchip_port_elements_per_cycle),
             frame_width, frame_height, constraints,
             self.device.usable_capacity.luts,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
             materialize="frontier" if stream else "admitted")
         streaming_meta: Optional[Dict[str, object]] = None
         if stream:
@@ -473,7 +461,6 @@ class DesignSpaceExplorer:
                 "chunks_skipped": evaluation.chunks_skipped,
                 "peak_chunk_rows": evaluation.peak_chunk_rows,
                 "frontier_peak": evaluation.frontier_peak,
-                "mask_cache_hit": evaluation.mask_cache_hit,
             }
 
         full_space_runs = len(characterizations)

@@ -172,17 +172,6 @@ class RegisterAreaModel:
                              estimated_area_luts=float(area))
                 for key, area in zip(keys, areas)]
 
-    def estimate_single(self, key: int, register_count: int) -> AreaEstimate:
-        """Estimate one cone directly from the anchor point."""
-        if self.alpha is None:
-            raise RuntimeError("calibrate() must be called before estimating")
-        anchor = self.anchor
-        area = (anchor.actual_area_luts
-                + (register_count - anchor.register_count)
-                * self.size_reg_luts * self.alpha)
-        return AreaEstimate(key=key, register_count=register_count,
-                            estimated_area_luts=area)
-
 
 @dataclass
 class AreaModelValidation:

@@ -150,11 +150,3 @@ class HashRing:
                 if len(ordered) >= count:
                     break
         return ordered
-
-    def segment_counts(self, tokens: Iterable[str]) -> Dict[str, int]:
-        """How many of ``tokens`` each member owns (placement census for
-        stats/bench; members owning nothing still appear with 0)."""
-        counts = {member: 0 for member in self._members}
-        for token in tokens:
-            counts[self.owner(token)] += 1
-        return counts

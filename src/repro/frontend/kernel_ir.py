@@ -291,12 +291,6 @@ class StencilKernel:
         updated = set(self.updated_field_names)
         return [f.name for f in self.fields if f.name not in updated]
 
-    def update_for(self, field_name: str, component: int) -> FieldUpdate:
-        for update in self.updates:
-            if update.field_name == field_name and update.component == component:
-                return update
-        raise KeyError(f"no update for {field_name}[{component}]")
-
     # dependency metrics ----------------------------------------------------
 
     def read_offsets(self, of_fields: Optional[Iterable[str]] = None) -> Set[Offset]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.utils.geometry import Offset
 from repro.symbolic.expression import (
@@ -194,29 +194,6 @@ class DataflowGraph:
                     )
             if node.kind is NodeKind.OUTPUT and len(node.operands) != 1:
                 raise ValueError(f"output node {node.name} must have one source")
-
-    # ------------------------------------------------------------------ #
-    # evaluation (functional simulation of the datapath)
-
-    def evaluate(self, input_values: Mapping[str, float]) -> Dict[str, float]:
-        """Evaluate the DFG given values for every input node name."""
-        values: Dict[int, float] = {}
-        from repro.symbolic.expression import _fold_constant
-
-        for node in self.topological_order():
-            if node.kind is NodeKind.INPUT:
-                if node.name not in input_values:
-                    raise KeyError(f"missing value for input {node.name!r}")
-                values[node.node_id] = float(input_values[node.name])
-            elif node.kind is NodeKind.CONST:
-                values[node.node_id] = float(node.value)  # type: ignore[arg-type]
-            elif node.kind is NodeKind.OP:
-                assert node.op_kind is not None
-                operand_values = [values[i] for i in node.operands]
-                values[node.node_id] = _fold_constant(node.op_kind, operand_values)
-            else:  # OUTPUT
-                values[node.node_id] = values[node.operands[0]]
-        return {self._nodes[i].name: values[i] for i in self._outputs}
 
 
 # --------------------------------------------------------------------------- #

@@ -72,17 +72,6 @@ class ResourceVector:
         return (self.luts <= other.luts and self.ffs <= other.ffs
                 and self.dsps <= other.dsps and self.brams <= other.brams)
 
-    def utilisation(self, capacity: "ResourceVector") -> float:
-        """Fraction of the binding resource this usage occupies in ``capacity``."""
-        ratios = []
-        for used, avail in ((self.luts, capacity.luts), (self.ffs, capacity.ffs),
-                            (self.dsps, capacity.dsps), (self.brams, capacity.brams)):
-            if avail > 0:
-                ratios.append(used / avail)
-            elif used > 0:
-                ratios.append(float("inf"))
-        return max(ratios) if ratios else 0.0
-
     def __str__(self) -> str:
         return (f"{self.luts:.0f} LUT, {self.ffs:.0f} FF, "
                 f"{self.dsps:.0f} DSP, {self.brams:.1f} BRAM")

@@ -457,11 +457,6 @@ class TraceStore:
                 return None
             return [dict(span_dict) for span_dict in bucket]
 
-    def trace_ids(self) -> List[str]:
-        """Known trace ids, least- to most-recently touched."""
-        with self._lock:
-            return list(self._traces)
-
     def summaries(self) -> List[Dict[str, Any]]:
         """JSON-ready per-trace digest for the ``GET /trace`` index."""
         with self._lock:

@@ -150,9 +150,11 @@ class JobEndpoint:
     def close(self, drain: Optional[bool] = None) -> None:
         """Stop serving (idempotent, thread-safe).
 
-        ``drain=True`` (default) finishes the accepted work first; HTTP
-        stays up while draining so pending ``result`` calls are answered,
-        then the listener stops.  ``drain=False`` cancels the backlog.
+        ``drain=True`` (default) finishes the accepted work first, even
+        on a worker built with ``start=False`` and never started: its
+        dispatcher starts to run the backlog.  HTTP stays up while
+        draining so pending ``result`` calls are answered, then the
+        listener stops.  ``drain=False`` cancels the backlog.
         """
         if drain is None:
             drain = self._drain_on_shutdown
@@ -321,10 +323,13 @@ class ReproServer(JobEndpoint):
         return self.start()
 
     def _stop_work(self, drain: bool) -> None:
-        # with drain every queued job still runs; without it the queued
-        # jobs are cancelled (their waiters get JobCancelledError) and
-        # only the job already in flight finishes
+        # with drain every queued job still runs, so a dispatcher that
+        # never started starts now; without it the queued jobs are
+        # cancelled (their waiters get JobCancelledError) and only the job
+        # already in flight finishes
         self._queue.close(cancel_pending=not drain)
+        if drain:
+            self.start()
         if self._dispatcher is not None:
             self._dispatcher.join()
 

@@ -2,8 +2,7 @@
 
 This is the reference Algorithm 1 of the paper, vectorised with NumPy: every
 iteration computes the whole next frame from the whole current frame.  The
-cone simulators are validated against it, and it also provides the reference
-output for the generated VHDL testbenches.
+cone simulators are validated against it.
 
 Its differential oracle, a per-pixel walk with Python floats and
 :meth:`~repro.simulation.frame.Frame.clamped_read` boundary handling, lives

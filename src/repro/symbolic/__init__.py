@@ -14,9 +14,6 @@ from repro.symbolic.expression import (
     Constant,
     Operation,
     OpKind,
-    count_nodes,
-    count_operations,
-    collect_symbols,
     evaluate,
 )
 from repro.symbolic.executor import SymbolicExecutor, SymbolicFrame
@@ -41,9 +38,6 @@ __all__ = [
     "Constant",
     "Operation",
     "OpKind",
-    "count_nodes",
-    "count_operations",
-    "collect_symbols",
     "evaluate",
     "SymbolicExecutor",
     "SymbolicFrame",

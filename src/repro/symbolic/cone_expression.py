@@ -166,10 +166,10 @@ def _walk(roots: Iterable[Expression], rank: Optional[Mapping[int, int]]
     """One pass over the DAG under ``roots``.
 
     Returns the distinct node count, the operations per kind, the input
-    symbols and the swapped operations.  Nodes are visited in the order
-    :func:`~repro.symbolic.expression.collect_symbols` visits them on a
-    builder private to the cone: commutative operands in ``rank`` order
-    (``None``: the node ids are the ranks).
+    symbols and the swapped operations.  Nodes are visited depth first,
+    last operand first, in the order they would be on a builder private to
+    the cone: commutative operands in ``rank`` order (``None``: the node
+    ids are the ranks).
     """
     seen: Set[int] = set()
     operations: Dict[OpKind, int] = {}

@@ -11,7 +11,7 @@ area of the generated hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.utils.geometry import Offset, Window, bounding_window
 from repro.utils.validation import check_positive
@@ -71,18 +71,6 @@ def cone_input_window(output_window: Window, radius: int, depth: int) -> Window:
     return output_window.inflate(radius * depth)
 
 
-def level_window(output_window: Window, radius: int, depth: int,
-                 level: int) -> Window:
-    """The window of elements needed at intermediate ``level`` (0..depth).
-
-    ``level == depth`` is the output window itself; ``level == 0`` is the cone
-    input window.
-    """
-    if not (0 <= level <= depth):
-        raise ValueError(f"level {level} out of range for depth {depth}")
-    return output_window.inflate(radius * (depth - level))
-
-
 def cone_element_count(window_side: int, radius: int, depth: int,
                        components: int = 1) -> int:
     """Number of elements a cone computes across all its levels (1..depth).
@@ -138,11 +126,6 @@ class ConeDomain:
     def computed_elements(self) -> int:
         return cone_element_count(self.window_side, self.radius, self.depth,
                                   self.components)
-
-    def level_windows(self) -> List[Window]:
-        """Windows from level 0 (input) to level ``depth`` (output)."""
-        return [level_window(self.output_window, self.radius, self.depth, lvl)
-                for lvl in range(self.depth + 1)]
 
     def recompute_overhead(self) -> float:
         """Ratio of computed elements to output elements.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.geometry import Offset
 
@@ -367,44 +367,6 @@ def _fold_constant(kind: OpKind, values: Sequence[float]) -> float:
 # DAG traversal helpers
 
 
-def _reachable(roots: Iterable[Expression]) -> List[Expression]:
-    """Return every node reachable from ``roots``, each exactly once."""
-    seen: Set[int] = set()
-    order: List[Expression] = []
-    stack: List[Expression] = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        order.append(node)
-        stack.extend(node.children())
-    return order
-
-
-def count_nodes(roots: Iterable[Expression]) -> int:
-    """Number of distinct DAG nodes reachable from ``roots``.
-
-    With register reuse enforced, this is the number of registers the cone
-    needs (the ``Reg_i`` quantity of Equation 1 in the paper).
-    """
-    return len(_reachable(roots))
-
-
-def count_operations(roots: Iterable[Expression]) -> Dict[OpKind, int]:
-    """Count distinct operation nodes per operator kind."""
-    counts: Dict[OpKind, int] = {}
-    for node in _reachable(roots):
-        if isinstance(node, Operation):
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-    return counts
-
-
-def collect_symbols(roots: Iterable[Expression]) -> List[FieldSymbol]:
-    """Return every distinct leaf symbol reachable from ``roots``."""
-    return [n for n in _reachable(roots) if isinstance(n, FieldSymbol)]
-
-
 def evaluate(root: Expression,
              bindings: Mapping[Tuple[str, int, int, int, int], float],
              cache: Optional[Dict[int, float]] = None) -> float:
@@ -526,17 +488,3 @@ def evaluate_array(root: Expression,
     with np.errstate(invalid="ignore", divide="ignore"):
         return visit(root)
 
-
-def expression_to_string(root: Expression, max_depth: int = 12) -> str:
-    """Render an expression as a human-readable string (tests and debugging)."""
-
-    def visit(node: Expression, depth: int) -> str:
-        if depth > max_depth:
-            return "..."
-        if isinstance(node, (Constant, FieldSymbol)):
-            return repr(node)
-        assert isinstance(node, Operation)
-        inner = ", ".join(visit(o, depth + 1) for o in node.operands)
-        return f"{node.kind.value}({inner})"
-
-    return visit(root, 0)

@@ -4,24 +4,15 @@ These are deliberately dependency-free (stdlib only) so every other subpackage
 can import them without cycles.
 """
 
-from repro.utils.geometry import Offset, Window, bounding_window, window_union
-from repro.utils.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_type,
-)
+from repro.utils.geometry import Offset, Window, bounding_window
+from repro.utils.validation import check_positive
 from repro.utils.tables import Table, format_float, format_si
 
 __all__ = [
     "Offset",
     "Window",
     "bounding_window",
-    "window_union",
     "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_type",
     "Table",
     "format_float",
     "format_si",

@@ -154,9 +154,3 @@ def bounding_window(offsets: Iterable[Offset]) -> Window:
     xs = [o.dx for o in items]
     ys = [o.dy for o in items]
     return Window(min(xs), min(ys), max(xs), max(ys))
-
-
-def window_union(a: Window, b: Window) -> Window:
-    """Return the bounding window of two windows."""
-    return Window(min(a.x0, b.x0), min(a.y0, b.y0),
-                  max(a.x1, b.x1), max(a.y1, b.y1))

@@ -6,36 +6,10 @@ space exploration that then runs for minutes.
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Type, Union
+from typing import Union
 
 
 def check_positive(name: str, value: Union[int, float]) -> None:
     """Raise ``ValueError`` unless ``value`` is strictly positive."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
-
-
-def check_non_negative(name: str, value: Union[int, float]) -> None:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
-def check_in_range(name: str, value: Union[int, float],
-                   low: Union[int, float], high: Union[int, float]) -> None:
-    """Raise ``ValueError`` unless ``low <= value <= high``."""
-    if not (low <= value <= high):
-        raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def check_type(name: str, value: Any,
-               expected: Union[Type, Tuple[Type, ...]]) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        if isinstance(expected, tuple):
-            names = ", ".join(t.__name__ for t in expected)
-        else:
-            names = expected.__name__
-        raise TypeError(
-            f"{name} must be of type {names}, got {type(value).__name__}"
-        )

@@ -23,6 +23,7 @@ from repro.api import (
 )
 from repro.api.cli import build_parser
 from repro.api.cli import main as cli_main
+from repro.codegen.vhdl_writer import VhdlWriter
 from repro.dse import engine
 from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer
@@ -30,6 +31,7 @@ from repro.dse.stream import StreamingExploration, explore_stream
 from repro.estimation.throughput_model import ThroughputModel
 from repro.frontend.dsl import stencil_kernel
 from repro.fleet import FleetRouter
+from repro.ir.operators import DataFormat
 from repro.service import JobQueue, ReproClient, ReproServer
 
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
@@ -217,7 +219,8 @@ class TestRemovedStrategyKnobs:
     the backend registry with its backend-name knobs and the explorer's
     factory arguments, the partial-run and re-run arguments of the
     session, the ``Pipeline`` class, codegen's fractional-bits knob, the
-    job-history knobs, and the job priority classes and dispatch deadlines
+    job-history knobs, the job priority classes and dispatch deadlines,
+    the exploration's chunk size and the VHDL writer's clock and library
     are gone, loudly."""
 
     def test_run_many_takes_no_strategy_arguments(self):
@@ -258,12 +261,19 @@ class TestRemovedStrategyKnobs:
         ["explore", "blur", "--jobs", "2"],
         ["sweep", "--jobs", "2"],
         ["submit", "blur", "--priority", "interactive"],
+        ["explore", "blur", "--chunk-rows", "4096"],
+        ["codegen", "blur", "--chunk-rows", "4096"],
+        ["validate", "blur", "--chunk-rows", "4096"],
+        ["submit", "blur", "--chunk-rows", "4096"],
+        ["sweep", "--chunk-rows", "4096"],
     ], ids=["explore-executor", "serve-executor", "fleet-executor",
             "serve-jobs", "fleet-jobs", "serve-max-batch",
             "serve-batch-window", "fleet-max-batch", "fleet-batch-window",
             "explore-profile", "sweep-profile", "serve-backend",
             "fleet-replicas", "fleet-default-role", "submit-role",
-            "explore-jobs", "sweep-jobs", "submit-priority"])
+            "explore-jobs", "sweep-jobs", "submit-priority",
+            "explore-chunk-rows", "codegen-chunk-rows", "validate-chunk-rows",
+            "submit-chunk-rows", "sweep-chunk-rows"])
     def test_strategy_flags_are_unknown_to_the_parser(self, capsys,
                                                       arguments):
         # parse only: serve and fleet would otherwise start listening
@@ -341,6 +351,17 @@ class TestRemovedStrategyKnobs:
         ("priority", lambda: ReproClient(ReproServer(start=False)).run(
             Workload.from_algorithm("blur", **SMALL), priority="batch",
             timeout=0)),
+        ("chunk_rows", lambda: Workload.from_algorithm(
+            "blur", chunk_rows=4096, **SMALL)),
+        ("chunk_rows", lambda: FlowOptions(chunk_rows=4096)),
+        ("chunk_rows", lambda: Session().explorer_for(
+            Workload.from_algorithm("blur", **SMALL)).explore(
+                4, 128, 96, chunk_rows=4096)),
+        ("fractional_bits", lambda: VhdlWriter(DataFormat.FIXED16,
+                                               fractional_bits=12)),
+        ("clock_period_ns", lambda: VhdlWriter(DataFormat.FIXED16,
+                                               clock_period_ns=10.0)),
+        ("library", lambda: VhdlWriter(DataFormat.FIXED16, library=None)),
     ], ids=["Session", "explore", "explore_stream",
             "ReproServer-executor", "ReproServer-max_workers",
             "ReproServer-max_batch", "ReproServer-batch_window_s",
@@ -359,7 +380,10 @@ class TestRemovedStrategyKnobs:
             "JobQueue.submit-timeout_s", "ReproServer.submit-priority",
             "ReproServer.submit-timeout_s", "FleetRouter.submit-priority",
             "FleetRouter.submit-timeout_s", "ReproClient.submit-priority",
-            "ReproClient.submit-timeout_s", "ReproClient.run-priority"])
+            "ReproClient.submit-timeout_s", "ReproClient.run-priority",
+            "Workload-chunk_rows", "FlowOptions-chunk_rows",
+            "explore-chunk_rows", "VhdlWriter-fractional_bits",
+            "VhdlWriter-clock_period_ns", "VhdlWriter-library"])
     def test_strategy_keywords_raise_type_error(self, keyword, call):
         with pytest.raises(TypeError, match=keyword):
             call()

@@ -111,12 +111,13 @@ class TestRetiredStreamJobsKey:
 
 
 class TestRetiredBackendKeys:
-    """The backend-name knobs are gone; like ``stream_jobs``, their wire
-    keys stay with the one value each is pinned to, and a missing key
-    reads as that value."""
+    """The backend-name knobs and the chunk size are gone; like
+    ``stream_jobs``, their wire keys stay with the one value each is pinned
+    to, and a missing key reads as that value."""
 
     PINNED = {"synthesizer": "analytic", "area_estimator": "register-model",
-              "throughput_estimator": "analytic", "stream_jobs": None}
+              "throughput_estimator": "analytic", "stream_jobs": None,
+              "chunk_rows": None}
 
     def test_every_retired_key_is_written_with_its_pinned_value(
             self, small_result):

@@ -57,12 +57,6 @@ class TestConstruction:
         workload = Workload.from_algorithm("blur", window_sides=[3, 1, 3, 2])
         assert workload.window_sides == (1, 2, 3)
 
-    @pytest.mark.parametrize("knob", ["chunk_rows"])
-    @pytest.mark.parametrize("bad", [True, 2.5, "2", 0, -1])
-    def test_bad_stream_knobs_rejected_at_construction(self, knob, bad):
-        assert_both_reject(ValueError, knob,
-                           lambda build: build(**{knob: bad}))
-
     @pytest.mark.parametrize("knobs, named", [
         (lambda build: build(onchip_port_elements_per_cycle=0),
          "onchip_port_elements_per_cycle"),
@@ -157,13 +151,6 @@ class TestConstruction:
         assert options.window_sides == (1, 3)
         assert options.to_dict()["data_format"] == "fixed32"
         assert FlowOptions.from_dict(options.to_dict()) == options
-
-    @pytest.mark.parametrize("knob", ["chunk_rows"])
-    def test_stream_knobs_accept_none_and_positive_ints(self, knob):
-        assert getattr(Workload.from_algorithm("blur", **{knob: 3}),
-                       knob) == 3
-        assert getattr(Workload.from_algorithm("blur", **{knob: None}),
-                       knob) is None
 
 
 class TestHashingAndEquality:

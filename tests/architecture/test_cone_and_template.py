@@ -81,8 +81,6 @@ class TestConeArchitecture:
         architecture = self.make()
         executions = architecture.executions_per_level()
         assert executions == [9, 4, 1]
-        per_depth = architecture.executions_per_depth()
-        assert per_depth == {2: 13, 1: 1}
 
     def test_offchip_traffic_per_tile(self):
         architecture = self.make()

@@ -5,7 +5,6 @@ import pytest
 from repro.architecture.enumeration import (
     ArchitectureSpace,
     count_level_splits,
-    enumerate_architectures,
     enumerate_level_splits,
     single_depth_split,
 )
@@ -73,13 +72,6 @@ class TestArchitectureSpace:
         for architecture in architectures:
             primary = max(architecture.distinct_depths)
             assert architecture.cone_counts[primary] == 3
-
-    def test_convenience_wrapper(self):
-        architectures = enumerate_architectures("blur", 6, radius=1,
-                                                window_sides=(3,), max_depth=2,
-                                                max_cones_per_depth=2)
-        assert all(a.window_side == 3 for a in architectures)
-        assert len(architectures) == 4
 
 
 class TestCountLevelSplits:

@@ -1,4 +1,4 @@
-"""Unit tests for VHDL generation (cone entities, top level, testbench)."""
+"""Unit tests for VHDL generation (cone entities, top level)."""
 
 import re
 
@@ -6,9 +6,9 @@ import pytest
 
 from repro.architecture.template import ConeArchitecture
 from repro.codegen.naming import signal_name, vhdl_identifier
-from repro.codegen.vhdl_testbench import generate_testbench
 from repro.codegen.vhdl_toplevel import generate_architecture_toplevel
-from repro.codegen.vhdl_writer import FIXED_POINT_PACKAGE, VhdlWriter, generate_cone_entity
+from repro.codegen.vhdl_writer import (FIXED_POINT_PACKAGE, FRACTIONAL_BITS,
+                                       VhdlWriter)
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat
 from repro.symbolic.cone_expression import ConeExpressionBuilder
@@ -36,7 +36,7 @@ class TestNaming:
 def igf_cone_module(igf_kernel):
     cone = ConeExpressionBuilder(igf_kernel).build(2, 2)
     graph = build_dfg_from_cone(cone)
-    module = VhdlWriter(DataFormat.FIXED16, fractional_bits=10).generate(graph)
+    module = VhdlWriter(DataFormat.FIXED16).generate(graph)
     return cone, graph, module
 
 
@@ -69,14 +69,15 @@ class TestConeEntity:
     def test_constants_are_quantised(self, igf_kernel):
         cone = ConeExpressionBuilder(igf_kernel).build(1, 1)
         graph = build_dfg_from_cone(cone)
-        module = VhdlWriter(DataFormat.FIXED16, fractional_bits=8).generate(graph)
-        # 0.25 with 8 fractional bits -> 64
-        assert "to_signed(64, 16)" in module.code
+        module = VhdlWriter(DataFormat.FIXED16).generate(graph)
+        # 0.25 with 12 fractional bits -> 1024
+        assert FRACTIONAL_BITS == 12
+        assert "to_signed(1024, 16)" in module.code
 
-    def test_generate_cone_entity_wrapper(self, igf_kernel):
+    def test_fixed32_ports_are_32_bits_wide(self, igf_kernel):
         cone = ConeExpressionBuilder(igf_kernel).build(1, 1)
         graph = build_dfg_from_cone(cone)
-        module = generate_cone_entity(graph, DataFormat.FIXED32)
+        module = VhdlWriter(DataFormat.FIXED32).generate(graph)
         assert "signed(31 downto 0)" in module.code
 
     def test_support_package_present(self):
@@ -111,17 +112,3 @@ class TestTopLevel:
             cone_counts={2: 1}, radius=1)
         with pytest.raises(KeyError):
             generate_architecture_toplevel(architecture, entity_names={})
-
-
-class TestTestbench:
-    def test_testbench_embeds_expected_values(self, igf_kernel):
-        cone = ConeExpressionBuilder(igf_kernel).build(1, 1)
-        graph = build_dfg_from_cone(cone)
-        module = VhdlWriter(DataFormat.FIXED16, fractional_bits=10).generate(graph)
-        stimulus = {node.name: 0.5 for node in graph.input_nodes}
-        code = generate_testbench(module, graph, [stimulus],
-                                  data_width=16, fractional_bits=10)
-        assert f"dut : entity work.{module.entity_name}" in code
-        assert "assert abs(" in code
-        # the blur of a constant 0.5 frame is 0.5 -> quantised to 512
-        assert "512" in code

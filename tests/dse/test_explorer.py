@@ -60,13 +60,6 @@ class TestExploration:
         best = small_igf_exploration.best_fitting_point()
         assert best is not None and best.fits_device
 
-    def test_points_for_filtering(self, small_igf_exploration):
-        result = small_igf_exploration
-        filtered = result.points_for(window_side=3, primary_depth=2)
-        assert filtered
-        assert all(p.architecture.window_side == 3 and p.primary_depth == 2
-                   for p in filtered)
-
 
 class TestEstimationOnlyMode:
     def test_calibration_only_uses_few_syntheses(self, igf_kernel):

@@ -16,10 +16,12 @@ import pytest
 from scalar_oracle import scalar_exploration
 
 import repro.dse.stream as stream_module
+from repro.api import Session, Workload
 from repro.dse.constraints import DseConstraints
 from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.stream import (
+    DEFAULT_CHUNK_ROWS,
     MASK_CACHE_CAPACITY,
     SpaceChunk,
     clear_stream_caches,
@@ -423,12 +425,12 @@ class TestChunkPlanning:
 class TestExplorerIntegration:
     def test_stream_true_matches_in_memory_pareto(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
-        streamed = explorer.explore(6, 128, 96, stream=True, chunk_rows=4)
+        streamed = explorer.explore(6, 128, 96, stream=True)
         in_memory = explorer.explore(6, 128, 96)
         assert (serialized_points(streamed.pareto)
                 == serialized_points(in_memory.pareto))
         assert streamed.streaming is not None
-        assert streamed.streaming["chunk_rows"] == 4
+        assert streamed.streaming["chunk_rows"] == DEFAULT_CHUNK_ROWS
         assert in_memory.streaming is None
         # streamed results materialize only the frontier
         assert streamed.design_points == streamed.pareto
@@ -441,8 +443,20 @@ class TestExplorerIntegration:
         assert set(streamed.streaming) == {
             "chunk_rows", "space_rows", "admitted_rows", "pruned_rows",
             "throughput_pruned_rows", "pruned_fraction", "chunks_total",
-            "chunks_skipped", "peak_chunk_rows", "frontier_peak",
-            "mask_cache_hit"}
+            "chunks_skipped", "peak_chunk_rows", "frontier_peak"}
+
+    def test_a_streamed_result_does_not_depend_on_the_mask_cache(self):
+        # the second run hits the admitted-row masks the first one cached:
+        # a replayed job must still serialize byte for byte the same
+        session = Session()
+        workload = Workload.from_algorithm(
+            "blur", window_sides=(1, 2, 3), max_depth=2,
+            max_cones_per_depth=50, stream=True)
+        first = session.run(workload).to_dict()
+        session.evict(workload)
+        reset_stream_stats()
+        assert session.run(workload).to_dict() == first
+        assert stream_stats()["hits"] == 1
 
     def test_streaming_result_round_trips_through_json(self, igf_kernel):
         explorer = small_explorer(igf_kernel)

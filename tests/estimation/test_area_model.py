@@ -58,8 +58,6 @@ class TestEstimation:
         with pytest.raises(RuntimeError):
             model.estimate_series({1: 10})
         with pytest.raises(RuntimeError):
-            model.estimate_single(1, 10)
-        with pytest.raises(RuntimeError):
             _ = RegisterAreaModel().anchor
 
     def test_exact_on_affine_data(self):
@@ -86,13 +84,6 @@ class TestEstimation:
         estimates = {e.key: e.estimated_area_luts
                      for e in model.estimate_series({1: 50, 4: 100, 9: 200})}
         assert estimates[1] == pytest.approx(1500.0)
-
-    def test_estimate_single(self):
-        model = RegisterAreaModel(size_reg_luts=10.0)
-        model.calibrate([CalibrationPoint(1, 100, 1000.0),
-                         CalibrationPoint(2, 200, 2000.0)])
-        estimate = model.estimate_single(5, 500)
-        assert estimate.estimated_area_luts == pytest.approx(5000.0)
 
 
 class TestValidation:

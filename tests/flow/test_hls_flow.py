@@ -44,10 +44,8 @@ class TestFlowResult:
 
     def test_best_and_extreme_points(self, igf_flow_result):
         best = igf_flow_result.best_fitting_point()
-        fastest = igf_flow_result.fastest_point()
         smallest = igf_flow_result.smallest_point()
         assert best is not None
-        assert fastest.seconds_per_frame <= best.seconds_per_frame
         assert smallest.area_luts <= best.area_luts
 
     def test_constraints_are_honoured(self, igf_kernel):
@@ -68,12 +66,11 @@ class TestFlowResult:
 
     def test_extreme_points_are_none_when_constraints_exclude_everything(
             self, igf_kernel):
-        """Regression: fastest/smallest_point used to crash with a bare
+        """Regression: smallest_point used to crash with a bare
         ValueError from min() on an empty design-point list."""
         result = Session().run(small_workload(
             igf_kernel, constraints=DseConstraints(max_area_luts=1.0)))
         assert result.design_points == []
-        assert result.fastest_point() is None
         assert result.smallest_point() is None
         assert result.best_fitting_point() is None
 

@@ -106,12 +106,6 @@ class TestDerivedProperties:
         kernel = make_kernel()
         assert kernel.operation_count == 1
 
-    def test_update_for_lookup(self):
-        kernel = make_kernel()
-        assert kernel.update_for("f", 0).field_name == "f"
-        with pytest.raises(KeyError):
-            kernel.update_for("f", 3)
-
     def test_str_rendering_mentions_updates(self):
         text = str(make_kernel())
         assert "kernel k" in text

@@ -2,6 +2,8 @@
 
 import pytest
 
+from dfg_interpreter import evaluate_dfg
+
 from repro.ir.dfg import DataflowGraph, NodeKind, build_dfg_from_cone
 from repro.symbolic.cone_expression import ConeExpressionBuilder
 from repro.symbolic.expression import OpKind
@@ -87,12 +89,12 @@ class TestTraversal:
 class TestEvaluation:
     def test_evaluate_simple_graph(self):
         graph = make_simple_graph()
-        outputs = graph.evaluate({"a": 3.0, "b": 4.0})
+        outputs = evaluate_dfg(graph, {"a": 3.0, "b": 4.0})
         assert outputs == {"y": 14.0, "s": 7.0}
 
     def test_missing_input_raises(self):
         with pytest.raises(KeyError):
-            make_simple_graph().evaluate({"a": 1.0})
+            evaluate_dfg(make_simple_graph(), {"a": 1.0})
 
 
 class TestLoweringFromCone:
@@ -143,6 +145,6 @@ class TestLoweringFromCone:
             value = 0.5 + 0.1 * index
             inputs[node.name] = value
             bindings[(field, component, offset.dx, offset.dy, level)] = value
-        dfg_outputs = graph.evaluate(inputs)
+        dfg_outputs = evaluate_dfg(graph, inputs)
         expr_value = evaluate(next(iter(cone.outputs.values())), bindings)
         assert list(dfg_outputs.values())[0] == pytest.approx(expr_value)

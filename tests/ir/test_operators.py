@@ -31,16 +31,6 @@ class TestResourceVector:
         assert small.fits_in(big)
         assert not big.fits_in(small)
 
-    def test_utilisation_binding_resource(self):
-        usage = ResourceVector(luts=50, dsps=8)
-        capacity = ResourceVector(luts=1000, ffs=1000, dsps=10)
-        assert usage.utilisation(capacity) == pytest.approx(0.8)
-
-    def test_utilisation_with_missing_resource(self):
-        usage = ResourceVector(brams=1)
-        capacity = ResourceVector(luts=100, ffs=100)
-        assert usage.utilisation(capacity) == float("inf")
-
     def test_str(self):
         assert "LUT" in str(ResourceVector(luts=5))
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.stream import clear_stream_caches, explore_stream
+from repro.dse.stream import explore_stream
 from repro.fleet.router import FleetRouter
 from repro.ir.operators import DataFormat
 from repro.obs import trace
@@ -206,17 +206,11 @@ class TestWorkerHandoff:
 
 class TestFleetTrace:
     def test_one_fleet_submit_yields_one_connected_trace(self):
-        # both runs start with a cold process-global mask cache, so the
-        # streamed metadata (mask_cache_hit) matches too
-        clear_stream_caches()
-        reference = digest(Session().run(
-            workload(stream=True, chunk_rows=2)))
-        clear_stream_caches()
+        reference = digest(Session().run(workload(stream=True)))
         with FleetRouter.local(2, healthcheck_interval_s=0) as fleet:
             client = ReproClient(fleet)
             with trace.span("cli.submit") as root:
-                handle = client.submit(
-                    workload(stream=True, chunk_rows=2))
+                handle = client.submit(workload(stream=True))
                 result = handle.result(timeout=120)
             assert digest(result) == reference
             assert handle.trace_id == root.trace_id

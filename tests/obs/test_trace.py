@@ -144,7 +144,8 @@ class TestTraceStore:
                        "parent_id": None, "name": f"t{index}",
                        "start_s": float(index), "wall_s": 0.1})
         assert store.get(f"{0:032x}") is None
-        assert store.trace_ids() == [f"{1:032x}", f"{2:032x}"]
+        assert [summary["trace_id"] for summary in store.summaries()] \
+            == [f"{1:032x}", f"{2:032x}"]
         stats = store.stats_snapshot()
         assert stats["traces"] == 2 and stats["traces_evicted"] == 1
 

@@ -1,16 +1,18 @@
 """Property-based tests (hypothesis) for the expression DAG and its evaluation."""
 
 import math
+import os
+import sys
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.symbolic.expression import (
-    ExpressionBuilder,
-    OpKind,
-    count_nodes,
-    evaluate,
-)
+# the DAG counters live beside the symbolic tests, in the cone oracle
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "symbolic"))
+from fresh_cone_oracle import count_nodes  # noqa: E402
+
+from repro.symbolic.expression import ExpressionBuilder, OpKind, evaluate
 from repro.utils.geometry import Offset
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.architecture.cone import ConeShape
 from repro.symbolic.dependency import cone_element_count, cone_input_count
-from repro.utils.geometry import Offset, Window, bounding_window, window_union
+from repro.utils.geometry import Offset, Window, bounding_window
 
 offsets = st.builds(Offset,
                     st.integers(min_value=-50, max_value=50),
@@ -39,15 +39,6 @@ def test_inflate_area_formula(side, radius):
 def test_bounding_window_contains_every_offset(points):
     box = bounding_window(points)
     assert all(box.contains(p) for p in points)
-
-
-@given(sides, sides, offsets)
-def test_window_union_contains_both(side_a, side_b, shift):
-    a = Window.square(side_a)
-    b = Window.square(side_b).translate(shift)
-    union = window_union(a, b)
-    assert union.contains_window(a)
-    assert union.contains_window(b)
 
 
 @given(sides, radii, depths)

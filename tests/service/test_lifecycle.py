@@ -20,9 +20,13 @@ import urllib.request
 import pytest
 
 import repro.service
+from repro.api import Workload
 from repro.fleet import FleetRouter
-from repro.service import ReproServer, ServiceClosedError
+from repro.service import JobCancelledError, ReproServer, ServiceClosedError
 from repro.service import server as server_module
+
+SMALL = dict(iterations=2, window_sides=(1, 2), max_depth=2,
+             max_cones_per_depth=2, frame_width=64, frame_height=48)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__)))), "src")
@@ -114,6 +118,43 @@ class TestLifecycle:
             assert listener_threads(kind) == before
         finally:
             endpoint.close(drain=False)
+
+
+class TestDrainBeforeStart:
+    """A worker built with ``start=False`` holds its jobs queued until it
+    starts; a draining shutdown runs them before the worker stops, and a
+    cancelling one cancels them."""
+
+    @staticmethod
+    def paused_worker_with_a_job():
+        server = ReproServer(start=False)
+        receipt = server.submit(Workload.from_algorithm("blur", **SMALL))
+        assert server.status(receipt["job_id"])["state"] == "queued"
+        return server, receipt["job_id"]
+
+    @pytest.mark.parametrize("shutdown", ["close", "initiate_shutdown"])
+    def test_a_drain_runs_the_backlog_of_a_worker_never_started(
+            self, shutdown):
+        server, job_id = self.paused_worker_with_a_job()
+        try:
+            getattr(server, shutdown)()
+            wait_until_stopped(server)
+            assert server.status(job_id)["state"] == "done"
+            assert server.result(job_id, timeout=0).pareto
+        finally:
+            server.close(drain=False)
+
+    @pytest.mark.parametrize("shutdown", ["close", "initiate_shutdown"])
+    def test_a_cancelling_shutdown_cancels_it(self, shutdown):
+        server, job_id = self.paused_worker_with_a_job()
+        try:
+            getattr(server, shutdown)(drain=False)
+            wait_until_stopped(server)
+            assert server.status(job_id)["state"] == "cancelled"
+            with pytest.raises(JobCancelledError):
+                server.result(job_id, timeout=0)
+        finally:
+            server.close(drain=False)
 
 
 class TestSigterm:

@@ -99,6 +99,8 @@ BAD_BODIES = {
                            "synthesizer"),
     "throughput-estimator-int": (submit_body(throughput_estimator=7),
                                  "ValueError", "throughput_estimator"),
+    "chunk-rows-4096": (submit_body(chunk_rows=4096), "ValueError",
+                        "chunk_rows"),
     # a key the server does not know is refused, never dropped
     "role": (dict(submit_body(), role="operator"), "ValueError", "'role'"),
     "priority": (dict(submit_body(), priority="batch"), "ValueError",
@@ -119,7 +121,8 @@ def test_bad_body_is_a_400_naming_the_field(url, body, kind, named):
 def test_a_workload_without_the_retired_keys_is_filed(url):
     workload = {key: value for key, value in WORKLOAD.items()
                 if key not in ("synthesizer", "area_estimator",
-                               "throughput_estimator", "stream_jobs")}
+                               "throughput_estimator", "stream_jobs",
+                               "chunk_rows")}
     status, payload = post(url, {"workload": workload})
     assert status == 200, payload
 

@@ -4,26 +4,85 @@ Builds every cone with a new :class:`ExpressionBuilder` and element memo, so
 its node ids are the creation order of that one cone.  Production keeps one
 builder per :class:`ConeExpressionBuilder` and replays the recorded
 expansions to recover these ids; the tests hold every cone, its DFG, its
-synthesis report and its VHDL to this construction.
+synthesis report and its VHDL to this construction.  Its counts come from
+plain DAG walks (:func:`count_nodes`, :func:`count_operations` and
+:func:`collect_symbols`), not from the builder's one-pass ``_walk``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.frontend.kernel_ir import StencilKernel
+from repro.ir.dfg import DataflowGraph
 from repro.symbolic.cone_expression import ConeExpressions, ElementKey
 from repro.symbolic.dependency import ConeDomain, analyze_footprint
 from repro.symbolic.executor import SymbolicExecutor
 from repro.symbolic.expression import (
     Expression,
     ExpressionBuilder,
-    collect_symbols,
-    count_nodes,
-    count_operations,
+    FieldSymbol,
+    OpKind,
+    Operation,
 )
 from repro.utils.geometry import Offset, Window
 from repro.utils.validation import check_positive
+
+
+def reachable(roots: Iterable[Expression]) -> List[Expression]:
+    """Return every node reachable from ``roots``, each exactly once."""
+    seen: Set[int] = set()
+    order: List[Expression] = []
+    stack: List[Expression] = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        order.append(node)
+        stack.extend(node.children())
+    return order
+
+
+def count_nodes(roots: Iterable[Expression]) -> int:
+    """Number of distinct DAG nodes reachable from ``roots``.
+
+    With register reuse enforced, this is the number of registers the cone
+    needs (the ``Reg_i`` quantity of Equation 1 in the paper).
+    """
+    return len(reachable(roots))
+
+
+def count_operations(roots: Iterable[Expression]) -> Dict[OpKind, int]:
+    """Count distinct operation nodes per operator kind."""
+    counts: Dict[OpKind, int] = {}
+    for node in reachable(roots):
+        if isinstance(node, Operation):
+            counts[node.kind] = counts.get(node.kind, 0) + 1
+    return counts
+
+
+def collect_symbols(roots: Iterable[Expression]) -> List[FieldSymbol]:
+    """Return every distinct leaf symbol reachable from ``roots``."""
+    return [n for n in reachable(roots) if isinstance(n, FieldSymbol)]
+
+
+def cone_summary(cone: ConeExpressions) -> Dict[str, object]:
+    """A cone's counts and its input symbols in order."""
+    return {
+        "register_count": cone.register_count,
+        "element_register_count": cone.element_register_count,
+        "operation_counts": list(cone.operation_counts.items()),
+        "critical_path_depth": cone.critical_path_depth,
+        "input_symbols": [(s.field, s.component, s.offset, s.level)
+                          for s in cone.input_symbols],
+    }
+
+
+def dfg_nodes(graph: DataflowGraph) -> List[Tuple]:
+    """Every DFG node, in node order, with its operands and ports."""
+    return [(n.node_id, n.kind, n.op_kind, n.operands, n.name, n.value,
+             n.port) for n in graph.nodes()]
 
 
 def fresh_build(kernel: StencilKernel, window_side: int, depth: int,

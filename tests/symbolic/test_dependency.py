@@ -8,7 +8,6 @@ from repro.symbolic.dependency import (
     cone_element_count,
     cone_input_count,
     cone_input_window,
-    level_window,
 )
 from repro.utils.geometry import Offset, Window
 
@@ -35,14 +34,6 @@ def test_cone_input_window_inflation():
     assert inflated.width == 4 + 2 * 3
     with pytest.raises(ValueError):
         cone_input_window(window, radius=1, depth=0)
-
-
-def test_level_window_bounds():
-    window = Window.square(2)
-    assert level_window(window, 1, 4, 4) == window
-    assert level_window(window, 1, 4, 0).width == 10
-    with pytest.raises(ValueError):
-        level_window(window, 1, 4, 5)
 
 
 @pytest.mark.parametrize("side,radius,depth,expected", [
@@ -74,11 +65,6 @@ class TestConeDomain:
         assert domain.input_window.width == 6
         assert domain.input_elements == 36
         assert domain.computed_elements == 4 + 16
-
-    def test_level_windows_monotone(self):
-        domain = ConeDomain(Window.square(3), depth=3, radius=1, components=1)
-        widths = [w.width for w in domain.level_windows()]
-        assert widths == [9, 7, 5, 3]
 
     def test_recompute_overhead_decreases_with_window(self):
         small = ConeDomain(Window.square(1), depth=3, radius=1, components=1)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from fresh_cone_oracle import collect_symbols
+
 from repro.symbolic.executor import READONLY_LEVEL, SymbolicExecutor
-from repro.symbolic.expression import ExpressionBuilder, collect_symbols, evaluate
+from repro.symbolic.expression import ExpressionBuilder, evaluate
 from repro.utils.geometry import Offset
 
 

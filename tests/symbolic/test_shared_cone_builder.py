@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from fresh_cone_oracle import fresh_build
+from fresh_cone_oracle import cone_summary, dfg_nodes, fresh_build
 
 # the synthesis oracle lives beside the synthesis tests
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -47,22 +47,6 @@ def shuffled_order(seed):
     return order
 
 
-def cone_summary(cone):
-    return {
-        "register_count": cone.register_count,
-        "element_register_count": cone.element_register_count,
-        "operation_counts": list(cone.operation_counts.items()),
-        "critical_path_depth": cone.critical_path_depth,
-        "input_symbols": [(s.field, s.component, s.offset, s.level)
-                          for s in cone.input_symbols],
-    }
-
-
-def dfg_nodes(graph):
-    return [(n.node_id, n.kind, n.op_kind, n.operands, n.name, n.value,
-             n.port) for n in graph.nodes()]
-
-
 def oracle_synthesis(cone, data_format):
     """The cone lowered to a DFG and synthesized, as the flow once did."""
     return oracle_synthesize(Synthesizer(library=default_library(data_format)),
@@ -81,7 +65,7 @@ def dag_synthesis():
 def fingerprint(cone, synthesize=oracle_synthesis):
     """Everything the flow derives from one cone."""
     graph = build_dfg_from_cone(cone)
-    writer = VhdlWriter(DataFormat.FIXED16, fractional_bits=12)
+    writer = VhdlWriter(DataFormat.FIXED16)
     return {
         "cone": cone_summary(cone),
         "dfg": dfg_nodes(graph),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.geometry import Offset, Window, bounding_window, window_union
+from repro.utils.geometry import Offset, Window, bounding_window
 
 
 class TestOffset:
@@ -97,7 +97,3 @@ class TestBounding:
     def test_bounding_empty_raises(self):
         with pytest.raises(ValueError):
             bounding_window([])
-
-    def test_window_union(self):
-        u = window_union(Window(0, 0, 1, 1), Window(3, -2, 4, 0))
-        assert (u.x0, u.y0, u.x1, u.y1) == (0, -2, 4, 1)

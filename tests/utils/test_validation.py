@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.utils.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_type,
-)
+from repro.utils.validation import check_positive
 
 
 def test_check_positive_accepts_positive_values():
@@ -19,28 +14,3 @@ def test_check_positive_accepts_positive_values():
 def test_check_positive_rejects_non_positive(value):
     with pytest.raises(ValueError, match="x must be > 0"):
         check_positive("x", value)
-
-
-def test_check_non_negative():
-    check_non_negative("n", 0)
-    check_non_negative("n", 3)
-    with pytest.raises(ValueError):
-        check_non_negative("n", -1)
-
-
-def test_check_in_range_bounds_inclusive():
-    check_in_range("v", 1, 1, 5)
-    check_in_range("v", 5, 1, 5)
-    with pytest.raises(ValueError):
-        check_in_range("v", 6, 1, 5)
-    with pytest.raises(ValueError):
-        check_in_range("v", 0, 1, 5)
-
-
-def test_check_type_single_and_tuple():
-    check_type("s", "hello", str)
-    check_type("x", 3, (int, float))
-    with pytest.raises(TypeError, match="must be of type int"):
-        check_type("x", "nope", int)
-    with pytest.raises(TypeError, match="int, float"):
-        check_type("x", "nope", (int, float))
