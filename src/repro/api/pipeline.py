@@ -9,7 +9,8 @@ The paper's flow (Figure 2) is one cascade of stages, which
 ``analyze``
     Semantic analysis plus symbolic ISL verification (domain narrowness,
     translation invariance), and a check that no divisor folds to the
-    constant zero (:func:`check_analysis`); the key's explorer, built
+    constant zero and no square root to a negative constant
+    (:func:`check_analysis`); the key's explorer, built
     here on the key's first run, computes each fact once per kernel and
     params.
 ``characterize``
@@ -78,7 +79,9 @@ def build_explorer(workload: Workload,
 def check_analysis(kernel: StencilKernel,
                    explorer: DesignSpaceExplorer) -> None:
     """The analyze stage: raise :class:`PipelineError` unless ``kernel``
-    is in the ISL class and no divisor folds to the constant zero.
+    is in the ISL class and no operand folds to a constant no cone can be
+    built with (a divisor to zero, a square root's operand to a negative
+    constant).
 
     The explorer validated the kernel when it was built and keeps the other
     two facts, so a session checks each once per kernel and params.
@@ -88,11 +91,9 @@ def check_analysis(kernel: StencilKernel,
         raise PipelineError(
             f"kernel {kernel.name!r} is outside the ISL class the flow "
             f"targets: {invariance.detail}")
-    divisor = explorer.zero_divisor
-    if divisor is not None:
-        raise PipelineError(
-            f"kernel {kernel.name!r} divides by {divisor}, which folds "
-            f"to the constant zero")
+    fault = explorer.constant_fault
+    if fault is not None:
+        raise PipelineError(f"kernel {kernel.name!r} {fault}")
 
 
 def generate_vhdl_files(kernel: StencilKernel,

@@ -248,7 +248,7 @@ class Session:
         """The cached explorer for a workload's characterization key.
 
         Escape hatch for direct explorer use, such as reading the kernel
-        analysis facts (``properties``, ``invariance``, ``zero_divisor``)
+        analysis facts (``properties``, ``invariance``, ``constant_fault``)
         without running the flow; building it validates the kernel.  Unlike
         :meth:`run`, work done on the returned object is not guarded
         against a concurrent :meth:`evict` (its counters may be folded out

@@ -27,13 +27,13 @@ from repro.estimation.area_model import (
     validate_against_synthesis,
 )
 from repro.estimation.throughput_model import ThroughputModel
-from repro.frontend.kernel_ir import KernelExpr, StencilKernel
+from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import KernelProperties, validate_kernel
 from repro.ir.operators import DataFormat, OperatorLibrary, default_library
 from repro.obs import trace as obs_trace
 from repro.symbolic.cone_expression import ConeExpressionBuilder
-from repro.symbolic.invariance import (InvarianceReport,
-                                      constant_zero_divisor, verify_kernel)
+from repro.symbolic.invariance import (ConstantFault, InvarianceReport,
+                                      constant_fault, verify_kernel)
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 from repro.synth.synthesizer import Synthesizer, tool_runtime_s
 
@@ -283,10 +283,12 @@ class DesignSpaceExplorer:
         return verify_kernel(self.kernel)
 
     @cached_property
-    def zero_divisor(self) -> Optional[KernelExpr]:
-        """A divisor of the kernel that folds to the constant zero under
-        this explorer's params, or ``None``; checked once per explorer."""
-        return constant_zero_divisor(self.kernel, self._params)
+    def constant_fault(self) -> Optional[ConstantFault]:
+        """An operand of the kernel that folds to a constant no cone can
+        be built with under this explorer's params (a zero divisor, the
+        negative operand of a square root), or ``None``; checked once per
+        explorer."""
+        return constant_fault(self.kernel, self._params)
 
     # ------------------------------------------------------------------ #
     # phase 1: cone characterisation and area-model calibration
@@ -451,7 +453,6 @@ class DesignSpaceExplorer:
         streaming_meta: Optional[Dict[str, object]] = None
         if stream:
             streaming_meta = {
-                "chunk_rows": evaluation.chunk_rows,
                 "space_rows": evaluation.space_rows,
                 "admitted_rows": evaluation.admitted_rows,
                 "pruned_rows": evaluation.pruned_rows,

@@ -147,21 +147,21 @@ class _ExprConverter:
         if isinstance(expr, CNumber):
             return Literal(float(expr.value))
         if isinstance(expr, CIdent):
-            return self._convert_ident(expr)
+            return self._from_ident(expr)
         if isinstance(expr, CArrayAccess):
-            return self._convert_access(expr)
+            return self._from_access(expr)
         if isinstance(expr, CBinOp):
-            return self._convert_binop(expr)
+            return self._from_binop(expr)
         if isinstance(expr, CUnaryOp):
-            return self._convert_unop(expr)
+            return self._from_unop(expr)
         if isinstance(expr, CTernary):
             return Select(self.convert(expr.cond), self.convert(expr.if_true),
                           self.convert(expr.if_false))
         if isinstance(expr, CCall):
-            return self._convert_call(expr)
+            return self._from_call(expr)
         raise ExtractionError(f"unsupported expression node {type(expr).__name__}")
 
-    def _convert_ident(self, expr: CIdent) -> KernelExpr:
+    def _from_ident(self, expr: CIdent) -> KernelExpr:
         name = expr.name
         if name in self.temps:
             return self.temps[name]
@@ -181,7 +181,7 @@ class _ExprConverter:
             "scalar parameter with a supplied value"
         )
 
-    def _convert_access(self, expr: CArrayAccess) -> FieldRead:
+    def _from_access(self, expr: CArrayAccess) -> FieldRead:
         name = expr.name
         if name not in self.array_params:
             raise ExtractionError(f"subscript of unknown array {name!r}")
@@ -247,7 +247,7 @@ class _ExprConverter:
             f"'{loop_var} + constant'; the kernel violates translation invariance"
         )
 
-    def _convert_binop(self, expr: CBinOp) -> KernelExpr:
+    def _from_binop(self, expr: CBinOp) -> KernelExpr:
         if expr.op in ("&&", "||", "!=", "%"):
             raise ExtractionError(f"operator {expr.op!r} is not supported in kernels")
         kind = _BINOP_MAP.get(expr.op)
@@ -255,12 +255,12 @@ class _ExprConverter:
             raise ExtractionError(f"unsupported binary operator {expr.op!r}")
         return BinaryOp(kind, self.convert(expr.left), self.convert(expr.right))
 
-    def _convert_unop(self, expr: CUnaryOp) -> KernelExpr:
+    def _from_unop(self, expr: CUnaryOp) -> KernelExpr:
         if expr.op == "-":
             return UnaryOp(UnOpKind.NEG, self.convert(expr.operand))
         raise ExtractionError(f"unsupported unary operator {expr.op!r}")
 
-    def _convert_call(self, expr: CCall) -> KernelExpr:
+    def _from_call(self, expr: CCall) -> KernelExpr:
         if expr.name in _CALL_MAP_BINARY:
             if len(expr.args) != 2:
                 raise ExtractionError(f"{expr.name}() expects two arguments")

@@ -16,7 +16,6 @@ from repro.symbolic.expression import (
     OpKind,
     evaluate,
 )
-from repro.symbolic.executor import SymbolicExecutor, SymbolicFrame
 from repro.symbolic.dependency import (
     DependencyFootprint,
     ConeDomain,
@@ -39,8 +38,6 @@ __all__ = [
     "Operation",
     "OpKind",
     "evaluate",
-    "SymbolicExecutor",
-    "SymbolicFrame",
     "DependencyFootprint",
     "ConeDomain",
     "analyze_footprint",

@@ -20,22 +20,29 @@ shared by every :meth:`~ConeExpressionBuilder.build`.  An element that an
 earlier cone expanded is never expanded again: characterizing the 45 cones
 of a paper kernel expands each element of its largest cone once.
 
+**The lowered step.**  The kernel's updates are lowered once per builder
+(:class:`~repro.symbolic.executor.KernelStep`), and every expansion runs
+that one flat instruction list at its spot: one expansion computes every
+updated component of one element.
+
 **The replay contract.**  Sharing must not change any cone.  A node's id
 decides one thing, the operand order of a commutative operation (the
 builder sorts operands by id), and that order decides the order of the
 cone's DFG nodes, which the VHDL text and the technology mapper's float
 sums follow.  A shared builder numbers nodes in the order *earlier* cones
 met them.  So the first expansion of each element records what it did: the
-ids of the nodes its builder calls yielded and the lower-level elements it
-asked for.  ``build`` replays those records in the order a builder private
-to the cone would make the calls.  That gives every node its *creation
-rank*, the id such a builder would give it.  The first build on an empty
-builder skips the replay, since its ids already are those ranks.  The
-replay also counts the elements a private build would expand
-(``element_register_count``).  Then one walk of the cone counts its
-registers and operations, lists its input symbols in a private build's
-order, and notes the commutative operations whose stored operands are out
-of rank order (:attr:`ConeExpressions.swapped`).
+ids of the nodes the lowered step's builder calls yielded and the
+lower-level elements it asked for.  (The step makes the builder calls a
+walk of the kernel's expression trees would make, in the same order; see
+:mod:`repro.symbolic.executor`.)  ``build`` replays those records in the
+order a builder private to the cone would make the calls.  That gives
+every node its *creation rank*, the id such a builder would give it.  The
+first build on an empty builder skips the replay, since its ids already
+are those ranks.  The replay also counts the elements a private build
+would expand (``element_register_count``).  Then one walk of the cone
+counts its registers and operations, lists its input symbols in a private
+build's order, and notes the commutative operations whose stored operands
+are out of rank order (:attr:`ConeExpressions.swapped`).
 :meth:`ConeExpressions.operands` gives every consumer, such as the DFG
 lowering, the operands in a private build's order.
 
@@ -63,8 +70,9 @@ from repro.utils.geometry import Offset, Window
 from repro.utils.validation import check_positive
 from repro.frontend.kernel_ir import StencilKernel
 from repro.symbolic.dependency import ConeDomain, analyze_footprint
-from repro.symbolic.executor import SymbolicExecutor
+from repro.symbolic.executor import KernelStep
 from repro.symbolic.expression import (
+    COMMUTATIVE,
     Expression,
     ExpressionBuilder,
     FieldSymbol,
@@ -75,10 +83,6 @@ from repro.symbolic.expression import (
 ElementKey = Tuple[str, int, int, int, int]  # field, component, dx, dy, level
 #: Where one expansion computes every updated element: ``(dx, dy, level)``.
 _Spot = Tuple[int, int, int]
-
-#: ``OpKind.is_commutative`` as a set: the walk tests every operation, and a
-#: set lookup is several times faster than the property.
-_COMMUTATIVE = frozenset(kind for kind in OpKind if kind.is_commutative)
 
 
 @dataclass
@@ -186,7 +190,7 @@ def _walk(roots: Iterable[Expression], rank: Optional[Mapping[int, int]]
             kind = node.kind
             operations[kind] = operations.get(kind, 0) + 1
             operands = node.operands
-            if rank is not None and kind in _COMMUTATIVE:
+            if rank is not None and kind in COMMUTATIVE:
                 first, second = operands
                 if rank[second.node_id] < rank[first.node_id]:
                     operands = (second, first)
@@ -209,12 +213,11 @@ class ConeExpressionBuilder:
         self.kernel = kernel
         self.footprint = analyze_footprint(kernel)
         self._builder = ExpressionBuilder()
-        self._executor = SymbolicExecutor(kernel, self._builder, params)
+        self._step = KernelStep(kernel, params)
         self._components = {decl.name: decl.components
                             for decl in kernel.fields}
         #: Elements one expansion computes (one per updated component).
-        self._updates = len({(update.field_name, update.component)
-                             for update in kernel.updates})
+        self._updates = len(set(self._step.outputs))
         self._memo: Dict[ElementKey, Expression] = {}
         #: Spot -> its marker in the records, ``~index``: a negative int.
         self._markers: Dict[_Spot, int] = {}
@@ -243,8 +246,8 @@ class ConeExpressionBuilder:
                 for component in range(self._components[field_name]):
                     for offset in window.elements():
                         outputs[(field_name, component, offset)] = \
-                            self._element(field_name, component, offset,
-                                          depth)
+                            self._element(field_name, component, offset.dx,
+                                          offset.dy, depth)
         finally:
             builder.record = None
 
@@ -277,43 +280,48 @@ class ConeExpressionBuilder:
 
     # ------------------------------------------------------------------ #
 
-    def _element(self, field_name: str, component: int, offset: Offset,
+    def _element(self, field_name: str, component: int, dx: int, dy: int,
                  level: int) -> Expression:
-        """Expression of ``field[component]`` at ``offset`` of iteration ``level``."""
+        """Expression of ``field[component]`` at ``(dx, dy)`` of iteration
+        ``level``."""
         builder = self._builder
         if level == 0:
-            return builder.symbol(field_name, offset, component, level=0)
-        spot = (offset.dx, offset.dy, level)
+            return builder.intern_symbol(field_name, component, dx, dy, 0)
+        spot = (dx, dy, level)
         marker = self._markers.get(spot)
         if marker is None:
             marker = self._markers[spot] = ~len(self._markers)
         caller = builder.record
         caller.append(marker)
-        key = (field_name, component) + spot
+        key = (field_name, component, dx, dy, level)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
 
-        def resolver(rfield: str, rcomponent: int, roffset: Offset) -> Expression:
-            return self._element(rfield, rcomponent, roffset, level - 1)
-
         record: List[int] = []
         builder.record = record
         try:
-            frame = self._executor.execute_once(
-                target=offset, source_level=level - 1, state_resolver=resolver)
+            values = self._expand(dx, dy, level)
         finally:
             builder.record = caller
         self._records[marker] = tuple(dict.fromkeys(record))
-        for (ufield, ucomponent), expr in frame.expressions.items():
-            self._memo[(ufield, ucomponent) + spot] = expr
-        result = self._memo.get(key)
+        memo = self._memo
+        for (ufield, ucomponent), expr in zip(self._step.outputs, values):
+            memo[(ufield, ucomponent, dx, dy, level)] = expr
+        result = memo.get(key)
         if result is None:
             raise KeyError(
                 f"kernel {self.kernel.name!r} does not update "
                 f"{field_name}[{component}]"
             )
         return result
+
+    def _expand(self, dx: int, dy: int, level: int) -> List[Expression]:
+        """Every updated element at one spot, in the step's output order:
+        the lowered step run there, its state reads resolved one level
+        down."""
+        return self._step.run(self._builder, dx, dy, level - 1,
+                              self._element)
 
     def _replay(self, requests: Iterable[int]) -> Tuple[Dict[int, int], int]:
         """Replay the records under the top-level ``requests`` of a build.

@@ -1,18 +1,45 @@
-"""Single-iteration symbolic execution of a stencil kernel.
+"""The kernel's one-iteration step, lowered once.
 
 As observed in Section 3.2 of the paper, the dependencies between two
-consecutive iterations are identical for every iteration index, so symbolic
-execution only ever needs to run for *one* iteration: the resulting
-expressions are the building block from which any ``f_{i+m} -> f_i`` relation
-is assembled (see :mod:`repro.symbolic.cone_expression`).
+consecutive iterations are identical for every iteration index and every
+element, so symbolic execution only ever needs to run for *one* iteration:
+the resulting expressions are the building block from which any
+``f_{i+m} -> f_i`` relation is assembled (see
+:mod:`repro.symbolic.cone_expression`).
+
+:class:`KernelStep` takes the observation literally.  It lowers the
+kernel's updates once, for one set of params, into a flat post-order list
+of instructions, and every element a cone expands runs that list at its
+spot:
+
+* a read becomes ``(state or read-only, field, component, dx, dy)``;
+* a param becomes its float value (a missing one is a :class:`KeyError`
+  naming it, at lowering time), a literal its value;
+* an operator becomes its :class:`OpKind`, the kind's ``.value``, its
+  commutativity and the positions of its operands in the list;
+* ``NEG`` becomes its operand, then the constant ``0.0``, then
+  ``SUB(0, x)``; a ``Select`` lowers its condition, then the true and the
+  false value.
+
+**The same-calls contract.**  Running the step at a spot makes exactly the
+builder calls (:meth:`~ExpressionBuilder.intern_symbol`,
+:meth:`~ExpressionBuilder.constant` and
+:meth:`~ExpressionBuilder.intern_operation`), and exactly the lower-level
+element requests, that a recursive walk of the kernel's expression trees
+makes there, in the same order: operands left to right, updates in kernel
+order.  Nothing is folded at lowering time.  Folding a constant-only
+subtree would skip the creation of the constants inside it; one of them
+can be a reachable operand elsewhere, and skipping it moves its node id
+and so the operand order of a commutative operation.  Constant folding
+stays in the builder, at run time, so node ids, the builder's records and
+every cone come out as the walk makes them.  The walk itself is the test
+oracle of this module (``tests/symbolic/executor_oracle.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
-from repro.utils.geometry import Offset
 from repro.frontend.kernel_ir import (
     BinOpKind,
     BinaryOp,
@@ -25,7 +52,12 @@ from repro.frontend.kernel_ir import (
     UnOpKind,
     UnaryOp,
 )
-from repro.symbolic.expression import Expression, ExpressionBuilder, OpKind
+from repro.symbolic.expression import (
+    COMMUTATIVE,
+    Expression,
+    ExpressionBuilder,
+    OpKind,
+)
 
 #: Level tag used for read-only (iteration-invariant) fields.  Their values
 #: come straight from the input frame no matter how deep the cone is.
@@ -50,99 +82,122 @@ _UN_TO_OP = {
     UnOpKind.SQRT: OpKind.SQRT,
 }
 
+# Instruction codes, the first slot of every instruction.  The other
+# slots: field, component, dx, dy (reads); value (constants); kind, kind
+# value, commutativity, then operand positions (operations).
+STATE, READONLY, CONSTANT, UNARY, BINARY, TERNARY = range(6)
 
-@dataclass
-class SymbolicFrame:
-    """The result of symbolically executing one iteration for one element.
-
-    ``expressions`` maps ``(field, component)`` to the expression of that
-    component of the target element at iteration ``i+1`` in terms of level-0
-    symbols (elements of iteration ``i`` and of read-only input fields).
-    """
-
-    target: Offset
-    expressions: Dict[Tuple[str, int], Expression]
-
-    def expression(self, field: str, component: int = 0) -> Expression:
-        return self.expressions[(field, component)]
+Instruction = Tuple
+#: ``element(field, component, dx, dy, level)``: how a state read resolves.
+ElementResolver = Callable[[str, int, int, int, int], Expression]
 
 
-class SymbolicExecutor:
-    """Runs a kernel on symbols instead of values.
+class KernelStep:
+    """A kernel's updates lowered once into a flat post-order instruction
+    list (see the module docstring); an instance is immutable.
 
-    A single executor instance owns (or shares) an :class:`ExpressionBuilder`;
-    all expressions produced through the same builder share sub-expressions,
-    which is what keeps the symbol count polynomial.
+    ``outputs`` lists the ``(field, component)`` of each update, in kernel
+    order; ``sources`` holds, per instruction, the kernel expression whose
+    value it computes.
     """
 
     def __init__(self, kernel: StencilKernel,
-                 builder: Optional[ExpressionBuilder] = None,
                  params: Optional[Mapping[str, float]] = None) -> None:
-        self.kernel = kernel
-        self.builder = builder if builder is not None else ExpressionBuilder()
         merged = dict(kernel.params)
         if params:
             merged.update(params)
-        self.params = merged
-        self._state_fields = set(kernel.state_field_names)
+        self._params = merged
+        self._state_fields = frozenset(kernel.state_field_names)
+        self.code: List[Instruction] = []
+        self.sources: List[KernelExpr] = []
+        self.outputs: Tuple[Tuple[str, int], ...] = tuple(
+            (update.field_name, update.component)
+            for update in kernel.updates)
+        self.roots: Tuple[int, ...] = tuple(
+            self._lower(update.expr) for update in kernel.updates)
 
-    # ------------------------------------------------------------------ #
+    def _emit(self, instruction: Instruction, source: KernelExpr) -> int:
+        self.code.append(instruction)
+        self.sources.append(source)
+        return len(self.code) - 1
 
-    def execute_once(self, target: Offset = Offset(0, 0),
-                     source_level: int = 0,
-                     state_resolver=None) -> SymbolicFrame:
-        """Symbolically execute one iteration for the element at ``target``.
+    def _operation(self, kind: OpKind, operands: Tuple[int, ...],
+                   source: KernelExpr) -> int:
+        code = (UNARY, BINARY, TERNARY)[len(operands) - 1]
+        return self._emit((code, kind, kind.value, kind in COMMUTATIVE)
+                          + operands, source)
 
-        ``state_resolver`` optionally overrides how reads of state fields are
-        resolved; it receives ``(field, component, absolute_offset)`` and must
-        return an :class:`Expression`.  When omitted, reads become level-
-        ``source_level`` symbols.  The cone builder uses the resolver hook to
-        chain iterations recursively.
-        """
-        expressions: Dict[Tuple[str, int], Expression] = {}
-        for update in self.kernel.updates:
-            expr = self._convert(update.expr, target, source_level, state_resolver)
-            expressions[(update.field_name, update.component)] = expr
-        return SymbolicFrame(target=target, expressions=expressions)
-
-    def convert(self, expr: KernelExpr,
-                target: Offset = Offset(0, 0)) -> Expression:
-        """One kernel expression for the element at ``target``, with state
-        reads as level-0 symbols."""
-        return self._convert(expr, target, 0, None)
-
-    # ------------------------------------------------------------------ #
-
-    def _convert(self, expr: KernelExpr, target: Offset, source_level: int,
-                 state_resolver) -> Expression:
-        builder = self.builder
+    def _lower(self, expr: KernelExpr) -> int:
+        """Append the instructions of ``expr`` in post-order; return the
+        position of the one that yields its value."""
         if isinstance(expr, Literal):
-            return builder.constant(expr.value)
+            return self._emit((CONSTANT, expr.value), expr)
         if isinstance(expr, ParamRef):
-            if expr.name not in self.params:
+            if expr.name not in self._params:
                 raise KeyError(f"no value supplied for parameter {expr.name!r}")
-            return builder.constant(self.params[expr.name])
+            return self._emit((CONSTANT, float(self._params[expr.name])), expr)
         if isinstance(expr, FieldRead):
-            absolute = target + expr.offset
-            if expr.field_name in self._state_fields:
-                if state_resolver is not None:
-                    return state_resolver(expr.field_name, expr.component, absolute)
-                return builder.symbol(expr.field_name, absolute, expr.component,
-                                      level=source_level)
-            return builder.symbol(expr.field_name, absolute, expr.component,
-                                  level=READONLY_LEVEL)
+            code = STATE if expr.field_name in self._state_fields else READONLY
+            return self._emit((code, expr.field_name, expr.component,
+                               expr.offset.dx, expr.offset.dy), expr)
         if isinstance(expr, BinaryOp):
-            left = self._convert(expr.left, target, source_level, state_resolver)
-            right = self._convert(expr.right, target, source_level, state_resolver)
-            return builder.operation(_BIN_TO_OP[expr.kind], left, right)
+            left = self._lower(expr.left)
+            right = self._lower(expr.right)
+            return self._operation(_BIN_TO_OP[expr.kind], (left, right), expr)
         if isinstance(expr, UnaryOp):
-            operand = self._convert(expr.operand, target, source_level, state_resolver)
+            operand = self._lower(expr.operand)
             if expr.kind is UnOpKind.NEG:
-                return builder.operation(OpKind.SUB, builder.constant(0.0), operand)
-            return builder.operation(_UN_TO_OP[expr.kind], operand)
+                zero = self._emit((CONSTANT, 0.0), Literal(0.0))
+                return self._operation(OpKind.SUB, (zero, operand), expr)
+            return self._operation(_UN_TO_OP[expr.kind], (operand,), expr)
         if isinstance(expr, Select):
-            cond = self._convert(expr.cond, target, source_level, state_resolver)
-            if_true = self._convert(expr.if_true, target, source_level, state_resolver)
-            if_false = self._convert(expr.if_false, target, source_level, state_resolver)
-            return builder.select(cond, if_true, if_false)
+            operands = (self._lower(expr.cond), self._lower(expr.if_true),
+                        self._lower(expr.if_false))
+            return self._operation(OpKind.SELECT, operands, expr)
         raise TypeError(f"unsupported kernel expression node {type(expr).__name__}")
+
+    # ------------------------------------------------------------------ #
+
+    def run(self, builder: ExpressionBuilder, dx: int, dy: int,
+            source_level: int, element: ElementResolver,
+            values: Optional[List[Expression]] = None) -> List[Expression]:
+        """Run the step for the element at ``(dx, dy)`` on ``builder``.
+
+        A state read at offset ``(rx, ry)`` becomes ``element(field,
+        component, dx + rx, dy + ry, source_level)``; a read-only read the
+        symbol at ``READONLY_LEVEL``.  Returns the value of every update,
+        in :attr:`outputs` order.  ``values`` (a new list by default)
+        receives each instruction's value as it is made, so when the
+        builder raises, its length is the position of the instruction that
+        failed.
+        """
+        if values is None:
+            values = []
+        push = values.append
+        constant = builder.constant
+        operation = builder.intern_operation
+        symbol = builder.intern_symbol
+        for instruction in self.code:
+            code = instruction[0]
+            if code == BINARY:
+                _, kind, kind_value, commutative, a, b = instruction
+                push(operation(kind, kind_value, commutative,
+                               (values[a], values[b])))
+            elif code == STATE:
+                _, name, component, rx, ry = instruction
+                push(element(name, component, dx + rx, dy + ry,
+                             source_level))
+            elif code == CONSTANT:
+                push(constant(instruction[1]))
+            elif code == READONLY:
+                _, name, component, rx, ry = instruction
+                push(symbol(name, component, dx + rx, dy + ry,
+                            READONLY_LEVEL))
+            elif code == UNARY:
+                _, kind, kind_value, commutative, a = instruction
+                push(operation(kind, kind_value, commutative, (values[a],)))
+            else:
+                _, kind, kind_value, commutative, a, b, c = instruction
+                push(operation(kind, kind_value, commutative,
+                               (values[a], values[b], values[c])))
+        return [values[root] for root in self.roots]

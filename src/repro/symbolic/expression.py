@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.geometry import Offset
 
@@ -39,21 +39,26 @@ class OpKind(enum.Enum):
 
     @property
     def arity(self) -> int:
-        if self in (OpKind.ABS, OpKind.NEG, OpKind.SQRT):
-            return 1
-        if self is OpKind.SELECT:
-            return 3
-        return 2
+        return ARITY[self]
 
     @property
     def is_commutative(self) -> bool:
-        return self in (OpKind.ADD, OpKind.MUL, OpKind.MIN, OpKind.MAX,
-                        OpKind.CMP_EQ)
+        return self in COMMUTATIVE
 
     @property
     def is_comparison(self) -> bool:
         return self in (OpKind.CMP_LT, OpKind.CMP_LE, OpKind.CMP_GT,
                         OpKind.CMP_GE, OpKind.CMP_EQ)
+
+
+#: Operands each operator takes.
+ARITY: Dict[OpKind, int] = {
+    kind: (1 if kind in (OpKind.ABS, OpKind.NEG, OpKind.SQRT)
+           else 3 if kind is OpKind.SELECT else 2)
+    for kind in OpKind}
+#: The operators whose operands the builder orders by node id.
+COMMUTATIVE: FrozenSet[OpKind] = frozenset((
+    OpKind.ADD, OpKind.MUL, OpKind.MIN, OpKind.MAX, OpKind.CMP_EQ))
 
 
 class Expression:
@@ -128,7 +133,7 @@ class Operation(Expression):
 
     def __init__(self, node_id: int, kind: OpKind,
                  operands: Tuple[Expression, ...]) -> None:
-        depth = 1 + max(op.depth for op in operands)
+        depth = 1 + max([op._depth for op in operands])
         super().__init__(node_id, depth)
         self.kind = kind
         self.operands = operands
@@ -141,10 +146,12 @@ class Operation(Expression):
         return f"{self.kind.value}({inner})"
 
 
-# Structural key types used by the interning table.
-_SymKey = Tuple[str, str, int, int, int, int]
-_ConstKey = Tuple[str, float]
-_OpKey = Tuple[str, str, Tuple[int, ...]]
+# Structural key types used by the interning tables.
+_SymKey = Tuple[str, int, int, int, int]  # field, component, dx, dy, level
+_OpKey = Tuple  # kind value, then the operand ids
+
+_ADD, _SUB, _MUL, _DIV = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV
+_MIN, _MAX, _SELECT = OpKind.MIN, OpKind.MAX, OpKind.SELECT
 
 
 class ExpressionBuilder:
@@ -163,12 +170,18 @@ class ExpressionBuilder:
     call simplifies to one of its own operands.  That is every node a call
     may create, in call order; the cone builder replays these logs (see
     :mod:`repro.symbolic.cone_expression`).
+
+    :meth:`intern_symbol` and :meth:`intern_operation` are the cores the
+    public constructors delegate to; the lowered kernel step
+    (:mod:`repro.symbolic.executor`) calls them directly, with integer
+    offsets and each operator's kind value and commutativity worked out
+    once at lowering time.
     """
 
     def __init__(self, simplify: bool = True) -> None:
         self._simplify = simplify
         self._symbols: Dict[_SymKey, FieldSymbol] = {}
-        self._constants: Dict[_ConstKey, Constant] = {}
+        self._constants: Dict[float, Constant] = {}
         self._operations: Dict[_OpKey, Operation] = {}
         self._next_id = 0
         self.record: Optional[List[int]] = None
@@ -176,52 +189,133 @@ class ExpressionBuilder:
     # ------------------------------------------------------------------ #
     # node constructors
 
-    def _new_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
-
     def symbol(self, field_name: str, offset: Offset, component: int = 0,
                level: int = 0) -> FieldSymbol:
-        key = ("sym", field_name, component, offset.dx, offset.dy, level)
+        return self.intern_symbol(field_name, component, offset.dx,
+                                  offset.dy, level)
+
+    def intern_symbol(self, field_name: str, component: int, dx: int,
+                      dy: int, level: int) -> FieldSymbol:
+        """:meth:`symbol` at integer offsets: an :class:`Offset` is made
+        only for a new symbol."""
+        key = (field_name, component, dx, dy, level)
         node = self._symbols.get(key)
         if node is None:
-            node = FieldSymbol(self._new_id(), field_name, component, offset, level)
+            node = FieldSymbol(self._next_id, field_name, component,
+                               Offset(dx, dy), level)
+            self._next_id += 1
             self._symbols[key] = node
-        if self.record is not None:
-            self.record.append(node._id)
+        record = self.record
+        if record is not None:
+            record.append(node._id)
         return node
 
     def constant(self, value: float) -> Constant:
         value = float(value)
-        key = ("const", value)
-        node = self._constants.get(key)
+        node = self._constants.get(value)
         if node is None:
-            node = Constant(self._new_id(), value)
-            self._constants[key] = node
-        if self.record is not None:
-            self.record.append(node._id)
+            node = Constant(self._next_id, value)
+            self._next_id += 1
+            self._constants[value] = node
+        record = self.record
+        if record is not None:
+            record.append(node._id)
         return node
 
     def operation(self, kind: OpKind, *operands: Expression) -> Expression:
-        if len(operands) != kind.arity:
+        if len(operands) != ARITY[kind]:
             raise ValueError(
-                f"{kind.value} expects {kind.arity} operands, got {len(operands)}"
+                f"{kind.value} expects {ARITY[kind]} operands, "
+                f"got {len(operands)}"
             )
-        if self._simplify:
-            simplified = self._try_simplify(kind, operands)
-            if simplified is not None:
-                return simplified
-        ordered = tuple(operands)
-        if kind.is_commutative:
-            ordered = tuple(sorted(ordered, key=lambda n: n.node_id))
-        key = ("op", kind.value, tuple(n.node_id for n in ordered))
+        return self.intern_operation(kind, kind.value, kind in COMMUTATIVE,
+                                     operands)
+
+    def intern_operation(self, kind: OpKind, kind_value: str,
+                         commutative: bool,
+                         operands: Tuple[Expression, ...]) -> Expression:
+        """The one core every operation goes through: simplify, order the
+        operands of a commutative ``kind`` by node id, intern, record.
+
+        ``kind_value`` and ``commutative`` are ``kind.value`` and whether
+        ``kind`` is in :data:`COMMUTATIVE`; ``operands`` must number
+        ``ARITY[kind]`` (:meth:`operation` checks it).
+
+        The simplifications (when the builder simplifies) are constant
+        folding of an operation over constants only, and the identities
+        ``x + 0``, ``x - 0``, ``x - x``, ``x * 0``, ``x * 1``, ``x / 1``,
+        ``0 / x``, ``min(x, x)``, ``max(x, x)``, ``select(c, x, x)`` and a
+        select on a constant condition.  A division by the constant zero
+        raises :class:`ZeroDivisionError`.  A simplified call returns an
+        (already interned) operand, or the folded constant, which it
+        records.
+        """
+        if len(operands) == 2:
+            a, b = operands
+            if self._simplify:
+                a_constant = a.__class__ is Constant
+                b_constant = b.__class__ is Constant
+                if a_constant and b_constant:
+                    return self.constant(
+                        _fold_constant(kind, (a.value, b.value)))
+                if kind is _ADD:
+                    if a_constant and a.value == 0.0:
+                        return b
+                    if b_constant and b.value == 0.0:
+                        return a
+                elif kind is _SUB:
+                    if b_constant and b.value == 0.0:
+                        return a
+                    if a is b:
+                        return self.constant(0.0)
+                elif kind is _MUL:
+                    if a_constant:
+                        if a.value == 0.0:
+                            return self.constant(0.0)
+                        if a.value == 1.0:
+                            return b
+                    if b_constant:
+                        if b.value == 0.0:
+                            return self.constant(0.0)
+                        if b.value == 1.0:
+                            return a
+                elif kind is _DIV:
+                    if b_constant:
+                        if b.value == 1.0:
+                            return a
+                        if b.value == 0.0:
+                            raise ZeroDivisionError(
+                                "division by constant zero in kernel")
+                    if a_constant and a.value == 0.0:
+                        return self.constant(0.0)
+                elif kind is _MIN or kind is _MAX:
+                    if a is b:
+                        return a
+            if commutative and b._id < a._id:
+                operands = (b, a)
+                key = (kind_value, b._id, a._id)
+            else:
+                key = (kind_value, a._id, b._id)
+        else:
+            if self._simplify:
+                if all([o.__class__ is Constant for o in operands]):
+                    return self.constant(_fold_constant(
+                        kind, [o.value for o in operands]))
+                if kind is _SELECT:
+                    cond, a, b = operands
+                    if cond.__class__ is Constant:
+                        return a if cond.value != 0.0 else b
+                    if a is b:
+                        return a
+            key = (kind_value,) + tuple([o._id for o in operands])
         node = self._operations.get(key)
         if node is None:
-            node = Operation(self._new_id(), kind, ordered)
+            node = Operation(self._next_id, kind, operands)
+            self._next_id += 1
             self._operations[key] = node
-        if self.record is not None:
-            self.record.append(node._id)
+        record = self.record
+        if record is not None:
+            record.append(node._id)
         return node
 
     # convenience wrappers -------------------------------------------------
@@ -255,61 +349,6 @@ class ExpressionBuilder:
 
     def select(self, cond: Expression, a: Expression, b: Expression) -> Expression:
         return self.operation(OpKind.SELECT, cond, a, b)
-
-    # ------------------------------------------------------------------ #
-    # simplification
-
-    def _try_simplify(self, kind: OpKind,
-                      operands: Tuple[Expression, ...]) -> Optional[Expression]:
-        """Constant folding and identity elimination.
-
-        Returns ``None`` when no simplification applies, otherwise the
-        simplified (already interned) node.
-        """
-        if all(isinstance(o, Constant) for o in operands):
-            values = [o.value for o in operands]  # type: ignore[union-attr]
-            return self.constant(_fold_constant(kind, values))
-
-        if kind is OpKind.ADD:
-            a, b = operands
-            if isinstance(a, Constant) and a.value == 0.0:
-                return b
-            if isinstance(b, Constant) and b.value == 0.0:
-                return a
-        elif kind is OpKind.SUB:
-            a, b = operands
-            if isinstance(b, Constant) and b.value == 0.0:
-                return a
-            if a is b:
-                return self.constant(0.0)
-        elif kind is OpKind.MUL:
-            a, b = operands
-            for x, y in ((a, b), (b, a)):
-                if isinstance(x, Constant):
-                    if x.value == 0.0:
-                        return self.constant(0.0)
-                    if x.value == 1.0:
-                        return y
-        elif kind is OpKind.DIV:
-            a, b = operands
-            if isinstance(b, Constant):
-                if b.value == 1.0:
-                    return a
-                if b.value == 0.0:
-                    raise ZeroDivisionError("division by constant zero in kernel")
-            if isinstance(a, Constant) and a.value == 0.0:
-                return self.constant(0.0)
-        elif kind in (OpKind.MIN, OpKind.MAX):
-            a, b = operands
-            if a is b:
-                return a
-        elif kind is OpKind.SELECT:
-            cond, a, b = operands
-            if isinstance(cond, Constant):
-                return a if cond.value != 0.0 else b
-            if a is b:
-                return a
-        return None
 
     # ------------------------------------------------------------------ #
     # statistics

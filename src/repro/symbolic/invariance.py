@@ -2,29 +2,31 @@
 
 The frontend guarantees translation invariance *syntactically* (array
 subscripts must be ``loop index + constant``).  This module additionally
-verifies the property *semantically*, by symbolically executing the kernel at
-two different target elements and checking that the resulting expressions are
-identical up to a translation of the leaf symbols — which is the definition
-given in Section 2 of the paper.  It also finds divisors that fold to the
-constant zero, which no cone of the kernel could be built with.
+verifies the property *semantically*, by running the kernel's lowered step
+(:class:`~repro.symbolic.executor.KernelStep`) at two different target
+elements and checking that the resulting expressions are identical up to a
+translation of the leaf symbols — which is the definition given in
+Section 2 of the paper.  It also finds the operands that fold to a constant
+no cone of the kernel could be built with: a divisor that folds to zero, or
+the operand of a square root that folds to a negative constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.utils.geometry import Offset
-from repro.frontend.kernel_ir import (BinaryOp, BinOpKind, KernelExpr,
-                                      StencilKernel)
+from repro.frontend.kernel_ir import KernelExpr, StencilKernel
 from repro.frontend.semantic import MAX_NARROW_FOOTPRINT, MAX_NARROW_RADIUS
 from repro.symbolic.dependency import analyze_footprint
-from repro.symbolic.executor import SymbolicExecutor
+from repro.symbolic.executor import KernelStep
 from repro.symbolic.expression import (
     Constant,
     Expression,
     ExpressionBuilder,
     FieldSymbol,
+    OpKind,
     Operation,
 )
 
@@ -85,26 +87,31 @@ def _structurally_equal_translated(a: Expression, b: Expression,
     return False
 
 
+def _run_once(step: KernelStep, builder: ExpressionBuilder, target: Offset,
+              values: Optional[List[Expression]] = None) -> List[Expression]:
+    """The step at ``target`` on ``builder``, with state reads as level-0
+    symbols."""
+    return step.run(builder, target.dx, target.dy, 0, builder.intern_symbol,
+                    values)
+
+
 def check_translation_invariance(kernel: StencilKernel,
                                  probe: Offset = Offset(3, 5)) -> bool:
     """Symbolically verify translation invariance.
 
-    Executes the kernel for the element at the origin and for the element at
-    ``probe`` and checks the two expression trees are identical up to
-    translating every leaf symbol by ``probe``.
+    Runs the kernel's step for the element at the origin and for the
+    element at ``probe`` and checks the two expression trees are identical
+    up to translating every leaf symbol by ``probe``.
     """
     # Two separate builders so node-id-based canonicalisation of commutative
     # operands happens in the same creation order for both executions; the
     # comparison is then a pure structural walk.
-    at_origin = SymbolicExecutor(kernel, ExpressionBuilder(simplify=False)) \
-        .execute_once(Offset(0, 0))
-    at_probe = SymbolicExecutor(kernel, ExpressionBuilder(simplify=False)) \
-        .execute_once(probe)
-    for key, origin_expr in at_origin.expressions.items():
-        probe_expr = at_probe.expressions[key]
-        if not _structurally_equal_translated(origin_expr, probe_expr, probe):
-            return False
-    return True
+    step = KernelStep(kernel)
+    at_origin = _run_once(step, ExpressionBuilder(simplify=False),
+                          Offset(0, 0))
+    at_probe = _run_once(step, ExpressionBuilder(simplify=False), probe)
+    return all(_structurally_equal_translated(origin, translated, probe)
+               for origin, translated in zip(at_origin, at_probe))
 
 
 def check_domain_narrowness(kernel: StencilKernel,
@@ -138,30 +145,52 @@ def verify_kernel(kernel: StencilKernel) -> InvarianceReport:
     )
 
 
-def constant_zero_divisor(kernel: StencilKernel,
-                          params: Optional[Mapping[str, float]] = None
-                          ) -> Optional[KernelExpr]:
-    """A divisor of ``kernel`` that folds to the constant zero, or ``None``.
+@dataclass(frozen=True)
+class ConstantFault:
+    """An operand of the kernel that folds to a constant no cone can be
+    built with: a divisor that folds to zero (``kind`` is ``DIV``) or the
+    operand of a square root that folds to a negative constant
+    (``SQRT``)."""
 
-    Cone construction folds constants and rejects a division by a constant
-    zero with :class:`ZeroDivisionError`.  This finds such a divisor before
-    any cone is built.  A divisor folds the same way wherever it appears,
-    so each one is folded on its own, with field reads as symbols and the
-    kernel's parameters overridden by ``params``.  (A divisor that folds to
-    zero only once an earlier iteration has folded a state field to a
-    constant still meets the builder's check.)
+    kind: OpKind
+    operand: KernelExpr
+    value: float
+
+    def __str__(self) -> str:
+        if self.kind is OpKind.DIV:
+            return (f"divides by {self.operand}, which folds to the "
+                    f"constant zero")
+        return (f"takes the square root of {self.operand}, which folds to "
+                f"the negative constant {self.value!r}")
+
+
+def constant_fault(kernel: StencilKernel,
+                   params: Optional[Mapping[str, float]] = None
+                   ) -> Optional[ConstantFault]:
+    """The first operand of ``kernel`` that folds to a constant no cone
+    can be built with, or ``None``.
+
+    Cone construction folds constants: it rejects a division by a constant
+    zero with :class:`ZeroDivisionError`, and the square root of a negative
+    constant fails with :class:`ValueError`.  This finds such an operand
+    before any cone is built, in one run of the kernel's step, with field
+    reads as symbols and the kernel's parameters overridden by ``params``.
+    An operand folds the same way wherever it appears, so one element
+    shows every fault, and the run stops at the first one, in the step's
+    post-order.  (An operand that folds to the constant only once an
+    earlier iteration has folded a state field to a constant still meets
+    the builder's check.)
     """
-    executor = SymbolicExecutor(kernel, ExpressionBuilder(), params)
-    stack: List[KernelExpr] = [update.expr for update in kernel.updates]
-    while stack:
-        node = stack.pop()
-        stack.extend(node.children())
-        if not (isinstance(node, BinaryOp) and node.kind is BinOpKind.DIV):
-            continue
-        try:
-            divisor = executor.convert(node.right)
-        except ZeroDivisionError:
-            continue  # a division inside this divisor: the walk meets it
-        if isinstance(divisor, Constant) and divisor.value == 0.0:
-            return node.right
+    step = KernelStep(kernel, params)
+    values: List[Expression] = []
+    try:
+        _run_once(step, ExpressionBuilder(), Offset(0, 0), values)
+    except (ZeroDivisionError, ValueError):
+        instruction = step.code[len(values)]
+        kind = instruction[1]
+        operand = instruction[-1]  # a DIV's divisor, a SQRT's operand
+        if kind not in (OpKind.DIV, OpKind.SQRT):
+            raise
+        return ConstantFault(kind, step.sources[operand],
+                             values[operand].value)
     return None

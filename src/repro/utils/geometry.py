@@ -107,16 +107,8 @@ class Window:
         return Window(self.x0 - radius, self.y0 - radius,
                       self.x1 + radius, self.y1 + radius)
 
-    def translate(self, offset: Offset) -> "Window":
-        return Window(self.x0 + offset.dx, self.y0 + offset.dy,
-                      self.x1 + offset.dx, self.y1 + offset.dy)
-
     def contains(self, offset: Offset) -> bool:
         return self.x0 <= offset.dx <= self.x1 and self.y0 <= offset.dy <= self.y1
-
-    def contains_window(self, other: "Window") -> bool:
-        return (self.x0 <= other.x0 and self.y0 <= other.y0
-                and self.x1 >= other.x1 and self.y1 >= other.y1)
 
     def intersects(self, other: "Window") -> bool:
         return not (other.x0 > self.x1 or other.x1 < self.x0

@@ -16,6 +16,7 @@ import pytest
 from repro.algorithms import IGF_C_SOURCE
 from repro.api import PipelineError, Session, Workload
 from repro.frontend import CParseError
+from repro.frontend.dsl import stencil_kernel
 from repro.frontend.extractor import ExtractionError
 from repro.frontend.kernel_ir import KernelValidationError
 
@@ -85,6 +86,35 @@ def test_a_divisor_that_folds_to_zero_is_rejected_by_analyze():
     session = Session(on_event=events.append)
     with pytest.raises(PipelineError, match="constant zero"):
         session.run(Workload(c_source=source, **TINY))
+    assert [event.stage for event in events
+            if event.kind == "stage-started"] == ["frontend", "analyze"]
+    assert session.stats.synthesis_runs == 0
+
+
+def negative_root_dsl_kernel():
+    def define(k):
+        f = k.field("f")
+        k.update(f, f(0, 0) + k.sqrt(0.0 - k.param("c", 1.0)))
+
+    return stencil_kernel("k", define)
+
+
+@pytest.mark.parametrize("workload, operand", [
+    (lambda: Workload(c_source=IGF_C_SOURCE.replace(
+        "W_C * f[y][x]", "W_C * f[y][x] + sqrtf(0.0f - 1.0f)", 1), **TINY),
+     "(0.0 - 1.0)"),
+    (lambda: Workload(kernel=negative_root_dsl_kernel(), **TINY),
+     "(0.0 - c)"),
+], ids=["c-source", "dsl"])
+def test_a_square_root_of_a_negative_constant_is_rejected_by_analyze(
+        workload, operand):
+    events = []
+    session = Session(on_event=events.append)
+    with pytest.raises(PipelineError) as raised:
+        session.run(workload())
+    assert str(raised.value).endswith(
+        f"takes the square root of {operand}, which folds to the negative "
+        f"constant -1.0")
     assert [event.stage for event in events
             if event.kind == "stage-started"] == ["frontend", "analyze"]
     assert session.stats.synthesis_runs == 0

@@ -154,7 +154,7 @@ class TestStages:
         # the analysis alone: a read of the explorer's facts synthesizes
         # nothing
         assert explorer.invariance.is_isl
-        assert explorer.zero_divisor is None
+        assert explorer.constant_fault is None
         assert explorer.synthesizer.runs == 0
         result = session.run(workload)
         assert result.properties is explorer.properties

@@ -21,7 +21,6 @@ from repro.dse.constraints import DseConstraints
 from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.stream import (
-    DEFAULT_CHUNK_ROWS,
     MASK_CACHE_CAPACITY,
     SpaceChunk,
     clear_stream_caches,
@@ -430,7 +429,6 @@ class TestExplorerIntegration:
         assert (serialized_points(streamed.pareto)
                 == serialized_points(in_memory.pareto))
         assert streamed.streaming is not None
-        assert streamed.streaming["chunk_rows"] == DEFAULT_CHUNK_ROWS
         assert in_memory.streaming is None
         # streamed results materialize only the frontier
         assert streamed.design_points == streamed.pareto
@@ -441,7 +439,7 @@ class TestExplorerIntegration:
         streamed = small_explorer(igf_kernel).explore(6, 128, 96,
                                                       stream=True)
         assert set(streamed.streaming) == {
-            "chunk_rows", "space_rows", "admitted_rows", "pruned_rows",
+            "space_rows", "admitted_rows", "pruned_rows",
             "throughput_pruned_rows", "pruned_fraction", "chunks_total",
             "chunks_skipped", "peak_chunk_rows", "frontier_peak"}
 

@@ -4,8 +4,10 @@ Builds every cone with a new :class:`ExpressionBuilder` and element memo, so
 its node ids are the creation order of that one cone.  Production keeps one
 builder per :class:`ConeExpressionBuilder` and replays the recorded
 expansions to recover these ids; the tests hold every cone, its DFG, its
-synthesis report and its VHDL to this construction.  Its counts come from
-plain DAG walks (:func:`count_nodes`, :func:`count_operations` and
+synthesis report and its VHDL to this construction.  It expands each
+element with the recursive interpreter (``executor_oracle``), not the
+lowered step, and its counts come from plain DAG walks
+(:func:`count_nodes`, :func:`count_operations` and
 :func:`collect_symbols`), not from the builder's one-pass ``_walk``.
 """
 
@@ -13,11 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from executor_oracle import SymbolicExecutor
+
 from repro.frontend.kernel_ir import StencilKernel
 from repro.ir.dfg import DataflowGraph
 from repro.symbolic.cone_expression import ConeExpressions, ElementKey
 from repro.symbolic.dependency import ConeDomain, analyze_footprint
-from repro.symbolic.executor import SymbolicExecutor
 from repro.symbolic.expression import (
     Expression,
     ExpressionBuilder,

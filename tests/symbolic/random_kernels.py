@@ -16,6 +16,9 @@ shared cone DAG answers to:
 * several cones, built on one ``ConeExpressionBuilder`` in the drawn order,
   against ``fresh_cone_oracle``: counts, input symbols, DFG node list and
   VHDL;
+* after each build, that builder against one whose expansions walk the
+  kernel's trees (``executor_oracle``) through the same build order: the
+  same interned nodes, expansion records and memo node ids;
 * the ``Synthesizer`` report of each shared cone against
   ``dfg_synthesis_oracle`` on the fresh cone;
 * expression-mode ``FunctionalConeSimulator.run`` against
@@ -35,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from hypothesis import strategies as st
 
+from executor_oracle import cone_builder_state, interpreted_cone_builder
 from fresh_cone_oracle import cone_summary, dfg_nodes, fresh_build, reachable
 
 # the synthesis oracle lives beside the synthesis tests
@@ -262,12 +266,16 @@ def check_kernel_case(case: KernelCase) -> None:
     """Every differential check of the module docstring on one case."""
     kernel, params = case.kernel, case.params
     builder = ConeExpressionBuilder(kernel, params)
+    interpreted = interpreted_cone_builder(kernel, params)
     library = default_library(case.data_format)
     # one synthesizer for every shared cone, so its DAG memo carries over
     synthesizer = Synthesizer(library=library)
     writer = VhdlWriter(DataFormat.FIXED16)
     for window, depth in case.shapes:
         shared = builder.build(window, depth)
+        interpreted.build(window, depth)
+        assert cone_builder_state(builder) \
+            == cone_builder_state(interpreted), (window, depth)
         fresh = fresh_build(kernel, window, depth, params)
         assert cone_summary(shared) == cone_summary(fresh), (window, depth)
         shared_graph = build_dfg_from_cone(shared)

@@ -1,9 +1,14 @@
 """Unit tests for the symbolic verification of the ISL properties."""
 
+import pytest
+
+from repro.algorithms.registry import get_algorithm, list_algorithms
 from repro.frontend.dsl import stencil_kernel
+from repro.symbolic.expression import OpKind
 from repro.symbolic.invariance import (
     check_domain_narrowness,
     check_translation_invariance,
+    constant_fault,
     verify_kernel,
 )
 
@@ -52,3 +57,45 @@ def test_wide_kernel_fails_narrowness():
 def test_narrowness_threshold_parameters(igf_kernel):
     assert not check_domain_narrowness(igf_kernel, max_footprint=4)
     assert check_domain_narrowness(igf_kernel, max_radius=1)
+
+
+@pytest.mark.parametrize("name", list_algorithms())
+def test_registry_kernels_have_no_constant_fault(name):
+    assert constant_fault(get_algorithm(name).kernel()) is None
+
+
+def test_a_zero_divisor_is_a_constant_fault(chambolle_kernel):
+    fault = constant_fault(chambolle_kernel, {"lambda": 0.0})
+    assert fault.kind is OpKind.DIV
+    assert str(fault.operand) == "lambda"
+    assert fault.value == 0.0
+    assert str(fault) == "divides by lambda, which folds to the constant zero"
+
+
+def test_a_negative_square_root_operand_is_a_constant_fault():
+    def define(k):
+        f = k.field("f")
+        c = k.param("c", 1.0)
+        k.update(f, f(0, 0) / (c + 1.0) + k.sqrt(f(1, 0) * 0.0 - c))
+
+    kernel = stencil_kernel("root", define)
+    fault = constant_fault(kernel)
+    assert fault.kind is OpKind.SQRT
+    assert str(fault.operand) == "((f[+1,+0] * 0.0) - c)"
+    assert fault.value == -1.0
+    assert str(fault) == ("takes the square root of ((f[+1,+0] * 0.0) - c), "
+                          "which folds to the negative constant -1.0")
+    # params decide both faults: c = -1 zeroes the divisor, which comes
+    # first in the step; c = -4 makes the root's operand positive
+    assert constant_fault(kernel, {"c": -1.0}).kind is OpKind.DIV
+    assert constant_fault(kernel, {"c": -4.0}) is None
+
+
+def test_a_division_inside_a_divisor_is_the_first_fault():
+    def define(k):
+        f = k.field("f")
+        k.update(f, f(0, 0) / (f(1, 0) / (f(0, 1) - f(0, 1))))
+
+    fault = constant_fault(stencil_kernel("nested", define))
+    assert fault.kind is OpKind.DIV
+    assert str(fault.operand) == "(f[+0,+1] - f[+0,+1])"

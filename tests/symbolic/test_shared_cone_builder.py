@@ -10,6 +10,9 @@ of a builder, so its DAG memo carries over from cone to cone; the fresh
 cones are synthesized by lowering (``dfg_synthesis_oracle``).
 The cones are built in the explorer's order (depth-major) and in a seeded
 shuffled order, since the replay must not depend on which cones came first.
+Each element's expansion runs the kernel's lowered step; a builder whose
+expansions walk the kernel's trees instead (``executor_oracle``) must end
+every build with the same interned nodes, records and memo.
 """
 
 import os
@@ -18,6 +21,7 @@ import sys
 
 import pytest
 
+from executor_oracle import cone_builder_state, interpreted_cone_builder
 from fresh_cone_oracle import cone_summary, dfg_nodes, fresh_build
 
 # the synthesis oracle lives beside the synthesis tests
@@ -27,10 +31,12 @@ from dfg_synthesis_oracle import oracle_synthesize  # noqa: E402
 
 from repro.algorithms.registry import get_algorithm, list_algorithms
 from repro.codegen.vhdl_writer import VhdlWriter
+from repro.frontend.dsl import stencil_kernel
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat, default_library
 from repro.symbolic.cone_expression import ConeExpressionBuilder
-from repro.symbolic.expression import ExpressionBuilder
+from repro.symbolic.expression import (Constant, ExpressionBuilder,
+                                       FieldSymbol, OpKind, Operation)
 from repro.synth.synthesizer import Synthesizer
 from repro.utils.geometry import Offset
 
@@ -121,18 +127,61 @@ def test_only_the_first_build_of_a_builder_skips_the_replay(igf_kernel,
                      dag_synthesis())
 
 
+@pytest.mark.parametrize("name", list_algorithms())
+def test_the_lowered_step_expands_as_the_interpreter(name):
+    kernel = get_algorithm(name).kernel()
+    production = ConeExpressionBuilder(kernel)
+    interpreted = interpreted_cone_builder(kernel)
+    for window, depth in EXPLORER_ORDER:
+        production.build(window, depth)
+        interpreted.build(window, depth)
+        assert cone_builder_state(production) \
+            == cone_builder_state(interpreted), (window, depth)
+
+
+def test_a_constant_subtree_keeps_its_constants_ids():
+    """``(c * 2) * f[1,0] + f[0,0] * c``: folding ``c * 2`` when lowering
+    would skip creating ``const c`` before ``f[0,0]`` and flip the reachable
+    ``mul``'s operands."""
+    def define(k):
+        f = k.field("f")
+        c = k.param("c", 3.0)
+        k.update(f, (c * 2.0) * f(1, 0) + f(0, 0) * c)
+
+    kernel = stencil_kernel("folded", define)
+    production = ConeExpressionBuilder(kernel)
+    interpreted = interpreted_cone_builder(kernel)
+    for window, depth in [(1, 1), (2, 2), (1, 2)]:
+        production.build(window, depth)
+        interpreted.build(window, depth)
+        assert cone_builder_state(production) \
+            == cone_builder_state(interpreted)
+    cone = production.build(1, 1)
+    sums = [expr for expr in cone.outputs.values()
+            if isinstance(expr, Operation) and expr.kind is OpKind.ADD]
+    assert len(sums) == 1
+    products = [operand for operand in sums[0].operands
+                if isinstance(operand.operands[0], Constant)
+                and operand.operands[0].value == 3.0]
+    assert len(products) == 1
+    first, second = products[0].operands
+    assert isinstance(second, FieldSymbol)
+    assert (second.field, second.offset, second.level) \
+        == ("f", Offset(0, 0), 0)
+    assert first.node_id < second.node_id
+
+
 def test_each_element_is_expanded_once_per_builder(chambolle_kernel,
                                                    monkeypatch):
     builder = ConeExpressionBuilder(chambolle_kernel)
     expansions = []
-    execute_once = builder._executor.execute_once
+    expand = builder._expand
 
-    def counting(target, source_level, state_resolver):
-        expansions.append((target.dx, target.dy, source_level + 1))
-        return execute_once(target=target, source_level=source_level,
-                            state_resolver=state_resolver)
+    def counting(dx, dy, level):
+        expansions.append((dx, dy, level))
+        return expand(dx, dy, level)
 
-    monkeypatch.setattr(builder._executor, "execute_once", counting)
+    monkeypatch.setattr(builder, "_expand", counting)
     for window, depth in EXPLORER_ORDER:
         builder.build(window, depth)
     assert len(expansions) == len(set(expansions))
@@ -155,16 +204,16 @@ def test_params_are_shared_by_every_build(chambolle_kernel):
 def test_a_build_that_fails_mid_expansion_leaves_the_builder_usable(
         igf_kernel, monkeypatch):
     builder = ConeExpressionBuilder(igf_kernel)
-    execute_once = builder._executor.execute_once
+    expand = builder._expand
     calls = []
 
-    def failing(**kwargs):
-        calls.append(kwargs["target"])
+    def failing(dx, dy, level):
+        calls.append((dx, dy))
         if len(calls) == 5:
             raise RuntimeError("expansion failed")
-        return execute_once(**kwargs)
+        return expand(dx, dy, level)
 
-    monkeypatch.setattr(builder._executor, "execute_once", failing)
+    monkeypatch.setattr(builder, "_expand", failing)
     with pytest.raises(RuntimeError, match="expansion failed"):
         builder.build(3, 2)
     monkeypatch.undo()

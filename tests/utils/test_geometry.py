@@ -65,16 +65,10 @@ class TestWindow:
         with pytest.raises(ValueError):
             Window.square(3).inflate(-1)
 
-    def test_translate(self):
-        w = Window.square(2).translate(Offset(3, -1))
-        assert (w.x0, w.y0) == (3, -1)
-
     def test_containment(self):
         w = Window.square(3)
         assert w.contains(Offset(2, 2))
         assert not w.contains(Offset(3, 0))
-        assert w.contains_window(Window.square(2))
-        assert not Window.square(2).contains_window(w)
 
     def test_intersection(self):
         a = Window(0, 0, 4, 4)
