@@ -32,8 +32,8 @@ def test_inflate_area_formula(side, radius):
     window = Window.square(side)
     inflated = window.inflate(radius)
     assert inflated.area == (side + 2 * radius) ** 2
-    assert (inflated.x0, inflated.y0) <= (window.x0, window.y0)
-    assert (inflated.x1, inflated.y1) >= (window.x1, window.y1)
+    assert inflated.x0 <= window.x0 and inflated.y0 <= window.y0
+    assert inflated.x1 >= window.x1 and inflated.y1 >= window.y1
 
 
 @given(st.lists(offsets, min_size=1, max_size=20))
