@@ -20,10 +20,12 @@
 #                               # Session.run and the whole fleet drains
 #                               # cleanly
 #   scripts/check.sh --large    # out-of-core smoke: stream a >=10^5-
-#                               # candidate space under a hard RSS ceiling
-#                               # and assert streamed results are digest-
+#                               # candidate space under a hard RSS ceiling,
+#                               # leaving the cost cache untouched, and
+#                               # assert streamed results are digest-
 #                               # identical to the in-memory exploration on
-#                               # the paper-scale subspace
+#                               # the paper-scale subspace, which must read
+#                               # the same from a cold and a warm cost cache
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
 #                               # boundary-contract regressions (both run

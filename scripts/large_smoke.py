@@ -3,18 +3,22 @@
 Two checks in one fresh process:
 
 1. **Digest identity** — on the paper-scale subspace (the 720-candidate
-   blur space of Section 4.1) a frontier-only ``explore_stream`` must
-   reproduce the in-memory exploration (every admitted row kept, one chunk
-   per group) exactly: same Pareto rows, byte-identical serialized design
-   points, same pruned-row count — across chunk sizes {1 row, one
-   (window, split) group, the whole space}, each from a cold mask cache.
+   blur space of Section 4.1) the in-memory exploration (every admitted
+   row kept, one chunk per group) runs twice, from a cold cost cache and
+   from the entry the first run left, and both must serialize byte for
+   byte alike.  A frontier-only ``explore_stream`` must then reproduce it
+   exactly: same Pareto rows, byte-identical serialized design points,
+   same pruned-row count — across chunk sizes {1 row, one (window, split)
+   group, the whole space}, each from a cold mask cache.
 
 2. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
    under a hard peak-RSS ceiling, measured with
-   ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` over the whole process.
-   The in-memory exploration is deliberately *not* run on the large space
-   in this process, so the ceiling bounds the streaming path alone.
+   ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` over the whole process,
+   without consulting or filling the cost cache (its counters must not
+   move).  The in-memory exploration is deliberately *not* run on the
+   large space in this process, so the ceiling bounds the streaming path
+   alone.
 
 ``--min-fps`` engages the throughput-side suffix pushdown on the large
 run.  ``--json`` emits the collected metrics (candidates/s, peak RSS,
@@ -37,7 +41,7 @@ from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
 from repro.dse.stream import (clear_stream_caches,           # noqa: E402
-                              explore_stream)
+                              explore_stream, stream_stats)
 
 ITERATIONS = 10  # the paper's blur case study (Section 4.1)
 
@@ -61,11 +65,22 @@ def check_digest_identity(explorer, space, characterizations, usable):
     ]
     checked = 0
     for constraints, label in scenarios:
-        oracle = explore_stream(paper_space, characterizations,
-                                explorer.throughput_model, 1024, 768,
-                                constraints, usable,
-                                chunk_rows=group_rows,
-                                materialize="admitted")
+        clear_stream_caches()
+        oracle, warm = (explore_stream(paper_space, characterizations,
+                                       explorer.throughput_model, 1024,
+                                       768, constraints, usable,
+                                       chunk_rows=group_rows,
+                                       materialize="admitted")
+                        for _ in range(2))
+        costs = stream_stats()["costs"]
+        if (costs["misses"], costs["hits"]) != (1, 1):
+            raise SystemExit(f"cost cache not cold then warm ({label}): "
+                             f"{costs}")
+        if (serialized(warm.design_points)
+                != serialized(oracle.design_points)
+                or serialized(warm.pareto) != serialized(oracle.pareto)):
+            raise SystemExit(f"in-memory digest mismatch between a cold and "
+                             f"a warm cost cache ({label})")
         digest = serialized(oracle.pareto)
         for chunk_rows in (1, group_rows, paper_space.size()):
             clear_stream_caches()  # recompute the pushdown every run
@@ -81,8 +96,9 @@ def check_digest_identity(explorer, space, characterizations, usable):
                     f"{streamed.pruned_rows} != oracle "
                     f"{oracle.pruned_rows}")
             checked += 1
-    print(f"digest identity ok: {checked} streamed runs == in-memory run "
-          f"on the {paper_space.size()}-candidate paper space")
+    print(f"digest identity ok: warm == cold in-memory run, {checked} "
+          f"streamed runs == in-memory run on the {paper_space.size()}-"
+          f"candidate paper space")
 
 
 def run_large(explorer, space, characterizations, usable, chunk_rows,
@@ -135,9 +151,13 @@ def main(argv=None) -> int:
 
     constraints = DseConstraints(device_only=True,
                                  min_frames_per_second=args.min_fps)
+    costs_before = stream_stats()["costs"]
     streamed, elapsed = run_large(explorer, space, characterizations,
                                   usable, args.chunk_rows, constraints)
     rss = peak_rss_mb()
+    if stream_stats()["costs"] != costs_before:
+        raise SystemExit(f"the streamed run touched the cost cache: "
+                         f"{costs_before} -> {stream_stats()['costs']}")
     metrics = {
         "space_rows": streamed.space_rows,
         "admitted_rows": streamed.admitted_rows,

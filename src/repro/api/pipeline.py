@@ -16,6 +16,9 @@ The paper's flow (Figure 2) is one cascade of stages, which
 ``characterize``
     Cone characterization and Equation-1 area-model calibration — the
     expensive, cacheable step (the only one that runs the synthesizer).
+    A cone whose construction folds an operand to such a constant only
+    after an earlier iteration (which ``analyze`` cannot see) fails here
+    with :class:`PipelineError`, naming the cone and the operation.
 ``explore``
     Area/throughput estimation of every architecture in the space.
 ``pareto``

@@ -41,6 +41,7 @@ from repro.frontend.kernel_ir import KernelValidationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.simulation.validation import ValidationResult, validate_workload
+from repro.symbolic.executor import ConstantFoldError
 
 #: Flow results a session keeps in memory, one per workload; the least
 #: recently used goes first (a store-backed session still finds it on disk).
@@ -501,7 +502,11 @@ class Session:
                     pipeline.check_analysis(kernel, explorer)
                 with self._stage(workload, "characterize"):
                     runs_before = explorer.synthesizer.runs
-                    explorer.characterize_cones(workload.iterations)
+                    try:
+                        explorer.characterize_cones(workload.iterations)
+                    except ConstantFoldError as error:
+                        raise pipeline.PipelineError(
+                            f"kernel {kernel.name!r}: {error}") from error
                     # Ground-truth accounting: a hit means this run's
                     # characterization needed no new synthesis — partial
                     # reuse (e.g. new depth families for a higher iteration

@@ -106,10 +106,10 @@ class Workload:
         # unsorted or hold non-float values, which would break eq/hash and
         # the characterization-cache key.
         object.__setattr__(self, "params", _normalize_params(self.params))
-        resolved = self._resolve_kernel()
+        resolved, fingerprint = self._resolve_kernel()
         object.__setattr__(self, "_resolved_kernel", resolved)
         digest = hashlib.sha256(
-            (resolved.fingerprint()
+            (fingerprint
              + repr(self.params or ())).encode("utf-8")).hexdigest()[:16]
         object.__setattr__(self, "kernel_fingerprint", digest)
 
@@ -161,12 +161,14 @@ class Workload:
     # ------------------------------------------------------------------ #
     # resolution
 
-    def _resolve_kernel(self) -> StencilKernel:
+    def _resolve_kernel(self) -> Tuple[StencilKernel, str]:
+        """The kernel and its fingerprint; memoized for a registry name or
+        a C source, computed for an inline kernel (which its caller may
+        still change)."""
         if self.kernel is not None:
-            return self.kernel
+            return self.kernel, self.kernel.fingerprint()
         if self.algorithm is not None:
-            from repro.algorithms import get_algorithm
-            return get_algorithm(self.algorithm).kernel()
+            return _registry_kernel(self.algorithm)
         return _extract_cached(self.c_source, self.c_function_name,
                                self.params)
 
@@ -248,15 +250,29 @@ class Workload:
         )
 
 
+@lru_cache(maxsize=None)
+def _registry_kernel(name: str) -> Tuple[StencilKernel, str]:
+    """Memoized registry kernel and its fingerprint: replace()/from_dict of
+    an algorithm workload must neither rebuild the kernel from the DSL nor
+    re-hash it.  One entry per registry name (an unknown name raises and
+    is not cached).  The shared kernel is handed out without a copy and
+    treated as read-only, like every other resolved kernel."""
+    from repro.algorithms import get_algorithm
+    kernel = get_algorithm(name).kernel()
+    return kernel, kernel.fingerprint()
+
+
 @lru_cache(maxsize=64)
 def _extract_cached(c_source: str, function_name: Optional[str],
                     params: Optional[Tuple[Tuple[str, float], ...]]
-                    ) -> StencilKernel:
-    """Memoized C-frontend extraction: replace()/from_dict of a C workload
-    must not re-parse an unchanged source.  The shared kernel is treated as
-    read-only, like every other resolved kernel."""
-    return extract_kernel_from_c(c_source, function_name=function_name,
-                                 scalar_params=dict(params) if params else None)
+                    ) -> Tuple[StencilKernel, str]:
+    """Memoized C-frontend extraction and fingerprint: replace()/from_dict
+    of a C workload must not re-parse an unchanged source.  The shared
+    kernel is treated as read-only, like every other resolved kernel."""
+    kernel = extract_kernel_from_c(
+        c_source, function_name=function_name,
+        scalar_params=dict(params) if params else None)
+    return kernel, kernel.fingerprint()
 
 
 def _normalize_params(

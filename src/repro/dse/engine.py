@@ -7,7 +7,9 @@ slice of one group's count axis — is evaluated as columns:
 
 1. per-row area is Σ_depth instances × cone area (:func:`group_area`);
 2. throughput is the model's ``estimate_batch`` over the chunk's counts
-   (:func:`cost_counts`);
+   (:func:`cost_counts`), or, when the group's frame-independent columns
+   were computed ahead (:class:`GroupCosts`), their slice plus the model's
+   frame half;
 3. a ``min_frames_per_second`` floor masks the costed rows;
 4. the admitted ``(area, time, global row)`` triples fold into a
    :class:`StreamingFrontier`, whose state is the Pareto frontier of
@@ -22,6 +24,7 @@ and constraint pushdown live in :mod:`repro.dse.stream`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -58,18 +61,19 @@ def group_area(counts: "np.ndarray", depths: Sequence[int], primary: int,
     return area
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupContext:
-    """Per-(window, split) evaluation state shared by all chunks of a group."""
+    """Per-(window, split) evaluation state shared by all chunks of a group
+    (read-only: cached contexts are shared between explorations)."""
 
     window: int
     split: Tuple[int, ...]
-    depths: List[int]
+    depths: Tuple[int, ...]
     primary: int
-    area_by_depth: Dict[int, float]
+    area_by_depth: Mapping[int, float]
     area_estimated: bool
     representative: Any
-    cone_performance: Dict[int, ConePerformance]
+    cone_performance: Mapping[int, ConePerformance]
 
 
 def group_context(space: ArchitectureSpace,
@@ -78,21 +82,22 @@ def group_context(space: ArchitectureSpace,
                   window: int, split: Tuple[int, ...]) -> GroupContext:
     """Build one group's evaluation context from the space and the
     characterizations (pure index arithmetic, no materialized columns)."""
-    depths = sorted(set(split))
+    depths = tuple(sorted(set(split)))
     return GroupContext(
         window=window, split=split, depths=depths, primary=depths[-1],
-        area_by_depth={depth: characterizations[(window, depth)].area_luts
-                       for depth in depths},
+        area_by_depth=MappingProxyType({
+            depth: characterizations[(window, depth)].area_luts
+            for depth in depths}),
         area_estimated=any(not characterizations[(window, depth)].synthesized
                            for depth in depths),
         representative=space.materialize_row_parts(window, split, 1),
-        cone_performance={
+        cone_performance=MappingProxyType({
             depth: ConePerformance(
                 depth=depth, window_side=window,
                 latency_cycles=characterizations[
                     (window, depth)].latency_cycles,
                 initiation_interval=1)
-            for depth in depths})
+            for depth in depths}))
 
 
 def cost_counts(throughput_model: ThroughputModel, context: GroupContext,
@@ -106,6 +111,49 @@ def cost_counts(throughput_model: ThroughputModel, context: GroupContext,
     return throughput_model.estimate_batch(
         context.representative, context.cone_performance,
         frame_width, frame_height, counts)
+
+
+@dataclass(frozen=True)
+class GroupCosts:
+    """One group's context and its frame-independent throughput columns
+    (:meth:`ThroughputModel.tile_columns`) over the whole count axis.
+
+    Immutable: the column dict is a read-only view and its arrays are not
+    writeable, so one instance can serve every exploration that shares
+    the space, the characterizations and the model.
+    """
+
+    context: GroupContext
+    tile: Mapping[str, Any]
+
+    def columns(self, throughput_model: ThroughputModel, start: int,
+                stop: int, frame_width: int,
+                frame_height: int) -> Mapping[str, Any]:
+        """The columns :func:`cost_counts` gives for counts
+        ``start + 1 .. stop``: the tile columns' slice, then the model's
+        frame half.  The tile half is elementwise over the count axis, so
+        the slice equals the chunk's own values bit for bit."""
+        tile = {name: (value[start:stop] if isinstance(value, np.ndarray)
+                       else value)
+                for name, value in self.tile.items()}
+        return throughput_model.frame_columns(
+            self.context.representative, tile, frame_width, frame_height)
+
+
+def group_costs(space: ArchitectureSpace,
+                characterizations: Mapping[Tuple[int, int],
+                                           "ConeCharacterization"],
+                throughput_model: ThroughputModel, window: int,
+                split: Tuple[int, ...]) -> GroupCosts:
+    """Build one group's :class:`GroupCosts`, frozen."""
+    context = group_context(space, characterizations, window, split)
+    tile = throughput_model.tile_columns(
+        context.representative, context.cone_performance,
+        np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64))
+    for value in tile.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return GroupCosts(context, MappingProxyType(tile))
 
 
 def build_points(space: ArchitectureSpace, context: GroupContext,
@@ -184,12 +232,16 @@ def fold_chunks(space: ArchitectureSpace,
                 frame_width: int, frame_height: int, chunks: Sequence[Any],
                 plans: Mapping[Tuple[int, int], Any],
                 min_fps: Optional[float], usable_luts: float,
-                keep_points: bool) -> Dict[str, Any]:
+                keep_points: bool,
+                costs: Optional[Mapping[Tuple[int, int], GroupCosts]] = None
+                ) -> Dict[str, Any]:
     """Fold ``chunks``, in order, into one frontier.
 
     ``plans`` maps each chunk's ``(window index, split index)`` to the
     count-axis interval pushdown admitted (``evaluable``, ``start``,
-    ``stop``); rows outside it are never costed.  Returns the frontier,
+    ``stop``); rows outside it are never costed.  ``costs``, when given,
+    holds every evaluable group's :class:`GroupCosts`: a chunk then pays
+    only for the frame half of its slice.  Returns the frontier,
     the fold's accounting, the number of chunks it materialized and —
     with ``keep_points`` — ``(global row, DesignPoint)`` for every
     admitted row, in the order the chunks deliver them.
@@ -215,17 +267,22 @@ def fold_chunks(space: ArchitectureSpace,
         if not plan.evaluable or stop <= start:
             chunks_skipped += 1
             continue
-        context = contexts.get(group_key)
-        if context is None:
-            context = group_context(space, characterizations,
-                                    chunk.window, chunk.split)
-            contexts[group_key] = context
-
         counts = chunk.counts(start=start, stop=stop)
         chunks_materialized += 1
         peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
-        columns = cost_counts(throughput_model, context, frame_width,
-                              frame_height, counts)
+        if costs is not None:
+            cached = costs[group_key]
+            context = cached.context
+            columns = cached.columns(throughput_model, start, stop,
+                                     frame_width, frame_height)
+        else:
+            context = contexts.get(group_key)
+            if context is None:
+                context = group_context(space, characterizations,
+                                        chunk.window, chunk.split)
+                contexts[group_key] = context
+            columns = cost_counts(throughput_model, context, frame_width,
+                                  frame_height, counts)
         if min_fps is None:
             index = np.arange(counts.size)
         else:

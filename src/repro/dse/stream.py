@@ -36,12 +36,23 @@ Pieces:
    chunks once, in plan order, on the calling thread.  A streamed run
    rebuilds design points only for the frontier survivors at finalization,
    by re-costing just their rows.
-4. The admitted-row prefixes are persisted in a small process-wide LRU
-   keyed by shape knobs + the cone-area inputs + the area constraints, so a
-   re-explore that changes only per-run knobs (frame geometry, minimum
-   fps) skips the pushdown analysis and re-costs only throughput columns.
-   The throughput-side suffix depends on those per-run knobs, so it is
-   recomputed per call and deliberately kept out of the cache key.
+4. Two small process-wide LRUs, with the same bound, hold what a
+   re-explore that changes only per-run knobs (frame geometry, minimum fps,
+   constraints) would otherwise recompute:
+
+   * the *mask cache* holds the admitted-row prefixes, keyed by shape knobs
+     + the characterization values + the area constraints, so such a
+     re-explore skips the pushdown analysis.  The throughput-side suffix
+     depends on the per-run knobs, so it is recomputed per call and
+     deliberately kept out of the key;
+   * the *cost cache* holds, per shape knobs + characterization values +
+     throughput model, every group's context and its frame-independent
+     throughput columns over the whole count axis
+     (:class:`~repro.dse.engine.GroupCosts`), built whole on a miss.  An
+     in-memory exploration slices each chunk's columns from it and pays
+     only for the frame half; a streamed one keeps costing per chunk,
+     because it promises bounded memory, and never adds an entry.
+
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).
 
@@ -58,6 +69,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -66,8 +78,9 @@ import numpy as np
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (GroupContext, build_points, cost_counts,
-                              fold_chunks, group_area, group_context)
+from repro.dse.engine import (GroupContext, GroupCosts, build_points,
+                              cost_counts, fold_chunks, group_area,
+                              group_context, group_costs)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -84,7 +97,9 @@ DEFAULT_CHUNK_ROWS = 4096
 STREAM_AUTO_THRESHOLD = 200_000
 
 #: Entries the admitted-row mask cache may hold (one entry per distinct
-#: (shape knobs, cone areas, area constraints) combination).
+#: (shape knobs, characterization values, area constraints) combination);
+#: the cost cache holds as many (one per shape knobs, characterization
+#: values and throughput model).
 MASK_CACHE_CAPACITY = 16
 
 
@@ -209,8 +224,8 @@ def _admitted_prefix(n_counts: int, area_limit: float,
 class CountingLru:
     """Tiny thread-safe LRU with hit/miss/eviction counters.
 
-    The mask cache below and a session's result and validation layers
-    (:mod:`repro.api.session`) are instances of it.
+    The mask and cost caches below and a session's result and validation
+    layers (:mod:`repro.api.session`) are instances of it.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -292,66 +307,115 @@ class _StreamCounters:
 
 
 _mask_cache = CountingLru(MASK_CACHE_CAPACITY)
+_cost_cache = CountingLru(MASK_CACHE_CAPACITY)
 _counters = _StreamCounters()
 
 
-def stream_stats() -> Dict[str, int]:
+def stream_stats() -> Dict[str, Any]:
     """Process-wide counters of the exploration fold.
 
     Served by the service tier under ``stats()["stream"]``.  The mask-cache
     half (``hits``/``misses``/``evictions``/``entries``/``capacity``):
     ``hits`` growing across jobs is the signature of incremental
     re-explores (only per-run knobs changed, pushdown analysis reused);
-    ``evictions`` counts distinct (shape, area, constraint) combinations
-    beyond the bound.  The run half: ``runs`` counts explorations,
-    ``chunks_materialized`` the chunks actually costed across them, and
-    ``throughput_pruned_rows`` the rows a min-fps floor rejected.
+    ``evictions`` counts distinct (shape, characterization, constraint)
+    combinations beyond the bound.  The run half: ``runs`` counts
+    explorations, ``chunks_materialized`` the chunks actually costed
+    across them, and ``throughput_pruned_rows`` the rows a min-fps floor
+    rejected.  ``costs`` holds the same five counters for the cost cache,
+    which only in-memory explorations consult.
     """
-    stats = _mask_cache.stats()
+    stats: Dict[str, Any] = _mask_cache.stats()
     stats.update(_counters.snapshot())
+    stats["costs"] = _cost_cache.stats()
     return stats
 
 
 def reset_stream_stats() -> None:
-    """Zero every exploration counter (tests) without dropping cached masks.
+    """Zero every exploration counter (tests) without dropping cached
+    masks or costs.
 
-    Use :func:`clear_stream_caches` to also forget the admitted-row masks.
+    Use :func:`clear_stream_caches` to also forget the cached entries.
     """
     _mask_cache.reset_stats()
+    _cost_cache.reset_stats()
     _counters.reset()
 
 
 def clear_stream_caches() -> None:
-    """Reset the mask cache and all counters (tests and benchmarks)."""
+    """Reset the mask and cost caches and all counters (tests and
+    benchmarks)."""
     _mask_cache.clear()
+    _cost_cache.clear()
     _counters.reset()
 
 
-def _mask_cache_key(space: ArchitectureSpace,
-                    characterizations: Mapping[Tuple[int, int],
-                                               "ConeCharacterization"],
+def _shape_key(space: ArchitectureSpace) -> Tuple:
+    """The knobs that pick a space's candidate rows."""
+    return (space.total_iterations, space.max_depth,
+            tuple(space.window_sides), space.max_cones_per_depth)
+
+
+def _characterization_key(characterizations: Mapping[Tuple[int, int],
+                                                     "ConeCharacterization"]
+                          ) -> Tuple:
+    """Every characterization value an exploration reads: each shape's
+    area, whether it was synthesized, and its latency."""
+    return tuple(sorted(
+        (window, depth, float(entry.area_luts), entry.synthesized,
+         entry.latency_cycles)
+        for (window, depth), entry in characterizations.items()))
+
+
+def _mask_cache_key(space: ArchitectureSpace, characterization_key: Tuple,
                     constraints: DseConstraints,
                     usable_luts: float) -> Tuple:
     """Admission is a pure function of this key.
 
-    Shape knobs pick the candidate rows; the cone areas and the area-side
-    constraints pick which rows are admitted.  Per-run knobs (frame
-    geometry, min-fps, port width) are deliberately absent — changing only
-    those re-uses the cached masks and re-costs only throughput columns.
-    A knob that changes the areas (data format, device recalibration)
-    changes the key and recomputes, correctness before reuse.
+    Shape knobs pick the candidate rows; the cone areas (inside the
+    characterization values) and the area-side constraints pick which
+    rows are admitted.  Per-run knobs (frame geometry, min-fps, port
+    width) are deliberately absent — changing only those re-uses the
+    cached masks and re-costs only throughput columns.  A knob that
+    changes the areas (data format, device recalibration) changes the key
+    and recomputes, correctness before reuse.
     """
-    shape_key = (space.total_iterations, space.max_depth,
-                 tuple(space.window_sides), space.max_cones_per_depth)
-    area_key = tuple(sorted(
-        (window, depth, float(entry.area_luts))
-        for (window, depth), entry in characterizations.items()))
     constraint_key = (
         bool(constraints.device_only),
         None if constraints.max_area_luts is None
         else float(constraints.max_area_luts),
         float(usable_luts) if constraints.device_only else None)
-    return (shape_key, area_key, constraint_key)
+    return (_shape_key(space), characterization_key, constraint_key)
+
+
+def _cached_costs(space: ArchitectureSpace,
+                 splits: Tuple[Tuple[int, ...], ...],
+                 characterizations: Mapping[Tuple[int, int],
+                                            "ConeCharacterization"],
+                 characterization_key: Tuple,
+                 throughput_model: Any) -> Mapping[Tuple[int, int],
+                                                   GroupCosts]:
+    """Every evaluable group's :class:`GroupCosts`, from the cost cache.
+
+    The key is the shape knobs, the characterization values, and the
+    model's class with its instance attributes: two models cost alike only
+    when both match (a subclass that overrides a per-tile hook is another
+    class).  Not the model's identity: an exploration that overrides the
+    port width builds a fresh, equal model every call.  A miss builds the
+    whole entry, then publishes it; entries are never filled in place.
+    """
+    key = (_shape_key(space), characterization_key, type(throughput_model),
+           tuple(sorted(vars(throughput_model).items())))
+    entry = _cost_cache.get(key)
+    if entry is None:
+        entry = MappingProxyType({
+            (window_index, split_index): group_costs(
+                space, characterizations, throughput_model, window, split)
+            for window_index, window in enumerate(space.window_sides)
+            for split_index, split in enumerate(splits)
+            if all((window, depth) in characterizations for depth in split)})
+        _cost_cache.put(key, entry)
+    return entry
 
 
 def _compute_admissions(space: ArchitectureSpace,
@@ -557,7 +621,9 @@ def explore_stream(space: ArchitectureSpace,
     ``materialize`` selects which rows become :class:`DesignPoint` objects:
     ``"frontier"`` (default) only the Pareto members, so peak memory is
     bounded by the chunk size plus the frontier state, never by the space;
-    ``"admitted"`` every constraint-admitted row.
+    ``"admitted"`` every constraint-admitted row, with the per-tile
+    throughput columns taken from the cost cache (piece 4 of the module
+    docstring).
     """
     if materialize not in ("admitted", "frontier"):
         raise ValueError(f"materialize must be 'admitted' or 'frontier' "
@@ -566,7 +632,9 @@ def explore_stream(space: ArchitectureSpace,
     chunks = plan_chunks(space, chunk_rows)
     splits = tuple(tuple(split) for split in space.level_splits())
 
-    key = _mask_cache_key(space, characterizations, constraints, usable_luts)
+    characterization_key = _characterization_key(characterizations)
+    key = _mask_cache_key(space, characterization_key, constraints,
+                          usable_luts)
     admissions = _mask_cache.get(key)
     mask_cache_hit = admissions is not None
     if admissions is None:
@@ -578,12 +646,15 @@ def explore_stream(space: ArchitectureSpace,
         frame_width, frame_height, constraints, admissions, chunk_rows)
 
     keep_points = materialize == "admitted"
+    costs = (_cached_costs(space, splits, characterizations,
+                          characterization_key, throughput_model)
+             if keep_points else None)
     with obs_trace.span("stream.explore", chunks=len(chunks)):
         fold_started = time.perf_counter()
         fold = fold_chunks(space, characterizations, throughput_model,
                            frame_width, frame_height, chunks, plans,
                            constraints.min_frames_per_second, usable_luts,
-                           keep_points)
+                           keep_points, costs)
         obs_metrics.registry().histogram(
             "repro_stream_chunk_fold_seconds").observe(
                 time.perf_counter() - fold_started)

@@ -213,43 +213,79 @@ class ThroughputModel:
         (``architecture_label``, ``clock_hz``, ``tiles_per_frame``,
         ``transfer_cycles_per_tile``, ``offchip_bytes_per_frame``).
 
-        This is the single implementation of the frame-level model: the
-        scalar :meth:`evaluate` delegates here with a one-element count
-        axis, so batch and scalar figures are bit-identical by construction.
+        The model is two halves, and this is their composition:
+        :meth:`tile_columns`, which does not depend on the frame size, then
+        :meth:`frame_columns`, which does.  The scalar :meth:`evaluate`
+        composes the same halves over a one-element count axis, so batch
+        and scalar figures are bit-identical by construction.
+        """
+        return self.frame_columns(
+            architecture,
+            self.tile_columns(architecture, cone_performance, primary_counts),
+            frame_width, frame_height)
+
+    def tile_columns(self, architecture: ConeArchitecture,
+                     cone_performance: Mapping[int, ConePerformance],
+                     primary_counts: "np.ndarray") -> Dict[str, Any]:
+        """The frame-independent half of :meth:`estimate_batch`.
+
+        Per-count arrays ``compute_cycles_per_tile``, ``cycles_per_tile``
+        and ``compute_bound``, and the group-constant
+        ``architecture_label``, ``transfer_cycles_per_tile`` and
+        ``bytes_per_tile``.  They depend on the architecture, the cone
+        latencies and the on-chip port width only, and every array is
+        elementwise over ``primary_counts``: a slice of the columns equals
+        the columns of the sliced counts.
         """
         primary_counts = np.asarray(primary_counts, dtype=np.int64)
         if primary_counts.ndim != 1:
             raise ValueError("primary_counts must be a 1-D integer array")
-        compute = self._compute_cycles_batch(architecture, cone_performance,
-                                             primary_counts)
-        return self._assemble_columns(architecture, compute,
-                                      frame_width, frame_height)
+        return self._tile_columns(architecture, self._compute_cycles_batch(
+            architecture, cone_performance, primary_counts))
 
-    def _assemble_columns(self, architecture: ConeArchitecture,
-                          compute: "np.ndarray", frame_width: int,
-                          frame_height: int) -> Dict[str, Any]:
-        """Frame-level assembly shared by the scalar and batch paths: turn
-        per-tile compute cycles (any count axis) into the full column dict."""
+    def _tile_columns(self, architecture: ConeArchitecture,
+                      compute: "np.ndarray") -> Dict[str, Any]:
+        """:meth:`tile_columns` from per-tile compute cycles (any count
+        axis), shared by the scalar and batch paths."""
         transfer, bytes_per_tile = self.transfer_cycles_per_tile(architecture)
-        per_tile = np.maximum(compute, transfer) + self.tile_overhead_cycles
+        return {
+            "architecture_label": architecture.label(),
+            "compute_cycles_per_tile": compute,
+            "transfer_cycles_per_tile": transfer,
+            "cycles_per_tile": (np.maximum(compute, transfer)
+                                + self.tile_overhead_cycles),
+            "compute_bound": compute >= transfer,
+            "bytes_per_tile": bytes_per_tile,
+        }
+
+    def frame_columns(self, architecture: ConeArchitecture,
+                      tile: Mapping[str, Any], frame_width: int,
+                      frame_height: int) -> Dict[str, Any]:
+        """The frame half of :meth:`estimate_batch`: the full column dict
+        at one frame size from :meth:`tile_columns` columns, or any slice
+        of their arrays.
+
+        Only the tile count depends on the frame size; each row's frame
+        time is its per-tile cycles times the tile count over the clock.
+        """
         tiles = self.tiles_per_frame(architecture, frame_width, frame_height)
         clock = self.device.typical_clock_hz
-        seconds_per_frame = per_tile * tiles / clock
+        seconds_per_frame = tile["cycles_per_tile"] * tiles / clock
         positive = seconds_per_frame > 0
         frames_per_second = np.divide(
             1.0, seconds_per_frame,
             out=np.zeros_like(seconds_per_frame), where=positive)
         return {
-            "architecture_label": architecture.label(),
+            "architecture_label": tile["architecture_label"],
             "clock_hz": clock,
             "tiles_per_frame": tiles,
-            "compute_cycles_per_tile": compute,
-            "transfer_cycles_per_tile": transfer,
-            "cycles_per_tile": per_tile,
+            "compute_cycles_per_tile": tile["compute_cycles_per_tile"],
+            "transfer_cycles_per_tile": tile["transfer_cycles_per_tile"],
+            "cycles_per_tile": tile["cycles_per_tile"],
             "seconds_per_frame": seconds_per_frame,
             "frames_per_second": frames_per_second,
-            "offchip_bytes_per_frame": bytes_per_tile * tiles,
-            "compute_bound": compute >= transfer,
+            "offchip_bytes_per_frame": tile["bytes_per_tile"] * tiles,
+            "compute_bound": tile["compute_bound"],
         }
 
     def evaluate(self, architecture: ConeArchitecture,
@@ -258,15 +294,16 @@ class ThroughputModel:
         """Estimate the frame rate of ``architecture`` on the given frame size.
 
         The per-architecture twin of :meth:`estimate_batch`, which the
-        exploration costs every candidate with: both call the same per-tile
-        methods and share the frame-level assembly, so they agree bit for
-        bit.
+        exploration costs every candidate with: the per-tile half from the
+        same per-tile methods, then the same frame half, so they agree bit
+        for bit.
         """
         compute = np.asarray([self.compute_cycles_per_tile(architecture,
                                                            cone_performance)],
                              dtype=np.float64)
-        columns = self._assemble_columns(architecture, compute,
-                                         frame_width, frame_height)
+        columns = self.frame_columns(
+            architecture, self._tile_columns(architecture, compute),
+            frame_width, frame_height)
         return performance_from_columns(columns, 0)
 
 

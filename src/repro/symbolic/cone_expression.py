@@ -70,7 +70,7 @@ from repro.utils.geometry import Offset, Window
 from repro.utils.validation import check_positive
 from repro.frontend.kernel_ir import StencilKernel
 from repro.symbolic.dependency import ConeDomain, analyze_footprint
-from repro.symbolic.executor import KernelStep
+from repro.symbolic.executor import ConstantFoldError, KernelStep
 from repro.symbolic.expression import (
     COMMUTATIVE,
     Expression,
@@ -231,7 +231,13 @@ class ConeExpressionBuilder:
     # ------------------------------------------------------------------ #
 
     def build(self, window_side: int, depth: int) -> ConeExpressions:
-        """Unroll ``depth`` iterations for a ``window_side x window_side`` output tile."""
+        """Unroll ``depth`` iterations for a ``window_side x window_side`` output tile.
+
+        Raises :class:`~repro.symbolic.executor.ConstantFoldError`, naming
+        this cone, when an iteration folds a divisor to zero or a square
+        root's operand to a negative constant.  The builder is then spent:
+        its DAG and records hold a part of the cone.
+        """
         check_positive("window_side", window_side)
         check_positive("depth", depth)
 
@@ -248,6 +254,9 @@ class ConeExpressionBuilder:
                         outputs[(field_name, component, offset)] = \
                             self._element(field_name, component, offset.dx,
                                           offset.dy, depth)
+        except ConstantFoldError as error:
+            raise ConstantFoldError(error.fault, error.iteration,
+                                    (window_side, depth)) from error
         finally:
             builder.record = None
 

@@ -21,6 +21,14 @@ spot:
   ``SUB(0, x)``; a ``Select`` lowers its condition, then the true and the
   false value.
 
+**Constant faults.**  The builder folds constants, so an operand can fold
+to a constant no cone can be built with: a divisor to zero, or a square
+root's operand to a negative constant.  A run that meets one raises
+:class:`ConstantFoldError`, naming the operand (:class:`ConstantFault`)
+and the iteration whose step folded it.  With field reads as symbols the
+fault shows at iteration 1; one that needs an earlier iteration to fold a
+state field to a constant first shows only deeper in a cone.
+
 **The same-calls contract.**  Running the step at a spot makes exactly the
 builder calls (:meth:`~ExpressionBuilder.intern_symbol`,
 :meth:`~ExpressionBuilder.constant` and
@@ -38,6 +46,7 @@ oracle of this module (``tests/symbolic/executor_oracle.py``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Tuple
 
 from repro.frontend.kernel_ir import (
@@ -90,6 +99,48 @@ STATE, READONLY, CONSTANT, UNARY, BINARY, TERNARY = range(6)
 Instruction = Tuple
 #: ``element(field, component, dx, dy, level)``: how a state read resolves.
 ElementResolver = Callable[[str, int, int, int, int], Expression]
+
+
+@dataclass(frozen=True)
+class ConstantFault:
+    """An operand of the kernel that folds to a constant no cone can be
+    built with: a divisor that folds to zero (``kind`` is ``DIV``) or the
+    operand of a square root that folds to a negative constant
+    (``SQRT``)."""
+
+    kind: OpKind
+    operand: KernelExpr
+    value: float
+
+    def __str__(self) -> str:
+        if self.kind is OpKind.DIV:
+            return (f"divides by {self.operand}, which folds to the "
+                    f"constant zero")
+        return (f"takes the square root of {self.operand}, which folds to "
+                f"the negative constant {self.value!r}")
+
+
+class ConstantFoldError(ArithmeticError):
+    """A run of the step folded an operand to a :class:`ConstantFault`.
+
+    ``iteration`` is the level the failing run computed (1 when its state
+    reads are the input symbols); ``cone`` is the ``(window side, depth)``
+    of the cone being built, when the run was part of one.
+    """
+
+    def __init__(self, fault: ConstantFault, iteration: int,
+                 cone: Optional[Tuple[int, int]] = None) -> None:
+        super().__init__(fault, iteration, cone)
+        self.fault = fault
+        self.iteration = iteration
+        self.cone = cone
+
+    def __str__(self) -> str:
+        where = f"iteration {self.iteration}"
+        if self.cone is not None:
+            where = (f"cone (window {self.cone[0]}, depth {self.cone[1]}), "
+                     f"{where}")
+        return f"{where} {self.fault}"
 
 
 class KernelStep:
@@ -159,45 +210,56 @@ class KernelStep:
     # ------------------------------------------------------------------ #
 
     def run(self, builder: ExpressionBuilder, dx: int, dy: int,
-            source_level: int, element: ElementResolver,
-            values: Optional[List[Expression]] = None) -> List[Expression]:
+            source_level: int, element: ElementResolver) -> List[Expression]:
         """Run the step for the element at ``(dx, dy)`` on ``builder``.
 
         A state read at offset ``(rx, ry)`` becomes ``element(field,
         component, dx + rx, dy + ry, source_level)``; a read-only read the
         symbol at ``READONLY_LEVEL``.  Returns the value of every update,
-        in :attr:`outputs` order.  ``values`` (a new list by default)
-        receives each instruction's value as it is made, so when the
-        builder raises, its length is the position of the instruction that
-        failed.
+        in :attr:`outputs` order.  Raises :class:`ConstantFoldError` when
+        the builder folds a divisor to zero or a square root's operand to
+        a negative constant.
         """
-        if values is None:
-            values = []
+        values: List[Expression] = []
         push = values.append
         constant = builder.constant
         operation = builder.intern_operation
         symbol = builder.intern_symbol
-        for instruction in self.code:
-            code = instruction[0]
-            if code == BINARY:
-                _, kind, kind_value, commutative, a, b = instruction
-                push(operation(kind, kind_value, commutative,
-                               (values[a], values[b])))
-            elif code == STATE:
-                _, name, component, rx, ry = instruction
-                push(element(name, component, dx + rx, dy + ry,
-                             source_level))
-            elif code == CONSTANT:
-                push(constant(instruction[1]))
-            elif code == READONLY:
-                _, name, component, rx, ry = instruction
-                push(symbol(name, component, dx + rx, dy + ry,
-                            READONLY_LEVEL))
-            elif code == UNARY:
-                _, kind, kind_value, commutative, a = instruction
-                push(operation(kind, kind_value, commutative, (values[a],)))
-            else:
-                _, kind, kind_value, commutative, a, b, c = instruction
-                push(operation(kind, kind_value, commutative,
-                               (values[a], values[b], values[c])))
+        try:
+            for instruction in self.code:
+                code = instruction[0]
+                if code == BINARY:
+                    _, kind, kind_value, commutative, a, b = instruction
+                    push(operation(kind, kind_value, commutative,
+                                   (values[a], values[b])))
+                elif code == STATE:
+                    _, name, component, rx, ry = instruction
+                    push(element(name, component, dx + rx, dy + ry,
+                                 source_level))
+                elif code == CONSTANT:
+                    push(constant(instruction[1]))
+                elif code == READONLY:
+                    _, name, component, rx, ry = instruction
+                    push(symbol(name, component, dx + rx, dy + ry,
+                                READONLY_LEVEL))
+                elif code == UNARY:
+                    _, kind, kind_value, commutative, a = instruction
+                    push(operation(kind, kind_value, commutative,
+                                   (values[a],)))
+                else:
+                    _, kind, kind_value, commutative, a, b, c = instruction
+                    push(operation(kind, kind_value, commutative,
+                                   (values[a], values[b], values[c])))
+        except (ZeroDivisionError, ValueError) as error:
+            # values holds one entry per instruction that finished, so the
+            # failing one is next; its last operand is a DIV's divisor or
+            # a SQRT's operand
+            failed = self.code[len(values)]
+            kind, operand = failed[1], failed[-1]
+            if kind is not OpKind.DIV and kind is not OpKind.SQRT:
+                raise
+            raise ConstantFoldError(
+                ConstantFault(kind, self.sources[operand],
+                              values[operand].value),
+                source_level + 1) from error
         return [values[root] for root in self.roots]

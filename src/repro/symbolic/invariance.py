@@ -17,16 +17,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.utils.geometry import Offset
-from repro.frontend.kernel_ir import KernelExpr, StencilKernel
+from repro.frontend.kernel_ir import StencilKernel
 from repro.frontend.semantic import MAX_NARROW_FOOTPRINT, MAX_NARROW_RADIUS
 from repro.symbolic.dependency import analyze_footprint
-from repro.symbolic.executor import KernelStep
+from repro.symbolic.executor import (ConstantFault, ConstantFoldError,
+                                     KernelStep)
 from repro.symbolic.expression import (
     Constant,
     Expression,
     ExpressionBuilder,
     FieldSymbol,
-    OpKind,
     Operation,
 )
 
@@ -87,12 +87,11 @@ def _structurally_equal_translated(a: Expression, b: Expression,
     return False
 
 
-def _run_once(step: KernelStep, builder: ExpressionBuilder, target: Offset,
-              values: Optional[List[Expression]] = None) -> List[Expression]:
+def _run_once(step: KernelStep, builder: ExpressionBuilder,
+              target: Offset) -> List[Expression]:
     """The step at ``target`` on ``builder``, with state reads as level-0
     symbols."""
-    return step.run(builder, target.dx, target.dy, 0, builder.intern_symbol,
-                    values)
+    return step.run(builder, target.dx, target.dy, 0, builder.intern_symbol)
 
 
 def check_translation_invariance(kernel: StencilKernel,
@@ -145,52 +144,26 @@ def verify_kernel(kernel: StencilKernel) -> InvarianceReport:
     )
 
 
-@dataclass(frozen=True)
-class ConstantFault:
-    """An operand of the kernel that folds to a constant no cone can be
-    built with: a divisor that folds to zero (``kind`` is ``DIV``) or the
-    operand of a square root that folds to a negative constant
-    (``SQRT``)."""
-
-    kind: OpKind
-    operand: KernelExpr
-    value: float
-
-    def __str__(self) -> str:
-        if self.kind is OpKind.DIV:
-            return (f"divides by {self.operand}, which folds to the "
-                    f"constant zero")
-        return (f"takes the square root of {self.operand}, which folds to "
-                f"the negative constant {self.value!r}")
-
-
 def constant_fault(kernel: StencilKernel,
                    params: Optional[Mapping[str, float]] = None
                    ) -> Optional[ConstantFault]:
     """The first operand of ``kernel`` that folds to a constant no cone
     can be built with, or ``None``.
 
-    Cone construction folds constants: it rejects a division by a constant
-    zero with :class:`ZeroDivisionError`, and the square root of a negative
-    constant fails with :class:`ValueError`.  This finds such an operand
-    before any cone is built, in one run of the kernel's step, with field
-    reads as symbols and the kernel's parameters overridden by ``params``.
-    An operand folds the same way wherever it appears, so one element
-    shows every fault, and the run stops at the first one, in the step's
-    post-order.  (An operand that folds to the constant only once an
-    earlier iteration has folded a state field to a constant still meets
-    the builder's check.)
+    Cone construction folds constants, and raises
+    :class:`~repro.symbolic.executor.ConstantFoldError` at such an operand.
+    This finds one before any cone is built, in one run of the kernel's
+    step, with field reads as symbols and the kernel's parameters
+    overridden by ``params``.  An operand folds the same way wherever it
+    appears, so one element shows every fault, and the run stops at the
+    first one, in the step's post-order.  (An operand that folds to the
+    constant only once an earlier iteration has folded a state field to a
+    constant shows only in a deeper cone, whose construction raises the
+    same error.)
     """
-    step = KernelStep(kernel, params)
-    values: List[Expression] = []
     try:
-        _run_once(step, ExpressionBuilder(), Offset(0, 0), values)
-    except (ZeroDivisionError, ValueError):
-        instruction = step.code[len(values)]
-        kind = instruction[1]
-        operand = instruction[-1]  # a DIV's divisor, a SQRT's operand
-        if kind not in (OpKind.DIV, OpKind.SQRT):
-            raise
-        return ConstantFault(kind, step.sources[operand],
-                             values[operand].value)
+        _run_once(KernelStep(kernel, params), ExpressionBuilder(),
+                  Offset(0, 0))
+    except ConstantFoldError as error:
+        return error.fault
     return None

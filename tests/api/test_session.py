@@ -18,6 +18,7 @@ from repro.dse.constraints import DseConstraints
 from repro.frontend.dsl import stencil_kernel
 from repro.frontend.semantic import validate_kernel
 from repro.obs import trace
+from repro.symbolic.executor import ConstantFoldError
 from repro.symbolic.invariance import verify_kernel
 
 
@@ -48,6 +49,20 @@ def wide_kernel_workload():
         k.update(f, f(10, 0) + f(-10, 0))
 
     return Workload.from_kernel(stencil_kernel("wide", define), **SMALL)
+
+
+def late_square_root(k):
+    """``f`` folds to -1 after one iteration; the next takes its root."""
+    f, g = k.field("f"), k.field("g")
+    k.update(f, f(0, 0) * 0.0 - 1.0)
+    k.update(g, g(0, 0) + k.sqrt(f(0, 0)))
+
+
+def late_zero_divisor(k):
+    """``f`` folds to 0 after one iteration; the next divides by it."""
+    f, g = k.field("f"), k.field("g")
+    k.update(f, f(0, 0) * 0.0)
+    k.update(g, g(0, 0) / (f(0, 0) + 1.0) + g(1, 0) / f(0, 0))
 
 
 class TestStages:
@@ -146,6 +161,35 @@ class TestStages:
             ("stage-started", "analyze")]
         assert session.stats.synthesis_runs == 0
         assert session.stats.workloads_failed == 1
+
+    @pytest.mark.parametrize("define, reason", [
+        (late_square_root,
+         r"kernel 'late': cone \(window 1, depth 2\), iteration 2 takes the "
+         r"square root of f\[\+0,\+0\], which folds to the negative "
+         r"constant -1\.0$"),
+        (late_zero_divisor,
+         r"kernel 'late': cone \(window 1, depth 2\), iteration 2 divides "
+         r"by f\[\+0,\+0\], which folds to the constant zero$"),
+    ], ids=["negative-root", "zero-divisor"])
+    def test_a_fault_after_an_earlier_iteration_fails_in_characterize(
+            self, define, reason):
+        # one iteration alone folds nothing: analyze passes, and the first
+        # depth-2 cone meets the constant
+        events = []
+        session = Session(on_event=events.append)
+        late = Workload.from_kernel(stencil_kernel("late", define), **SMALL)
+        assert session.explorer_for(late).constant_fault is None
+        with pytest.raises(PipelineError, match=reason) as caught:
+            session.run(late)
+        error = caught.value.__cause__
+        assert isinstance(error, ConstantFoldError)
+        assert (error.cone, error.iteration) == ((1, 2), 2)
+        assert stage_events(events)[-1] == ("stage-started", "characterize")
+        assert session.stats.workloads_failed == 1
+        # the session stays usable
+        good = Workload.from_algorithm("blur", **SMALL)
+        assert session.run(good).pareto
+        assert session.stats.workloads_run == 1
 
     def test_the_analysis_facts_are_the_explorers(self):
         session = Session()

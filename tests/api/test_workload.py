@@ -43,6 +43,27 @@ class TestConstruction:
         assert workload.iterations == 4
         assert workload.resolve_kernel() is igf_kernel
 
+    def test_workloads_of_one_algorithm_share_one_kernel(self):
+        first = Workload.from_algorithm("chamb")
+        kernel = first.resolve_kernel()
+        assert first.replace(frame_width=640).resolve_kernel() is kernel
+        assert Workload.from_algorithm("chamb", max_depth=2).resolve_kernel() \
+            is kernel
+        assert Workload.from_algorithm("blur").resolve_kernel() is not kernel
+
+    @pytest.mark.parametrize("name", list_algorithms())
+    def test_a_memoized_registry_kernel_keys_like_a_fresh_build(self, name):
+        memoized = Workload.from_algorithm(name)
+        fresh = Workload.from_kernel(get_algorithm(name).build_kernel(),
+                                     iterations=memoized.iterations)
+        assert memoized.kernel_fingerprint == fresh.kernel_fingerprint
+        assert memoized.characterization_key() == fresh.characterization_key()
+        assert (memoized.resolve_kernel().to_dict()
+                == fresh.resolve_kernel().to_dict())
+        expected = fresh.to_dict()
+        expected.update(algorithm=name, kernel=None)
+        assert memoized.to_dict() == expected
+
     def test_needs_exactly_one_source(self, igf_kernel):
         with pytest.raises(ValueError, match="exactly one"):
             Workload(algorithm="blur", kernel=igf_kernel)

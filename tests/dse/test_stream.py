@@ -7,6 +7,7 @@ points — as the per-point scalar oracle (``scalar_oracle``); its
 ``pruned_rows`` additionally counts the rows a min-fps floor rejected.
 """
 
+import dataclasses
 import json
 import threading
 
@@ -304,9 +305,13 @@ class TestSerialFold:
     def test_stream_stats_name_no_fan_out_counters(self):
         assert set(stream_stats()) == {
             "hits", "misses", "evictions", "entries", "capacity", "runs",
-            "chunks_materialized", "throughput_pruned_rows"}
+            "chunks_materialized", "throughput_pruned_rows", "costs"}
+        assert set(stream_stats()["costs"]) == {
+            "hits", "misses", "evictions", "entries", "capacity"}
         text = render_prometheus({"stream": stream_stats()})
         assert "# TYPE repro_stream_runs counter" in text
+        assert "# TYPE repro_stream_costs_hits counter" in text
+        assert "# TYPE repro_stream_costs_entries gauge" in text
         assert "parallel" not in text and "duplicate" not in text
 
 
@@ -393,6 +398,171 @@ class TestMaskCacheBound:
         assert (stats["entries"], stats["hits"], stats["runs"]) == (0, 0, 0)
         assert not self.explore_capped(evaluation_inputs,
                                        5000.0).mask_cache_hit
+
+
+class SlowPorts(ThroughputModel):
+    """Built with stock arguments, yet every execution interval doubles."""
+
+    def execution_interval_cycles(self, architecture, depth, performance):
+        return 2.0 * super().execution_interval_cycles(architecture, depth,
+                                                       performance)
+
+
+def explore_admitted(inputs, model, width=128, height=96, constraints=None):
+    _, space, characterizations, usable = inputs
+    return explore_stream(space, characterizations, model, width, height,
+                          constraints, usable, materialize="admitted")
+
+
+class TestCostCache:
+    """In-memory explorations take each group's per-tile throughput
+    columns from a process-wide cache and pay only for the frame half."""
+
+    def test_a_hit_a_miss_and_the_oracle_serialize_alike(
+            self, evaluation_inputs):
+        explorer, space, characterizations, usable = evaluation_inputs
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
+        for port in (4, 16, 32):
+            clear_stream_caches()
+            for width, height in ((128, 96), (640, 480)):
+                for constraints in constraint_grid(baseline):
+                    # a fresh model per request, as a port override builds
+                    model = explorer._throughput_model_for(port)
+                    oracle = scalar_exploration(
+                        space, characterizations, model, width, height,
+                        constraints, usable)
+                    cached = explore_admitted(evaluation_inputs, model,
+                                              width, height, constraints)
+                    assert (serialized_points(cached.design_points)
+                            == serialized_points(oracle.design_points))
+                    assert (serialized_points(cached.pareto)
+                            == serialized_points(oracle.pareto))
+            costs = stream_stats()["costs"]
+            # the first request built the entry; the other five hit it
+            assert (costs["misses"], costs["hits"], costs["entries"]) == (
+                1, 5, 1)
+
+    def test_a_hit_pays_only_for_the_frame_half(self, evaluation_inputs,
+                                                 monkeypatch):
+        explorer = evaluation_inputs[0]
+        calls = []
+        for name in ("tile_columns", "frame_columns", "estimate_batch"):
+            def recording(*args, _real=getattr(ThroughputModel, name),
+                          _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ThroughputModel, name, recording)
+        explore_admitted(evaluation_inputs, explorer.throughput_model)
+        assert "tile_columns" in calls
+        calls.clear()
+        explore_admitted(evaluation_inputs, explorer.throughput_model,
+                         640, 480)
+        assert calls and set(calls) == {"frame_columns"}
+
+    def test_a_subclass_with_stock_arguments_never_gets_a_stock_entry(
+            self, evaluation_inputs):
+        explorer, space, characterizations, usable = evaluation_inputs
+        stock = explorer.throughput_model
+        slow = SlowPorts(
+            device=stock.device, data_format=stock.data_format,
+            readonly_components=stock.readonly_components,
+            onchip_port_elements_per_cycle=(
+                stock.onchip_port_elements_per_cycle))
+        assert vars(slow) == vars(stock)
+        stocked = explore_admitted(evaluation_inputs, stock)
+        slowed = explore_admitted(evaluation_inputs, slow)
+        costs = stream_stats()["costs"]
+        assert (costs["misses"], costs["hits"], costs["entries"]) == (2, 0, 2)
+        oracle = scalar_exploration(space, characterizations, slow, 128, 96,
+                                    usable_luts=usable)
+        assert (serialized_points(slowed.design_points)
+                == serialized_points(oracle.design_points))
+        assert (slowed.design_points[0].seconds_per_frame
+                > stocked.design_points[0].seconds_per_frame)
+
+    def test_streamed_explorations_add_no_entry(self, evaluation_inputs,
+                                                igf_kernel):
+        explorer, space, characterizations, usable = evaluation_inputs
+        explore_stream(space, characterizations, explorer.throughput_model,
+                       128, 96, usable_luts=usable, chunk_rows=2)
+        small_explorer(igf_kernel).explore(6, 128, 96, stream=True)
+        costs = stream_stats()["costs"]
+        assert (costs["entries"], costs["hits"], costs["misses"]) == (0, 0, 0)
+        assert stream_stats()["runs"] == 2
+
+    def test_cached_entries_are_read_only(self, evaluation_inputs):
+        explorer, space, characterizations, _ = evaluation_inputs
+        model = explorer.throughput_model
+        explore_admitted(evaluation_inputs, model)
+        splits = tuple(tuple(split) for split in space.level_splits())
+        entry = stream_module._cached_costs(
+            space, splits, characterizations,
+            stream_module._characterization_key(characterizations), model)
+        assert stream_stats()["costs"]["hits"] == 1
+        with pytest.raises(TypeError):
+            entry[(0, 0)] = None
+        for costs in entry.values():
+            arrays = [value for value in costs.tile.values()
+                      if isinstance(value, np.ndarray)]
+            assert len(arrays) == 3
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+            with pytest.raises(TypeError):
+                costs.tile["cycles_per_tile"] = None
+            with pytest.raises(TypeError):
+                costs.context.area_by_depth[costs.context.primary] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                costs.context = None
+            # the slice a chunk is costed from is a view of the entry
+            columns = costs.columns(model, 0, 2, 128, 96)
+            with pytest.raises(ValueError, match="read-only"):
+                columns["cycles_per_tile"][0] = 0
+
+
+class TestCostCacheBound:
+    """The cost cache is a bounded LRU like the mask cache: each distinct
+    port width is its own entry."""
+
+    @staticmethod
+    def explore_port(inputs, port):
+        """Whether an in-memory exploration at ``port`` hit the cache."""
+        hits = stream_stats()["costs"]["hits"]
+        explore_admitted(inputs, inputs[0]._throughput_model_for(port))
+        return stream_stats()["costs"]["hits"] > hits
+
+    def test_capacity_is_enforced_with_lru_eviction(self, evaluation_inputs):
+        ports = range(1, MASK_CACHE_CAPACITY + 3)
+        for port in ports:
+            assert not self.explore_port(evaluation_inputs, port)
+        costs = stream_stats()["costs"]
+        assert costs["entries"] == costs["capacity"] == MASK_CACHE_CAPACITY
+        assert costs["evictions"] == 2
+        assert self.explore_port(evaluation_inputs, ports[-1])
+        assert not self.explore_port(evaluation_inputs, ports[0])
+
+    def test_recent_use_protects_an_entry(self, evaluation_inputs):
+        ports = range(1, MASK_CACHE_CAPACITY + 2)
+        for port in ports[:MASK_CACHE_CAPACITY]:
+            self.explore_port(evaluation_inputs, port)
+        # refresh the oldest entry, then overflow: the second-oldest goes
+        assert self.explore_port(evaluation_inputs, ports[0])
+        self.explore_port(evaluation_inputs, ports[-1])
+        assert self.explore_port(evaluation_inputs, ports[0])
+        assert not self.explore_port(evaluation_inputs, ports[1])
+
+    def test_reset_keeps_costs_but_clear_drops_them(self, evaluation_inputs):
+        self.explore_port(evaluation_inputs, 5)
+        reset_stream_stats()
+        costs = stream_stats()["costs"]
+        assert (costs["hits"], costs["misses"], costs["evictions"],
+                costs["entries"]) == (0, 0, 0, 1)
+        assert self.explore_port(evaluation_inputs, 5)
+        clear_stream_caches()
+        costs = stream_stats()["costs"]
+        assert (costs["entries"], costs["hits"], costs["misses"]) == (0, 0, 0)
+        assert not self.explore_port(evaluation_inputs, 5)
 
 
 class TestChunkPlanning:
