@@ -45,10 +45,11 @@ Pieces:
      re-explore skips the pushdown analysis.  The throughput-side suffix
      depends on the per-run knobs, so it is recomputed per call and
      deliberately kept out of the key;
-   * the *cost cache* holds, per shape knobs + characterization values +
-     throughput model, every group's context and its frame-independent
-     throughput columns over the whole count axis
-     (:class:`~repro.dse.engine.GroupCosts`), built whole on a miss.  An
+   * the *cost cache* holds, per space (shape knobs, kernel name, radius,
+     components) + characterization values + throughput model, every
+     group's context and its frame-independent throughput columns over
+     the whole count axis (:class:`~repro.dse.engine.GroupCosts`), built
+     whole on a miss.  An
      in-memory exploration slices each chunk's columns from it and pays
      only for the frame half; a streamed one keeps costing per chunk,
      because it promises bounded memory, and never adds an entry.
@@ -98,8 +99,8 @@ STREAM_AUTO_THRESHOLD = 200_000
 
 #: Entries the admitted-row mask cache may hold (one entry per distinct
 #: (shape knobs, characterization values, area constraints) combination);
-#: the cost cache holds as many (one per shape knobs, characterization
-#: values and throughput model).
+#: the cost cache holds as many (one per space, characterization values
+#: and throughput model).
 MASK_CACHE_CAPACITY = 16
 
 
@@ -397,14 +398,17 @@ def _cached_costs(space: ArchitectureSpace,
                                                    GroupCosts]:
     """Every evaluable group's :class:`GroupCosts`, from the cost cache.
 
-    The key is the shape knobs, the characterization values, and the
+    The key is the shape knobs, the rest of the space (the kernel name
+    labels every design point, and the radius and components set the tile
+    count and the transfer cycles), the characterization values, and the
     model's class with its instance attributes: two models cost alike only
     when both match (a subclass that overrides a per-tile hook is another
     class).  Not the model's identity: an exploration that overrides the
     port width builds a fresh, equal model every call.  A miss builds the
     whole entry, then publishes it; entries are never filled in place.
     """
-    key = (_shape_key(space), characterization_key, type(throughput_model),
+    key = (_shape_key(space), space.kernel_name, space.radius,
+           space.components, characterization_key, type(throughput_model),
            tuple(sorted(vars(throughput_model).items())))
     entry = _cost_cache.get(key)
     if entry is None:

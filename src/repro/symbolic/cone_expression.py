@@ -235,8 +235,9 @@ class ConeExpressionBuilder:
 
         Raises :class:`~repro.symbolic.executor.ConstantFoldError`, naming
         this cone, when an iteration folds a divisor to zero or a square
-        root's operand to a negative constant.  The builder is then spent:
-        its DAG and records hold a part of the cone.
+        root's operand to a negative constant.  The builder stays usable:
+        a later cone that never reaches the faulty spot builds as on a
+        fresh builder, and one that does raises the same error again.
         """
         check_positive("window_side", window_side)
         check_positive("depth", depth)

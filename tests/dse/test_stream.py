@@ -481,6 +481,31 @@ class TestCostCache:
         assert (slowed.design_points[0].seconds_per_frame
                 > stocked.design_points[0].seconds_per_frame)
 
+    @pytest.mark.parametrize("change", [
+        {"kernel_name": "renamed"}, {"radius": 2}, {"components": 2}],
+        ids=["kernel-name", "radius", "components"])
+    def test_spaces_with_equal_shape_knobs_never_share_an_entry(
+            self, evaluation_inputs, change):
+        # equal characterization values, as a renamed copy of one kernel
+        # definition could synthesize to: the second space must not get
+        # the first one's labels, tile counts or transfer cycles
+        explorer, space, characterizations, usable = evaluation_inputs
+        model = explorer.throughput_model
+        first = explore_admitted(evaluation_inputs, model)
+        other = dataclasses.replace(space, **change)
+        second = explore_stream(other, characterizations, model, 128, 96,
+                                usable_luts=usable, materialize="admitted")
+        costs = stream_stats()["costs"]
+        assert (costs["misses"], costs["hits"], costs["entries"]) == (2, 0, 2)
+        oracle = scalar_exploration(other, characterizations, model, 128, 96,
+                                    usable_luts=usable)
+        assert (serialized_points(second.design_points)
+                == serialized_points(oracle.design_points))
+        assert (serialized_points(second.pareto)
+                == serialized_points(oracle.pareto))
+        assert (serialized_points(second.design_points)
+                != serialized_points(first.design_points))
+
     def test_streamed_explorations_add_no_entry(self, evaluation_inputs,
                                                 igf_kernel):
         explorer, space, characterizations, usable = evaluation_inputs

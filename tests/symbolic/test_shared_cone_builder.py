@@ -35,6 +35,7 @@ from repro.frontend.dsl import stencil_kernel
 from repro.ir.dfg import build_dfg_from_cone
 from repro.ir.operators import DataFormat, default_library
 from repro.symbolic.cone_expression import ConeExpressionBuilder
+from repro.symbolic.executor import ConstantFoldError
 from repro.symbolic.expression import (Constant, ExpressionBuilder,
                                        FieldSymbol, OpKind, Operation)
 from repro.synth.synthesizer import Synthesizer
@@ -223,6 +224,29 @@ def test_a_build_that_fails_mid_expansion_leaves_the_builder_usable(
                          fingerprint(fresh_build(igf_kernel, window, depth)),
                          synthesize)
 
+
+
+def test_a_constant_fault_leaves_the_builder_usable():
+    def late_zero_divisor(k):
+        # f folds to zero after one iteration; the next divides by it
+        f, g = k.field("f"), k.field("g")
+        k.update(f, f(0, 0) * 0.0)
+        k.update(g, g(0, 0) / (f(0, 0) + 1.0) + g(1, 0) / f(0, 0))
+
+    kernel = stencil_kernel("late", late_zero_divisor)
+    builder = ConeExpressionBuilder(kernel)
+    with pytest.raises(ConstantFoldError) as caught:
+        builder.build(2, 2)
+    assert (caught.value.cone, caught.value.iteration) == ((2, 2), 2)
+    synthesize = dag_synthesis()
+    for window, depth in [(2, 1), (3, 1), (1, 1)]:
+        assert_same_cone(builder.build(window, depth),
+                         fingerprint(fresh_build(kernel, window, depth)),
+                         synthesize)
+    with pytest.raises(ConstantFoldError) as again:
+        builder.build(1, 2)
+    assert (again.value.cone, again.value.iteration) == ((1, 2), 2)
+    assert str(again.value.fault) == str(caught.value.fault)
 
 def test_expression_builder_records_only_while_asked():
     builder = ExpressionBuilder()
