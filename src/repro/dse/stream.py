@@ -49,10 +49,10 @@ Pieces:
      components) + characterization values + throughput model, every
      group's context and its frame-independent throughput columns over
      the whole count axis (:class:`~repro.dse.engine.GroupCosts`), built
-     whole on a miss.  An
-     in-memory exploration slices each chunk's columns from it and pays
-     only for the frame half; a streamed one keeps costing per chunk,
-     because it promises bounded memory, and never adds an entry.
+     whole on a miss.  An in-memory exploration slices each chunk's
+     columns from it and pays only for the frame half; a streamed one
+     keeps costing per chunk, because it promises bounded memory, and
+     never adds an entry.
 
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).

@@ -225,7 +225,6 @@ def test_a_build_that_fails_mid_expansion_leaves_the_builder_usable(
                          synthesize)
 
 
-
 def test_a_constant_fault_leaves_the_builder_usable():
     def late_zero_divisor(k):
         # f folds to zero after one iteration; the next divides by it
@@ -247,6 +246,7 @@ def test_a_constant_fault_leaves_the_builder_usable():
         builder.build(1, 2)
     assert (again.value.cone, again.value.iteration) == ((1, 2), 2)
     assert str(again.value.fault) == str(caught.value.fault)
+
 
 def test_expression_builder_records_only_while_asked():
     builder = ExpressionBuilder()
