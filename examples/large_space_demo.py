@@ -6,8 +6,9 @@ instance-count axis to 2,300 turns the same shape knobs into a
 103,500-candidate space; :mod:`repro.dse.stream` explores it without ever
 materializing the full candidate table:
 
-* ``plan_chunks`` slices the space into fixed-size chunks of one
-  (window, split) group each — pure index arithmetic, no arrays;
+* the fold visits each (window, split) group once and cuts its
+  instance-count axis into chunks of at most ``chunk_rows`` rows — pure
+  index arithmetic, no arrays until a chunk is costed;
 * constraint pushdown proves, from the area model alone, how many
   instance counts of each group can possibly satisfy the area
   constraints, and prunes the rest *before* any column is built (the
@@ -37,7 +38,7 @@ import time
 from repro.algorithms import get_algorithm
 from repro.dse.constraints import DseConstraints
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.stream import explore_stream, plan_chunks, stream_stats
+from repro.dse.stream import explore_stream, stream_stats
 
 CHUNK_ROWS = 512
 
@@ -57,12 +58,7 @@ def main() -> None:
     space = explorer._space(10)
     usable = explorer.device.usable_capacity.luts
 
-    # 1. chunk planning is index arithmetic: no candidate table exists yet
-    chunks = plan_chunks(space, CHUNK_ROWS)
-    print(f"{space.size():,} candidates planned as {len(chunks)} chunks "
-          f"of <= {CHUNK_ROWS} rows (one (window, split) group per chunk)")
-
-    # 2. stream with constraint pushdown: the device capacity bounds how
+    # 1. stream with constraint pushdown: the device capacity bounds how
     #    many primary-cone instances each group can hold, so almost the
     #    whole count axis is discarded before a single column is built.
     constraints = DseConstraints(device_only=True)
@@ -71,6 +67,9 @@ def main() -> None:
                               explorer.throughput_model, 1024, 768,
                               constraints, usable, chunk_rows=CHUNK_ROWS)
     elapsed = time.perf_counter() - started
+    print(f"{streamed.space_rows:,} candidates cut into "
+          f"{streamed.chunks_total} chunks of <= {CHUNK_ROWS} rows "
+          f"(each inside one (window, split) group)")
     print(f"streamed in {elapsed * 1000:.0f} ms "
           f"({streamed.space_rows / elapsed:,.0f} candidates/s): "
           f"{streamed.pruned_rows:,} rows ({streamed.pruned_fraction:.1%}) "
@@ -81,7 +80,7 @@ def main() -> None:
           f"process peak RSS {peak_rss_mb():.0f} MB")
     print()
 
-    # 3. the fastest feasible designs sit at the frontier's large-area end:
+    # 2. the fastest feasible designs sit at the frontier's large-area end:
     #    every faster candidate would dominate them
     print("3 fastest feasible architectures (frontier tail):")
     for point in reversed(streamed.pareto[-3:]):
@@ -90,7 +89,7 @@ def main() -> None:
               f"{point.area_luts:10.0f} LUTs")
     print()
 
-    # 4. incremental re-explore: a new frame geometry is a per-run knob —
+    # 3. incremental re-explore: a new frame geometry is a per-run knob —
     #    the admitted-prefix masks are reused, only throughput re-costs
     again = explore_stream(space, characterizations,
                            explorer.throughput_model, 640, 480,
@@ -102,7 +101,7 @@ def main() -> None:
           f"the admission pass was skipped, "
           f"{len(again.pareto)} Pareto points")
 
-    # 5. the frontier is the exact frontier: the Pareto set of the
+    # 4. the frontier is the exact frontier: the Pareto set of the
     #    103,500-candidate space, held at no point in full in memory
     smallest, fastest = streamed.pareto[0], streamed.pareto[-1]
     print(f"frontier spans {smallest.area_luts:.0f} LUTs "
@@ -112,7 +111,7 @@ def main() -> None:
           f"across {len(streamed.pareto)} points")
     print()
 
-    # 6. throughput-side pushdown: an fps floor admits only a suffix of
+    # 5. throughput-side pushdown: an fps floor admits only a suffix of
     #    each group's count axis (throughput is monotone in the instance
     #    count), so the chunks below it are never costed.
     floored = DseConstraints(device_only=True, min_frames_per_second=30.0)

@@ -2,23 +2,29 @@
 
 A candidate space is a cross product of (window, level split) *groups* and a
 primary-cone instance-count axis.  The candidates of one group share their
-cone shapes, per-depth areas and cone-performance table, so a *chunk* — a
-slice of one group's count axis — is evaluated as columns:
+cone shapes, per-depth areas and cone-performance table
+(:class:`GroupContext`).  :func:`fold_groups` visits the groups once, in
+enumeration order, and evaluates each group's admitted interval of the
+count axis as columns, in *chunks* of at most ``chunk_rows`` rows whose
+bounds sit at multiples of ``chunk_rows``:
 
-1. per-row area is Σ_depth instances × cone area (:func:`group_area`);
-2. throughput is the model's ``estimate_batch`` over the chunk's counts
+1. the interval is the area-admitted prefix :mod:`repro.dse.stream` found,
+   less the rows at its front that a ``min_frames_per_second`` floor
+   rejects (a binary search on the throughput formula, run only where the
+   prefix is longer than one chunk);
+2. per-row area is Σ_depth instances × cone area (:func:`group_area`);
+3. throughput is the model's ``estimate_batch`` over the chunk's counts
    (:func:`cost_counts`), or, when the group's frame-independent columns
    were computed ahead (:class:`GroupCosts`), their slice plus the model's
    frame half;
-3. a ``min_frames_per_second`` floor masks the costed rows;
-4. the admitted ``(area, time, global row)`` triples fold into a
+4. the fps floor masks the costed rows;
+5. the admitted ``(area, time, global row)`` triples fold into a
    :class:`StreamingFrontier`, whose state is the Pareto frontier of
    everything folded so far, and optionally become
    :class:`~repro.dse.design_point.DesignPoint` objects
    (:func:`build_points`).
 
-:func:`fold_chunks` runs these steps over the chunk plan.  Chunk planning
-and constraint pushdown live in :mod:`repro.dse.stream`.
+The area-side pushdown and the caches live in :mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -225,32 +231,90 @@ class StreamingFrontier:
         return self._area.copy(), self._time.copy(), self._order.copy()
 
 
-def fold_chunks(space: ArchitectureSpace,
+def _throughput_admitted_start(admit_len: int, min_fps: float,
+                               context: GroupContext,
+                               throughput_model: ThroughputModel,
+                               frame_width: int,
+                               frame_height: int) -> Optional[int]:
+    """Zero-based count index where the fps-admitted suffix begins.
+
+    Compute cycles per tile are nonincreasing in the primary instance count
+    (more instances, fewer serialized execution batches), and every other
+    term of the frame time is count-constant, so ``frames_per_second`` is
+    nondecreasing along the count axis and a min-fps floor admits a suffix
+    ``[start, admit_len)`` — found by O(log n) single-count probes of the
+    exact batch formula (elementwise over the count axis, hence
+    bit-identical to the full-column values).  Returns ``None`` when the
+    monotonicity argument does not hold and the caller must cost the whole
+    prefix: a (pathological) negative execution interval on the primary
+    level, or a nonpositive frame time anywhere in the prefix
+    (``frames_per_second`` snaps to 0 there, breaking the suffix shape).
+    """
+    def columns_at(count: int) -> Mapping[str, object]:
+        return cost_counts(throughput_model, context, frame_width,
+                           frame_height, np.asarray([count], dtype=np.int64))
+
+    interval = throughput_model.execution_interval_cycles(
+        context.representative, context.primary,
+        context.cone_performance[context.primary])
+    if interval < 0:
+        return None
+    tail = columns_at(admit_len)
+    # seconds_per_frame is nonincreasing in the count, so its minimum over
+    # the prefix sits at admit_len: positive there means positive (and the
+    # fps column exactly 1/seconds) everywhere.
+    if not float(tail["seconds_per_frame"][0]) > 0.0:
+        return None
+
+    def admits(count: int) -> bool:
+        return bool(columns_at(count)["frames_per_second"][0] >= min_fps)
+
+    if not bool(tail["frames_per_second"][0] >= min_fps):
+        return admit_len  # even the fastest admitted row fails the floor
+    if admits(1):
+        return 0
+    low, high = 1, admit_len  # fps(low) fails the floor, fps(high) passes
+    while high - low > 1:
+        mid = (low + high) // 2
+        if admits(mid):
+            high = mid
+        else:
+            low = mid
+    return high - 1  # count `high` is the smallest admitted count
+
+
+def fold_groups(space: ArchitectureSpace,
                 characterizations: Mapping[Tuple[int, int],
                                            "ConeCharacterization"],
                 throughput_model: ThroughputModel,
-                frame_width: int, frame_height: int, chunks: Sequence[Any],
-                plans: Mapping[Tuple[int, int], Any],
-                min_fps: Optional[float], usable_luts: float,
-                keep_points: bool,
+                frame_width: int, frame_height: int,
+                splits: Sequence[Tuple[int, ...]],
+                prefixes: Mapping[Tuple[int, int], Optional[int]],
+                chunk_rows: int, min_fps: Optional[float],
+                usable_luts: float, keep_points: bool,
                 costs: Optional[Mapping[Tuple[int, int], GroupCosts]] = None
                 ) -> Dict[str, Any]:
-    """Fold ``chunks``, in order, into one frontier.
+    """Fold every group's admitted interval, group by group, into one
+    frontier.
 
-    ``plans`` maps each chunk's ``(window index, split index)`` to the
-    count-axis interval pushdown admitted (``evaluable``, ``start``,
-    ``stop``); rows outside it are never costed.  ``costs``, when given,
-    holds every evaluable group's :class:`GroupCosts`: a chunk then pays
-    only for the frame half of its slice.  Returns the frontier,
-    the fold's accounting, the number of chunks it materialized and —
-    with ``keep_points`` — ``(global row, DesignPoint)`` for every
-    admitted row, in the order the chunks deliver them.
+    ``prefixes`` maps each group's ``(window index, split index)``, in the
+    order to fold them, to the length of its area-admitted prefix of the
+    count axis, or to ``None`` for a group without characterizations.
+    Where a ``min_fps`` floor is set and a prefix is longer than
+    ``chunk_rows``, :func:`_throughput_admitted_start` first cuts the rows
+    below the floor off its front; the rest is costed in chunks cut at
+    multiples of ``chunk_rows``.  ``costs``, when given, holds every
+    evaluable group's :class:`GroupCosts`, and a chunk pays only for the
+    frame half; otherwise each group's context is built once
+    and returned under ``contexts``.  Returns the frontier, the fold's
+    accounting and — with ``keep_points`` — ``(global row, DesignPoint)``
+    for every admitted row, in fold order.
     """
+    n_counts = space.max_cones_per_depth
     frontier = StreamingFrontier()
     contexts: Dict[Tuple[int, int], GroupContext] = {}
     admitted_rows = 0
-    fps_rejected = 0
-    chunks_skipped = 0
+    fps_pruned = 0
     peak_chunk_rows = 0
     frontier_peak = 0
     chunks_materialized = 0
@@ -259,50 +323,60 @@ def fold_chunks(space: ArchitectureSpace,
     # once at the end instead of re-sorting the frontier per chunk
     pending: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
 
-    for chunk in chunks:
-        group_key = (chunk.window_index, chunk.split_index)
-        plan = plans[group_key]
-        start = max(chunk.count_start, plan.start)
-        stop = min(chunk.count_stop, plan.stop)
-        if not plan.evaluable or stop <= start:
-            chunks_skipped += 1
+    for group_key, prefix in prefixes.items():
+        if not prefix:
             continue
-        counts = chunk.counts(start=start, stop=stop)
-        chunks_materialized += 1
-        peak_chunk_rows = max(peak_chunk_rows, int(counts.size))
-        if costs is not None:
+        window_index, split_index = group_key
+        if costs is None:
+            cached = None
+            context = contexts[group_key] = group_context(
+                space, characterizations, space.window_sides[window_index],
+                splits[split_index])
+        else:
             cached = costs[group_key]
             context = cached.context
-            columns = cached.columns(throughput_model, start, stop,
-                                     frame_width, frame_height)
-        else:
-            context = contexts.get(group_key)
-            if context is None:
-                context = group_context(space, characterizations,
-                                        chunk.window, chunk.split)
-                contexts[group_key] = context
-            columns = cost_counts(throughput_model, context, frame_width,
-                                  frame_height, counts)
-        if min_fps is None:
-            index = np.arange(counts.size)
-        else:
-            index = np.flatnonzero(columns["frames_per_second"] >= min_fps)
-            fps_rejected += int(counts.size - index.size)
-            if index.size == 0:
-                continue
-        counts = counts[index]
-        area = group_area(counts, context.depths, context.primary,
-                          context.area_by_depth)
-        times = np.asarray(columns["seconds_per_frame"])[index]
-        rows = chunk.base_row + start + index.astype(np.int64)
-        admitted_rows += int(rows.size)
-        if keep_points:
-            pending.append((area, times, rows))
-            points.extend(zip(rows.tolist(), build_points(
-                space, context, counts, area, columns, index, usable_luts)))
-        else:
-            frontier.update(area, times, rows)
-            frontier_peak = max(frontier_peak, len(frontier))
+        start = 0
+        if min_fps is not None and prefix > chunk_rows:
+            start = _throughput_admitted_start(
+                prefix, min_fps, context, throughput_model, frame_width,
+                frame_height) or 0
+            fps_pruned += start
+            if start == prefix:
+                continue  # even the fastest admitted row fails the floor
+        base_row = (window_index * len(splits) + split_index) * n_counts
+        for low in range(start - start % chunk_rows, prefix, chunk_rows):
+            first, stop = max(low, start), min(low + chunk_rows, prefix)
+            counts = np.arange(first + 1, stop + 1, dtype=np.int32)
+            chunks_materialized += 1
+            peak_chunk_rows = max(peak_chunk_rows, stop - first)
+            if cached is None:
+                columns = cost_counts(throughput_model, context, frame_width,
+                                      frame_height, counts)
+            else:
+                columns = cached.columns(throughput_model, first, stop,
+                                         frame_width, frame_height)
+            if min_fps is None:
+                index = np.arange(counts.size)
+            else:
+                index = np.flatnonzero(columns["frames_per_second"]
+                                       >= min_fps)
+                fps_pruned += int(counts.size - index.size)
+                if index.size == 0:
+                    continue
+            counts = counts[index]
+            area = group_area(counts, context.depths, context.primary,
+                              context.area_by_depth)
+            times = np.asarray(columns["seconds_per_frame"])[index]
+            rows = base_row + first + index.astype(np.int64)
+            admitted_rows += int(rows.size)
+            if keep_points:
+                pending.append((area, times, rows))
+                points.extend(zip(rows.tolist(), build_points(
+                    space, context, counts, area, columns, index,
+                    usable_luts)))
+            else:
+                frontier.update(area, times, rows)
+                frontier_peak = max(frontier_peak, len(frontier))
 
     if pending:
         frontier.update(*(np.concatenate(column)
@@ -310,9 +384,9 @@ def fold_chunks(space: ArchitectureSpace,
         frontier_peak = len(frontier)
     return {"frontier": frontier,
             "admitted_rows": admitted_rows,
-            "fps_rejected": fps_rejected,
-            "chunks_skipped": chunks_skipped,
+            "fps_pruned": fps_pruned,
             "peak_chunk_rows": peak_chunk_rows,
             "frontier_peak": frontier_peak,
             "chunks_materialized": chunks_materialized,
+            "contexts": contexts,
             "points": points}

@@ -112,9 +112,9 @@ class ExplorationResult:
     synthesis_runs_avoided: int
     tool_runtime_spent_s: float
     tool_runtime_avoided_s: float
-    #: Streaming-evaluation metadata (chunking, pushdown, mask-cache
-    #: counters) when the exploration ran out-of-core; ``None`` on the
-    #: in-memory paths.  When set, ``design_points`` holds only the
+    #: Streaming-evaluation metadata (the chunk and pushdown accounting of
+    #: :class:`~repro.dse.stream.StreamingExploration`) when the
+    #: exploration ran out-of-core; ``None`` on the in-memory paths.  When set, ``design_points`` holds only the
     #: frontier members (the streamed space was never materialized).
     streaming: Optional[Dict[str, object]] = None
 

@@ -1,8 +1,8 @@
 """Chunked exploration: the one evaluator behind every design-space run.
 
 Every exploration — the 720-candidate paper space and million-candidate
-spaces alike — evaluates its candidates as a sequence of bounded-row chunks,
-in the divide-and-conquer spirit of SCC-chunked automaton determinization:
+spaces alike — evaluates its candidates in bounded-row chunks, in the
+divide-and-conquer spirit of SCC-chunked automaton determinization:
 split the space into independently evaluable pieces, solve each piece, and
 fold the partial solutions into a state whose size is bounded by the
 answer, not by the space.  An in-memory exploration is the same fold with
@@ -11,38 +11,41 @@ streamed one keeps only the frontier (``materialize="frontier"``).
 
 Pieces:
 
-1. :func:`plan_chunks` slices the (window, split) groups of a space along
-   the instance-count axis into chunks of at most ``chunk_rows`` rows.  A
-   chunk is a *description* (group indices + a count range); its NumPy
-   columns are materialized lazily, with tightened dtypes (``int32`` counts),
-   and only if the chunk survives pushdown.
-2. Constraint pushdown prunes rows *before* chunk materialization: the
-   area-side constraints (``device_only``, ``max_area_luts``) depend only on
-   shape knobs and the cone areas, and per-row area is nondecreasing in the
+1. :func:`explore_stream` makes one pass over the space's (window, split)
+   groups, in enumeration order (:func:`repro.dse.engine.fold_groups`).
+   Each group's count axis is cut into chunks at multiples of
+   ``chunk_rows``, so a space has groups × ⌈count axis / ``chunk_rows``⌉
+   chunks.  A chunk shares its group's context and is materialized (an
+   ``int32`` count column, a slice of the group's admitted interval) only
+   where it overlaps that interval; every other chunk is skipped.
+2. Constraint pushdown prunes rows *before* costing: the area-side
+   constraints (``device_only``, ``max_area_luts``) depend only on shape
+   knobs and the cone areas, and per-row area is nondecreasing in the
    primary instance count, so each group's admitted rows form a prefix of
    the count axis found by binary search — O(log rows) scalar probes using
    the exact accumulation formula.  A ``min_frames_per_second`` floor is
    monotone along the same axis in the other direction (compute cycles per
    tile are nonincreasing in the primary count, so the frame rate is
-   nondecreasing): when a group's admitted prefix spans several chunks, a
-   second binary search on the throughput formula finds the admitted
-   *suffix*, and only the intersected [suffix, prefix) interval is costed.
-   Every costed row is still checked against the floor, so the probe only
-   ever saves work.
+   nondecreasing): when a group's admitted prefix is longer than one
+   chunk, a second binary search on the throughput formula finds the
+   admitted *suffix*, and only the intersected [suffix, prefix) interval is
+   costed.  Every costed row is still checked against the floor, so the
+   probe only ever saves work.
 3. :mod:`repro.dse.engine` costs each chunk and folds its admitted objective
    columns into a :class:`~repro.dse.engine.StreamingFrontier` whose state is
    byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
-   concatenated full arrays regardless of chunk size.  The fold visits the
-   chunks once, in plan order, on the calling thread.  A streamed run
-   rebuilds design points only for the frontier survivors at finalization,
-   by re-costing just their rows.
+   concatenated full arrays regardless of chunk size.  The fold runs once,
+   on the calling thread.  A streamed run rebuilds design points only for
+   the frontier survivors at finalization, by re-costing just their rows
+   with the group contexts the fold built.
 4. Two small process-wide LRUs, with the same bound, hold what a
    re-explore that changes only per-run knobs (frame geometry, minimum fps,
    constraints) would otherwise recompute:
 
-   * the *mask cache* holds the admitted-row prefixes, keyed by shape knobs
-     + the characterization values + the area constraints, so such a
-     re-explore skips the pushdown analysis.  The throughput-side suffix
+   * the *mask cache* maps each group to the length of its area-admitted
+     prefix (``None`` for a group without characterizations), keyed by
+     shape knobs + the characterization values + the area constraints, so
+     such a re-explore skips the pushdown analysis.  The throughput-side suffix
      depends on the per-run knobs, so it is recomputed per call and
      deliberately kept out of the key;
    * the *cost cache* holds, per space (shape knobs, kernel name, radius,
@@ -51,8 +54,8 @@ Pieces:
      the whole count axis (:class:`~repro.dse.engine.GroupCosts`), built
      whole on a miss.  An in-memory exploration slices each chunk's
      columns from it and pays only for the frame half; a streamed one
-     keeps costing per chunk, because it promises bounded memory, and
-     never adds an entry.
+     keeps costing per chunk, because it promises bounded memory, builds
+     each context it needs once, and never adds an entry.
 
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).
@@ -80,8 +83,8 @@ from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.engine import (GroupContext, GroupCosts, build_points,
-                              cost_counts, fold_chunks, group_area,
-                              group_context, group_costs)
+                              cost_counts, fold_groups, group_area,
+                              group_costs)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -105,88 +108,7 @@ MASK_CACHE_CAPACITY = 16
 
 
 # ---------------------------------------------------------------------- #
-# chunk planning
-
-
-@dataclass(frozen=True)
-class SpaceChunk:
-    """One bounded-row slice of a (window, split) group's count axis.
-
-    Purely descriptive — holds group indices and a count range, never
-    arrays; :meth:`counts` materializes the (dtype-tightened) count column
-    on demand, and pushdown may decide it never has to.
-    """
-
-    window: int
-    window_index: int
-    split: Tuple[int, ...]
-    split_index: int
-    #: Global enumeration row of the group's first candidate (count 1).
-    base_row: int
-    #: Zero-based [start, stop) slice of the group's count axis.
-    count_start: int
-    count_stop: int
-
-    @property
-    def rows(self) -> int:
-        return self.count_stop - self.count_start
-
-    def counts(self, stop: Optional[int] = None,
-               start: Optional[int] = None) -> "np.ndarray":
-        """The chunk's primary-count column (``int32``: the enumeration
-        bounds counts far below 2**31, and ``estimate_batch`` widens
-        exactly, so the tightening is free).  ``start``/``stop`` narrow the
-        range to the pushdown-admitted [suffix, prefix) interval."""
-        start = self.count_start if start is None else start
-        stop = self.count_stop if stop is None else stop
-        return np.arange(start + 1, stop + 1, dtype=np.int32)
-
-
-def plan_chunks(space: ArchitectureSpace,
-                chunk_rows: int = DEFAULT_CHUNK_ROWS) -> List[SpaceChunk]:
-    """Slice a space into chunks of at most ``chunk_rows`` candidates.
-
-    Chunks never span (window, split) groups, so every chunk shares one
-    representative architecture, one per-depth area table, and one cone
-    performance table; within a group the count axis is sliced in
-    enumeration order.  Concatenating all chunks in plan order visits
-    exactly the rows of :meth:`ArchitectureSpace.architectures` in order.
-    """
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1 (got {chunk_rows})")
-    splits = tuple(tuple(split) for split in space.level_splits())
-    n_splits, n_counts = len(splits), space.max_cones_per_depth
-    chunks: List[SpaceChunk] = []
-    for window_index, window in enumerate(space.window_sides):
-        for split_index, split in enumerate(splits):
-            base = ((window_index * n_splits) + split_index) * n_counts
-            for start in range(0, n_counts, chunk_rows):
-                chunks.append(SpaceChunk(
-                    window=window, window_index=window_index,
-                    split=split, split_index=split_index, base_row=base,
-                    count_start=start,
-                    count_stop=min(start + chunk_rows, n_counts)))
-    return chunks
-
-
-# ---------------------------------------------------------------------- #
 # constraint pushdown + the admitted-row mask cache
-
-
-@dataclass(frozen=True)
-class _GroupAdmission:
-    """Pushdown outcome for one (window, split) group.
-
-    ``admit_len`` is the length of the admitted prefix of the count axis
-    (per-row area is nondecreasing in the primary count, so the area-side
-    constraints admit a prefix); ``evaluable`` is False when the group's
-    depths lack characterizations (the fold skips such groups without
-    counting them as pruned).
-    """
-
-    evaluable: bool
-    admit_len: int
-    pruned: int
 
 
 def _admitted_prefix(n_counts: int, area_limit: float,
@@ -422,146 +344,39 @@ def _cached_costs(space: ArchitectureSpace,
     return entry
 
 
-def _compute_admissions(space: ArchitectureSpace,
-                        splits: Tuple[Tuple[int, ...], ...],
-                        characterizations: Mapping[Tuple[int, int],
-                                                   "ConeCharacterization"],
-                        constraints: DseConstraints,
-                        usable_luts: float
-                        ) -> Dict[Tuple[int, int], _GroupAdmission]:
+def _admitted_prefixes(space: ArchitectureSpace,
+                       splits: Tuple[Tuple[int, ...], ...],
+                       characterizations: Mapping[Tuple[int, int],
+                                                  "ConeCharacterization"],
+                       constraints: DseConstraints,
+                       usable_luts: float
+                       ) -> Dict[Tuple[int, int], Optional[int]]:
+    """Each group's area-admitted prefix length, keyed by ``(window index,
+    split index)`` in enumeration order; ``None`` marks a group whose
+    depths lack characterizations (the fold skips it without counting its
+    rows as pruned)."""
     n_counts = space.max_cones_per_depth
     area_limit = math.inf
     if constraints.device_only:
         area_limit = min(area_limit, usable_luts)
     if constraints.max_area_luts is not None:
         area_limit = min(area_limit, constraints.max_area_luts)
-    admissions: Dict[Tuple[int, int], _GroupAdmission] = {}
+    prefixes: Dict[Tuple[int, int], Optional[int]] = {}
     for window_index, window in enumerate(space.window_sides):
         for split_index, split in enumerate(splits):
             depths = sorted(set(split))
             if any((window, depth) not in characterizations
                    for depth in depths):
-                admissions[(window_index, split_index)] = _GroupAdmission(
-                    evaluable=False, admit_len=0, pruned=0)
-                continue
-            if math.isinf(area_limit):
-                admit = n_counts
+                prefix = None
+            elif math.isinf(area_limit):
+                prefix = n_counts
             else:
-                area_by_depth = {
-                    depth: characterizations[(window, depth)].area_luts
-                    for depth in depths}
-                admit = _admitted_prefix(n_counts, area_limit, depths,
-                                         depths[-1], area_by_depth)
-            admissions[(window_index, split_index)] = _GroupAdmission(
-                evaluable=True, admit_len=admit, pruned=n_counts - admit)
-    return admissions
-
-
-@dataclass(frozen=True)
-class _GroupPlan:
-    """One group's admitted count-axis interval for one exploration.
-
-    ``[start, stop)`` is the intersection of the area-admitted prefix
-    (cached across per-run knob changes) with the throughput-admitted
-    suffix, when the suffix was probed (it depends on frame geometry and
-    the fps floor, so it is recomputed per call).
-    """
-
-    evaluable: bool
-    start: int
-    stop: int
-
-
-def _throughput_admitted_start(admit_len: int, min_fps: float,
-                               context: GroupContext,
-                               throughput_model: Any,
-                               frame_width: int,
-                               frame_height: int) -> Optional[int]:
-    """Zero-based count index where the fps-admitted suffix begins.
-
-    Compute cycles per tile are nonincreasing in the primary instance count
-    (more instances, fewer serialized execution batches), and every other
-    term of the frame time is count-constant, so ``frames_per_second`` is
-    nondecreasing along the count axis and a min-fps floor admits a suffix
-    ``[start, admit_len)`` — found by O(log n) single-count probes of the
-    exact batch formula (elementwise over the count axis, hence
-    bit-identical to the full-column values).  Returns ``None`` when the
-    monotonicity argument does not hold and the caller must cost the whole
-    prefix: a (pathological) negative execution interval on the primary
-    level, or a nonpositive frame time anywhere in the prefix
-    (``frames_per_second`` snaps to 0 there, breaking the suffix shape).
-    """
-    def columns_at(count: int) -> Mapping[str, object]:
-        return throughput_model.estimate_batch(
-            context.representative, context.cone_performance,
-            frame_width, frame_height,
-            np.asarray([count], dtype=np.int64))
-
-    interval = throughput_model.execution_interval_cycles(
-        context.representative, context.primary,
-        context.cone_performance[context.primary])
-    if interval < 0:
-        return None
-    tail = columns_at(admit_len)
-    # seconds_per_frame is nonincreasing in the count, so its minimum over
-    # the prefix sits at admit_len: positive there means positive (and the
-    # fps column exactly 1/seconds) everywhere.
-    if not float(tail["seconds_per_frame"][0]) > 0.0:
-        return None
-
-    def admits(count: int) -> bool:
-        return bool(columns_at(count)["frames_per_second"][0] >= min_fps)
-
-    if not bool(tail["frames_per_second"][0] >= min_fps):
-        return admit_len  # even the fastest admitted row fails the floor
-    if admits(1):
-        return 0
-    low, high = 1, admit_len  # fps(low) fails the floor, fps(high) passes
-    while high - low > 1:
-        mid = (low + high) // 2
-        if admits(mid):
-            high = mid
-        else:
-            low = mid
-    return high - 1  # count `high` is the smallest admitted count
-
-
-def _plan_groups(space: ArchitectureSpace,
-                 splits: Tuple[Tuple[int, ...], ...],
-                 characterizations: Mapping[Tuple[int, int],
-                                            "ConeCharacterization"],
-                 throughput_model: Any,
-                 frame_width: int, frame_height: int,
-                 constraints: DseConstraints,
-                 admissions: Mapping[Tuple[int, int], _GroupAdmission],
-                 chunk_rows: int
-                 ) -> Tuple[Dict[Tuple[int, int], _GroupPlan], int]:
-    """Intersect the cached area prefixes with the fps suffix per group.
-
-    Returns the per-group plans plus the rows the suffix probes cut off
-    (inside the area prefix but below the floor).  A probe costs a few
-    single-row batch calls, so it runs only where it can skip whole chunks
-    — a prefix longer than ``chunk_rows``.  Elsewhere the fold filters the
-    costed rows; the admitted set is the same either way.
-    """
-    min_fps = constraints.min_frames_per_second
-    plans: Dict[Tuple[int, int], _GroupPlan] = {}
-    fps_pruned = 0
-    for group_key, admission in admissions.items():
-        start = 0
-        if (min_fps is not None and admission.evaluable
-                and admission.admit_len > chunk_rows):
-            window_index, split_index = group_key
-            context = group_context(space, characterizations,
-                                    space.window_sides[window_index],
-                                    splits[split_index])
-            start = _throughput_admitted_start(
-                admission.admit_len, min_fps, context, throughput_model,
-                frame_width, frame_height) or 0
-            fps_pruned += start
-        plans[group_key] = _GroupPlan(evaluable=admission.evaluable,
-                                      start=start, stop=admission.admit_len)
-    return plans, fps_pruned
+                prefix = _admitted_prefix(
+                    n_counts, area_limit, depths, depths[-1],
+                    {depth: characterizations[(window, depth)].area_luts
+                     for depth in depths})
+            prefixes[(window_index, split_index)] = prefix
+    return prefixes
 
 
 # ---------------------------------------------------------------------- #
@@ -632,61 +447,62 @@ def explore_stream(space: ArchitectureSpace,
     if materialize not in ("admitted", "frontier"):
         raise ValueError(f"materialize must be 'admitted' or 'frontier' "
                          f"(got {materialize!r})")
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1 (got {chunk_rows})")
     constraints = constraints or DseConstraints()
-    chunks = plan_chunks(space, chunk_rows)
     splits = tuple(tuple(split) for split in space.level_splits())
+    n_counts = space.max_cones_per_depth
 
     characterization_key = _characterization_key(characterizations)
     key = _mask_cache_key(space, characterization_key, constraints,
                           usable_luts)
-    admissions = _mask_cache.get(key)
-    mask_cache_hit = admissions is not None
-    if admissions is None:
-        admissions = _compute_admissions(space, splits, characterizations,
-                                         constraints, usable_luts)
-        _mask_cache.put(key, admissions)
-    plans, throughput_pruned = _plan_groups(
-        space, splits, characterizations, throughput_model,
-        frame_width, frame_height, constraints, admissions, chunk_rows)
+    prefixes = _mask_cache.get(key)
+    mask_cache_hit = prefixes is not None
+    if prefixes is None:
+        prefixes = _admitted_prefixes(space, splits, characterizations,
+                                      constraints, usable_luts)
+        _mask_cache.put(key, prefixes)
 
     keep_points = materialize == "admitted"
     costs = (_cached_costs(space, splits, characterizations,
                           characterization_key, throughput_model)
              if keep_points else None)
-    with obs_trace.span("stream.explore", chunks=len(chunks)):
+    chunks_total = len(prefixes) * -(-n_counts // chunk_rows)
+    with obs_trace.span("stream.explore", chunks=chunks_total):
         fold_started = time.perf_counter()
-        fold = fold_chunks(space, characterizations, throughput_model,
-                           frame_width, frame_height, chunks, plans,
-                           constraints.min_frames_per_second, usable_luts,
-                           keep_points, costs)
+        fold = fold_groups(space, characterizations, throughput_model,
+                           frame_width, frame_height, splits, prefixes,
+                           chunk_rows, constraints.min_frames_per_second,
+                           usable_luts, keep_points, costs)
         obs_metrics.registry().histogram(
             "repro_stream_chunk_fold_seconds").observe(
                 time.perf_counter() - fold_started)
-    throughput_pruned += fold["fps_rejected"]
+    throughput_pruned = fold["fps_pruned"]
     _counters.add(runs=1,
                   chunks_materialized=fold["chunks_materialized"],
                   throughput_pruned_rows=throughput_pruned)
 
     pareto_area, _pareto_time, pareto_rows = fold["frontier"].result()
     if keep_points:
-        # plan order delivers the admitted rows in enumeration order
+        # the group loop delivers the admitted rows in enumeration order
         by_row = dict(fold["points"])
         design_points = list(by_row.values())
         pareto = [by_row[row] for row in pareto_rows.tolist()]
     else:
-        pareto = _frontier_points(space, splits, characterizations,
+        pareto = _frontier_points(space, len(splits), fold["contexts"],
                                   throughput_model, frame_width,
                                   frame_height, usable_luts, pareto_rows,
                                   pareto_area)
         design_points = list(pareto)
+    area_pruned = sum(n_counts - prefix for prefix in prefixes.values()
+                      if prefix is not None)
     return StreamingExploration(
         space_rows=space.size(),
         admitted_rows=fold["admitted_rows"],
-        pruned_rows=(sum(entry.pruned for entry in admissions.values())
-                     + throughput_pruned),
+        pruned_rows=area_pruned + throughput_pruned,
         chunk_rows=chunk_rows,
-        chunks_total=len(chunks),
-        chunks_skipped=fold["chunks_skipped"],
+        chunks_total=chunks_total,
+        chunks_skipped=chunks_total - fold["chunks_materialized"],
         peak_chunk_rows=fold["peak_chunk_rows"],
         frontier_peak=fold["frontier_peak"],
         mask_cache_hit=mask_cache_hit,
@@ -697,10 +513,8 @@ def explore_stream(space: ArchitectureSpace,
     )
 
 
-def _frontier_points(space: ArchitectureSpace,
-                     splits: Tuple[Tuple[int, ...], ...],
-                     characterizations: Mapping[Tuple[int, int],
-                                                "ConeCharacterization"],
+def _frontier_points(space: ArchitectureSpace, n_splits: int,
+                     contexts: Mapping[Tuple[int, int], GroupContext],
                      throughput_model: Any, frame_width: int,
                      frame_height: int, usable_luts: float,
                      rows: "np.ndarray",
@@ -709,19 +523,17 @@ def _frontier_points(space: ArchitectureSpace,
 
     The throughput columns are recomputed on just the survivors' counts,
     batched per (window, split) group, which reproduces the fold's values
-    bit for bit (the stored frontier areas are reused directly).  Group
-    contexts are rebuilt here, for the survivors' groups only.
+    bit for bit (the stored frontier areas are reused directly).  The
+    group contexts are the ones the fold built.
     """
     n_counts = space.max_cones_per_depth
     by_group: Dict[Tuple[int, int], List[int]] = {}
     for position, row in enumerate(rows.tolist()):
-        by_group.setdefault(divmod(row // n_counts, len(splits)),
+        by_group.setdefault(divmod(row // n_counts, n_splits),
                             []).append(position)
     points: List[Optional[DesignPoint]] = [None] * rows.size
-    for (window_index, split_index), positions in by_group.items():
-        context = group_context(space, characterizations,
-                                space.window_sides[window_index],
-                                splits[split_index])
+    for group_key, positions in by_group.items():
+        context = contexts[group_key]
         counts = rows[positions] % n_counts + 1
         columns = cost_counts(throughput_model, context, frame_width,
                               frame_height, counts)

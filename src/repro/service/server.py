@@ -437,9 +437,9 @@ class ReproServer(JobEndpoint):
             "session": self._session.stats.to_dict(),
             "store": (None if store is None
                       else {"root": store.root, **store.counters()}),
-            # mask-cache counters of the out-of-core streaming engine:
-            # hits growing across jobs = incremental re-explores reusing
-            # pushdown analysis, re-costing only throughput columns
+            # the exploration fold's process-wide counters: the mask cache
+            # (hits growing across jobs = re-explores reusing the pushdown
+            # analysis), the run counters, and the cost cache under "costs"
             "stream": stream_stats(),
         }
 

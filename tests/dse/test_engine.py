@@ -8,20 +8,18 @@ performance concern, never a semantics concern.
 
 import json
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from scalar_oracle import explore_scalar, scalar_exploration
 
-from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import (build_points, cost_counts, fold_chunks,
+from repro.dse.engine import (build_points, cost_counts, fold_groups,
                               group_area, group_context)
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_indices
-from repro.dse.stream import explore_stream, plan_chunks
+from repro.dse.stream import explore_stream
 from repro.estimation.throughput_model import ThroughputModel
 from repro.ir.operators import DataFormat
 
@@ -130,41 +128,48 @@ class TestConstraintPushdown:
                            materialize="everything")
 
 
+@pytest.fixture
+def inputs(igf_kernel):
+    explorer = small_explorer(igf_kernel)
+    characterizations, _ = explorer.characterize_cones(6)
+    return (explorer, explorer._space(6), characterizations,
+            explorer.device.usable_capacity.luts)
+
+
 class TestRowOrder:
-    def test_chunk_rows_follow_the_scalar_enumeration(self):
+    def test_fold_rows_follow_the_scalar_enumeration(self, inputs):
         """Global row ``r`` of the fold is the ``r``-th architecture of the
         scalar enumeration, whatever the chunk size."""
-        space = ArchitectureSpace(kernel_name="blur", total_iterations=6,
-                                  radius=1, window_sides=(1, 2, 3),
-                                  max_depth=3, max_cones_per_depth=4)
+        explorer, space, characterizations, usable = inputs
         expected = [architecture.to_dict()
                     for architecture in space.architectures()]
         assert space.size() == len(expected)
         for chunk_rows in (1, 3, 4, 100):
-            for chunk in plan_chunks(space, chunk_rows):
-                for offset, count in enumerate(chunk.counts().tolist()):
-                    row = chunk.base_row + chunk.count_start + offset
-                    assert (space.materialize_row_parts(
-                        chunk.window, chunk.split, count).to_dict()
-                        == expected[row])
+            result = explore_stream(space, characterizations,
+                                    explorer.throughput_model, 128, 96,
+                                    usable_luts=usable,
+                                    chunk_rows=chunk_rows,
+                                    materialize="admitted")
+            assert [point.architecture.to_dict()
+                    for point in result.design_points] == expected
+            assert [point.architecture.to_dict()
+                    for point in result.pareto] == [
+                expected[row] for row in result.pareto_row_index.tolist()]
 
 
 class TestFoldKernel:
-    """The per-chunk kernel functions, checked one at a time against the
+    """The fold's kernel functions, checked one at a time against the
     per-point oracle."""
 
-    @pytest.fixture
-    def inputs(self, igf_kernel):
-        explorer = small_explorer(igf_kernel)
-        characterizations, _ = explorer.characterize_cones(6)
-        return (explorer, explorer._space(6), characterizations,
-                explorer.device.usable_capacity.luts)
-
     @staticmethod
-    def whole_axis_plans(space, chunks):
-        return {(chunk.window_index, chunk.split_index): SimpleNamespace(
-                    evaluable=True, start=0, stop=space.max_cones_per_depth)
-                for chunk in chunks}
+    def splits(space):
+        return tuple(tuple(split) for split in space.level_splits())
+
+    @classmethod
+    def whole_axis_prefixes(cls, space):
+        return {(window_index, split_index): space.max_cones_per_depth
+                for window_index in range(len(space.window_sides))
+                for split_index in range(len(cls.splits(space)))}
 
     def test_group_area_reproduces_the_per_point_sum_on_any_slice(
             self, inputs):
@@ -201,47 +206,44 @@ class TestFoldKernel:
                                128, 96).to_dict()
                 for architecture in group]
 
-    def test_fold_chunks_costs_only_the_planned_interval(self, inputs):
+    def test_fold_groups_costs_only_the_admitted_prefixes(self, inputs):
         explorer, space, characterizations, usable = inputs
-        chunks = plan_chunks(space, 2)
-        groups = sorted({(chunk.window_index, chunk.split_index)
-                         for chunk in chunks})
-        # every third group is unevaluable; the others admit counts 2..3
-        plans = {key: SimpleNamespace(evaluable=position % 3 != 0,
-                                      start=1, stop=3)
-                 for position, key in enumerate(groups)}
-        report = fold_chunks(space, characterizations,
+        n_counts = space.max_cones_per_depth
+        # every third group lacks characterizations; the others admit
+        # counts 1..3, which two-row chunks cost as [0, 2) and [2, 3)
+        prefixes = {key: None if position % 3 == 0 else 3
+                    for position, key in enumerate(
+                        self.whole_axis_prefixes(space))}
+        report = fold_groups(space, characterizations,
                              explorer.throughput_model, 128, 96,
-                             chunks, plans, None, usable, True)
-
-        def costed(chunk):
-            plan = plans[(chunk.window_index, chunk.split_index)]
-            return plan.evaluable and (min(chunk.count_stop, plan.stop)
-                                       > max(chunk.count_start, plan.start))
-
-        assert report["chunks_materialized"] == sum(
-            costed(chunk) for chunk in chunks)
-        assert report["chunks_skipped"] == sum(
-            not costed(chunk) for chunk in chunks)
-        bases = {chunk.base_row for chunk in chunks
-                 if plans[(chunk.window_index, chunk.split_index)].evaluable}
-        kept = sorted(report["points"], key=lambda pair: pair[0])
-        rows = np.asarray([row for row, _ in kept], dtype=np.int64)
-        assert rows.tolist() == sorted(base + offset for base in bases
-                                       for offset in (1, 2))
+                             self.splits(space), prefixes, 2, None, usable,
+                             True)
+        evaluable = [position for position, prefix
+                     in enumerate(prefixes.values()) if prefix]
+        assert report["chunks_materialized"] == 2 * len(evaluable)
+        assert report["peak_chunk_rows"] == 2
+        # without a cost-cache entry the fold builds each context it needs
+        assert sorted(report["contexts"]) == [
+            key for key, prefix in prefixes.items() if prefix]
+        rows = np.asarray([row for row, _ in report["points"]],
+                          dtype=np.int64)
+        assert rows.tolist() == [position * n_counts + offset
+                                 for position in evaluable
+                                 for offset in (0, 1, 2)]
         assert report["admitted_rows"] == rows.size
         oracle = scalar_exploration(space, characterizations,
                                     explorer.throughput_model, 128, 96,
                                     usable_luts=usable)
         by_row = dict(zip(oracle.row_index.tolist(), oracle.design_points))
-        assert ([point.to_dict() for _, point in kept]
+        assert ([point.to_dict() for _, point in report["points"]]
                 == [by_row[row].to_dict() for row in rows.tolist()])
         keep = pareto_indices(
-            np.asarray([point.area_luts for _, point in kept]),
-            np.asarray([point.seconds_per_frame for _, point in kept]))
+            np.asarray([point.area_luts for _, point in report["points"]]),
+            np.asarray([point.seconds_per_frame
+                        for _, point in report["points"]]))
         assert np.array_equal(report["frontier"].result()[2], rows[keep])
 
-    def test_fold_chunks_filters_costed_rows_by_the_fps_floor(self, inputs):
+    def test_fold_groups_filters_costed_rows_by_the_fps_floor(self, inputs):
         explorer, space, characterizations, usable = inputs
         model = explorer.throughput_model
         baseline = scalar_exploration(space, characterizations, model,
@@ -250,33 +252,59 @@ class TestFoldKernel:
         oracle = scalar_exploration(
             space, characterizations, model, 128, 96,
             DseConstraints(min_frames_per_second=floor), usable)
-        chunks = plan_chunks(space, 3)
-        report = fold_chunks(space, characterizations, model, 128, 96,
-                             chunks, self.whole_axis_plans(space, chunks),
-                             floor, usable, False)
         assert 0 < oracle.admitted_rows < space.size()
-        assert report["admitted_rows"] == oracle.admitted_rows
-        assert report["fps_rejected"] == space.size() - oracle.admitted_rows
-        assert report["points"] == []
-        assert np.array_equal(report["frontier"].result()[2],
-                              oracle.pareto_row_index)
+        # three-row chunks run the suffix probe; four-row ones (a whole
+        # group) filter every costed row instead
+        for chunk_rows in (3, 4):
+            report = fold_groups(space, characterizations, model, 128, 96,
+                                 self.splits(space),
+                                 self.whole_axis_prefixes(space),
+                                 chunk_rows, floor, usable, False)
+            assert report["admitted_rows"] == oracle.admitted_rows
+            assert (report["fps_pruned"]
+                    == space.size() - oracle.admitted_rows)
+            assert report["points"] == []
+            assert np.array_equal(report["frontier"].result()[2],
+                                  oracle.pareto_row_index)
 
     def test_keeping_points_leaves_the_frontier_unchanged(self, inputs):
         explorer, space, characterizations, usable = inputs
-        chunks = plan_chunks(space, 1)
-        shuffled = list(chunks)
-        random.Random(5).shuffle(shuffled)
-        plans = self.whole_axis_plans(space, chunks)
-        lean, full = (fold_chunks(space, characterizations,
+        groups = list(self.whole_axis_prefixes(space).items())
+        random.Random(5).shuffle(groups)
+        lean, full = (fold_groups(space, characterizations,
                                   explorer.throughput_model, 128, 96,
-                                  shuffled, plans, None, usable, keep_points)
+                                  self.splits(space), dict(groups), 1, None,
+                                  usable, keep_points)
                       for keep_points in (False, True))
         for lean_column, full_column in zip(lean["frontier"].result(),
                                             full["frontier"].result()):
             assert np.array_equal(lean_column, full_column)
         assert lean["admitted_rows"] == full["admitted_rows"] == space.size()
         assert len(full["points"]) == space.size()
-        assert lean["chunks_materialized"] == len(chunks)
+        assert lean["chunks_materialized"] == space.size()
+
+    def test_chunk_counts_are_dtype_tightened(self, inputs):
+        """The fold costs ``int32`` count columns: the enumeration bounds
+        counts far below 2**31, and ``estimate_batch`` widens exactly."""
+        explorer, space, characterizations, usable = inputs
+        dtypes = set()
+
+        class Recording(ThroughputModel):
+            def estimate_batch(self, architecture, cone_performance,
+                               frame_width, frame_height, counts):
+                dtypes.add(counts.dtype)
+                return super().estimate_batch(
+                    architecture, cone_performance, frame_width,
+                    frame_height, counts)
+
+        model = Recording(device=explorer.device,
+                          data_format=explorer.data_format)
+        report = fold_groups(space, characterizations, model, 128, 96,
+                             self.splits(space),
+                             self.whole_axis_prefixes(space), 3, None,
+                             usable, False)
+        assert report["chunks_materialized"] > 0
+        assert dtypes == {np.dtype(np.int32)}
 
 
 class TestModelHooks:

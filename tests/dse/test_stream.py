@@ -16,6 +16,7 @@ import pytest
 
 from scalar_oracle import scalar_exploration
 
+import repro.dse.engine as engine_module
 import repro.dse.stream as stream_module
 from repro.api import Session, Workload
 from repro.dse.constraints import DseConstraints
@@ -23,10 +24,8 @@ from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.stream import (
     MASK_CACHE_CAPACITY,
-    SpaceChunk,
     clear_stream_caches,
     explore_stream,
-    plan_chunks,
     reset_stream_stats,
     stream_stats,
 )
@@ -62,6 +61,12 @@ def evaluation_inputs(igf_kernel):
     space = explorer._space(6)
     usable = explorer.device.usable_capacity.luts
     return explorer, space, characterizations, usable
+
+
+def chunks_in(space, chunk_rows):
+    """Groups × ⌈count axis / chunk_rows⌉."""
+    groups = len(space.window_sides) * len(space.level_splits())
+    return groups * -(-space.max_cones_per_depth // chunk_rows)
 
 
 def constraint_grid(baseline):
@@ -127,7 +132,7 @@ class TestDigestIdentity:
                                   explorer.throughput_model, 128, 96,
                                   usable_luts=usable, chunk_rows=4)
         assert 0 < streamed.peak_chunk_rows <= 4
-        assert streamed.chunks_total == len(plan_chunks(space, 4))
+        assert streamed.chunks_total == chunks_in(space, 4)
 
 
 class TestConstraintPushdown:
@@ -273,14 +278,14 @@ class TestThroughputPushdown:
 class TestSerialFold:
     def test_the_fold_runs_once_on_the_calling_thread(
             self, evaluation_inputs, monkeypatch):
-        real_fold = stream_module.fold_chunks
+        real_fold = stream_module.fold_groups
         folded_on = []
 
         def recording_fold(*args, **kwargs):
             folded_on.append(threading.current_thread().name)
             return real_fold(*args, **kwargs)
 
-        monkeypatch.setattr(stream_module, "fold_chunks", recording_fold)
+        monkeypatch.setattr(stream_module, "fold_groups", recording_fold)
         explorer, space, characterizations, usable = evaluation_inputs
         explore_stream(space, characterizations, explorer.throughput_model,
                        128, 96, usable_luts=usable, chunk_rows=2)
@@ -590,30 +595,79 @@ class TestCostCacheBound:
         assert not self.explore_port(evaluation_inputs, 5)
 
 
-class TestChunkPlanning:
+class TestChunkAccounting:
     def test_chunks_cover_the_space_exactly_once(self, evaluation_inputs):
-        _, space, _, _ = evaluation_inputs
+        explorer, space, characterizations, usable = evaluation_inputs
         for chunk_rows in (1, 4, 1000):
-            chunks = plan_chunks(space, chunk_rows)
-            rows = sorted(row
-                          for chunk in chunks
-                          for row in range(chunk.base_row + chunk.count_start,
-                                           chunk.base_row + chunk.count_stop))
-            assert rows == list(range(space.size()))
-            assert all(chunk.rows <= chunk_rows for chunk in chunks)
+            streamed = explore_stream(space, characterizations,
+                                      explorer.throughput_model, 128, 96,
+                                      usable_luts=usable,
+                                      chunk_rows=chunk_rows,
+                                      materialize="admitted")
+            assert streamed.admitted_rows == space.size()
+            assert streamed.chunks_total == chunks_in(space, chunk_rows)
+            assert streamed.chunks_skipped == 0
+            assert streamed.peak_chunk_rows == min(chunk_rows,
+                                                   space.max_cones_per_depth)
 
-    def test_counts_are_dtype_tightened(self):
-        chunk = SpaceChunk(window=1, window_index=0, split=(1,),
-                           split_index=0, base_row=0, count_start=2,
-                           count_stop=5)
-        counts = chunk.counts()
-        assert counts.dtype == np.int32
-        assert counts.tolist() == [3, 4, 5]
+    def test_a_probed_suffix_keeps_chunk_bounds_on_the_grid(
+            self, evaluation_inputs):
+        """The suffix probe moves where a group's costing starts, not where
+        its chunks are cut: a chunk is skipped only when it lies wholly
+        below the suffix, and the first costed one is cut short."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        model = explorer.throughput_model
+        baseline = scalar_exploration(space, characterizations, model,
+                                      128, 96)
+        fps = 1.0 / baseline.seconds_per_frame
+        floor = float(np.median(fps))
+        n_counts, chunk_rows = space.max_cones_per_depth, 4
+        starts = [int(np.argmax(passes)) if passes.any() else n_counts
+                  for passes in (fps >= floor).reshape(-1, n_counts)]
+        assert any(0 < start < n_counts and start % chunk_rows
+                   for start in starts)
+        sizes = [min(low + chunk_rows, n_counts) - max(low, start)
+                 for start in starts
+                 for low in range(0, n_counts, chunk_rows)]
+        streamed = explore_stream(space, characterizations, model, 128, 96,
+                                  DseConstraints(min_frames_per_second=floor),
+                                  usable, chunk_rows=chunk_rows)
+        assert streamed.chunks_total == len(sizes)
+        assert streamed.chunks_skipped == sum(size <= 0 for size in sizes)
+        assert streamed.peak_chunk_rows == max(sizes)
+        assert streamed.throughput_pruned_rows == sum(starts)
+
+    def test_a_streamed_exploration_builds_each_context_once(
+            self, evaluation_inputs, monkeypatch):
+        built = []
+        real_context = engine_module.group_context
+
+        def recording_context(space, characterizations, window, split):
+            built.append((window, split))
+            return real_context(space, characterizations, window, split)
+
+        monkeypatch.setattr(engine_module, "group_context",
+                            recording_context)
+        explorer, space, characterizations, usable = evaluation_inputs
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
+        floor = float(np.median(1.0 / baseline.seconds_per_frame))
+        # two-row chunks run the suffix probe, and the frontier's points
+        # are rebuilt at the end: both reuse the fold's contexts
+        streamed = explore_stream(space, characterizations,
+                                  explorer.throughput_model, 128, 96,
+                                  DseConstraints(min_frames_per_second=floor),
+                                  usable, chunk_rows=2)
+        assert streamed.pareto
+        assert sorted(built) == sorted(
+            (window, tuple(split)) for window in space.window_sides
+            for split in space.level_splits())
 
     def test_invalid_arguments_rejected(self, evaluation_inputs):
-        _, space, _, _ = evaluation_inputs
+        explorer, space, characterizations, _ = evaluation_inputs
         with pytest.raises(ValueError, match="chunk_rows"):
-            plan_chunks(space, 0)
+            explore_stream(space, characterizations,
+                           explorer.throughput_model, 128, 96, chunk_rows=0)
 
 
 class TestExplorerIntegration:
