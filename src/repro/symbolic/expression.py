@@ -42,10 +42,6 @@ class OpKind(enum.Enum):
         return ARITY[self]
 
     @property
-    def is_commutative(self) -> bool:
-        return self in COMMUTATIVE
-
-    @property
     def is_comparison(self) -> bool:
         return self in (OpKind.CMP_LT, OpKind.CMP_LE, OpKind.CMP_GT,
                         OpKind.CMP_GE, OpKind.CMP_EQ)
@@ -165,17 +161,19 @@ class ExpressionBuilder:
     (x*0, x*1, x+0, x-x, ...) that a VHDL generator would perform anyway and
     that keep the register counts meaningful.
 
-    While ``record`` is a list, every :meth:`symbol`, :meth:`constant` and
-    :meth:`operation` call appends the id of the node it yields, unless the
-    call simplifies to one of its own operands.  That is every node a call
-    may create, in call order; the cone builder replays these logs (see
-    :mod:`repro.symbolic.cone_expression`).
+    Each kind of node has one public constructor: :meth:`intern_symbol` (a
+    field read at integer offsets), :meth:`constant`, and :meth:`operation`
+    (any :class:`OpKind`, arity-checked).  :meth:`operation` delegates to
+    :meth:`intern_operation`, which the lowered kernel step
+    (:mod:`repro.symbolic.executor`) calls directly, with each operator's
+    kind value and commutativity worked out once at lowering time.
 
-    :meth:`intern_symbol` and :meth:`intern_operation` are the cores the
-    public constructors delegate to; the lowered kernel step
-    (:mod:`repro.symbolic.executor`) calls them directly, with integer
-    offsets and each operator's kind value and commutativity worked out
-    once at lowering time.
+    While ``record`` is a list, every :meth:`intern_symbol`,
+    :meth:`constant` and :meth:`intern_operation` call appends the id of
+    the node it yields, unless the call simplifies to one of its own
+    operands.  That is every node a call may create, in call order; the
+    cone builder replays these logs (see
+    :mod:`repro.symbolic.cone_expression`).
     """
 
     def __init__(self, simplify: bool = True) -> None:
@@ -189,15 +187,11 @@ class ExpressionBuilder:
     # ------------------------------------------------------------------ #
     # node constructors
 
-    def symbol(self, field_name: str, offset: Offset, component: int = 0,
-               level: int = 0) -> FieldSymbol:
-        return self.intern_symbol(field_name, component, offset.dx,
-                                  offset.dy, level)
-
     def intern_symbol(self, field_name: str, component: int, dx: int,
                       dy: int, level: int) -> FieldSymbol:
-        """:meth:`symbol` at integer offsets: an :class:`Offset` is made
-        only for a new symbol."""
+        """The symbol of ``field_name[component]`` at offset ``(dx, dy)``
+        of iteration ``level``; an :class:`Offset` is made only for a new
+        symbol."""
         key = (field_name, component, dx, dy, level)
         node = self._symbols.get(key)
         if node is None:
@@ -317,38 +311,6 @@ class ExpressionBuilder:
         if record is not None:
             record.append(node._id)
         return node
-
-    # convenience wrappers -------------------------------------------------
-
-    def add(self, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.ADD, a, b)
-
-    def sub(self, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.SUB, a, b)
-
-    def mul(self, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.MUL, a, b)
-
-    def div(self, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.DIV, a, b)
-
-    def minimum(self, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.MIN, a, b)
-
-    def maximum(self, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.MAX, a, b)
-
-    def absolute(self, a: Expression) -> Expression:
-        return self.operation(OpKind.ABS, a)
-
-    def negate(self, a: Expression) -> Expression:
-        return self.operation(OpKind.NEG, a)
-
-    def sqrt(self, a: Expression) -> Expression:
-        return self.operation(OpKind.SQRT, a)
-
-    def select(self, cond: Expression, a: Expression, b: Expression) -> Expression:
-        return self.operation(OpKind.SELECT, cond, a, b)
 
     # ------------------------------------------------------------------ #
     # statistics

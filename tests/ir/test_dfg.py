@@ -6,7 +6,7 @@ from dfg_interpreter import evaluate_dfg
 
 from repro.ir.dfg import DataflowGraph, NodeKind, build_dfg_from_cone
 from repro.symbolic.cone_expression import ConeExpressionBuilder
-from repro.symbolic.expression import OpKind
+from repro.symbolic.expression import COMMUTATIVE, OpKind
 
 
 def make_simple_graph():
@@ -122,7 +122,7 @@ class TestLoweringFromCone:
         structures = set()
         for node in graph.topological_order():
             operands = node.operands
-            if node.kind is NodeKind.OP and node.op_kind.is_commutative:
+            if node.kind is NodeKind.OP and node.op_kind in COMMUTATIVE:
                 operands = tuple(sorted(operands))
             structure = (node.kind, node.op_kind, node.value, operands,
                          node.port)

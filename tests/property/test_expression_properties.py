@@ -28,7 +28,8 @@ def expression_and_bindings(draw, max_symbols=4, max_ops=8):
     builder = ExpressionBuilder()
     offsets = draw(st.lists(small_offsets, min_size=1, max_size=max_symbols,
                             unique=True))
-    symbols = [builder.symbol("f", offset) for offset in offsets]
+    symbols = [builder.intern_symbol("f", 0, offset.dx, offset.dy, 0)
+               for offset in offsets]
     bindings = {}
     for offset in offsets:
         bindings[("f", 0, offset.dx, offset.dy, 0)] = draw(finite_floats)
@@ -71,8 +72,8 @@ def test_interning_never_creates_duplicate_structures(data):
 @settings(max_examples=80, deadline=None)
 def test_commutative_interning_matches_numeric_commutativity(values, kind):
     builder = ExpressionBuilder()
-    a = builder.symbol("f", Offset(0, 0))
-    b = builder.symbol("f", Offset(1, 0))
+    a = builder.intern_symbol("f", 0, 0, 0, 0)
+    b = builder.intern_symbol("f", 0, 1, 0, 0)
     left = builder.operation(kind, a, b)
     right = builder.operation(kind, b, a)
     assert left is right
@@ -84,8 +85,8 @@ def test_commutative_interning_matches_numeric_commutativity(values, kind):
 @settings(max_examples=80, deadline=None)
 def test_constant_folding_matches_python_arithmetic(a, b):
     builder = ExpressionBuilder()
-    total = builder.add(builder.constant(a), builder.constant(b))
-    product = builder.mul(builder.constant(a), builder.constant(b))
+    total = builder.operation(OpKind.ADD, builder.constant(a), builder.constant(b))
+    product = builder.operation(OpKind.MUL, builder.constant(a), builder.constant(b))
     assert evaluate(total, {}) == a + b
     assert evaluate(product, {}) == a * b
 

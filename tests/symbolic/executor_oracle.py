@@ -121,10 +121,12 @@ class SymbolicExecutor:
             if expr.field_name in self._state_fields:
                 if state_resolver is not None:
                     return state_resolver(expr.field_name, expr.component, absolute)
-                return builder.symbol(expr.field_name, absolute, expr.component,
-                                      level=source_level)
-            return builder.symbol(expr.field_name, absolute, expr.component,
-                                  level=READONLY_LEVEL)
+                return builder.intern_symbol(expr.field_name, expr.component,
+                                             absolute.dx, absolute.dy,
+                                             source_level)
+            return builder.intern_symbol(expr.field_name, expr.component,
+                                         absolute.dx, absolute.dy,
+                                         READONLY_LEVEL)
         if isinstance(expr, BinaryOp):
             left = self._convert(expr.left, target, source_level, state_resolver)
             right = self._convert(expr.right, target, source_level, state_resolver)
@@ -138,7 +140,7 @@ class SymbolicExecutor:
             cond = self._convert(expr.cond, target, source_level, state_resolver)
             if_true = self._convert(expr.if_true, target, source_level, state_resolver)
             if_false = self._convert(expr.if_false, target, source_level, state_resolver)
-            return builder.select(cond, if_true, if_false)
+            return builder.operation(OpKind.SELECT, cond, if_true, if_false)
         raise TypeError(f"unsupported kernel expression node {type(expr).__name__}")
 
 

@@ -250,12 +250,12 @@ def test_a_constant_fault_leaves_the_builder_usable():
 
 def test_expression_builder_records_only_while_asked():
     builder = ExpressionBuilder()
-    x = builder.symbol("f", Offset(0, 0))
+    x = builder.intern_symbol("f", 0, 0, 0, 0)
     assert builder.record is None
     builder.record = []
-    y = builder.symbol("f", Offset(1, 0))
-    total = builder.add(x, y)
+    y = builder.intern_symbol("f", 0, 1, 0, 0)
+    total = builder.operation(OpKind.ADD, x, y)
     zero = builder.constant(0.0)
     # x + 0 simplifies to one of its operands: nothing new to record
-    assert builder.add(total, zero) is total
+    assert builder.operation(OpKind.ADD, total, zero) is total
     assert builder.record == [y.node_id, total.node_id, zero.node_id]
