@@ -98,10 +98,6 @@ class RegisterAreaModel:
         return alpha
 
     @property
-    def calibration_points(self) -> List[CalibrationPoint]:
-        return list(self._calibration)
-
-    @property
     def anchor(self) -> CalibrationPoint:
         if not self._calibration:
             raise RuntimeError("the model has not been calibrated")

@@ -130,9 +130,6 @@ class FieldHandle:
             )
         return FieldHandle(self.name, self.components, index)
 
-    def center(self) -> ExprHandle:
-        return self(0, 0)
-
     def __repr__(self) -> str:
         return f"FieldHandle({self.name!r}, component={self._component})"
 

@@ -45,10 +45,6 @@ class DfgNode:
     #: For INPUT/OUTPUT nodes: the (field, component, offset, level) they carry.
     port: Optional[Tuple[str, int, Offset, int]] = None
 
-    @property
-    def is_operation(self) -> bool:
-        return self.kind is NodeKind.OP
-
     def has_constant_operand(self, graph: "DataflowGraph") -> bool:
         return any(graph.node(i).kind is NodeKind.CONST for i in self.operands)
 
