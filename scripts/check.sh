@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI/local gate: byte-compile the whole package, then run the tier-1 suite.
 #
-#   scripts/check.sh            # full suite, then --examples, --figures
-#                               # and the three live smokes of --service,
-#                               # --fleet and --obs (what CI runs)
+#   scripts/check.sh            # full suite, then --examples, --figures,
+#                               # --large and the three live smokes of
+#                               # --service, --fleet and --obs (what CI
+#                               # runs)
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
 # Every mode first runs the import-hygiene guard: the engine, simulation,
@@ -228,10 +229,12 @@ python -m compileall -q src
 run_pytest "${PYTEST_ARGS[@]}" "$@"
 if [ "$FLAGLESS" -eq 1 ]; then
     # The examples and the Section 4 scripts are the public API's only
-    # callers outside tests/; the smokes are the only gates that run
+    # callers outside tests/; the large smoke is the only gate on a
+    # >=10^5-candidate space; the other smokes are the only gates that run
     # `serve` and `fleet` as real processes.
     run_examples
     run_figures
+    python scripts/large_smoke.py
     run_smoke service
     run_smoke fleet
     run_smoke obs

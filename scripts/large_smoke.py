@@ -9,7 +9,10 @@ Two checks in one fresh process:
    byte alike.  A frontier-only ``explore_stream`` must then reproduce it
    exactly: same Pareto rows, byte-identical serialized design points,
    same pruned-row count — across chunk sizes {1 row, one (window, split)
-   group, the whole space}, each from a cold mask cache.
+   group, the whole space}, each from a cold mask cache.  This runs
+   unconstrained, within the device, and under a 30 fps floor: there the
+   one-row chunks cut each group's rows below the floor off by the
+   suffix probe, and the larger chunks filter every costed row instead.
 
 2. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
@@ -62,6 +65,7 @@ def check_digest_identity(explorer, space, characterizations, usable):
     scenarios = [
         (None, "unconstrained"),
         (DseConstraints(device_only=True), "device-only"),
+        (DseConstraints(min_frames_per_second=30.0), "30-fps-floor"),
     ]
     checked = 0
     for constraints, label in scenarios:
