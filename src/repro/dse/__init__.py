@@ -4,8 +4,9 @@ Every exploration runs one evaluator, the chunked fold of
 :mod:`repro.dse.stream`: constraints are pushed down before costing, and
 :mod:`repro.dse.engine` makes one pass over the space's (window, split)
 groups, costs each group's admitted rows in bounded chunks with column
-arithmetic and folds them into a streaming Pareto frontier.  In-memory explorations keep
-every admitted row as a design point; streamed ones keep only the frontier.
+arithmetic and folds them into a streaming Pareto frontier.  In-memory
+explorations keep every admitted row as a design point; streamed ones keep
+only the frontier.
 """
 
 from repro.dse.design_point import DesignPoint

@@ -114,8 +114,9 @@ class ExplorationResult:
     tool_runtime_avoided_s: float
     #: Streaming-evaluation metadata (the chunk and pushdown accounting of
     #: :class:`~repro.dse.stream.StreamingExploration`) when the
-    #: exploration ran out-of-core; ``None`` on the in-memory paths.  When set, ``design_points`` holds only the
-    #: frontier members (the streamed space was never materialized).
+    #: exploration ran out-of-core; ``None`` on the in-memory paths.  When
+    #: set, ``design_points`` holds only the frontier members (the streamed
+    #: space was never materialized).
     streaming: Optional[Dict[str, object]] = None
 
     def characterization(self, window_side: int, depth: int) -> ConeCharacterization:

@@ -45,8 +45,8 @@ Pieces:
    * the *mask cache* maps each group to the length of its area-admitted
      prefix (``None`` for a group without characterizations), keyed by
      shape knobs + the characterization values + the area constraints, so
-     such a re-explore skips the pushdown analysis.  The throughput-side suffix
-     depends on the per-run knobs, so it is recomputed per call and
+     such a re-explore skips the pushdown analysis.  The throughput-side
+     suffix depends on the per-run knobs, so it is recomputed per call and
      deliberately kept out of the key;
    * the *cost cache* holds, per space (shape knobs, kernel name, radius,
      components) + characterization values + throughput model, every

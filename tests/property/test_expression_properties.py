@@ -85,8 +85,9 @@ def test_commutative_interning_matches_numeric_commutativity(values, kind):
 @settings(max_examples=80, deadline=None)
 def test_constant_folding_matches_python_arithmetic(a, b):
     builder = ExpressionBuilder()
-    total = builder.operation(OpKind.ADD, builder.constant(a), builder.constant(b))
-    product = builder.operation(OpKind.MUL, builder.constant(a), builder.constant(b))
+    left, right = builder.constant(a), builder.constant(b)
+    total = builder.operation(OpKind.ADD, left, right)
+    product = builder.operation(OpKind.MUL, left, right)
     assert evaluate(total, {}) == a + b
     assert evaluate(product, {}) == a * b
 

@@ -107,7 +107,8 @@ def fresh_build(kernel: StencilKernel, window_side: int, depth: int,
     def element(field: str, component: int, offset: Offset,
                 level: int) -> Expression:
         if level == 0:
-            return builder.intern_symbol(field, component, offset.dx, offset.dy, 0)
+            return builder.intern_symbol(field, component, offset.dx,
+                                         offset.dy, 0)
         key = (field, component, offset.dx, offset.dy, level)
         cached = memo.get(key)
         if cached is not None:

@@ -42,18 +42,22 @@ class TestInterning:
     def test_operations_are_interned(self, builder):
         a = builder.intern_symbol("f", 0, 0, 0, 0)
         b = builder.intern_symbol("f", 0, 1, 0, 0)
-        assert builder.operation(OpKind.ADD, a, b) is builder.operation(OpKind.ADD, a, b)
+        assert (builder.operation(OpKind.ADD, a, b)
+                is builder.operation(OpKind.ADD, a, b))
 
     def test_commutative_operands_canonicalised(self, builder):
         a = builder.intern_symbol("f", 0, 0, 0, 0)
         b = builder.intern_symbol("f", 0, 1, 0, 0)
-        assert builder.operation(OpKind.ADD, a, b) is builder.operation(OpKind.ADD, b, a)
-        assert builder.operation(OpKind.MUL, a, b) is builder.operation(OpKind.MUL, b, a)
+        assert (builder.operation(OpKind.ADD, a, b)
+                is builder.operation(OpKind.ADD, b, a))
+        assert (builder.operation(OpKind.MUL, a, b)
+                is builder.operation(OpKind.MUL, b, a))
 
     def test_non_commutative_order_preserved(self, builder):
         a = builder.intern_symbol("f", 0, 0, 0, 0)
         b = builder.intern_symbol("f", 0, 1, 0, 0)
-        assert builder.operation(OpKind.SUB, a, b) is not builder.operation(OpKind.SUB, b, a)
+        assert (builder.operation(OpKind.SUB, a, b)
+                is not builder.operation(OpKind.SUB, b, a))
 
     def test_node_count_tracks_interning(self, builder):
         a = builder.intern_symbol("f", 0, 0, 0, 0)
@@ -67,7 +71,8 @@ class TestInterning:
 
 class TestSimplification:
     def test_constant_folding(self, builder):
-        result = builder.operation(OpKind.ADD, builder.constant(2.0), builder.constant(3.0))
+        result = builder.operation(OpKind.ADD, builder.constant(2.0),
+                                   builder.constant(3.0))
         assert isinstance(result, Constant)
         assert result.value == 5.0
 
@@ -101,8 +106,10 @@ class TestSimplification:
     def test_select_with_constant_condition(self, builder):
         a = builder.intern_symbol("f", 0, 0, 0, 0)
         b = builder.intern_symbol("f", 0, 1, 0, 0)
-        assert builder.operation(OpKind.SELECT, builder.constant(1.0), a, b) is a
-        assert builder.operation(OpKind.SELECT, builder.constant(0.0), a, b) is b
+        chosen = builder.operation(OpKind.SELECT, builder.constant(1.0), a, b)
+        assert chosen is a
+        chosen = builder.operation(OpKind.SELECT, builder.constant(0.0), a, b)
+        assert chosen is b
 
     def test_simplification_can_be_disabled(self):
         raw = ExpressionBuilder(simplify=False)
@@ -127,7 +134,9 @@ class TestTraversalAndEvaluation:
     def test_count_operations_by_kind(self, builder):
         x = builder.intern_symbol("f", 0, 0, 0, 0)
         y = builder.intern_symbol("f", 0, 1, 0, 0)
-        expr = builder.operation(OpKind.MUL, builder.operation(OpKind.ADD, x, y), builder.operation(OpKind.SUB, x, y))
+        expr = builder.operation(OpKind.MUL,
+                                 builder.operation(OpKind.ADD, x, y),
+                                 builder.operation(OpKind.SUB, x, y))
         counts = count_operations([expr])
         assert counts == {OpKind.ADD: 1, OpKind.SUB: 1, OpKind.MUL: 1}
 
@@ -141,7 +150,9 @@ class TestTraversalAndEvaluation:
     def test_evaluate_expression(self, builder):
         x = builder.intern_symbol("f", 0, 0, 0, 0)
         y = builder.intern_symbol("f", 0, 1, 0, 0)
-        expr = builder.operation(OpKind.ADD, builder.operation(OpKind.MUL, builder.constant(2.0), x), y)
+        expr = builder.operation(
+            OpKind.ADD,
+            builder.operation(OpKind.MUL, builder.constant(2.0), x), y)
         value = evaluate(expr, {("f", 0, 0, 0, 0): 3.0, ("f", 0, 1, 0, 0): 4.0})
         assert value == 10.0
 
@@ -161,5 +172,8 @@ class TestTraversalAndEvaluation:
 
     def test_depth_tracking(self, builder):
         x = builder.intern_symbol("f", 0, 0, 0, 0)
-        expr = builder.operation(OpKind.ADD, builder.operation(OpKind.ADD, x, builder.constant(1.0)), builder.constant(2.0))
+        expr = builder.operation(
+            OpKind.ADD,
+            builder.operation(OpKind.ADD, x, builder.constant(1.0)),
+            builder.constant(2.0))
         assert expr.depth == 2
