@@ -305,10 +305,10 @@ def fold_groups(space: ArchitectureSpace,
     below the floor off its front; the rest is costed in chunks cut at
     multiples of ``chunk_rows``.  ``costs``, when given, holds every
     evaluable group's :class:`GroupCosts`, and a chunk pays only for the
-    frame half; otherwise each group's context is built once
-    and returned under ``contexts``.  Returns the frontier, the fold's
-    accounting and — with ``keep_points`` — ``(global row, DesignPoint)``
-    for every admitted row, in fold order.
+    frame half; otherwise each group's context is built once and returned
+    under ``contexts``.  Returns the frontier, the fold's accounting and —
+    with ``keep_points`` — ``(global row, DesignPoint)`` for every admitted
+    row, in fold order.
     """
     n_counts = space.max_cones_per_depth
     frontier = StreamingFrontier()
