@@ -16,9 +16,9 @@ This is the 60-second tour of the public API (:mod:`repro.api`):
    thread, each kernel characterized once, with the earliest failure
    re-raised after the whole batch ran;
 6. sweep one kernel across devices *and* data formats in a single batch —
-   every scenario is evaluated by the same chunked fold
-   (:mod:`repro.dse.stream`), which costs each (window, split) group of the
-   candidate space with column arithmetic;
+   every scenario's candidate space is small enough to explore in memory,
+   in one columnar pass over the whole space (:mod:`repro.dse.stream`;
+   spaces of ~200k candidates and more stream instead, item 9);
 7. serve exploration traffic from a long-lived daemon
    (:mod:`repro.service`): ``python -m repro serve --store DIR`` starts an
    HTTP job API over one shared session; ``ReproClient.submit(...)`` (or

@@ -26,7 +26,13 @@
 #                               # assert streamed results are digest-
 #                               # identical to the in-memory exploration on
 #                               # the paper-scale subspace, which must read
-#                               # the same from a cold and a warm cost cache
+#                               # the same from a cold and a warm cost
+#                               # cache; then answer 60 seeded what-if
+#                               # requests there (frame sizes, fps floors,
+#                               # LUT caps, port widths) in memory from a
+#                               # warm cost cache and streamed in one-group
+#                               # chunks, with equal Pareto sets and
+#                               # admitted/pruned counts (~2 s in all)
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
 #                               # boundary-contract regressions (both run

@@ -1,20 +1,28 @@
 """Large-space streaming smoke test (`scripts/check.sh --large`).
 
-Two checks in one fresh process:
+Three checks in one fresh process:
 
 1. **Digest identity** — on the paper-scale subspace (the 720-candidate
    blur space of Section 4.1) the in-memory exploration (every admitted
-   row kept, one chunk per group) runs twice, from a cold cost cache and
-   from the entry the first run left, and both must serialize byte for
-   byte alike.  A frontier-only ``explore_stream`` must then reproduce it
-   exactly: same Pareto rows, byte-identical serialized design points,
-   same pruned-row count — across chunk sizes {1 row, one (window, split)
-   group, the whole space}, each from a cold mask cache.  This runs
-   unconstrained, within the device, and under a 30 fps floor: there the
-   one-row chunks cut each group's rows below the floor off by the
-   suffix probe, and the larger chunks filter every costed row instead.
+   row kept, one columnar pass over the whole space) runs twice, from a
+   cold cost cache and from the entry the first run left, and both must
+   serialize byte for byte alike.  A frontier-only ``explore_stream`` must
+   then reproduce it exactly: same Pareto rows, byte-identical serialized
+   design points, same pruned-row count — across chunk sizes {1 row, one
+   (window, split) group, the whole space}, each from a cold mask cache.
+   This runs unconstrained, within the device, and under a 30 fps floor:
+   there the one-row chunks cut each group's rows below the floor off by
+   the suffix probe, and the larger chunks filter every costed row
+   instead.
 
-2. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
+2. **What-if sweep** — seeded what-if requests on the same subspace (frame
+   sizes from 320x240 to 4096x2160, fps floors, LUT caps, on-chip port
+   widths), each answered in memory from a warm cost cache and by
+   frontier-only streaming in one-group chunks: both answers must have
+   the same serialized Pareto set and the same admitted and pruned
+   counts.
+
+3. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
    under a hard peak-RSS ceiling, measured with
    ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` over the whole process,
@@ -33,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import resource
 import sys
 import time
@@ -47,6 +56,8 @@ from repro.dse.stream import (clear_stream_caches,           # noqa: E402
                               explore_stream, stream_stats)
 
 ITERATIONS = 10  # the paper's blur case study (Section 4.1)
+SWEEP_REQUESTS = 60
+SWEEP_PORTS = (4, 8, 16, 32)
 
 
 def peak_rss_mb() -> float:
@@ -105,6 +116,48 @@ def check_digest_identity(explorer, space, characterizations, usable):
           f"candidate paper space")
 
 
+def check_whatif_sweep(explorer, space, characterizations, usable):
+    """Warm in-memory answers == one-group streamed answers, per request."""
+    paper_space = dataclasses.replace(space, max_cones_per_depth=16)
+    models = {port: explorer._throughput_model_for(port)
+              for port in SWEEP_PORTS}
+    clear_stream_caches()
+    for model in models.values():  # one cost-cache entry per port width
+        explore_stream(paper_space, characterizations, model, 1024, 768,
+                       usable_luts=usable, materialize="admitted")
+    warmed = stream_stats()["costs"]
+    rng = random.Random(ITERATIONS)
+    for request in range(SWEEP_REQUESTS):
+        width = rng.randrange(320, 4097, 8)
+        height = rng.randrange(240, 2161, 8)
+        floor = rng.choice((None, 15.0, 24.0, 30.0, 60.0, 120.0))
+        cap = rng.choice((None, 150000.0, 250000.0, 350000.0, 474240.0))
+        model = models[rng.choice(SWEEP_PORTS)]
+        request_args = (paper_space, characterizations, model, width, height,
+                        DseConstraints(min_frames_per_second=floor,
+                                       max_area_luts=cap), usable)
+        in_memory = explore_stream(*request_args, materialize="admitted")
+        streamed = explore_stream(
+            *request_args, chunk_rows=paper_space.max_cones_per_depth)
+        if serialized(in_memory.pareto) != serialized(streamed.pareto):
+            raise SystemExit(f"what-if request {request} ({width}x{height},"
+                             f" {floor} fps, {cap} LUTs): Pareto mismatch")
+        if ((in_memory.admitted_rows, in_memory.pruned_rows)
+                != (streamed.admitted_rows, streamed.pruned_rows)):
+            raise SystemExit(f"what-if request {request}: admitted/pruned "
+                             f"{in_memory.admitted_rows}/"
+                             f"{in_memory.pruned_rows} in memory, "
+                             f"{streamed.admitted_rows}/"
+                             f"{streamed.pruned_rows} streamed")
+    costs = stream_stats()["costs"]
+    if (costs["misses"], costs["hits"]) != (warmed["misses"],
+                                            warmed["hits"] + SWEEP_REQUESTS):
+        raise SystemExit(f"what-if sweep missed the warm cost cache: "
+                         f"{warmed} -> {costs}")
+    print(f"what-if sweep ok: {SWEEP_REQUESTS} warm in-memory requests == "
+          f"one-group streamed requests")
+
+
 def run_large(explorer, space, characterizations, usable, chunk_rows,
               constraints):
     started = time.perf_counter()
@@ -152,6 +205,7 @@ def main(argv=None) -> int:
 
     if not args.skip_digest:
         check_digest_identity(explorer, space, characterizations, usable)
+        check_whatif_sweep(explorer, space, characterizations, usable)
 
     constraints = DseConstraints(device_only=True,
                                  min_frames_per_second=args.min_fps)

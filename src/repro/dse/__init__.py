@@ -1,12 +1,13 @@
 """Design-space exploration: estimate every candidate architecture, extract Pareto set.
 
-Every exploration runs one evaluator, the chunked fold of
-:mod:`repro.dse.stream`: constraints are pushed down before costing, and
-:mod:`repro.dse.engine` makes one pass over the space's (window, split)
-groups, costs each group's admitted rows in bounded chunks with column
-arithmetic and folds them into a streaming Pareto frontier.  In-memory
-explorations keep every admitted row as a design point; streamed ones keep
-only the frontier.
+Every exploration enters through :func:`repro.dse.stream.explore_stream`,
+which pushes the area constraints down before costing, and then runs one
+of two passes of :mod:`repro.dse.engine` over the same formulas.  The
+input size picks the pass: a space below ``STREAM_AUTO_THRESHOLD`` rows is
+explored in memory, in one columnar pass over a cached whole-space cost
+table that keeps every admitted row as a design point; a larger space (or
+``stream=True``) is streamed, one (window, split) group at a time in
+bounded chunks folded into a Pareto frontier, and keeps only the frontier.
 """
 
 from repro.dse.design_point import DesignPoint

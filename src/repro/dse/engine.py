@@ -3,28 +3,39 @@
 A candidate space is a cross product of (window, level split) *groups* and a
 primary-cone instance-count axis.  The candidates of one group share their
 cone shapes, per-depth areas and cone-performance table
-(:class:`GroupContext`).  :func:`fold_groups` visits the groups once, in
-enumeration order, and evaluates each group's admitted interval of the
-count axis as columns, in *chunks* of at most ``chunk_rows`` rows whose
-bounds sit at multiples of ``chunk_rows``:
+(:class:`GroupContext`).  Every row is costed with the same formulas: its
+area is Σ_depth instances × cone area (:func:`group_area`), and its frame
+time is the throughput model's per-tile half
+(:meth:`~repro.estimation.throughput_model.ThroughputModel.tile_columns`)
+under its one frame-time formula
+(:meth:`~repro.estimation.throughput_model.ThroughputModel.frame_times`).
+A row is admitted when it lies in its group's area-admitted prefix of the
+count axis (found by :mod:`repro.dse.stream`) and meets any
+``min_frames_per_second`` floor.  Two passes run these formulas, and the
+size of the input picks one:
 
-1. the interval is the area-admitted prefix :mod:`repro.dse.stream` found,
-   less the rows at its front that a ``min_frames_per_second`` floor
-   rejects (a binary search on the throughput formula, run only where the
-   prefix is longer than one chunk);
-2. per-row area is Σ_depth instances × cone area (:func:`group_area`);
-3. throughput is the model's ``estimate_batch`` over the chunk's counts
-   (:func:`cost_counts`), or, when the group's frame-independent columns
-   were computed ahead (:class:`GroupCosts`), their slice plus the model's
-   frame half;
-4. the fps floor masks the costed rows;
-5. the admitted ``(area, time, global row)`` triples fold into a
-   :class:`StreamingFrontier`, whose state is the Pareto frontier of
-   everything folded so far, and optionally become
-   :class:`~repro.dse.design_point.DesignPoint` objects
-   (:func:`build_points`).
+* :func:`whole_space_pass` answers an in-memory exploration (a space below
+  :data:`~repro.dse.stream.STREAM_AUTO_THRESHOLD` rows, or
+  ``stream=False``).  It reads the frame-independent costs of the whole
+  space as one cached table (:class:`SpaceCosts`), computes the frame time,
+  the prefix mask and the fps mask once over every row, runs
+  :func:`~repro.dse.pareto.pareto_indices` once, and builds a
+  :class:`~repro.dse.design_point.DesignPoint` for each admitted row.
+* :func:`fold_groups` answers a streamed exploration at bounded memory.  It
+  visits the groups once, in enumeration order, and costs each group's
+  admitted interval (:func:`cost_counts`) in *chunks* of at most
+  ``chunk_rows`` rows whose bounds sit at multiples of ``chunk_rows``.
+  Where a floor is set and a prefix is longer than one chunk, a binary
+  search on the throughput formula (:func:`_throughput_admitted_start`)
+  first cuts the rows below the floor off the interval's front.  Each
+  chunk's admitted ``(area, time, global row)`` triples fold into a
+  :class:`StreamingFrontier`, whose state is the Pareto frontier of
+  everything folded so far.
 
-The area-side pushdown and the caches live in :mod:`repro.dse.stream`.
+Both admit the same rows and report the same accounting: the whole-space
+pass runs the same suffix probe where the fold would, and works out from
+the intervals the chunks the fold would cost.  The area-side pushdown and
+the caches live in :mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_indices
 from repro.estimation.throughput_model import (
+    ArchitecturePerformance,
     ConePerformance,
     ThroughputModel,
     performance_from_columns,
@@ -117,49 +129,6 @@ def cost_counts(throughput_model: ThroughputModel, context: GroupContext,
     return throughput_model.estimate_batch(
         context.representative, context.cone_performance,
         frame_width, frame_height, counts)
-
-
-@dataclass(frozen=True)
-class GroupCosts:
-    """One group's context and its frame-independent throughput columns
-    (:meth:`ThroughputModel.tile_columns`) over the whole count axis.
-
-    Immutable: the column dict is a read-only view and its arrays are not
-    writeable, so one instance can serve every exploration that shares
-    the space, the characterizations and the model.
-    """
-
-    context: GroupContext
-    tile: Mapping[str, Any]
-
-    def columns(self, throughput_model: ThroughputModel, start: int,
-                stop: int, frame_width: int,
-                frame_height: int) -> Mapping[str, Any]:
-        """The columns :func:`cost_counts` gives for counts
-        ``start + 1 .. stop``: the tile columns' slice, then the model's
-        frame half.  The tile half is elementwise over the count axis, so
-        the slice equals the chunk's own values bit for bit."""
-        tile = {name: (value[start:stop] if isinstance(value, np.ndarray)
-                       else value)
-                for name, value in self.tile.items()}
-        return throughput_model.frame_columns(
-            self.context.representative, tile, frame_width, frame_height)
-
-
-def group_costs(space: ArchitectureSpace,
-                characterizations: Mapping[Tuple[int, int],
-                                           "ConeCharacterization"],
-                throughput_model: ThroughputModel, window: int,
-                split: Tuple[int, ...]) -> GroupCosts:
-    """Build one group's :class:`GroupCosts`, frozen."""
-    context = group_context(space, characterizations, window, split)
-    tile = throughput_model.tile_columns(
-        context.representative, context.cone_performance,
-        np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64))
-    for value in tile.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return GroupCosts(context, MappingProxyType(tile))
 
 
 def build_points(space: ArchitectureSpace, context: GroupContext,
@@ -290,12 +259,9 @@ def fold_groups(space: ArchitectureSpace,
                 frame_width: int, frame_height: int,
                 splits: Sequence[Tuple[int, ...]],
                 prefixes: Mapping[Tuple[int, int], Optional[int]],
-                chunk_rows: int, min_fps: Optional[float],
-                usable_luts: float, keep_points: bool,
-                costs: Optional[Mapping[Tuple[int, int], GroupCosts]] = None
-                ) -> Dict[str, Any]:
+                chunk_rows: int, min_fps: Optional[float]) -> Dict[str, Any]:
     """Fold every group's admitted interval, group by group, into one
-    frontier.
+    frontier: the streamed pass.
 
     ``prefixes`` maps each group's ``(window index, split index)``, in the
     order to fold them, to the length of its area-admitted prefix of the
@@ -303,12 +269,9 @@ def fold_groups(space: ArchitectureSpace,
     Where a ``min_fps`` floor is set and a prefix is longer than
     ``chunk_rows``, :func:`_throughput_admitted_start` first cuts the rows
     below the floor off its front; the rest is costed in chunks cut at
-    multiples of ``chunk_rows``.  ``costs``, when given, holds every
-    evaluable group's :class:`GroupCosts`, and a chunk pays only for the
-    frame half; otherwise each group's context is built once and returned
-    under ``contexts``.  Returns the frontier, the fold's accounting and —
-    with ``keep_points`` — ``(global row, DesignPoint)`` for every admitted
-    row, in fold order.
+    multiples of ``chunk_rows``.  Each group's context is built once.
+    Returns the frontier, the fold's accounting and the contexts (under
+    ``contexts``).
     """
     n_counts = space.max_cones_per_depth
     frontier = StreamingFrontier()
@@ -318,23 +281,14 @@ def fold_groups(space: ArchitectureSpace,
     peak_chunk_rows = 0
     frontier_peak = 0
     chunks_materialized = 0
-    points: List[Tuple[int, DesignPoint]] = []
-    # a fold that keeps every point holds its triples anyway: fold them
-    # once at the end instead of re-sorting the frontier per chunk
-    pending: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
 
     for group_key, prefix in prefixes.items():
         if not prefix:
             continue
         window_index, split_index = group_key
-        if costs is None:
-            cached = None
-            context = contexts[group_key] = group_context(
-                space, characterizations, space.window_sides[window_index],
-                splits[split_index])
-        else:
-            cached = costs[group_key]
-            context = cached.context
+        context = contexts[group_key] = group_context(
+            space, characterizations, space.window_sides[window_index],
+            splits[split_index])
         start = 0
         if min_fps is not None and prefix > chunk_rows:
             start = _throughput_admitted_start(
@@ -349,12 +303,8 @@ def fold_groups(space: ArchitectureSpace,
             counts = np.arange(first + 1, stop + 1, dtype=np.int32)
             chunks_materialized += 1
             peak_chunk_rows = max(peak_chunk_rows, stop - first)
-            if cached is None:
-                columns = cost_counts(throughput_model, context, frame_width,
-                                      frame_height, counts)
-            else:
-                columns = cached.columns(throughput_model, first, stop,
-                                         frame_width, frame_height)
+            columns = cost_counts(throughput_model, context, frame_width,
+                                  frame_height, counts)
             if min_fps is None:
                 index = np.arange(counts.size)
             else:
@@ -369,24 +319,196 @@ def fold_groups(space: ArchitectureSpace,
             times = np.asarray(columns["seconds_per_frame"])[index]
             rows = base_row + first + index.astype(np.int64)
             admitted_rows += int(rows.size)
-            if keep_points:
-                pending.append((area, times, rows))
-                points.extend(zip(rows.tolist(), build_points(
-                    space, context, counts, area, columns, index,
-                    usable_luts)))
-            else:
-                frontier.update(area, times, rows)
-                frontier_peak = max(frontier_peak, len(frontier))
+            frontier.update(area, times, rows)
+            frontier_peak = max(frontier_peak, len(frontier))
 
-    if pending:
-        frontier.update(*(np.concatenate(column)
-                          for column in zip(*pending)))
-        frontier_peak = len(frontier)
     return {"frontier": frontier,
             "admitted_rows": admitted_rows,
             "fps_pruned": fps_pruned,
             "peak_chunk_rows": peak_chunk_rows,
             "frontier_peak": frontier_peak,
             "chunks_materialized": chunks_materialized,
-            "contexts": contexts,
-            "points": points}
+            "contexts": contexts}
+
+
+@dataclass(frozen=True)
+class SpaceCosts:
+    """The frame-independent costs of a whole space, as one table: what an
+    in-memory exploration reads (the cost-cache entry of
+    :mod:`repro.dse.stream`).
+
+    Per group whose depths are all characterized, in enumeration order: its
+    ``(window index, split index)`` key, :class:`GroupContext`,
+    architecture label, transfer cycles per tile and off-chip bytes per
+    tile.  Per row, as ``groups × count axis`` arrays: the area
+    (:func:`group_area`), and the compute cycles per tile, cycles per tile
+    and ``compute_bound`` of :meth:`ThroughputModel.tile_columns`.  A row's
+    group and count follow from its position.
+
+    Immutable: the arrays refuse writes, so one table serves every
+    exploration that shares the space, the characterizations and the model.
+    """
+
+    keys: Tuple[Tuple[int, int], ...]
+    contexts: Tuple[GroupContext, ...]
+    labels: Tuple[str, ...]
+    transfer_cycles_per_tile: Tuple[float, ...]
+    bytes_per_tile: Tuple[float, ...]
+    area: "np.ndarray"
+    compute_cycles_per_tile: "np.ndarray"
+    cycles_per_tile: "np.ndarray"
+    compute_bound: "np.ndarray"
+
+
+def space_costs(space: ArchitectureSpace,
+                characterizations: Mapping[Tuple[int, int],
+                                           "ConeCharacterization"],
+                throughput_model: ThroughputModel,
+                splits: Sequence[Tuple[int, ...]]) -> SpaceCosts:
+    """Build a space's :class:`SpaceCosts` over the whole count axis."""
+    counts = np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64)
+    keys: List[Tuple[int, int]] = []
+    contexts: List[GroupContext] = []
+    columns: List[Dict[str, Any]] = []
+    for window_index, window in enumerate(space.window_sides):
+        for split_index, split in enumerate(splits):
+            if all((window, depth) in characterizations for depth in split):
+                context = group_context(space, characterizations, window,
+                                        split)
+                keys.append((window_index, split_index))
+                contexts.append(context)
+                columns.append(dict(
+                    throughput_model.tile_columns(
+                        context.representative, context.cone_performance,
+                        counts),
+                    area=group_area(counts, context.depths, context.primary,
+                                    context.area_by_depth)))
+
+    def per_group(name: str) -> Tuple[Any, ...]:
+        return tuple(group[name] for group in columns)
+
+    def per_row(name: str, dtype: Any = np.float64) -> "np.ndarray":
+        table = np.array(per_group(name), dtype=dtype).reshape(
+            len(columns), counts.size)
+        table.flags.writeable = False
+        return table
+
+    return SpaceCosts(
+        keys=tuple(keys), contexts=tuple(contexts),
+        labels=per_group("architecture_label"),
+        transfer_cycles_per_tile=per_group("transfer_cycles_per_tile"),
+        bytes_per_tile=per_group("bytes_per_tile"),
+        area=per_row("area"),
+        compute_cycles_per_tile=per_row("compute_cycles_per_tile"),
+        cycles_per_tile=per_row("cycles_per_tile"),
+        compute_bound=per_row("compute_bound", bool))
+
+
+def _chunk_grid(start: "np.ndarray", prefix: "np.ndarray",
+                chunk_rows: int) -> Tuple[int, int]:
+    """How many chunks :func:`fold_groups` costs over the groups' intervals
+    ``[start, prefix)``, and the most rows one of them holds.
+
+    A group's chunks are the cells of the ``chunk_rows`` grid its interval
+    touches, so only the first and the last can be short, and a group with
+    no row left has none.
+    """
+    live = start < prefix
+    first_cell, end_cell = start // chunk_rows, -(-prefix // chunk_rows)
+    chunks = np.where(live, end_cell - first_cell, 0)
+    first = np.minimum((first_cell + 1) * chunk_rows, prefix) - start
+    last = prefix - np.maximum((end_cell - 1) * chunk_rows, start)
+    rows = np.where(chunks > 2, chunk_rows, np.maximum(first, last))
+    return int(chunks.sum()), int(rows[live].max(initial=0))
+
+
+def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
+                     throughput_model: ThroughputModel,
+                     frame_width: int, frame_height: int, n_splits: int,
+                     prefixes: Mapping[Tuple[int, int], Optional[int]],
+                     chunk_rows: int, min_fps: Optional[float],
+                     usable_luts: float) -> Dict[str, Any]:
+    """Answer an in-memory exploration in one columnar pass over its
+    :class:`SpaceCosts`.
+
+    ``prefixes`` is the mask cache's map from group keys to area-admitted
+    prefix lengths; ``costs`` holds exactly the groups whose prefix is not
+    ``None``.  The pass admits the rows :func:`fold_groups` admits and
+    reports the accounting it reports at ``chunk_rows``: where a
+    ``min_fps`` floor is set and a prefix is longer than ``chunk_rows``,
+    :func:`_throughput_admitted_start` finds the start of the fps-admitted
+    suffix as it does there, and the chunk counts follow from the
+    intervals the fold would cost (:func:`_chunk_grid`).  Returns the
+    accounting, every admitted row's
+    :class:`DesignPoint` in enumeration order (``design_points``), the
+    Pareto members among them (``pareto``, the same objects) and their
+    global rows (``pareto_rows``).
+    """
+    prefix = np.array([prefixes[key] for key in costs.keys], dtype=np.int64)
+    start = np.zeros_like(prefix)
+    if min_fps is not None:
+        for group in np.flatnonzero(prefix > chunk_rows).tolist():
+            start[group] = _throughput_admitted_start(
+                int(prefix[group]), min_fps, costs.contexts[group],
+                throughput_model, frame_width, frame_height) or 0
+    chunks_materialized, peak_chunk_rows = _chunk_grid(start, prefix,
+                                                       chunk_rows)
+    tiles = [throughput_model.tiles_per_frame(context.representative,
+                                              frame_width, frame_height)
+             for context in costs.contexts]
+    seconds, fps = throughput_model.frame_times(
+        costs.cycles_per_tile,
+        np.array(tiles, dtype=np.int64).reshape(len(tiles), 1))
+    # the rows below a probed start fail the floor (the probe's monotonicity
+    # argument), so the fps mask rejects them without a mask of their own
+    admit = np.arange(space.max_cones_per_depth) < prefix[:, None]
+    if min_fps is not None:
+        admit &= fps >= min_fps
+    groups, offsets = np.nonzero(admit)
+    area, times = costs.area[admit], seconds[admit]
+    keep = pareto_indices(area, times)
+
+    clock = throughput_model.device.typical_clock_hz
+    offchip = [bytes_per_tile * count for bytes_per_tile, count
+               in zip(costs.bytes_per_tile, tiles)]
+    points: List[DesignPoint] = []
+    for group, offset, area_luts, spf, rate, compute, cycles, bound in zip(
+            groups.tolist(), offsets.tolist(), area.tolist(),
+            times.tolist(), fps[admit].tolist(),
+            costs.compute_cycles_per_tile[admit].tolist(),
+            costs.cycles_per_tile[admit].tolist(),
+            costs.compute_bound[admit].tolist()):
+        context = costs.contexts[group]
+        points.append(DesignPoint(
+            architecture=space.materialize_row_parts(
+                context.window, context.split, offset + 1),
+            area_luts=area_luts,
+            area_estimated=context.area_estimated,
+            performance=ArchitecturePerformance(
+                architecture_label=costs.labels[group],
+                clock_hz=clock,
+                tiles_per_frame=tiles[group],
+                compute_cycles_per_tile=compute,
+                transfer_cycles_per_tile=costs.transfer_cycles_per_tile[
+                    group],
+                cycles_per_tile=cycles,
+                seconds_per_frame=spf,
+                frames_per_second=rate,
+                offchip_bytes_per_frame=offchip[group],
+                compute_bound=bound),
+            fits_device=bool(area_luts <= usable_luts),
+            cone_area_by_depth=dict(context.area_by_depth)))
+
+    first_rows = np.array([(window_index * n_splits + split_index)
+                           * space.max_cones_per_depth
+                           for window_index, split_index in costs.keys],
+                          dtype=np.int64)
+    rows = first_rows[groups] + offsets
+    return {"admitted_rows": len(points),
+            "fps_pruned": int(prefix.sum()) - len(points),
+            "peak_chunk_rows": peak_chunk_rows,
+            "frontier_peak": int(keep.size),
+            "chunks_materialized": chunks_materialized,
+            "design_points": points,
+            "pareto": [points[index] for index in keep.tolist()],
+            "pareto_rows": rows[keep]}

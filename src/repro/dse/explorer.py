@@ -429,17 +429,18 @@ class DesignSpaceExplorer:
         throughput estimate, not the cone characterizations, so sweeps over
         it reuse all synthesis/calibration work.
 
-        Every exploration runs the chunked fold of :mod:`repro.dse.stream`,
-        once, on the calling thread.  ``stream`` selects what it keeps:
-        ``None`` (the default) streams spaces of at least
-        ``STREAM_AUTO_THRESHOLD`` candidates and keeps every admitted
-        design point of smaller ones; ``True``/``False`` force either.  A
-        streamed result carries the identical Pareto frontier, but
-        materializes *only* the frontier as design points
-        (``result.design_points`` are the ``result.pareto`` members) and
-        records chunking/pushdown metadata under ``result.streaming``.
-        Chunks hold at most
-        :data:`~repro.dse.stream.DEFAULT_CHUNK_ROWS` rows.
+        Every exploration runs one of two passes over the same formulas
+        (:mod:`repro.dse.stream`), once, on the calling thread, and
+        ``stream`` picks it: ``None`` (the default) streams spaces of at
+        least ``STREAM_AUTO_THRESHOLD`` candidates and explores smaller ones
+        in memory; ``True``/``False`` force either.  An in-memory
+        exploration answers in one columnar pass over the whole space and
+        keeps every admitted design point.  A streamed one folds the space
+        in chunks of at most :data:`~repro.dse.stream.DEFAULT_CHUNK_ROWS`
+        rows and carries the identical Pareto frontier, but materializes
+        *only* the frontier as design points (``result.design_points`` are
+        the ``result.pareto`` members) and records chunking/pushdown
+        metadata under ``result.streaming``.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)

@@ -1,24 +1,20 @@
-"""Chunked exploration: the one evaluator behind every design-space run.
+"""The entry point of every design-space exploration, and its caches.
 
-Every exploration — the 720-candidate paper space and million-candidate
-spaces alike — evaluates its candidates in bounded-row chunks, in the
-divide-and-conquer spirit of SCC-chunked automaton determinization:
-split the space into independently evaluable pieces, solve each piece, and
-fold the partial solutions into a state whose size is bounded by the
-answer, not by the space.  An in-memory exploration is the same fold with
-every admitted row kept as a design point (``materialize="admitted"``); a
-streamed one keeps only the frontier (``materialize="frontier"``).
+:func:`explore_stream` is the entry point of every exploration — the
+720-candidate paper space and million-candidate spaces alike.  It pushes
+the area constraints down, then runs one of the two passes of
+:mod:`repro.dse.engine`, which share every formula; the size of the input
+picks the pass.  :meth:`repro.dse.explorer.DesignSpaceExplorer.explore`
+streams spaces of at least :data:`STREAM_AUTO_THRESHOLD` rows (or any
+space on ``stream=True``): ``materialize="frontier"`` keeps only the
+Pareto frontier as design points, so memory is bounded by the chunk size
+plus the frontier, never by the space.  It explores smaller spaces in
+memory: ``materialize="admitted"`` keeps every admitted row as a design
+point.
 
 Pieces:
 
-1. :func:`explore_stream` makes one pass over the space's (window, split)
-   groups, in enumeration order (:func:`repro.dse.engine.fold_groups`).
-   Each group's count axis is cut into chunks at multiples of
-   ``chunk_rows``, so a space has groups × ⌈count axis / ``chunk_rows``⌉
-   chunks.  A chunk shares its group's context and is materialized (an
-   ``int32`` count column, a slice of the group's admitted interval) only
-   where it overlaps that interval; every other chunk is skipped.
-2. Constraint pushdown prunes rows *before* costing: the area-side
+1. Constraint pushdown prunes rows *before* costing: the area-side
    constraints (``device_only``, ``max_area_luts``) depend only on shape
    knobs and the cone areas, and per-row area is nondecreasing in the
    primary instance count, so each group's admitted rows form a prefix of
@@ -31,13 +27,31 @@ Pieces:
    admitted *suffix*, and only the intersected [suffix, prefix) interval is
    costed.  Every costed row is still checked against the floor, so the
    probe only ever saves work.
-3. :mod:`repro.dse.engine` costs each chunk and folds its admitted objective
-   columns into a :class:`~repro.dse.engine.StreamingFrontier` whose state is
+2. A streamed exploration makes one pass over the space's (window, split)
+   groups, in enumeration order (:func:`repro.dse.engine.fold_groups`), in
+   the divide-and-conquer spirit of SCC-chunked automaton determinization:
+   split the space into independently evaluable pieces, solve each piece,
+   and fold the partial solutions into a state whose size is bounded by the
+   answer, not by the space.  Each group's count axis is cut into chunks at
+   multiples of ``chunk_rows``, so a space has groups × ⌈count axis /
+   ``chunk_rows``⌉ chunks.  A chunk (an ``int32`` count column, a slice of
+   the group's admitted interval) is costed only where it overlaps that
+   interval, and its admitted objective columns fold into a
+   :class:`~repro.dse.engine.StreamingFrontier` whose state is
    byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
    concatenated full arrays regardless of chunk size.  The fold runs once,
-   on the calling thread.  A streamed run rebuilds design points only for
-   the frontier survivors at finalization, by re-costing just their rows
-   with the group contexts the fold built.
+   on the calling thread; design points are rebuilt only for the frontier
+   survivors at finalization, by re-costing just their rows with the group
+   contexts the fold built.
+3. An in-memory exploration answers in one columnar pass over the whole
+   space (:func:`repro.dse.engine.whole_space_pass`): it reads the space's
+   cost-cache entry, computes the frame time, the prefix mask and the fps
+   mask once over every row, runs one Pareto extraction, and builds design
+   points for the admitted rows only.  It reports the chunk accounting a
+   streamed run at the same ``chunk_rows`` reports, worked out from the
+   admitted intervals, so the two modes' results differ only in
+   ``frontier_peak`` (here the size of the Pareto set) and in which design
+   points they keep.
 4. Two small process-wide LRUs, with the same bound, hold what a
    re-explore that changes only per-run knobs (frame geometry, minimum fps,
    constraints) would otherwise recompute:
@@ -49,21 +63,15 @@ Pieces:
      suffix depends on the per-run knobs, so it is recomputed per call and
      deliberately kept out of the key;
    * the *cost cache* holds, per space (shape knobs, kernel name, radius,
-     components) + characterization values + throughput model, every
-     group's context and its frame-independent throughput columns over
-     the whole count axis (:class:`~repro.dse.engine.GroupCosts`), built
-     whole on a miss.  An in-memory exploration slices each chunk's
-     columns from it and pays only for the frame half; a streamed one
-     keeps costing per chunk, because it promises bounded memory, builds
-     each context it needs once, and never adds an entry.
+     components) + characterization values + throughput model, the whole
+     space's frame-independent costs as one table
+     (:class:`~repro.dse.engine.SpaceCosts`), built whole on a miss.  Only
+     in-memory explorations read it, and a request pays only for the frame
+     half; a streamed one costs per chunk, because it promises bounded
+     memory, builds each context it needs once, and never adds an entry.
 
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).
-
-:func:`explore_stream` is the entry point;
-:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` streams spaces of at
-least :data:`STREAM_AUTO_THRESHOLD` rows (or on ``stream=True``) and keeps
-every admitted row otherwise.
 """
 
 from __future__ import annotations
@@ -73,7 +81,6 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -82,9 +89,9 @@ import numpy as np
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (GroupContext, GroupCosts, build_points,
+from repro.dse.engine import (GroupContext, SpaceCosts, build_points,
                               cost_counts, fold_groups, group_area,
-                              group_costs)
+                              space_costs, whole_space_pass)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -316,9 +323,9 @@ def _cached_costs(space: ArchitectureSpace,
                  characterizations: Mapping[Tuple[int, int],
                                             "ConeCharacterization"],
                  characterization_key: Tuple,
-                 throughput_model: Any) -> Mapping[Tuple[int, int],
-                                                   GroupCosts]:
-    """Every evaluable group's :class:`GroupCosts`, from the cost cache.
+                 throughput_model: Any) -> SpaceCosts:
+    """The space's :class:`~repro.dse.engine.SpaceCosts`, from the cost
+    cache.
 
     The key is the shape knobs, the rest of the space (the kernel name
     labels every design point, and the radius and components set the tile
@@ -334,12 +341,8 @@ def _cached_costs(space: ArchitectureSpace,
            tuple(sorted(vars(throughput_model).items())))
     entry = _cost_cache.get(key)
     if entry is None:
-        entry = MappingProxyType({
-            (window_index, split_index): group_costs(
-                space, characterizations, throughput_model, window, split)
-            for window_index, window in enumerate(space.window_sides)
-            for split_index, split in enumerate(splits)
-            if all((window, depth) in characterizations for depth in split)})
+        entry = space_costs(space, characterizations, throughput_model,
+                            splits)
         _cost_cache.put(key, entry)
     return entry
 
@@ -353,8 +356,8 @@ def _admitted_prefixes(space: ArchitectureSpace,
                        ) -> Dict[Tuple[int, int], Optional[int]]:
     """Each group's area-admitted prefix length, keyed by ``(window index,
     split index)`` in enumeration order; ``None`` marks a group whose
-    depths lack characterizations (the fold skips it without counting its
-    rows as pruned)."""
+    depths lack characterizations (both passes skip it without counting
+    its rows as pruned)."""
     n_counts = space.max_cones_per_depth
     area_limit = math.inf
     if constraints.device_only:
@@ -431,17 +434,18 @@ def explore_stream(space: ArchitectureSpace,
                    usable_luts: float = math.inf,
                    chunk_rows: int = DEFAULT_CHUNK_ROWS,
                    materialize: str = "frontier") -> StreamingExploration:
-    """Evaluate a whole architecture space at bounded memory.
+    """Evaluate a whole architecture space.
 
     Produces the same admitted rows and the same Pareto frontier (same
     design points, same order, bit-identical serializations) as evaluating
     every candidate one at a time, whatever ``chunk_rows`` is.
 
-    ``materialize`` selects which rows become :class:`DesignPoint` objects:
-    ``"frontier"`` (default) only the Pareto members, so peak memory is
-    bounded by the chunk size plus the frontier state, never by the space;
-    ``"admitted"`` every constraint-admitted row, with the per-tile
-    throughput columns taken from the cost cache (piece 4 of the module
+    ``materialize`` selects the pass and which rows become
+    :class:`DesignPoint` objects: ``"frontier"`` (default) folds the space
+    in chunks and keeps only the Pareto members, so peak memory is bounded
+    by the chunk size plus the frontier state, never by the space;
+    ``"admitted"`` answers in one pass over the space's cost-cache entry and
+    keeps every constraint-admitted row (pieces 2 to 4 of the module
     docstring).
     """
     if materialize not in ("admitted", "frontier"):
@@ -463,17 +467,22 @@ def explore_stream(space: ArchitectureSpace,
                                       constraints, usable_luts)
         _mask_cache.put(key, prefixes)
 
-    keep_points = materialize == "admitted"
+    min_fps = constraints.min_frames_per_second
     costs = (_cached_costs(space, splits, characterizations,
-                          characterization_key, throughput_model)
-             if keep_points else None)
+                           characterization_key, throughput_model)
+             if materialize == "admitted" else None)
     chunks_total = len(prefixes) * -(-n_counts // chunk_rows)
     with obs_trace.span("stream.explore", chunks=chunks_total):
         fold_started = time.perf_counter()
-        fold = fold_groups(space, characterizations, throughput_model,
-                           frame_width, frame_height, splits, prefixes,
-                           chunk_rows, constraints.min_frames_per_second,
-                           usable_luts, keep_points, costs)
+        if costs is None:
+            fold = fold_groups(space, characterizations, throughput_model,
+                               frame_width, frame_height, splits, prefixes,
+                               chunk_rows, min_fps)
+        else:
+            fold = whole_space_pass(space, costs, throughput_model,
+                                    frame_width, frame_height, len(splits),
+                                    prefixes, chunk_rows, min_fps,
+                                    usable_luts)
         obs_metrics.registry().histogram(
             "repro_stream_chunk_fold_seconds").observe(
                 time.perf_counter() - fold_started)
@@ -482,18 +491,17 @@ def explore_stream(space: ArchitectureSpace,
                   chunks_materialized=fold["chunks_materialized"],
                   throughput_pruned_rows=throughput_pruned)
 
-    pareto_area, _pareto_time, pareto_rows = fold["frontier"].result()
-    if keep_points:
-        # the group loop delivers the admitted rows in enumeration order
-        by_row = dict(fold["points"])
-        design_points = list(by_row.values())
-        pareto = [by_row[row] for row in pareto_rows.tolist()]
-    else:
+    if costs is None:
+        pareto_area, _pareto_time, pareto_rows = fold["frontier"].result()
         pareto = _frontier_points(space, len(splits), fold["contexts"],
                                   throughput_model, frame_width,
                                   frame_height, usable_luts, pareto_rows,
                                   pareto_area)
         design_points = list(pareto)
+    else:
+        pareto_rows = fold["pareto_rows"]
+        pareto = fold["pareto"]
+        design_points = fold["design_points"]
     area_pruned = sum(n_counts - prefix for prefix in prefixes.values()
                       if prefix is not None)
     return StreamingExploration(

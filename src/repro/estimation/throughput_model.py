@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -266,18 +266,14 @@ class ThroughputModel:
         of their arrays.
 
         Only the tile count depends on the frame size; each row's frame
-        time is its per-tile cycles times the tile count over the clock.
+        time comes from :meth:`frame_times`.
         """
         tiles = self.tiles_per_frame(architecture, frame_width, frame_height)
-        clock = self.device.typical_clock_hz
-        seconds_per_frame = tile["cycles_per_tile"] * tiles / clock
-        positive = seconds_per_frame > 0
-        frames_per_second = np.divide(
-            1.0, seconds_per_frame,
-            out=np.zeros_like(seconds_per_frame), where=positive)
+        seconds_per_frame, frames_per_second = self.frame_times(
+            tile["cycles_per_tile"], tiles)
         return {
             "architecture_label": tile["architecture_label"],
-            "clock_hz": clock,
+            "clock_hz": self.device.typical_clock_hz,
             "tiles_per_frame": tiles,
             "compute_cycles_per_tile": tile["compute_cycles_per_tile"],
             "transfer_cycles_per_tile": tile["transfer_cycles_per_tile"],
@@ -287,6 +283,24 @@ class ThroughputModel:
             "offchip_bytes_per_frame": tile["bytes_per_tile"] * tiles,
             "compute_bound": tile["compute_bound"],
         }
+
+    def frame_times(self, cycles_per_tile: "np.ndarray",
+                    tiles: Any) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Seconds per frame and frames per second: the model's one
+        frame-time formula, elementwise.
+
+        ``tiles`` is the tile count per frame, a scalar or an array that
+        broadcasts against ``cycles_per_tile`` (one count per group of a
+        whole-space table).  A nonpositive frame time gets a frame rate of
+        0.
+        """
+        seconds_per_frame = (cycles_per_tile * tiles
+                             / self.device.typical_clock_hz)
+        positive = seconds_per_frame > 0
+        frames_per_second = np.divide(
+            1.0, seconds_per_frame,
+            out=np.zeros_like(seconds_per_frame), where=positive)
+        return seconds_per_frame, frames_per_second
 
     def evaluate(self, architecture: ConeArchitecture,
                  cone_performance: Mapping[int, ConePerformance],

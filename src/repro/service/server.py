@@ -437,7 +437,7 @@ class ReproServer(JobEndpoint):
             "session": self._session.stats.to_dict(),
             "store": (None if store is None
                       else {"root": store.root, **store.counters()}),
-            # the exploration fold's process-wide counters: the mask cache
+            # the explorations' process-wide counters: the mask cache
             # (hits growing across jobs = re-explores reusing the pushdown
             # analysis), the run counters, and the cost cache under "costs"
             "stream": stream_stats(),

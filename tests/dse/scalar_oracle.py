@@ -1,11 +1,13 @@
-"""The per-point scalar exploration: the differential oracle for the fold.
+"""The per-point scalar exploration: the differential oracle for both
+passes of the exploration.
 
 Evaluates the candidate space one Python object at a time — build the
 :class:`ConeArchitecture`, sum its cone areas, run the throughput model's
 ``evaluate``, wrap a :class:`DesignPoint`, test the constraints.  Every
-exploration in production runs the chunked fold of
-:func:`repro.dse.stream.explore_stream`; the tests hold that fold to this
-loop byte for byte.
+exploration in production runs one of the two passes of
+:func:`repro.dse.stream.explore_stream` (the whole-space pass in memory,
+the chunked fold when streamed); the tests hold both to this loop byte for
+byte.
 """
 
 from __future__ import annotations

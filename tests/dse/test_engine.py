@@ -1,6 +1,7 @@
 """Tests for the exploration evaluator against the per-point scalar oracle.
 
-The headline property: every exploration runs the chunked fold, and its
+The headline property: whichever pass an exploration runs (the
+whole-space pass in memory, the chunked fold when streamed), its
 serialized ``ExplorationResult`` is *byte-identical* to the one the scalar
 loop (``scalar_oracle.explore_scalar``) produces — vectorization is a
 performance concern, never a semantics concern.
@@ -15,8 +16,9 @@ import pytest
 from scalar_oracle import explore_scalar, scalar_exploration
 
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import (build_points, cost_counts, fold_groups,
-                              group_area, group_context)
+from repro.dse.engine import (_chunk_grid, build_points, cost_counts,
+                              fold_groups, group_area, group_context,
+                              space_costs, whole_space_pass)
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_indices
 from repro.dse.stream import explore_stream
@@ -37,7 +39,8 @@ def serialized(result):
 
 
 class TestEngineEquivalence:
-    """The fold's output must be byte-identical to the scalar loop's."""
+    """An exploration's output must be byte-identical to the scalar
+    loop's."""
 
     def test_unconstrained_exploration_is_byte_identical(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
@@ -138,8 +141,8 @@ def inputs(igf_kernel):
 
 class TestRowOrder:
     def test_fold_rows_follow_the_scalar_enumeration(self, inputs):
-        """Global row ``r`` of the fold is the ``r``-th architecture of the
-        scalar enumeration, whatever the chunk size."""
+        """Global row ``r`` of an exploration is the ``r``-th architecture
+        of the scalar enumeration, whatever the chunk size."""
         explorer, space, characterizations, usable = inputs
         expected = [architecture.to_dict()
                     for architecture in space.architectures()]
@@ -158,8 +161,8 @@ class TestRowOrder:
 
 
 class TestFoldKernel:
-    """The fold's kernel functions, checked one at a time against the
-    per-point oracle."""
+    """The passes' kernel functions, checked one at a time against the
+    per-point oracle and against each other."""
 
     @staticmethod
     def splits(space):
@@ -216,31 +219,26 @@ class TestFoldKernel:
                         self.whole_axis_prefixes(space))}
         report = fold_groups(space, characterizations,
                              explorer.throughput_model, 128, 96,
-                             self.splits(space), prefixes, 2, None, usable,
-                             True)
+                             self.splits(space), prefixes, 2, None)
         evaluable = [position for position, prefix
                      in enumerate(prefixes.values()) if prefix]
         assert report["chunks_materialized"] == 2 * len(evaluable)
         assert report["peak_chunk_rows"] == 2
-        # without a cost-cache entry the fold builds each context it needs
+        # the fold builds each context it needs, once
         assert sorted(report["contexts"]) == [
             key for key, prefix in prefixes.items() if prefix]
-        rows = np.asarray([row for row, _ in report["points"]],
-                          dtype=np.int64)
-        assert rows.tolist() == [position * n_counts + offset
-                                 for position in evaluable
-                                 for offset in (0, 1, 2)]
+        rows = np.asarray([position * n_counts + offset
+                           for position in evaluable
+                           for offset in (0, 1, 2)], dtype=np.int64)
         assert report["admitted_rows"] == rows.size
         oracle = scalar_exploration(space, characterizations,
                                     explorer.throughput_model, 128, 96,
                                     usable_luts=usable)
         by_row = dict(zip(oracle.row_index.tolist(), oracle.design_points))
-        assert ([point.to_dict() for _, point in report["points"]]
-                == [by_row[row].to_dict() for row in rows.tolist()])
+        points = [by_row[row] for row in rows.tolist()]
         keep = pareto_indices(
-            np.asarray([point.area_luts for _, point in report["points"]]),
-            np.asarray([point.seconds_per_frame
-                        for _, point in report["points"]]))
+            np.asarray([point.area_luts for point in points]),
+            np.asarray([point.seconds_per_frame for point in points]))
         assert np.array_equal(report["frontier"].result()[2], rows[keep])
 
     def test_fold_groups_filters_costed_rows_by_the_fps_floor(self, inputs):
@@ -259,29 +257,57 @@ class TestFoldKernel:
             report = fold_groups(space, characterizations, model, 128, 96,
                                  self.splits(space),
                                  self.whole_axis_prefixes(space),
-                                 chunk_rows, floor, usable, False)
+                                 chunk_rows, floor)
             assert report["admitted_rows"] == oracle.admitted_rows
             assert (report["fps_pruned"]
                     == space.size() - oracle.admitted_rows)
-            assert report["points"] == []
             assert np.array_equal(report["frontier"].result()[2],
                                   oracle.pareto_row_index)
 
-    def test_keeping_points_leaves_the_frontier_unchanged(self, inputs):
+    def test_the_frontier_does_not_depend_on_the_fold_order(self, inputs):
+        """Folded one row at a time in a shuffled group order, the frontier
+        is the whole-space pass's Pareto set."""
         explorer, space, characterizations, usable = inputs
+        model = explorer.throughput_model
         groups = list(self.whole_axis_prefixes(space).items())
         random.Random(5).shuffle(groups)
-        lean, full = (fold_groups(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  self.splits(space), dict(groups), 1, None,
-                                  usable, keep_points)
-                      for keep_points in (False, True))
-        for lean_column, full_column in zip(lean["frontier"].result(),
-                                            full["frontier"].result()):
-            assert np.array_equal(lean_column, full_column)
-        assert lean["admitted_rows"] == full["admitted_rows"] == space.size()
-        assert len(full["points"]) == space.size()
-        assert lean["chunks_materialized"] == space.size()
+        fold = fold_groups(space, characterizations, model, 128, 96,
+                           self.splits(space), dict(groups), 1, None)
+        costs = space_costs(space, characterizations, model,
+                            self.splits(space))
+        whole = whole_space_pass(space, costs, model, 128, 96,
+                                 len(self.splits(space)), dict(groups), 1,
+                                 None, usable)
+        area, _time, rows = fold["frontier"].result()
+        assert np.array_equal(rows, whole["pareto_rows"])
+        assert area.tolist() == [point.area_luts
+                                 for point in whole["pareto"]]
+        assert (fold["admitted_rows"] == whole["admitted_rows"]
+                == space.size())
+        assert (fold["chunks_materialized"]
+                == whole["chunks_materialized"] == space.size())
+
+    def test_chunk_grid_counts_the_chunks_the_fold_cuts(self):
+        """The whole-space pass works out the fold's chunk accounting from
+        the intervals: the same count and largest chunk as cutting them
+        the way ``fold_groups`` does."""
+        rng = random.Random(30)
+        for _ in range(2000):
+            chunk_rows = rng.randint(1, 9)
+            intervals = []
+            for _ in range(rng.randint(0, 5)):
+                prefix = rng.randint(0, 30)
+                intervals.append((rng.randint(0, prefix), prefix))
+            sizes = [min(low + chunk_rows, prefix) - max(low, start)
+                     for start, prefix in intervals if start < prefix
+                     for low in range(start - start % chunk_rows, prefix,
+                                      chunk_rows)]
+            starts = np.asarray([start for start, _ in intervals],
+                                dtype=np.int64)
+            prefixes = np.asarray([prefix for _, prefix in intervals],
+                                  dtype=np.int64)
+            assert _chunk_grid(starts, prefixes, chunk_rows) == (
+                len(sizes), max(sizes, default=0))
 
     def test_chunk_counts_are_dtype_tightened(self, inputs):
         """The fold costs ``int32`` count columns: the enumeration bounds
@@ -301,8 +327,7 @@ class TestFoldKernel:
                           data_format=explorer.data_format)
         report = fold_groups(space, characterizations, model, 128, 96,
                              self.splits(space),
-                             self.whole_axis_prefixes(space), 3, None,
-                             usable, False)
+                             self.whole_axis_prefixes(space), 3, None)
         assert report["chunks_materialized"] > 0
         assert dtypes == {np.dtype(np.int32)}
 

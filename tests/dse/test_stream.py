@@ -1,14 +1,18 @@
-"""Tests for the chunked exploration fold.
+"""Tests for ``explore_stream``: the chunked fold, the whole-space pass
+and the caches behind them.
 
-The headline property: whatever the chunk size {1 row, group-sized, the
-whole space}, ``explore_stream`` produces the identical admitted rows
-and Pareto frontier — same global rows, byte-identical serialized design
-points — as the per-point scalar oracle (``scalar_oracle``); its
-``pruned_rows`` additionally counts the rows a min-fps floor rejected.
+The headline property: in either materialize mode, whatever the chunk
+size {1 row, group-sized, the whole space}, ``explore_stream`` produces the
+identical admitted rows and Pareto frontier — same global rows,
+byte-identical serialized design points — as the per-point scalar oracle
+(``scalar_oracle``); its ``pruned_rows`` additionally counts the rows a
+min-fps floor rejected.
 """
 
 import dataclasses
 import json
+import random
+import re
 import threading
 
 import numpy as np
@@ -18,10 +22,12 @@ from scalar_oracle import scalar_exploration
 
 import repro.dse.engine as engine_module
 import repro.dse.stream as stream_module
+from repro.algorithms import get_algorithm
 from repro.api import Session, Workload
 from repro.dse.constraints import DseConstraints
 from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
+from repro.dse.pareto import FINITE_OBJECTIVES_ERROR
 from repro.dse.stream import (
     MASK_CACHE_CAPACITY,
     clear_stream_caches,
@@ -79,6 +85,22 @@ def constraint_grid(baseline):
     ]
 
 
+class SlowPorts(ThroughputModel):
+    """Built with stock arguments, yet every execution interval doubles."""
+
+    def execution_interval_cycles(self, architecture, depth, performance):
+        return 2.0 * super().execution_interval_cycles(architecture, depth,
+                                                       performance)
+
+
+class NegativeInterval(ThroughputModel):
+    """Batch-capable, but the monotonicity argument is void."""
+
+    def execution_interval_cycles(self, architecture, depth, performance):
+        return -super().execution_interval_cycles(architecture, depth,
+                                                  performance)
+
+
 class TestDigestIdentity:
     def test_identical_to_scalar_across_chunk_sizes(self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
@@ -104,9 +126,9 @@ class TestDigestIdentity:
 
     def test_admitted_rows_identical_to_scalar_at_any_chunking(
             self, evaluation_inputs):
-        """In-memory explorations are the same fold keeping every admitted
-        row: the design points match the scalar loop's in enumeration
-        order, and the frontier members are the same objects."""
+        """In-memory explorations keep every admitted row: the design
+        points match the scalar loop's in enumeration order, and the
+        frontier members are the same objects."""
         explorer, space, characterizations, usable = evaluation_inputs
         baseline = scalar_exploration(space, characterizations,
                                       explorer.throughput_model, 128, 96)
@@ -232,14 +254,6 @@ class TestThroughputPushdown:
 
     def test_non_monotone_model_falls_back_to_costing_the_prefix(
             self, evaluation_inputs):
-        class NegativeInterval(ThroughputModel):
-            """Batch-capable, but the monotonicity argument is void."""
-
-            def execution_interval_cycles(self, architecture, depth,
-                                          performance):
-                return -super().execution_interval_cycles(
-                    architecture, depth, performance)
-
         explorer, space, characterizations, usable = evaluation_inputs
         model = NegativeInterval(device=explorer.device,
                                  data_format=explorer.data_format)
@@ -405,14 +419,6 @@ class TestMaskCacheBound:
                                        5000.0).mask_cache_hit
 
 
-class SlowPorts(ThroughputModel):
-    """Built with stock arguments, yet every execution interval doubles."""
-
-    def execution_interval_cycles(self, architecture, depth, performance):
-        return 2.0 * super().execution_interval_cycles(architecture, depth,
-                                                       performance)
-
-
 def explore_admitted(inputs, model, width=128, height=96, constraints=None):
     _, space, characterizations, usable = inputs
     return explore_stream(space, characterizations, model, width, height,
@@ -420,8 +426,9 @@ def explore_admitted(inputs, model, width=128, height=96, constraints=None):
 
 
 class TestCostCache:
-    """In-memory explorations take each group's per-tile throughput
-    columns from a process-wide cache and pay only for the frame half."""
+    """In-memory explorations take the whole space's per-tile throughput
+    columns and areas from a process-wide cache and pay only for the frame
+    half."""
 
     def test_a_hit_a_miss_and_the_oracle_serialize_alike(
             self, evaluation_inputs):
@@ -452,7 +459,8 @@ class TestCostCache:
                                                  monkeypatch):
         explorer = evaluation_inputs[0]
         calls = []
-        for name in ("tile_columns", "frame_columns", "estimate_batch"):
+        for name in ("tile_columns", "frame_columns", "estimate_batch",
+                     "frame_times"):
             def recording(*args, _real=getattr(ThroughputModel, name),
                           _name=name, **kwargs):
                 calls.append(_name)
@@ -462,8 +470,9 @@ class TestCostCache:
         assert "tile_columns" in calls
         calls.clear()
         explore_admitted(evaluation_inputs, explorer.throughput_model,
-                         640, 480)
-        assert calls and set(calls) == {"frame_columns"}
+                         640, 480, DseConstraints(min_frames_per_second=1.0))
+        # one frame half over the whole space, and no per-tile costing
+        assert calls == ["frame_times"]
 
     def test_a_subclass_with_stock_arguments_never_gets_a_stock_entry(
             self, evaluation_inputs):
@@ -530,25 +539,29 @@ class TestCostCache:
             space, splits, characterizations,
             stream_module._characterization_key(characterizations), model)
         assert stream_stats()["costs"]["hits"] == 1
-        with pytest.raises(TypeError):
-            entry[(0, 0)] = None
-        for costs in entry.values():
-            arrays = [value for value in costs.tile.values()
-                      if isinstance(value, np.ndarray)]
-            assert len(arrays) == 3
-            for array in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = 0
-            with pytest.raises(TypeError):
-                costs.tile["cycles_per_tile"] = None
-            with pytest.raises(TypeError):
-                costs.context.area_by_depth[costs.context.primary] = 0.0
+        for field in dataclasses.fields(entry):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                costs.context = None
-            # the slice a chunk is costed from is a view of the entry
-            columns = costs.columns(model, 0, 2, 128, 96)
+                setattr(entry, field.name, None)
+        groups = len(space.window_sides) * len(splits)
+        assert len(entry.keys) == len(entry.contexts) == groups
+        for context in entry.contexts:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                context.primary = 0
+            with pytest.raises(TypeError):
+                context.area_by_depth[context.primary] = 0.0
+            with pytest.raises(TypeError):
+                context.cone_performance[context.primary] = None
+        arrays = [value for value in vars(entry).values()
+                  if isinstance(value, np.ndarray)]
+        # the area, compute cycles, cycles per tile and compute_bound
+        assert len(arrays) == 4
+        for array in arrays:
+            assert array.shape == (groups, space.max_cones_per_depth)
             with pytest.raises(ValueError, match="read-only"):
-                columns["cycles_per_tile"][0] = 0
+                array[0, 0] = 0
+        assert all(isinstance(value, tuple)
+                   for value in vars(entry).values()
+                   if not isinstance(value, np.ndarray))
 
 
 class TestCostCacheBound:
@@ -593,6 +606,173 @@ class TestCostCacheBound:
         costs = stream_stats()["costs"]
         assert (costs["entries"], costs["hits"], costs["misses"]) == (0, 0, 0)
         assert not self.explore_port(evaluation_inputs, 5)
+
+
+#: The what-if request grid: frames, fps floors, LUT caps and port widths.
+WHATIF_FLOORS = (None, 15.0, 24.0, 30.0, 60.0, 120.0)
+WHATIF_CAPS = (None, 150_000.0, 250_000.0, 350_000.0, 474_240.0)
+WHATIF_PORTS = (4, 8, 16, 32)
+#: Accounting fields both materialize modes report alike.
+ACCOUNTING = ("space_rows", "admitted_rows", "pruned_rows", "chunk_rows",
+              "chunks_total", "chunks_skipped", "peak_chunk_rows",
+              "mask_cache_hit", "throughput_pruned_rows")
+
+
+@pytest.fixture(scope="module")
+def whatif_spaces():
+    """A small blur and a small chamb space, characterized once."""
+    spaces = {}
+    for kernel, iterations, knobs in (
+            ("blur", 6, dict(window_sides=(1, 2, 3, 4, 5), max_depth=3,
+                             max_cones_per_depth=12)),
+            ("chamb", 5, dict(window_sides=(1, 2, 3, 4), max_depth=3,
+                              max_cones_per_depth=10))):
+        explorer = DesignSpaceExplorer(get_algorithm(kernel).kernel(),
+                                       data_format=DataFormat.FIXED16,
+                                       **knobs)
+        characterizations, _ = explorer.characterize_cones(iterations)
+        spaces[kernel] = (explorer, explorer._space(iterations),
+                          characterizations,
+                          explorer.device.usable_capacity.luts)
+    return spaces
+
+
+class TestWholeSpacePass:
+    """An in-memory exploration answers in one columnar pass over the
+    cost-cache entry: held to the scalar oracle on seeded what-if
+    requests and edge cases, and to the chunked fold's accounting."""
+
+    def test_warm_whatif_requests_match_the_scalar_oracle(
+            self, whatif_spaces):
+        for explorer, space, characterizations, usable in (
+                whatif_spaces.values()):
+            for port in WHATIF_PORTS:
+                explore_stream(space, characterizations,
+                               explorer._throughput_model_for(port), 640,
+                               480, usable_luts=usable,
+                               materialize="admitted")
+        warmed = stream_stats()["costs"]
+        assert warmed["misses"] == warmed["entries"] == 2 * len(WHATIF_PORTS)
+        rng = random.Random(30)
+        admitted = []
+        for _ in range(200):
+            kernel = rng.choice(sorted(whatif_spaces))
+            width, height = (rng.randrange(320, 4097, 8),
+                             rng.randrange(240, 2161, 8))
+            floor, cap = rng.choice(WHATIF_FLOORS), rng.choice(WHATIF_CAPS)
+            constraints = (None if floor is None and cap is None else
+                           DseConstraints(min_frames_per_second=floor,
+                                          max_area_luts=cap))
+            explorer, space, characterizations, usable = (
+                whatif_spaces[kernel])
+            # a fresh model per request, as a port override builds
+            model = explorer._throughput_model_for(rng.choice(WHATIF_PORTS))
+            result = explore_stream(space, characterizations, model, width,
+                                    height, constraints, usable,
+                                    materialize="admitted")
+            oracle = scalar_exploration(space, characterizations, model,
+                                        width, height, constraints, usable)
+            assert (serialized_points(result.design_points)
+                    == serialized_points(oracle.design_points))
+            assert (serialized_points(result.pareto)
+                    == serialized_points(oracle.pareto))
+            assert np.array_equal(result.pareto_row_index,
+                                  oracle.pareto_row_index)
+            assert result.pareto_row_index.dtype == np.int64
+            admitted.append(result.admitted_rows / space.size())
+        costs = stream_stats()["costs"]
+        assert (costs["misses"], costs["hits"]) == (warmed["misses"], 200)
+        # the grid reaches empty, partial and full admission
+        assert min(admitted) == 0.0 and max(admitted) == 1.0
+        assert any(0.0 < share < 1.0 for share in admitted)
+
+    def test_groups_without_characterizations_are_left_out(
+            self, whatif_spaces):
+        explorer, space, characterizations, usable = whatif_spaces["blur"]
+        partial = {shape: entry for shape, entry in characterizations.items()
+                   if shape not in {(2, 3), (4, 1)}}
+        model = explorer.throughput_model
+        constraints = DseConstraints(min_frames_per_second=24.0)
+        result = explore_stream(space, partial, model, 640, 480,
+                                constraints, usable, materialize="admitted")
+        oracle = scalar_exploration(space, partial, model, 640, 480,
+                                    constraints, usable)
+        assert (serialized_points(result.design_points)
+                == serialized_points(oracle.design_points))
+        assert np.array_equal(result.pareto_row_index,
+                              oracle.pareto_row_index)
+        splits = tuple(tuple(split) for split in space.level_splits())
+        entry = stream_module._cached_costs(
+            space, splits, partial,
+            stream_module._characterization_key(partial), model)
+        assert len(entry.keys) == len(space.window_sides) * len(splits) - 2
+        # a skipped group's rows are neither admitted nor pruned
+        skipped = 2 * space.max_cones_per_depth
+        assert (result.admitted_rows + result.pruned_rows
+                == space.size() - skipped)
+
+    @pytest.mark.parametrize("constraints", [
+        DseConstraints(min_frames_per_second=1e12),
+        DseConstraints(max_area_luts=1.0)], ids=["fps", "area"])
+    def test_a_request_that_admits_no_row(self, whatif_spaces, constraints):
+        explorer, space, characterizations, usable = whatif_spaces["chamb"]
+        result = explore_stream(space, characterizations,
+                                explorer.throughput_model, 640, 480,
+                                constraints, usable, materialize="admitted")
+        assert result.admitted_rows == 0 and result.frontier_peak == 0
+        assert result.design_points == [] and result.pareto == []
+        assert result.pareto_row_index.dtype == np.int64
+        assert result.pareto_row_index.size == 0
+        assert result.pruned_rows == space.size()
+
+    @pytest.mark.parametrize("materialize", ["admitted", "frontier"])
+    def test_a_nan_frame_time_raises_the_finite_objectives_error(
+            self, whatif_spaces, materialize):
+        explorer, space, characterizations, usable = whatif_spaces["blur"]
+        model = ThroughputModel(device=explorer.device,
+                                data_format=explorer.data_format,
+                                tile_overhead_cycles=float("nan"))
+        with pytest.raises(ValueError,
+                           match=re.escape(FINITE_OBJECTIVES_ERROR)):
+            explore_stream(space, characterizations, model, 640, 480,
+                           usable_luts=usable, materialize=materialize)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("model_class",
+                             [ThroughputModel, SlowPorts, NegativeInterval])
+    def test_admitted_accounting_equals_the_folds(
+            self, evaluation_inputs, model_class, chunk_rows):
+        """Under fps floors, where the chunked fold runs the suffix probe
+        (prefixes longer than ``chunk_rows``) and where it filters whole
+        groups, both modes report the same accounting; only
+        ``frontier_peak`` tells a streamed fold from one Pareto pass."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        model = model_class(device=explorer.device,
+                            data_format=explorer.data_format)
+        baseline = scalar_exploration(space, characterizations,
+                                      explorer.throughput_model, 128, 96)
+        fps = np.sort(1.0 / baseline.seconds_per_frame)
+        cap = float(np.median(baseline.area_luts))
+        for floor in (float(fps[fps.size // 4]), float(np.median(fps)),
+                      float(fps[(9 * fps.size) // 10]), 1e12):
+            for constraints in (
+                    DseConstraints(min_frames_per_second=floor),
+                    DseConstraints(min_frames_per_second=floor,
+                                   max_area_luts=cap, device_only=True)):
+                records = []
+                for materialize in ("admitted", "frontier"):
+                    clear_stream_caches()
+                    result = explore_stream(
+                        space, characterizations, model, 128, 96,
+                        constraints, usable, chunk_rows=chunk_rows,
+                        materialize=materialize)
+                    stats = stream_stats()
+                    del stats["costs"]
+                    records.append((
+                        {name: getattr(result, name) for name in ACCOUNTING},
+                        result.pareto_row_index.tolist(),
+                        serialized_points(result.pareto), stats))
+                assert records[0] == records[1]
 
 
 class TestChunkAccounting:
@@ -730,8 +910,9 @@ class TestExplorerIntegration:
 
     def test_in_memory_explorations_are_counted_and_reuse_masks(
             self, igf_kernel):
-        """An in-memory exploration runs the same fold, so it shows in
-        ``stream_stats()`` and a frame change re-uses its cached masks."""
+        """An in-memory exploration goes through ``explore_stream`` too,
+        so it shows in ``stream_stats()`` and a frame change re-uses its
+        cached masks."""
         explorer = small_explorer(igf_kernel)
         explorer.characterize_cones(6)
         reset_stream_stats()

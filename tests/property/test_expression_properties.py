@@ -4,7 +4,7 @@ import math
 import os
 import sys
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # the DAG counters live beside the symbolic tests, in the cone oracle

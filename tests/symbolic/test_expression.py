@@ -1,7 +1,5 @@
 """Unit tests for the hash-consed expression DAG."""
 
-import math
-
 import pytest
 
 from fresh_cone_oracle import collect_symbols, count_nodes, count_operations
@@ -9,7 +7,6 @@ from fresh_cone_oracle import collect_symbols, count_nodes, count_operations
 from repro.symbolic.expression import (
     Constant,
     ExpressionBuilder,
-    FieldSymbol,
     OpKind,
     Operation,
     evaluate,
