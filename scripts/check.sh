@@ -32,7 +32,10 @@
 #                               # LUT caps, port widths) in memory from a
 #                               # warm cost cache and streamed in one-group
 #                               # chunks, with equal Pareto sets and
-#                               # admitted/pruned counts (~2 s in all)
+#                               # admitted/pruned counts, and 10 of them
+#                               # with every admitted design point equal to
+#                               # the per-point scalar oracle's
+#                               # (tests/dse/scalar_oracle.py) (~3 s in all)
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
 #                               # boundary-contract regressions (both run

@@ -20,7 +20,10 @@ Three checks in one fresh process:
    widths), each answered in memory from a warm cost cache and by
    frontier-only streaming in one-group chunks: both answers must have
    the same serialized Pareto set and the same admitted and pruned
-   counts.
+   counts.  For one request in six, every admitted design point of the
+   in-memory answer, on the Pareto front or not, must also serialize
+   byte for byte like the per-point scalar exploration
+   (``tests/dse/scalar_oracle.py``).
 
 3. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
@@ -47,17 +50,24 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# the per-point scalar exploration, the oracle of both passes, lives beside
+# the exploration tests
+sys.path.insert(0, str(ROOT / "tests" / "dse"))
 
 from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
 from repro.dse.stream import (clear_stream_caches,           # noqa: E402
                               explore_stream, stream_stats)
+from scalar_oracle import scalar_exploration                  # noqa: E402
 
 ITERATIONS = 10  # the paper's blur case study (Section 4.1)
 SWEEP_REQUESTS = 60
 SWEEP_PORTS = (4, 8, 16, 32)
+#: Every this many sweep requests, one is held whole to the scalar oracle.
+ORACLE_EVERY = 6
 
 
 def peak_rss_mb() -> float:
@@ -117,7 +127,8 @@ def check_digest_identity(explorer, space, characterizations, usable):
 
 
 def check_whatif_sweep(explorer, space, characterizations, usable):
-    """Warm in-memory answers == one-group streamed answers, per request."""
+    """Warm in-memory answers == one-group streamed answers, per request,
+    and == the scalar oracle's admitted points for every sixth one."""
     paper_space = dataclasses.replace(space, max_cones_per_depth=16)
     models = {port: explorer._throughput_model_for(port)
               for port in SWEEP_PORTS}
@@ -127,6 +138,7 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
                        usable_luts=usable, materialize="admitted")
     warmed = stream_stats()["costs"]
     rng = random.Random(ITERATIONS)
+    oracle_checked = 0
     for request in range(SWEEP_REQUESTS):
         width = rng.randrange(320, 4097, 8)
         height = rng.randrange(240, 2161, 8)
@@ -149,13 +161,22 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
                              f"{in_memory.pruned_rows} in memory, "
                              f"{streamed.admitted_rows}/"
                              f"{streamed.pruned_rows} streamed")
+        if request % ORACLE_EVERY == 0:
+            oracle = scalar_exploration(*request_args)
+            if (serialized(in_memory.design_points)
+                    != serialized(oracle.design_points)):
+                raise SystemExit(f"what-if request {request}: in-memory "
+                                 f"design points differ from the scalar "
+                                 f"oracle's")
+            oracle_checked += 1
     costs = stream_stats()["costs"]
     if (costs["misses"], costs["hits"]) != (warmed["misses"],
                                             warmed["hits"] + SWEEP_REQUESTS):
         raise SystemExit(f"what-if sweep missed the warm cost cache: "
                          f"{warmed} -> {costs}")
     print(f"what-if sweep ok: {SWEEP_REQUESTS} warm in-memory requests == "
-          f"one-group streamed requests")
+          f"one-group streamed requests, {oracle_checked} of them == the "
+          f"scalar oracle in every admitted point")
 
 
 def run_large(explorer, space, characterizations, usable, chunk_rows,

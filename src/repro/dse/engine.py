@@ -30,12 +30,16 @@ size of the input picks one:
   first cuts the rows below the floor off the interval's front.  Each
   chunk's admitted ``(area, time, global row)`` triples fold into a
   :class:`StreamingFrontier`, whose state is the Pareto frontier of
-  everything folded so far.
+  everything folded so far; its members' points are built at the end.
 
 Both admit the same rows and report the same accounting: the whole-space
 pass runs the same suffix probe where the fold would, and works out from
-the intervals the chunks the fold would cost.  The area-side pushdown and
-the caches live in :mod:`repro.dse.stream`.
+the intervals the chunks the fold would cost.  Both turn rows into design
+points through one builder, :func:`build_points`, one group's rows per
+call, as plain Python values: what a group's points share (names, depths,
+the base cone counts, the cone areas) is derived once per call, and each
+point gets only its own containers and objects.  The area-side pushdown
+and the caches live in :mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
 import numpy as np
 
 from repro.architecture.enumeration import ArchitectureSpace
+from repro.architecture.template import ConeArchitecture
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_indices
 from repro.estimation.throughput_model import (
     ArchitecturePerformance,
     ConePerformance,
     ThroughputModel,
-    performance_from_columns,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,21 +136,52 @@ def cost_counts(throughput_model: ThroughputModel, context: GroupContext,
 
 
 def build_points(space: ArchitectureSpace, context: GroupContext,
-                 counts: "np.ndarray", areas: "np.ndarray",
-                 columns: Mapping[str, Any], index: "np.ndarray",
-                 usable_luts: float) -> List[DesignPoint]:
-    """One :class:`DesignPoint` per ``counts[i]``, whose area is
-    ``areas[i]`` and whose performance is row ``index[i]`` of ``columns``."""
-    return [
-        DesignPoint(
-            architecture=space.materialize_row_parts(
-                context.window, context.split, int(count)),
-            area_luts=float(area),
-            area_estimated=context.area_estimated,
-            performance=performance_from_columns(columns, int(position)),
-            fits_device=bool(area <= usable_luts),
-            cone_area_by_depth=dict(context.area_by_depth))
-        for count, area, position in zip(counts, areas, index)]
+                 usable_luts: float, architecture_label: str,
+                 clock_hz: float, tiles_per_frame: int,
+                 transfer_cycles_per_tile: float,
+                 offchip_bytes_per_frame: float, counts: List[int],
+                 areas: List[float], compute_cycles_per_tile: List[float],
+                 cycles_per_tile: List[float],
+                 seconds_per_frame: List[float],
+                 frames_per_second: List[float],
+                 compute_bound: List[bool]) -> List[DesignPoint]:
+    """One :class:`DesignPoint` per admitted row of one group: the only
+    place rows become design points.
+
+    The scalars are the group's figures at the request's frame size (the
+    group-constant columns of :meth:`ThroughputModel.estimate_batch`); the
+    lists hold one plain Python value per row (from ``.tolist()``), in
+    order: the primary instance count, the area and the count-dependent
+    figures.  What the rows share is derived once per call.  Each point
+    gets only its own ``level_depths`` list, ``cone_counts`` and
+    ``cone_area_by_depth`` dicts and its three objects, built through
+    their public constructors (positionally), so a point equals, prints,
+    serializes, pickles and sizes like one built field by field from
+    :meth:`ArchitectureSpace.materialize_row_parts`.
+    """
+    kernel, radius, components = (space.kernel_name, space.radius,
+                                  space.components)
+    window, split, primary = context.window, context.split, context.primary
+    estimated = context.area_estimated
+    base_counts = dict.fromkeys(context.depths, 1)
+    cone_areas = dict(context.area_by_depth)
+    architecture = ConeArchitecture.from_trusted_parts
+    points = []
+    for count, area, compute, cycles, seconds, rate, bound in zip(
+            counts, areas, compute_cycles_per_tile, cycles_per_tile,
+            seconds_per_frame, frames_per_second, compute_bound):
+        cone_counts = base_counts.copy()
+        cone_counts[primary] = count
+        points.append(DesignPoint(
+            architecture(kernel, window, list(split), cone_counts, radius,
+                         components),
+            area, estimated,
+            ArchitecturePerformance(
+                architecture_label, clock_hz, tiles_per_frame, compute,
+                transfer_cycles_per_tile, cycles, seconds, rate,
+                offchip_bytes_per_frame, bound),
+            area <= usable_luts, cone_areas.copy()))
+    return points
 
 
 class StreamingFrontier:
@@ -453,9 +488,13 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                 throughput_model, frame_width, frame_height) or 0
     chunks_materialized, peak_chunk_rows = _chunk_grid(start, prefix,
                                                        chunk_rows)
-    tiles = [throughput_model.tiles_per_frame(context.representative,
-                                              frame_width, frame_height)
-             for context in costs.contexts]
+    # the tile count reads only the window side: one hook call per side
+    tiles_by_window: Dict[int, int] = {}
+    for context in costs.contexts:
+        if context.window not in tiles_by_window:
+            tiles_by_window[context.window] = throughput_model.tiles_per_frame(
+                context.representative, frame_width, frame_height)
+    tiles = [tiles_by_window[context.window] for context in costs.contexts]
     seconds, fps = throughput_model.frame_times(
         costs.cycles_per_tile,
         np.array(tiles, dtype=np.int64).reshape(len(tiles), 1))
@@ -468,36 +507,34 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
     area, times = costs.area[admit], seconds[admit]
     keep = pareto_indices(area, times)
 
-    clock = throughput_model.device.typical_clock_hz
-    offchip = [bytes_per_tile * count for bytes_per_tile, count
-               in zip(costs.bytes_per_tile, tiles)]
+    # admitted rows come in enumeration order, so each group's are one run
     points: List[DesignPoint] = []
-    for group, offset, area_luts, spf, rate, compute, cycles, bound in zip(
-            groups.tolist(), offsets.tolist(), area.tolist(),
-            times.tolist(), fps[admit].tolist(),
-            costs.compute_cycles_per_tile[admit].tolist(),
-            costs.cycles_per_tile[admit].tolist(),
-            costs.compute_bound[admit].tolist()):
-        context = costs.contexts[group]
-        points.append(DesignPoint(
-            architecture=space.materialize_row_parts(
-                context.window, context.split, offset + 1),
-            area_luts=area_luts,
-            area_estimated=context.area_estimated,
-            performance=ArchitecturePerformance(
-                architecture_label=costs.labels[group],
-                clock_hz=clock,
+    if groups.size:
+        clock = throughput_model.device.typical_clock_hz
+        counts, areas, compute, cycles, spf, rates, bound = (
+            column.tolist() for column in (
+                offsets + 1, area, costs.compute_cycles_per_tile[admit],
+                costs.cycles_per_tile[admit], times, fps[admit],
+                costs.compute_bound[admit]))
+        low = 0
+        for group, size in enumerate(
+                np.count_nonzero(admit, axis=1).tolist()):
+            if not size:
+                continue
+            run = slice(low, low + size)
+            low += size
+            points += build_points(
+                space, costs.contexts[group], usable_luts,
+                architecture_label=costs.labels[group], clock_hz=clock,
                 tiles_per_frame=tiles[group],
-                compute_cycles_per_tile=compute,
                 transfer_cycles_per_tile=costs.transfer_cycles_per_tile[
                     group],
-                cycles_per_tile=cycles,
-                seconds_per_frame=spf,
-                frames_per_second=rate,
-                offchip_bytes_per_frame=offchip[group],
-                compute_bound=bound),
-            fits_device=bool(area_luts <= usable_luts),
-            cone_area_by_depth=dict(context.area_by_depth)))
+                offchip_bytes_per_frame=(costs.bytes_per_tile[group]
+                                         * tiles[group]),
+                counts=counts[run], areas=areas[run],
+                compute_cycles_per_tile=compute[run],
+                cycles_per_tile=cycles[run], seconds_per_frame=spf[run],
+                frames_per_second=rates[run], compute_bound=bound[run])
 
     first_rows = np.array([(window_index * n_splits + split_index)
                            * space.max_cones_per_depth

@@ -40,14 +40,16 @@ Pieces:
    :class:`~repro.dse.engine.StreamingFrontier` whose state is
    byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
    concatenated full arrays regardless of chunk size.  The fold runs once,
-   on the calling thread; design points are rebuilt only for the frontier
-   survivors at finalization, by re-costing just their rows with the group
-   contexts the fold built.
+   on the calling thread; design points are built only for the frontier
+   survivors at finalization: their rows are re-costed per group with the
+   group contexts the fold built, and handed as plain lists to the one
+   point builder, :func:`repro.dse.engine.build_points`.
 3. An in-memory exploration answers in one columnar pass over the whole
    space (:func:`repro.dse.engine.whole_space_pass`): it reads the space's
    cost-cache entry, computes the frame time, the prefix mask and the fps
    mask once over every row, runs one Pareto extraction, and builds design
-   points for the admitted rows only.  It reports the chunk accounting a
+   points for the admitted rows only, through the same builder, one
+   group's run of rows per call.  It reports the chunk accounting a
    streamed run at the same ``chunk_rows`` reports, worked out from the
    admitted intervals, so the two modes' results differ only in
    ``frontier_peak`` (here the size of the Pareto set) and in which design
@@ -527,12 +529,13 @@ def _frontier_points(space: ArchitectureSpace, n_splits: int,
                      frame_height: int, usable_luts: float,
                      rows: "np.ndarray",
                      areas: "np.ndarray") -> List[DesignPoint]:
-    """Rebuild :class:`DesignPoint`s for the frontier's global rows.
+    """Build the :class:`DesignPoint`s of the frontier's global rows.
 
     The throughput columns are recomputed on just the survivors' counts,
     batched per (window, split) group, which reproduces the fold's values
-    bit for bit (the stored frontier areas are reused directly).  The
-    group contexts are the ones the fold built.
+    bit for bit (the stored frontier areas are reused directly), and each
+    group's rows go to :func:`~repro.dse.engine.build_points` as plain
+    lists.  The group contexts are the ones the fold built.
     """
     n_counts = space.max_cones_per_depth
     by_group: Dict[Tuple[int, int], List[int]] = {}
@@ -545,8 +548,20 @@ def _frontier_points(space: ArchitectureSpace, n_splits: int,
         counts = rows[positions] % n_counts + 1
         columns = cost_counts(throughput_model, context, frame_width,
                               frame_height, counts)
-        built = build_points(space, context, counts, areas[positions],
-                             columns, range(len(positions)), usable_luts)
+        built = build_points(
+            space, context, usable_luts,
+            architecture_label=columns["architecture_label"],
+            clock_hz=columns["clock_hz"],
+            tiles_per_frame=columns["tiles_per_frame"],
+            transfer_cycles_per_tile=columns["transfer_cycles_per_tile"],
+            offchip_bytes_per_frame=columns["offchip_bytes_per_frame"],
+            counts=counts.tolist(), areas=areas[positions].tolist(),
+            compute_cycles_per_tile=columns[
+                "compute_cycles_per_tile"].tolist(),
+            cycles_per_tile=columns["cycles_per_tile"].tolist(),
+            seconds_per_frame=columns["seconds_per_frame"].tolist(),
+            frames_per_second=columns["frames_per_second"].tolist(),
+            compute_bound=columns["compute_bound"].tolist())
         for position, point in zip(positions, built):
             points[position] = point
     return points

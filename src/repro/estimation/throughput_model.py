@@ -9,9 +9,9 @@ system: each execution must be fed its input window through the on-chip
 buffer ports, and each tile must move its input region / output window
 to and from off-chip memory, overlapped with computation by double buffering.
 
-The transaction-level simulator in
-:mod:`repro.simulation.cone_simulator` applies the same accounting tile by
-tile; the two are cross-checked in the test suite.
+The per-tile cycle simulator in ``tests/simulation/cycle_oracle.py`` (a
+test oracle, not a production module) applies the same accounting tile by
+tile; the test suite and ``scripts/check.sh --sim`` hold this model to it.
 """
 
 from __future__ import annotations
@@ -192,6 +192,14 @@ class ThroughputModel:
 
     def tiles_per_frame(self, architecture: ConeArchitecture,
                         frame_width: int, frame_height: int) -> int:
+        """Output tiles per frame.
+
+        The template tiles the frame by its output windows (Figure 3 of
+        the paper), so the count depends on the window side alone: the
+        whole-space pass (:func:`repro.dse.engine.whole_space_pass`) asks
+        once per distinct side and shares the answer among that side's
+        groups.  An override must keep to that.
+        """
         side = architecture.window_side
         return math.ceil(frame_width / side) * math.ceil(frame_height / side)
 

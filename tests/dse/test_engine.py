@@ -7,8 +7,11 @@ loop (``scalar_oracle.explore_scalar``) produces — vectorization is a
 performance concern, never a semantics concern.
 """
 
+import gc
 import json
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +19,15 @@ import pytest
 from scalar_oracle import explore_scalar, scalar_exploration
 
 from repro.dse.constraints import DseConstraints
+from repro.dse.design_point import DesignPoint
 from repro.dse.engine import (_chunk_grid, build_points, cost_counts,
                               fold_groups, group_area, group_context,
                               space_costs, whole_space_pass)
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_indices
 from repro.dse.stream import explore_stream
-from repro.estimation.throughput_model import ThroughputModel
+from repro.estimation.throughput_model import (ArchitecturePerformance,
+                                               ThroughputModel)
 from repro.ir.operators import DataFormat
 
 
@@ -36,6 +41,10 @@ def small_explorer(kernel, **overrides):
 
 def serialized(result):
     return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def serialized_points(points):
+    return json.dumps([point.to_dict() for point in points], sort_keys=True)
 
 
 class TestEngineEquivalence:
@@ -139,6 +148,18 @@ def inputs(igf_kernel):
             explorer.device.usable_capacity.luts)
 
 
+def group_rows(model, context, counts, frame_width, frame_height):
+    """The builder's arguments for ``counts`` of one group: its area and
+    batch columns at the frame size, as plain lists and scalars."""
+    columns = cost_counts(model, context, frame_width, frame_height, counts)
+    return dict(
+        {name: value.tolist() if isinstance(value, np.ndarray) else value
+         for name, value in columns.items()},
+        counts=counts.tolist(),
+        areas=group_area(counts, context.depths, context.primary,
+                         context.area_by_depth).tolist())
+
+
 class TestRowOrder:
     def test_fold_rows_follow_the_scalar_enumeration(self, inputs):
         """Global row ``r`` of an exploration is the ``r``-th architecture
@@ -191,23 +212,33 @@ class TestFoldKernel:
                 assert area.tolist() == expected[start:]
 
     def test_batch_costing_builds_the_per_point_evaluations(self, inputs):
+        """One group's batch columns, handed to the builder as plain lists,
+        build the enumeration's architectures with ``evaluate``'s
+        performance, the per-point area sum and the device check."""
         explorer, space, characterizations, usable = inputs
         model = explorer.throughput_model
         for window, split, group in space.architecture_groups():
             context = group_context(space, characterizations, window,
                                     tuple(split))
             counts = np.arange(1, len(group) + 1, dtype=np.int32)
-            areas = group_area(counts, context.depths, context.primary,
-                               context.area_by_depth)
-            columns = cost_counts(model, context, 128, 96, counts)
-            points = build_points(space, context, counts, areas, columns,
-                                  np.arange(counts.size), usable)
-            assert [point.architecture.to_dict() for point in points] == [
-                architecture.to_dict() for architecture in group]
-            assert [point.performance.to_dict() for point in points] == [
+            points = build_points(space, context, usable,
+                                  **group_rows(model, context, counts, 128,
+                                               96))
+            assert [point.architecture for point in points] == group
+            assert [point.performance for point in points] == [
                 model.evaluate(architecture, context.cone_performance,
-                               128, 96).to_dict()
+                               128, 96)
                 for architecture in group]
+            sums = [sum(architecture.cone_counts[depth]
+                        * context.area_by_depth[depth]
+                        for depth in context.depths)
+                    for architecture in group]
+            assert [point.area_luts for point in points] == sums
+            assert [point.fits_device for point in points] == [
+                total <= usable for total in sums]
+            assert all(point.area_estimated == context.area_estimated
+                       and point.cone_area_by_depth
+                       == dict(context.area_by_depth) for point in points)
 
     def test_fold_groups_costs_only_the_admitted_prefixes(self, inputs):
         explorer, space, characterizations, usable = inputs
@@ -358,3 +389,117 @@ class TestModelHooks:
         stock = small_explorer(igf_kernel).explore(6, 128, 96)
         assert (auto.design_points[0].seconds_per_frame
                 > stock.design_points[0].seconds_per_frame)
+
+    def test_tile_count_hook_override_holds_in_both_passes(self, inputs):
+        """A model whose tile count, like the stock one, reads only the
+        window side answers like the scalar oracle in both passes; the
+        whole-space pass asks it once per distinct window side."""
+        explorer, space, characterizations, usable = inputs
+        sides = []
+
+        class HaloTiles(ThroughputModel):
+            """Tiles one extra ring of windows around the frame."""
+
+            def tiles_per_frame(self, architecture, frame_width,
+                                frame_height):
+                side = architecture.window_side
+                sides.append(side)
+                return ((math.ceil(frame_width / side) + 2)
+                        * (math.ceil(frame_height / side) + 2))
+
+        model = HaloTiles(device=explorer.device,
+                          data_format=explorer.data_format)
+        oracle = scalar_exploration(space, characterizations, model, 128, 96,
+                                    usable_luts=usable)
+        stock = scalar_exploration(space, characterizations,
+                                   explorer.throughput_model, 128, 96,
+                                   usable_luts=usable)
+        assert (serialized_points(oracle.design_points)
+                != serialized_points(stock.design_points))
+        for materialize, expected in (("admitted", oracle.design_points),
+                                      ("frontier", oracle.pareto)):
+            sides.clear()
+            result = explore_stream(space, characterizations, model, 128,
+                                    96, usable_luts=usable,
+                                    materialize=materialize)
+            assert (serialized_points(result.design_points)
+                    == serialized_points(expected))
+            assert (serialized_points(result.pareto)
+                    == serialized_points(oracle.pareto))
+            if materialize == "admitted":
+                assert sorted(sides) == sorted(space.window_sides)
+
+
+class TestPointBuilder:
+    def test_built_points_take_no_more_memory_than_public_ones(
+            self, igf_kernel):
+        """From the same rows, the 720 points of an unconstrained
+        paper-space request take at most 2% more traced bytes from the
+        builder than from ``materialize_row_parts`` and the public keyword
+        constructors (a frozen instance filled through its ``__dict__``
+        takes about twice the bytes)."""
+        explorer = DesignSpaceExplorer(
+            igf_kernel, data_format=DataFormat.FIXED16,
+            window_sides=tuple(range(1, 10)), max_depth=5,
+            max_cones_per_depth=16)
+        characterizations, _ = explorer.characterize_cones(10)
+        space = explorer._space(10)
+        model = explorer.throughput_model
+        usable = explorer.device.usable_capacity.luts
+        counts = np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64)
+        groups = []
+        for window, split, _group in space.architecture_groups():
+            context = group_context(space, characterizations, window,
+                                    tuple(split))
+            groups.append((context, group_rows(model, context, counts, 1024,
+                                               768)))
+
+        def built():
+            return [point for context, rows in groups
+                    for point in build_points(space, context, usable,
+                                              **rows)]
+
+        def public():
+            return [
+                DesignPoint(
+                    architecture=space.materialize_row_parts(
+                        context.window, context.split, count),
+                    area_luts=area,
+                    area_estimated=context.area_estimated,
+                    performance=ArchitecturePerformance(
+                        architecture_label=rows["architecture_label"],
+                        clock_hz=rows["clock_hz"],
+                        tiles_per_frame=rows["tiles_per_frame"],
+                        compute_cycles_per_tile=compute,
+                        transfer_cycles_per_tile=rows[
+                            "transfer_cycles_per_tile"],
+                        cycles_per_tile=cycles,
+                        seconds_per_frame=seconds,
+                        frames_per_second=rate,
+                        offchip_bytes_per_frame=rows[
+                            "offchip_bytes_per_frame"],
+                        compute_bound=bound),
+                    fits_device=area <= usable,
+                    cone_area_by_depth=dict(context.area_by_depth))
+                for context, rows in groups
+                for count, area, compute, cycles, seconds, rate, bound in zip(
+                    rows["counts"], rows["areas"],
+                    rows["compute_cycles_per_tile"], rows["cycles_per_tile"],
+                    rows["seconds_per_frame"], rows["frames_per_second"],
+                    rows["compute_bound"])]
+
+        def traced_bytes(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                points = build()
+                size, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return points, size
+
+        points, builder_bytes = traced_bytes(built)
+        twins, public_bytes = traced_bytes(public)
+        assert len(points) == space.size() == 720
+        assert points == twins
+        assert builder_bytes <= 1.02 * public_bytes

@@ -11,6 +11,7 @@ min-fps floor rejected.
 
 import dataclasses
 import json
+import pickle
 import random
 import re
 import threading
@@ -24,7 +25,9 @@ import repro.dse.engine as engine_module
 import repro.dse.stream as stream_module
 from repro.algorithms import get_algorithm
 from repro.api import Session, Workload
+from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
+from repro.dse.design_point import DesignPoint
 from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.pareto import FINITE_OBJECTIVES_ERROR
@@ -35,7 +38,8 @@ from repro.dse.stream import (
     reset_stream_stats,
     stream_stats,
 )
-from repro.estimation.throughput_model import ThroughputModel
+from repro.estimation.throughput_model import (ArchitecturePerformance,
+                                               ThroughputModel)
 from repro.ir.operators import DataFormat
 from repro.obs import metrics as obs_metrics
 from repro.service.metrics import render_prometheus
@@ -637,6 +641,112 @@ def whatif_spaces():
     return spaces
 
 
+def warm_whatif_caches(whatif_spaces):
+    """Fill the cost cache for every space and port width of the what-if
+    grid."""
+    for explorer, space, characterizations, usable in (
+            whatif_spaces.values()):
+        for port in WHATIF_PORTS:
+            explore_stream(space, characterizations,
+                           explorer._throughput_model_for(port), 640, 480,
+                           usable_luts=usable, materialize="admitted")
+
+
+def seeded_whatif_requests(whatif_spaces):
+    """200 seeded what-if requests, as ``explore_stream`` arguments
+    ``(space, characterizations, model, width, height, constraints,
+    usable_luts)``."""
+    rng = random.Random(30)
+    for _ in range(200):
+        kernel = rng.choice(sorted(whatif_spaces))
+        width, height = (rng.randrange(320, 4097, 8),
+                         rng.randrange(240, 2161, 8))
+        floor, cap = rng.choice(WHATIF_FLOORS), rng.choice(WHATIF_CAPS)
+        constraints = (None if floor is None and cap is None else
+                       DseConstraints(min_frames_per_second=floor,
+                                      max_area_luts=cap))
+        explorer, space, characterizations, usable = whatif_spaces[kernel]
+        # a fresh model per request, as a port override builds
+        model = explorer._throughput_model_for(rng.choice(WHATIF_PORTS))
+        yield (space, characterizations, model, width, height, constraints,
+               usable)
+
+
+#: The Python types a design point's fields and container items may have.
+PLAIN_TYPES = {float, int, bool, str, list, dict}
+
+
+def public_twin(space, row, point):
+    """``point`` rebuilt through the public path: the enumeration's
+    ``materialize_row_parts`` for global ``row``, then keyword constructors
+    fed ``point``'s values."""
+    splits = tuple(tuple(split) for split in space.level_splits())
+    window_index, split_index = divmod(row // space.max_cones_per_depth,
+                                       len(splits))
+    performance = point.performance
+    return DesignPoint(
+        architecture=space.materialize_row_parts(
+            space.window_sides[window_index], splits[split_index],
+            row % space.max_cones_per_depth + 1),
+        area_luts=point.area_luts,
+        area_estimated=point.area_estimated,
+        performance=ArchitecturePerformance(
+            **{field.name: getattr(performance, field.name)
+               for field in dataclasses.fields(performance)}),
+        fits_device=point.fits_device,
+        cone_area_by_depth=dict(point.cone_area_by_depth))
+
+
+def field_types(point):
+    """The exact types of each field of ``point``, of its architecture and
+    of its performance, and of the keys and items of their containers."""
+    types = {}
+    for owner in (point, point.architecture, point.performance):
+        for field in dataclasses.fields(owner):
+            value = getattr(owner, field.name)
+            if dataclasses.is_dataclass(value):
+                continue
+            name = f"{type(owner).__name__}.{field.name}"
+            types[name] = {type(value)}
+            if isinstance(value, dict):
+                types[name + " keys"] = {type(key) for key in value}
+                value = list(value.values())
+            if isinstance(value, list):
+                types[name + " items"] = {type(item) for item in value}
+    return types
+
+
+def assert_indistinguishable(points, twins):
+    """Each point equals, prints, serializes and pickles like its twin,
+    with exactly its field types, all plain Python ones."""
+    assert len(points) == len(twins)
+    for point, twin in zip(points, twins):
+        assert point == twin
+        assert repr(point) == repr(twin)
+        assert point.to_dict() == twin.to_dict()
+        assert pickle.dumps(point) == pickle.dumps(twin)
+        assert pickle.loads(pickle.dumps(point)) == twin
+        types = field_types(point)
+        assert types == field_types(twin)
+        assert set().union(*types.values()) <= PLAIN_TYPES
+
+
+def assert_independent(points, twins, rerun, entry=None):
+    """Mutating one point's containers reaches no other point, no group
+    context and no cost-cache entry, and the same request answers with
+    the original values again."""
+    contexts = None if entry is None else repr(entry.contexts)
+    victim = points[len(points) // 2]
+    victim.architecture.level_depths.append(0)
+    victim.architecture.cone_counts[victim.primary_depth] = -1
+    victim.cone_area_by_depth.clear()
+    assert victim != twins[len(points) // 2]
+    assert [point == twin for point, twin in zip(points, twins)].count(
+        False) == 1
+    assert contexts == (None if entry is None else repr(entry.contexts))
+    assert rerun() == twins
+
+
 class TestWholeSpacePass:
     """An in-memory exploration answers in one columnar pass over the
     cost-cache entry: held to the scalar oracle on seeded what-if
@@ -644,34 +754,14 @@ class TestWholeSpacePass:
 
     def test_warm_whatif_requests_match_the_scalar_oracle(
             self, whatif_spaces):
-        for explorer, space, characterizations, usable in (
-                whatif_spaces.values()):
-            for port in WHATIF_PORTS:
-                explore_stream(space, characterizations,
-                               explorer._throughput_model_for(port), 640,
-                               480, usable_luts=usable,
-                               materialize="admitted")
+        warm_whatif_caches(whatif_spaces)
         warmed = stream_stats()["costs"]
         assert warmed["misses"] == warmed["entries"] == 2 * len(WHATIF_PORTS)
-        rng = random.Random(30)
         admitted = []
-        for _ in range(200):
-            kernel = rng.choice(sorted(whatif_spaces))
-            width, height = (rng.randrange(320, 4097, 8),
-                             rng.randrange(240, 2161, 8))
-            floor, cap = rng.choice(WHATIF_FLOORS), rng.choice(WHATIF_CAPS)
-            constraints = (None if floor is None and cap is None else
-                           DseConstraints(min_frames_per_second=floor,
-                                          max_area_luts=cap))
-            explorer, space, characterizations, usable = (
-                whatif_spaces[kernel])
-            # a fresh model per request, as a port override builds
-            model = explorer._throughput_model_for(rng.choice(WHATIF_PORTS))
-            result = explore_stream(space, characterizations, model, width,
-                                    height, constraints, usable,
-                                    materialize="admitted")
-            oracle = scalar_exploration(space, characterizations, model,
-                                        width, height, constraints, usable)
+        for arguments in seeded_whatif_requests(whatif_spaces):
+            space = arguments[0]
+            result = explore_stream(*arguments, materialize="admitted")
+            oracle = scalar_exploration(*arguments)
             assert (serialized_points(result.design_points)
                     == serialized_points(oracle.design_points))
             assert (serialized_points(result.pareto)
@@ -685,6 +775,87 @@ class TestWholeSpacePass:
         # the grid reaches empty, partial and full admission
         assert min(admitted) == 0.0 and max(admitted) == 1.0
         assert any(0.0 < share < 1.0 for share in admitted)
+
+    def test_built_points_are_indistinguishable_and_independent(
+            self, whatif_spaces):
+        """Every admitted point of the seeded requests is its public twin
+        (built from the oracle's point of the same row) in value, type,
+        ``repr``, serialization and pickle, and owns its containers."""
+        warm_whatif_caches(whatif_spaces)
+        for arguments in seeded_whatif_requests(whatif_spaces):
+            space, characterizations, model = arguments[:3]
+            result = explore_stream(*arguments, materialize="admitted")
+            oracle = scalar_exploration(*arguments)
+            twins = [public_twin(space, row, point) for row, point
+                     in zip(oracle.row_index.tolist(),
+                            oracle.design_points)]
+            assert_indistinguishable(result.design_points, twins)
+            position = {row: index for index, row
+                        in enumerate(oracle.row_index.tolist())}
+            assert all(member is result.design_points[position[row]]
+                       for member, row in zip(
+                           result.pareto, result.pareto_row_index.tolist()))
+            if not twins:
+                continue
+            splits = tuple(tuple(split) for split in space.level_splits())
+            entry = stream_module._cached_costs(
+                space, splits, characterizations,
+                stream_module._characterization_key(characterizations),
+                model)
+            assert_independent(
+                result.design_points, twins,
+                lambda: explore_stream(*arguments,
+                                       materialize="admitted").design_points,
+                entry)
+
+    def test_frontier_points_are_indistinguishable_and_independent(
+            self, whatif_spaces):
+        """The streamed frontier rebuild builds its points the same way."""
+        explorer, space, characterizations, usable = whatif_spaces["blur"]
+        arguments = (space, characterizations,
+                     explorer._throughput_model_for(8), 1280, 720,
+                     DseConstraints(min_frames_per_second=24.0), usable)
+        oracle = scalar_exploration(*arguments)
+        twins = [public_twin(space, row, point) for row, point
+                 in zip(oracle.pareto_row_index.tolist(), oracle.pareto)]
+        assert len(twins) > 2
+
+        def rerun():
+            return explore_stream(*arguments, chunk_rows=3).pareto
+
+        streamed = rerun()
+        assert_indistinguishable(streamed, twins)
+        assert_independent(streamed, twins, rerun)
+
+    def test_points_are_built_without_materializing_each_row(
+            self, evaluation_inputs, monkeypatch):
+        """``materialize_row_parts`` runs at most once per group per
+        request (for the representative of a context being built), never
+        once per design point."""
+        calls = []
+        real = ArchitectureSpace.materialize_row_parts
+
+        def counting(space, window, split, primary_count):
+            calls.append((window, tuple(split)))
+            return real(space, window, split, primary_count)
+
+        monkeypatch.setattr(ArchitectureSpace, "materialize_row_parts",
+                            counting)
+        explorer, space, characterizations, usable = evaluation_inputs
+        groups = len(space.window_sides) * len(space.level_splits())
+        per_request = []
+        # a cold and a warm cost cache, then a streamed frontier rebuild
+        for materialize in ("admitted", "admitted", "frontier"):
+            calls.clear()
+            result = explore_stream(space, characterizations,
+                                    explorer.throughput_model, 128, 96,
+                                    usable_luts=usable, chunk_rows=2,
+                                    materialize=materialize)
+            assert len(set(calls)) == len(calls)
+            per_request.append(len(calls))
+            if materialize == "admitted":
+                assert len(result.design_points) > groups
+        assert per_request == [groups, 0, groups]
 
     def test_groups_without_characterizations_are_left_out(
             self, whatif_spaces):
