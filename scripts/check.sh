@@ -35,7 +35,12 @@
 #                               # admitted/pruned counts, and 10 of them
 #                               # with every admitted design point equal to
 #                               # the per-point scalar oracle's
-#                               # (tests/dse/scalar_oracle.py) (~3 s in all)
+#                               # (tests/dse/scalar_oracle.py); last, stream
+#                               # the large space uncapped, with no floor
+#                               # and at 30 fps, and match each Pareto set
+#                               # to the in-memory answer on the space
+#                               # narrowed to its largest saturation count
+#                               # (361 counts) (~3 s in all)
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
 #                               # boundary-contract regressions (both run

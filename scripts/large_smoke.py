@@ -1,6 +1,6 @@
 """Large-space streaming smoke test (`scripts/check.sh --large`).
 
-Three checks in one fresh process:
+Four checks in one fresh process:
 
 1. **Digest identity** — on the paper-scale subspace (the 720-candidate
    blur space of Section 4.1) the in-memory exploration (every admitted
@@ -33,6 +33,14 @@ Three checks in one fresh process:
    move).  The in-memory exploration is deliberately *not* run on the
    large space in this process, so the ceiling bounds the streaming path
    alone.
+
+4. **Saturation cut** — after the RSS reading, the large space streams
+   with no area cap, once with no floor and once under a 30 fps floor.
+   The streamed fold costs each group only up to its saturation count, so
+   each Pareto set must serialize like the in-memory answer on the same
+   knobs narrowed to the most executions any level runs per tile (361
+   counts, 16,245 rows): a primary count past that changes no frame time
+   and adds area, so it can add no Pareto point.
 
 ``--min-fps`` engages the throughput-side suffix pushdown on the large
 run.  ``--json`` emits the collected metrics (candidates/s, peak RSS,
@@ -179,6 +187,37 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
           f"scalar oracle in every admitted point")
 
 
+def check_saturation_cut(explorer, space, characterizations, usable):
+    """Uncapped streamed answers on the large space == the in-memory answer
+    on the space narrowed to the most executions any level runs per
+    tile."""
+    width = min(space.max_cones_per_depth, max(
+        max(space.materialize_row_parts(window, split,
+                                        1).executions_per_level())
+        for window in space.window_sides for split in space.level_splits()))
+    narrowed = dataclasses.replace(space, max_cones_per_depth=width)
+    sizes = []
+    for constraints, label in (
+            (None, "no floor"),
+            (DseConstraints(min_frames_per_second=30.0), "30-fps-floor")):
+        streamed = explore_stream(space, characterizations,
+                                  explorer.throughput_model, 1024, 768,
+                                  constraints, usable)
+        in_memory = explore_stream(narrowed, characterizations,
+                                   explorer.throughput_model, 1024, 768,
+                                   constraints, usable,
+                                   materialize="admitted")
+        if serialized(streamed.pareto) != serialized(in_memory.pareto):
+            raise SystemExit(f"saturation cut ({label}): the streamed "
+                             f"Pareto set of the {space.size()}-candidate "
+                             f"space differs from the in-memory one of "
+                             f"the {narrowed.size()}-candidate space")
+        sizes.append(len(streamed.pareto))
+    print(f"saturation cut ok: {' and '.join(map(str, sizes))} Pareto "
+          f"points streamed uncapped from {space.size():,} candidates == "
+          f"in memory from {narrowed.size():,} ({width} counts)")
+
+
 def run_large(explorer, space, characterizations, usable, chunk_rows,
               constraints):
     started = time.perf_counter()
@@ -270,6 +309,8 @@ def main(argv=None) -> int:
                          f"{args.rss_ceiling_mb} MB ceiling")
     if streamed.peak_chunk_rows > args.chunk_rows:
         raise SystemExit("peak chunk exceeded --chunk-rows")
+    if not args.skip_digest:
+        check_saturation_cut(explorer, space, characterizations, usable)
     return 0
 
 

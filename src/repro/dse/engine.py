@@ -27,19 +27,25 @@ size of the input picks one:
   ``chunk_rows`` rows whose bounds sit at multiples of ``chunk_rows``.
   Where a floor is set and a prefix is longer than one chunk, a binary
   search on the throughput formula (:func:`_throughput_admitted_start`)
-  first cuts the rows below the floor off the interval's front.  Each
-  chunk's admitted ``(area, time, global row)`` triples fold into a
-  :class:`StreamingFrontier`, whose state is the Pareto frontier of
-  everything folded so far; its members' points are built at the end.
+  first cuts the rows below the floor off the interval's front.  Costing
+  stops at the group's saturation count
+  (:meth:`~ThroughputModel.saturation_count`): from there on every row
+  has the same frame time and no less area, so the rows past it are
+  admitted or rejected in bulk by its frame rate and can never join the
+  frontier.  Each chunk's admitted ``(area, time, global row)`` triples
+  fold into a :class:`StreamingFrontier`, whose state is the Pareto
+  frontier of everything folded so far; its members' points are built at
+  the end.
 
 Both admit the same rows and report the same accounting: the whole-space
-pass runs the same suffix probe where the fold would, and works out from
-the intervals the chunks the fold would cost.  Both turn rows into design
-points through one builder, :func:`build_points`, one group's rows per
-call, as plain Python values: what a group's points share (names, depths,
-the base cone counts, the cone areas) is derived once per call, and each
-point gets only its own containers and objects.  The area-side pushdown
-and the caches live in :mod:`repro.dse.stream`.
+pass runs the same suffix probe where the fold would, and both count the
+cells of the ``chunk_rows`` grid that the admitted intervals touch
+(:func:`_chunk_grid`), which bound what the fold costs.  Both turn rows
+into design points through one builder, :func:`build_points`, one group's
+rows per call, as plain Python values: what a group's points share (names,
+depths, the base cone counts, the cone areas) is derived once per call,
+and each point gets only its own containers and objects.  The area-side
+pushdown and the caches live in :mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -248,11 +254,15 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     nondecreasing along the count axis and a min-fps floor admits a suffix
     ``[start, admit_len)`` — found by O(log n) single-count probes of the
     exact batch formula (elementwise over the count axis, hence
-    bit-identical to the full-column values).  Returns ``None`` when the
-    monotonicity argument does not hold and the caller must cost the whole
-    prefix: a (pathological) negative execution interval on the primary
-    level, or a nonpositive frame time anywhere in the prefix
-    (``frames_per_second`` snaps to 0 there, breaking the suffix shape).
+    bit-identical to the full-column values).  Returns ``admit_len`` when
+    every row fails the floor.  The streamed fold passes its group's prefix
+    cut at the saturation count, past which the frame rate is constant.
+
+    Returns ``None`` when the monotonicity argument does not hold and the
+    caller must cost the whole prefix: a (pathological) negative execution
+    interval on the primary level, or a nonpositive frame time anywhere in
+    the prefix (``frames_per_second`` snaps to 0 there, breaking the suffix
+    shape).
     """
     def columns_at(count: int) -> Mapping[str, object]:
         return cost_counts(throughput_model, context, frame_width,
@@ -303,19 +313,25 @@ def fold_groups(space: ArchitectureSpace,
     count axis, or to ``None`` for a group without characterizations.
     Where a ``min_fps`` floor is set and a prefix is longer than
     ``chunk_rows``, :func:`_throughput_admitted_start` first cuts the rows
-    below the floor off its front; the rest is costed in chunks cut at
-    multiples of ``chunk_rows``.  Each group's context is built once.
-    Returns the frontier, the fold's accounting and the contexts (under
-    ``contexts``).
+    below the floor off its front.  The rest is costed in chunks cut at
+    multiples of ``chunk_rows``, but only up to the group's
+    :meth:`~ThroughputModel.saturation_count`: the rows past it share that
+    count's frame time and cost no less area (the primary cone's area is
+    nonnegative), so they are admitted or rejected in bulk by its frame
+    rate and never change the frontier.  A negative or NaN primary area
+    voids that argument, and such a group is costed whole.  Each group's
+    context is built once.  The chunk accounting is that of the
+    ``[start, prefix)`` intervals (:func:`_chunk_grid`), as the
+    whole-space pass reports it.  Returns the frontier, the fold's
+    accounting and the contexts (under ``contexts``).
     """
     n_counts = space.max_cones_per_depth
     frontier = StreamingFrontier()
     contexts: Dict[Tuple[int, int], GroupContext] = {}
+    intervals: List[Tuple[int, int]] = []
     admitted_rows = 0
     fps_pruned = 0
-    peak_chunk_rows = 0
     frontier_peak = 0
-    chunks_materialized = 0
 
     for group_key, prefix in prefixes.items():
         if not prefix:
@@ -324,27 +340,32 @@ def fold_groups(space: ArchitectureSpace,
         context = contexts[group_key] = group_context(
             space, characterizations, space.window_sides[window_index],
             splits[split_index])
+        stop = prefix
+        if context.area_by_depth[context.primary] >= 0:
+            stop = min(prefix, throughput_model.saturation_count(
+                context.representative))
         start = 0
         if min_fps is not None and prefix > chunk_rows:
             start = _throughput_admitted_start(
-                prefix, min_fps, context, throughput_model, frame_width,
+                stop, min_fps, context, throughput_model, frame_width,
                 frame_height) or 0
+            if start == stop:  # even the fastest admitted row fails
+                start = prefix
             fps_pruned += start
-            if start == prefix:
-                continue  # even the fastest admitted row fails the floor
+        intervals.append((start, prefix))
+        if start == prefix:
+            continue
         base_row = (window_index * len(splits) + split_index) * n_counts
-        for low in range(start - start % chunk_rows, prefix, chunk_rows):
-            first, stop = max(low, start), min(low + chunk_rows, prefix)
-            counts = np.arange(first + 1, stop + 1, dtype=np.int32)
-            chunks_materialized += 1
-            peak_chunk_rows = max(peak_chunk_rows, stop - first)
+        for low in range(start - start % chunk_rows, stop, chunk_rows):
+            first, end = max(low, start), min(low + chunk_rows, stop)
+            counts = np.arange(first + 1, end + 1, dtype=np.int32)
             columns = cost_counts(throughput_model, context, frame_width,
                                   frame_height, counts)
+            rates = columns["frames_per_second"]
             if min_fps is None:
                 index = np.arange(counts.size)
             else:
-                index = np.flatnonzero(columns["frames_per_second"]
-                                       >= min_fps)
+                index = np.flatnonzero(rates >= min_fps)
                 fps_pruned += int(counts.size - index.size)
                 if index.size == 0:
                     continue
@@ -356,7 +377,15 @@ def fold_groups(space: ArchitectureSpace,
             admitted_rows += int(rows.size)
             frontier.update(area, times, rows)
             frontier_peak = max(frontier_peak, len(frontier))
+        # the rows past `stop` take the fate of the last costed row
+        if min_fps is None or rates[-1] >= min_fps:
+            admitted_rows += prefix - stop
+        else:
+            fps_pruned += prefix - stop
 
+    grid = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    chunks_materialized, peak_chunk_rows = _chunk_grid(grid[:, 0], grid[:, 1],
+                                                       chunk_rows)
     return {"frontier": frontier,
             "admitted_rows": admitted_rows,
             "fps_pruned": fps_pruned,
@@ -441,12 +470,14 @@ def space_costs(space: ArchitectureSpace,
 
 def _chunk_grid(start: "np.ndarray", prefix: "np.ndarray",
                 chunk_rows: int) -> Tuple[int, int]:
-    """How many chunks :func:`fold_groups` costs over the groups' intervals
-    ``[start, prefix)``, and the most rows one of them holds.
+    """How many chunks the groups' admitted intervals ``[start, prefix)``
+    span, and the most rows one of them holds: the chunk accounting both
+    passes report.
 
     A group's chunks are the cells of the ``chunk_rows`` grid its interval
     touches, so only the first and the last can be short, and a group with
-    no row left has none.
+    no row left has none.  They bound what :func:`fold_groups` costs, which
+    stops at the group's saturation count.
     """
     live = start < prefix
     first_cell, end_cell = start // chunk_rows, -(-prefix // chunk_rows)
@@ -472,12 +503,11 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
     reports the accounting it reports at ``chunk_rows``: where a
     ``min_fps`` floor is set and a prefix is longer than ``chunk_rows``,
     :func:`_throughput_admitted_start` finds the start of the fps-admitted
-    suffix as it does there, and the chunk counts follow from the
-    intervals the fold would cost (:func:`_chunk_grid`).  Returns the
-    accounting, every admitted row's
-    :class:`DesignPoint` in enumeration order (``design_points``), the
-    Pareto members among them (``pareto``, the same objects) and their
-    global rows (``pareto_rows``).
+    suffix as it does there, and the chunk counts follow from the same
+    admitted intervals (:func:`_chunk_grid`).  Returns the accounting,
+    every admitted row's :class:`DesignPoint` in enumeration order
+    (``design_points``), the Pareto members among them (``pareto``, the
+    same objects) and their global rows (``pareto_rows``).
     """
     prefix = np.array([prefixes[key] for key in costs.keys], dtype=np.int64)
     start = np.zeros_like(prefix)

@@ -26,7 +26,10 @@ Pieces:
    chunk, a second binary search on the throughput formula finds the
    admitted *suffix*, and only the intersected [suffix, prefix) interval is
    costed.  Every costed row is still checked against the floor, so the
-   probe only ever saves work.
+   probe only ever saves work.  The frame rate stops changing at the
+   group's saturation count (the most executions a level of the primary
+   depth runs per tile), so the streamed fold's probe searches no count
+   past it (piece 2).
 2. A streamed exploration makes one pass over the space's (window, split)
    groups, in enumeration order (:func:`repro.dse.engine.fold_groups`), in
    the divide-and-conquer spirit of SCC-chunked automaton determinization:
@@ -36,7 +39,13 @@ Pieces:
    multiples of ``chunk_rows``, so a space has groups × ⌈count axis /
    ``chunk_rows``⌉ chunks.  A chunk (an ``int32`` count column, a slice of
    the group's admitted interval) is costed only where it overlaps that
-   interval, and its admitted objective columns fold into a
+   interval, and only up to the group's saturation count
+   (``ThroughputModel.saturation_count``).  Past that count every row has
+   the saturation count's frame time and no less area, so those rows are
+   admitted or rejected in bulk by its frame rate and cannot join the
+   frontier: an uncapped request costs at most the saturation counts,
+   however long the count axis.  The costed rows' admitted objective
+   columns fold into a
    :class:`~repro.dse.engine.StreamingFrontier` whose state is
    byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
    concatenated full arrays regardless of chunk size.  The fold runs once,
@@ -252,10 +261,12 @@ def stream_stats() -> Dict[str, Any]:
     re-explores (only per-run knobs changed, pushdown analysis reused);
     ``evictions`` counts distinct (shape, characterization, constraint)
     combinations beyond the bound.  The run half: ``runs`` counts
-    explorations, ``chunks_materialized`` the chunks actually costed
-    across them, and ``throughput_pruned_rows`` the rows a min-fps floor
-    rejected.  ``costs`` holds the same five counters for the cost cache,
-    which only in-memory explorations consult.
+    explorations, ``chunks_materialized`` the ``chunk_rows`` grid cells
+    their admitted intervals touch (which bound what the streamed fold
+    costs; both passes report them alike), and ``throughput_pruned_rows``
+    the rows a min-fps floor rejected.  ``costs`` holds the same five
+    counters for the cost cache, which only in-memory explorations
+    consult.
     """
     stats: Dict[str, Any] = _mask_cache.stats()
     stats.update(_counters.snapshot())
@@ -407,10 +418,13 @@ class StreamingExploration:
     pruned_rows: int
     chunk_rows: int
     chunks_total: int
-    #: Chunks never materialized: fully pruned by pushdown, outside the
-    #: admitted interval, or in a group without characterizations.
+    #: Chunks the admitted intervals do not touch: fully pruned by
+    #: pushdown, outside the admitted interval, or in a group without
+    #: characterizations.  The rest, the ``chunk_rows`` grid cells of the
+    #: admitted intervals, bound what the streamed fold costs.
     chunks_skipped: int
-    #: Largest number of rows actually materialized at once.
+    #: Most admitted-interval rows in one ``chunk_rows`` grid cell: a bound
+    #: on the rows the streamed fold costs at once.
     peak_chunk_rows: int
     #: Largest frontier state observed while streaming.
     frontier_peak: int

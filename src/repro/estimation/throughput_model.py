@@ -183,6 +183,25 @@ class ThroughputModel:
             cycles += perf.latency_cycles + serialised * interval
         return cycles
 
+    def saturation_count(self, architecture: ConeArchitecture) -> int:
+        """The smallest primary-cone instance count from which every
+        count-dependent column of :meth:`tile_columns` (and so of
+        :meth:`estimate_batch`) is constant.
+
+        A level of the primary (deepest) depth serialises its executions
+        into ⌈executions / instances⌉ batches (:meth:`_compute_cycles_batch`),
+        so once the instances cover the most executions such a level runs
+        per tile, each such level runs in one batch: more instances add
+        area and no speed.  The streamed fold
+        (:func:`repro.dse.engine.fold_groups`) costs no count past this
+        one.  An override that changes how the primary count enters the
+        per-tile formula must override this too.
+        """
+        primary = max(architecture.level_depths)
+        return max(executions for depth, executions in zip(
+            architecture.level_depths, architecture.executions_per_level())
+            if depth == primary)
+
     def transfer_cycles_per_tile(self, architecture: ConeArchitecture) -> Tuple[float, float]:
         """(cycles, bytes) of off-chip traffic for one output tile."""
         read_elements, written_elements = architecture.offchip_elements_per_tile(

@@ -7,7 +7,7 @@ Evaluates the candidate space one Python object at a time — build the
 exploration in production runs one of the two passes of
 :func:`repro.dse.stream.explore_stream` (the whole-space pass in memory,
 the chunked fold when streamed); the tests hold both to this loop byte for
-byte.
+byte, under the stock throughput model and the two overrides below.
 """
 
 from __future__ import annotations
@@ -22,7 +22,24 @@ import numpy as np
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_front
-from repro.estimation.throughput_model import ConePerformance
+from repro.estimation.throughput_model import (ConePerformance,
+                                               ThroughputModel)
+
+
+class SlowPorts(ThroughputModel):
+    """Built with stock arguments, yet every execution interval doubles."""
+
+    def execution_interval_cycles(self, architecture, depth, performance):
+        return 2.0 * super().execution_interval_cycles(architecture, depth,
+                                                       performance)
+
+
+class NegativeInterval(ThroughputModel):
+    """Batch-capable, but the monotonicity argument is void."""
+
+    def execution_interval_cycles(self, architecture, depth, performance):
+        return -super().execution_interval_cycles(architecture, depth,
+                                                  performance)
 
 
 @dataclass

@@ -16,8 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalar_oracle import explore_scalar, scalar_exploration
+from scalar_oracle import (NegativeInterval, SlowPorts, explore_scalar,
+                           scalar_exploration)
 
+from repro.algorithms import get_algorithm
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.engine import (_chunk_grid, build_points, cost_counts,
@@ -319,9 +321,9 @@ class TestFoldKernel:
                 == whole["chunks_materialized"] == space.size())
 
     def test_chunk_grid_counts_the_chunks_the_fold_cuts(self):
-        """The whole-space pass works out the fold's chunk accounting from
-        the intervals: the same count and largest chunk as cutting them
-        the way ``fold_groups`` does."""
+        """Both passes work out the chunk accounting from the intervals:
+        the same count and largest chunk as cutting them at multiples of
+        ``chunk_rows``."""
         rng = random.Random(30)
         for _ in range(2000):
             chunk_rows = rng.randint(1, 9)
@@ -369,13 +371,6 @@ class TestModelHooks:
         """The per-tile hooks are invoked on the instance by the batch
         formula and by ``evaluate``, so overriding one composes with batch
         costing."""
-
-        class SlowPorts(ThroughputModel):
-            def execution_interval_cycles(self, architecture, depth,
-                                          performance):
-                return 2.0 * super().execution_interval_cycles(
-                    architecture, depth, performance)
-
         explorer = small_explorer(igf_kernel)
         stock_model = explorer.throughput_model
         explorer.throughput_model = SlowPorts(
@@ -389,6 +384,42 @@ class TestModelHooks:
         stock = small_explorer(igf_kernel).explore(6, 128, 96)
         assert (auto.design_points[0].seconds_per_frame
                 > stock.design_points[0].seconds_per_frame)
+
+    def test_saturation_count_is_where_the_columns_stop_changing(self):
+        """On every group of the blur and chamb paper spaces, the batch
+        columns at counts ``S`` to ``S + 20`` equal the column at the
+        saturation count ``S`` bit for bit, and below ``S`` the compute
+        cycles still change."""
+        models = [model_class(data_format=DataFormat.FIXED16)
+                  for model_class in (ThroughputModel, SlowPorts,
+                                      NegativeInterval)]
+        for kernel, iterations in (("blur", 10), ("chamb", 11)):
+            explorer = DesignSpaceExplorer(
+                get_algorithm(kernel).kernel(),
+                data_format=DataFormat.FIXED16,
+                window_sides=tuple(range(1, 10)), max_depth=5,
+                max_cones_per_depth=16)
+            characterizations, _ = explorer.characterize_cones(iterations)
+            space = explorer._space(iterations)
+            for window, split, _group in space.architecture_groups():
+                context = group_context(space, characterizations, window,
+                                        tuple(split))
+                for model in models:
+                    saturation = model.saturation_count(
+                        context.representative)
+                    low = max(saturation - 1, 1)
+                    columns = cost_counts(
+                        model, context, 1024, 768,
+                        np.arange(low, saturation + 21, dtype=np.int64))
+                    at = saturation - low  # the position of count S
+                    for name, column in columns.items():
+                        if not isinstance(column, np.ndarray):
+                            continue
+                        assert all(value.tobytes() == column[at].tobytes()
+                                   for value in column[at:]), name
+                    if saturation > 1:
+                        compute = columns["compute_cycles_per_tile"]
+                        assert compute[0] != compute[1]
 
     def test_tile_count_hook_override_holds_in_both_passes(self, inputs):
         """A model whose tile count, like the stock one, reads only the

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from scalar_oracle import scalar_exploration
+from scalar_oracle import NegativeInterval, SlowPorts, scalar_exploration
 
 import repro.dse.engine as engine_module
 import repro.dse.stream as stream_module
@@ -87,22 +87,6 @@ def constraint_grid(baseline):
         DseConstraints(max_area_luts=areas[len(areas) // 2],
                        min_frames_per_second=1.0, device_only=True),
     ]
-
-
-class SlowPorts(ThroughputModel):
-    """Built with stock arguments, yet every execution interval doubles."""
-
-    def execution_interval_cycles(self, architecture, depth, performance):
-        return 2.0 * super().execution_interval_cycles(architecture, depth,
-                                                       performance)
-
-
-class NegativeInterval(ThroughputModel):
-    """Batch-capable, but the monotonicity argument is void."""
-
-    def execution_interval_cycles(self, architecture, depth, performance):
-        return -super().execution_interval_cycles(architecture, depth,
-                                                  performance)
 
 
 class TestDigestIdentity:
@@ -620,6 +604,9 @@ WHATIF_PORTS = (4, 8, 16, 32)
 ACCOUNTING = ("space_rows", "admitted_rows", "pruned_rows", "chunk_rows",
               "chunks_total", "chunks_skipped", "peak_chunk_rows",
               "mask_cache_hit", "throughput_pruned_rows")
+#: A count axis far past every saturation count of the evaluation inputs'
+#: groups (121 at most).
+WIDE_COUNTS = 300
 
 
 @pytest.fixture(scope="module")
@@ -908,15 +895,20 @@ class TestWholeSpacePass:
             explore_stream(space, characterizations, model, 640, 480,
                            usable_luts=usable, materialize=materialize)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("chunk_rows, n_counts", [
+        pytest.param(chunk_rows, n_counts, id=f"{chunk_rows}{suffix}")
+        for n_counts, suffix in ((6, ""), (WIDE_COUNTS, "-wide"))
+        for chunk_rows in (1, 3, 7, 4096)])
     @pytest.mark.parametrize("model_class",
                              [ThroughputModel, SlowPorts, NegativeInterval])
     def test_admitted_accounting_equals_the_folds(
-            self, evaluation_inputs, model_class, chunk_rows):
+            self, evaluation_inputs, model_class, chunk_rows, n_counts):
         """Under fps floors, where the chunked fold runs the suffix probe
         (prefixes longer than ``chunk_rows``) and where it filters whole
         groups, both modes report the same accounting; only
-        ``frontier_peak`` tells a streamed fold from one Pareto pass."""
+        ``frontier_peak`` tells a streamed fold from one Pareto pass.  On
+        the wide count axis the fold stops costing each group at its
+        saturation count while the whole-space pass costs every row."""
         explorer, space, characterizations, usable = evaluation_inputs
         model = model_class(device=explorer.device,
                             data_format=explorer.data_format)
@@ -924,6 +916,7 @@ class TestWholeSpacePass:
                                       explorer.throughput_model, 128, 96)
         fps = np.sort(1.0 / baseline.seconds_per_frame)
         cap = float(np.median(baseline.area_luts))
+        space = dataclasses.replace(space, max_cones_per_depth=n_counts)
         for floor in (float(fps[fps.size // 4]), float(np.median(fps)),
                       float(fps[(9 * fps.size) // 10]), 1e12):
             for constraints in (
@@ -944,6 +937,133 @@ class TestWholeSpacePass:
                         result.pareto_row_index.tolist(),
                         serialized_points(result.pareto), stats))
                 assert records[0] == records[1]
+
+
+def recording_model(explorer):
+    """A stock-argument model and the largest count ``estimate_batch``
+    costed per group, keyed by ``(window, level depths)``."""
+    largest = {}
+
+    class Recording(ThroughputModel):
+        def estimate_batch(self, architecture, cone_performance,
+                           frame_width, frame_height, counts):
+            key = (architecture.window_side,
+                   tuple(architecture.level_depths))
+            largest[key] = max(largest.get(key, 0), int(np.max(counts)))
+            return super().estimate_batch(architecture, cone_performance,
+                                          frame_width, frame_height, counts)
+
+    return (Recording(device=explorer.device,
+                      data_format=explorer.data_format), largest)
+
+
+def with_area(characterizations, shape, area):
+    """``characterizations`` with the cone ``shape`` given ``area`` LUTs."""
+    changed = dict(characterizations)
+    changed[shape] = dataclasses.replace(
+        characterizations[shape], estimated_area_luts=area,
+        actual_area_luts=area)
+    return changed
+
+
+class TestSaturationCut:
+    """A streamed fold costs each group only up to its saturation count:
+    the rows past it share that count's frame time and cost no less area,
+    so they are counted in bulk and never join the frontier."""
+
+    def test_a_streamed_fold_costs_no_count_past_saturation(
+            self, evaluation_inputs):
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=WIDE_COUNTS)
+        stock = explorer.throughput_model
+        # each group's saturation count, read off its whole count axis: the
+        # smallest count from which the compute cycles stop changing
+        counts = np.arange(1, WIDE_COUNTS + 1, dtype=np.int64)
+        saturation = {}
+        for window in space.window_sides:
+            for split in space.level_splits():
+                context = engine_module.group_context(
+                    space, characterizations, window, tuple(split))
+                compute = engine_module.cost_counts(
+                    stock, context, 128, 96, counts)[
+                        "compute_cycles_per_tile"]
+                changes = np.flatnonzero(compute[1:] != compute[:-1])
+                saturation[(window, tuple(split))] = int(changes[-1]) + 2
+        assert max(saturation.values()) < WIDE_COUNTS // 2
+        unconstrained = explore_stream(space, characterizations, stock, 128,
+                                       96, usable_luts=usable,
+                                       materialize="admitted")
+        floor = float(np.median([point.frames_per_second for point
+                                 in unconstrained.design_points]))
+        model, largest = recording_model(explorer)
+        for constraints in (None, DseConstraints(device_only=True),
+                            DseConstraints(min_frames_per_second=floor)):
+            for chunk_rows in (1, 7, 4096):
+                clear_stream_caches()
+                expected = explore_stream(
+                    space, characterizations, stock, 128, 96, constraints,
+                    usable, chunk_rows=chunk_rows, materialize="admitted")
+                largest.clear()
+                streamed = explore_stream(
+                    space, characterizations, model, 128, 96, constraints,
+                    usable, chunk_rows=chunk_rows)
+                assert largest
+                assert all(count <= saturation[key]
+                           for key, count in largest.items())
+                assert ({name: getattr(streamed, name) for name in ACCOUNTING
+                         if name != "mask_cache_hit"}
+                        == {name: getattr(expected, name)
+                            for name in ACCOUNTING
+                            if name != "mask_cache_hit"})
+                assert np.array_equal(streamed.pareto_row_index,
+                                      expected.pareto_row_index)
+                assert (serialized_points(streamed.pareto)
+                        == serialized_points(expected.pareto))
+
+    def test_a_negative_primary_area_keeps_the_cut_off(
+            self, evaluation_inputs):
+        """Area falls with the count there, so the rows past saturation
+        are the cheapest: the fold costs them, and both modes answer like
+        the scalar oracle."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=40)
+        # window 4, depth 3: the primary cone of split (3, 3), whose
+        # saturation count is 9
+        characterizations = with_area(characterizations, (4, 3), -250.0)
+        model, largest = recording_model(explorer)
+        for constraints in (None, DseConstraints(min_frames_per_second=1.0)):
+            oracle = scalar_exploration(space, characterizations, model, 128,
+                                        96, constraints, usable)
+            assert oracle.admitted_rows
+            for chunk_rows in (1, 4096):
+                in_memory = explore_stream(
+                    space, characterizations, model, 128, 96, constraints,
+                    usable, chunk_rows=chunk_rows, materialize="admitted")
+                assert (serialized_points(in_memory.design_points)
+                        == serialized_points(oracle.design_points))
+                largest.clear()
+                streamed = explore_stream(
+                    space, characterizations, model, 128, 96, constraints,
+                    usable, chunk_rows=chunk_rows)
+                assert largest[(4, (3, 3))] == 40
+                for result in (in_memory, streamed):
+                    assert np.array_equal(result.pareto_row_index,
+                                          oracle.pareto_row_index)
+                    assert (serialized_points(result.pareto)
+                            == serialized_points(oracle.pareto))
+
+    @pytest.mark.parametrize("materialize", ["admitted", "frontier"])
+    def test_a_nan_area_raises_the_finite_objectives_error(
+            self, evaluation_inputs, materialize):
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=40)
+        characterizations = with_area(characterizations, (4, 3),
+                                      float("nan"))
+        with pytest.raises(ValueError,
+                           match=re.escape(FINITE_OBJECTIVES_ERROR)):
+            explore_stream(space, characterizations,
+                           explorer.throughput_model, 128, 96,
+                           usable_luts=usable, materialize=materialize)
 
 
 class TestChunkAccounting:
