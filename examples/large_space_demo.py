@@ -6,24 +6,27 @@ instance-count axis to 2,300 turns the same shape knobs into a
 103,500-candidate space; :mod:`repro.dse.stream` explores it without ever
 materializing the full candidate table:
 
-* the fold visits each (window, split) group once and cuts its
-  instance-count axis into chunks of at most ``chunk_rows`` rows — pure
-  index arithmetic, no arrays until a chunk is costed;
+* the cost table stops at the largest saturation count of the space's
+  (window, split) groups, the most executions a level of the primary
+  depth runs per tile: past it more instances change no frame time, so
+  the whole space is costed as a 45 x 361 table, and every row past it
+  takes the table's last column;
 * constraint pushdown proves, from the area model alone, how many
   instance counts of each group can possibly satisfy the area
-  constraints, and prunes the rest *before* any column is built (the
+  constraints, and prunes the rest *before* any row is costed (the
   admitted set is always a prefix of the count axis, found by binary
   search on the exact engine-identical area formula);
-* a :class:`StreamingFrontier` folds each chunk into bounded state — the
-  final frontier is bit-identical to the in-memory exploration's, whatever
-  the chunk size or order;
-* the admitted-prefix masks are cached by *shape* knobs only, so a
-  re-exploration that changes a per-run knob (frame size, fps floor)
-  skips the admission pass entirely and re-costs only the admitted rows;
-* a frames-per-second floor is pushed down too: throughput is monotone in
-  the instance count, so where a group's area prefix spans several chunks
-  a second binary search admits only the count suffix that can meet the
-  floor, and chunks below it are never costed.
+* of a group's rows past the table only the last can join the frontier
+  (the others share its frame time and lie between it and the table's
+  last column in area), so one Pareto pass over the table plus one row
+  per group gives the exact frontier of the whole space;
+* the admitted-prefix masks are cached by *shape* knobs only, and the
+  cost table by space and model, so a re-exploration that changes a
+  per-run knob (frame size, fps floor) skips the admission pass and pays
+  only for the frame times;
+* a frames-per-second floor is monotone too (throughput never falls as
+  instances are added), so it admits a suffix of each group's count axis,
+  and one fps mask over the table rejects the rest.
 
 Run with::
 
@@ -39,8 +42,6 @@ from repro.algorithms import get_algorithm
 from repro.dse.constraints import DseConstraints
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.stream import explore_stream, stream_stats
-
-CHUNK_ROWS = 512
 
 
 def peak_rss_mb() -> float:
@@ -60,23 +61,26 @@ def main() -> None:
 
     # 1. stream with constraint pushdown: the device capacity bounds how
     #    many primary-cone instances each group can hold, so almost the
-    #    whole count axis is discarded before a single column is built.
+    #    whole count axis is discarded before a single row is costed.
+    groups = [space.materialize_row_parts(window, split, 1)
+              for window in space.window_sides
+              for split in space.level_splits()]
+    width = max(explorer.throughput_model.saturation_count(architecture)
+                for architecture in groups)
     constraints = DseConstraints(device_only=True)
     started = time.perf_counter()
     streamed = explore_stream(space, characterizations,
                               explorer.throughput_model, 1024, 768,
-                              constraints, usable, chunk_rows=CHUNK_ROWS)
+                              constraints, usable)
     elapsed = time.perf_counter() - started
-    print(f"{streamed.space_rows:,} candidates cut into "
-          f"{streamed.chunks_total} chunks of <= {CHUNK_ROWS} rows "
-          f"(each inside one (window, split) group)")
+    print(f"{streamed.space_rows:,} candidates costed as a "
+          f"{len(groups)} x {width} table: past {width} instances no "
+          f"(window, split) group gets faster")
     print(f"streamed in {elapsed * 1000:.0f} ms "
           f"({streamed.space_rows / elapsed:,.0f} candidates/s): "
           f"{streamed.pruned_rows:,} rows ({streamed.pruned_fraction:.1%}) "
-          f"pruned before costing, {streamed.chunks_skipped} of "
-          f"{streamed.chunks_total} chunks never materialized")
-    print(f"bounded state: peak chunk {streamed.peak_chunk_rows} rows, "
-          f"frontier never exceeded {streamed.frontier_peak} points, "
+          f"pruned before costing")
+    print(f"bounded state: {len(streamed.pareto)} Pareto points kept, "
           f"process peak RSS {peak_rss_mb():.0f} MB")
     print()
 
@@ -90,10 +94,11 @@ def main() -> None:
     print()
 
     # 3. incremental re-explore: a new frame geometry is a per-run knob —
-    #    the admitted-prefix masks are reused, only throughput re-costs
+    #    the admitted-prefix masks and the cost table are reused, only the
+    #    frame times are recomputed
     again = explore_stream(space, characterizations,
                            explorer.throughput_model, 640, 480,
-                           constraints, usable, chunk_rows=CHUNK_ROWS)
+                           constraints, usable)
     cache = stream_stats()
     print(f"re-explored at 640x480: mask cache "
           f"{'hit' if again.mask_cache_hit else 'miss'} "
@@ -113,11 +118,11 @@ def main() -> None:
 
     # 5. throughput-side pushdown: an fps floor admits only a suffix of
     #    each group's count axis (throughput is monotone in the instance
-    #    count), so the chunks below it are never costed.
+    #    count), and one fps mask over the table finds it.
     floored = DseConstraints(device_only=True, min_frames_per_second=30.0)
     fast = explore_stream(space, characterizations,
                           explorer.throughput_model, 1024, 768,
-                          floored, usable, chunk_rows=CHUNK_ROWS)
+                          floored, usable)
     print(f"30 fps floor: {fast.throughput_pruned_rows:,} more rows "
           f"rejected throughput-side "
           f"({fast.pruned_fraction:.2%} pruned in total), "

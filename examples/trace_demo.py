@@ -4,13 +4,13 @@
 grown: the submitting client opens a root span, the trace context rides
 the ``X-Repro-Trace`` HTTP header into the fleet router, hops to the
 owning worker, follows the job through the scheduler into the session
-pipeline, and down to the fold of a streamed exploration — every span
+pipeline, and down to the pass of a streamed exploration — every span
 carries the same ``trace_id`` and parents back to the caller's root.
 This demo shows the full loop:
 
 1. a client-side root span + one fleet submit of a *streamed* workload
    → every server-side span (route, job, dispatch, stages, stream
-   fold) joins the caller's trace;
+   pass) joins the caller's trace;
 2. fetching the assembled tree back via ``GET /trace/<id>`` and walking
    it as an indented span tree with wall times;
 3. exporting the same spans as JSONL (one span per line, grep-able) and
@@ -40,7 +40,7 @@ from repro.obs import trace
 from repro.service import ReproClient
 
 #: Small knobs so the demo finishes in seconds; ``stream=True`` keeps only
-#: the frontier, and its ``stream.explore`` span reports the chunks folded.
+#: the frontier, and its ``stream.explore`` span reports the chunk count.
 SMALL = dict(iterations=4, window_sides=(1, 2, 3), max_depth=2,
              max_cones_per_depth=4, frame_width=640, frame_height=480,
              stream=True)
@@ -90,9 +90,10 @@ def main() -> None:
         # -------------------------------------------------------------- #
         # 2. fetch the assembled tree back from the fleet and walk it.
         spans = fleet.trace(root.trace_id)["spans"]
-        folds = sum(1 for span in spans if span["name"] == "stream.explore")
+        passes = sum(1 for span in spans
+                     if span["name"] == "stream.explore")
         print(f"trace:      {len(spans)} span(s), one trace id, "
-              f"{folds} stream.explore fold span(s)")
+              f"{passes} stream.explore span(s)")
         print_tree(spans)
 
         # -------------------------------------------------------------- #

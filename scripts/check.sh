@@ -22,19 +22,22 @@
 #                               # cleanly
 #   scripts/check.sh --large    # out-of-core smoke: stream a >=10^5-
 #                               # candidate space under a hard RSS ceiling,
-#                               # leaving the cost cache untouched, and
-#                               # assert streamed results are digest-
-#                               # identical to the in-memory exploration on
-#                               # the paper-scale subspace, which must read
-#                               # the same from a cold and a warm cost
-#                               # cache; then answer 60 seeded what-if
-#                               # requests there (frame sizes, fps floors,
-#                               # LUT caps, port widths) in memory from a
-#                               # warm cost cache and streamed in one-group
-#                               # chunks, with equal Pareto sets and
+#                               # adding one cost-cache entry of 45 x 361
+#                               # rows (its largest saturation count, not
+#                               # its 2,300 counts), and assert streamed
+#                               # results are digest-identical to the
+#                               # in-memory exploration on the paper-scale
+#                               # subspace, which must read the same from
+#                               # a cold and a warm cost cache; then answer
+#                               # 60 seeded what-if requests there (frame
+#                               # sizes, fps floors, LUT caps, port widths)
+#                               # in memory and streamed in one-group
+#                               # chunks, both from the warm cost cache
+#                               # (2 x 60 hits), with equal Pareto sets and
 #                               # admitted/pruned counts, and 10 of them
-#                               # with every admitted design point equal to
-#                               # the per-point scalar oracle's
+#                               # with every admitted design point and the
+#                               # streamed Pareto set equal to the
+#                               # per-point scalar oracle's
 #                               # (tests/dse/scalar_oracle.py); last, stream
 #                               # the large space uncapped, with no floor
 #                               # and at 30 fps, and match each Pareto set

@@ -17,30 +17,30 @@ Four checks in one fresh process:
 
 2. **What-if sweep** — seeded what-if requests on the same subspace (frame
    sizes from 320x240 to 4096x2160, fps floors, LUT caps, on-chip port
-   widths), each answered in memory from a warm cost cache and by
-   frontier-only streaming in one-group chunks: both answers must have
-   the same serialized Pareto set and the same admitted and pruned
-   counts.  For one request in six, every admitted design point of the
-   in-memory answer, on the Pareto front or not, must also serialize
-   byte for byte like the per-point scalar exploration
-   (``tests/dse/scalar_oracle.py``).
+   widths), each answered in memory and by frontier-only streaming in
+   one-group chunks, both from the warm cost cache (2 hits per request):
+   both answers must have the same serialized Pareto set and the same
+   admitted and pruned counts.  For one request in six, every admitted
+   design point of the in-memory answer, on the Pareto front or not, and
+   the streamed Pareto set must also serialize byte for byte like the
+   per-point scalar exploration (``tests/dse/scalar_oracle.py``).
 
 3. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
    under a hard peak-RSS ceiling, measured with
    ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` over the whole process,
-   without consulting or filling the cost cache (its counters must not
-   move).  The in-memory exploration is deliberately *not* run on the
-   large space in this process, so the ceiling bounds the streaming path
-   alone.
+   adding one cost-cache entry whose tables stop at the largest
+   saturation count (45 x 361 rows, not 45 x 2,300).  The in-memory
+   exploration is deliberately *not* run on the large space in this
+   process, so the ceiling bounds the streaming path alone.
 
 4. **Saturation cut** — after the RSS reading, the large space streams
    with no area cap, once with no floor and once under a 30 fps floor.
-   The streamed fold costs each group only up to its saturation count, so
-   each Pareto set must serialize like the in-memory answer on the same
-   knobs narrowed to the most executions any level runs per tile (361
-   counts, 16,245 rows): a primary count past that changes no frame time
-   and adds area, so it can add no Pareto point.
+   Its cost table stops at the most executions any level runs per tile
+   (361 counts), so each Pareto set must serialize like the in-memory
+   answer on the same knobs narrowed to those 361 counts (16,245 rows): a
+   primary count past that changes no frame time and adds area, so it can
+   add no Pareto point.
 
 ``--min-fps`` engages the throughput-side suffix pushdown on the large
 run.  ``--json`` emits the collected metrics (candidates/s, peak RSS,
@@ -67,7 +67,8 @@ sys.path.insert(0, str(ROOT / "tests" / "dse"))
 from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
-from repro.dse.stream import (clear_stream_caches,           # noqa: E402
+from repro.dse.stream import (_cached_costs,                 # noqa: E402
+                              _characterization_key, clear_stream_caches,
                               explore_stream, stream_stats)
 from scalar_oracle import scalar_exploration                  # noqa: E402
 
@@ -136,7 +137,8 @@ def check_digest_identity(explorer, space, characterizations, usable):
 
 def check_whatif_sweep(explorer, space, characterizations, usable):
     """Warm in-memory answers == one-group streamed answers, per request,
-    and == the scalar oracle's admitted points for every sixth one."""
+    and == the scalar oracle's admitted points and Pareto set for every
+    sixth one."""
     paper_space = dataclasses.replace(space, max_cones_per_depth=16)
     models = {port: explorer._throughput_model_for(port)
               for port in SWEEP_PORTS}
@@ -176,15 +178,19 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
                 raise SystemExit(f"what-if request {request}: in-memory "
                                  f"design points differ from the scalar "
                                  f"oracle's")
+            if serialized(streamed.pareto) != serialized(oracle.pareto):
+                raise SystemExit(f"what-if request {request}: the streamed "
+                                 f"Pareto set differs from the scalar "
+                                 f"oracle's")
             oracle_checked += 1
     costs = stream_stats()["costs"]
-    if (costs["misses"], costs["hits"]) != (warmed["misses"],
-                                            warmed["hits"] + SWEEP_REQUESTS):
+    if (costs["misses"], costs["hits"]) != (
+            warmed["misses"], warmed["hits"] + 2 * SWEEP_REQUESTS):
         raise SystemExit(f"what-if sweep missed the warm cost cache: "
                          f"{warmed} -> {costs}")
     print(f"what-if sweep ok: {SWEEP_REQUESTS} warm in-memory requests == "
           f"one-group streamed requests, {oracle_checked} of them == the "
-          f"scalar oracle in every admitted point")
+          f"scalar oracle in every admitted point and Pareto point")
 
 
 def check_saturation_cut(explorer, space, characterizations, usable):
@@ -216,6 +222,26 @@ def check_saturation_cut(explorer, space, characterizations, usable):
     print(f"saturation cut ok: {' and '.join(map(str, sizes))} Pareto "
           f"points streamed uncapped from {space.size():,} candidates == "
           f"in memory from {narrowed.size():,} ({width} counts)")
+
+
+def check_table_width(explorer, space, characterizations):
+    """The large space's cost-cache entry stops at the largest saturation
+    count: groups × 361 rows, however long the count axis."""
+    splits = tuple(tuple(split) for split in space.level_splits())
+    entry = _cached_costs(space, splits, characterizations,
+                          _characterization_key(characterizations),
+                          explorer.throughput_model)
+    width = min(space.max_cones_per_depth, max(
+        explorer.throughput_model.saturation_count(context.representative)
+        for context in entry.contexts))
+    shapes = {array.shape for array in (
+        entry.area, entry.compute_cycles_per_tile, entry.cycles_per_tile,
+        entry.compute_bound)}
+    if shapes != {(len(entry.keys), width)} or width >= (
+            space.max_cones_per_depth):
+        raise SystemExit(f"the cost table of the {space.size():,}-candidate "
+                         f"space is {shapes}, not {len(entry.keys)} x "
+                         f"{width}")
 
 
 def run_large(explorer, space, characterizations, usable, chunk_rows,
@@ -273,9 +299,12 @@ def main(argv=None) -> int:
     streamed, elapsed = run_large(explorer, space, characterizations,
                                   usable, args.chunk_rows, constraints)
     rss = peak_rss_mb()
-    if stream_stats()["costs"] != costs_before:
-        raise SystemExit(f"the streamed run touched the cost cache: "
-                         f"{costs_before} -> {stream_stats()['costs']}")
+    costs_after = stream_stats()["costs"]
+    if (costs_after["misses"], costs_after["entries"]) != (
+            costs_before["misses"] + 1, costs_before["entries"] + 1):
+        raise SystemExit(f"the streamed run did not add one cost-cache "
+                         f"entry: {costs_before} -> {costs_after}")
+    check_table_width(explorer, space, characterizations)
     metrics = {
         "space_rows": streamed.space_rows,
         "admitted_rows": streamed.admitted_rows,
@@ -287,7 +316,6 @@ def main(argv=None) -> int:
         "chunks_total": streamed.chunks_total,
         "chunks_skipped": streamed.chunks_skipped,
         "peak_chunk_rows": streamed.peak_chunk_rows,
-        "frontier_peak": streamed.frontier_peak,
         "pareto_points": len(streamed.pareto),
         "elapsed_s": round(elapsed, 3),
         "candidates_per_s": round(streamed.space_rows / elapsed, 1),

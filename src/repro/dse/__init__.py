@@ -1,19 +1,19 @@
 """Design-space exploration: estimate every candidate architecture, extract Pareto set.
 
 Every exploration enters through :func:`repro.dse.stream.explore_stream`,
-which pushes the area constraints down before costing, and then runs one
-of two passes of :mod:`repro.dse.engine` over the same formulas.  The
-input size picks the pass: a space below ``STREAM_AUTO_THRESHOLD`` rows is
-explored in memory, in one columnar pass over a cached whole-space cost
-table that keeps every admitted row as a design point; a larger space (or
-``stream=True``) is streamed, one (window, split) group at a time in
-bounded chunks folded into a Pareto frontier, and keeps only the frontier.
+which pushes the area constraints down before costing and then answers in
+the one columnar pass of :mod:`repro.dse.engine` over a cached cost table.
+The table stops at the largest count from which more primary instances
+change no frame time, so it is as small for a million-candidate space as
+for the paper's.  The input size picks only which design points are
+kept: a space below ``STREAM_AUTO_THRESHOLD`` rows is explored in memory
+and keeps every admitted row; a larger space (or ``stream=True``) is
+streamed and keeps only the Pareto frontier.
 """
 
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_front, pareto_indices, is_dominated
 from repro.dse.constraints import DseConstraints
-from repro.dse.engine import StreamingFrontier
 from repro.dse.stream import (DEFAULT_CHUNK_ROWS, STREAM_AUTO_THRESHOLD,
                               StreamingExploration, explore_stream,
                               reset_stream_stats, stream_stats)
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_CHUNK_ROWS",
     "STREAM_AUTO_THRESHOLD",
     "StreamingExploration",
-    "StreamingFrontier",
     "explore_stream",
     "reset_stream_stats",
     "stream_stats",

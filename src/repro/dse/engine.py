@@ -11,41 +11,33 @@ under its one frame-time formula
 (:meth:`~repro.estimation.throughput_model.ThroughputModel.frame_times`).
 A row is admitted when it lies in its group's area-admitted prefix of the
 count axis (found by :mod:`repro.dse.stream`) and meets any
-``min_frames_per_second`` floor.  Two passes run these formulas, and the
-size of the input picks one:
+``min_frames_per_second`` floor.
 
-* :func:`whole_space_pass` answers an in-memory exploration (a space below
-  :data:`~repro.dse.stream.STREAM_AUTO_THRESHOLD` rows, or
-  ``stream=False``).  It reads the frame-independent costs of the whole
-  space as one cached table (:class:`SpaceCosts`), computes the frame time,
-  the prefix mask and the fps mask once over every row, runs
-  :func:`~repro.dse.pareto.pareto_indices` once, and builds a
-  :class:`~repro.dse.design_point.DesignPoint` for each admitted row.
-* :func:`fold_groups` answers a streamed exploration at bounded memory.  It
-  visits the groups once, in enumeration order, and costs each group's
-  admitted interval (:func:`cost_counts`) in *chunks* of at most
-  ``chunk_rows`` rows whose bounds sit at multiples of ``chunk_rows``.
-  Where a floor is set and a prefix is longer than one chunk, a binary
-  search on the throughput formula (:func:`_throughput_admitted_start`)
-  first cuts the rows below the floor off the interval's front.  Costing
-  stops at the group's saturation count
-  (:meth:`~ThroughputModel.saturation_count`): from there on every row
-  has the same frame time and no less area, so the rows past it are
-  admitted or rejected in bulk by its frame rate and can never join the
-  frontier.  Each chunk's admitted ``(area, time, global row)`` triples
-  fold into a :class:`StreamingFrontier`, whose state is the Pareto
-  frontier of everything folded so far; its members' points are built at
-  the end.
+One pass, :func:`whole_space_pass`, answers every exploration, in memory
+or streamed.  It reads the frame-independent costs as one cached table
+(:class:`SpaceCosts`) over the counts ``1..W``, where ``W`` is the smaller
+of the count axis and the largest saturation count among the groups
+(:meth:`~repro.estimation.throughput_model.ThroughputModel.saturation_count`:
+the most executions a level of the primary depth runs per tile, past which
+more instances change no frame time).  A row past the table therefore has
+the figures of its last column and only an area of its own.  The pass
+computes the frame time, the prefix mask and the fps mask once over the
+table, admits each row past it with the last column, and runs
+:func:`~repro.dse.pareto.pareto_indices` once over the candidates: the
+admitted rows of the table plus, per group, its last admitted row past
+it (the rows between share its frame time and lie between it and the last
+column in area).  Memory is bounded by the table, groups × ``W``, plus the
+design points kept, never by the count axis.
 
-Both admit the same rows and report the same accounting: the whole-space
-pass runs the same suffix probe where the fold would, and both count the
-cells of the ``chunk_rows`` grid that the admitted intervals touch
-(:func:`_chunk_grid`), which bound what the fold costs.  Both turn rows
-into design points through one builder, :func:`build_points`, one group's
-rows per call, as plain Python values: what a group's points share (names,
-depths, the base cone counts, the cone areas) is derived once per call,
-and each point gets only its own containers and objects.  The area-side
-pushdown and the caches live in :mod:`repro.dse.stream`.
+Design points are built for every admitted row (``materialize=
+"admitted"``) or for the Pareto rows alone (``"frontier"``), through one
+builder, :func:`build_points`, one group's rows per call, as plain Python
+values: what a group's points share (names, depths, the base cone counts,
+the cone areas) is derived once per call, and each point gets only its own
+containers and objects.  The pass also reports the chunk accounting of the
+chunked fold it replaced (:func:`_chunk_grid`, with the fps suffix probe
+:func:`_throughput_admitted_start`).  The area-side pushdown and the
+caches live in :mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -91,7 +83,7 @@ def group_area(counts: "np.ndarray", depths: Sequence[int], primary: int,
 
 @dataclass(frozen=True)
 class GroupContext:
-    """Per-(window, split) evaluation state shared by all chunks of a group
+    """Per-(window, split) evaluation state shared by all rows of a group
     (read-only: cached contexts are shared between explorations)."""
 
     window: int
@@ -190,57 +182,6 @@ def build_points(space: ArchitectureSpace, context: GroupContext,
     return points
 
 
-class StreamingFrontier:
-    """Streaming Pareto accumulator over (area, time) with bounded state.
-
-    Each call to :meth:`update` folds a batch of objective values into the
-    running frontier.  The state holds one ``(area, time, order)`` triple
-    per current frontier member, where ``order`` is the candidate's global
-    enumeration row.  Folding sorts the state plus the batch by ``order``
-    and keeps :func:`~repro.dse.pareto.pareto_indices` of the result, so
-    among equal ``(area, time)`` pairs the smallest global row survives
-    whatever order the batches arrive in.  The result is therefore
-    independent of batch sizes and arrival order, and identical to running
-    ``pareto_indices`` once over the concatenated arrays.
-
-    Orders must be unique across all updates (they are global rows);
-    non-finite objectives raise :exc:`ValueError`, matching the batch
-    contract in :mod:`repro.dse.pareto`.
-    """
-
-    def __init__(self) -> None:
-        self._area = np.empty(0, dtype=np.float64)
-        self._time = np.empty(0, dtype=np.float64)
-        self._order = np.empty(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self._area.size)
-
-    def update(self, area_luts: "np.ndarray", seconds_per_frame: "np.ndarray",
-               order: "np.ndarray") -> None:
-        areas = np.asarray(area_luts, dtype=np.float64)
-        times = np.asarray(seconds_per_frame, dtype=np.float64)
-        orders = np.asarray(order, dtype=np.int64)
-        if not (areas.shape == times.shape == orders.shape) or areas.ndim != 1:
-            raise ValueError("area, time, and order must be 1-D arrays of "
-                             "equal length")
-        if areas.size == 0:
-            return
-        orders = np.concatenate([self._order, orders])
-        by_order = np.argsort(orders, kind="stable")
-        areas = np.concatenate([self._area, areas])[by_order]
-        times = np.concatenate([self._time, times])[by_order]
-        keep = pareto_indices(areas, times)
-        self._area = areas[keep]
-        self._time = times[keep]
-        self._order = orders[by_order][keep]
-
-    def result(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """``(area, time, order)`` of the frontier, in increasing-area order
-        (the exact order ``pareto_indices`` would return the same rows in)."""
-        return self._area.copy(), self._time.copy(), self._order.copy()
-
-
 def _throughput_admitted_start(admit_len: int, min_fps: float,
                                context: GroupContext,
                                throughput_model: ThroughputModel,
@@ -255,14 +196,21 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     ``[start, admit_len)`` — found by O(log n) single-count probes of the
     exact batch formula (elementwise over the count axis, hence
     bit-identical to the full-column values).  Returns ``admit_len`` when
-    every row fails the floor.  The streamed fold passes its group's prefix
-    cut at the saturation count, past which the frame rate is constant.
+    every row fails the floor.
 
-    Returns ``None`` when the monotonicity argument does not hold and the
-    caller must cost the whole prefix: a (pathological) negative execution
-    interval on the primary level, or a nonpositive frame time anywhere in
-    the prefix (``frames_per_second`` snaps to 0 there, breaking the suffix
-    shape).
+    The fps mask of :func:`whole_space_pass` already rejects the rows below
+    the floor.  The probe only places ``start`` for the chunk accounting
+    (:func:`_chunk_grid`), which describes the chunked fold the pass
+    replaced, and it is the only :meth:`ThroughputModel.estimate_batch`
+    caller left on the streamed requests, which perfbench's
+    ``estimation.throughput_batch`` binding needs.  Both go together, in
+    the benchmark change that retargets that binding.
+
+    Returns ``None`` when the monotonicity argument does not hold: a
+    (pathological) negative execution interval on the primary level, or a
+    nonpositive frame time anywhere in the prefix (``frames_per_second``
+    snaps to 0 there, breaking the suffix shape).  The caller then counts
+    the whole prefix.
     """
     def columns_at(count: int) -> Mapping[str, object]:
         return cost_counts(throughput_model, context, frame_width,
@@ -297,117 +245,23 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     return high - 1  # count `high` is the smallest admitted count
 
 
-def fold_groups(space: ArchitectureSpace,
-                characterizations: Mapping[Tuple[int, int],
-                                           "ConeCharacterization"],
-                throughput_model: ThroughputModel,
-                frame_width: int, frame_height: int,
-                splits: Sequence[Tuple[int, ...]],
-                prefixes: Mapping[Tuple[int, int], Optional[int]],
-                chunk_rows: int, min_fps: Optional[float]) -> Dict[str, Any]:
-    """Fold every group's admitted interval, group by group, into one
-    frontier: the streamed pass.
-
-    ``prefixes`` maps each group's ``(window index, split index)``, in the
-    order to fold them, to the length of its area-admitted prefix of the
-    count axis, or to ``None`` for a group without characterizations.
-    Where a ``min_fps`` floor is set and a prefix is longer than
-    ``chunk_rows``, :func:`_throughput_admitted_start` first cuts the rows
-    below the floor off its front.  The rest is costed in chunks cut at
-    multiples of ``chunk_rows``, but only up to the group's
-    :meth:`~ThroughputModel.saturation_count`: the rows past it share that
-    count's frame time and cost no less area (the primary cone's area is
-    nonnegative), so they are admitted or rejected in bulk by its frame
-    rate and never change the frontier.  A negative or NaN primary area
-    voids that argument, and such a group is costed whole.  Each group's
-    context is built once.  The chunk accounting is that of the
-    ``[start, prefix)`` intervals (:func:`_chunk_grid`), as the
-    whole-space pass reports it.  Returns the frontier, the fold's
-    accounting and the contexts (under ``contexts``).
-    """
-    n_counts = space.max_cones_per_depth
-    frontier = StreamingFrontier()
-    contexts: Dict[Tuple[int, int], GroupContext] = {}
-    intervals: List[Tuple[int, int]] = []
-    admitted_rows = 0
-    fps_pruned = 0
-    frontier_peak = 0
-
-    for group_key, prefix in prefixes.items():
-        if not prefix:
-            continue
-        window_index, split_index = group_key
-        context = contexts[group_key] = group_context(
-            space, characterizations, space.window_sides[window_index],
-            splits[split_index])
-        stop = prefix
-        if context.area_by_depth[context.primary] >= 0:
-            stop = min(prefix, throughput_model.saturation_count(
-                context.representative))
-        start = 0
-        if min_fps is not None and prefix > chunk_rows:
-            start = _throughput_admitted_start(
-                stop, min_fps, context, throughput_model, frame_width,
-                frame_height) or 0
-            if start == stop:  # even the fastest admitted row fails
-                start = prefix
-            fps_pruned += start
-        intervals.append((start, prefix))
-        if start == prefix:
-            continue
-        base_row = (window_index * len(splits) + split_index) * n_counts
-        for low in range(start - start % chunk_rows, stop, chunk_rows):
-            first, end = max(low, start), min(low + chunk_rows, stop)
-            counts = np.arange(first + 1, end + 1, dtype=np.int32)
-            columns = cost_counts(throughput_model, context, frame_width,
-                                  frame_height, counts)
-            rates = columns["frames_per_second"]
-            if min_fps is None:
-                index = np.arange(counts.size)
-            else:
-                index = np.flatnonzero(rates >= min_fps)
-                fps_pruned += int(counts.size - index.size)
-                if index.size == 0:
-                    continue
-            counts = counts[index]
-            area = group_area(counts, context.depths, context.primary,
-                              context.area_by_depth)
-            times = np.asarray(columns["seconds_per_frame"])[index]
-            rows = base_row + first + index.astype(np.int64)
-            admitted_rows += int(rows.size)
-            frontier.update(area, times, rows)
-            frontier_peak = max(frontier_peak, len(frontier))
-        # the rows past `stop` take the fate of the last costed row
-        if min_fps is None or rates[-1] >= min_fps:
-            admitted_rows += prefix - stop
-        else:
-            fps_pruned += prefix - stop
-
-    grid = np.array(intervals, dtype=np.int64).reshape(-1, 2)
-    chunks_materialized, peak_chunk_rows = _chunk_grid(grid[:, 0], grid[:, 1],
-                                                       chunk_rows)
-    return {"frontier": frontier,
-            "admitted_rows": admitted_rows,
-            "fps_pruned": fps_pruned,
-            "peak_chunk_rows": peak_chunk_rows,
-            "frontier_peak": frontier_peak,
-            "chunks_materialized": chunks_materialized,
-            "contexts": contexts}
-
-
 @dataclass(frozen=True)
 class SpaceCosts:
-    """The frame-independent costs of a whole space, as one table: what an
-    in-memory exploration reads (the cost-cache entry of
+    """The frame-independent costs of a whole space, as one table: what
+    every exploration reads (the cost-cache entry of
     :mod:`repro.dse.stream`).
 
     Per group whose depths are all characterized, in enumeration order: its
     ``(window index, split index)`` key, :class:`GroupContext`,
     architecture label, transfer cycles per tile and off-chip bytes per
-    tile.  Per row, as ``groups × count axis`` arrays: the area
-    (:func:`group_area`), and the compute cycles per tile, cycles per tile
-    and ``compute_bound`` of :meth:`ThroughputModel.tile_columns`.  A row's
-    group and count follow from its position.
+    tile.  Per row, as ``groups × W`` arrays over the counts ``1..W``: the
+    area (:func:`group_area`), and the compute cycles per tile, cycles per
+    tile and ``compute_bound`` of :meth:`ThroughputModel.tile_columns`.
+    ``W`` is the smaller of the count axis and the largest
+    :meth:`~ThroughputModel.saturation_count` among the groups, so every
+    count-dependent column is constant from column ``W - 1`` on and a
+    larger count axis costs no more.  A row's group and count follow from
+    its position.
 
     Immutable: the arrays refuse writes, so one table serves every
     exploration that shares the space, the characterizations and the model.
@@ -429,24 +283,25 @@ def space_costs(space: ArchitectureSpace,
                                            "ConeCharacterization"],
                 throughput_model: ThroughputModel,
                 splits: Sequence[Tuple[int, ...]]) -> SpaceCosts:
-    """Build a space's :class:`SpaceCosts` over the whole count axis."""
-    counts = np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64)
+    """Build a space's :class:`SpaceCosts`, cut at the largest saturation
+    count."""
     keys: List[Tuple[int, int]] = []
     contexts: List[GroupContext] = []
-    columns: List[Dict[str, Any]] = []
     for window_index, window in enumerate(space.window_sides):
         for split_index, split in enumerate(splits):
             if all((window, depth) in characterizations for depth in split):
-                context = group_context(space, characterizations, window,
-                                        split)
                 keys.append((window_index, split_index))
-                contexts.append(context)
-                columns.append(dict(
-                    throughput_model.tile_columns(
+                contexts.append(group_context(space, characterizations,
+                                              window, split))
+    counts = np.arange(1, min(space.max_cones_per_depth, max(
+        (throughput_model.saturation_count(context.representative)
+         for context in contexts), default=1)) + 1, dtype=np.int64)
+    columns = [dict(throughput_model.tile_columns(
                         context.representative, context.cone_performance,
                         counts),
                     area=group_area(counts, context.depths, context.primary,
-                                    context.area_by_depth)))
+                                    context.area_by_depth))
+               for context in contexts]
 
     def per_group(name: str) -> Tuple[Any, ...]:
         return tuple(group[name] for group in columns)
@@ -471,13 +326,14 @@ def space_costs(space: ArchitectureSpace,
 def _chunk_grid(start: "np.ndarray", prefix: "np.ndarray",
                 chunk_rows: int) -> Tuple[int, int]:
     """How many chunks the groups' admitted intervals ``[start, prefix)``
-    span, and the most rows one of them holds: the chunk accounting both
-    passes report.
+    span, and the most rows one of them holds: the chunk accounting every
+    exploration reports.
 
     A group's chunks are the cells of the ``chunk_rows`` grid its interval
     touches, so only the first and the last can be short, and a group with
-    no row left has none.  They bound what :func:`fold_groups` costs, which
-    stops at the group's saturation count.
+    no row left has none.  The counts describe the chunked fold that
+    :func:`whole_space_pass` replaced; they stay until the benchmark change
+    that drops the probe (:func:`_throughput_admitted_start`).
     """
     live = start < prefix
     first_cell, end_cell = start // chunk_rows, -(-prefix // chunk_rows)
@@ -493,29 +349,43 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                      frame_width: int, frame_height: int, n_splits: int,
                      prefixes: Mapping[Tuple[int, int], Optional[int]],
                      chunk_rows: int, min_fps: Optional[float],
-                     usable_luts: float) -> Dict[str, Any]:
-    """Answer an in-memory exploration in one columnar pass over its
+                     usable_luts: float, materialize: str) -> Dict[str, Any]:
+    """Answer an exploration in one columnar pass over its
     :class:`SpaceCosts`.
 
     ``prefixes`` is the mask cache's map from group keys to area-admitted
     prefix lengths; ``costs`` holds exactly the groups whose prefix is not
-    ``None``.  The pass admits the rows :func:`fold_groups` admits and
-    reports the accounting it reports at ``chunk_rows``: where a
-    ``min_fps`` floor is set and a prefix is longer than ``chunk_rows``,
-    :func:`_throughput_admitted_start` finds the start of the fps-admitted
-    suffix as it does there, and the chunk counts follow from the same
-    admitted intervals (:func:`_chunk_grid`).  Returns the accounting,
-    every admitted row's :class:`DesignPoint` in enumeration order
-    (``design_points``), the Pareto members among them (``pareto``, the
-    same objects) and their global rows (``pareto_rows``).
+    ``None``.  A row past the table takes the figures of its last column,
+    so it is admitted or fps-pruned with that column, and its area comes
+    from :func:`group_area`.  Of a group's admitted rows past the table,
+    only the last joins the Pareto candidates: the others share its frame
+    time and lie between it and the last column in area.  ``materialize``
+    picks the rows that become design points: every admitted row
+    (``"admitted"``) or the Pareto rows alone (``"frontier"``).
+
+    Where a ``min_fps`` floor is set and a prefix is longer than
+    ``chunk_rows``, :func:`_throughput_admitted_start` places the start of
+    the fps-admitted suffix, up to the group's saturation count when its
+    primary cone area is nonnegative, and the chunk counts follow from the
+    admitted intervals (:func:`_chunk_grid`).  Returns the accounting, the
+    design points (``design_points``: every admitted row in enumeration
+    order, or the Pareto members), the Pareto members (``pareto``, in
+    increasing-area order, the same objects) and their global rows
+    (``pareto_rows``).
     """
     prefix = np.array([prefixes[key] for key in costs.keys], dtype=np.int64)
     start = np.zeros_like(prefix)
     if min_fps is not None:
         for group in np.flatnonzero(prefix > chunk_rows).tolist():
-            start[group] = _throughput_admitted_start(
-                int(prefix[group]), min_fps, costs.contexts[group],
-                throughput_model, frame_width, frame_height) or 0
+            context = costs.contexts[group]
+            stop = int(prefix[group])
+            if context.area_by_depth[context.primary] >= 0:
+                stop = min(stop, throughput_model.saturation_count(
+                    context.representative))
+            found = _throughput_admitted_start(
+                stop, min_fps, context, throughput_model, frame_width,
+                frame_height)
+            start[group] = prefix[group] if found == stop else found or 0
     chunks_materialized, peak_chunk_rows = _chunk_grid(start, prefix,
                                                        chunk_rows)
     # the tile count reads only the window side: one hook call per side
@@ -530,25 +400,78 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
         np.array(tiles, dtype=np.int64).reshape(len(tiles), 1))
     # the rows below a probed start fail the floor (the probe's monotonicity
     # argument), so the fps mask rejects them without a mask of their own
-    admit = np.arange(space.max_cones_per_depth) < prefix[:, None]
+    n_counts, width = space.max_cones_per_depth, costs.area.shape[1]
+    admit = np.arange(width) < prefix[:, None]
     if min_fps is not None:
         admit &= fps >= min_fps
+
+    def area_at(group: int, counts: "np.ndarray") -> "np.ndarray":
+        context = costs.contexts[group]
+        return group_area(counts, context.depths, context.primary,
+                          context.area_by_depth)
+
+    # the Pareto candidates, in enumeration order
     groups, offsets = np.nonzero(admit)
     area, times = costs.area[admit], seconds[admit]
+    admitted_rows, tails = groups.size, []
+    if width < n_counts:
+        # a row past the table shares the last column's figures, so its fate
+        past = np.where(admit[:, -1], prefix - width, 0)
+        admitted_rows += int(past.sum())
+        tails = np.flatnonzero(past).tolist()
+    if tails:
+        # only a group's last row past the table joins the candidates: the
+        # others share its frame time and lie between it and the last
+        # column in area, whatever the sign of the primary cone's area
+        at = np.count_nonzero(admit, axis=1).cumsum()[tails]
+        groups = np.insert(groups, at, tails)
+        offsets = np.insert(offsets, at, prefix[tails] - 1)
+        area = np.insert(area, at, [area_at(group, prefix[group:group + 1])[0]
+                                    for group in tails])
+        times = np.insert(times, at, seconds[tails, -1])
     keep = pareto_indices(area, times)
+    first_rows = np.array([(window_index * n_splits + split_index)
+                           * n_counts
+                           for window_index, split_index in costs.keys],
+                          dtype=np.int64)
+    pareto_rows = first_rows[groups[keep]] + offsets[keep]
 
-    # admitted rows come in enumeration order, so each group's are one run
+    # the rows that become points, in enumeration order, where each Pareto
+    # member sits among them, and how to read their figures off the table:
+    # by the admitted mask when they are the table's admitted rows
+    members, select = keep, admit
+    if materialize == "frontier":
+        chosen = np.sort(keep)
+        members = np.searchsorted(chosen, keep)
+        groups, offsets = groups[chosen], offsets[chosen]
+    elif tails:  # every admitted row, the ones past the table included
+        every = np.sort(np.concatenate([groups * n_counts + offsets] + [
+            np.arange(group * n_counts + width,
+                      group * n_counts + prefix[group] - 1)
+            for group in tails]))
+        members = np.searchsorted(every, groups[keep] * n_counts
+                                  + offsets[keep])
+        groups, offsets = np.divmod(every, n_counts)
+    if materialize == "frontier" or tails:
+        select = (groups, np.minimum(offsets, width - 1))
+    area = costs.area[select]
+    if tails:
+        beyond = offsets >= width
+        for group in np.unique(groups[beyond]).tolist():
+            rows = beyond & (groups == group)
+            area[rows] = area_at(group, offsets[rows] + 1)
+
     points: List[DesignPoint] = []
     if groups.size:
         clock = throughput_model.device.typical_clock_hz
         counts, areas, compute, cycles, spf, rates, bound = (
-            column.tolist() for column in (
-                offsets + 1, area, costs.compute_cycles_per_tile[admit],
-                costs.cycles_per_tile[admit], times, fps[admit],
-                costs.compute_bound[admit]))
+            values.tolist() for values in (
+                offsets + 1, area, costs.compute_cycles_per_tile[select],
+                costs.cycles_per_tile[select], seconds[select], fps[select],
+                costs.compute_bound[select]))
         low = 0
-        for group, size in enumerate(
-                np.count_nonzero(admit, axis=1).tolist()):
+        for group, size in enumerate(np.bincount(
+                groups, minlength=len(tiles)).tolist()):
             if not size:
                 continue
             run = slice(low, low + size)
@@ -566,16 +489,12 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                 cycles_per_tile=cycles[run], seconds_per_frame=spf[run],
                 frames_per_second=rates[run], compute_bound=bound[run])
 
-    first_rows = np.array([(window_index * n_splits + split_index)
-                           * space.max_cones_per_depth
-                           for window_index, split_index in costs.keys],
-                          dtype=np.int64)
-    rows = first_rows[groups] + offsets
-    return {"admitted_rows": len(points),
-            "fps_pruned": int(prefix.sum()) - len(points),
+    pareto = [points[index] for index in members.tolist()]
+    return {"admitted_rows": admitted_rows,
+            "fps_pruned": int(prefix.sum()) - admitted_rows,
             "peak_chunk_rows": peak_chunk_rows,
-            "frontier_peak": int(keep.size),
             "chunks_materialized": chunks_materialized,
-            "design_points": points,
-            "pareto": [points[index] for index in keep.tolist()],
-            "pareto_rows": rows[keep]}
+            "design_points": (list(pareto) if materialize == "frontier"
+                              else points),
+            "pareto": pareto,
+            "pareto_rows": pareto_rows}

@@ -112,11 +112,11 @@ class ExplorationResult:
     synthesis_runs_avoided: int
     tool_runtime_spent_s: float
     tool_runtime_avoided_s: float
-    #: Streaming-evaluation metadata (the chunk and pushdown accounting of
+    #: Streaming metadata (the pushdown and chunk accounting of
     #: :class:`~repro.dse.stream.StreamingExploration`) when the
-    #: exploration ran out-of-core; ``None`` on the in-memory paths.  When
-    #: set, ``design_points`` holds only the frontier members (the streamed
-    #: space was never materialized).
+    #: exploration kept only the frontier; ``None`` when it kept every
+    #: admitted row.  When set, ``design_points`` holds only the frontier
+    #: members.
     streaming: Optional[Dict[str, object]] = None
 
     def characterization(self, window_side: int, depth: int) -> ConeCharacterization:
@@ -429,18 +429,17 @@ class DesignSpaceExplorer:
         throughput estimate, not the cone characterizations, so sweeps over
         it reuse all synthesis/calibration work.
 
-        Every exploration runs one of two passes over the same formulas
-        (:mod:`repro.dse.stream`), once, on the calling thread, and
-        ``stream`` picks it: ``None`` (the default) streams spaces of at
-        least ``STREAM_AUTO_THRESHOLD`` candidates and explores smaller ones
-        in memory; ``True``/``False`` force either.  An in-memory
-        exploration answers in one columnar pass over the whole space and
-        keeps every admitted design point.  A streamed one folds the space
-        in chunks of at most :data:`~repro.dse.stream.DEFAULT_CHUNK_ROWS`
-        rows and carries the identical Pareto frontier, but materializes
-        *only* the frontier as design points (``result.design_points`` are
-        the ``result.pareto`` members) and records chunking/pushdown
-        metadata under ``result.streaming``.
+        Every exploration runs one columnar pass over the space's cached
+        cost table (:mod:`repro.dse.stream`), once, on the calling thread,
+        and ``stream`` picks which design points it keeps: ``None`` (the
+        default) streams spaces of at least ``STREAM_AUTO_THRESHOLD``
+        candidates and explores smaller ones in memory; ``True``/``False``
+        force either.  An in-memory exploration keeps every admitted
+        design point.  A streamed one carries the identical Pareto
+        frontier, but materializes *only* the frontier as design points
+        (``result.design_points`` are the ``result.pareto`` members) and
+        records the pushdown and chunk accounting under
+        ``result.streaming``.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
         space = self._space(total_iterations)
@@ -463,7 +462,6 @@ class DesignSpaceExplorer:
                 "chunks_total": evaluation.chunks_total,
                 "chunks_skipped": evaluation.chunks_skipped,
                 "peak_chunk_rows": evaluation.peak_chunk_rows,
-                "frontier_peak": evaluation.frontier_peak,
             }
 
         full_space_runs = len(characterizations)

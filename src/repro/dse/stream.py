@@ -2,15 +2,16 @@
 
 :func:`explore_stream` is the entry point of every exploration — the
 720-candidate paper space and million-candidate spaces alike.  It pushes
-the area constraints down, then runs one of the two passes of
-:mod:`repro.dse.engine`, which share every formula; the size of the input
-picks the pass.  :meth:`repro.dse.explorer.DesignSpaceExplorer.explore`
-streams spaces of at least :data:`STREAM_AUTO_THRESHOLD` rows (or any
-space on ``stream=True``): ``materialize="frontier"`` keeps only the
-Pareto frontier as design points, so memory is bounded by the chunk size
-plus the frontier, never by the space.  It explores smaller spaces in
-memory: ``materialize="admitted"`` keeps every admitted row as a design
-point.
+the area constraints down, reads the space's cost table from the cost
+cache, and answers in the one pass of :mod:`repro.dse.engine`
+(:func:`~repro.dse.engine.whole_space_pass`).
+:meth:`repro.dse.explorer.DesignSpaceExplorer.explore` streams spaces of at
+least :data:`STREAM_AUTO_THRESHOLD` rows (or any space on
+``stream=True``): ``materialize="frontier"`` keeps only the Pareto
+frontier as design points.  It explores smaller spaces in memory:
+``materialize="admitted"`` keeps every admitted row as a design point.
+Either way memory is bounded by the cost table, groups × the largest
+saturation count, plus the design points kept, never by the count axis.
 
 Pieces:
 
@@ -22,47 +23,29 @@ Pieces:
    the exact accumulation formula.  A ``min_frames_per_second`` floor is
    monotone along the same axis in the other direction (compute cycles per
    tile are nonincreasing in the primary count, so the frame rate is
-   nondecreasing): when a group's admitted prefix is longer than one
-   chunk, a second binary search on the throughput formula finds the
-   admitted *suffix*, and only the intersected [suffix, prefix) interval is
-   costed.  Every costed row is still checked against the floor, so the
-   probe only ever saves work.  The frame rate stops changing at the
-   group's saturation count (the most executions a level of the primary
-   depth runs per tile), so the streamed fold's probe searches no count
-   past it (piece 2).
-2. A streamed exploration makes one pass over the space's (window, split)
-   groups, in enumeration order (:func:`repro.dse.engine.fold_groups`), in
-   the divide-and-conquer spirit of SCC-chunked automaton determinization:
-   split the space into independently evaluable pieces, solve each piece,
-   and fold the partial solutions into a state whose size is bounded by the
-   answer, not by the space.  Each group's count axis is cut into chunks at
-   multiples of ``chunk_rows``, so a space has groups × ⌈count axis /
-   ``chunk_rows``⌉ chunks.  A chunk (an ``int32`` count column, a slice of
-   the group's admitted interval) is costed only where it overlaps that
-   interval, and only up to the group's saturation count
-   (``ThroughputModel.saturation_count``).  Past that count every row has
-   the saturation count's frame time and no less area, so those rows are
-   admitted or rejected in bulk by its frame rate and cannot join the
-   frontier: an uncapped request costs at most the saturation counts,
-   however long the count axis.  The costed rows' admitted objective
-   columns fold into a
-   :class:`~repro.dse.engine.StreamingFrontier` whose state is
-   byte-identical to :func:`repro.dse.pareto.pareto_indices` on the
-   concatenated full arrays regardless of chunk size.  The fold runs once,
-   on the calling thread; design points are built only for the frontier
-   survivors at finalization: their rows are re-costed per group with the
-   group contexts the fold built, and handed as plain lists to the one
-   point builder, :func:`repro.dse.engine.build_points`.
-3. An in-memory exploration answers in one columnar pass over the whole
-   space (:func:`repro.dse.engine.whole_space_pass`): it reads the space's
-   cost-cache entry, computes the frame time, the prefix mask and the fps
-   mask once over every row, runs one Pareto extraction, and builds design
-   points for the admitted rows only, through the same builder, one
-   group's run of rows per call.  It reports the chunk accounting a
-   streamed run at the same ``chunk_rows`` reports, worked out from the
-   admitted intervals, so the two modes' results differ only in
-   ``frontier_peak`` (here the size of the Pareto set) and in which design
-   points they keep.
+   nondecreasing), and the pass rejects the rows below it with one fps
+   mask over the cost table.
+2. The cost table stops at the largest saturation count of the space's
+   groups (``ThroughputModel.saturation_count``, the most executions a
+   level of the primary depth runs per tile).  Past that count every row
+   has the frame time of the table's last column, so it is admitted or
+   rejected with that column, and of a group's admitted rows past the
+   table only the last can join the frontier: an uncapped request over a
+   million candidates ranks the table's rows plus one row per group.
+3. The pass computes the frame time, the prefix mask and the fps mask
+   once over the table, runs one Pareto extraction, and builds design
+   points through one builder, :func:`repro.dse.engine.build_points`, one
+   group's run of rows per call.  It also reports the accounting of the
+   chunked fold it replaced, at ``chunk_rows``: ``chunks_total``,
+   ``chunks_skipped``, ``peak_chunk_rows`` and ``chunks_materialized`` are
+   the cells of the ``chunk_rows`` grid that the admitted intervals touch,
+   and where a floor is set and a prefix is longer than ``chunk_rows``, a
+   binary search on the throughput formula places the interval's start.
+   Those fields and the probe describe a fold that no longer runs; they
+   stay until the benchmark change that retargets perfbench's
+   ``estimation.throughput_batch`` binding, whose coverage guard needs the
+   probe's ``estimate_batch`` calls.  The two materialize modes therefore
+   differ only in which design points they keep.
 4. Two small process-wide LRUs, with the same bound, hold what a
    re-explore that changes only per-run knobs (frame geometry, minimum fps,
    constraints) would otherwise recompute:
@@ -74,12 +57,11 @@ Pieces:
      suffix depends on the per-run knobs, so it is recomputed per call and
      deliberately kept out of the key;
    * the *cost cache* holds, per space (shape knobs, kernel name, radius,
-     components) + characterization values + throughput model, the whole
+     components) + characterization values + throughput model, the
      space's frame-independent costs as one table
-     (:class:`~repro.dse.engine.SpaceCosts`), built whole on a miss.  Only
-     in-memory explorations read it, and a request pays only for the frame
-     half; a streamed one costs per chunk, because it promises bounded
-     memory, builds each context it needs once, and never adds an entry.
+     (:class:`~repro.dse.engine.SpaceCosts`), built whole on a miss.
+     Every exploration reads it, streamed or in memory, and a request
+     pays only for the frame half.
 
    Counters are exposed through :func:`stream_stats` (the service tier
    serves them under ``stats()["stream"]``).
@@ -100,22 +82,24 @@ import numpy as np
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (GroupContext, SpaceCosts, build_points,
-                              cost_counts, fold_groups, group_area,
-                              space_costs, whole_space_pass)
+from repro.dse.engine import (SpaceCosts, group_area, space_costs,
+                              whole_space_pass)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
 
-#: Default bound on rows materialized per chunk (~a few hundred KB of
-#: float64 working set — comfortably cache-resident).
+#: The cell size of the chunk grid an exploration's chunk accounting counts
+#: (``chunks_total``, ``chunks_skipped``, ``peak_chunk_rows``), and the
+#: prefix length past which an fps floor runs the suffix probe.  It sets
+#: no memory bound: the pass reads the whole cost table at once.
 DEFAULT_CHUNK_ROWS = 4096
 
 #: Spaces at or above this many candidates stream by default (explorer
-#: ``stream=None``): keeping every admitted row of a larger space as a
-#: design point would cost hundreds of MB.
+#: ``stream=None``) and keep only the Pareto frontier as design points:
+#: keeping every admitted row of a larger space as a design point would
+#: cost hundreds of MB.
 STREAM_AUTO_THRESHOLD = 200_000
 
 #: Entries the admitted-row mask cache may hold (one entry per distinct
@@ -253,7 +237,7 @@ _counters = _StreamCounters()
 
 
 def stream_stats() -> Dict[str, Any]:
-    """Process-wide counters of the exploration fold.
+    """Process-wide counters of the explorations.
 
     Served by the service tier under ``stats()["stream"]``.  The mask-cache
     half (``hits``/``misses``/``evictions``/``entries``/``capacity``):
@@ -262,11 +246,10 @@ def stream_stats() -> Dict[str, Any]:
     ``evictions`` counts distinct (shape, characterization, constraint)
     combinations beyond the bound.  The run half: ``runs`` counts
     explorations, ``chunks_materialized`` the ``chunk_rows`` grid cells
-    their admitted intervals touch (which bound what the streamed fold
-    costs; both passes report them alike), and ``throughput_pruned_rows``
-    the rows a min-fps floor rejected.  ``costs`` holds the same five
-    counters for the cost cache, which only in-memory explorations
-    consult.
+    their admitted intervals touch (the accounting of the chunked fold the
+    one pass replaced), and ``throughput_pruned_rows`` the rows a min-fps
+    floor rejected.  ``costs`` holds the same five counters for the cost
+    cache, which every exploration reads.
     """
     stats: Dict[str, Any] = _mask_cache.stats()
     stats.update(_counters.snapshot())
@@ -369,8 +352,8 @@ def _admitted_prefixes(space: ArchitectureSpace,
                        ) -> Dict[Tuple[int, int], Optional[int]]:
     """Each group's area-admitted prefix length, keyed by ``(window index,
     split index)`` in enumeration order; ``None`` marks a group whose
-    depths lack characterizations (both passes skip it without counting
-    its rows as pruned)."""
+    depths lack characterizations (the pass skips it without counting its
+    rows as pruned)."""
     n_counts = space.max_cones_per_depth
     area_limit = math.inf
     if constraints.device_only:
@@ -409,6 +392,8 @@ class StreamingExploration:
     ``design_points`` is every admitted row in enumeration order when the
     run materialized ``"admitted"`` rows (the frontier members are the same
     objects), and the frontier alone when it materialized ``"frontier"``.
+    The ``chunk*`` fields are the accounting of the chunked fold the one
+    pass replaced (module docstring, piece 3).
     """
 
     space_rows: int
@@ -420,20 +405,17 @@ class StreamingExploration:
     chunks_total: int
     #: Chunks the admitted intervals do not touch: fully pruned by
     #: pushdown, outside the admitted interval, or in a group without
-    #: characterizations.  The rest, the ``chunk_rows`` grid cells of the
-    #: admitted intervals, bound what the streamed fold costs.
+    #: characterizations.  The rest are the ``chunk_rows`` grid cells of the
+    #: admitted intervals.
     chunks_skipped: int
-    #: Most admitted-interval rows in one ``chunk_rows`` grid cell: a bound
-    #: on the rows the streamed fold costs at once.
+    #: Most admitted-interval rows in one ``chunk_rows`` grid cell.
     peak_chunk_rows: int
-    #: Largest frontier state observed while streaming.
-    frontier_peak: int
     mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
     pareto: List[DesignPoint]
     design_points: List[DesignPoint]
     #: Rows inside the area prefix that a min-fps floor rejected (0 when no
-    #: floor was set); the suffix probe skips costing most of them.
+    #: floor was set).
     throughput_pruned_rows: int = 0
 
     @property
@@ -456,13 +438,12 @@ def explore_stream(space: ArchitectureSpace,
     design points, same order, bit-identical serializations) as evaluating
     every candidate one at a time, whatever ``chunk_rows`` is.
 
-    ``materialize`` selects the pass and which rows become
-    :class:`DesignPoint` objects: ``"frontier"`` (default) folds the space
-    in chunks and keeps only the Pareto members, so peak memory is bounded
-    by the chunk size plus the frontier state, never by the space;
-    ``"admitted"`` answers in one pass over the space's cost-cache entry and
-    keeps every constraint-admitted row (pieces 2 to 4 of the module
-    docstring).
+    ``materialize`` selects which rows become :class:`DesignPoint`
+    objects: ``"frontier"`` (default) keeps only the Pareto members,
+    ``"admitted"`` every constraint-admitted row.  Both answer in the one
+    pass over the space's cost-cache entry, so peak memory is bounded by
+    that table, groups × the largest saturation count, plus the points
+    kept, never by the count axis (pieces 2 to 4 of the module docstring).
     """
     if materialize not in ("admitted", "frontier"):
         raise ValueError(f"materialize must be 'admitted' or 'frontier' "
@@ -483,22 +464,15 @@ def explore_stream(space: ArchitectureSpace,
                                       constraints, usable_luts)
         _mask_cache.put(key, prefixes)
 
-    min_fps = constraints.min_frames_per_second
-    costs = (_cached_costs(space, splits, characterizations,
-                           characterization_key, throughput_model)
-             if materialize == "admitted" else None)
+    costs = _cached_costs(space, splits, characterizations,
+                          characterization_key, throughput_model)
     chunks_total = len(prefixes) * -(-n_counts // chunk_rows)
     with obs_trace.span("stream.explore", chunks=chunks_total):
         fold_started = time.perf_counter()
-        if costs is None:
-            fold = fold_groups(space, characterizations, throughput_model,
-                               frame_width, frame_height, splits, prefixes,
-                               chunk_rows, min_fps)
-        else:
-            fold = whole_space_pass(space, costs, throughput_model,
-                                    frame_width, frame_height, len(splits),
-                                    prefixes, chunk_rows, min_fps,
-                                    usable_luts)
+        fold = whole_space_pass(space, costs, throughput_model, frame_width,
+                                frame_height, len(splits), prefixes,
+                                chunk_rows, constraints.min_frames_per_second,
+                                usable_luts, materialize)
         obs_metrics.registry().histogram(
             "repro_stream_chunk_fold_seconds").observe(
                 time.perf_counter() - fold_started)
@@ -506,18 +480,6 @@ def explore_stream(space: ArchitectureSpace,
     _counters.add(runs=1,
                   chunks_materialized=fold["chunks_materialized"],
                   throughput_pruned_rows=throughput_pruned)
-
-    if costs is None:
-        pareto_area, _pareto_time, pareto_rows = fold["frontier"].result()
-        pareto = _frontier_points(space, len(splits), fold["contexts"],
-                                  throughput_model, frame_width,
-                                  frame_height, usable_luts, pareto_rows,
-                                  pareto_area)
-        design_points = list(pareto)
-    else:
-        pareto_rows = fold["pareto_rows"]
-        pareto = fold["pareto"]
-        design_points = fold["design_points"]
     area_pruned = sum(n_counts - prefix for prefix in prefixes.values()
                       if prefix is not None)
     return StreamingExploration(
@@ -528,54 +490,9 @@ def explore_stream(space: ArchitectureSpace,
         chunks_total=chunks_total,
         chunks_skipped=chunks_total - fold["chunks_materialized"],
         peak_chunk_rows=fold["peak_chunk_rows"],
-        frontier_peak=fold["frontier_peak"],
         mask_cache_hit=mask_cache_hit,
-        pareto_row_index=pareto_rows,
-        pareto=pareto,
-        design_points=design_points,
+        pareto_row_index=fold["pareto_rows"],
+        pareto=fold["pareto"],
+        design_points=fold["design_points"],
         throughput_pruned_rows=throughput_pruned,
     )
-
-
-def _frontier_points(space: ArchitectureSpace, n_splits: int,
-                     contexts: Mapping[Tuple[int, int], GroupContext],
-                     throughput_model: Any, frame_width: int,
-                     frame_height: int, usable_luts: float,
-                     rows: "np.ndarray",
-                     areas: "np.ndarray") -> List[DesignPoint]:
-    """Build the :class:`DesignPoint`s of the frontier's global rows.
-
-    The throughput columns are recomputed on just the survivors' counts,
-    batched per (window, split) group, which reproduces the fold's values
-    bit for bit (the stored frontier areas are reused directly), and each
-    group's rows go to :func:`~repro.dse.engine.build_points` as plain
-    lists.  The group contexts are the ones the fold built.
-    """
-    n_counts = space.max_cones_per_depth
-    by_group: Dict[Tuple[int, int], List[int]] = {}
-    for position, row in enumerate(rows.tolist()):
-        by_group.setdefault(divmod(row // n_counts, n_splits),
-                            []).append(position)
-    points: List[Optional[DesignPoint]] = [None] * rows.size
-    for group_key, positions in by_group.items():
-        context = contexts[group_key]
-        counts = rows[positions] % n_counts + 1
-        columns = cost_counts(throughput_model, context, frame_width,
-                              frame_height, counts)
-        built = build_points(
-            space, context, usable_luts,
-            architecture_label=columns["architecture_label"],
-            clock_hz=columns["clock_hz"],
-            tiles_per_frame=columns["tiles_per_frame"],
-            transfer_cycles_per_tile=columns["transfer_cycles_per_tile"],
-            offchip_bytes_per_frame=columns["offchip_bytes_per_frame"],
-            counts=counts.tolist(), areas=areas[positions].tolist(),
-            compute_cycles_per_tile=columns[
-                "compute_cycles_per_tile"].tolist(),
-            cycles_per_tile=columns["cycles_per_tile"].tolist(),
-            seconds_per_frame=columns["seconds_per_frame"].tolist(),
-            frames_per_second=columns["frames_per_second"].tolist(),
-            compute_bound=columns["compute_bound"].tolist())
-        for position, point in zip(positions, built):
-            points[position] = point
-    return points

@@ -192,10 +192,11 @@ class ThroughputModel:
         into ⌈executions / instances⌉ batches (:meth:`_compute_cycles_batch`),
         so once the instances cover the most executions such a level runs
         per tile, each such level runs in one batch: more instances add
-        area and no speed.  The streamed fold
-        (:func:`repro.dse.engine.fold_groups`) costs no count past this
-        one.  An override that changes how the primary count enters the
-        per-tile formula must override this too.
+        area and no speed.  An exploration's cost table
+        (:func:`repro.dse.engine.space_costs`) stops at the largest of
+        these counts among a space's groups, and every row past it takes
+        the table's last column.  An override that changes how the primary
+        count enters the per-tile formula must override this too.
         """
         primary = max(architecture.level_depths)
         return max(executions for depth, executions in zip(
@@ -215,7 +216,7 @@ class ThroughputModel:
 
         The template tiles the frame by its output windows (Figure 3 of
         the paper), so the count depends on the window side alone: the
-        whole-space pass (:func:`repro.dse.engine.whole_space_pass`) asks
+        exploration pass (:func:`repro.dse.engine.whole_space_pass`) asks
         once per distinct side and shares the answer among that side's
         groups.  An override must keep to that.
         """

@@ -6,9 +6,11 @@ The service/fleet ``/metrics`` endpoints render two sources: the
 registry, which holds what the walk cannot express — the log-spaced
 latency histograms ``repro_session_stage_seconds``,
 ``repro_service_queue_wait_seconds`` and
-``repro_stream_chunk_fold_seconds``.  Everything is process-global so one
-exposition shows the whole process, and thread-safe behind one registry
-lock plus per-histogram locks.
+``repro_stream_chunk_fold_seconds`` (one observation per exploration,
+timing its one pass over the cost table; the name is the chunked fold's
+that pass replaced, kept so the series stays continuous).  Everything is
+process-global so one exposition shows the whole process, and thread-safe
+behind one registry lock plus per-histogram locks.
 
 :func:`parse_exposition` is a strict validator for the Prometheus text
 format 0.0.4 (``# TYPE`` before samples, histogram ``le`` buckets

@@ -25,7 +25,6 @@ from repro.api.cli import build_parser
 from repro.api.cli import main as cli_main
 from repro.codegen.vhdl_writer import VhdlWriter
 from repro.dse import engine
-from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.stream import StreamingExploration, explore_stream
 from repro.estimation.throughput_model import ThroughputModel
@@ -396,7 +395,8 @@ class TestRemovedStrategyKnobs:
             Workload.from_dict(payload)
 
     def test_fan_out_names_are_gone(self):
-        assert not hasattr(StreamingFrontier, "merge")
+        assert not hasattr(engine, "StreamingFrontier")
+        assert not hasattr(engine, "fold_groups")
         assert "jobs" not in {field.name
                               for field in dataclasses.fields(
                                   StreamingExploration)}

@@ -1,9 +1,9 @@
 """Tests for the exploration evaluator against the per-point scalar oracle.
 
-The headline property: whichever pass an exploration runs (the
-whole-space pass in memory, the chunked fold when streamed), its
-serialized ``ExplorationResult`` is *byte-identical* to the one the scalar
-loop (``scalar_oracle.explore_scalar``) produces — vectorization is a
+The headline property: whichever design points an exploration keeps (every
+admitted row in memory, the frontier when streamed), its serialized
+``ExplorationResult`` is *byte-identical* to the one the scalar loop
+(``scalar_oracle.explore_scalar``) produces — vectorization is a
 performance concern, never a semantics concern.
 """
 
@@ -23,10 +23,8 @@ from repro.algorithms import get_algorithm
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.engine import (_chunk_grid, build_points, cost_counts,
-                              fold_groups, group_area, group_context,
-                              space_costs, whole_space_pass)
+                              group_area, group_context)
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.pareto import pareto_indices
 from repro.dse.stream import explore_stream
 from repro.estimation.throughput_model import (ArchitecturePerformance,
                                                ThroughputModel)
@@ -91,7 +89,7 @@ class TestEngineEquivalence:
         assert serialized(engine) != serialized(explorer.explore(6, 128, 96))
 
     def test_pareto_entries_are_indices_into_design_points(self, igf_kernel):
-        """The fold hands the *same objects* to the Pareto list, so the
+        """The pass hands the *same objects* to the Pareto list, so the
         serialized Pareto set stays index-encoded (not parallel copies)."""
         result = small_explorer(igf_kernel).explore(6, 128, 96)
         payload = result.to_dict()
@@ -163,7 +161,7 @@ def group_rows(model, context, counts, frame_width, frame_height):
 
 
 class TestRowOrder:
-    def test_fold_rows_follow_the_scalar_enumeration(self, inputs):
+    def test_rows_follow_the_scalar_enumeration(self, inputs):
         """Global row ``r`` of an exploration is the ``r``-th architecture
         of the scalar enumeration, whatever the chunk size."""
         explorer, space, characterizations, usable = inputs
@@ -183,19 +181,9 @@ class TestRowOrder:
                 expected[row] for row in result.pareto_row_index.tolist()]
 
 
-class TestFoldKernel:
-    """The passes' kernel functions, checked one at a time against the
-    per-point oracle and against each other."""
-
-    @staticmethod
-    def splits(space):
-        return tuple(tuple(split) for split in space.level_splits())
-
-    @classmethod
-    def whole_axis_prefixes(cls, space):
-        return {(window_index, split_index): space.max_cones_per_depth
-                for window_index in range(len(space.window_sides))
-                for split_index in range(len(cls.splits(space)))}
+class TestPassKernel:
+    """The pass's kernel functions, checked one at a time against the
+    per-point oracle."""
 
     def test_group_area_reproduces_the_per_point_sum_on_any_slice(
             self, inputs):
@@ -242,87 +230,9 @@ class TestFoldKernel:
                        and point.cone_area_by_depth
                        == dict(context.area_by_depth) for point in points)
 
-    def test_fold_groups_costs_only_the_admitted_prefixes(self, inputs):
-        explorer, space, characterizations, usable = inputs
-        n_counts = space.max_cones_per_depth
-        # every third group lacks characterizations; the others admit
-        # counts 1..3, which two-row chunks cost as [0, 2) and [2, 3)
-        prefixes = {key: None if position % 3 == 0 else 3
-                    for position, key in enumerate(
-                        self.whole_axis_prefixes(space))}
-        report = fold_groups(space, characterizations,
-                             explorer.throughput_model, 128, 96,
-                             self.splits(space), prefixes, 2, None)
-        evaluable = [position for position, prefix
-                     in enumerate(prefixes.values()) if prefix]
-        assert report["chunks_materialized"] == 2 * len(evaluable)
-        assert report["peak_chunk_rows"] == 2
-        # the fold builds each context it needs, once
-        assert sorted(report["contexts"]) == [
-            key for key, prefix in prefixes.items() if prefix]
-        rows = np.asarray([position * n_counts + offset
-                           for position in evaluable
-                           for offset in (0, 1, 2)], dtype=np.int64)
-        assert report["admitted_rows"] == rows.size
-        oracle = scalar_exploration(space, characterizations,
-                                    explorer.throughput_model, 128, 96,
-                                    usable_luts=usable)
-        by_row = dict(zip(oracle.row_index.tolist(), oracle.design_points))
-        points = [by_row[row] for row in rows.tolist()]
-        keep = pareto_indices(
-            np.asarray([point.area_luts for point in points]),
-            np.asarray([point.seconds_per_frame for point in points]))
-        assert np.array_equal(report["frontier"].result()[2], rows[keep])
-
-    def test_fold_groups_filters_costed_rows_by_the_fps_floor(self, inputs):
-        explorer, space, characterizations, usable = inputs
-        model = explorer.throughput_model
-        baseline = scalar_exploration(space, characterizations, model,
-                                      128, 96, usable_luts=usable)
-        floor = float(np.median(1.0 / baseline.seconds_per_frame))
-        oracle = scalar_exploration(
-            space, characterizations, model, 128, 96,
-            DseConstraints(min_frames_per_second=floor), usable)
-        assert 0 < oracle.admitted_rows < space.size()
-        # three-row chunks run the suffix probe; four-row ones (a whole
-        # group) filter every costed row instead
-        for chunk_rows in (3, 4):
-            report = fold_groups(space, characterizations, model, 128, 96,
-                                 self.splits(space),
-                                 self.whole_axis_prefixes(space),
-                                 chunk_rows, floor)
-            assert report["admitted_rows"] == oracle.admitted_rows
-            assert (report["fps_pruned"]
-                    == space.size() - oracle.admitted_rows)
-            assert np.array_equal(report["frontier"].result()[2],
-                                  oracle.pareto_row_index)
-
-    def test_the_frontier_does_not_depend_on_the_fold_order(self, inputs):
-        """Folded one row at a time in a shuffled group order, the frontier
-        is the whole-space pass's Pareto set."""
-        explorer, space, characterizations, usable = inputs
-        model = explorer.throughput_model
-        groups = list(self.whole_axis_prefixes(space).items())
-        random.Random(5).shuffle(groups)
-        fold = fold_groups(space, characterizations, model, 128, 96,
-                           self.splits(space), dict(groups), 1, None)
-        costs = space_costs(space, characterizations, model,
-                            self.splits(space))
-        whole = whole_space_pass(space, costs, model, 128, 96,
-                                 len(self.splits(space)), dict(groups), 1,
-                                 None, usable)
-        area, _time, rows = fold["frontier"].result()
-        assert np.array_equal(rows, whole["pareto_rows"])
-        assert area.tolist() == [point.area_luts
-                                 for point in whole["pareto"]]
-        assert (fold["admitted_rows"] == whole["admitted_rows"]
-                == space.size())
-        assert (fold["chunks_materialized"]
-                == whole["chunks_materialized"] == space.size())
-
-    def test_chunk_grid_counts_the_chunks_the_fold_cuts(self):
-        """Both passes work out the chunk accounting from the intervals:
-        the same count and largest chunk as cutting them at multiples of
+    def test_chunk_grid_counts_the_chunks_of_the_intervals(self):
+        """The pass works out the chunk accounting from the intervals: the
+        same count and largest chunk as cutting them at multiples of
         ``chunk_rows``."""
         rng = random.Random(30)
         for _ in range(2000):
@@ -341,29 +251,6 @@ class TestFoldKernel:
                                   dtype=np.int64)
             assert _chunk_grid(starts, prefixes, chunk_rows) == (
                 len(sizes), max(sizes, default=0))
-
-    def test_chunk_counts_are_dtype_tightened(self, inputs):
-        """The fold costs ``int32`` count columns: the enumeration bounds
-        counts far below 2**31, and ``estimate_batch`` widens exactly."""
-        explorer, space, characterizations, usable = inputs
-        dtypes = set()
-
-        class Recording(ThroughputModel):
-            def estimate_batch(self, architecture, cone_performance,
-                               frame_width, frame_height, counts):
-                dtypes.add(counts.dtype)
-                return super().estimate_batch(
-                    architecture, cone_performance, frame_width,
-                    frame_height, counts)
-
-        model = Recording(device=explorer.device,
-                          data_format=explorer.data_format)
-        report = fold_groups(space, characterizations, model, 128, 96,
-                             self.splits(space),
-                             self.whole_axis_prefixes(space), 3, None)
-        assert report["chunks_materialized"] > 0
-        assert dtypes == {np.dtype(np.int32)}
-
 
 class TestModelHooks:
     def test_interval_hook_override_keeps_batch_costing_consistent(
@@ -421,10 +308,10 @@ class TestModelHooks:
                         compute = columns["compute_cycles_per_tile"]
                         assert compute[0] != compute[1]
 
-    def test_tile_count_hook_override_holds_in_both_passes(self, inputs):
+    def test_tile_count_hook_override_holds_in_both_modes(self, inputs):
         """A model whose tile count, like the stock one, reads only the
-        window side answers like the scalar oracle in both passes; the
-        whole-space pass asks it once per distinct window side."""
+        window side answers like the scalar oracle in both materialize
+        modes; the pass asks it once per distinct window side."""
         explorer, space, characterizations, usable = inputs
         sides = []
 

@@ -1,10 +1,11 @@
-"""Tests for ``explore_stream``: the chunked fold, the whole-space pass
-and the caches behind them.
+"""Tests for ``explore_stream``: the one pass over the cost table and the
+caches behind it.
 
 The headline property: in either materialize mode, whatever the chunk
-size {1 row, group-sized, the whole space}, ``explore_stream`` produces the
-identical admitted rows and Pareto frontier — same global rows,
-byte-identical serialized design points — as the per-point scalar oracle
+size {1 row, group-sized, the whole space} and however far the count axis
+runs past the cost table, ``explore_stream`` produces the identical
+admitted rows and Pareto frontier — same global rows, byte-identical
+serialized design points — as the per-point scalar oracle
 (``scalar_oracle``); its ``pruned_rows`` additionally counts the rows a
 min-fps floor rejected.
 """
@@ -28,7 +29,6 @@ from repro.api import Session, Workload
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import StreamingFrontier
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.pareto import FINITE_OBJECTIVES_ERROR
 from repro.dse.stream import (
@@ -277,21 +277,24 @@ class TestThroughputPushdown:
                 == serialized_points(oracle.pareto))
 
 
-class TestSerialFold:
-    def test_the_fold_runs_once_on_the_calling_thread(
-            self, evaluation_inputs, monkeypatch):
-        real_fold = stream_module.fold_groups
-        folded_on = []
+class TestSerialPass:
+    @pytest.mark.parametrize("materialize", ["admitted", "frontier"])
+    def test_the_pass_runs_once_on_the_calling_thread(
+            self, evaluation_inputs, monkeypatch, materialize):
+        real_pass = stream_module.whole_space_pass
+        passed_on = []
 
-        def recording_fold(*args, **kwargs):
-            folded_on.append(threading.current_thread().name)
-            return real_fold(*args, **kwargs)
+        def recording_pass(*args, **kwargs):
+            passed_on.append(threading.current_thread().name)
+            return real_pass(*args, **kwargs)
 
-        monkeypatch.setattr(stream_module, "fold_groups", recording_fold)
+        monkeypatch.setattr(stream_module, "whole_space_pass",
+                            recording_pass)
         explorer, space, characterizations, usable = evaluation_inputs
         explore_stream(space, characterizations, explorer.throughput_model,
-                       128, 96, usable_luts=usable, chunk_rows=2)
-        assert folded_on == [threading.current_thread().name]
+                       128, 96, usable_luts=usable, chunk_rows=2,
+                       materialize=materialize)
+        assert passed_on == [threading.current_thread().name]
 
     def test_one_exploration_is_one_run_and_one_fold_observation(
             self, evaluation_inputs):
@@ -413,6 +416,14 @@ def explore_admitted(inputs, model, width=128, height=96, constraints=None):
                           constraints, usable, materialize="admitted")
 
 
+def cost_entry(space, characterizations, model):
+    """The cost-cache entry of ``space`` (a hit when it is cached)."""
+    splits = tuple(tuple(split) for split in space.level_splits())
+    return stream_module._cached_costs(
+        space, splits, characterizations,
+        stream_module._characterization_key(characterizations), model)
+
+
 class TestCostCache:
     """In-memory explorations take the whole space's per-tile throughput
     columns and areas from a process-wide cache and pay only for the frame
@@ -508,29 +519,28 @@ class TestCostCache:
         assert (serialized_points(second.design_points)
                 != serialized_points(first.design_points))
 
-    def test_streamed_explorations_add_no_entry(self, evaluation_inputs,
-                                                igf_kernel):
+    def test_streamed_and_in_memory_explorations_share_an_entry(
+            self, evaluation_inputs, igf_kernel):
         explorer, space, characterizations, usable = evaluation_inputs
         explore_stream(space, characterizations, explorer.throughput_model,
                        128, 96, usable_luts=usable, chunk_rows=2)
         small_explorer(igf_kernel).explore(6, 128, 96, stream=True)
+        explore_admitted(evaluation_inputs, explorer.throughput_model)
+        small_explorer(igf_kernel).explore(6, 640, 480, stream=False)
         costs = stream_stats()["costs"]
-        assert (costs["entries"], costs["hits"], costs["misses"]) == (0, 0, 0)
-        assert stream_stats()["runs"] == 2
+        assert (costs["entries"], costs["hits"], costs["misses"]) == (1, 3, 1)
+        assert stream_stats()["runs"] == 4
 
     def test_cached_entries_are_read_only(self, evaluation_inputs):
         explorer, space, characterizations, _ = evaluation_inputs
         model = explorer.throughput_model
         explore_admitted(evaluation_inputs, model)
-        splits = tuple(tuple(split) for split in space.level_splits())
-        entry = stream_module._cached_costs(
-            space, splits, characterizations,
-            stream_module._characterization_key(characterizations), model)
+        entry = cost_entry(space, characterizations, model)
         assert stream_stats()["costs"]["hits"] == 1
         for field in dataclasses.fields(entry):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(entry, field.name, None)
-        groups = len(space.window_sides) * len(splits)
+        groups = len(space.window_sides) * len(space.level_splits())
         assert len(entry.keys) == len(entry.contexts) == groups
         for context in entry.contexts:
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -544,12 +554,47 @@ class TestCostCache:
         # the area, compute cycles, cycles per tile and compute_bound
         assert len(arrays) == 4
         for array in arrays:
-            assert array.shape == (groups, space.max_cones_per_depth)
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0
         assert all(isinstance(value, tuple)
                    for value in vars(entry).values()
                    if not isinstance(value, np.ndarray))
+
+    def test_an_entry_stops_at_the_largest_saturation_count(
+            self, evaluation_inputs):
+        """An entry's arrays are groups × the smaller of the count axis and
+        the largest saturation count among the groups (121 here)."""
+        explorer, space, characterizations, _ = evaluation_inputs
+        model = explorer.throughput_model
+        for n_counts, width in ((6, 6), (WIDE_COUNTS, 121)):
+            space = dataclasses.replace(space, max_cones_per_depth=n_counts)
+            explore_stream(space, characterizations, model, 128, 96)
+            entry = cost_entry(space, characterizations, model)
+            assert width == min(n_counts, max(
+                model.saturation_count(context.representative)
+                for context in entry.contexts))
+            assert {array.shape for array in vars(entry).values()
+                    if isinstance(array, np.ndarray)} == {
+                (len(entry.keys), width)}
+
+    def test_the_million_candidate_paper_space_costs_45_by_361(
+            self, igf_kernel):
+        """The paper IGF space at 23,000 counts per depth, the streamed
+        space of the what-if benchmark, costs the table of 361 counts."""
+        explorer = DesignSpaceExplorer(
+            igf_kernel, data_format=DataFormat.FIXED16,
+            window_sides=tuple(range(1, 10)), max_depth=5,
+            max_cones_per_depth=23_000)
+        characterizations, _ = explorer.characterize_cones(10)
+        space = explorer._space(10)
+        assert space.size() == 1_035_000
+        result = explore_stream(space, characterizations,
+                                explorer.throughput_model, 1024, 768)
+        assert result.pareto
+        entry = cost_entry(space, characterizations,
+                           explorer.throughput_model)
+        assert {array.shape for array in vars(entry).values()
+                if isinstance(array, np.ndarray)} == {(45, 361)}
 
 
 class TestCostCacheBound:
@@ -735,9 +780,9 @@ def assert_independent(points, twins, rerun, entry=None):
 
 
 class TestWholeSpacePass:
-    """An in-memory exploration answers in one columnar pass over the
-    cost-cache entry: held to the scalar oracle on seeded what-if
-    requests and edge cases, and to the chunked fold's accounting."""
+    """Every exploration answers in one columnar pass over the cost-cache
+    entry: held to the scalar oracle on seeded what-if requests and edge
+    cases, in either materialize mode, with the same accounting."""
 
     def test_warm_whatif_requests_match_the_scalar_oracle(
             self, whatif_spaces):
@@ -784,11 +829,7 @@ class TestWholeSpacePass:
                            result.pareto, result.pareto_row_index.tolist()))
             if not twins:
                 continue
-            splits = tuple(tuple(split) for split in space.level_splits())
-            entry = stream_module._cached_costs(
-                space, splits, characterizations,
-                stream_module._characterization_key(characterizations),
-                model)
+            entry = cost_entry(space, characterizations, model)
             assert_independent(
                 result.design_points, twins,
                 lambda: explore_stream(*arguments,
@@ -797,7 +838,7 @@ class TestWholeSpacePass:
 
     def test_frontier_points_are_indistinguishable_and_independent(
             self, whatif_spaces):
-        """The streamed frontier rebuild builds its points the same way."""
+        """A frontier-only exploration builds its points the same way."""
         explorer, space, characterizations, usable = whatif_spaces["blur"]
         arguments = (space, characterizations,
                      explorer._throughput_model_for(8), 1280, 720,
@@ -812,13 +853,15 @@ class TestWholeSpacePass:
 
         streamed = rerun()
         assert_indistinguishable(streamed, twins)
-        assert_independent(streamed, twins, rerun)
+        assert_independent(streamed, twins, rerun,
+                           cost_entry(space, characterizations, arguments[2]))
 
     def test_points_are_built_without_materializing_each_row(
             self, evaluation_inputs, monkeypatch):
         """``materialize_row_parts`` runs at most once per group per
         request (for the representative of a context being built), never
-        once per design point."""
+        once per design point: a warm request, streamed or not,
+        materializes no row."""
         calls = []
         real = ArchitectureSpace.materialize_row_parts
 
@@ -831,7 +874,7 @@ class TestWholeSpacePass:
         explorer, space, characterizations, usable = evaluation_inputs
         groups = len(space.window_sides) * len(space.level_splits())
         per_request = []
-        # a cold and a warm cost cache, then a streamed frontier rebuild
+        # a cold and a warm cost cache, then a warm streamed request
         for materialize in ("admitted", "admitted", "frontier"):
             calls.clear()
             result = explore_stream(space, characterizations,
@@ -842,7 +885,7 @@ class TestWholeSpacePass:
             per_request.append(len(calls))
             if materialize == "admitted":
                 assert len(result.design_points) > groups
-        assert per_request == [groups, 0, groups]
+        assert per_request == [groups, 0, 0]
 
     def test_groups_without_characterizations_are_left_out(
             self, whatif_spaces):
@@ -859,11 +902,9 @@ class TestWholeSpacePass:
                 == serialized_points(oracle.design_points))
         assert np.array_equal(result.pareto_row_index,
                               oracle.pareto_row_index)
-        splits = tuple(tuple(split) for split in space.level_splits())
-        entry = stream_module._cached_costs(
-            space, splits, partial,
-            stream_module._characterization_key(partial), model)
-        assert len(entry.keys) == len(space.window_sides) * len(splits) - 2
+        entry = cost_entry(space, partial, model)
+        assert len(entry.keys) == (len(space.window_sides)
+                                   * len(space.level_splits()) - 2)
         # a skipped group's rows are neither admitted nor pruned
         skipped = 2 * space.max_cones_per_depth
         assert (result.admitted_rows + result.pruned_rows
@@ -877,7 +918,7 @@ class TestWholeSpacePass:
         result = explore_stream(space, characterizations,
                                 explorer.throughput_model, 640, 480,
                                 constraints, usable, materialize="admitted")
-        assert result.admitted_rows == 0 and result.frontier_peak == 0
+        assert result.admitted_rows == 0
         assert result.design_points == [] and result.pareto == []
         assert result.pareto_row_index.dtype == np.int64
         assert result.pareto_row_index.size == 0
@@ -901,14 +942,12 @@ class TestWholeSpacePass:
         for chunk_rows in (1, 3, 7, 4096)])
     @pytest.mark.parametrize("model_class",
                              [ThroughputModel, SlowPorts, NegativeInterval])
-    def test_admitted_accounting_equals_the_folds(
+    def test_both_modes_report_the_same_accounting(
             self, evaluation_inputs, model_class, chunk_rows, n_counts):
-        """Under fps floors, where the chunked fold runs the suffix probe
-        (prefixes longer than ``chunk_rows``) and where it filters whole
-        groups, both modes report the same accounting; only
-        ``frontier_peak`` tells a streamed fold from one Pareto pass.  On
-        the wide count axis the fold stops costing each group at its
-        saturation count while the whole-space pass costs every row."""
+        """Under fps floors, where the suffix probe runs (prefixes longer
+        than ``chunk_rows``) and where it does not, both modes report the
+        same accounting, frontier and counters.  On the wide count axis
+        most rows lie past the cost table."""
         explorer, space, characterizations, usable = evaluation_inputs
         model = model_class(device=explorer.device,
                             data_format=explorer.data_format)
@@ -940,16 +979,25 @@ class TestWholeSpacePass:
 
 
 def recording_model(explorer):
-    """A stock-argument model and the largest count ``estimate_batch``
-    costed per group, keyed by ``(window, level depths)``."""
-    largest = {}
+    """A stock-argument model, and the largest count its ``tile_columns``
+    and its ``estimate_batch`` costed per group, keyed by the method name
+    and then by ``(window, level depths)``."""
+    largest = {"tile_columns": {}, "estimate_batch": {}}
+
+    def record(name, architecture, counts):
+        key = (architecture.window_side, tuple(architecture.level_depths))
+        largest[name][key] = max(largest[name].get(key, 0),
+                                 int(np.max(counts)))
 
     class Recording(ThroughputModel):
+        def tile_columns(self, architecture, cone_performance, counts):
+            record("tile_columns", architecture, counts)
+            return super().tile_columns(architecture, cone_performance,
+                                        counts)
+
         def estimate_batch(self, architecture, cone_performance,
                            frame_width, frame_height, counts):
-            key = (architecture.window_side,
-                   tuple(architecture.level_depths))
-            largest[key] = max(largest.get(key, 0), int(np.max(counts)))
+            record("estimate_batch", architecture, counts)
             return super().estimate_batch(architecture, cone_performance,
                                           frame_width, frame_height, counts)
 
@@ -967,12 +1015,14 @@ def with_area(characterizations, shape, area):
 
 
 class TestSaturationCut:
-    """A streamed fold costs each group only up to its saturation count:
-    the rows past it share that count's frame time and cost no less area,
-    so they are counted in bulk and never join the frontier."""
+    """The cost table stops at the largest saturation count of the space's
+    groups: a row past it shares the last column's frame time, and of a
+    group's rows past it only the last can join the frontier."""
 
-    def test_a_streamed_fold_costs_no_count_past_saturation(
-            self, evaluation_inputs):
+    def test_no_count_past_saturation_is_costed(self, evaluation_inputs):
+        """The table costs every group up to the largest saturation count
+        and the suffix probe searches no count past its group's, while
+        both modes answer alike."""
         explorer, space, characterizations, usable = evaluation_inputs
         space = dataclasses.replace(space, max_cones_per_depth=WIDE_COUNTS)
         stock = explorer.throughput_model
@@ -989,7 +1039,8 @@ class TestSaturationCut:
                         "compute_cycles_per_tile"]
                 changes = np.flatnonzero(compute[1:] != compute[:-1])
                 saturation[(window, tuple(split))] = int(changes[-1]) + 2
-        assert max(saturation.values()) < WIDE_COUNTS // 2
+        width = max(saturation.values())
+        assert width < WIDE_COUNTS // 2
         unconstrained = explore_stream(space, characterizations, stock, 128,
                                        96, usable_luts=usable,
                                        materialize="admitted")
@@ -1003,13 +1054,18 @@ class TestSaturationCut:
                 expected = explore_stream(
                     space, characterizations, stock, 128, 96, constraints,
                     usable, chunk_rows=chunk_rows, materialize="admitted")
-                largest.clear()
+                for costed in largest.values():
+                    costed.clear()
                 streamed = explore_stream(
                     space, characterizations, model, 128, 96, constraints,
                     usable, chunk_rows=chunk_rows)
-                assert largest
-                assert all(count <= saturation[key]
-                           for key, count in largest.items())
+                assert largest["tile_columns"] == dict.fromkeys(saturation,
+                                                                width)
+                probed = constraints is not None and chunk_rows < WIDE_COUNTS
+                assert bool(largest["estimate_batch"]) == (
+                    probed and constraints.min_frames_per_second is not None)
+                assert all(count <= saturation[key] for key, count
+                           in largest["estimate_batch"].items())
                 assert ({name: getattr(streamed, name) for name in ACCOUNTING
                          if name != "mask_cache_hit"}
                         == {name: getattr(expected, name)
@@ -1020,32 +1076,70 @@ class TestSaturationCut:
                 assert (serialized_points(streamed.pareto)
                         == serialized_points(expected.pareto))
 
-    def test_a_negative_primary_area_keeps_the_cut_off(
-            self, evaluation_inputs):
-        """Area falls with the count there, so the rows past saturation
-        are the cheapest: the fold costs them, and both modes answer like
-        the scalar oracle."""
+    @pytest.mark.parametrize("model_class",
+                             [ThroughputModel, SlowPorts, NegativeInterval])
+    def test_rows_past_the_table_match_the_scalar_oracle(
+            self, evaluation_inputs, model_class):
+        """On a count axis past the table, ``"admitted"`` builds every
+        admitted row as the scalar oracle does, and ``"frontier"`` its
+        Pareto rows, with no constraint, within the device and under an
+        fps floor."""
         explorer, space, characterizations, usable = evaluation_inputs
-        space = dataclasses.replace(space, max_cones_per_depth=40)
+        space = dataclasses.replace(space, max_cones_per_depth=WIDE_COUNTS)
+        model = model_class(device=explorer.device,
+                            data_format=explorer.data_format)
+        floor = None
+        for constraints in (None, DseConstraints(device_only=True),
+                            "floor"):
+            if constraints == "floor":
+                constraints = DseConstraints(min_frames_per_second=floor)
+            oracle = scalar_exploration(space, characterizations, model, 128,
+                                        96, constraints, usable)
+            if floor is None:
+                floor = float(np.median(1.0 / oracle.seconds_per_frame))
+            admitted, frontier = (
+                explore_stream(space, characterizations, model, 128, 96,
+                               constraints, usable, materialize=materialize)
+                for materialize in ("admitted", "frontier"))
+            assert (serialized_points(admitted.design_points)
+                    == serialized_points(oracle.design_points))
+            members = {id(point) for point in admitted.design_points}
+            assert all(id(point) in members for point in admitted.pareto)
+            assert frontier.design_points == frontier.pareto
+            for result in (admitted, frontier):
+                assert result.admitted_rows == oracle.admitted_rows
+                assert np.array_equal(result.pareto_row_index,
+                                      oracle.pareto_row_index)
+                assert (serialized_points(result.pareto)
+                        == serialized_points(oracle.pareto))
+            # the oracle admits rows past the table
+            width = cost_entry(space, characterizations, model).area.shape[1]
+            assert (oracle.row_index % WIDE_COUNTS >= width).any()
+
+    def test_a_negative_primary_area_puts_the_last_row_on_the_frontier(
+            self, evaluation_inputs):
+        """Area falls with the count there, so a group's last row past the
+        table is its cheapest: it joins the Pareto candidates, and both
+        modes answer like the scalar oracle."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=WIDE_COUNTS)
         # window 4, depth 3: the primary cone of split (3, 3), whose
         # saturation count is 9
         characterizations = with_area(characterizations, (4, 3), -250.0)
-        model, largest = recording_model(explorer)
+        model = explorer.throughput_model
         for constraints in (None, DseConstraints(min_frames_per_second=1.0)):
             oracle = scalar_exploration(space, characterizations, model, 128,
                                         96, constraints, usable)
-            assert oracle.admitted_rows
+            assert (oracle.pareto_row_index % WIDE_COUNTS
+                    == WIDE_COUNTS - 1).any()
             for chunk_rows in (1, 4096):
-                in_memory = explore_stream(
-                    space, characterizations, model, 128, 96, constraints,
-                    usable, chunk_rows=chunk_rows, materialize="admitted")
+                in_memory, streamed = (
+                    explore_stream(space, characterizations, model, 128, 96,
+                                   constraints, usable, chunk_rows=chunk_rows,
+                                   materialize=materialize)
+                    for materialize in ("admitted", "frontier"))
                 assert (serialized_points(in_memory.design_points)
                         == serialized_points(oracle.design_points))
-                largest.clear()
-                streamed = explore_stream(
-                    space, characterizations, model, 128, 96, constraints,
-                    usable, chunk_rows=chunk_rows)
-                assert largest[(4, (3, 3))] == 40
                 for result in (in_memory, streamed):
                     assert np.array_equal(result.pareto_row_index,
                                           oracle.pareto_row_index)
@@ -1108,8 +1202,10 @@ class TestChunkAccounting:
         assert streamed.peak_chunk_rows == max(sizes)
         assert streamed.throughput_pruned_rows == sum(starts)
 
-    def test_a_streamed_exploration_builds_each_context_once(
+    def test_a_cold_exploration_builds_each_context_once(
             self, evaluation_inputs, monkeypatch):
+        """The cost-cache entry holds the contexts, so a cold exploration
+        builds each once and a warm one, streamed or not, builds none."""
         built = []
         real_context = engine_module.group_context
 
@@ -1123,16 +1219,19 @@ class TestChunkAccounting:
         baseline = scalar_exploration(space, characterizations,
                                       explorer.throughput_model, 128, 96)
         floor = float(np.median(1.0 / baseline.seconds_per_frame))
-        # two-row chunks run the suffix probe, and the frontier's points
-        # are rebuilt at the end: both reuse the fold's contexts
-        streamed = explore_stream(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  DseConstraints(min_frames_per_second=floor),
-                                  usable, chunk_rows=2)
-        assert streamed.pareto
-        assert sorted(built) == sorted(
+        per_request = []
+        # two-row chunks run the suffix probe on the table's contexts
+        for materialize in ("frontier", "frontier", "admitted"):
+            built.clear()
+            result = explore_stream(
+                space, characterizations, explorer.throughput_model, 128,
+                96, DseConstraints(min_frames_per_second=floor), usable,
+                chunk_rows=2, materialize=materialize)
+            assert result.pareto
+            per_request.append(sorted(built))
+        assert per_request == [sorted(
             (window, tuple(split)) for window in space.window_sides
-            for split in space.level_splits())
+            for split in space.level_splits()), [], []]
 
     def test_invalid_arguments_rejected(self, evaluation_inputs):
         explorer, space, characterizations, _ = evaluation_inputs
@@ -1161,7 +1260,7 @@ class TestExplorerIntegration:
         assert set(streamed.streaming) == {
             "space_rows", "admitted_rows", "pruned_rows",
             "throughput_pruned_rows", "pruned_fraction", "chunks_total",
-            "chunks_skipped", "peak_chunk_rows", "frontier_peak"}
+            "chunks_skipped", "peak_chunk_rows"}
 
     def test_a_streamed_result_does_not_depend_on_the_mask_cache(self):
         # the second run hits the admitted-row masks the first one cached:
@@ -1214,20 +1313,3 @@ class TestExplorerIntegration:
         assert stats["runs"] == 2
         assert stats["misses"] == 1 and stats["hits"] == 1
         assert stats["chunks_materialized"] > 0
-
-
-class TestFrontierStateBound:
-    def test_state_is_bounded_by_the_frontier_not_the_space(
-            self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        streamed = explore_stream(space, characterizations,
-                                  explorer.throughput_model, 128, 96,
-                                  usable_luts=usable, chunk_rows=1)
-        assert streamed.frontier_peak < space.size()
-        assert streamed.frontier_peak >= len(streamed.pareto)
-
-    def test_incremental_updates_accept_empty_chunks(self):
-        frontier = StreamingFrontier()
-        frontier.update(np.empty(0), np.empty(0),
-                        np.empty(0, dtype=np.int64))
-        assert len(frontier) == 0

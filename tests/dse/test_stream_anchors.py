@@ -1,14 +1,14 @@
-"""Stream anchors: the exploration fold's outcomes pinned across commits.
+"""Stream anchors: the exploration pass's outcomes pinned across commits.
 
 The other stream tests hold ``explore_stream`` to the per-point scalar
-oracle.  That fixes the admitted rows and the frontier, but not the fold's
+oracle.  That fixes the admitted rows and the frontier, but not the pass's
 own accounting.  ``tests/fixtures/stream_anchors.json`` pins, per case and
 run:
 
 * every accounting field of
   :class:`~repro.dse.stream.StreamingExploration` (``chunks_total``,
-  ``chunks_skipped``, ``peak_chunk_rows``, ``frontier_peak``,
-  ``pruned_rows``, ``throughput_pruned_rows``, ``mask_cache_hit``, ...);
+  ``chunks_skipped``, ``peak_chunk_rows``, ``pruned_rows``,
+  ``throughput_pruned_rows``, ``mask_cache_hit``, ...);
 * ``pareto_row_index``, and the sha256 of the serialized design points
   and of the serialized frontier;
 * the ``stream_stats()`` counters the run leaves, and the ``chunks``
@@ -22,7 +22,7 @@ on-chip port widths 4 and 16.  Each case runs twice, from cleared stream
 caches and then warm.  At ``chunk_rows`` 1 and 3 the fps floors run the
 suffix probe in most groups.
 
-The comparison is exact.  A change meant to alter the fold's outcomes
+The comparison is exact.  A change meant to alter the pass's outcomes
 re-pins the fixture in the same change, with the difference explained.
 Regenerate it with::
 
@@ -71,7 +71,7 @@ CASES = [f"{kernel}/{constraint}/{chunk_rows}/{materialize}/{port}"
 
 FIELDS = ("space_rows", "admitted_rows", "pruned_rows", "chunk_rows",
           "chunks_total", "chunks_skipped", "peak_chunk_rows",
-          "frontier_peak", "mask_cache_hit", "throughput_pruned_rows")
+          "mask_cache_hit", "throughput_pruned_rows")
 
 
 @functools.lru_cache(maxsize=None)
