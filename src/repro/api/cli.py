@@ -175,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(large values grow the candidate space; "
                             "combine with --stream)")
     sweep.add_argument("--stream", action="store_true", default=None,
-                       help="force the out-of-core chunked evaluation for "
-                            "every scenario (default: auto above the "
-                            "engine's row threshold; streamed results "
-                            "materialize only the Pareto frontier)")
+                       help="force streaming for every scenario: keep "
+                            "only the Pareto frontier as design points "
+                            "(default: auto above the engine's row "
+                            "threshold)")
     sweep.add_argument("--json", action="store_true",
                        help="emit per-workload summaries plus session stats "
                             "as JSON")
@@ -374,10 +374,9 @@ def _add_workload_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--device-only", action="store_true",
                         help="keep only design points fitting the device")
     parser.add_argument("--stream", action="store_true", default=None,
-                        help="force the out-of-core chunked evaluation "
-                             "(default: auto above the engine's row "
-                             "threshold; streamed results materialize "
-                             "only the Pareto frontier)")
+                        help="force streaming: keep only the Pareto "
+                             "frontier as design points (default: auto "
+                             "above the engine's row threshold)")
     if include_store:
         parser.add_argument("--store", metavar="DIR", nargs="?",
                             const=default_store_path(), default=None,

@@ -29,13 +29,14 @@ it (the rows between share its frame time and lie between it and the last
 column in area).  Memory is bounded by the table, groups × ``W``, plus the
 design points kept, never by the count axis.
 
-Design points are built for every admitted row (``materialize=
-"admitted"``) or for the Pareto rows alone (``"frontier"``), through one
-builder, :func:`build_points`, one group's rows per call, as plain Python
-values: what a group's points share (names, depths, the base cone counts,
-the cone areas) is derived once per call, and each point gets only its own
-containers and objects.  The pass also reports the chunk accounting of the
-chunked fold it replaced (:func:`_chunk_grid`, with the fps suffix probe
+Design points are built for every admitted row
+(``materialize="admitted"``) or for the Pareto rows alone
+(``"frontier"``), through one builder, :func:`build_points`, one group's
+rows per call, as plain Python values: what a group's points share (names,
+depths, the base cone counts, the cone areas) is derived once per call,
+and each point gets only its own containers and objects.  The pass also
+reports the chunk accounting of the chunked fold it replaced
+(:func:`_chunk_grid`, with the fps suffix probe
 :func:`_throughput_admitted_start`).  The area-side pushdown and the
 caches live in :mod:`repro.dse.stream`.
 """

@@ -5,8 +5,9 @@ typically requires the evaluation of a few hundreds of solutions"; the
 characterised design points are cheap to compare, so a simple sort-and-scan
 suffices.
 
-Determinism contract (shared by the pure-Python scan, the vectorized NumPy
-path, and the exploration fold's streaming frontier):
+Determinism contract (shared by the pure-Python scan and the vectorized
+NumPy path, which every exploration's one pass calls once over its
+candidates in enumeration order):
 
 * the frontier is returned sorted by increasing area, ties on area by
   increasing time;
@@ -33,9 +34,9 @@ from repro.dse.design_point import DesignPoint
 #: and take the vectorized path.
 _VECTORIZE_THRESHOLD = 64
 
-#: The one diagnostic for non-finite objectives, shared by every extractor
-#: (scalar scan, vectorized path, and the streaming accumulators in
-#: :mod:`repro.dse.stream`) so callers can match on a single message.
+#: The one diagnostic for non-finite objectives, shared by both extractors
+#: (scalar scan and vectorized path) so callers can match on a single
+#: message.
 FINITE_OBJECTIVES_ERROR = (
     "Pareto extraction needs finite objectives; got NaN or infinite "
     "area/time values (an upstream estimate produced garbage)")
