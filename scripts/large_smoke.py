@@ -60,8 +60,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-# the per-point scalar exploration, the oracle of both passes, lives beside
-# the exploration tests
+# the per-point scalar exploration, the oracle of the one pass, lives
+# beside the exploration tests
 sys.path.insert(0, str(ROOT / "tests" / "dse"))
 
 from repro.algorithms import get_algorithm                   # noqa: E402

@@ -1,13 +1,14 @@
-"""The per-point scalar exploration: the differential oracle for both
-passes of the exploration.
+"""The per-point scalar exploration: the differential oracle of the
+exploration.
 
 Evaluates the candidate space one Python object at a time — build the
 :class:`ConeArchitecture`, sum its cone areas, run the throughput model's
 ``evaluate``, wrap a :class:`DesignPoint`, test the constraints.  Every
-exploration in production runs one of the two passes of
-:func:`repro.dse.stream.explore_stream` (the whole-space pass in memory,
-the chunked fold when streamed); the tests hold both to this loop byte for
-byte, under the stock throughput model and the two overrides below.
+exploration in production runs the one pass of
+:func:`repro.dse.stream.explore_stream` over the space's cost table, in
+memory or streamed; the tests hold both materialize modes to this loop
+byte for byte, under the stock throughput model and the two overrides
+below.
 """
 
 from __future__ import annotations

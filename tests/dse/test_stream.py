@@ -11,6 +11,7 @@ min-fps floor rejected.
 """
 
 import dataclasses
+import functools
 import json
 import pickle
 import random
@@ -1158,6 +1159,84 @@ class TestSaturationCut:
             explore_stream(space, characterizations,
                            explorer.throughput_model, 128, 96,
                            usable_luts=usable, materialize=materialize)
+
+    @pytest.mark.parametrize("n_counts", [40, 122, WIDE_COUNTS])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3)])
+    def test_a_zero_area_group_keeps_its_first_fastest_row(
+            self, evaluation_inputs, shape, n_counts):
+        """With a zero primary cone area, a group's rows tie in area, and
+        in frame time from the count where it stops falling to the end of
+        the axis; its row past the table joins the candidates after the
+        others, so the frontier keeps the first of the tie, as the scalar
+        oracle does."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=n_counts)
+        # window 1, depth 1 sets the table's width (121); window 4, depth 3
+        # saturates at 9
+        characterizations = with_area(characterizations, shape, 0.0)
+        model = explorer.throughput_model
+        window, depth = shape
+        splits = [set(split) for split in space.level_splits()]
+        group = (space.window_sides.index(window) * len(splits)
+                 + splits.index({depth}))
+        oracle = scalar_exploration(space, characterizations, model, 128, 96,
+                                    usable_luts=usable)
+        times = oracle.seconds_per_frame[
+            oracle.row_index // n_counts == group]
+        assert times.size == n_counts
+        fastest = int(np.argmax(times == times.min()))
+        assert fastest < n_counts - 1
+        assert (times[fastest:] == times.min()).all()
+        assert oracle.pareto_row_index[
+            oracle.pareto_row_index // n_counts == group].tolist() == [
+                group * n_counts + fastest]
+        for materialize in ("admitted", "frontier"):
+            result = explore_stream(space, characterizations, model, 128, 96,
+                                    usable_luts=usable,
+                                    materialize=materialize)
+            assert np.array_equal(result.pareto_row_index,
+                                  oracle.pareto_row_index)
+            assert (serialized_points(result.pareto)
+                    == serialized_points(oracle.pareto))
+
+    #: A cone area whose rows stay finite up to the 121-count table and
+    #: overflow to infinity from count 212 on.
+    OVERFLOWING_AREA = 8.5e305
+
+    @pytest.mark.parametrize("materialize", ["admitted", "frontier"])
+    @pytest.mark.parametrize("area", [float("nan"), float("inf"),
+                                      float("-inf"), OVERFLOWING_AREA],
+                             ids=["nan", "inf", "-inf", "overflow"])
+    def test_a_non_finite_area_past_the_table_answers_like_the_oracle(
+            self, evaluation_inputs, area, materialize):
+        """A row past the table carries its own area, so a non-finite one
+        reaches the Pareto extraction as in the scalar oracle: rejected
+        with the finite-objectives error, unless an area cap pruned it
+        first."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=WIDE_COUNTS)
+        characterizations = with_area(characterizations, (4, 3), area)
+        model = explorer.throughput_model
+        for constraints in (None, DseConstraints(max_area_luts=50_000.0)):
+            oracle = scalar_exploration(space, characterizations, model, 128,
+                                        96, constraints, usable)
+            result = functools.partial(
+                explore_stream, space, characterizations, model, 128, 96,
+                constraints, usable, materialize=materialize)
+            # a cap prunes an infinite area; NaN and -inf pass it
+            if constraints is None or np.isnan(area) or area < 0:
+                with pytest.raises(ValueError, match="finite"):
+                    oracle.pareto
+                with pytest.raises(ValueError,
+                                   match=re.escape(FINITE_OBJECTIVES_ERROR)):
+                    result()
+                continue
+            capped = result()
+            assert capped.admitted_rows == oracle.admitted_rows
+            assert np.array_equal(capped.pareto_row_index,
+                                  oracle.pareto_row_index)
+            assert (serialized_points(capped.pareto)
+                    == serialized_points(oracle.pareto))
 
 
 class TestChunkAccounting:
