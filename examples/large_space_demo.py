@@ -13,9 +13,9 @@ materializing the full candidate table:
   takes the table's last column;
 * constraint pushdown proves, from the area model alone, how many
   instance counts of each group can possibly satisfy the area
-  constraints, and prunes the rest *before* any row is costed (the
-  admitted set is always a prefix of the count axis, found by binary
-  search on the exact engine-identical area formula);
+  constraints, and prunes the rest *before* any row is costed (with
+  nonnegative cone areas the admitted set is a prefix of the count axis,
+  found by binary search on the exact engine-identical area formula);
 * of a group's rows past the table only the last can join the frontier
   (the others share its frame time and lie between it and the table's
   last column in area), so one Pareto pass over the table plus one row

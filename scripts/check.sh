@@ -34,10 +34,13 @@
 #                               # in memory and streamed in one-group
 #                               # chunks, both from the warm cost cache
 #                               # (2 x 60 hits), with equal Pareto sets and
-#                               # admitted/pruned counts, and 10 of them
-#                               # with every admitted design point and the
-#                               # streamed Pareto set equal to the
-#                               # per-point scalar oracle's
+#                               # admitted/pruned counts, the 50 that read
+#                               # only the Pareto sets handing
+#                               # build_points exactly their Pareto rows,
+#                               # and 10 of them with every admitted
+#                               # design point, each built once on its
+#                               # first read, and the streamed Pareto set
+#                               # equal to the per-point scalar oracle's
 #                               # (tests/dse/scalar_oracle.py); last, stream
 #                               # the large space uncapped, with no floor
 #                               # and at 30 fps, and match each Pareto set

@@ -20,10 +20,14 @@ Four checks in one fresh process:
    widths), each answered in memory and by frontier-only streaming in
    one-group chunks, both from the warm cost cache (2 hits per request):
    both answers must have the same serialized Pareto set and the same
-   admitted and pruned counts.  For one request in six, every admitted
-   design point of the in-memory answer, on the Pareto front or not, and
-   the streamed Pareto set must also serialize byte for byte like the
-   per-point scalar exploration (``tests/dse/scalar_oracle.py``).
+   admitted and pruned counts.  The rows handed to
+   ``repro.dse.engine.build_points`` are counted: a request that reads
+   only the Pareto sets must build exactly their points.  For one request
+   in six, every admitted design point of the in-memory answer, on the
+   Pareto front or not, and the streamed Pareto set must also serialize
+   byte for byte like the per-point scalar exploration
+   (``tests/dse/scalar_oracle.py``), and reading those points must build
+   each of them once.
 
 3. **Bounded memory at scale** — a >=10^5-candidate space (the same shape
    knobs with the instance-count axis widened) must stream to completion
@@ -64,6 +68,7 @@ sys.path.insert(0, str(ROOT / "src"))
 # beside the exploration tests
 sys.path.insert(0, str(ROOT / "tests" / "dse"))
 
+import repro.dse.engine as engine                           # noqa: E402
 from repro.algorithms import get_algorithm                   # noqa: E402
 from repro.dse.constraints import DseConstraints             # noqa: E402
 from repro.dse.explorer import DesignSpaceExplorer           # noqa: E402
@@ -138,7 +143,24 @@ def check_digest_identity(explorer, space, characterizations, usable):
 def check_whatif_sweep(explorer, space, characterizations, usable):
     """Warm in-memory answers == one-group streamed answers, per request,
     and == the scalar oracle's admitted points and Pareto set for every
-    sixth one."""
+    sixth one; the others build their Pareto points alone."""
+    built = []  # the rows handed to build_points, one entry per call
+    real_build_points = engine.build_points
+
+    def counting_build_points(*args, **kwargs):
+        built.append(len(kwargs["counts"]))
+        return real_build_points(*args, **kwargs)
+
+    engine.build_points = counting_build_points
+    try:
+        return sweep_whatif_requests(explorer, space, characterizations,
+                                     usable, built)
+    finally:
+        engine.build_points = real_build_points
+
+
+def sweep_whatif_requests(explorer, space, characterizations, usable,
+                          built):
     paper_space = dataclasses.replace(space, max_cones_per_depth=16)
     models = {port: explorer._throughput_model_for(port)
               for port in SWEEP_PORTS}
@@ -148,7 +170,7 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
                        usable_luts=usable, materialize="admitted")
     warmed = stream_stats()["costs"]
     rng = random.Random(ITERATIONS)
-    oracle_checked = 0
+    oracle_checked = front_only = 0
     for request in range(SWEEP_REQUESTS):
         width = rng.randrange(320, 4097, 8)
         height = rng.randrange(240, 2161, 8)
@@ -158,6 +180,7 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
         request_args = (paper_space, characterizations, model, width, height,
                         DseConstraints(min_frames_per_second=floor,
                                        max_area_luts=cap), usable)
+        built.clear()
         in_memory = explore_stream(*request_args, materialize="admitted")
         streamed = explore_stream(
             *request_args, chunk_rows=paper_space.max_cones_per_depth)
@@ -171,6 +194,7 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
                              f"{in_memory.pruned_rows} in memory, "
                              f"{streamed.admitted_rows}/"
                              f"{streamed.pruned_rows} streamed")
+        fronts = len(in_memory.pareto) + len(streamed.pareto)
         if request % ORACLE_EVERY == 0:
             oracle = scalar_exploration(*request_args)
             if (serialized(in_memory.design_points)
@@ -182,15 +206,24 @@ def check_whatif_sweep(explorer, space, characterizations, usable):
                 raise SystemExit(f"what-if request {request}: the streamed "
                                  f"Pareto set differs from the scalar "
                                  f"oracle's")
+            expected = len(in_memory.design_points) + len(streamed.pareto)
             oracle_checked += 1
+        else:
+            expected = fronts
+            front_only += 1
+        if sum(built) != expected:
+            raise SystemExit(f"what-if request {request}: {sum(built)} rows "
+                             f"built into design points, expected "
+                             f"{expected} ({fronts} Pareto points)")
     costs = stream_stats()["costs"]
     if (costs["misses"], costs["hits"]) != (
             warmed["misses"], warmed["hits"] + 2 * SWEEP_REQUESTS):
         raise SystemExit(f"what-if sweep missed the warm cost cache: "
                          f"{warmed} -> {costs}")
     print(f"what-if sweep ok: {SWEEP_REQUESTS} warm in-memory requests == "
-          f"one-group streamed requests, {oracle_checked} of them == the "
-          f"scalar oracle in every admitted point and Pareto point")
+          f"one-group streamed requests, {front_only} of them built only "
+          f"their Pareto points, {oracle_checked} == the scalar oracle in "
+          f"every admitted point and Pareto point")
 
 
 def check_saturation_cut(explorer, space, characterizations, usable):

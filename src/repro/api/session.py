@@ -35,6 +35,7 @@ from repro.api.results import FlowResult
 from repro.api.store import ArtifactStore, CharacterizationStoreAdapter
 from repro.api.workload import Workload
 from repro.dse.design_point import DesignPoint
+from repro.dse.engine import unread_points
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.stream import CountingLru
 from repro.frontend.kernel_ir import KernelValidationError
@@ -437,9 +438,13 @@ class Session:
         characterization key share its cone characterizations.  Each call
         returns a fresh result wrapper with freshly copied point/Pareto
         lists, so in-place reordering or filtering by one caller never
-        corrupts the cache or another caller's view.  Treat the shared
+        corrupts the cache or another caller's view.  An in-memory
+        exploration builds only its Pareto members' design points: the
+        other admitted points are built on the first read of
+        ``design_points``, once per computed result, however many callers
+        share it (each still reads a list of its own).  Treat the shared
         entries themselves (individual characterizations, the kernel
-        properties) as read-only.
+        properties, the design points) as read-only.
         """
         with obs_trace.span("session.run", workload=workload.name):
             return _defensive_copy(
@@ -668,8 +673,11 @@ def _defensive_copy(result: Any) -> Any:
 
     Shields the result layer from in-place mutation of the containers
     callers naturally reorder/filter; the frozen design points and the
-    (read-only by contract) characterization entries stay shared.  Other
-    results (immutable validation evidence) pass through.
+    (read-only by contract) characterization entries stay shared.  Design
+    points that no caller has read yet stay unbuilt: the copy shares the
+    result's builder, which builds them once, on the first read by any
+    holder, and gives each holder a list of its own.  Other results
+    (immutable validation evidence) pass through.
     """
     if not isinstance(result, FlowResult):
         return result
@@ -677,7 +685,7 @@ def _defensive_copy(result: Any) -> Any:
     return dataclasses.replace(result, exploration=dataclasses.replace(
         exploration,
         characterizations=dict(exploration.characterizations),
-        design_points=list(exploration.design_points),
+        design_points=unread_points(exploration),
         pareto=list(exploration.pareto),
         area_validations=dict(exploration.area_validations),
     ))

@@ -9,8 +9,9 @@ time is the throughput model's per-tile half
 (:meth:`~repro.estimation.throughput_model.ThroughputModel.tile_columns`)
 under its one frame-time formula
 (:meth:`~repro.estimation.throughput_model.ThroughputModel.frame_times`).
-A row is admitted when it lies in its group's area-admitted prefix of the
-count axis (found by :mod:`repro.dse.stream`) and meets any
+A row is admitted when it lies in its group's area-admitted interval of
+the count axis (found by :mod:`repro.dse.stream`: a prefix, or a suffix
+when the primary cone's area is negative) and meets any
 ``min_frames_per_second`` floor.
 
 One pass, :func:`whole_space_pass`, answers every exploration, in memory
@@ -21,7 +22,7 @@ of the count axis and the largest saturation count among the groups
 the most executions a level of the primary depth runs per tile, past which
 more instances change no frame time).  A row past the table therefore has
 the figures of its last column and only an area of its own.  The pass
-computes the frame time, the prefix mask and the fps mask once over the
+computes the frame time, the interval mask and the fps mask once over the
 table, admits each row past it with the last column, and runs
 :func:`~repro.dse.pareto.pareto_indices` once over the candidates: the
 admitted rows of the table plus, per group, its last admitted row past
@@ -29,13 +30,16 @@ it (the rows between share its frame time and lie between it and the last
 column in area).  Memory is bounded by the table, groups × ``W``, plus the
 design points kept, never by the count axis.
 
-Design points are built for every admitted row
-(``materialize="admitted"``) or for the Pareto rows alone
-(``"frontier"``), through one builder, :func:`build_points`, one group's
-rows per call, as plain Python values: what a group's points share (names,
-depths, the base cone counts, the cone areas) is derived once per call,
-and each point gets only its own containers and objects.  The pass also
-reports the chunk accounting of the chunked fold it replaced
+The pass builds design points for the Pareto rows only.  With
+``materialize="admitted"`` it also returns a :class:`PointsBuilder` for
+every admitted row, which a result's ``design_points`` (a
+:class:`PointsField`) runs on first read, once, reusing the Pareto members
+it already built: a caller that reads only the front pays only for the
+front.  Rows become points in one place, :func:`build_points`, one
+group's rows per call, as plain Python values: what a group's points share
+(names, depths, the base cone counts, the cone areas) is derived once per
+call, and each point gets only its own containers and objects.  The pass
+also reports the chunk accounting of the chunked fold it replaced
 (:func:`_chunk_grid`, with the fps suffix probe
 :func:`_throughput_admitted_start`).  The area-side pushdown and the
 caches live in :mod:`repro.dse.stream`.
@@ -43,10 +47,11 @@ caches live in :mod:`repro.dse.stream`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -183,6 +188,69 @@ def build_points(space: ArchitectureSpace, context: GroupContext,
     return points
 
 
+class PointsBuilder:
+    """Every admitted design point of one exploration, built once, on first
+    read.
+
+    ``build`` returns the points; it runs at most once, under the builder's
+    own lock, so concurrent first reads share one build, and the builder
+    drops ``build`` (and the arrays it holds) once it has run.  Each read
+    returns a fresh list of the same points.  A pickle or a copy of the
+    builder is the list of its points, so a result that was never read
+    pickles and deep-copies like one that was.
+    """
+
+    def __init__(self, build: Callable[[], List[DesignPoint]]) -> None:
+        self._build: Optional[Callable[[], List[DesignPoint]]] = build
+        self._points: List[DesignPoint] = []
+        self._lock = threading.Lock()
+
+    def points(self) -> List[DesignPoint]:
+        with self._lock:
+            if self._build is not None:
+                self._points, self._build = self._build(), None
+        return list(self._points)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return list, (self.points(),)
+
+
+class PointsField:
+    """The ``design_points`` field of an exploration result: a list, or a
+    :class:`PointsBuilder` that the first read runs and replaces with the
+    list it returns.
+
+    A dataclass field with this descriptor as its value keeps its keyword
+    and has no default.  The stored value lives in the instance's
+    ``__dict__`` under the field's name, so :func:`unread_points` reads it
+    without building.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None
+                ) -> List[DesignPoint]:
+        if instance is None:
+            raise AttributeError(self._name)  # no default value
+        value = instance.__dict__[self._name]
+        if isinstance(value, PointsBuilder):
+            value = instance.__dict__[self._name] = value.points()
+        return value
+
+    def __set__(self, instance: Any,
+                points: Union[List[DesignPoint], PointsBuilder]) -> None:
+        instance.__dict__[self._name] = points
+
+
+def unread_points(result: Any) -> Union[List[DesignPoint], PointsBuilder]:
+    """A copy of ``result.design_points`` that builds nothing: the result's
+    builder while its points are unread (shared, so every holder reuses its
+    one build), else a fresh list of its points."""
+    value = vars(result)["design_points"]
+    return value if isinstance(value, PointsBuilder) else list(value)
+
+
 def _throughput_admitted_start(admit_len: int, min_fps: float,
                                context: GroupContext,
                                throughput_model: ThroughputModel,
@@ -194,7 +262,8 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     (more instances, fewer serialized execution batches), and every other
     term of the frame time is count-constant, so ``frames_per_second`` is
     nondecreasing along the count axis and a min-fps floor admits a suffix
-    ``[start, admit_len)`` — found by O(log n) single-count probes of the
+    ``[start, admit_len)`` of the counts ``1..admit_len`` — found by
+    O(log n) single-count probes of the
     exact batch formula (elementwise over the count axis, hence
     bit-identical to the full-column values).  Returns ``admit_len`` when
     every row fails the floor.
@@ -209,9 +278,9 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
 
     Returns ``None`` when the monotonicity argument does not hold: a
     (pathological) negative execution interval on the primary level, or a
-    nonpositive frame time anywhere in the prefix (``frames_per_second``
-    snaps to 0 there, breaking the suffix shape).  The caller then counts
-    the whole prefix.
+    nonpositive frame time anywhere in ``1..admit_len``
+    (``frames_per_second`` snaps to 0 there, breaking the suffix shape).
+    The caller then counts the group's whole area-admitted interval.
     """
     def columns_at(count: int) -> Mapping[str, object]:
         return cost_counts(throughput_model, context, frame_width,
@@ -224,7 +293,7 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
         return None
     tail = columns_at(admit_len)
     # seconds_per_frame is nonincreasing in the count, so its minimum over
-    # the prefix sits at admit_len: positive there means positive (and the
+    # 1..admit_len sits at admit_len: positive there means positive (and the
     # fps column exactly 1/seconds) everywhere.
     if not float(tail["seconds_per_frame"][0]) > 0.0:
         return None
@@ -324,9 +393,9 @@ def space_costs(space: ArchitectureSpace,
         compute_bound=per_row("compute_bound", bool))
 
 
-def _chunk_grid(start: "np.ndarray", prefix: "np.ndarray",
+def _chunk_grid(start: "np.ndarray", stop: "np.ndarray",
                 chunk_rows: int) -> Tuple[int, int]:
-    """How many chunks the groups' admitted intervals ``[start, prefix)``
+    """How many chunks the groups' admitted intervals ``[start, stop)``
     span, and the most rows one of them holds: the chunk accounting every
     exploration reports.
 
@@ -336,11 +405,11 @@ def _chunk_grid(start: "np.ndarray", prefix: "np.ndarray",
     :func:`whole_space_pass` replaced; they stay until the benchmark change
     that drops the probe (:func:`_throughput_admitted_start`).
     """
-    live = start < prefix
-    first_cell, end_cell = start // chunk_rows, -(-prefix // chunk_rows)
+    live = start < stop
+    first_cell, end_cell = start // chunk_rows, -(-stop // chunk_rows)
     chunks = np.where(live, end_cell - first_cell, 0)
-    first = np.minimum((first_cell + 1) * chunk_rows, prefix) - start
-    last = prefix - np.maximum((end_cell - 1) * chunk_rows, start)
+    first = np.minimum((first_cell + 1) * chunk_rows, stop) - start
+    last = stop - np.maximum((end_cell - 1) * chunk_rows, start)
     rows = np.where(chunks > 2, chunk_rows, np.maximum(first, last))
     return int(chunks.sum()), int(rows[live].max(initial=0))
 
@@ -348,46 +417,53 @@ def _chunk_grid(start: "np.ndarray", prefix: "np.ndarray",
 def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                      throughput_model: ThroughputModel,
                      frame_width: int, frame_height: int, n_splits: int,
-                     prefixes: Mapping[Tuple[int, int], Optional[int]],
+                     intervals: Mapping[Tuple[int, int],
+                                        Optional[Tuple[int, int]]],
                      chunk_rows: int, min_fps: Optional[float],
                      usable_luts: float, materialize: str) -> Dict[str, Any]:
     """Answer an exploration in one columnar pass over its
     :class:`SpaceCosts`.
 
-    ``prefixes`` is the mask cache's map from group keys to area-admitted
-    prefix lengths; ``costs`` holds exactly the groups whose prefix is not
-    ``None``.  A row past the table takes the figures of its last column,
-    so it is admitted or fps-pruned with that column, and its area comes
-    from :func:`group_area`.  Of a group's admitted rows past the table,
-    only the last joins the Pareto candidates: the others share its frame
-    time and lie between it and the last column in area.  ``materialize``
-    picks the rows that become design points: every admitted row
-    (``"admitted"``) or the Pareto rows alone (``"frontier"``).
+    ``intervals`` is the mask cache's map from group keys to area-admitted
+    intervals ``(begin, end)`` of zero-based counts; ``costs`` holds
+    exactly the groups whose interval is not ``None``.  A row past the
+    table takes the figures of its last column, so it is admitted or
+    fps-pruned with that column, and its area comes from
+    :func:`group_area`.  Of a group's admitted rows past the table, only
+    the last joins the Pareto candidates: the others share its frame time
+    and lie between it and the last column in area.
 
-    Where a ``min_fps`` floor is set and a prefix is longer than
+    The pass builds design points for the Pareto rows only.  With
+    ``materialize="admitted"``, ``design_points`` is a
+    :class:`PointsBuilder` for every admitted row in enumeration order,
+    which builds the rows off the front on its first run and puts the
+    Pareto members among them; with ``"frontier"`` it is the Pareto
+    members alone.
+
+    Where a ``min_fps`` floor is set and an interval is longer than
     ``chunk_rows``, :func:`_throughput_admitted_start` places the start of
     the fps-admitted suffix, up to the group's saturation count when its
     primary cone area is nonnegative, and the chunk counts follow from the
     admitted intervals (:func:`_chunk_grid`).  Returns the accounting, the
-    design points (``design_points``: every admitted row in enumeration
-    order, or the Pareto members), the Pareto members (``pareto``, in
-    increasing-area order, the same objects) and their global rows
-    (``pareto_rows``).
+    design points, the Pareto members (``pareto``, in increasing-area
+    order) and their global rows (``pareto_rows``).
     """
-    prefix = np.array([prefixes[key] for key in costs.keys], dtype=np.int64)
-    start = np.zeros_like(prefix)
+    begin, end = np.array([intervals[key] for key in costs.keys],
+                          dtype=np.int64).reshape(-1, 2).T
+    start = begin.copy()
     if min_fps is not None:
-        for group in np.flatnonzero(prefix > chunk_rows).tolist():
+        for group in np.flatnonzero(end - begin > chunk_rows).tolist():
             context = costs.contexts[group]
-            stop = int(prefix[group])
+            stop = int(end[group])
             if context.area_by_depth[context.primary] >= 0:
                 stop = min(stop, throughput_model.saturation_count(
                     context.representative))
             found = _throughput_admitted_start(
                 stop, min_fps, context, throughput_model, frame_width,
                 frame_height)
-            start[group] = prefix[group] if found == stop else found or 0
-    chunks_materialized, peak_chunk_rows = _chunk_grid(start, prefix,
+            start[group] = (end[group] if found == stop
+                            else max(found or 0, int(begin[group])))
+    chunks_materialized, peak_chunk_rows = _chunk_grid(start, end,
                                                        chunk_rows)
     # the tile count reads only the window side: one hook call per side
     tiles_by_window: Dict[int, int] = {}
@@ -402,7 +478,8 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
     # the rows below a probed start fail the floor (the probe's monotonicity
     # argument), so the fps mask rejects them without a mask of their own
     n_counts, width = space.max_cones_per_depth, costs.area.shape[1]
-    admit = np.arange(width) < prefix[:, None]
+    columns = np.arange(width)
+    admit = (columns >= begin[:, None]) & (columns < end[:, None])
     if min_fps is not None:
         admit &= fps >= min_fps
 
@@ -417,17 +494,20 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
     admitted_rows, tails = groups.size, []
     if width < n_counts:
         # a row past the table shares the last column's figures, so its fate
-        past = np.where(admit[:, -1], prefix - width, 0)
+        past = np.maximum(end - np.maximum(begin, width), 0)
+        if min_fps is not None:
+            past = np.where(fps[:, -1] >= min_fps, past, 0)
         admitted_rows += int(past.sum())
         tails = np.flatnonzero(past).tolist()
     if tails:
         # only a group's last row past the table joins the candidates: the
-        # others share its frame time and lie between it and the last
-        # column in area, whatever the sign of the primary cone's area
+        # others share its frame time, and their area lies between its area
+        # and the last column's (a negative primary area falls towards the
+        # last row; a nonnegative one admits a prefix, the last column in it)
         at = np.count_nonzero(admit, axis=1).cumsum()[tails]
         groups = np.insert(groups, at, tails)
-        offsets = np.insert(offsets, at, prefix[tails] - 1)
-        area = np.insert(area, at, [area_at(group, prefix[group:group + 1])[0]
+        offsets = np.insert(offsets, at, end[tails] - 1)
+        area = np.insert(area, at, [area_at(group, end[group:group + 1])[0]
                                     for group in tails])
         times = np.insert(times, at, seconds[tails, -1])
     keep = pareto_indices(area, times)
@@ -437,33 +517,20 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                           dtype=np.int64)
     pareto_rows = first_rows[groups[keep]] + offsets[keep]
 
-    # the rows that become points, in enumeration order, where each Pareto
-    # member sits among them, and how to read their figures off the table:
-    # by the admitted mask when they are the table's admitted rows
-    members, select = keep, admit
-    if materialize == "frontier":
-        chosen = np.sort(keep)
-        members = np.searchsorted(chosen, keep)
-        groups, offsets = groups[chosen], offsets[chosen]
-    elif tails:  # every admitted row, the ones past the table included
-        every = np.sort(np.concatenate([groups * n_counts + offsets] + [
-            np.arange(group * n_counts + width,
-                      group * n_counts + prefix[group] - 1)
-            for group in tails]))
-        members = np.searchsorted(every, groups[keep] * n_counts
-                                  + offsets[keep])
-        groups, offsets = np.divmod(every, n_counts)
-    if materialize == "frontier" or tails:
+    def points_of(groups: "np.ndarray",
+                  offsets: "np.ndarray") -> List[DesignPoint]:
+        """The design points of rows given as (table group, zero-based
+        count) in enumeration order."""
         select = (groups, np.minimum(offsets, width - 1))
-    area = costs.area[select]
-    if tails:
-        beyond = offsets >= width
-        for group in np.unique(groups[beyond]).tolist():
-            rows = beyond & (groups == group)
-            area[rows] = area_at(group, offsets[rows] + 1)
-
-    points: List[DesignPoint] = []
-    if groups.size:
+        area = costs.area[select]
+        if tails:
+            beyond = offsets >= width
+            for group in np.unique(groups[beyond]).tolist():
+                rows = beyond & (groups == group)
+                area[rows] = area_at(group, offsets[rows] + 1)
+        points: List[DesignPoint] = []
+        if not groups.size:
+            return points
         clock = throughput_model.device.typical_clock_hz
         counts, areas, compute, cycles, spf, rates, bound = (
             values.tolist() for values in (
@@ -489,13 +556,38 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                 compute_cycles_per_tile=compute[run],
                 cycles_per_tile=cycles[run], seconds_per_frame=spf[run],
                 frames_per_second=rates[run], compute_bound=bound[run])
+        return points
 
-    pareto = [points[index] for index in members.tolist()]
+    chosen = np.sort(keep)
+    front = points_of(groups[chosen], offsets[chosen])
+    pareto = [front[index] for index in np.searchsorted(chosen, keep).tolist()]
+
+    def every_admitted_point() -> List[DesignPoint]:
+        # every admitted row in enumeration order, and where each Pareto
+        # member sits among them
+        rows, members = (groups, offsets), keep
+        if tails:  # the rows past the table that are no candidates
+            every = np.sort(np.concatenate([groups * n_counts + offsets] + [
+                np.arange(group * n_counts + max(int(begin[group]), width),
+                          group * n_counts + end[group] - 1)
+                for group in tails]))
+            members = np.searchsorted(every, groups[keep] * n_counts
+                                      + offsets[keep])
+            rows = np.divmod(every, n_counts)
+        rest = np.ones(rows[0].size, dtype=bool)
+        rest[members] = False
+        points = points_of(rows[0][rest], rows[1][rest])
+        member_at = dict(zip(members.tolist(), pareto))
+        for position in sorted(member_at):
+            points.insert(position, member_at[position])
+        return points
+
     return {"admitted_rows": admitted_rows,
-            "fps_pruned": int(prefix.sum()) - admitted_rows,
+            "fps_pruned": int((end - begin).sum()) - admitted_rows,
             "peak_chunk_rows": peak_chunk_rows,
             "chunks_materialized": chunks_materialized,
             "design_points": (list(pareto) if materialize == "frontier"
-                              else points),
-            "pareto": pareto,
+                              else PointsBuilder(every_admitted_point)),
+            # a list of the caller's own: the builder keeps ``pareto``
+            "pareto": list(pareto),
             "pareto_rows": pareto_rows}

@@ -19,6 +19,7 @@ from repro.architecture.cone import ConeShape
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
+from repro.dse.engine import PointsField, unread_points
 from repro.dse.stream import STREAM_AUTO_THRESHOLD, explore_stream
 from repro.estimation.area_model import (
     AreaModelValidation,
@@ -96,7 +97,16 @@ class ConeCharacterization:
 
 @dataclass
 class ExplorationResult:
-    """Everything the exploration produces."""
+    """Everything the exploration produces.
+
+    ``design_points`` holds every admitted design point in enumeration
+    order (only the frontier when ``streaming`` is set), and ``pareto`` the
+    Pareto members among them, the same objects.  An exploration builds
+    only the Pareto members' points: the others are built on the first
+    read of ``design_points`` (a :class:`~repro.dse.engine.PointsField`),
+    which every reader (``to_dict``, ``==``, ``repr``, pickling, copying)
+    does for itself.
+    """
 
     kernel_name: str
     device_name: str
@@ -105,7 +115,7 @@ class ExplorationResult:
     total_iterations: int
     properties: KernelProperties
     characterizations: Dict[Tuple[int, int], ConeCharacterization]
-    design_points: List[DesignPoint]
+    design_points: List[DesignPoint] = PointsField()
     pareto: List[DesignPoint]
     area_validations: Dict[int, AreaModelValidation]
     synthesis_runs: int
@@ -434,11 +444,14 @@ class DesignSpaceExplorer:
         and ``stream`` picks which design points it keeps: ``None`` (the
         default) streams spaces of at least ``STREAM_AUTO_THRESHOLD``
         candidates and explores smaller ones in memory; ``True``/``False``
-        force either.  An in-memory exploration keeps every admitted
-        design point.  A streamed one carries the identical Pareto
-        frontier, but materializes *only* the frontier as design points
-        (``result.design_points`` are the ``result.pareto`` members) and
-        records the pushdown and chunk accounting under
+        force either.  Either way the pass builds the Pareto members'
+        design points only.  An in-memory exploration keeps every admitted
+        design point: the result carries the pass's builder unread, so the
+        other points are built on the first read of
+        ``result.design_points``.  A streamed one carries the identical
+        Pareto frontier, but materializes *only* the frontier as design
+        points (``result.design_points`` are the ``result.pareto`` members)
+        and records the pushdown and chunk accounting under
         ``result.streaming``.
         """
         characterizations, validations = self.characterize_cones(total_iterations)
@@ -482,7 +495,7 @@ class DesignSpaceExplorer:
             total_iterations=total_iterations,
             properties=self.properties,
             characterizations=characterizations,
-            design_points=evaluation.design_points,
+            design_points=unread_points(evaluation),
             pareto=evaluation.pareto,
             area_validations=validations,
             synthesis_runs=runs_spent,

@@ -9,18 +9,22 @@ cache, and answers in the one pass of :mod:`repro.dse.engine`
 least :data:`STREAM_AUTO_THRESHOLD` rows (or any space on
 ``stream=True``): ``materialize="frontier"`` keeps only the Pareto
 frontier as design points.  It explores smaller spaces in memory:
-``materialize="admitted"`` keeps every admitted row as a design point.
-Either way memory is bounded by the cost table, groups × the largest
-saturation count, plus the design points kept, never by the count axis.
+``materialize="admitted"`` also keeps a builder for every admitted row,
+which builds those points on the first read of ``design_points``.  Either
+way the pass builds design points for the Pareto rows only, and memory is
+bounded by the cost table, groups × the largest saturation count, plus the
+design points kept, never by the count axis.
 
 Pieces:
 
 1. Constraint pushdown prunes rows *before* costing: the area-side
    constraints (``device_only``, ``max_area_luts``) depend only on shape
-   knobs and the cone areas, and per-row area is nondecreasing in the
-   primary instance count, so each group's admitted rows form a prefix of
-   the count axis found by binary search — O(log rows) scalar probes using
-   the exact accumulation formula.  A ``min_frames_per_second`` floor is
+   knobs and the cone areas, and per-row area is monotone in the primary
+   instance count, so each group's admitted rows form an interval of the
+   count axis: a prefix found by binary search — O(log rows) scalar probes
+   using the exact accumulation formula — or, where the primary cone's
+   area is negative and the area falls as instances are added, a suffix
+   found by one scan.  A ``min_frames_per_second`` floor is
    monotone along the same axis in the other direction (compute cycles per
    tile are nonincreasing in the primary count, so the frame rate is
    nondecreasing), and the pass rejects the rows below it with one fps
@@ -32,26 +36,31 @@ Pieces:
    rejected with that column, and of a group's admitted rows past the
    table only the last can join the frontier: an uncapped request over a
    million candidates ranks the table's rows plus one row per group.
-3. The pass computes the frame time, the prefix mask and the fps mask
-   once over the table, runs one Pareto extraction, and builds design
-   points through one builder, :func:`repro.dse.engine.build_points`, one
-   group's run of rows per call.  It also reports the accounting of the
-   chunked fold it replaced, at ``chunk_rows``: ``chunks_total``,
-   ``chunks_skipped``, ``peak_chunk_rows`` and ``chunks_materialized`` are
-   the cells of the ``chunk_rows`` grid that the admitted intervals touch,
-   and where a floor is set and a prefix is longer than ``chunk_rows``, a
-   binary search on the throughput formula places the interval's start.
+3. The pass computes the frame time, the interval mask and the fps mask
+   once over the table, runs one Pareto extraction, and builds the Pareto
+   rows' design points through one builder,
+   :func:`repro.dse.engine.build_points`, one group's run of rows per
+   call.  The other admitted rows, which ``"admitted"`` keeps, go through
+   it on the first read of ``design_points``
+   (:class:`~repro.dse.engine.PointsBuilder`, run once per exploration
+   however many copies of the result share it, reusing the Pareto
+   members).  The pass also reports the accounting of the chunked fold it
+   replaced, at ``chunk_rows``: ``chunks_total``, ``chunks_skipped``,
+   ``peak_chunk_rows`` and ``chunks_materialized`` are the cells of the
+   ``chunk_rows`` grid that the admitted intervals touch, and where a
+   floor is set and an interval is longer than ``chunk_rows``, a binary
+   search on the throughput formula places the interval's start.
    Those fields and the probe describe a fold that no longer runs; they
    stay until the benchmark change that retargets perfbench's
    ``estimation.throughput_batch`` binding, whose coverage guard needs the
    probe's ``estimate_batch`` calls.  The two materialize modes therefore
-   differ only in which design points they keep.
+   differ only in which design points they can build.
 4. Two small process-wide LRUs, with the same bound, hold what a
    re-explore that changes only per-run knobs (frame geometry, minimum fps,
    constraints) would otherwise recompute:
 
-   * the *mask cache* maps each group to the length of its area-admitted
-     prefix (``None`` for a group without characterizations), keyed by
+   * the *mask cache* maps each group to its area-admitted interval of the
+     count axis (``None`` for a group without characterizations), keyed by
      shape knobs + the characterization values + the area constraints, so
      such a re-explore skips the pushdown analysis.  The throughput-side
      suffix depends on the per-run knobs, so it is recomputed per call and
@@ -82,8 +91,8 @@ import numpy as np
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (SpaceCosts, group_area, space_costs,
-                              whole_space_pass)
+from repro.dse.engine import (PointsField, SpaceCosts, group_area,
+                              space_costs, whole_space_pass)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -92,7 +101,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: The cell size of the chunk grid an exploration's chunk accounting counts
 #: (``chunks_total``, ``chunks_skipped``, ``peak_chunk_rows``), and the
-#: prefix length past which an fps floor runs the suffix probe.  It sets
+#: interval length past which an fps floor runs the suffix probe.  It sets
 #: no memory bound: the pass reads the whole cost table at once.
 DEFAULT_CHUNK_ROWS = 4096
 
@@ -113,29 +122,33 @@ MASK_CACHE_CAPACITY = 16
 # constraint pushdown + the admitted-row mask cache
 
 
-def _admitted_prefix(n_counts: int, area_limit: float,
-                     depths: Sequence[int], primary: int,
-                     area_by_depth: Mapping[int, float]) -> int:
-    """Largest ``k`` such that counts ``1..k`` satisfy ``area <= limit``.
+def _admitted_interval(n_counts: int, area_limit: float,
+                       depths: Sequence[int], primary: int,
+                       area_by_depth: Mapping[int, float]
+                       ) -> Tuple[int, int]:
+    """The zero-based interval ``[begin, end)`` of the count axis whose
+    rows satisfy ``area <= limit``.
 
-    Probes the exact per-row area at O(log n) single counts instead of
-    materializing the group's area column; valid because area is
-    nondecreasing in the primary count (cone areas are nonnegative and
-    IEEE add/multiply are monotonic).  Falls back to a full scan if a
-    characterization ever reported a negative area.
+    The primary depth is the last one added, and IEEE add/multiply are
+    monotonic, so a group's area is nondecreasing in the primary count
+    when the primary cone's area is >= 0: the admitted rows are a prefix,
+    found by probing the exact per-row area at O(log n) single counts
+    instead of materializing the group's area column.  A (pathological)
+    negative primary area makes the area fall as instances are added, so
+    the admitted rows are a suffix, counted by a full scan.
     """
     def area_at(count: int) -> float:
         return float(group_area(np.asarray([count], dtype=np.int64),
                                 depths, primary, area_by_depth)[0])
 
-    if area_by_depth[primary] < 0:  # pathological; prefix property gone
+    if area_by_depth[primary] < 0:
         counts = np.arange(1, n_counts + 1, dtype=np.int64)
         mask = group_area(counts, depths, primary, area_by_depth) <= area_limit
-        return int(np.count_nonzero(mask))
+        return n_counts - int(np.count_nonzero(mask)), n_counts
     if area_at(n_counts) <= area_limit:
-        return n_counts
+        return 0, n_counts
     if area_at(1) > area_limit:
-        return 0
+        return 0, 0
     low, high = 1, n_counts  # area(low) <= limit < area(high)
     while high - low > 1:
         mid = (low + high) // 2
@@ -143,7 +156,7 @@ def _admitted_prefix(n_counts: int, area_limit: float,
             low = mid
         else:
             high = mid
-    return low
+    return 0, low
 
 
 class CountingLru:
@@ -343,39 +356,40 @@ def _cached_costs(space: ArchitectureSpace,
     return entry
 
 
-def _admitted_prefixes(space: ArchitectureSpace,
-                       splits: Tuple[Tuple[int, ...], ...],
-                       characterizations: Mapping[Tuple[int, int],
-                                                  "ConeCharacterization"],
-                       constraints: DseConstraints,
-                       usable_luts: float
-                       ) -> Dict[Tuple[int, int], Optional[int]]:
-    """Each group's area-admitted prefix length, keyed by ``(window index,
-    split index)`` in enumeration order; ``None`` marks a group whose
-    depths lack characterizations (the pass skips it without counting its
-    rows as pruned)."""
+def _admitted_intervals(space: ArchitectureSpace,
+                        splits: Tuple[Tuple[int, ...], ...],
+                        characterizations: Mapping[Tuple[int, int],
+                                                   "ConeCharacterization"],
+                        constraints: DseConstraints,
+                        usable_luts: float
+                        ) -> Dict[Tuple[int, int], Optional[Tuple[int, int]]]:
+    """Each group's area-admitted interval of zero-based counts
+    (:func:`_admitted_interval`), keyed by ``(window index, split index)``
+    in enumeration order; ``None`` marks a group whose depths lack
+    characterizations (the pass skips it without counting its rows as
+    pruned)."""
     n_counts = space.max_cones_per_depth
     area_limit = math.inf
     if constraints.device_only:
         area_limit = min(area_limit, usable_luts)
     if constraints.max_area_luts is not None:
         area_limit = min(area_limit, constraints.max_area_luts)
-    prefixes: Dict[Tuple[int, int], Optional[int]] = {}
+    intervals: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
     for window_index, window in enumerate(space.window_sides):
         for split_index, split in enumerate(splits):
             depths = sorted(set(split))
             if any((window, depth) not in characterizations
                    for depth in depths):
-                prefix = None
+                interval = None
             elif math.isinf(area_limit):
-                prefix = n_counts
+                interval = (0, n_counts)
             else:
-                prefix = _admitted_prefix(
+                interval = _admitted_interval(
                     n_counts, area_limit, depths, depths[-1],
                     {depth: characterizations[(window, depth)].area_luts
                      for depth in depths})
-            prefixes[(window_index, split_index)] = prefix
-    return prefixes
+            intervals[(window_index, split_index)] = interval
+    return intervals
 
 
 # ---------------------------------------------------------------------- #
@@ -390,10 +404,13 @@ class StreamingExploration:
     :mod:`repro.dse.pareto` for the tie-breaking contract) and
     ``pareto_row_index`` holds its members' global enumeration rows.
     ``design_points`` is every admitted row in enumeration order when the
-    run materialized ``"admitted"`` rows (the frontier members are the same
-    objects), and the frontier alone when it materialized ``"frontier"``.
-    The ``chunk*`` fields are the accounting of the chunked fold the one
-    pass replaced (module docstring, piece 3).
+    run materialized ``"admitted"`` rows, and the frontier alone when it
+    materialized ``"frontier"``.  The pass builds only the frontier's
+    points: the other admitted ones are built on the first read of
+    ``design_points`` (a :class:`~repro.dse.engine.PointsField`), around
+    the frontier members, which are the same objects.  The ``chunk*``
+    fields are the accounting of the chunked fold the one pass replaced
+    (module docstring, piece 3).
     """
 
     space_rows: int
@@ -413,9 +430,9 @@ class StreamingExploration:
     mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
     pareto: List[DesignPoint]
-    design_points: List[DesignPoint]
-    #: Rows inside the area prefix that a min-fps floor rejected (0 when no
-    #: floor was set).
+    design_points: List[DesignPoint] = PointsField()
+    #: Rows inside the area interval that a min-fps floor rejected (0 when
+    #: no floor was set).
     throughput_pruned_rows: int = 0
 
     @property
@@ -438,12 +455,14 @@ def explore_stream(space: ArchitectureSpace,
     design points, same order, bit-identical serializations) as evaluating
     every candidate one at a time, whatever ``chunk_rows`` is.
 
-    ``materialize`` selects which rows become :class:`DesignPoint`
+    ``materialize`` selects which rows can become :class:`DesignPoint`
     objects: ``"frontier"`` (default) keeps only the Pareto members,
-    ``"admitted"`` every constraint-admitted row.  Both answer in the one
-    pass over the space's cost-cache entry, so peak memory is bounded by
-    that table, groups × the largest saturation count, plus the points
-    kept, never by the count axis (pieces 2 to 4 of the module docstring).
+    ``"admitted"`` every constraint-admitted row, whose points off the
+    front are built on the first read of ``design_points``.  Both answer
+    in the one pass over the space's cost-cache entry, so peak memory is
+    bounded by that table, groups × the largest saturation count, plus the
+    points kept, never by the count axis (pieces 2 to 4 of the module
+    docstring).
     """
     if materialize not in ("admitted", "frontier"):
         raise ValueError(f"materialize must be 'admitted' or 'frontier' "
@@ -457,20 +476,20 @@ def explore_stream(space: ArchitectureSpace,
     characterization_key = _characterization_key(characterizations)
     key = _mask_cache_key(space, characterization_key, constraints,
                           usable_luts)
-    prefixes = _mask_cache.get(key)
-    mask_cache_hit = prefixes is not None
-    if prefixes is None:
-        prefixes = _admitted_prefixes(space, splits, characterizations,
-                                      constraints, usable_luts)
-        _mask_cache.put(key, prefixes)
+    intervals = _mask_cache.get(key)
+    mask_cache_hit = intervals is not None
+    if intervals is None:
+        intervals = _admitted_intervals(space, splits, characterizations,
+                                        constraints, usable_luts)
+        _mask_cache.put(key, intervals)
 
     costs = _cached_costs(space, splits, characterizations,
                           characterization_key, throughput_model)
-    chunks_total = len(prefixes) * -(-n_counts // chunk_rows)
+    chunks_total = len(intervals) * -(-n_counts // chunk_rows)
     with obs_trace.span("stream.explore", chunks=chunks_total):
         fold_started = time.perf_counter()
         fold = whole_space_pass(space, costs, throughput_model, frame_width,
-                                frame_height, len(splits), prefixes,
+                                frame_height, len(splits), intervals,
                                 chunk_rows, constraints.min_frames_per_second,
                                 usable_luts, materialize)
         obs_metrics.registry().histogram(
@@ -480,8 +499,8 @@ def explore_stream(space: ArchitectureSpace,
     _counters.add(runs=1,
                   chunks_materialized=fold["chunks_materialized"],
                   throughput_pruned_rows=throughput_pruned)
-    area_pruned = sum(n_counts - prefix for prefix in prefixes.values()
-                      if prefix is not None)
+    area_pruned = sum(n_counts - (end - begin)
+                      for begin, end in filter(None, intervals.values()))
     return StreamingExploration(
         space_rows=space.size(),
         admitted_rows=fold["admitted_rows"],

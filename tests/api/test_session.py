@@ -6,6 +6,8 @@ the synthesizer more often than the number of unique ``(kernel, window,
 depth)`` cone shapes.
 """
 
+import copy
+import pickle
 import threading
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from repro.api import STAGE_NAMES, PipelineError, Session, Workload
 from repro.api import pipeline as pipeline_module
 from repro.api import session as session_module
+from repro.dse import engine as engine_module
 from repro.dse import explorer as explorer_module
 from repro.dse.constraints import DseConstraints
 from repro.frontend.dsl import stencil_kernel
@@ -540,3 +543,57 @@ class TestEventsAndStats:
         assert result.design_points == []
         assert result.smallest_point() is None
         assert result.best_fitting_point() is None
+
+
+class TestDeferredPoints:
+    """A computed result builds its design points off the Pareto front
+    once, on the first read of ``design_points`` by any caller."""
+
+    def test_concurrent_first_reads_share_one_build(self, monkeypatch):
+        session = Session()
+        workload = Workload.from_algorithm("blur", **SMALL)
+        front = len(session.run(workload).pareto)
+        handed, lock = [], threading.Lock()
+        real = engine_module.build_points
+
+        def counting(*args, **kwargs):
+            with lock:
+                handed.append(len(kwargs["counts"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "build_points", counting)
+        barrier = threading.Barrier(8)
+        lists = [None] * 8
+
+        def run_and_read(slot):
+            result = session.run(workload)
+            barrier.wait()
+            lists[slot] = result.design_points
+
+        threads = [threading.Thread(target=run_and_read, args=(slot,))
+                   for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(points == lists[0] for points in lists)
+        assert len({id(points) for points in lists}) == 8
+        assert sum(handed) == len(lists[0]) - front > 0
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda result: pickle.loads(pickle.dumps(result)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_an_unread_result_duplicates_like_a_read_one(self, duplicate):
+        session = Session()
+        workload = Workload.from_algorithm("blur", **SMALL)
+        unread = session.run(workload)
+        assert isinstance(vars(unread.exploration)["design_points"],
+                          engine_module.PointsBuilder)
+        restored = duplicate(unread)
+        read = session.run(workload)
+        assert read.design_points
+        assert restored == read
+        assert restored.to_dict() == read.to_dict()
+        assert all(any(member is point for point in restored.design_points)
+                   for member in restored.pareto)
+        assert unread == read

@@ -3,7 +3,9 @@
 The contract under test: on any count axis (shorter than the cost table,
 as long, or running past it), with any primary cone areas (negative, zero
 or positive, so duplicate (area, frame time) pairs are common), under no
-constraint, within the device or above a min-fps floor, at any chunk size
+constraint, within the device, under an area cap (which admits a suffix of
+a group's counts where its primary cone's area is negative) or above a
+min-fps floor, at any chunk size
 and under the stock, slowed and negative-interval throughput models,
 ``explore_stream`` admits exactly the rows the per-point scalar oracle
 admits and keeps its Pareto frontier (same global rows, byte-identical
@@ -58,14 +60,14 @@ def serialized_points(points):
                              st.sampled_from([-300.0, -1.0, 0.0, 1.0,
                                               300.0]),
                              max_size=2),
-       constraint=st.sampled_from(["none", "device", "floor"]),
-       floor_percentile=st.integers(min_value=0, max_value=100),
+       constraint=st.sampled_from(["none", "device", "cap", "floor"]),
+       percentile=st.integers(min_value=0, max_value=100),
        model_class=st.sampled_from([ThroughputModel, SlowPorts,
                                     NegativeInterval]),
        chunk_rows=st.sampled_from([1, 2, 7, 4096]))
 @settings(max_examples=100, deadline=None)
 def test_the_pass_answers_like_the_scalar_oracle_on_any_count_axis(
-        inputs, materialize, n_counts, areas, constraint, floor_percentile,
+        inputs, materialize, n_counts, areas, constraint, percentile,
         model_class, chunk_rows):
     explorer, space, characterizations, usable = inputs
     space = dataclasses.replace(space, max_cones_per_depth=n_counts)
@@ -79,13 +81,16 @@ def test_the_pass_answers_like_the_scalar_oracle_on_any_count_axis(
     constraints = None
     if constraint == "device":
         constraints = DseConstraints(device_only=True)
-    elif constraint == "floor":
+    elif constraint in ("cap", "floor"):
         everything = scalar_exploration(space, characterizations, model, 128,
-                                        96)
-        constraints = DseConstraints(min_frames_per_second=float(
-            np.percentile([point.frames_per_second
-                           for point in everything.design_points],
-                          floor_percentile)))
+                                        96).design_points
+        if constraint == "cap":
+            constraints = DseConstraints(max_area_luts=float(np.percentile(
+                [point.area_luts for point in everything], percentile)))
+        else:
+            constraints = DseConstraints(min_frames_per_second=float(
+                np.percentile([point.frames_per_second
+                               for point in everything], percentile)))
     clear_stream_caches()
     oracle = scalar_exploration(space, characterizations, model, 128, 96,
                                 constraints, usable)

@@ -1148,6 +1148,45 @@ class TestSaturationCut:
                             == serialized_points(oracle.pareto))
 
     @pytest.mark.parametrize("materialize", ["admitted", "frontier"])
+    @pytest.mark.parametrize("n_counts, cap, first_count", [
+        (6, -600.0, 3), (WIDE_COUNTS, -20_000.0, 80),
+        (WIDE_COUNTS, -60_000.0, 240)],
+        ids=["paper", "wide", "past-the-table"])
+    def test_a_negative_primary_area_under_an_area_cap_admits_a_suffix(
+            self, evaluation_inputs, n_counts, cap, first_count,
+            materialize):
+        """With a negative primary cone area a group's area falls as
+        instances are added, so an area cap admits the last counts of its
+        axis, not the first: in both modes the pass admits the rows the
+        scalar oracle admits, also where they begin past the table."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        space = dataclasses.replace(space, max_cones_per_depth=n_counts)
+        # window 4, depth 3: the only cone of split (3, 3), the last group
+        characterizations = with_area(characterizations, (4, 3), -250.0)
+        model = explorer.throughput_model
+        constraints = DseConstraints(max_area_luts=cap)
+        oracle = scalar_exploration(space, characterizations, model, 128, 96,
+                                    constraints, usable)
+        last_group = space.size() // n_counts - 1
+        assert (oracle.row_index // n_counts == last_group).all()
+        assert (oracle.row_index % n_counts + 1).tolist() == list(
+            range(first_count, n_counts + 1))
+        result = explore_stream(space, characterizations, model, 128, 96,
+                                constraints, usable, chunk_rows=4,
+                                materialize=materialize)
+        assert result.admitted_rows == oracle.admitted_rows
+        assert result.pruned_rows == oracle.area_pruned_rows
+        assert np.array_equal(result.pareto_row_index,
+                              oracle.pareto_row_index)
+        assert (serialized_points(result.pareto)
+                == serialized_points(oracle.pareto))
+        assert serialized_points(result.design_points) == serialized_points(
+            oracle.design_points if materialize == "admitted"
+            else oracle.pareto)
+        assert result.chunks_total - result.chunks_skipped == -(
+            -n_counts // 4) - (first_count - 1) // 4
+
+    @pytest.mark.parametrize("materialize", ["admitted", "frontier"])
     def test_a_nan_area_raises_the_finite_objectives_error(
             self, evaluation_inputs, materialize):
         explorer, space, characterizations, usable = evaluation_inputs
@@ -1392,3 +1431,101 @@ class TestExplorerIntegration:
         assert stats["runs"] == 2
         assert stats["misses"] == 1 and stats["hits"] == 1
         assert stats["chunks_materialized"] > 0
+
+
+def count_built_rows(monkeypatch):
+    """The number of rows handed to ``build_points`` per call, recorded
+    in the returned list."""
+    handed = []
+    real = engine_module.build_points
+
+    def counting(*args, **kwargs):
+        handed.append(len(kwargs["counts"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "build_points", counting)
+    return handed
+
+
+#: A small in-memory blur space and a what-if request on it.
+DEFERRED_SPACE = dict(iterations=6, window_sides=(1, 2, 3, 4), max_depth=3,
+                      max_cones_per_depth=8)
+DEFERRED_REQUEST = dict(frame_width=640, frame_height=480,
+                        onchip_port_elements_per_cycle=8,
+                        constraints=DseConstraints(
+                            min_frames_per_second=24.0))
+
+
+class TestDeferredPoints:
+    """An exploration builds its Pareto members' design points only; the
+    other admitted ones are built on the first read of ``design_points``,
+    once per computed result, around the very Pareto members."""
+
+    @pytest.fixture
+    def warm(self):
+        """A session that ran the space once, and the what-if request."""
+        session = Session()
+        workload = Workload.from_algorithm("blur", **DEFERRED_SPACE)
+        session.run(workload)
+        return session, workload.replace(**DEFERRED_REQUEST)
+
+    def test_a_caller_that_reads_only_the_front_builds_only_the_front(
+            self, warm, monkeypatch):
+        session, workload = warm
+        handed = count_built_rows(monkeypatch)
+        result = session.run(workload)
+        assert len(result.pareto) > 1
+        assert sum(handed) == len(result.pareto)
+        points = result.design_points
+        assert sum(handed) == len(points) > len(result.pareto)
+        handed.clear()
+        again = session.run(workload)  # served from the result layer
+        assert again.design_points == points
+        assert again.design_points is not points
+        assert not handed
+
+    def test_the_points_read_are_the_oracles_and_hold_the_front(self,
+                                                                  warm):
+        session, workload = warm
+        explorer = session.explorer_for(workload)
+        characterizations, _ = explorer.characterize_cones(
+            workload.iterations)
+        space = explorer._space(workload.iterations)
+        oracle = scalar_exploration(
+            space, characterizations,
+            explorer._throughput_model_for(
+                workload.onchip_port_elements_per_cycle),
+            workload.frame_width, workload.frame_height,
+            workload.constraints, explorer.device.usable_capacity.luts)
+        result = session.run(workload)
+        twins = [public_twin(space, row, point) for row, point
+                 in zip(oracle.row_index.tolist(), oracle.design_points)]
+        assert_indistinguishable(result.design_points, twins)
+        position = {row: index for index, row
+                    in enumerate(oracle.row_index.tolist())}
+        members = [position[row] for row in oracle.pareto_row_index.tolist()]
+        assert all(member is result.design_points[index]
+                   for member, index in zip(result.pareto, members))
+        payload = result.to_dict()["exploration"]
+        assert payload["pareto"] == members
+        assert all(type(entry) is int for entry in payload["pareto"])
+
+    def test_an_explorer_result_reads_like_one_built_eagerly(
+            self, igf_kernel):
+        """Straight from ``explore``: the unread result equals, prints and
+        serializes like one whose points were read first, and a caller who
+        empties its ``pareto`` list before reading leaves the points
+        whole."""
+        explorer = small_explorer(igf_kernel)
+        read = explorer.explore(6, 128, 96)
+        assert read.design_points
+        unread = explorer.explore(6, 128, 96)
+        gutted = explorer.explore(6, 128, 96)
+        front = list(gutted.pareto)
+        gutted.pareto.clear()
+        assert repr(unread) == repr(read)
+        assert unread == read
+        assert unread.to_dict() == read.to_dict()
+        assert gutted.design_points == read.design_points
+        assert all(any(member is point for point in gutted.design_points)
+                   for member in front)
