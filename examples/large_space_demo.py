@@ -11,19 +11,19 @@ materializing the full candidate table:
   depth runs per tile: past it more instances change no frame time, so
   the whole space is costed as a 45 x 361 table, and every row past it
   takes the table's last column;
-* constraint pushdown proves, from the area model alone, how many
-  instance counts of each group can possibly satisfy the area
-  constraints, and prunes the rest *before* any row is costed (with
-  nonnegative cone areas the admitted set is a prefix of the count axis,
-  found by binary search on the exact engine-identical area formula);
+* the area constraints read only the areas, so one elementwise test over
+  the table's area column admits the rows that satisfy them, and no
+  pruned row ever becomes a design point (with nonnegative cone areas the
+  admitted set is a prefix of the count axis; a group whose prefix runs
+  past the table finds its end by binary search on the exact
+  engine-identical area formula);
 * of a group's rows past the table only the last can join the frontier
   (the others share its frame time and lie between it and the table's
   last column in area), so one Pareto pass over the table plus one row
   per group gives the exact frontier of the whole space;
-* the admitted-prefix masks are cached by *shape* knobs only, and the
-  cost table by space and model, so a re-exploration that changes a
-  per-run knob (frame size, fps floor) skips the admission pass and pays
-  only for the frame times;
+* the cost table is cached by space and model, so a re-exploration that
+  changes a per-run knob (frame size, fps floor, area cap) pays only for
+  the frame times and the masks;
 * a frames-per-second floor is monotone too (throughput never falls as
   instances are added), so it admits a suffix of each group's count axis,
   and one fps mask over the table rejects the rest.
@@ -59,9 +59,9 @@ def main() -> None:
     space = explorer._space(10)
     usable = explorer.device.usable_capacity.luts
 
-    # 1. stream with constraint pushdown: the device capacity bounds how
-    #    many primary-cone instances each group can hold, so almost the
-    #    whole count axis is discarded before a single row is costed.
+    # 1. stream within the device: its capacity bounds how many
+    #    primary-cone instances each group can hold, so almost the whole
+    #    count axis is pruned before a single design point is built.
     groups = [space.materialize_row_parts(window, split, 1)
               for window in space.window_sides
               for split in space.level_splits()]
@@ -94,16 +94,16 @@ def main() -> None:
     print()
 
     # 3. incremental re-explore: a new frame geometry is a per-run knob —
-    #    the admitted-prefix masks and the cost table are reused, only the
-    #    frame times are recomputed
+    #    the cost table is reused, only the frame times are recomputed
+    hits = stream_stats()["costs"]["hits"]
     again = explore_stream(space, characterizations,
                            explorer.throughput_model, 640, 480,
                            constraints, usable)
-    cache = stream_stats()
-    print(f"re-explored at 640x480: mask cache "
-          f"{'hit' if again.mask_cache_hit else 'miss'} "
-          f"(hits={cache['hits']}, misses={cache['misses']}) — "
-          f"the admission pass was skipped, "
+    costs = stream_stats()["costs"]
+    print(f"re-explored at 640x480: cost cache "
+          f"{'hit' if costs['hits'] > hits else 'miss'} "
+          f"(hits={costs['hits']}, misses={costs['misses']}) — "
+          f"only the frame times were recomputed, "
           f"{len(again.pareto)} Pareto points")
 
     # 4. the frontier is the exact frontier: the Pareto set of the

@@ -41,12 +41,16 @@
 #                               # design point, each built once on its
 #                               # first read, and the streamed Pareto set
 #                               # equal to the per-point scalar oracle's
-#                               # (tests/dse/scalar_oracle.py); last, stream
+#                               # (tests/dse/scalar_oracle.py); then stream
 #                               # the large space uncapped, with no floor
 #                               # and at 30 fps, and match each Pareto set
 #                               # to the in-memory answer on the space
 #                               # narrowed to its largest saturation count
-#                               # (361 counts) (~3 s in all)
+#                               # (361 counts); last, under two LUT caps
+#                               # and within the device, with a group's area
+#                               # boundary past the table, and match its
+#                               # admitted and pruned rows to a count over
+#                               # the whole count axis (~3 s in all)
 #   scripts/check.sh --sim      # simulation tier: the vectorized-vs-scalar
 #                               # differential suite plus the frame/golden
 #                               # boundary-contract regressions (both run

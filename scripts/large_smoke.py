@@ -1,6 +1,6 @@
 """Large-space streaming smoke test (`scripts/check.sh --large`).
 
-Four checks in one fresh process:
+Five checks in one fresh process:
 
 1. **Digest identity** — on the paper-scale subspace (the 720-candidate
    blur space of Section 4.1) the in-memory exploration (every admitted
@@ -9,7 +9,7 @@ Four checks in one fresh process:
    serialize byte for byte alike.  A frontier-only ``explore_stream`` must
    then reproduce it exactly: same Pareto rows, byte-identical serialized
    design points, same pruned-row count — across chunk sizes {1 row, one
-   (window, split) group, the whole space}, each from a cold mask cache.
+   (window, split) group, the whole space}, each from a cold cost cache.
    This runs unconstrained, within the device, and under a 30 fps floor:
    there the one-row chunks cut each group's rows below the floor off by
    the suffix probe, and the larger chunks filter every costed row
@@ -46,6 +46,14 @@ Four checks in one fresh process:
    primary count past that changes no frame time and adds area, so it can
    add no Pareto point.
 
+5. **Area admission past the table** — the large space then streams
+   under two LUT caps and within the device.  The pass admits a row by
+   its area in the table, and searches the count axis only for a group
+   whose area boundary lies past the table's 361 counts; each run must
+   have such a group, and its admitted and pruned rows must equal a count
+   over the whole count axis of the areas ``repro.dse.engine.group_area``
+   gives.
+
 ``--min-fps`` engages the throughput-side suffix pushdown on the large
 run.  ``--json`` emits the collected metrics (candidates/s, peak RSS,
 pruned fraction, ...) on stdout for reuse by ``scripts/bench.py``.
@@ -61,6 +69,8 @@ import resource
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -122,7 +132,7 @@ def check_digest_identity(explorer, space, characterizations, usable):
                              f"a warm cost cache ({label})")
         digest = serialized(oracle.pareto)
         for chunk_rows in (1, group_rows, paper_space.size()):
-            clear_stream_caches()  # recompute the pushdown every run
+            clear_stream_caches()  # cost the table afresh every run
             streamed = explore_stream(
                 paper_space, characterizations, explorer.throughput_model,
                 1024, 768, constraints, usable, chunk_rows=chunk_rows)
@@ -257,6 +267,54 @@ def check_saturation_cut(explorer, space, characterizations, usable):
           f"in memory from {narrowed.size():,} ({width} counts)")
 
 
+def check_area_admission(explorer, space, characterizations, usable):
+    """Area-constrained streamed runs of the large space admit and prune
+    the rows a count over its whole count axis does, with at least one
+    group's area boundary past the cost table."""
+    counts = np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64)
+    areas = []
+    for window in space.window_sides:
+        for split in space.level_splits():
+            context = engine.group_context(space, characterizations, window,
+                                           tuple(split))
+            areas.append(engine.group_area(counts, context.depths,
+                                           context.primary,
+                                           context.area_by_depth))
+    areas = np.array(areas)
+    width = min(space.max_cones_per_depth, max(
+        explorer.throughput_model.saturation_count(
+            space.materialize_row_parts(window, split, 1))
+        for window in space.window_sides for split in space.level_splits()))
+    for constraints, admits, label in (
+            (DseConstraints(max_area_luts=150_000.0),
+             ~(areas > 150_000.0), "150,000-LUT cap"),
+            (DseConstraints(max_area_luts=350_000.0),
+             ~(areas > 350_000.0), "350,000-LUT cap"),
+            (DseConstraints(device_only=True), areas <= usable,
+             "device only")):
+        per_group = np.count_nonzero(admits, axis=1)
+        past = int(np.count_nonzero((per_group > width)
+                                    & (per_group < counts.size)))
+        streamed = explore_stream(space, characterizations,
+                                  explorer.throughput_model, 1024, 768,
+                                  constraints, usable)
+        admitted = int(per_group.sum())
+        if (streamed.admitted_rows, streamed.pruned_rows) != (
+                admitted, space.size() - admitted):
+            raise SystemExit(
+                f"area admission ({label}): streamed "
+                f"{streamed.admitted_rows} admitted, {streamed.pruned_rows} "
+                f"pruned; the whole count axis admits {admitted}")
+        if not past:
+            raise SystemExit(f"area admission ({label}): no group's "
+                             f"area boundary lies past the {width}-count "
+                             f"table")
+        print(f"area admission ok ({label}): {admitted:,} of "
+              f"{space.size():,} rows admitted as over the whole count "
+              f"axis, the area boundary past the {width}-count table in "
+              f"{past} group(s)")
+
+
 def check_table_width(explorer, space, characterizations):
     """The large space's cost-cache entry stops at the largest saturation
     count: groups × 361 rows, however long the count axis."""
@@ -372,6 +430,7 @@ def main(argv=None) -> int:
         raise SystemExit("peak chunk exceeded --chunk-rows")
     if not args.skip_digest:
         check_saturation_cut(explorer, space, characterizations, usable)
+        check_area_admission(explorer, space, characterizations, usable)
     return 0
 
 

@@ -89,15 +89,6 @@ class SessionEvent:
         }
 
 
-def _event(kind: str, workload: Workload, stage: Optional[str] = None,
-           elapsed_s: Optional[float] = None, detail: str = "") \
-        -> SessionEvent:
-    """Build an event stamped with the enclosing span's identity."""
-    trace_id, span_id = obs_trace.current_ids()
-    return SessionEvent(kind, workload, stage=stage, elapsed_s=elapsed_s,
-                        detail=detail, trace_id=trace_id, span_id=span_id)
-
-
 @dataclass
 class SessionStats:
     """Aggregate accounting across every workload a session has run."""
@@ -220,11 +211,26 @@ class Session:
         with self._callbacks_lock:
             self._callbacks.append(callback)
 
-    def _emit(self, event: SessionEvent) -> None:
+    def _emit(self, kind: str, workload: Workload,
+              stage: Optional[str] = None, elapsed_s: Optional[float] = None,
+              detail: str = "") -> None:
+        """Raise one event, stamped with the enclosing span's identity:
+        delivered now, or after the locked section this thread is in.
+        Nothing is built while no callback is registered.  The service
+        tier raises its ``job-*`` events (:mod:`repro.service`) here too."""
+        if not self._callbacks:
+            return
+        trace_id, span_id = obs_trace.current_ids()
+        event = SessionEvent(kind, workload, stage=stage,
+                             elapsed_s=elapsed_s, detail=detail,
+                             trace_id=trace_id, span_id=span_id)
         pending = getattr(self._deferred, "pending", None)
         if pending is not None:
             pending.append(event)
-            return
+        else:
+            self._deliver(event)
+
+    def _deliver(self, event: SessionEvent) -> None:
         with self._callbacks_lock:
             callbacks = list(self._callbacks)
         for callback in callbacks:
@@ -241,7 +247,7 @@ class Session:
         finally:
             pending, self._deferred.pending = self._deferred.pending, None
             for event in pending:
-                self._emit(event)
+                self._deliver(event)
 
     # ------------------------------------------------------------------ #
     # characterization cache
@@ -392,15 +398,14 @@ class Session:
         ``stage-started`` event, the ``stage.<name>`` span, then the
         stage-latency observation and the ``stage-finished`` event (neither
         when the stage raises)."""
-        self._emit(_event("stage-started", workload, stage=stage))
+        self._emit("stage-started", workload, stage=stage)
         started = time.perf_counter()
         with obs_trace.span(f"stage.{stage}", workload=workload.name):
             yield
         elapsed = time.perf_counter() - started
         obs_metrics.registry().histogram(
             "repro_session_stage_seconds").observe(elapsed)
-        self._emit(_event("stage-finished", workload, stage=stage,
-                          elapsed_s=elapsed))
+        self._emit("stage-finished", workload, stage=stage, elapsed_s=elapsed)
 
     def _account(self, workload: Workload,
                  serve: Callable[[], Tuple[Any, Optional[str]]]) -> Any:
@@ -409,23 +414,23 @@ class Session:
         computed), with the ``workload-*`` and ``cache-hit`` events and the
         run, failure and time counters."""
         started = time.perf_counter()
-        self._emit(_event("workload-started", workload))
+        self._emit("workload-started", workload)
         try:
             result, hit = serve()
         except Exception as error:
             with self._stats_lock:
                 self._stats.workloads_failed += 1
-            self._emit(_event("workload-failed", workload,
-                              elapsed_s=time.perf_counter() - started,
-                              detail=str(error)))
+            self._emit("workload-failed", workload,
+                       elapsed_s=time.perf_counter() - started,
+                       detail=str(error))
             raise
         elapsed = time.perf_counter() - started
         with self._stats_lock:
             self._stats.workloads_run += 1
             self._stats.workload_time_s += elapsed
         if hit is not None:
-            self._emit(_event("cache-hit", workload, detail=hit))
-        self._emit(_event("workload-finished", workload, elapsed_s=elapsed))
+            self._emit("cache-hit", workload, detail=hit)
+        self._emit("workload-finished", workload, elapsed_s=elapsed)
         return result
 
     def run(self, workload: Workload) -> FlowResult:
@@ -603,14 +608,6 @@ class Session:
             if failure is not None:
                 raise failure
         return results
-
-    def _emit_batch_event(self, kind: str, workload: Workload,
-                          elapsed_s: Optional[float] = None,
-                          detail: str = "") -> None:
-        """Emit a lifecycle event on behalf of the service tier (the
-        ``job-*`` kinds of :mod:`repro.service`)."""
-        self._emit(_event(kind, workload, elapsed_s=elapsed_s,
-                                detail=detail))
 
     def generate_vhdl(self, workload: Workload,
                       point: Optional[DesignPoint] = None) -> Dict[str, str]:

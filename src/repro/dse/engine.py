@@ -9,10 +9,9 @@ time is the throughput model's per-tile half
 (:meth:`~repro.estimation.throughput_model.ThroughputModel.tile_columns`)
 under its one frame-time formula
 (:meth:`~repro.estimation.throughput_model.ThroughputModel.frame_times`).
-A row is admitted when it lies in its group's area-admitted interval of
-the count axis (found by :mod:`repro.dse.stream`: a prefix, or a suffix
-when the primary cone's area is negative) and meets any
-``min_frames_per_second`` floor.
+A row is admitted when its area passes the area tests of
+:meth:`~repro.dse.constraints.DseConstraints.admits` (``device_only``,
+``max_area_luts``) and it meets any ``min_frames_per_second`` floor.
 
 One pass, :func:`whole_space_pass`, answers every exploration, in memory
 or streamed.  It reads the frame-independent costs as one cached table
@@ -22,7 +21,7 @@ of the count axis and the largest saturation count among the groups
 the most executions a level of the primary depth runs per tile, past which
 more instances change no frame time).  A row past the table therefore has
 the figures of its last column and only an area of its own.  The pass
-computes the frame time, the interval mask and the fps mask once over the
+computes the frame time, the area mask and the fps mask once over the
 table, admits each row past it with the last column, and runs
 :func:`~repro.dse.pareto.pareto_indices` once over the candidates: the
 admitted rows of the table plus, per group, its last admitted row past
@@ -41,8 +40,8 @@ group's rows per call, as plain Python values: what a group's points share
 call, and each point gets only its own containers and objects.  The pass
 also reports the chunk accounting of the chunked fold it replaced
 (:func:`_chunk_grid`, with the fps suffix probe
-:func:`_throughput_admitted_start`).  The area-side pushdown and the
-caches live in :mod:`repro.dse.stream`.
+:func:`_throughput_admitted_start`).  The cost cache lives in
+:mod:`repro.dse.stream`.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ import numpy as np
 
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.architecture.template import ConeArchitecture
+from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_indices
 from repro.estimation.throughput_model import (
@@ -69,21 +69,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
 
 
-def group_area(counts: "np.ndarray", depths: Sequence[int], primary: int,
-               area_by_depth: Mapping[int, float]) -> "np.ndarray":
-    """Per-row area over a primary-count vector.
+def group_area(counts: Any, depths: Sequence[int], primary: int,
+               area_by_depth: Mapping[int, float]) -> Any:
+    """Per-row area over a primary-count vector, or at one count.
 
     Accumulated in sorted-depth order with only the primary depth's
     instance count varying — the same additions as the per-point sum, so
-    any slice of the count axis reproduces the per-point values bit for
-    bit.
+    any count or slice of the count axis reproduces the per-point values
+    bit for bit.
     """
-    area = np.zeros(counts.size, dtype=np.float64)
+    area = 0.0
     for depth in depths:
-        if depth == primary:
-            area += counts * area_by_depth[depth]
-        else:
-            area += 1 * area_by_depth[depth]
+        area = area + (counts * area_by_depth[depth] if depth == primary
+                       else area_by_depth[depth])
     return area
 
 
@@ -414,24 +412,69 @@ def _chunk_grid(start: "np.ndarray", stop: "np.ndarray",
     return int(chunks.sum()), int(rows[live].max(initial=0))
 
 
+def _area_admits(area: Any, constraints: DseConstraints,
+                 usable_luts: float) -> Any:
+    """The area tests of :meth:`DseConstraints.admits` on one area, or
+    elementwise over an array of them, for constraints that set
+    ``device_only`` or ``max_area_luts``: within the device an area is at
+    most ``usable_luts`` (``fits_device``), and under a cap it is not above
+    the cap, so a NaN area fails the one and passes the other (and both
+    together admit an area at most the smaller bound)."""
+    cap = constraints.max_area_luts
+    if constraints.device_only:
+        return area <= (usable_luts if cap is None
+                        else min(usable_luts, cap))
+    return (area <= cap) | (area != area)  # or NaN
+
+
+def _last_count_alike(context: GroupContext, constraints: DseConstraints,
+                      usable_luts: float, width: int, n_counts: int) -> int:
+    """The last count of ``width..n_counts`` that the area constraints
+    admit or reject as they do count ``width``.
+
+    A group's area is monotone in the primary count, so its area admission
+    changes at most once along the count axis; this finds where, past the
+    cost table, by O(log n) single-count probes of :func:`group_area`,
+    bit-exact to the table's areas.
+    """
+    def admits(count: int) -> bool:
+        return bool(_area_admits(
+            group_area(count, context.depths, context.primary,
+                       context.area_by_depth), constraints, usable_luts))
+
+    alike = admits(width)
+    if admits(n_counts) == alike:
+        return n_counts
+    low, high = width, n_counts  # admits(low) == alike != admits(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if admits(mid) == alike:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
                      throughput_model: ThroughputModel,
                      frame_width: int, frame_height: int, n_splits: int,
-                     intervals: Mapping[Tuple[int, int],
-                                        Optional[Tuple[int, int]]],
-                     chunk_rows: int, min_fps: Optional[float],
+                     constraints: DseConstraints, chunk_rows: int,
                      usable_luts: float, materialize: str) -> Dict[str, Any]:
     """Answer an exploration in one columnar pass over its
     :class:`SpaceCosts`.
 
-    ``intervals`` is the mask cache's map from group keys to area-admitted
-    intervals ``(begin, end)`` of zero-based counts; ``costs`` holds
-    exactly the groups whose interval is not ``None``.  A row past the
-    table takes the figures of its last column, so it is admitted or
-    fps-pruned with that column, and its area comes from
-    :func:`group_area`.  Of a group's admitted rows past the table, only
-    the last joins the Pareto candidates: the others share its frame time
-    and lie between it and the last column in area.
+    A row of the table is admitted by the area tests of ``constraints``,
+    applied elementwise to the table's areas (:func:`_area_admits`), and
+    by the fps floor.  Each group's area-admitted rows form an interval
+    ``(begin, end)`` of zero-based counts, read off that mask: a prefix,
+    or a suffix where the primary cone's area is negative.  Only a group
+    whose interval ends or begins past the table searches the count axis
+    beyond it (:func:`_last_count_alike`).  A row past the table takes the
+    figures of its last column, so it is admitted or fps-pruned with that
+    column, and its area comes from :func:`group_area`.  Of a group's
+    admitted rows past the table, only the last joins the Pareto
+    candidates: the others share its frame time and lie between it and
+    the last column in area.
 
     The pass builds design points for the Pareto rows only.  With
     ``materialize="admitted"``, ``design_points`` is a
@@ -440,16 +483,40 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
     Pareto members among them; with ``"frontier"`` it is the Pareto
     members alone.
 
-    Where a ``min_fps`` floor is set and an interval is longer than
+    Where an fps floor is set and an interval is longer than
     ``chunk_rows``, :func:`_throughput_admitted_start` places the start of
     the fps-admitted suffix, up to the group's saturation count when its
     primary cone area is nonnegative, and the chunk counts follow from the
-    admitted intervals (:func:`_chunk_grid`).  Returns the accounting, the
-    design points, the Pareto members (``pareto``, in increasing-area
-    order) and their global rows (``pareto_rows``).
+    admitted intervals (:func:`_chunk_grid`).  Returns the accounting (with
+    the rows the area tests and the floor pruned), the design points, the
+    Pareto members (``pareto``, in increasing-area order) and their global
+    rows (``pareto_rows``).
     """
-    begin, end = np.array([intervals[key] for key in costs.keys],
-                          dtype=np.int64).reshape(-1, 2).T
+    n_counts, width = space.max_cones_per_depth, costs.area.shape[1]
+    min_fps = constraints.min_frames_per_second
+    begin = np.zeros(len(costs.keys), dtype=np.int64)
+    end = np.full(len(costs.keys), n_counts, dtype=np.int64)
+    admit = np.ones(costs.area.shape, dtype=bool)
+    if constraints.device_only or constraints.max_area_luts is not None:
+        admit = _area_admits(costs.area, constraints, usable_luts)
+        # area is monotone in the primary count: a group's admitted rows are
+        # a prefix, or a suffix where its primary cone's area is negative
+        fitting = admit.sum(axis=1)
+        falling = np.array([context.area_by_depth[context.primary] < 0
+                            for context in costs.contexts], dtype=bool)
+        begin = np.where(falling, width - fitting, 0)
+        end = np.where(falling, n_counts, fitting)
+        if width < n_counts:
+            # a prefix that fills the table, or a suffix that misses it,
+            # ends or begins past it
+            for group in np.flatnonzero(
+                    fitting == np.where(falling, 0, width)).tolist():
+                last = _last_count_alike(costs.contexts[group], constraints,
+                                         usable_luts, width, n_counts)
+                if falling[group]:
+                    begin[group] = last
+                else:
+                    end[group] = last
     start = begin.copy()
     if min_fps is not None:
         for group in np.flatnonzero(end - begin > chunk_rows).tolist():
@@ -477,9 +544,6 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
         np.array(tiles, dtype=np.int64).reshape(len(tiles), 1))
     # the rows below a probed start fail the floor (the probe's monotonicity
     # argument), so the fps mask rejects them without a mask of their own
-    n_counts, width = space.max_cones_per_depth, costs.area.shape[1]
-    columns = np.arange(width)
-    admit = (columns >= begin[:, None]) & (columns < end[:, None])
     if min_fps is not None:
         admit &= fps >= min_fps
 
@@ -582,8 +646,10 @@ def whole_space_pass(space: ArchitectureSpace, costs: SpaceCosts,
             points.insert(position, member_at[position])
         return points
 
+    area_admitted = int((end - begin).sum())
     return {"admitted_rows": admitted_rows,
-            "fps_pruned": int((end - begin).sum()) - admitted_rows,
+            "area_pruned": len(costs.keys) * n_counts - area_admitted,
+            "fps_pruned": area_admitted - admitted_rows,
             "peak_chunk_rows": peak_chunk_rows,
             "chunks_materialized": chunks_materialized,
             "design_points": (list(pareto) if materialize == "frontier"

@@ -1,10 +1,9 @@
-"""The entry point of every design-space exploration, and its caches.
+"""The entry point of every design-space exploration, and its cache.
 
 :func:`explore_stream` is the entry point of every exploration — the
-720-candidate paper space and million-candidate spaces alike.  It pushes
-the area constraints down, reads the space's cost table from the cost
-cache, and answers in the one pass of :mod:`repro.dse.engine`
-(:func:`~repro.dse.engine.whole_space_pass`).
+720-candidate paper space and million-candidate spaces alike.  It reads
+the space's cost table from the cost cache and answers in the one pass of
+:mod:`repro.dse.engine` (:func:`~repro.dse.engine.whole_space_pass`).
 :meth:`repro.dse.explorer.DesignSpaceExplorer.explore` streams spaces of at
 least :data:`STREAM_AUTO_THRESHOLD` rows (or any space on
 ``stream=True``): ``materialize="frontier"`` keeps only the Pareto
@@ -17,18 +16,20 @@ design points kept, never by the count axis.
 
 Pieces:
 
-1. Constraint pushdown prunes rows *before* costing: the area-side
-   constraints (``device_only``, ``max_area_luts``) depend only on shape
-   knobs and the cone areas, and per-row area is monotone in the primary
+1. The constraints prune rows before any design point is built.  The
+   area-side ones (``device_only``, ``max_area_luts``) read only the
+   areas, so the pass applies the area tests of
+   :meth:`~repro.dse.constraints.DseConstraints.admits` elementwise to the
+   cost table's area column.  Per-row area is monotone in the primary
    instance count, so each group's admitted rows form an interval of the
-   count axis: a prefix found by binary search — O(log rows) scalar probes
-   using the exact accumulation formula — or, where the primary cone's
-   area is negative and the area falls as instances are added, a suffix
-   found by one scan.  A ``min_frames_per_second`` floor is
-   monotone along the same axis in the other direction (compute cycles per
-   tile are nonincreasing in the primary count, so the frame rate is
-   nondecreasing), and the pass rejects the rows below it with one fps
-   mask over the cost table.
+   count axis: a prefix, or, where the primary cone's area is negative and
+   the area falls as instances are added, a suffix.  Only a group whose
+   interval ends (or begins) past the table searches the count axis beyond
+   it, by O(log rows) single-count probes of the exact area formula.  A
+   ``min_frames_per_second`` floor is monotone along the same axis in the
+   other direction (compute cycles per tile are nonincreasing in the
+   primary count, so the frame rate is nondecreasing), and the pass
+   rejects the rows below it with one fps mask over the cost table.
 2. The cost table stops at the largest saturation count of the space's
    groups (``ThroughputModel.saturation_count``, the most executions a
    level of the primary depth runs per tile).  Past that count every row
@@ -36,7 +37,7 @@ Pieces:
    rejected with that column, and of a group's admitted rows past the
    table only the last can join the frontier: an uncapped request over a
    million candidates ranks the table's rows plus one row per group.
-3. The pass computes the frame time, the interval mask and the fps mask
+3. The pass computes the frame time, the area mask and the fps mask
    once over the table, runs one Pareto extraction, and builds the Pareto
    rows' design points through one builder,
    :func:`repro.dse.engine.build_points`, one group's run of rows per
@@ -55,25 +56,17 @@ Pieces:
    ``estimation.throughput_batch`` binding, whose coverage guard needs the
    probe's ``estimate_batch`` calls.  The two materialize modes therefore
    differ only in which design points they can build.
-4. Two small process-wide LRUs, with the same bound, hold what a
-   re-explore that changes only per-run knobs (frame geometry, minimum fps,
-   constraints) would otherwise recompute:
+4. One small process-wide LRU, the *cost cache*, holds per space (shape
+   knobs, kernel name, radius, components) + characterization values +
+   throughput model the space's frame-independent costs as one table
+   (:class:`~repro.dse.engine.SpaceCosts`), built whole on a miss.  Every
+   exploration reads it, streamed or in memory, so a re-explore that
+   changes only per-run knobs (frame geometry, constraints, minimum fps)
+   pays only for the frame half and the masks.
 
-   * the *mask cache* maps each group to its area-admitted interval of the
-     count axis (``None`` for a group without characterizations), keyed by
-     shape knobs + the characterization values + the area constraints, so
-     such a re-explore skips the pushdown analysis.  The throughput-side
-     suffix depends on the per-run knobs, so it is recomputed per call and
-     deliberately kept out of the key;
-   * the *cost cache* holds, per space (shape knobs, kernel name, radius,
-     components) + characterization values + throughput model, the
-     space's frame-independent costs as one table
-     (:class:`~repro.dse.engine.SpaceCosts`), built whole on a miss.
-     Every exploration reads it, streamed or in memory, and a request
-     pays only for the frame half.
-
-   Counters are exposed through :func:`stream_stats` (the service tier
-   serves them under ``stats()["stream"]``).
+   Its counters and the run counters are exposed through
+   :func:`stream_stats` (the service tier serves them under
+   ``stats()["stream"]``).
 """
 
 from __future__ import annotations
@@ -84,15 +77,15 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
-                    Optional, Sequence, Tuple)
+                    Optional, Tuple)
 
 import numpy as np
 
 from repro.architecture.enumeration import ArchitectureSpace
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (PointsField, SpaceCosts, group_area,
-                              space_costs, whole_space_pass)
+from repro.dse.engine import (PointsField, SpaceCosts, space_costs,
+                              whole_space_pass)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -111,59 +104,20 @@ DEFAULT_CHUNK_ROWS = 4096
 #: cost hundreds of MB.
 STREAM_AUTO_THRESHOLD = 200_000
 
-#: Entries the admitted-row mask cache may hold (one entry per distinct
-#: (shape knobs, characterization values, area constraints) combination);
-#: the cost cache holds as many (one per space, characterization values
-#: and throughput model).
-MASK_CACHE_CAPACITY = 16
+#: Entries the cost cache may hold: one per space, characterization values
+#: and throughput model.
+COST_CACHE_CAPACITY = 16
 
 
 # ---------------------------------------------------------------------- #
-# constraint pushdown + the admitted-row mask cache
-
-
-def _admitted_interval(n_counts: int, area_limit: float,
-                       depths: Sequence[int], primary: int,
-                       area_by_depth: Mapping[int, float]
-                       ) -> Tuple[int, int]:
-    """The zero-based interval ``[begin, end)`` of the count axis whose
-    rows satisfy ``area <= limit``.
-
-    The primary depth is the last one added, and IEEE add/multiply are
-    monotonic, so a group's area is nondecreasing in the primary count
-    when the primary cone's area is >= 0: the admitted rows are a prefix,
-    found by probing the exact per-row area at O(log n) single counts
-    instead of materializing the group's area column.  A (pathological)
-    negative primary area makes the area fall as instances are added, so
-    the admitted rows are a suffix, counted by a full scan.
-    """
-    def area_at(count: int) -> float:
-        return float(group_area(np.asarray([count], dtype=np.int64),
-                                depths, primary, area_by_depth)[0])
-
-    if area_by_depth[primary] < 0:
-        counts = np.arange(1, n_counts + 1, dtype=np.int64)
-        mask = group_area(counts, depths, primary, area_by_depth) <= area_limit
-        return n_counts - int(np.count_nonzero(mask)), n_counts
-    if area_at(n_counts) <= area_limit:
-        return 0, n_counts
-    if area_at(1) > area_limit:
-        return 0, 0
-    low, high = 1, n_counts  # area(low) <= limit < area(high)
-    while high - low > 1:
-        mid = (low + high) // 2
-        if area_at(mid) <= area_limit:
-            low = mid
-        else:
-            high = mid
-    return 0, low
+# the cost cache
 
 
 class CountingLru:
     """Tiny thread-safe LRU with hit/miss/eviction counters.
 
-    The mask and cost caches below and a session's result and validation
-    layers (:mod:`repro.api.session`) are instances of it.
+    The cost cache below and a session's result and validation layers
+    (:mod:`repro.api.session`) are instances of it.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -244,47 +198,38 @@ class _StreamCounters:
             self._counts = dict.fromkeys(self._FIELDS, 0)
 
 
-_mask_cache = CountingLru(MASK_CACHE_CAPACITY)
-_cost_cache = CountingLru(MASK_CACHE_CAPACITY)
+_cost_cache = CountingLru(COST_CACHE_CAPACITY)
 _counters = _StreamCounters()
 
 
 def stream_stats() -> Dict[str, Any]:
     """Process-wide counters of the explorations.
 
-    Served by the service tier under ``stats()["stream"]``.  The mask-cache
-    half (``hits``/``misses``/``evictions``/``entries``/``capacity``):
-    ``hits`` growing across jobs is the signature of incremental
-    re-explores (only per-run knobs changed, pushdown analysis reused);
-    ``evictions`` counts distinct (shape, characterization, constraint)
-    combinations beyond the bound.  The run half: ``runs`` counts
-    explorations, ``chunks_materialized`` the ``chunk_rows`` grid cells
-    their admitted intervals touch (the accounting of the chunked fold the
-    one pass replaced), and ``throughput_pruned_rows`` the rows a min-fps
-    floor rejected.  ``costs`` holds the same five counters for the cost
-    cache, which every exploration reads.
+    Served by the service tier under ``stats()["stream"]``.  ``runs``
+    counts explorations, ``chunks_materialized`` the ``chunk_rows`` grid
+    cells their admitted intervals touch (the accounting of the chunked
+    fold the one pass replaced), and ``throughput_pruned_rows`` the rows a
+    min-fps floor rejected.  ``costs`` holds the cost cache's counters
+    (``hits``/``misses``/``evictions``/``entries``/``capacity``), which
+    every exploration reads: ``hits`` growing across jobs is the signature
+    of re-explores that changed only per-run knobs, and ``evictions``
+    counts distinct spaces, characterizations and models beyond the bound.
     """
-    stats: Dict[str, Any] = _mask_cache.stats()
-    stats.update(_counters.snapshot())
-    stats["costs"] = _cost_cache.stats()
-    return stats
+    return {**_counters.snapshot(), "costs": _cost_cache.stats()}
 
 
 def reset_stream_stats() -> None:
     """Zero every exploration counter (tests) without dropping cached
-    masks or costs.
+    costs.
 
     Use :func:`clear_stream_caches` to also forget the cached entries.
     """
-    _mask_cache.reset_stats()
     _cost_cache.reset_stats()
     _counters.reset()
 
 
 def clear_stream_caches() -> None:
-    """Reset the mask and cost caches and all counters (tests and
-    benchmarks)."""
-    _mask_cache.clear()
+    """Reset the cost cache and all counters (tests and benchmarks)."""
     _cost_cache.clear()
     _counters.reset()
 
@@ -304,27 +249,6 @@ def _characterization_key(characterizations: Mapping[Tuple[int, int],
         (window, depth, float(entry.area_luts), entry.synthesized,
          entry.latency_cycles)
         for (window, depth), entry in characterizations.items()))
-
-
-def _mask_cache_key(space: ArchitectureSpace, characterization_key: Tuple,
-                    constraints: DseConstraints,
-                    usable_luts: float) -> Tuple:
-    """Admission is a pure function of this key.
-
-    Shape knobs pick the candidate rows; the cone areas (inside the
-    characterization values) and the area-side constraints pick which
-    rows are admitted.  Per-run knobs (frame geometry, min-fps, port
-    width) are deliberately absent — changing only those re-uses the
-    cached masks and re-costs only throughput columns.  A knob that
-    changes the areas (data format, device recalibration) changes the key
-    and recomputes, correctness before reuse.
-    """
-    constraint_key = (
-        bool(constraints.device_only),
-        None if constraints.max_area_luts is None
-        else float(constraints.max_area_luts),
-        float(usable_luts) if constraints.device_only else None)
-    return (_shape_key(space), characterization_key, constraint_key)
 
 
 def _cached_costs(space: ArchitectureSpace,
@@ -356,42 +280,6 @@ def _cached_costs(space: ArchitectureSpace,
     return entry
 
 
-def _admitted_intervals(space: ArchitectureSpace,
-                        splits: Tuple[Tuple[int, ...], ...],
-                        characterizations: Mapping[Tuple[int, int],
-                                                   "ConeCharacterization"],
-                        constraints: DseConstraints,
-                        usable_luts: float
-                        ) -> Dict[Tuple[int, int], Optional[Tuple[int, int]]]:
-    """Each group's area-admitted interval of zero-based counts
-    (:func:`_admitted_interval`), keyed by ``(window index, split index)``
-    in enumeration order; ``None`` marks a group whose depths lack
-    characterizations (the pass skips it without counting its rows as
-    pruned)."""
-    n_counts = space.max_cones_per_depth
-    area_limit = math.inf
-    if constraints.device_only:
-        area_limit = min(area_limit, usable_luts)
-    if constraints.max_area_luts is not None:
-        area_limit = min(area_limit, constraints.max_area_luts)
-    intervals: Dict[Tuple[int, int], Optional[Tuple[int, int]]] = {}
-    for window_index, window in enumerate(space.window_sides):
-        for split_index, split in enumerate(splits):
-            depths = sorted(set(split))
-            if any((window, depth) not in characterizations
-                   for depth in depths):
-                interval = None
-            elif math.isinf(area_limit):
-                interval = (0, n_counts)
-            else:
-                interval = _admitted_interval(
-                    n_counts, area_limit, depths, depths[-1],
-                    {depth: characterizations[(window, depth)].area_luts
-                     for depth in depths})
-            intervals[(window_index, split_index)] = interval
-    return intervals
-
-
 # ---------------------------------------------------------------------- #
 # the exploration
 
@@ -415,8 +303,8 @@ class StreamingExploration:
 
     space_rows: int
     admitted_rows: int
-    #: Rows the constraints rejected: area-infeasible (never costed) plus
-    #: ``throughput_pruned_rows``.
+    #: Rows the constraints rejected: area-infeasible (never built into
+    #: design points) plus ``throughput_pruned_rows``.
     pruned_rows: int
     chunk_rows: int
     chunks_total: int
@@ -427,7 +315,6 @@ class StreamingExploration:
     chunks_skipped: int
     #: Most admitted-interval rows in one ``chunk_rows`` grid cell.
     peak_chunk_rows: int
-    mask_cache_hit: bool
     pareto_row_index: "np.ndarray"
     pareto: List[DesignPoint]
     design_points: List[DesignPoint] = PointsField()
@@ -473,25 +360,16 @@ def explore_stream(space: ArchitectureSpace,
     splits = tuple(tuple(split) for split in space.level_splits())
     n_counts = space.max_cones_per_depth
 
-    characterization_key = _characterization_key(characterizations)
-    key = _mask_cache_key(space, characterization_key, constraints,
-                          usable_luts)
-    intervals = _mask_cache.get(key)
-    mask_cache_hit = intervals is not None
-    if intervals is None:
-        intervals = _admitted_intervals(space, splits, characterizations,
-                                        constraints, usable_luts)
-        _mask_cache.put(key, intervals)
-
     costs = _cached_costs(space, splits, characterizations,
-                          characterization_key, throughput_model)
-    chunks_total = len(intervals) * -(-n_counts // chunk_rows)
+                          _characterization_key(characterizations),
+                          throughput_model)
+    chunks_total = (len(space.window_sides) * len(splits)
+                    * -(-n_counts // chunk_rows))
     with obs_trace.span("stream.explore", chunks=chunks_total):
         fold_started = time.perf_counter()
         fold = whole_space_pass(space, costs, throughput_model, frame_width,
-                                frame_height, len(splits), intervals,
-                                chunk_rows, constraints.min_frames_per_second,
-                                usable_luts, materialize)
+                                frame_height, len(splits), constraints,
+                                chunk_rows, usable_luts, materialize)
         obs_metrics.registry().histogram(
             "repro_stream_chunk_fold_seconds").observe(
                 time.perf_counter() - fold_started)
@@ -499,17 +377,14 @@ def explore_stream(space: ArchitectureSpace,
     _counters.add(runs=1,
                   chunks_materialized=fold["chunks_materialized"],
                   throughput_pruned_rows=throughput_pruned)
-    area_pruned = sum(n_counts - (end - begin)
-                      for begin, end in filter(None, intervals.values()))
     return StreamingExploration(
         space_rows=space.size(),
         admitted_rows=fold["admitted_rows"],
-        pruned_rows=area_pruned + throughput_pruned,
+        pruned_rows=fold["area_pruned"] + throughput_pruned,
         chunk_rows=chunk_rows,
         chunks_total=chunks_total,
         chunks_skipped=chunks_total - fold["chunks_materialized"],
         peak_chunk_rows=fold["peak_chunk_rows"],
-        mask_cache_hit=mask_cache_hit,
         pareto_row_index=fold["pareto_rows"],
         pareto=fold["pareto"],
         design_points=fold["design_points"],

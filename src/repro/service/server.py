@@ -342,7 +342,7 @@ class ReproServer(JobEndpoint):
         runs alone under its own trace, so it ends ``done`` or ``failed``
         as soon as its own run ends, and runs (and fails) exactly once;
         ``job-*`` events carry the job id in their detail."""
-        emit = self._session._emit_batch_event
+        emit = self._session._emit
         while True:
             job = self._queue.next_job()
             if job is None:
@@ -392,7 +392,7 @@ class ReproServer(JobEndpoint):
             with obs_trace.span("service.coalesce", job_id=job.id,
                                 coalesced=job.coalesced):
                 pass
-        self._session._emit_batch_event(
+        self._session._emit(
             "job-coalesced" if coalesced else "job-queued",
             workload, detail=job.id)
         receipt = job.snapshot()
@@ -437,9 +437,9 @@ class ReproServer(JobEndpoint):
             "session": self._session.stats.to_dict(),
             "store": (None if store is None
                       else {"root": store.root, **store.counters()}),
-            # the explorations' process-wide counters: the mask cache
-            # (hits growing across jobs = re-explores reusing the pushdown
-            # analysis), the run counters, and the cost cache under "costs"
+            # the explorations' process-wide counters: the run counters,
+            # and the cost cache under "costs" (hits growing across jobs =
+            # re-explores reusing a space's cost table)
             "stream": stream_stats(),
         }
 

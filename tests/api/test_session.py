@@ -500,6 +500,57 @@ class TestEventsAndStats:
         finished = [e for e in events if e.kind == "workload-finished"]
         assert finished[0].elapsed_s is not None
 
+    def test_a_callback_free_session_builds_no_event(self, monkeypatch):
+        """Without a callback, ``run`` and ``validate`` build no event and
+        read no trace ids, computed or served from the caches; a callback
+        registered later receives every event again."""
+        built = []
+        real_event, real_ids = session_module.SessionEvent, trace.current_ids
+
+        def recording_event(*args, **kwargs):
+            built.append(args[0])
+            return real_event(*args, **kwargs)
+
+        def recording_ids():
+            built.append("trace ids")
+            return real_ids()
+
+        monkeypatch.setattr(session_module, "SessionEvent", recording_event)
+        monkeypatch.setattr(trace, "current_ids", recording_ids)
+        session = Session()
+        workload = Workload.from_algorithm("blur", **SMALL)
+        for _ in range(2):  # computed, then served from the caches
+            session.run(workload)
+            session.validate(workload)
+        assert built == []
+        received = []
+        session.on_event(received.append)
+        session.run(workload)
+        session.validate(workload)
+        assert [kind for kind in built if kind != "trace ids"] == [
+            event.kind for event in received]
+        assert built.count("trace ids") == len(received) == 6
+
+    def test_traced_events_carry_the_span_they_were_raised_in(self):
+        """Stage events raised under the key lock and delivered after it
+        still carry the ``session.run`` span they were raised in, and the
+        workload events of ``validate`` its ``session.validate`` span."""
+        events, spans = [], []
+        session = Session(on_event=events.append)
+        workload = Workload.from_algorithm("blur", **SMALL)
+        with trace.capture(spans):
+            session.run(workload)
+            session.validate(workload)
+        by_id = {span["span_id"]: span for span in spans}
+        assert len(events) == 14
+        assert [by_id[event.span_id]["name"] for event in events] == (
+            ["session.run"] * 12 + ["session.validate"] * 2)
+        assert all(event.trace_id == by_id[event.span_id]["trace_id"]
+                   for event in events)
+        assert stage_events(events) == [
+            (kind, stage) for stage in STAGE_NAMES[:5]
+            for kind in ("stage-started", "stage-finished")]
+
     def test_failed_workload_counted_and_reported(self):
         events = []
         session = Session(on_event=events.append)

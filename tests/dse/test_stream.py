@@ -1,5 +1,5 @@
 """Tests for ``explore_stream``: the one pass over the cost table and the
-caches behind it.
+cache behind it.
 
 The headline property: in either materialize mode, whatever the chunk
 size {1 row, group-sized, the whole space} and however far the count axis
@@ -33,7 +33,7 @@ from repro.dse.design_point import DesignPoint
 from repro.dse.explorer import DesignSpaceExplorer, ExplorationResult
 from repro.dse.pareto import FINITE_OBJECTIVES_ERROR
 from repro.dse.stream import (
-    MASK_CACHE_CAPACITY,
+    COST_CACHE_CAPACITY,
     clear_stream_caches,
     explore_stream,
     reset_stream_stats,
@@ -59,7 +59,7 @@ def serialized_points(points):
 
 
 @pytest.fixture(autouse=True)
-def fresh_mask_cache():
+def fresh_stream_caches():
     clear_stream_caches()
     yield
     clear_stream_caches()
@@ -257,20 +257,18 @@ class TestThroughputPushdown:
         assert (serialized_points(streamed.pareto)
                 == serialized_points(oracle.pareto))
 
-    def test_fps_floor_change_still_reuses_cached_masks(
+    def test_an_fps_floor_change_answers_like_the_oracle(
             self, evaluation_inputs):
         explorer, space, characterizations, usable = evaluation_inputs
         baseline = scalar_exploration(space, characterizations,
                                       explorer.throughput_model, 128, 96)
         floors = self.fps_floors(baseline)
-        first = explore_stream(
+        explore_stream(
             space, characterizations, explorer.throughput_model, 128, 96,
             DseConstraints(min_frames_per_second=floors[0]), usable)
         second = explore_stream(
             space, characterizations, explorer.throughput_model, 128, 96,
             DseConstraints(min_frames_per_second=floors[2]), usable)
-        assert not first.mask_cache_hit
-        assert second.mask_cache_hit  # the floor is not in the mask key
         oracle = scalar_exploration(
             space, characterizations, explorer.throughput_model, 128, 96,
             DseConstraints(min_frames_per_second=floors[2]), usable)
@@ -315,100 +313,15 @@ class TestSerialPass:
 
     def test_stream_stats_name_no_fan_out_counters(self):
         assert set(stream_stats()) == {
-            "hits", "misses", "evictions", "entries", "capacity", "runs",
-            "chunks_materialized", "throughput_pruned_rows", "costs"}
+            "runs", "chunks_materialized", "throughput_pruned_rows", "costs"}
         assert set(stream_stats()["costs"]) == {
             "hits", "misses", "evictions", "entries", "capacity"}
         text = render_prometheus({"stream": stream_stats()})
         assert "# TYPE repro_stream_runs counter" in text
         assert "# TYPE repro_stream_costs_hits counter" in text
         assert "# TYPE repro_stream_costs_entries gauge" in text
+        assert "repro_stream_hits" not in text
         assert "parallel" not in text and "duplicate" not in text
-
-
-class TestMaskCache:
-    def test_frame_change_reuses_masks(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        constraints = DseConstraints(device_only=True)
-        first = explore_stream(space, characterizations,
-                               explorer.throughput_model, 128, 96,
-                               constraints, usable)
-        second = explore_stream(space, characterizations,
-                                explorer.throughput_model, 640, 480,
-                                constraints, usable)
-        assert not first.mask_cache_hit
-        assert second.mask_cache_hit
-        stats = stream_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        # the reused run is still digest-identical to its own oracle
-        oracle = scalar_exploration(space, characterizations,
-                                    explorer.throughput_model, 640, 480,
-                                    constraints, usable)
-        assert (serialized_points(second.pareto)
-                == serialized_points(oracle.pareto))
-
-    def test_area_constraint_change_recomputes(self, evaluation_inputs):
-        explorer, space, characterizations, usable = evaluation_inputs
-        explore_stream(space, characterizations, explorer.throughput_model,
-                       128, 96, DseConstraints(device_only=True), usable)
-        tightened = explore_stream(
-            space, characterizations, explorer.throughput_model, 128, 96,
-            DseConstraints(device_only=True, max_area_luts=50_000.0), usable)
-        assert not tightened.mask_cache_hit
-
-
-class TestMaskCacheBound:
-    """The mask cache is a bounded LRU: each distinct area cap is its own
-    entry, and the least recently used entry is evicted first."""
-
-    @staticmethod
-    def explore_capped(inputs, cap):
-        explorer, space, characterizations, usable = inputs
-        return explore_stream(space, characterizations,
-                              explorer.throughput_model, 128, 96,
-                              DseConstraints(max_area_luts=cap), usable)
-
-    @staticmethod
-    def caps(n):
-        return [1000.0 * (i + 1) for i in range(n)]
-
-    def test_capacity_is_enforced_with_lru_eviction(self, evaluation_inputs):
-        caps = self.caps(MASK_CACHE_CAPACITY + 2)
-        for cap in caps:
-            assert not self.explore_capped(evaluation_inputs,
-                                           cap).mask_cache_hit
-        stats = stream_stats()
-        assert stats["entries"] == stats["capacity"] == MASK_CACHE_CAPACITY
-        assert stats["evictions"] == 2
-        # the newest entry is still cached; the oldest was evicted
-        assert self.explore_capped(evaluation_inputs, caps[-1]).mask_cache_hit
-        assert not self.explore_capped(evaluation_inputs,
-                                       caps[0]).mask_cache_hit
-
-    def test_recent_use_protects_an_entry(self, evaluation_inputs):
-        caps = self.caps(MASK_CACHE_CAPACITY + 1)
-        for cap in caps[:MASK_CACHE_CAPACITY]:
-            self.explore_capped(evaluation_inputs, cap)
-        # refresh the oldest entry, then overflow: the second-oldest goes
-        assert self.explore_capped(evaluation_inputs, caps[0]).mask_cache_hit
-        self.explore_capped(evaluation_inputs, caps[-1])
-        assert self.explore_capped(evaluation_inputs, caps[0]).mask_cache_hit
-        assert not self.explore_capped(evaluation_inputs,
-                                       caps[1]).mask_cache_hit
-
-    def test_reset_keeps_masks_but_clear_drops_them(self, evaluation_inputs):
-        self.explore_capped(evaluation_inputs, 5000.0)
-        reset_stream_stats()
-        stats = stream_stats()
-        assert (stats["hits"], stats["misses"], stats["evictions"],
-                stats["runs"]) == (0, 0, 0, 0)
-        assert stats["entries"] == 1
-        assert self.explore_capped(evaluation_inputs, 5000.0).mask_cache_hit
-        clear_stream_caches()
-        stats = stream_stats()
-        assert (stats["entries"], stats["hits"], stats["runs"]) == (0, 0, 0)
-        assert not self.explore_capped(evaluation_inputs,
-                                       5000.0).mask_cache_hit
 
 
 def explore_admitted(inputs, model, width=128, height=96, constraints=None):
@@ -599,8 +512,8 @@ class TestCostCache:
 
 
 class TestCostCacheBound:
-    """The cost cache is a bounded LRU like the mask cache: each distinct
-    port width is its own entry."""
+    """The cost cache is a bounded LRU: each distinct port width is its own
+    entry, and the least recently used entry is evicted first."""
 
     @staticmethod
     def explore_port(inputs, port):
@@ -610,18 +523,18 @@ class TestCostCacheBound:
         return stream_stats()["costs"]["hits"] > hits
 
     def test_capacity_is_enforced_with_lru_eviction(self, evaluation_inputs):
-        ports = range(1, MASK_CACHE_CAPACITY + 3)
+        ports = range(1, COST_CACHE_CAPACITY + 3)
         for port in ports:
             assert not self.explore_port(evaluation_inputs, port)
         costs = stream_stats()["costs"]
-        assert costs["entries"] == costs["capacity"] == MASK_CACHE_CAPACITY
+        assert costs["entries"] == costs["capacity"] == COST_CACHE_CAPACITY
         assert costs["evictions"] == 2
         assert self.explore_port(evaluation_inputs, ports[-1])
         assert not self.explore_port(evaluation_inputs, ports[0])
 
     def test_recent_use_protects_an_entry(self, evaluation_inputs):
-        ports = range(1, MASK_CACHE_CAPACITY + 2)
-        for port in ports[:MASK_CACHE_CAPACITY]:
+        ports = range(1, COST_CACHE_CAPACITY + 2)
+        for port in ports[:COST_CACHE_CAPACITY]:
             self.explore_port(evaluation_inputs, port)
         # refresh the oldest entry, then overflow: the second-oldest goes
         assert self.explore_port(evaluation_inputs, ports[0])
@@ -649,7 +562,7 @@ WHATIF_PORTS = (4, 8, 16, 32)
 #: Accounting fields both materialize modes report alike.
 ACCOUNTING = ("space_rows", "admitted_rows", "pruned_rows", "chunk_rows",
               "chunks_total", "chunks_skipped", "peak_chunk_rows",
-              "mask_cache_hit", "throughput_pruned_rows")
+              "throughput_pruned_rows")
 #: A count axis far past every saturation count of the evaluation inputs'
 #: groups (121 at most).
 WIDE_COUNTS = 300
@@ -1067,11 +980,9 @@ class TestSaturationCut:
                     probed and constraints.min_frames_per_second is not None)
                 assert all(count <= saturation[key] for key, count
                            in largest["estimate_batch"].items())
-                assert ({name: getattr(streamed, name) for name in ACCOUNTING
-                         if name != "mask_cache_hit"}
+                assert ({name: getattr(streamed, name) for name in ACCOUNTING}
                         == {name: getattr(expected, name)
-                            for name in ACCOUNTING
-                            if name != "mask_cache_hit"})
+                            for name in ACCOUNTING})
                 assert np.array_equal(streamed.pareto_row_index,
                                       expected.pareto_row_index)
                 assert (serialized_points(streamed.pareto)
@@ -1250,20 +1161,25 @@ class TestSaturationCut:
             self, evaluation_inputs, area, materialize):
         """A row past the table carries its own area, so a non-finite one
         reaches the Pareto extraction as in the scalar oracle: rejected
-        with the finite-objectives error, unless an area cap pruned it
-        first."""
+        with the finite-objectives error, unless an area constraint pruned
+        it first."""
         explorer, space, characterizations, usable = evaluation_inputs
         space = dataclasses.replace(space, max_cones_per_depth=WIDE_COUNTS)
         characterizations = with_area(characterizations, (4, 3), area)
         model = explorer.throughput_model
-        for constraints in (None, DseConstraints(max_area_luts=50_000.0)):
+        for constraints in (None, DseConstraints(max_area_luts=50_000.0),
+                            DseConstraints(device_only=True),
+                            DseConstraints(max_area_luts=50_000.0,
+                                           device_only=True)):
             oracle = scalar_exploration(space, characterizations, model, 128,
                                         96, constraints, usable)
             result = functools.partial(
                 explore_stream, space, characterizations, model, 128, 96,
                 constraints, usable, materialize=materialize)
-            # a cap prunes an infinite area; NaN and -inf pass it
-            if constraints is None or np.isnan(area) or area < 0:
+            # both area constraints prune an infinite area and -inf passes
+            # both; NaN passes the cap but does not fit the device
+            if (constraints is None or area < 0
+                    or (np.isnan(area) and not constraints.device_only)):
                 with pytest.raises(ValueError, match="finite"):
                     oracle.pareto
                 with pytest.raises(ValueError,
@@ -1276,6 +1192,63 @@ class TestSaturationCut:
                                   oracle.pareto_row_index)
             assert (serialized_points(capped.pareto)
                     == serialized_points(oracle.pareto))
+
+
+    @pytest.mark.parametrize("at", ["W-1", "W", "W+1", "n-1", "n"])
+    @pytest.mark.parametrize("shape, area", [((1, 1), None),
+                                             ((4, 3), -250.0)],
+                             ids=["rising", "falling"])
+    def test_a_cap_at_a_groups_exact_area_near_the_table_edge(
+            self, evaluation_inputs, shape, area, at):
+        """A cap at one group's exact area at count ``at`` puts its area
+        boundary there: inside the 121-count table, at its last column, or
+        past it, where the pass searches the count axis.  The group's area
+        rises with the count (window 1, depth 1) or falls (window 4, depth
+        3 at -250 LUTs), so it admits counts ``1..at`` or ``at..n``; alone
+        and within the device, both modes admit, prune and rank the rows
+        the scalar oracle does."""
+        explorer, space, characterizations, usable = evaluation_inputs
+        # windows 1 and 4 alone: window 1, depth 1 still sets the width
+        space = dataclasses.replace(space, window_sides=(1, 4),
+                                    max_cones_per_depth=WIDE_COUNTS)
+        if area is not None:
+            characterizations = with_area(characterizations, shape, area)
+        model = explorer.throughput_model
+        width = 121
+        count = {"W-1": width - 1, "W": width, "W+1": width + 1,
+                 "n-1": WIDE_COUNTS - 1, "n": WIDE_COUNTS}[at]
+        window, depth = shape
+        splits = [set(split) for split in space.level_splits()]
+        group = (space.window_sides.index(window) * len(splits)
+                 + splits.index({depth}))
+        # the group's only cone, as the scalar oracle sums it
+        cap = count * characterizations[shape].area_luts
+        expected = (range(1, count + 1) if area is None
+                    else range(count, WIDE_COUNTS + 1))
+        for constraints in (DseConstraints(max_area_luts=cap),
+                            DseConstraints(max_area_luts=cap,
+                                           device_only=True)):
+            oracle = scalar_exploration(space, characterizations, model, 128,
+                                        96, constraints, usable)
+            rows = oracle.row_index[oracle.row_index // WIDE_COUNTS == group]
+            assert (rows % WIDE_COUNTS + 1).tolist() == list(expected)
+            for materialize in ("admitted", "frontier"):
+                result = explore_stream(space, characterizations, model, 128,
+                                        96, constraints, usable,
+                                        materialize=materialize)
+                assert result.admitted_rows == oracle.admitted_rows
+                assert (result.pruned_rows == oracle.area_pruned_rows
+                        == space.size() - oracle.admitted_rows)
+                assert np.array_equal(result.pareto_row_index,
+                                      oracle.pareto_row_index)
+                assert (serialized_points(result.pareto)
+                        == serialized_points(oracle.pareto))
+                assert serialized_points(
+                    result.design_points) == serialized_points(
+                        oracle.design_points if materialize == "admitted"
+                        else oracle.pareto)
+        assert cost_entry(space, characterizations,
+                          model).area.shape[1] == width
 
 
 class TestChunkAccounting:
@@ -1380,9 +1353,9 @@ class TestExplorerIntegration:
             "throughput_pruned_rows", "pruned_fraction", "chunks_total",
             "chunks_skipped", "peak_chunk_rows"}
 
-    def test_a_streamed_result_does_not_depend_on_the_mask_cache(self):
-        # the second run hits the admitted-row masks the first one cached:
-        # a replayed job must still serialize byte for byte the same
+    def test_a_streamed_result_does_not_depend_on_the_cost_cache(self):
+        # the second run hits the cost table the first one cached: a
+        # replayed job must still serialize byte for byte the same
         session = Session()
         workload = Workload.from_algorithm(
             "blur", window_sides=(1, 2, 3), max_depth=2,
@@ -1391,7 +1364,7 @@ class TestExplorerIntegration:
         session.evict(workload)
         reset_stream_stats()
         assert session.run(workload).to_dict() == first
-        assert stream_stats()["hits"] == 1
+        assert stream_stats()["costs"]["hits"] == 1
 
     def test_streaming_result_round_trips_through_json(self, igf_kernel):
         explorer = small_explorer(igf_kernel)
@@ -1416,11 +1389,11 @@ class TestExplorerIntegration:
         assert (serialized_points(auto.pareto)
                 == serialized_points(in_memory.pareto))
 
-    def test_in_memory_explorations_are_counted_and_reuse_masks(
+    def test_in_memory_explorations_are_counted_and_reuse_the_cost_table(
             self, igf_kernel):
         """An in-memory exploration goes through ``explore_stream`` too,
         so it shows in ``stream_stats()`` and a frame change re-uses its
-        cached masks."""
+        cached cost table."""
         explorer = small_explorer(igf_kernel)
         explorer.characterize_cones(6)
         reset_stream_stats()
@@ -1429,7 +1402,7 @@ class TestExplorerIntegration:
         assert first.streaming is None and second.streaming is None
         stats = stream_stats()
         assert stats["runs"] == 2
-        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert (stats["costs"]["misses"], stats["costs"]["hits"]) == (1, 1)
         assert stats["chunks_materialized"] > 0
 
 

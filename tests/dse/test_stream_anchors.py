@@ -8,18 +8,19 @@ run:
 * every accounting field of
   :class:`~repro.dse.stream.StreamingExploration` (``chunks_total``,
   ``chunks_skipped``, ``peak_chunk_rows``, ``pruned_rows``,
-  ``throughput_pruned_rows``, ``mask_cache_hit``, ...);
+  ``throughput_pruned_rows``, ...);
 * ``pareto_row_index``, and the sha256 of the serialized design points
   and of the serialized frontier;
-* the ``stream_stats()`` counters the run leaves, and the ``chunks``
-  attribute of its ``stream.explore`` span.
+* the ``stream_stats()`` counters the run leaves (the run counters and the
+  cost cache's under ``costs``), and the ``chunks`` attribute of its
+  ``stream.explore`` span.
 
 The grid: blur (6 iterations) and chamb (5) at 1024x768 on windows 1-5,
 max depth 3 and 40 cones per depth; constraints none, device only, a
 30 fps floor, a 120 fps floor within 200,000 LUTs, and an unreachable
 floor; ``chunk_rows`` 1, 3, 7, 40 and 100,000; both ``materialize`` values;
-on-chip port widths 4 and 16.  Each case runs twice, from cleared stream
-caches and then warm.  At ``chunk_rows`` 1 and 3 the fps floors run the
+on-chip port widths 4 and 16.  Each case runs twice, from a cleared cost
+cache and then warm.  At ``chunk_rows`` 1 and 3 the fps floors run the
 suffix probe in most groups.
 
 The comparison is exact.  A change meant to alter the pass's outcomes
@@ -71,7 +72,7 @@ CASES = [f"{kernel}/{constraint}/{chunk_rows}/{materialize}/{port}"
 
 FIELDS = ("space_rows", "admitted_rows", "pruned_rows", "chunk_rows",
           "chunks_total", "chunks_skipped", "peak_chunk_rows",
-          "mask_cache_hit", "throughput_pruned_rows")
+          "throughput_pruned_rows")
 
 
 @functools.lru_cache(maxsize=None)

@@ -78,7 +78,7 @@ class TestHttpTransport:
                     "stream", "uptime_s"):
             assert key in stats
         assert stats["store"] is None  # storeless server
-        assert stats["stream"]["capacity"] >= 1
+        assert stats["stream"]["costs"]["capacity"] >= 1
 
     def test_unknown_job_and_unknown_route(self, http_server):
         _server, url = http_server
