@@ -7,10 +7,11 @@
 #                               # runs)
 #   scripts/check.sh --fast     # skip bench-style tests (-m "not slow")
 #
-# Every mode first runs the import-hygiene guard: the engine, simulation,
-# observability and symbolic modules must import with nothing beyond
-# NumPy + the stdlib, from `src` alone (so production never imports a
-# test oracle, such as the interpreter in tests/symbolic/).
+# Every mode first runs the import-hygiene guard: the estimation,
+# architecture, exploration, simulation, observability and symbolic
+# modules must import with nothing beyond NumPy + the stdlib, from `src`
+# alone (so production never imports a test oracle, such as the
+# interpreter in tests/symbolic/ or the scalar exploration in tests/dse/).
 #   scripts/check.sh --service  # service smoke: boot `python -m repro
 #                               # serve` on an ephemeral port, submit two
 #                               # workloads over HTTP, assert digests match
@@ -119,24 +120,28 @@ run_examples() {
 }
 
 check_imports() {
-    # Import hygiene: the exploration evaluator, the simulation/validation
-    # layer behind the `validate` job class, the observability layer
-    # every server and session records into, and the symbolic layer that
-    # builds every cone must import with nothing beyond NumPy and the
-    # stdlib — test-only/optional packages sneaking into their import
-    # closure would break minimal production deployments.  The blocked
-    # import hook fails the build the moment one is touched, naming the
-    # module being imported.  No tests/ directory is on the path, so a
-    # production import of a test oracle (the symbolic interpreter in
-    # tests/symbolic/, the simulation oracles in tests/simulation/) fails
-    # it too.
+    # Import hygiene: the estimation models, the architecture space, the
+    # explorer with its evaluator and Pareto extraction, the
+    # simulation/validation layer behind the `validate` job class, the
+    # observability layer every server and session records into, and the
+    # symbolic layer that builds every cone must import with nothing
+    # beyond NumPy and the stdlib — test-only/optional packages sneaking
+    # into their import closure would break minimal production
+    # deployments.  The blocked import hook fails the build the moment one
+    # is touched, naming the module being imported.  No tests/ directory
+    # is on the path, so a production import of a test oracle (the
+    # symbolic interpreter in tests/symbolic/, the simulation oracles in
+    # tests/simulation/, the scalar exploration in tests/dse/) fails it
+    # too.
     python - <<'PYEOF'
 import builtins
 import importlib
 import sys
 
 sys.path.insert(0, "src")
-MODULES = ("repro.dse.engine", "repro.dse.stream",
+MODULES = ("repro.estimation", "repro.architecture",
+           "repro.dse.engine", "repro.dse.stream", "repro.dse.pareto",
+           "repro.dse.explorer",
            "repro.simulation", "repro.simulation.validation",
            "repro.obs", "repro.obs.trace", "repro.obs.metrics",
            "repro.symbolic", "repro.symbolic.cone_expression",

@@ -13,7 +13,6 @@ from repro.architecture.template import (
     FeasibilityError,
 )
 from repro.architecture.enumeration import (
-    enumerate_level_splits,
     single_depth_split,
     ArchitectureSpace,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "LevelSpec",
     "ConeArchitecture",
     "FeasibilityError",
-    "enumerate_level_splits",
     "single_depth_split",
     "ArchitectureSpace",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.utils.validation import check_positive
 from repro.architecture.template import ConeArchitecture
@@ -62,7 +62,7 @@ def _cached_splits(total_iterations: int,
 
 def count_level_splits(total_iterations: int,
                        max_depth: Optional[int] = None) -> int:
-    """``len(enumerate_level_splits(...))`` without materializing the splits.
+    """The number of uniform level splittings, without materializing them.
 
     Uniform splittings are counted in O(1): for every depth ``d <= n`` the
     splitting produced by :func:`single_depth_split` starts with ``d``
@@ -75,17 +75,6 @@ def count_level_splits(total_iterations: int,
     check_positive("total_iterations", total_iterations)
     limit = max_depth if max_depth is not None else total_iterations
     return max(0, min(limit, total_iterations))
-
-
-def enumerate_level_splits(total_iterations: int,
-                           max_depth: Optional[int] = None) -> List[List[int]]:
-    """Enumerate the uniform level splittings of the iteration count.
-
-    One splitting per candidate depth, as in the paper's experiments.
-    Returns fresh lists; the memoized backing tuples stay shared internally.
-    """
-    return [list(split)
-            for split in _cached_splits(total_iterations, max_depth)]
 
 
 @dataclass
@@ -114,40 +103,6 @@ class ArchitectureSpace:
                       for window in set(self.window_sides)
                       for depth in depths)
 
-    def architecture_groups(self,
-                            cone_count_choices: Optional[Sequence[int]] = None
-                            ) -> Iterator[Tuple[int, List[int],
-                                                List[ConeArchitecture]]]:
-        """Yield ``(window, split, architectures)`` per (window, splitting).
-
-        The architectures of one group differ only in the instance count of
-        the primary (deepest) cone — they share cone shapes, per-depth areas,
-        and cone-performance tables, so per-point consumers hoist that work
-        to the group level instead of redoing it ``max_cones_per_depth``
-        times.
-        """
-        counts = tuple(cone_count_choices
-                       or range(1, self.max_cones_per_depth + 1))
-        split_meta = []
-        for split in self._splits():
-            depths = sorted(set(split))
-            split_meta.append((split, depths, depths[-1]))
-        for window in self.window_sides:
-            for split, depths, primary in split_meta:
-                group = []
-                for count in counts:
-                    cone_counts: Dict[int, int] = {d: 1 for d in depths}
-                    cone_counts[primary] = count
-                    group.append(ConeArchitecture(
-                        kernel_name=self.kernel_name,
-                        window_side=window,
-                        level_depths=list(split),
-                        cone_counts=cone_counts,
-                        radius=self.radius,
-                        components=self.components,
-                    ))
-                yield window, list(split), group
-
     def materialize_row_parts(self, window: int, split: Sequence[int],
                               primary_count: int) -> ConeArchitecture:
         """Materialize one enumerated candidate as a :class:`ConeArchitecture`.
@@ -163,27 +118,12 @@ class ArchitectureSpace:
             level_depths=list(split), cone_counts=cone_counts,
             radius=self.radius, components=self.components)
 
-    def architectures(self,
-                      cone_count_choices: Optional[Sequence[int]] = None
-                      ) -> Iterator[ConeArchitecture]:
-        """Yield every candidate architecture in the space.
+    def size(self) -> int:
+        """The number of candidates: windows × level splits × counts.
 
-        ``cone_count_choices`` restricts the number of instances of the
-        *primary* (deepest) cone; remainder depths always get one instance,
-        matching how the paper's tables scale the ``core_num`` column.
+        The split factor comes from :func:`count_level_splits`, so sizing
+        a huge space (the explorer's auto-stream threshold, pruned-fraction
+        denominators) never materializes a single splitting.
         """
-        for _window, _split, group in self.architecture_groups(
-                cone_count_choices):
-            yield from group
-
-    def size(self, cone_count_choices: Optional[Sequence[int]] = None) -> int:
-        # mirror architecture_groups(): a falsy choices value means the full
-        # 1..max_cones_per_depth range, so size() always equals
-        # len(list(architectures(...))).  The split factor comes from
-        # count_level_splits, so sizing a huge space (the streaming
-        # engine's auto-select threshold, pruned-fraction denominators)
-        # never materializes a single splitting.
-        n_counts = (len(tuple(cone_count_choices)) if cone_count_choices
-                    else self.max_cones_per_depth)
         return (count_level_splits(self.total_iterations, self.max_depth)
-                * len(tuple(self.window_sides)) * n_counts)
+                * len(tuple(self.window_sides)) * self.max_cones_per_depth)

@@ -124,19 +124,6 @@ def group_context(space: ArchitectureSpace,
             for depth in depths}))
 
 
-def cost_counts(throughput_model: ThroughputModel, context: GroupContext,
-                frame_width: int, frame_height: int,
-                counts: "np.ndarray") -> Mapping[str, Any]:
-    """Throughput columns of one group's candidates at ``counts``.
-
-    ``estimate_batch`` is elementwise over the count axis, so any subset of
-    counts reproduces the full-column values bit for bit.
-    """
-    return throughput_model.estimate_batch(
-        context.representative, context.cone_performance,
-        frame_width, frame_height, counts)
-
-
 def build_points(space: ArchitectureSpace, context: GroupContext,
                  usable_luts: float, architecture_label: str,
                  clock_hz: float, tiles_per_frame: int,
@@ -281,8 +268,9 @@ def _throughput_admitted_start(admit_len: int, min_fps: float,
     The caller then counts the group's whole area-admitted interval.
     """
     def columns_at(count: int) -> Mapping[str, object]:
-        return cost_counts(throughput_model, context, frame_width,
-                           frame_height, np.asarray([count], dtype=np.int64))
+        return throughput_model.estimate_batch(
+            context.representative, context.cone_performance, frame_width,
+            frame_height, np.asarray([count], dtype=np.int64))
 
     interval = throughput_model.execution_interval_cycles(
         context.representative, context.primary,

@@ -37,6 +37,7 @@ from repro.symbolic.invariance import (ConstantFault, InvarianceReport,
                                       constant_fault, verify_kernel)
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
 from repro.synth.synthesizer import Synthesizer, tool_runtime_s
+from repro.utils.validation import check_positive
 
 
 @dataclass
@@ -247,6 +248,13 @@ class DesignSpaceExplorer:
         self.window_sides = tuple(sorted(set(window_sides)))
         self.max_depth = max_depth
         self.max_cones_per_depth = max_cones_per_depth
+        # an empty or nonpositive shape knob leaves no candidate to explore
+        check_positive("the number of window sides", len(self.window_sides))
+        for side in self.window_sides:
+            check_positive("each window side", side)
+        if max_depth is not None:  # None: every depth up to the iterations
+            check_positive("max_depth", max_depth)
+        check_positive("max_cones_per_depth", max_cones_per_depth)
         # Equation 1 interpolates alpha between at least two reference
         # syntheses per depth; fewer calibration windows cannot anchor the
         # model, so reject the setting instead of silently raising it.

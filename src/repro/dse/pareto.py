@@ -5,14 +5,14 @@ typically requires the evaluation of a few hundreds of solutions"; the
 characterised design points are cheap to compare, so a simple sort-and-scan
 suffices.
 
-Determinism contract (shared by the pure-Python scan and the vectorized
-NumPy path, which every exploration's one pass calls once over its
-candidates in enumeration order):
+Determinism contract of :func:`pareto_indices`, which every exploration's
+one pass calls once over its candidates in enumeration order (and
+:func:`pareto_front` over a list of design points):
 
 * the frontier is returned sorted by increasing area, ties on area by
   increasing time;
 * points equal on *both* objectives keep a single representative — the one
-  appearing first in the input (both sorts are stable), matching how the
+  appearing first in the input (the sort is stable), matching how the
   paper's Pareto charts plot one marker per cost/latency pair;
 * non-finite objectives (NaN or infinity) are rejected with a
   :exc:`ValueError` — NaN has no ordering and an infinite objective means
@@ -22,21 +22,13 @@ candidates in enumeration order):
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List
 
 import numpy as np
 
 from repro.dse.design_point import DesignPoint
 
-#: Below this many points the plain-Python scan wins (no array setup cost);
-#: production sweeps evaluate hundreds to thousands of points per workload
-#: and take the vectorized path.
-_VECTORIZE_THRESHOLD = 64
-
-#: The one diagnostic for non-finite objectives, shared by both extractors
-#: (scalar scan and vectorized path) so callers can match on a single
-#: message.
+#: The one diagnostic for non-finite objectives.
 FINITE_OBJECTIVES_ERROR = (
     "Pareto extraction needs finite objectives; got NaN or infinite "
     "area/time values (an upstream estimate produced garbage)")
@@ -55,13 +47,12 @@ def pareto_indices(area_luts: "np.ndarray",
                    seconds_per_frame: "np.ndarray") -> "np.ndarray":
     """Indices of the non-dominated rows of two parallel objective columns.
 
-    The array twin of :func:`pareto_front`: a row survives iff its time
-    is a strict running minimum over the (area, time)-lexsorted order.
-    ``np.lexsort`` is stable like ``list.sort``, so rows equal on both
-    objectives keep their first-seen representative and the returned index
-    order (increasing area, ties by time, both stable) is identical to the
-    scalar scan's output order.  Raises :exc:`ValueError` on NaN/inf
-    objectives (see the module determinism contract).
+    A row survives iff its time is a strict running minimum over the
+    (area, time)-lexsorted order.  ``np.lexsort`` is stable, so rows equal
+    on both objectives keep their first-seen representative, and the
+    indices come in increasing area, ties by time.  Raises
+    :exc:`ValueError` on NaN/inf objectives (see the module determinism
+    contract).
     """
     areas = np.asarray(area_luts, dtype=np.float64)
     times = np.asarray(seconds_per_frame, dtype=np.float64)
@@ -83,28 +74,12 @@ def pareto_indices(area_luts: "np.ndarray",
 def pareto_front(points: Iterable[DesignPoint]) -> List[DesignPoint]:
     """Return the non-dominated subset, sorted by increasing area.
 
-    Ties on both objectives keep a single representative (the first seen in
-    the input — see the module determinism contract).  Large inputs take a
-    vectorized NumPy path (:func:`pareto_indices`) that selects exactly the
-    same subset in the same order as the scalar scan; non-finite objectives
-    raise :exc:`ValueError` on either path.
+    The rows :func:`pareto_indices` keeps of the points' objective columns:
+    ties on both objectives keep a single representative (the first seen in
+    the input), and non-finite objectives raise :exc:`ValueError`.
     """
     candidates = list(points)
-    if len(candidates) >= _VECTORIZE_THRESHOLD:
-        order = pareto_indices(
-            np.array([p.area_luts for p in candidates], dtype=np.float64),
-            np.array([p.seconds_per_frame for p in candidates],
-                     dtype=np.float64))
-        return [candidates[index] for index in order]
-    for point in candidates:
-        if not (math.isfinite(point.area_luts)
-                and math.isfinite(point.seconds_per_frame)):
-            raise ValueError(FINITE_OBJECTIVES_ERROR)
-    candidates.sort(key=lambda p: (p.area_luts, p.seconds_per_frame))
-    front: List[DesignPoint] = []
-    best_time = float("inf")
-    for point in candidates:
-        if point.seconds_per_frame < best_time:
-            front.append(point)
-            best_time = point.seconds_per_frame
-    return front
+    order = pareto_indices(
+        np.array([p.area_luts for p in candidates], dtype=np.float64),
+        np.array([p.seconds_per_frame for p in candidates], dtype=np.float64))
+    return [candidates[index] for index in order.tolist()]

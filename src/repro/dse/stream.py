@@ -88,6 +88,7 @@ from repro.dse.engine import (PointsField, SpaceCosts, space_costs,
                               whole_space_pass)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dse.explorer import ConeCharacterization
@@ -356,6 +357,8 @@ def explore_stream(space: ArchitectureSpace,
                          f"(got {materialize!r})")
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1 (got {chunk_rows})")
+    check_positive("frame_width", frame_width)
+    check_positive("frame_height", frame_height)
     constraints = constraints or DseConstraints()
     splits = tuple(tuple(split) for split in space.level_splits())
     n_counts = space.max_cones_per_depth

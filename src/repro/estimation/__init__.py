@@ -19,7 +19,6 @@ from repro.estimation.throughput_model import (
     ConePerformance,
     ArchitecturePerformance,
     ThroughputModel,
-    performance_from_columns,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "ConePerformance",
     "ArchitecturePerformance",
     "ThroughputModel",
-    "performance_from_columns",
 ]

@@ -9,6 +9,11 @@ system: each execution must be fed its input window through the on-chip
 buffer ports, and each tile must move its input region / output window
 to and from off-chip memory, overlapped with computation by double buffering.
 
+Architectures that differ only in the primary (deepest) cone's instance
+count are costed at once: :meth:`ThroughputModel.estimate_batch` returns one
+column per figure over that count axis, and one architecture's figures are a
+one-count call.
+
 The per-tile cycle simulator in ``tests/simulation/cycle_oracle.py`` (a
 test oracle, not a production module) applies the same accounting tile by
 tile; the test suite and ``scripts/check.sh --sim`` hold this model to it.
@@ -25,6 +30,7 @@ import numpy as np
 from repro.architecture.template import ConeArchitecture
 from repro.ir.operators import DataFormat
 from repro.synth.fpga_device import FpgaDevice, VIRTEX6_XC6VLX760
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,8 @@ class ThroughputModel:
                  readonly_components: int = 0,
                  onchip_port_elements_per_cycle: int = 16,
                  tile_overhead_cycles: float = 24.0) -> None:
+        check_positive("onchip_port_elements_per_cycle",
+                       onchip_port_elements_per_cycle)
         self.device = device
         self.data_format = data_format
         self.readonly_components = readonly_components
@@ -137,33 +145,22 @@ class ThroughputModel:
                          / self.onchip_port_elements_per_cycle)
         return float(max(performance.initiation_interval, feed))
 
-    def compute_cycles_per_tile(self, architecture: ConeArchitecture,
-                                cone_performance: Mapping[int, ConePerformance]) -> float:
-        """Cycles the cone cascade spends computing one output tile.
-
-        Executions of the same depth are served by the available physical
-        instances; consecutive levels are dependent, so each level contributes
-        its pipeline fill latency once plus one execution interval per
-        serialised execution batch.  (Thin scalar wrapper over the batch
-        accumulation — one formula.)
-        """
-        primary = max(architecture.level_depths)
-        counts = np.asarray([architecture.cone_counts.get(primary, 1)],
-                            dtype=np.int64)
-        return float(self._compute_cycles_batch(architecture, cone_performance,
-                                                counts)[0])
-
     def _compute_cycles_batch(self, architecture: ConeArchitecture,
                               cone_performance: Mapping[int, ConePerformance],
                               primary_counts: "np.ndarray") -> "np.ndarray":
         """Per-tile compute cycles over the primary-cone instance-count axis.
 
+        Executions of the same depth are served by the available physical
+        instances; consecutive levels are dependent, so each level
+        contributes its pipeline fill latency once plus one execution
+        interval per serialised execution batch.
+
         Every architecture of one (window, level-split) group differs only in
         the instance count of the primary (deepest) cone, so the per-level
         accumulation runs once with the primary level's serialisation factor
         vectorized over ``primary_counts``.  Level contributions are added in
-        level order, mirroring the scalar accumulation addition for addition
-        (bit-identical results).
+        level order, as one architecture's accumulation adds them, so each
+        count's cycles equal its longhand sum bit for bit.
         """
         primary = max(architecture.level_depths)
         executions_per_level = architecture.executions_per_level()
@@ -229,7 +226,7 @@ class ThroughputModel:
                        cone_performance: Mapping[int, ConePerformance],
                        frame_width: int, frame_height: int,
                        primary_counts: "np.ndarray") -> Dict[str, Any]:
-        """Vectorized :meth:`evaluate` over the primary-cone count axis.
+        """The model's figures over the primary-cone count axis.
 
         ``architecture`` is any member of a (window, level-split) group —
         its primary (deepest) cone count is overridden element-wise by
@@ -239,18 +236,31 @@ class ThroughputModel:
         ``cycles_per_tile``, ``seconds_per_frame``, ``frames_per_second``,
         ``compute_bound``) and plain scalars for the group-constant ones
         (``architecture_label``, ``clock_hz``, ``tiles_per_frame``,
-        ``transfer_cycles_per_tile``, ``offchip_bytes_per_frame``).
+        ``transfer_cycles_per_tile``, ``offchip_bytes_per_frame``).  One
+        architecture's figures are a one-count call at its own primary
+        count.
 
-        The model is two halves, and this is their composition:
-        :meth:`tile_columns`, which does not depend on the frame size, then
-        :meth:`frame_columns`, which does.  The scalar :meth:`evaluate`
-        composes the same halves over a one-element count axis, so batch
-        and scalar figures are bit-identical by construction.
+        The frame-independent half is :meth:`tile_columns`; the frame size
+        enters only through the tile count, and each row's frame time
+        through :meth:`frame_times`.
         """
-        return self.frame_columns(
-            architecture,
-            self.tile_columns(architecture, cone_performance, primary_counts),
-            frame_width, frame_height)
+        tile = self.tile_columns(architecture, cone_performance,
+                                 primary_counts)
+        tiles = self.tiles_per_frame(architecture, frame_width, frame_height)
+        seconds_per_frame, frames_per_second = self.frame_times(
+            tile["cycles_per_tile"], tiles)
+        return {
+            "architecture_label": tile["architecture_label"],
+            "clock_hz": self.device.typical_clock_hz,
+            "tiles_per_frame": tiles,
+            "compute_cycles_per_tile": tile["compute_cycles_per_tile"],
+            "transfer_cycles_per_tile": tile["transfer_cycles_per_tile"],
+            "cycles_per_tile": tile["cycles_per_tile"],
+            "seconds_per_frame": seconds_per_frame,
+            "frames_per_second": frames_per_second,
+            "offchip_bytes_per_frame": tile["bytes_per_tile"] * tiles,
+            "compute_bound": tile["compute_bound"],
+        }
 
     def tile_columns(self, architecture: ConeArchitecture,
                      cone_performance: Mapping[int, ConePerformance],
@@ -268,13 +278,8 @@ class ThroughputModel:
         primary_counts = np.asarray(primary_counts, dtype=np.int64)
         if primary_counts.ndim != 1:
             raise ValueError("primary_counts must be a 1-D integer array")
-        return self._tile_columns(architecture, self._compute_cycles_batch(
-            architecture, cone_performance, primary_counts))
-
-    def _tile_columns(self, architecture: ConeArchitecture,
-                      compute: "np.ndarray") -> Dict[str, Any]:
-        """:meth:`tile_columns` from per-tile compute cycles (any count
-        axis), shared by the scalar and batch paths."""
+        compute = self._compute_cycles_batch(architecture, cone_performance,
+                                             primary_counts)
         transfer, bytes_per_tile = self.transfer_cycles_per_tile(architecture)
         return {
             "architecture_label": architecture.label(),
@@ -284,32 +289,6 @@ class ThroughputModel:
                                 + self.tile_overhead_cycles),
             "compute_bound": compute >= transfer,
             "bytes_per_tile": bytes_per_tile,
-        }
-
-    def frame_columns(self, architecture: ConeArchitecture,
-                      tile: Mapping[str, Any], frame_width: int,
-                      frame_height: int) -> Dict[str, Any]:
-        """The frame half of :meth:`estimate_batch`: the full column dict
-        at one frame size from :meth:`tile_columns` columns, or any slice
-        of their arrays.
-
-        Only the tile count depends on the frame size; each row's frame
-        time comes from :meth:`frame_times`.
-        """
-        tiles = self.tiles_per_frame(architecture, frame_width, frame_height)
-        seconds_per_frame, frames_per_second = self.frame_times(
-            tile["cycles_per_tile"], tiles)
-        return {
-            "architecture_label": tile["architecture_label"],
-            "clock_hz": self.device.typical_clock_hz,
-            "tiles_per_frame": tiles,
-            "compute_cycles_per_tile": tile["compute_cycles_per_tile"],
-            "transfer_cycles_per_tile": tile["transfer_cycles_per_tile"],
-            "cycles_per_tile": tile["cycles_per_tile"],
-            "seconds_per_frame": seconds_per_frame,
-            "frames_per_second": frames_per_second,
-            "offchip_bytes_per_frame": tile["bytes_per_tile"] * tiles,
-            "compute_bound": tile["compute_bound"],
         }
 
     def frame_times(self, cycles_per_tile: "np.ndarray",
@@ -329,40 +308,3 @@ class ThroughputModel:
             1.0, seconds_per_frame,
             out=np.zeros_like(seconds_per_frame), where=positive)
         return seconds_per_frame, frames_per_second
-
-    def evaluate(self, architecture: ConeArchitecture,
-                 cone_performance: Mapping[int, ConePerformance],
-                 frame_width: int, frame_height: int) -> ArchitecturePerformance:
-        """Estimate the frame rate of ``architecture`` on the given frame size.
-
-        The per-architecture twin of :meth:`estimate_batch`, which the
-        exploration costs every candidate with: the per-tile half from the
-        same per-tile methods, then the same frame half, so they agree bit
-        for bit.
-        """
-        compute = np.asarray([self.compute_cycles_per_tile(architecture,
-                                                           cone_performance)],
-                             dtype=np.float64)
-        columns = self.frame_columns(
-            architecture, self._tile_columns(architecture, compute),
-            frame_width, frame_height)
-        return performance_from_columns(columns, 0)
-
-
-def performance_from_columns(columns: Mapping[str, Any],
-                             index: int) -> ArchitecturePerformance:
-    """Materialize one :class:`ArchitecturePerformance` from a column dict
-    produced by :meth:`ThroughputModel.estimate_batch` (NumPy scalars are
-    converted to plain Python values, preserving their bits)."""
-    return ArchitecturePerformance(
-        architecture_label=columns["architecture_label"],
-        clock_hz=columns["clock_hz"],
-        tiles_per_frame=columns["tiles_per_frame"],
-        compute_cycles_per_tile=float(columns["compute_cycles_per_tile"][index]),
-        transfer_cycles_per_tile=columns["transfer_cycles_per_tile"],
-        cycles_per_tile=float(columns["cycles_per_tile"][index]),
-        seconds_per_frame=float(columns["seconds_per_frame"][index]),
-        frames_per_second=float(columns["frames_per_second"][index]),
-        offchip_bytes_per_frame=columns["offchip_bytes_per_frame"],
-        compute_bound=bool(columns["compute_bound"][index]),
-    )

@@ -1,13 +1,26 @@
 """Unit tests for architecture-space enumeration."""
 
+import os
+import sys
+
 import pytest
+
+# the per-point enumeration is the scalar oracle's, beside the dse tests
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "dse"))
+from scalar_oracle import enumerate_architectures, enumerate_groups  # noqa: E402
 
 from repro.architecture.enumeration import (
     ArchitectureSpace,
     count_level_splits,
-    enumerate_level_splits,
     single_depth_split,
 )
+
+
+def level_splits(total_iterations, max_depth):
+    return ArchitectureSpace(kernel_name="blur",
+                             total_iterations=total_iterations, radius=1,
+                             max_depth=max_depth).level_splits()
 
 
 class TestSingleDepthSplit:
@@ -33,13 +46,13 @@ class TestSingleDepthSplit:
 
 class TestLevelSplits:
     def test_uniform_splits_cover_each_depth(self):
-        splits = enumerate_level_splits(10, max_depth=5)
+        splits = level_splits(10, max_depth=5)
         assert [5, 5] in splits
         assert [3, 3, 3, 1] in splits
         assert len(splits) == 5
 
     def test_max_depth_respected(self):
-        for split in enumerate_level_splits(10, max_depth=3):
+        for split in level_splits(10, max_depth=3):
             assert max(split) <= 3
 
 
@@ -58,20 +71,28 @@ class TestArchitectureSpace:
 
     def test_architecture_count_matches_size(self):
         space = self.make_space()
-        architectures = list(space.architectures())
+        architectures = list(enumerate_architectures(space))
         assert len(architectures) == space.size()
 
     def test_every_architecture_is_feasible_and_right_iterations(self):
-        for architecture in self.make_space().architectures():
-            assert architecture.total_iterations == 10
-            architecture.validate()
-
-    def test_primary_depth_scales_with_count_choice(self):
         space = self.make_space()
-        architectures = list(space.architectures(cone_count_choices=[3]))
-        for architecture in architectures:
-            primary = max(architecture.distinct_depths)
-            assert architecture.cone_counts[primary] == 3
+        for window, split, group in enumerate_groups(space):
+            for count, architecture in enumerate(group, start=1):
+                assert architecture.total_iterations == 10
+                architecture.validate()
+                # the trusted materialization builds the same candidate
+                assert space.materialize_row_parts(
+                    window, split, count) == architecture
+
+    def test_primary_depth_scales_with_the_count_axis(self):
+        space = self.make_space()
+        for _window, _split, group in enumerate_groups(space):
+            primary = max(group[0].distinct_depths)
+            assert [architecture.cone_counts[primary]
+                    for architecture in group] == [1, 2, 3, 4]
+            assert all(count == 1 for architecture in group
+                       for depth, count in architecture.cone_counts.items()
+                       if depth != primary)
 
 
 class TestCountLevelSplits:
@@ -80,7 +101,7 @@ class TestCountLevelSplits:
     def test_matches_enumeration(self):
         for total in range(1, 9):
             for max_depth in [None] + list(range(1, total + 2)):
-                expected = len(enumerate_level_splits(total, max_depth))
+                expected = len(level_splits(total, max_depth))
                 assert count_level_splits(total, max_depth) == expected
 
     def test_counts_a_space_too_large_to_enumerate(self):
@@ -103,13 +124,7 @@ class TestConstantTimeSize:
     def test_size_matches_enumeration_across_knobs(self):
         for max_depth in (1, 3, None):
             space = self.make_space(max_depth=max_depth)
-            assert space.size() == len(list(space.architectures()))
-
-    def test_size_with_count_choices(self):
-        space = self.make_space()
-        choices = [1, 3]
-        assert space.size(choices) == len(
-            list(space.architectures(cone_count_choices=choices)))
+            assert space.size() == len(list(enumerate_architectures(space)))
 
     def test_million_candidate_size_without_materialization(self):
         space = self.make_space(window_sides=tuple(range(1, 10)),

@@ -1,10 +1,11 @@
 """The per-point scalar exploration: the differential oracle of the
 exploration.
 
-Evaluates the candidate space one Python object at a time — build the
-:class:`ConeArchitecture`, sum its cone areas, run the throughput model's
-``evaluate``, wrap a :class:`DesignPoint`, test the constraints.  Every
-exploration in production runs the one pass of
+Enumerates the candidate space itself, one Python object at a time: build
+each :class:`ConeArchitecture` through its validating constructor, sum its
+cone areas, cost it with a one-count ``estimate_batch`` call at its own
+primary instance count, wrap a :class:`DesignPoint`, test the constraints.
+Every exploration in production runs the one pass of
 :func:`repro.dse.stream.explore_stream` over the space's cost table, in
 memory or streamed; the tests hold both materialize modes to this loop
 byte for byte, under the stock throughput model and the two overrides
@@ -20,10 +21,12 @@ from typing import List
 
 import numpy as np
 
+from repro.architecture.template import ConeArchitecture
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
 from repro.dse.pareto import pareto_front
-from repro.estimation.throughput_model import (ConePerformance,
+from repro.estimation.throughput_model import (ArchitecturePerformance,
+                                               ConePerformance,
                                                ThroughputModel)
 
 
@@ -41,6 +44,51 @@ class NegativeInterval(ThroughputModel):
     def execution_interval_cycles(self, architecture, depth, performance):
         return -super().execution_interval_cycles(architecture, depth,
                                                   performance)
+
+
+def enumerate_groups(space):
+    """Yield ``(window, split, architectures)`` per (window, level split)
+    of ``space``, in enumeration order: the group's candidates, one per
+    primary (deepest) cone instance count ``1..max_cones_per_depth``, every
+    other depth with one instance."""
+    for window in space.window_sides:
+        for split in space.level_splits():
+            depths = sorted(set(split))
+            yield window, split, [
+                ConeArchitecture(
+                    kernel_name=space.kernel_name, window_side=window,
+                    level_depths=list(split),
+                    cone_counts={**dict.fromkeys(depths, 1),
+                                 depths[-1]: count},
+                    radius=space.radius, components=space.components)
+                for count in range(1, space.max_cones_per_depth + 1)]
+
+
+def enumerate_architectures(space):
+    """Every candidate of ``space``, in enumeration order."""
+    for _window, _split, group in enumerate_groups(space):
+        yield from group
+
+
+def evaluate(throughput_model, architecture, cone_performance, frame_width,
+             frame_height) -> ArchitecturePerformance:
+    """One architecture's performance: a one-count ``estimate_batch`` call
+    at its own primary instance count."""
+    count = architecture.cone_counts[max(architecture.level_depths)]
+    columns = throughput_model.estimate_batch(
+        architecture, cone_performance, frame_width, frame_height,
+        np.asarray([count], dtype=np.int64))
+    return ArchitecturePerformance(
+        architecture_label=columns["architecture_label"],
+        clock_hz=columns["clock_hz"],
+        tiles_per_frame=columns["tiles_per_frame"],
+        compute_cycles_per_tile=float(columns["compute_cycles_per_tile"][0]),
+        transfer_cycles_per_tile=columns["transfer_cycles_per_tile"],
+        cycles_per_tile=float(columns["cycles_per_tile"][0]),
+        seconds_per_frame=float(columns["seconds_per_frame"][0]),
+        frames_per_second=float(columns["frames_per_second"][0]),
+        offchip_bytes_per_frame=columns["offchip_bytes_per_frame"],
+        compute_bound=bool(columns["compute_bound"][0]))
 
 
 @dataclass
@@ -89,7 +137,7 @@ def scalar_exploration(space, characterizations, throughput_model,
     rows: List[int] = []
     area_pruned = 0
     row = 0
-    for window, split, group in space.architecture_groups():
+    for window, split, group in enumerate_groups(space):
         depths = sorted(set(split))
         if any((window, depth) not in characterizations for depth in depths):
             row += len(group)
@@ -112,9 +160,9 @@ def scalar_exploration(space, characterizations, throughput_model,
                 architecture=architecture,
                 area_luts=total_area,
                 area_estimated=estimated,
-                performance=throughput_model.evaluate(
-                    architecture, cone_performance, frame_width,
-                    frame_height),
+                performance=evaluate(throughput_model, architecture,
+                                     cone_performance, frame_width,
+                                     frame_height),
                 fits_device=total_area <= usable_luts,
                 cone_area_by_depth=dict(area_by_depth),
             )

@@ -16,14 +16,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scalar_oracle import (NegativeInterval, SlowPorts, explore_scalar,
-                           scalar_exploration)
+from scalar_oracle import (NegativeInterval, SlowPorts,
+                           enumerate_architectures, enumerate_groups,
+                           evaluate, explore_scalar, scalar_exploration)
 
 from repro.algorithms import get_algorithm
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.engine import (_chunk_grid, build_points, cost_counts,
-                              group_area, group_context)
+from repro.dse.engine import (_chunk_grid, build_points, group_area,
+                              group_context)
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.stream import explore_stream
 from repro.estimation.throughput_model import (ArchitecturePerformance,
@@ -148,10 +149,18 @@ def inputs(igf_kernel):
             explorer.device.usable_capacity.luts)
 
 
+def group_columns(model, context, frame_width, frame_height, counts):
+    """The batch columns of one group's candidates at ``counts``."""
+    return model.estimate_batch(context.representative,
+                                context.cone_performance, frame_width,
+                                frame_height, counts)
+
+
 def group_rows(model, context, counts, frame_width, frame_height):
     """The builder's arguments for ``counts`` of one group: its area and
     batch columns at the frame size, as plain lists and scalars."""
-    columns = cost_counts(model, context, frame_width, frame_height, counts)
+    columns = group_columns(model, context, frame_width, frame_height,
+                            counts)
     return dict(
         {name: value.tolist() if isinstance(value, np.ndarray) else value
          for name, value in columns.items()},
@@ -166,7 +175,7 @@ class TestRowOrder:
         of the scalar enumeration, whatever the chunk size."""
         explorer, space, characterizations, usable = inputs
         expected = [architecture.to_dict()
-                    for architecture in space.architectures()]
+                    for architecture in enumerate_architectures(space)]
         assert space.size() == len(expected)
         for chunk_rows in (1, 3, 4, 100):
             result = explore_stream(space, characterizations,
@@ -188,7 +197,7 @@ class TestPassKernel:
     def test_group_area_reproduces_the_per_point_sum_on_any_slice(
             self, inputs):
         _, space, characterizations, _ = inputs
-        for window, split, group in space.architecture_groups():
+        for window, split, group in enumerate_groups(space):
             context = group_context(space, characterizations, window,
                                     tuple(split))
             expected = [sum(architecture.cone_counts[depth]
@@ -203,11 +212,12 @@ class TestPassKernel:
 
     def test_batch_costing_builds_the_per_point_evaluations(self, inputs):
         """One group's batch columns, handed to the builder as plain lists,
-        build the enumeration's architectures with ``evaluate``'s
-        performance, the per-point area sum and the device check."""
+        build the enumeration's architectures with each one's own
+        one-count performance, the per-point area sum and the device
+        check."""
         explorer, space, characterizations, usable = inputs
         model = explorer.throughput_model
-        for window, split, group in space.architecture_groups():
+        for window, split, group in enumerate_groups(space):
             context = group_context(space, characterizations, window,
                                     tuple(split))
             counts = np.arange(1, len(group) + 1, dtype=np.int32)
@@ -216,8 +226,8 @@ class TestPassKernel:
                                                96))
             assert [point.architecture for point in points] == group
             assert [point.performance for point in points] == [
-                model.evaluate(architecture, context.cone_performance,
-                               128, 96)
+                evaluate(model, architecture, context.cone_performance, 128,
+                         96)
                 for architecture in group]
             sums = [sum(architecture.cone_counts[depth]
                         * context.area_by_depth[depth]
@@ -256,8 +266,8 @@ class TestModelHooks:
     def test_interval_hook_override_keeps_batch_costing_consistent(
             self, igf_kernel):
         """The per-tile hooks are invoked on the instance by the batch
-        formula and by ``evaluate``, so overriding one composes with batch
-        costing."""
+        formula, so overriding one composes with batch costing, whatever
+        the count axis."""
         explorer = small_explorer(igf_kernel)
         stock_model = explorer.throughput_model
         explorer.throughput_model = SlowPorts(
@@ -288,14 +298,14 @@ class TestModelHooks:
                 max_cones_per_depth=16)
             characterizations, _ = explorer.characterize_cones(iterations)
             space = explorer._space(iterations)
-            for window, split, _group in space.architecture_groups():
+            for window, split, _group in enumerate_groups(space):
                 context = group_context(space, characterizations, window,
                                         tuple(split))
                 for model in models:
                     saturation = model.saturation_count(
                         context.representative)
                     low = max(saturation - 1, 1)
-                    columns = cost_counts(
+                    columns = group_columns(
                         model, context, 1024, 768,
                         np.arange(low, saturation + 21, dtype=np.int64))
                     at = saturation - low  # the position of count S
@@ -366,7 +376,7 @@ class TestPointBuilder:
         usable = explorer.device.usable_capacity.luts
         counts = np.arange(1, space.max_cones_per_depth + 1, dtype=np.int64)
         groups = []
-        for window, split, _group in space.architecture_groups():
+        for window, split, _group in enumerate_groups(space):
             context = group_context(space, characterizations, window,
                                     tuple(split))
             groups.append((context, group_rows(model, context, counts, 1024,

@@ -101,3 +101,51 @@ class TestEstimationOnlyMode:
             4, 128, 96, constraints=DseConstraints(min_frames_per_second=1.0))
         assert len(constrained.design_points) <= len(unconstrained.design_points)
         assert all(p.frames_per_second >= 1.0 for p in constrained.design_points)
+
+
+def tiny_explorer(kernel, **overrides):
+    keywords = dict(data_format=DataFormat.FIXED16, window_sides=(1, 2),
+                    max_depth=2, max_cones_per_depth=3)
+    keywords.update(overrides)
+    return DesignSpaceExplorer(kernel, **keywords)
+
+
+class TestBadKnobs:
+    """A knob that leaves nothing to explore, or nothing to divide by, is a
+    ``ValueError`` naming it, never a crash or an empty or negative
+    answer."""
+
+    @pytest.mark.parametrize("knob,bad", [
+        ("onchip_port_elements_per_cycle", 0),
+        ("onchip_port_elements_per_cycle", -4),
+        ("max_cones_per_depth", 0),
+        ("max_cones_per_depth", -1),
+        ("max_depth", 0),
+        ("max_depth", -2),
+        ("window_sides", ()),
+        ("window_sides", (0, 2)),
+    ])
+    def test_the_explorer_rejects_a_bad_knob(self, igf_kernel, knob, bad):
+        name = "window side" if knob == "window_sides" else knob
+        with pytest.raises(ValueError, match=name):
+            tiny_explorer(igf_kernel, **{knob: bad})
+
+    @pytest.mark.parametrize("port", [0, -4])
+    def test_an_exploration_rejects_a_bad_port_width(self, igf_kernel, port):
+        explorer = tiny_explorer(igf_kernel)
+        with pytest.raises(ValueError,
+                           match="onchip_port_elements_per_cycle"):
+            explorer.explore(4, 64, 48, onchip_port_elements_per_cycle=port)
+
+    @pytest.mark.parametrize("width,height", [(0, 96), (-128, 96), (128, 0),
+                                              (128, -96)])
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_an_exploration_rejects_a_bad_frame_size(self, igf_kernel, width,
+                                                     height, stream):
+        explorer = tiny_explorer(igf_kernel)
+        with pytest.raises(ValueError, match="frame_(width|height)"):
+            explorer.explore(4, width, height, stream=stream)
+
+    def test_an_unlimited_depth_is_still_accepted(self, igf_kernel):
+        result = tiny_explorer(igf_kernel, max_depth=None).explore(4, 64, 48)
+        assert result.pareto

@@ -6,8 +6,7 @@ import pytest
 from repro.architecture.template import ConeArchitecture
 from repro.dse.constraints import DseConstraints
 from repro.dse.design_point import DesignPoint
-from repro.dse.pareto import (_VECTORIZE_THRESHOLD, is_dominated,
-                              pareto_front, pareto_indices)
+from repro.dse.pareto import is_dominated, pareto_front, pareto_indices
 from repro.estimation.throughput_model import ArchitecturePerformance
 
 
@@ -91,7 +90,8 @@ class TestParetoFront:
 
 
 def reference_scan(points):
-    """Longhand sort-and-scan twin used to pin both production paths."""
+    """Longhand sort-and-scan: the Pareto front of a stable sort by
+    (area, time) and a running time minimum."""
     ordered = sorted(points, key=lambda p: (p.area_luts, p.seconds_per_frame))
     front, best_time = [], float("inf")
     for point in ordered:
@@ -102,9 +102,8 @@ def reference_scan(points):
 
 
 class TestTieBreakingDeterminism:
-    """ISSUE 4 satellite: equal (area, time) points keep one representative
-    — the first seen in the input — identically on the pure-Python and the
-    NumPy path (both sorts are stable)."""
+    """Equal (area, time) points keep one representative — the first seen
+    in the input (the sort is stable)."""
 
     def test_small_input_keeps_first_seen_duplicate(self):
         first = make_point(100, 1.0)
@@ -115,20 +114,15 @@ class TestTieBreakingDeterminism:
         front = pareto_front([second, first])
         assert len(front) == 1 and front[0] is second
 
-    def test_numpy_and_python_paths_agree_on_ties(self):
-        """The same point multiset, below and above the vectorization
-        threshold, must keep identity-identical representatives."""
-        pairs = [(100 + 10 * (i % 7), 1.0 + (i % 5) * 0.25)
-                 for i in range(_VECTORIZE_THRESHOLD - 4)]
-        small_points = [make_point(a, t) for a, t in pairs]
-        small_front = pareto_front(small_points)          # pure-Python scan
-        padding = [make_point(1e9, 1e9)                   # dominated filler
-                   for _ in range(8)]
-        large_points = small_points + padding
-        assert len(large_points) >= _VECTORIZE_THRESHOLD
-        large_front = pareto_front(large_points)          # NumPy path
-        assert [id(p) for p in large_front] == [id(p) for p in small_front]
-        assert small_front == reference_scan(small_points)
+    def test_ties_keep_the_longhand_scans_representatives(self):
+        """On an input full of duplicate objectives, the front keeps the
+        very objects the longhand scan keeps."""
+        pairs = [(100 + 10 * (i % 7), 2.5 - 0.25 * (i % 7) + 0.5 * (i % 2))
+                 for i in range(60)]
+        points = [make_point(a, t) for a, t in pairs]
+        front = pareto_front(points)
+        assert len(front) == 7  # one member per area, each duplicated
+        assert [id(p) for p in front] == [id(p) for p in reference_scan(points)]
 
     def test_pareto_indices_matches_pareto_front_order(self):
         pairs = [(150, 3.0), (100, 5.0), (100, 5.0), (300, 1.0), (150, 3.0),
@@ -142,21 +136,16 @@ class TestTieBreakingDeterminism:
 
 
 class TestNonFiniteRejection:
-    """NaN/inf objectives are estimation bugs; both paths refuse them."""
+    """NaN/inf objectives are estimation bugs; the extraction refuses
+    them."""
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
     @pytest.mark.parametrize("objective", ["area", "time"])
-    def test_python_path_rejects_non_finite(self, bad, objective):
+    def test_pareto_front_rejects_non_finite(self, bad, objective):
         points = [make_point(100, 1.0),
                   make_point(bad, 1.0) if objective == "area"
                   else make_point(100, bad)]
-        with pytest.raises(ValueError, match="finite"):
-            pareto_front(points)
-
-    def test_numpy_path_rejects_non_finite(self):
-        points = [make_point(100 + i, 1.0) for i in range(_VECTORIZE_THRESHOLD)]
-        points.append(make_point(float("nan"), 1.0))
         with pytest.raises(ValueError, match="finite"):
             pareto_front(points)
 

@@ -372,8 +372,7 @@ class TestCostCache:
                                                  monkeypatch):
         explorer = evaluation_inputs[0]
         calls = []
-        for name in ("tile_columns", "frame_columns", "estimate_batch",
-                     "frame_times"):
+        for name in ("tile_columns", "estimate_batch", "frame_times"):
             def recording(*args, _real=getattr(ThroughputModel, name),
                           _name=name, **kwargs):
                 calls.append(_name)
@@ -948,9 +947,9 @@ class TestSaturationCut:
             for split in space.level_splits():
                 context = engine_module.group_context(
                     space, characterizations, window, tuple(split))
-                compute = engine_module.cost_counts(
-                    stock, context, 128, 96, counts)[
-                        "compute_cycles_per_tile"]
+                compute = stock.estimate_batch(
+                    context.representative, context.cone_performance, 128,
+                    96, counts)["compute_cycles_per_tile"]
                 changes = np.flatnonzero(compute[1:] != compute[:-1])
                 saturation[(window, tuple(split))] = int(changes[-1]) + 2
         width = max(saturation.values())

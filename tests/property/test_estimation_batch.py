@@ -1,12 +1,12 @@
-"""Property tests: ``estimate_batch()`` ≡ the scalar estimates (ISSUE 4).
+"""Property tests: ``estimate_batch()`` ≡ the per-point estimates.
 
-The scalar paths of both estimation models delegate to their batch twins,
-so these tests pin the batch implementations against *independent* scalar
-references written out longhand here (the per-point recursions), and
-additionally assert that evaluating a whole count axis at once is
-bit-identical to evaluating its elements one by one.  Equality is exact
-(``==``, not approx): the exploration fold's byte-identical-results
-guarantee rests on it.
+The area model's scalar path delegates to its batch twin, and the
+throughput model has only the batch path, so these tests pin the batch
+implementations against *independent* per-point references written out
+longhand here (the per-point recursions), and additionally assert that
+evaluating a whole count axis at once is bit-identical to evaluating its
+elements one by one.  Equality is exact (``==``, not approx): the
+exploration's byte-identical-results guarantee rests on it.
 """
 
 import math
@@ -141,9 +141,25 @@ throughput_cases = st.builds(
     st.integers(min_value=1, max_value=3))    # state components
 
 
+def reference_figures(model, architecture, cone_performance, frame_width,
+                      frame_height):
+    """One architecture's count-dependent figures, written out longhand
+    from the per-level accumulation."""
+    compute = reference_compute_cycles(model, architecture, cone_performance)
+    transfer, _bytes = model.transfer_cycles_per_tile(architecture)
+    cycles = max(compute, transfer) + model.tile_overhead_cycles
+    seconds = (cycles * model.tiles_per_frame(architecture, frame_width,
+                                              frame_height)
+               / model.device.typical_clock_hz)
+    return {"compute_cycles_per_tile": compute, "cycles_per_tile": cycles,
+            "seconds_per_frame": seconds,
+            "frames_per_second": 1.0 / seconds if seconds > 0 else 0.0,
+            "compute_bound": compute >= transfer}
+
+
 @given(throughput_cases)
 @settings(max_examples=120, deadline=None)
-def test_throughput_estimate_batch_matches_per_count_evaluate(case):
+def test_throughput_estimate_batch_matches_the_longhand_model(case):
     window, iterations, depth, max_count, latency, radius, components = case
     split = single_depth_split(iterations, depth)
     depths = sorted(set(split))
@@ -165,25 +181,20 @@ def test_throughput_estimate_batch_matches_per_count_evaluate(case):
         group[0], cone_performance, 320, 240,
         np.arange(1, max_count + 1, dtype=np.int64))
     for index, architecture in enumerate(group):
-        scalar = model.evaluate(architecture, cone_performance, 320, 240)
-        # bit-identical, column by column
-        assert scalar.compute_cycles_per_tile == float(
-            columns["compute_cycles_per_tile"][index])
-        assert scalar.cycles_per_tile == float(
-            columns["cycles_per_tile"][index])
-        assert scalar.seconds_per_frame == float(
-            columns["seconds_per_frame"][index])
-        assert scalar.frames_per_second == float(
-            columns["frames_per_second"][index])
-        assert scalar.compute_bound == bool(columns["compute_bound"][index])
-        assert scalar.transfer_cycles_per_tile == columns[
-            "transfer_cycles_per_tile"]
-        assert scalar.tiles_per_frame == columns["tiles_per_frame"]
-        assert scalar.offchip_bytes_per_frame == columns[
-            "offchip_bytes_per_frame"]
-        # ... and identical to the longhand scalar accumulation
-        assert scalar.compute_cycles_per_tile == reference_compute_cycles(
-            model, architecture, cone_performance)
+        # each architecture's own one-count call, bit-identical column by
+        # column
+        own = model.estimate_batch(architecture, cone_performance, 320, 240,
+                                   np.asarray([index + 1], dtype=np.int64))
+        for name, column in columns.items():
+            if isinstance(column, np.ndarray):
+                assert column[index].tobytes() == own[name][0].tobytes(), name
+            else:
+                assert column == own[name], name
+        # ... and identical to the longhand per-level accumulation
+        reference = reference_figures(model, architecture, cone_performance,
+                                      320, 240)
+        for name, value in reference.items():
+            assert columns[name][index].item() == value, name
 
 
 def test_throughput_estimate_batch_rejects_matrix_counts():
